@@ -431,10 +431,9 @@ func shardBenchGeometry() nand.Geometry {
 // iteration on flexFTL. Run with -cpu 1,4 to sweep the host parallelism:
 // the -N suffix Go appends to each row IS the GOMAXPROCS of that run
 // (sub-benchmark names are fixed at discovery, so GOMAXPROCS cannot go in
-// the name itself); bench.sh rewrites that suffix into a /procsN segment
-// for this family instead of stripping it. The w1 row is the no-regression
-// guard against BenchmarkSSDRun; the wN rows only beat it when GOMAXPROCS
-// and the host core count allow real parallelism.
+// the name itself). The w1 row is the no-regression guard against
+// BenchmarkSSDRun; the wN rows only beat it when GOMAXPROCS and the host core
+// count allow real parallelism.
 func BenchmarkSSDRunSharded(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		workers := workers
@@ -484,8 +483,8 @@ func BenchmarkPickVictim(b *testing.B) {
 	}{{"indexed", false}, {"reference", true}} {
 		for _, n := range []int{64, 256, 1024, 4096} {
 			mode, n := mode, n
-			// The size spells out "blocks" so bench.sh's -procs suffix
-			// stripping cannot eat a trailing bare number.
+			// The size spells out "blocks" so the -N GOMAXPROCS suffix Go
+			// appends cannot be read as part of a trailing bare number.
 			b.Run(fmt.Sprintf("%s/%dblocks", mode.name, n), func(b *testing.B) {
 				const ppb = 16
 				valid := make([]int, n+8)

@@ -27,22 +27,19 @@ type Entry struct {
 	released bool
 }
 
-// Buffer is a fixed-capacity FIFO of page writes with released-slot
-// accounting. Not safe for concurrent use (the simulator is single-threaded
-// over virtual time).
+// Buffer is a fixed-capacity pool of page-write slots with occupancy
+// accounting. Programs complete out of admission order, so the buffer keeps
+// no queue of its entries: callers hold the handles and release each one when
+// its program is done. Not safe for concurrent use (the simulator is
+// single-threaded over virtual time).
 type Buffer struct {
 	capacity int
-	entries  []*Entry
-	// occupied counts admitted-but-not-released entries; len(entries) can
-	// be larger transiently because released entries are compacted lazily.
-	occupied int
+	occupied int // admitted-but-not-released entries
 	peakOcc  int
 	admitted int64
 	util     *obs.Gauge // observability: live utilization (nil when disabled)
-	// freeList recycles Entry allocations: compact() parks the released
-	// prefix here and TryAdmit reuses it, so steady-state admission allocates
-	// nothing. Reset deliberately does not recycle — callers may still hold
-	// unreleased handles across a Reset.
+	// freeList recycles Entry allocations: Release parks the entry here and
+	// TryAdmit reuses it, so steady-state admission allocates nothing.
 	freeList []*Entry
 }
 
@@ -82,8 +79,8 @@ func (b *Buffer) Utilization() float64 {
 // Free returns the number of free slots.
 func (b *Buffer) Free() int { return b.capacity - b.occupied }
 
-// TryAdmit appends a page write, failing with ErrFull when no slot is free.
-// The returned entry is the handle to release later.
+// TryAdmit takes a slot for a page write, failing with ErrFull when none is
+// free. The returned entry is the handle to release later.
 func (b *Buffer) TryAdmit(lpn int64, now sim.Time) (*Entry, error) {
 	if b.occupied >= b.capacity {
 		return nil, ErrFull
@@ -96,7 +93,6 @@ func (b *Buffer) TryAdmit(lpn int64, now sim.Time) (*Entry, error) {
 	} else {
 		e = &Entry{LPN: lpn, Arrived: now}
 	}
-	b.entries = append(b.entries, e)
 	b.occupied++
 	b.admitted++
 	if b.occupied > b.peakOcc {
@@ -118,37 +114,8 @@ func (b *Buffer) Release(e *Entry) error {
 	e.released = true
 	b.occupied--
 	b.util.Set(b.Utilization())
-	b.compact()
+	// A released entry is dead to its holder, so it can back the next
+	// admission.
+	b.freeList = append(b.freeList, e)
 	return nil
-}
-
-// compact drops a released prefix so the FIFO view stays cheap.
-func (b *Buffer) compact() {
-	i := 0
-	for i < len(b.entries) && b.entries[i].released {
-		i++
-	}
-	if i > 0 {
-		// Park the dropped prefix for reuse before the shift overwrites it;
-		// released entries are dead to callers (Release errors on reuse).
-		b.freeList = append(b.freeList, b.entries[:i]...)
-		b.entries = append(b.entries[:0], b.entries[i:]...)
-	}
-}
-
-// Oldest returns the earliest admitted un-released entry, or nil when empty.
-func (b *Buffer) Oldest() *Entry {
-	for _, e := range b.entries {
-		if !e.released {
-			return e
-		}
-	}
-	return nil
-}
-
-// Reset empties the buffer (used between benchmark phases).
-func (b *Buffer) Reset() {
-	b.entries = b.entries[:0]
-	b.occupied = 0
-	b.util.Set(0)
 }

@@ -53,24 +53,44 @@ func TestAdmitRelease(t *testing.T) {
 	}
 }
 
-func TestOldestFIFO(t *testing.T) {
+// A released entry backs the next admission, reset: steady-state admission
+// allocates nothing and a recycled handle can be released again.
+func TestReleasedEntryIsRecycled(t *testing.T) {
 	b := New(4)
 	e1, _ := b.TryAdmit(1, 10)
 	e2, _ := b.TryAdmit(2, 20)
-	if got := b.Oldest(); got != e1 {
-		t.Errorf("Oldest = %+v, want first entry", got)
-	}
 	if err := b.Release(e1); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Oldest(); got != e2 {
-		t.Errorf("Oldest after release = %+v, want second entry", got)
-	}
-	if err := b.Release(e2); err != nil {
+	e3, err := b.TryAdmit(3, 30)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Oldest() != nil {
-		t.Error("Oldest on empty buffer non-nil")
+	if e3 != e1 {
+		t.Error("admission after a release did not reuse the released entry")
+	}
+	if e3.LPN != 3 || e3.Arrived != 30 {
+		t.Errorf("recycled entry = %+v, want LPN 3 arrived 30", *e3)
+	}
+	if e2.LPN != 2 || e2.Arrived != 20 {
+		t.Errorf("live entry disturbed by recycling: %+v", *e2)
+	}
+	if err := b.Release(e3); err != nil {
+		t.Errorf("release of a recycled entry: %v", err)
+	}
+	if b.Occupied() != 1 || b.Admitted() != 3 {
+		t.Errorf("occ=%d admitted=%d, want 1 and 3", b.Occupied(), b.Admitted())
+	}
+	held := e2
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := b.Release(held); err != nil {
+			t.Fatal(err)
+		}
+		if held, err = b.TryAdmit(9, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("release+admit allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -84,17 +104,23 @@ func TestOutOfOrderRelease(t *testing.T) {
 	if err := b.Release(e2); err != nil {
 		t.Fatal(err)
 	}
-	if b.Occupied() != 2 || b.Oldest() != e1 {
-		t.Error("middle release broke accounting")
+	if b.Occupied() != 2 || b.Free() != 1 {
+		t.Errorf("after middle release occ=%d free=%d, want 2 and 1", b.Occupied(), b.Free())
+	}
+	if err := b.Release(e2); err == nil {
+		t.Error("double release of the middle entry succeeded")
 	}
 	if err := b.Release(e1); err != nil {
 		t.Fatal(err)
 	}
-	if b.Oldest() != e3 {
-		t.Error("Oldest should skip released entries")
+	if e3.LPN != 3 {
+		t.Errorf("live entry disturbed by earlier releases: %+v", *e3)
 	}
 	if err := b.Release(e3); err != nil {
 		t.Fatal(err)
+	}
+	if b.Occupied() != 0 || b.PeakOccupied() != 3 {
+		t.Errorf("drained occ=%d peak=%d, want 0 and 3", b.Occupied(), b.PeakOccupied())
 	}
 	// Slots fully recycled.
 	for i := 0; i < 3; i++ {
@@ -102,16 +128,8 @@ func TestOutOfOrderRelease(t *testing.T) {
 			t.Fatalf("re-admission %d failed: %v", i, err)
 		}
 	}
-}
-
-func TestReset(t *testing.T) {
-	b := New(2)
-	if _, err := b.TryAdmit(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	b.Reset()
-	if b.Occupied() != 0 || b.Oldest() != nil {
-		t.Error("Reset did not clear buffer")
+	if _, err := b.TryAdmit(9, 1); !errors.Is(err, ErrFull) {
+		t.Errorf("admission past capacity after recycling: err = %v", err)
 	}
 }
 

@@ -420,7 +420,9 @@ func (b *Base) Trim(lpn LPN, now sim.Time) (sim.Time, error) {
 func (b *Base) ReadLPN(lpn LPN, now sim.Time) (sim.Time, error) {
 	ppn, ok := b.Map.Lookup(lpn)
 	if !ok {
-		return now, fmt.Errorf("%w: %d", ErrUnmapped, lpn)
+		// The bare sentinel: an unmapped read is an expected outcome the
+		// runner drops, so it is not worth formatting (or allocating) a message.
+		return now, ErrUnmapped
 	}
 	addr := b.Dev.Geometry().AddrOfPPN(ppn)
 	done, err := b.Dev.ReadInto(addr, &b.Buf, now)

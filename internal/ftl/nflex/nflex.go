@@ -332,7 +332,7 @@ func (f *FTL) Write(lpn ftl.LPN, now sim.Time, util float64) (sim.Time, error) {
 func (f *FTL) Read(lpn ftl.LPN, now sim.Time) (sim.Time, error) {
 	ppn, ok := f.m.Lookup(lpn)
 	if !ok {
-		return now, fmt.Errorf("%w: %d", ftl.ErrUnmapped, lpn)
+		return now, ftl.ErrUnmapped // bare, like ftl.Base.ReadLPN: expected, and allocation-free
 	}
 	done, err := f.dev.ReadInto(f.addrOf(ppn), &f.buf, now)
 	if err != nil {

@@ -1,6 +1,7 @@
 package nflex
 
 import (
+	"errors"
 	"testing"
 
 	"fmt"
@@ -94,11 +95,15 @@ func TestTrimAndUnmappedRead(t *testing.T) {
 	if _, err := f.Trim(7, now); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Read(7, now); err == nil {
-		t.Error("trimmed page readable")
+	if _, err := f.Read(7, now); !errors.Is(err, ftl.ErrUnmapped) {
+		t.Errorf("read of trimmed page: err = %v, want ErrUnmapped", err)
 	}
-	if _, err := f.Read(999, now); err == nil {
-		t.Error("unmapped read succeeded")
+	if _, err := f.Read(999, now); !errors.Is(err, ftl.ErrUnmapped) {
+		t.Errorf("read of never-written page: err = %v, want ErrUnmapped", err)
+	}
+	// An expected outcome the runner drops: no message is built for it.
+	if allocs := testing.AllocsPerRun(200, func() { _, _ = f.Read(7, now) }); allocs != 0 {
+		t.Errorf("unmapped read allocates %.1f times per op, want 0", allocs)
 	}
 }
 

@@ -275,3 +275,27 @@ func TestCleanReadZeroAllocs(t *testing.T) {
 		t.Errorf("clean read allocates %.1f times per op, want 0", allocs)
 	}
 }
+
+// TestUnmappedReadZeroAllocs: a read of a trimmed or never-written LPN is an
+// expected outcome the runner drops, so it returns the bare sentinel and
+// allocates nothing.
+func TestUnmappedReadZeroAllocs(t *testing.T) {
+	k := relTestKernel(t, "pageFTL", DefaultRelPolicy())
+	now := writeLPNs(t, k, 4)
+	if _, err := k.Trim(LPN(2), now); err != nil {
+		t.Fatal(err)
+	}
+	for _, lpn := range []LPN{2, 100} {
+		if _, err := k.Read(lpn, now); err != ErrUnmapped {
+			t.Errorf("read of unmapped LPN %d: err = %v, want ErrUnmapped itself", lpn, err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := k.Read(LPN(2), now); !errors.Is(err, ErrUnmapped) {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("unmapped read allocates %.1f times per op, want 0", allocs)
+	}
+}

@@ -6,7 +6,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"flexftl/internal/sim"
 	"flexftl/internal/stats"
@@ -24,11 +24,13 @@ type Collector struct {
 	pagesRead int64
 	pagesWrit int64
 
-	respTimes  []float64 // per-request response time, microseconds
-	readTimes  []float64 // read-only response times
-	writeTimes []float64 // write acknowledgement times
-	writeFlush []float64 // write flush times (last page program finished)
-	trimTimes  []float64 // trim completion times
+	// One sample per request and class, integer microseconds. A request's
+	// response time is its read, write-ack or trim sample, so the all-requests
+	// summary is read off those three classes by rank instead of being stored
+	// a second time.
+	read, writeAck, writeFlush, trim samples
+	// scratch is the radix sort's second buffer, kept for the next summary.
+	scratch []int64
 
 	// Write-bandwidth windows: bytes of host write completions bucketed
 	// into fixed windows of virtual time.
@@ -57,8 +59,7 @@ func (c *Collector) RecordRead(pages int, arrival, done sim.Time) {
 	c.requests++
 	c.reads++
 	c.pagesRead += int64(pages)
-	c.respTimes = append(c.respTimes, float64(done-arrival))
-	c.readTimes = append(c.readTimes, float64(done-arrival))
+	c.read.xs = append(c.read.xs, int64(done-arrival))
 	if done > c.makespan {
 		c.makespan = done
 	}
@@ -71,9 +72,8 @@ func (c *Collector) RecordWrite(pages int, arrival, ack, flushed sim.Time) {
 	c.requests++
 	c.writes++
 	c.pagesWrit += int64(pages)
-	c.respTimes = append(c.respTimes, float64(ack-arrival))
-	c.writeTimes = append(c.writeTimes, float64(ack-arrival))
-	c.writeFlush = append(c.writeFlush, float64(flushed-arrival))
+	c.writeAck.xs = append(c.writeAck.xs, int64(ack-arrival))
+	c.writeFlush.xs = append(c.writeFlush.xs, int64(flushed-arrival))
 	c.windowBytes[int64(flushed/c.windowWidth)] += int64(pages) * int64(c.pageSize)
 	if flushed > c.makespan {
 		c.makespan = flushed
@@ -84,8 +84,7 @@ func (c *Collector) RecordWrite(pages int, arrival, ack, flushed sim.Time) {
 func (c *Collector) RecordTrim(pages int, arrival, done sim.Time) {
 	c.requests++
 	c.trims++
-	c.respTimes = append(c.respTimes, float64(done-arrival))
-	c.trimTimes = append(c.trimTimes, float64(done-arrival))
+	c.trim.xs = append(c.trim.xs, int64(done-arrival))
 	if done > c.makespan {
 		c.makespan = done
 	}
@@ -142,19 +141,23 @@ func (c *Collector) Finalize() Result {
 	if c.activeTime > 0 {
 		res.IOPS = float64(c.requests) / c.activeTime.Seconds()
 	}
-	var bws []float64
+	bws := make([]float64, 0, len(c.windowBytes))
 	for _, bytes := range c.windowBytes {
 		mbs := float64(bytes) / (1 << 20) / c.windowWidth.Seconds()
 		bws = append(bws, mbs)
 	}
+	// Sorted before anything reads it: the map's iteration order must not
+	// reach the mean's floating-point sum.
+	slices.Sort(bws)
 	res.BandwidthCDF = stats.NewCDF(bws)
 	if len(bws) > 0 {
 		res.MeanWriteBandwidthMBs = stats.Mean(bws)
-		res.PeakWriteBandwidthMBs = stats.Quantile(bws, 0.99)
+		res.PeakWriteBandwidthMBs = stats.QuantileSorted(bws, 0.99)
 	}
-	res.ResponseTime = stats.Summarize(c.respTimes)
-	res.ReadResponse = stats.Summarize(c.readTimes)
-	res.WriteResponse = stats.Summarize(c.writeTimes)
+	c.sortSamples()
+	res.ResponseTime = fiveNum(sortedRuns{c.read.xs, c.writeAck.xs, c.trim.xs})
+	res.ReadResponse = fiveNum(sortedRuns{c.read.xs})
+	res.WriteResponse = fiveNum(sortedRuns{c.writeAck.xs})
 	return res
 }
 
@@ -178,33 +181,54 @@ type LatencyReport struct {
 	Trim       Percentiles
 }
 
-// percentilesOf computes an exact summary, sorting a copy of xs once.
-func percentilesOf(xs []float64) Percentiles {
-	if len(xs) == 0 {
-		return Percentiles{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Percentiles{
-		Count: int64(len(sorted)),
-		Mean:  stats.Mean(sorted),
-		P50:   stats.QuantileSorted(sorted, 0.50),
-		P90:   stats.QuantileSorted(sorted, 0.90),
-		P95:   stats.QuantileSorted(sorted, 0.95),
-		P99:   stats.QuantileSorted(sorted, 0.99),
-		P999:  stats.QuantileSorted(sorted, 0.999),
-		Max:   sorted[len(sorted)-1],
-	}
-}
-
 // Latency computes the per-class percentile report from the raw per-request
 // samples. Like Finalize it reads the collector without consuming it.
 func (c *Collector) Latency() LatencyReport {
+	c.sortSamples()
 	return LatencyReport{
-		Read:       percentilesOf(c.readTimes),
-		WriteAck:   percentilesOf(c.writeTimes),
-		WriteFlush: percentilesOf(c.writeFlush),
-		Trim:       percentilesOf(c.trimTimes),
+		Read:       percentilesOf(c.read.xs),
+		WriteAck:   percentilesOf(c.writeAck.xs),
+		WriteFlush: percentilesOf(c.writeFlush.xs),
+		Trim:       percentilesOf(c.trim.xs),
+	}
+}
+
+// percentilesOf summarizes one sorted class.
+func percentilesOf(sorted []int64) Percentiles {
+	if len(sorted) == 0 {
+		return Percentiles{}
+	}
+	// Summed as floats in ascending order, not as integers: the two differ
+	// once a partial sum passes 2^53, and this is the order the mean has
+	// always been taken in.
+	sum := 0.0
+	for _, x := range sorted {
+		sum += float64(x)
+	}
+	runs := sortedRuns{sorted}
+	return Percentiles{
+		Count: int64(len(sorted)),
+		Mean:  sum / float64(len(sorted)),
+		P50:   runs.quantile(0.50),
+		P90:   runs.quantile(0.90),
+		P95:   runs.quantile(0.95),
+		P99:   runs.quantile(0.99),
+		P999:  runs.quantile(0.999),
+		Max:   float64(sorted[len(sorted)-1]),
+	}
+}
+
+// fiveNum is stats.Summarize over the union of the runs.
+func fiveNum(runs sortedRuns) stats.FiveNum {
+	if runs.len() == 0 {
+		return stats.FiveNum{}
+	}
+	return stats.FiveNum{
+		Min:    runs.quantile(0),
+		Q1:     runs.quantile(0.25),
+		Median: runs.quantile(0.5),
+		Q3:     runs.quantile(0.75),
+		Max:    runs.quantile(1),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"flexftl/internal/core"
 	"flexftl/internal/obs"
+	"flexftl/internal/pagemem"
 	"flexftl/internal/rel"
 	"flexftl/internal/sim"
 )
@@ -49,26 +50,9 @@ func DefaultConfig(rules core.RuleSet) Config {
 	return Config{Geometry: DefaultGeometry(), Timing: DefaultTiming(), Rules: rules}
 }
 
-// page holds the stored state of one physical page.
-type page struct {
-	programmed bool
-	corrupted  bool // data destroyed (power-off during paired MSB program)
-	// lost pins the page ECC-uncorrectable: once a read of it failed the
-	// retry ladder, every later read must fail too (the model's hash varies
-	// per read, so without the pin a lost page could "recover"). Set by the
-	// FTL via MarkLost after an unrepairable loss; cleared by erase/program.
-	lost  bool
-	data  []byte
-	spare []byte
-	// progAt is the virtual time the page was last programmed — the zero of
-	// its retention clock. Only maintained when the reliability model is on.
-	progAt sim.Time
-}
-
 // block is the physical state of one erase block.
 type block struct {
 	state      *core.BlockState
-	pages      []page
 	eraseCount int
 	retired    bool
 	// readCount counts reads of the block since its last erase (the
@@ -92,11 +76,21 @@ type msbWindow struct {
 	open bool
 }
 
-// chip carries the busy timeline and blocks of one die.
+// chip carries the busy timeline, blocks and pages of one die.
 type chip struct {
-	blocks  []block
-	readyAt sim.Time
-	win     msbWindow
+	blocks []block
+	// pages is the chip's run of the device's one flat page array, block-major:
+	// page idx of block b is pages[b*PagesPerBlock+idx], and that index is also
+	// the page's key in oversize.
+	pages    []pagemem.Page
+	oversize pagemem.Oversize
+	readyAt  sim.Time
+	win      msbWindow
+}
+
+// blockPages returns the block's run of the chip's page array.
+func (c *chip) blockPages(blk, pagesPerBlock int) []pagemem.Page {
+	return c.pages[blk*pagesPerBlock:][:pagesPerBlock]
 }
 
 // OpCounts tallies device operations, split by page type where relevant.
@@ -171,15 +165,17 @@ func NewDevice(cfg Config) (*Device, error) {
 		cause:     make([]obs.Cause, cfg.Geometry.Chips()),
 		causeBusy: make([][obs.CauseCount]sim.Time, cfg.Geometry.Chips()),
 	}
+	// One page array for the whole device, chip-major, so building it costs
+	// one allocation however many pages there are; what remains is per block.
+	perChip := cfg.Geometry.BlocksPerChip * cfg.Geometry.PagesPerBlock()
+	pages := make([]pagemem.Page, len(d.chips)*perChip)
 	for c := range d.chips {
 		blocks := make([]block, cfg.Geometry.BlocksPerChip)
 		for b := range blocks {
-			blocks[b] = block{
-				state: core.NewBlockState(cfg.Geometry.WordLinesPerBlock),
-				pages: make([]page, cfg.Geometry.PagesPerBlock()),
-			}
+			blocks[b].state = core.NewBlockState(cfg.Geometry.WordLinesPerBlock)
 		}
 		d.chips[c].blocks = blocks
+		d.chips[c].pages = pages[c*perChip:][:perChip:perChip]
 	}
 	if cfg.Reliability != nil {
 		d.relCounts = make([]rel.Counts, cfg.Geometry.Chips())
@@ -305,16 +301,19 @@ func (d *Device) blockAt(a BlockAddr) (*block, error) {
 	return &d.chips[a.Chip].blocks[a.Block], nil
 }
 
-func (d *Device) pageAt(a PageAddr) (*block, *page, error) {
+// pageAt resolves a page address to its block, its page record and the
+// record's index within the chip's page array (its oversize key).
+func (d *Device) pageAt(a PageAddr) (*block, *pagemem.Page, int, error) {
 	blk, err := d.blockAt(a.BlockAddr)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	wl := d.cfg.Geometry.WordLinesPerBlock
 	if a.Page.WL < 0 || a.Page.WL >= wl {
-		return nil, nil, fmt.Errorf("nand: word line %d out of range [0,%d)", a.Page.WL, wl)
+		return nil, nil, 0, fmt.Errorf("nand: word line %d out of range [0,%d)", a.Page.WL, wl)
 	}
-	return blk, &blk.pages[a.Page.Index(wl)], nil
+	key := a.Block*d.cfg.Geometry.PagesPerBlock() + a.Page.Index(wl)
+	return blk, &d.chips[a.Chip].pages[key], key, nil
 }
 
 // progLatency returns the cell program latency for a page type.
@@ -330,7 +329,7 @@ func (d *Device) progLatency(t core.PageType) sim.Time {
 // program completes. Issue semantics: the transfer starts when both the
 // channel bus and the chip are free; the cell program then occupies the chip.
 func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time, error) {
-	blk, pg, err := d.pageAt(a)
+	blk, pg, key, err := d.pageAt(a)
 	if err != nil {
 		return now, err
 	}
@@ -368,13 +367,9 @@ func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time
 	}
 
 	blk.state.Mark(a.Page)
-	pg.programmed = true
-	pg.corrupted = false
-	pg.lost = false
-	pg.data = append(pg.data[:0], data...)
-	pg.spare = append(pg.spare[:0], spare...)
+	pg.Store(&c.oversize, key, data, spare)
 	if d.cfg.Reliability != nil {
-		pg.progAt = done
+		pg.ProgAt = done
 		if !blk.hasProg {
 			blk.hasProg = true
 			blk.firstProgAt = done
@@ -434,10 +429,10 @@ func (d *Device) OpenMSBWindow(chipID int) (PageAddr, bool) {
 // and the block's read-disturb count, classified through the ECC retry
 // ladder by a hash of the read's chip-local identity. Only called when the
 // model is enabled.
-func (d *Device) relOutcome(a PageAddr, blk *block, pg *page, at sim.Time) rel.Outcome {
+func (d *Device) relOutcome(a PageAddr, blk *block, pg *pagemem.Page, at sim.Time) rel.Outcome {
 	rc := d.cfg.Reliability
 	blk.readCount++
-	age := at - pg.progAt
+	age := at - pg.ProgAt
 	if age < 0 {
 		age = 0
 	}
@@ -460,11 +455,12 @@ func (d *Device) relOutcome(a PageAddr, blk *block, pg *page, at sim.Time) rel.O
 }
 
 // readPage performs the timing, accounting and validity checks shared by
-// Read and ReadInto, returning the sensed page.
-func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
-	blk, pg, err := d.pageAt(a)
+// Read and ReadInto, returning the sensed payload and spare area as views of
+// device memory.
+func (d *Device) readPage(a PageAddr, now sim.Time) (data, spare []byte, done sim.Time, err error) {
+	blk, pg, key, err := d.pageAt(a)
 	if err != nil {
-		return nil, now, err
+		return nil, nil, now, err
 	}
 	g := d.cfg.Geometry
 	ch := g.ChannelOf(a.Chip)
@@ -475,13 +471,13 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
 	// for another read. The extra occupancy is charged to read_retry; the
 	// base read keeps the ambient cause.
 	var outcome rel.Outcome
-	if d.cfg.Reliability != nil && pg.programmed && !pg.corrupted && !pg.lost {
+	if d.cfg.Reliability != nil && pg.Intact() {
 		outcome = d.relOutcome(a, blk, pg, start)
 	}
 	retryDur := sim.Time(outcome.Retries) * d.cfg.Timing.Read
 	senseDone := start + d.cfg.Timing.Read + retryDur
 	xferStart := sim.MaxOf(senseDone, d.chanFree[ch])
-	done := xferStart + d.cfg.Timing.BusXfer
+	done = xferStart + d.cfg.Timing.BusXfer
 	d.chanFree[ch] = done
 	c.readyAt = done
 	d.busyTime[a.Chip] += done - start
@@ -496,19 +492,16 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
 		d.histRead.Record(int64(done - start))
 	}
 
-	if !pg.programmed {
-		return nil, done, fmt.Errorf("%w: %v", ErrNotProgrammed, a)
+	switch {
+	case !pg.Has(pagemem.Programmed):
+		return nil, nil, done, fmt.Errorf("%w: %v", ErrNotProgrammed, a)
+	case pg.Has(pagemem.Corrupted):
+		return nil, nil, done, fmt.Errorf("%w: %v", ErrUncorrectable, a)
+	case pg.Has(pagemem.Lost), outcome.Uncorrectable:
+		return nil, nil, done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, a)
 	}
-	if pg.corrupted {
-		return nil, done, fmt.Errorf("%w: %v", ErrUncorrectable, a)
-	}
-	if pg.lost {
-		return nil, done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, a)
-	}
-	if outcome.Uncorrectable {
-		return nil, done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, a)
-	}
-	return pg, done, nil
+	data, spare = pg.Load(c.oversize, key)
+	return data, spare, done, nil
 }
 
 // Read returns a copy of the page payload and spare area, plus the
@@ -519,11 +512,11 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
 // Read allocates two fresh slices per call; hot paths (host reads, GC
 // relocation, recovery scans) use ReadInto with a reusable PageBuf instead.
 func (d *Device) Read(a PageAddr, now sim.Time) (data, spare []byte, done sim.Time, err error) {
-	pg, done, err := d.readPage(a, now)
+	data, spare, done, err = d.readPage(a, now)
 	if err != nil {
 		return nil, nil, done, err
 	}
-	return append([]byte(nil), pg.data...), append([]byte(nil), pg.spare...), done, nil
+	return append([]byte(nil), data...), append([]byte(nil), spare...), done, nil
 }
 
 // PageBuf is a caller-owned destination for ReadInto. Its backing arrays
@@ -542,13 +535,13 @@ type PageBuf struct {
 // valid until the next ReadInto with the same buf — callers that hand the
 // data onward (e.g. to Program, which copies) need no further copy.
 func (d *Device) ReadInto(a PageAddr, buf *PageBuf, now sim.Time) (done sim.Time, err error) {
-	pg, done, err := d.readPage(a, now)
+	data, spare, done, err := d.readPage(a, now)
 	if err != nil {
 		buf.Data, buf.Spare = buf.Data[:0], buf.Spare[:0]
 		return done, err
 	}
-	buf.Data = append(buf.Data[:0], pg.data...)
-	buf.Spare = append(buf.Spare[:0], pg.spare...)
+	buf.Data = append(buf.Data[:0], data...)
+	buf.Spare = append(buf.Spare[:0], spare...)
 	return done, nil
 }
 
@@ -576,18 +569,17 @@ func (d *Device) Erase(a BlockAddr, now sim.Time) (sim.Time, error) {
 	d.busyTime[a.Chip] += done - start
 	d.chargeBusy(a.Chip, done-start)
 
-	blk.state.Reset()
-	// Truncate rather than drop the payload slices: their capacity is
-	// reused by the next program of the page, keeping the program hot path
-	// allocation-free in steady state (pages are only read behind the
-	// programmed flag, so an empty slice is indistinguishable from nil).
-	for i := range blk.pages {
-		pg := &blk.pages[i]
-		pg.programmed = false
-		pg.corrupted = false
-		pg.lost = false
-		pg.data = pg.data[:0]
-		pg.spare = pg.spare[:0]
+	// A block nothing was programmed into since its last erase is already
+	// all zero — every page flag is set behind Programmed — so erasing it
+	// again (a pre-wear loop does, thousands of times per block) skips the
+	// sweep. Otherwise one store per page: payloads are only read behind the
+	// flag and are overwritten by the next program.
+	if blk.state.Programmed() != 0 {
+		pages := c.blockPages(a.Block, d.cfg.Geometry.PagesPerBlock())
+		for i := range pages {
+			pages[i].Flags = 0
+		}
+		blk.state.Reset()
 	}
 	blk.eraseCount++
 	blk.readCount = 0
@@ -737,14 +729,14 @@ func (d *Device) Wear() WearStats {
 
 // IsProgrammed reports whether a page holds data.
 func (d *Device) IsProgrammed(a PageAddr) bool {
-	_, pg, err := d.pageAt(a)
-	return err == nil && pg.programmed
+	_, pg, _, err := d.pageAt(a)
+	return err == nil && pg.Has(pagemem.Programmed)
 }
 
 // IsCorrupted reports whether a page's data was destroyed.
 func (d *Device) IsCorrupted(a PageAddr) bool {
-	_, pg, err := d.pageAt(a)
-	return err == nil && pg.corrupted
+	_, pg, _, err := d.pageAt(a)
+	return err == nil && pg.Has(pagemem.Corrupted)
 }
 
 // BlockProgrammedPages returns how many pages of the block are programmed.
@@ -774,8 +766,7 @@ func (d *Device) BlockStateSnapshot(a BlockAddr) *core.BlockState {
 // must treat that write as not durable). It reports whether pages were
 // corrupted.
 func (d *Device) InjectPowerLoss(a BlockAddr) bool {
-	blk, err := d.blockAt(a)
-	if err != nil {
+	if _, err := d.blockAt(a); err != nil {
 		return false
 	}
 	c := &d.chips[a.Chip]
@@ -783,10 +774,9 @@ func (d *Device) InjectPowerLoss(a BlockAddr) bool {
 		return false
 	}
 	wl := d.cfg.Geometry.WordLinesPerBlock
-	lsbIdx := core.Page{WL: c.win.wl, Type: core.LSB}.Index(wl)
-	msbIdx := core.Page{WL: c.win.wl, Type: core.MSB}.Index(wl)
-	blk.pages[lsbIdx].corrupted = true
-	blk.pages[msbIdx].corrupted = true
+	pages := c.blockPages(a.Block, d.cfg.Geometry.PagesPerBlock())
+	pages[core.Page{WL: c.win.wl, Type: core.LSB}.Index(wl)].Flags |= pagemem.Corrupted
+	pages[core.Page{WL: c.win.wl, Type: core.MSB}.Index(wl)].Flags |= pagemem.Corrupted
 	c.win.open = false
 	return true
 }
@@ -797,27 +787,27 @@ func (d *Device) InjectPowerLoss(a BlockAddr) bool {
 // reliability loss could not be repaired, so the loss stays visible instead
 // of flickering with the per-read outcome hash. Cleared by erase or program.
 func (d *Device) MarkLost(a PageAddr) error {
-	_, pg, err := d.pageAt(a)
+	_, pg, _, err := d.pageAt(a)
 	if err != nil {
 		return err
 	}
-	if !pg.programmed {
+	if !pg.Has(pagemem.Programmed) {
 		return fmt.Errorf("%w: cannot mark erased page %v lost", ErrNotProgrammed, a)
 	}
-	pg.lost = true
+	pg.Flags |= pagemem.Lost
 	return nil
 }
 
 // CorruptPage marks any programmed page as ECC-uncorrectable. Fault
 // injection for tests.
 func (d *Device) CorruptPage(a PageAddr) error {
-	_, pg, err := d.pageAt(a)
+	_, pg, _, err := d.pageAt(a)
 	if err != nil {
 		return err
 	}
-	if !pg.programmed {
+	if !pg.Has(pagemem.Programmed) {
 		return fmt.Errorf("%w: cannot corrupt erased page %v", ErrNotProgrammed, a)
 	}
-	pg.corrupted = true
+	pg.Flags |= pagemem.Corrupted
 	return nil
 }

@@ -1,0 +1,326 @@
+package nand
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"flexftl/internal/core"
+	"flexftl/internal/pagemem"
+	"flexftl/internal/rel"
+	"flexftl/internal/sim"
+)
+
+// pattern returns n bytes that differ by position and by seed.
+func pattern(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i)*7
+	}
+	return b
+}
+
+// readBoth reads the page through Read and ReadInto and checks they agree.
+func readBoth(t *testing.T, d *Device, a PageAddr) (data, spare []byte) {
+	t.Helper()
+	data, spare, _, err := d.Read(a, 0)
+	if err != nil {
+		t.Fatalf("Read %v: %v", a, err)
+	}
+	var buf PageBuf
+	if _, err := d.ReadInto(a, &buf, 0); err != nil {
+		t.Fatalf("ReadInto %v: %v", a, err)
+	}
+	if !bytes.Equal(buf.Data, data) || !bytes.Equal(buf.Spare, spare) {
+		t.Fatalf("ReadInto %v = %x/%x, Read = %x/%x", a, buf.Data, buf.Spare, data, spare)
+	}
+	return data, spare
+}
+
+// TestInlineOversizeBoundary: payload and spare together fill the inline slot
+// up to pagemem.InlineBytes; one byte more goes to the chip's side table. Both
+// read back exactly, whatever the split.
+func TestInlineOversizeBoundary(t *testing.T) {
+	g := TestGeometry()
+	cases := []struct{ data, spare int }{
+		{0, 0}, {16, 8}, {24, 0}, {8, 16}, // at most the slot
+		{17, 8}, {25, 0}, {9, 16}, {16, 9}, // the slot + 1
+		{g.PageSizeBytes, g.SpareBytes}, // a full page
+	}
+	d := testDevice(t, core.RPS)
+	for blk, c := range cases {
+		a := addr(1, blk, 0, core.LSB)
+		data, spare := pattern(c.data, 1), pattern(c.spare, 101)
+		if _, err := d.Program(a, data, spare, 0); err != nil {
+			t.Fatal(err)
+		}
+		gotData, gotSpare := readBoth(t, d, a)
+		if !bytes.Equal(gotData, data) || !bytes.Equal(gotSpare, spare) {
+			t.Errorf("%d+%dB: read back %x/%x, want %x/%x", c.data, c.spare, gotData, gotSpare, data, spare)
+		}
+		_, inTable := d.chips[1].oversize[blk*g.PagesPerBlock()]
+		if want := c.data+c.spare > pagemem.InlineBytes; inTable != want {
+			t.Errorf("%d+%dB: in the oversize table = %v, want %v", c.data, c.spare, inTable, want)
+		}
+	}
+	if d.chips[0].oversize != nil {
+		t.Error("chip 0 grew an oversize table from programs on chip 1")
+	}
+}
+
+// TestReprogramAcrossSlotSizes: a page that held an oversize payload holds an
+// inline one after an erase, and the other way round; nothing of the earlier
+// payload shows through, including a longer one of the same kind.
+func TestReprogramAcrossSlotSizes(t *testing.T) {
+	d := testDevice(t, core.RPS)
+	a := addr(0, 3, 0, core.LSB)
+	for i, n := range []int{40, 5, 33, 60, 24, 25, 0} {
+		data, spare := pattern(n, byte(i)), pattern(i%3, byte(50+i))
+		if _, err := d.Program(a, data, spare, 0); err != nil {
+			t.Fatalf("program %dB: %v", n, err)
+		}
+		gotData, gotSpare := readBoth(t, d, a)
+		if !bytes.Equal(gotData, data) || !bytes.Equal(gotSpare, spare) {
+			t.Errorf("step %d (%dB): read back %x/%x, want %x/%x", i, n, gotData, gotSpare, data, spare)
+		}
+		if _, err := d.Erase(a.BlockAddr, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := d.Read(a, 0); !errors.Is(err, ErrNotProgrammed) {
+			t.Errorf("step %d: read after erase: %v, want ErrNotProgrammed", i, err)
+		}
+	}
+}
+
+// TestReadsDoNotAliasDeviceMemory: Read hands out copies and ReadInto fills
+// the caller's buffer, for inline and oversize payloads alike, and a ReadInto
+// after a re-program sees the new bytes.
+func TestReadsDoNotAliasDeviceMemory(t *testing.T) {
+	for _, n := range []int{16, 48} {
+		d := testDevice(t, core.RPS)
+		a := addr(0, 0, 0, core.LSB)
+		data, spare := pattern(n, 3), pattern(8, 9)
+		if _, err := d.Program(a, data, spare, 0); err != nil {
+			t.Fatal(err)
+		}
+		got, gotSpare, _, err := d.Read(a, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf PageBuf
+		if _, err := d.ReadInto(a, &buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range [][]byte{got, gotSpare, buf.Data, buf.Spare} {
+			for i := range b {
+				b[i] ^= 0xff
+			}
+		}
+		if again, againSpare := readBoth(t, d, a); !bytes.Equal(again, data) || !bytes.Equal(againSpare, spare) {
+			t.Errorf("%dB: scribbling on read results changed the stored page", n)
+		}
+		// The caller's data is copied at program time, too.
+		data[0] ^= 0xff
+		if again, _ := readBoth(t, d, a); again[0] != data[0]^0xff {
+			t.Errorf("%dB: Program kept a reference to the caller's slice", n)
+		}
+
+		if _, err := d.Erase(a.BlockAddr, 0); err != nil {
+			t.Fatal(err)
+		}
+		fresh := pattern(n, 77)
+		if _, err := d.Program(a, fresh, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ReadInto(a, &buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Data, fresh) || len(buf.Spare) != 0 {
+			t.Errorf("%dB: ReadInto after re-program = %x/%x, want %x and no spare", n, buf.Data, buf.Spare, fresh)
+		}
+	}
+}
+
+// TestFlagsSurvivePacking: corruption, the lost pin and a power cut each mark
+// exactly their pages, keep the payload of an oversize neighbour reachable,
+// and are cleared by erase + program.
+func TestFlagsSurvivePacking(t *testing.T) {
+	rc := rel.DefaultConfig(1)
+	d, err := NewDevice(Config{Geometry: TestGeometry(), Timing: DefaultTiming(), Rules: core.RPS, Reliability: &rc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := BlockAddr{Chip: 2, Block: 5}
+	lsb := func(wl int) PageAddr { return PageAddr{BlockAddr: blk, Page: core.Page{WL: wl, Type: core.LSB}} }
+	big := pattern(50, 4)
+	for wl := 0; wl < 4; wl++ {
+		if _, err := d.Program(lsb(wl), big, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.CorruptPage(lsb(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.MarkLost(lsb(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := d.Read(lsb(0), 0); !errors.Is(err, ErrUncorrectable) {
+		t.Errorf("corrupted page: %v, want nand.ErrUncorrectable", err)
+	}
+	if _, _, _, err := d.Read(lsb(1), 0); !errors.Is(err, rel.ErrUncorrectable) {
+		t.Errorf("lost page: %v, want rel.ErrUncorrectable", err)
+	}
+	if !d.IsCorrupted(lsb(0)) || d.IsCorrupted(lsb(1)) || d.IsCorrupted(lsb(2)) {
+		t.Error("IsCorrupted does not follow CorruptPage page by page")
+	}
+	for wl := 0; wl < 4; wl++ {
+		if !d.IsProgrammed(lsb(wl)) {
+			t.Errorf("LSB(%d) lost its programmed flag to a neighbour's fault", wl)
+		}
+	}
+	if got, _ := readBoth(t, d, lsb(2)); !bytes.Equal(got, big) {
+		t.Error("oversize payload beside flagged pages unreadable")
+	}
+
+	// A power cut in the open window marks the MSB page and its pair.
+	msb2 := PageAddr{BlockAddr: blk, Page: core.Page{WL: 2, Type: core.MSB}}
+	for wl := 0; wl <= 2; wl++ {
+		a := PageAddr{BlockAddr: blk, Page: core.Page{WL: wl, Type: core.MSB}}
+		if _, err := d.Program(a, big, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !d.InjectPowerLoss(blk) {
+		t.Fatal("power cut with an open window corrupted nothing")
+	}
+	if !d.IsCorrupted(msb2) || !d.IsCorrupted(lsb(2)) || d.IsCorrupted(lsb(3)) {
+		t.Error("power cut did not mark exactly MSB(2) and LSB(2)")
+	}
+
+	if _, err := d.Erase(blk, 0); err != nil {
+		t.Fatal(err)
+	}
+	for wl := 0; wl < 3; wl++ {
+		if _, err := d.Program(lsb(wl), []byte{byte(wl)}, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := readBoth(t, d, lsb(wl)); len(got) != 1 || got[0] != byte(wl) {
+			t.Errorf("LSB(%d) after erase + program = %x: an old flag or payload survived", wl, got)
+		}
+	}
+}
+
+// TestEraseOfEmptyBlockSkipsSweep: erasing a block with nothing programmed
+// since its last erase does not visit its pages, and still counts as an
+// erase in every other respect.
+func TestEraseOfEmptyBlockSkipsSweep(t *testing.T) {
+	rc := rel.DefaultConfig(1)
+	d, err := NewDevice(Config{Geometry: TestGeometry(), Timing: DefaultTiming(), Rules: core.RPS, Reliability: &rc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, other := BlockAddr{Chip: 0, Block: 1}, BlockAddr{Chip: 0, Block: 2}
+	// A flag the API cannot put on an erased page: if it is still there after
+	// the erase, the erase did not sweep.
+	canary := &d.chips[0].blockPages(empty.Block, TestGeometry().PagesPerBlock())[3]
+	canary.Flags = pagemem.Lost
+
+	// An open MSB window elsewhere on the chip: any erase on the chip closes it.
+	for _, pg := range []core.Page{{WL: 0, Type: core.LSB}, {WL: 1, Type: core.LSB}, {WL: 0, Type: core.MSB}} {
+		if _, err := d.Program(PageAddr{BlockAddr: other, Page: pg}, []byte("x"), nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, open := d.OpenMSBWindow(0); !open {
+		t.Fatal("no open window to close")
+	}
+	before := d.ChipReadyAt(0)
+	done, err := d.Erase(empty, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canary.Flags != pagemem.Lost {
+		t.Error("erase of an empty block swept its pages")
+	}
+	canary.Flags = 0
+	if done != before+DefaultTiming().Erase {
+		t.Errorf("erase done at %v, want chip ready %v + erase latency", done, before)
+	}
+	if d.EraseCount(empty) != 1 || d.Counts().Erases != 1 {
+		t.Errorf("wear = %d, device erases = %d, want 1 and 1", d.EraseCount(empty), d.Counts().Erases)
+	}
+	if _, open := d.OpenMSBWindow(0); open {
+		t.Error("erase of an empty block left the chip's MSB window open")
+	}
+	if d.BlockReadCount(empty) != 0 || d.PredictBlockBER(empty, sim.Second) != 0 {
+		t.Error("empty block has a read count or a retention clock after erase")
+	}
+
+	// A block that was programmed is swept, and is empty again afterwards.
+	a := PageAddr{BlockAddr: empty, Page: core.Page{WL: 0, Type: core.LSB}}
+	if _, err := d.Program(a, []byte("y"), nil, done); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := d.Read(a, 0); err != nil {
+		t.Fatal(err)
+	}
+	if d.BlockReadCount(empty) != 1 || d.PredictBlockBER(empty, sim.Second) == 0 {
+		t.Error("programmed block has no read count or retention clock")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := d.Erase(empty, 0); err != nil {
+			t.Fatal(err)
+		}
+		if d.IsProgrammed(a) || d.BlockProgrammedPages(empty) != 0 || d.BlockReadCount(empty) != 0 || d.PredictBlockBER(empty, sim.Second) != 0 {
+			t.Errorf("erase %d left state behind", i+1)
+		}
+	}
+	if d.EraseCount(empty) != 3 || d.TotalErases() != 3 {
+		t.Errorf("wear = %d, total = %d, want 3 and 3", d.EraseCount(empty), d.TotalErases())
+	}
+}
+
+// TestPageTableAllocations: the page array is one allocation, so building a
+// device costs the same number of allocations however many pages a block has,
+// and programming an FTL-sized payload never allocates — not on first touch,
+// not after an erase.
+func TestPageTableAllocations(t *testing.T) {
+	build := func(wordLines int) float64 {
+		g := TestGeometry()
+		g.WordLinesPerBlock = wordLines
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewDevice(Config{Geometry: g, Timing: DefaultTiming(), Rules: core.RPS}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := build(8), build(128); small != large {
+		t.Errorf("NewDevice: %.0f allocations at 8 word lines, %.0f at 128", small, large)
+	}
+
+	d := testDevice(t, core.RPS)
+	g := d.Geometry()
+	order := core.RPSFullOrder(g.WordLinesPerBlock)
+	token, spare := pattern(16, 1), pattern(8, 2)
+	next := 0
+	programNext := func() {
+		a := PageAddr{BlockAddr: BlockAddr{Chip: 3, Block: next / len(order)}, Page: order[next%len(order)]}
+		if _, err := d.Program(a, token, spare, 0); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	const runs = 100 // plus AllocsPerRun's warm-up call
+	if allocs := testing.AllocsPerRun(runs, programNext); allocs != 0 {
+		t.Errorf("first-touch Program allocates %.2f times per page, want 0", allocs)
+	}
+	for blk := 0; blk*len(order) < next; blk++ {
+		if _, err := d.Erase(BlockAddr{Chip: 3, Block: blk}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next = 0
+	if allocs := testing.AllocsPerRun(runs, programNext); allocs != 0 {
+		t.Errorf("Program after erase allocates %.2f times per page, want 0", allocs)
+	}
+}

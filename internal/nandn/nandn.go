@@ -17,6 +17,7 @@ import (
 
 	"flexftl/internal/nlevel"
 	"flexftl/internal/obs"
+	"flexftl/internal/pagemem"
 	"flexftl/internal/rel"
 	"flexftl/internal/sim"
 )
@@ -138,19 +139,8 @@ func (a PageAddr) String() string {
 	return fmt.Sprintf("chip%d/blk%d/%v", a.Chip, a.Block, a.Page)
 }
 
-type page struct {
-	programmed bool
-	corrupted  bool
-	data       []byte
-	spare      []byte
-	// progAt is the retention clock zero (maintained when the reliability
-	// model is on).
-	progAt sim.Time
-}
-
 type block struct {
 	state      *nlevel.State
-	pages      []page
 	eraseCount int
 	// inFlight marks an unacknowledged refinement: level and word line.
 	inFlightLevel int // -1 when none
@@ -161,8 +151,18 @@ type block struct {
 }
 
 type chip struct {
-	blocks  []block
-	readyAt sim.Time
+	blocks []block
+	// pages is the chip's run of the device's one flat page array (the same
+	// layout as nand.Device): page idx of block b is pages[b*PagesPerBlock+idx],
+	// which is also its key in oversize.
+	pages    []pagemem.Page
+	oversize pagemem.Oversize
+	readyAt  sim.Time
+}
+
+// blockPages returns the block's run of the chip's page array.
+func (c *chip) blockPages(blk, pagesPerBlock int) []pagemem.Page {
+	return c.pages[blk*pagesPerBlock:][:pagesPerBlock]
 }
 
 // Device is the n-level NAND subsystem. Single-threaded over virtual time.
@@ -220,16 +220,15 @@ func NewDevice(g Geometry, t Timing) (*Device, error) {
 	for c := range d.programs {
 		d.programs[c] = make([]int64, g.Levels)
 	}
+	perChip := g.BlocksPerChip * g.PagesPerBlock()
+	pages := make([]pagemem.Page, g.Chips()*perChip)
 	for c := range d.chips {
 		blocks := make([]block, g.BlocksPerChip)
 		for b := range blocks {
-			blocks[b] = block{
-				state:         nlevel.NewState(g.Scheme()),
-				pages:         make([]page, g.PagesPerBlock()),
-				inFlightLevel: -1,
-			}
+			blocks[b] = block{state: nlevel.NewState(g.Scheme()), inFlightLevel: -1}
 		}
 		d.chips[c].blocks = blocks
+		d.chips[c].pages = pages[c*perChip:][:perChip:perChip]
 	}
 	return d, nil
 }
@@ -371,23 +370,26 @@ func (d *Device) blockAt(chipID, blk int) (*block, error) {
 	return &d.chips[chipID].blocks[blk], nil
 }
 
-func (d *Device) pageAt(a PageAddr) (*block, *page, error) {
+// pageAt resolves a page address to its block, its page record and the
+// record's index within the chip's page array (its oversize key).
+func (d *Device) pageAt(a PageAddr) (*block, *pagemem.Page, int, error) {
 	blk, err := d.blockAt(a.Chip, a.Block)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	s := d.geo.Scheme()
 	if a.Page.WL < 0 || a.Page.WL >= s.WordLines || a.Page.Level < 0 || a.Page.Level >= s.Levels {
-		return nil, nil, fmt.Errorf("nandn: page %v out of range", a.Page)
+		return nil, nil, 0, fmt.Errorf("nandn: page %v out of range", a.Page)
 	}
-	return blk, &blk.pages[s.Index(a.Page)], nil
+	key := a.Block*s.Pages() + s.Index(a.Page)
+	return blk, &d.chips[a.Chip].pages[key], key, nil
 }
 
 // Program writes a page, enforcing the generalized relaxed order, and
 // returns the completion time. An in-flight refinement is recorded for
 // power-loss injection until AckProgram.
 func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time, error) {
-	blk, pg, err := d.pageAt(a)
+	blk, pg, key, err := d.pageAt(a)
 	if err != nil {
 		return now, err
 	}
@@ -410,12 +412,9 @@ func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time
 	}
 
 	blk.state.Mark(a.Page)
-	pg.programmed = true
-	pg.corrupted = false
-	pg.data = append(pg.data[:0], data...)
-	pg.spare = append(pg.spare[:0], spare...)
+	pg.Store(&c.oversize, key, data, spare)
 	if d.relCfg != nil {
-		pg.progAt = done
+		pg.ProgAt = done
 	}
 	d.programs[a.Chip][a.Page.Level]++
 
@@ -438,11 +437,12 @@ func (d *Device) AckProgram(chipID, blk int) {
 }
 
 // readPage performs the timing and validity checks shared by Read and
-// ReadInto, returning the sensed page.
-func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
-	blk, pg, err := d.pageAt(a)
+// ReadInto, returning the sensed payload and spare area as views of device
+// memory.
+func (d *Device) readPage(a PageAddr, now sim.Time) (data, spare []byte, done sim.Time, err error) {
+	blk, pg, key, err := d.pageAt(a)
 	if err != nil {
-		return nil, now, err
+		return nil, nil, now, err
 	}
 	ch := d.geo.ChannelOf(a.Chip)
 	c := &d.chips[a.Chip]
@@ -450,9 +450,9 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
 	// Reliability outcome before timing commits, so retry rounds extend the
 	// sense phase (see nand.Device.readPage).
 	var outcome rel.Outcome
-	if rc := d.relCfg; rc != nil && pg.programmed && !pg.corrupted {
+	if rc := d.relCfg; rc != nil && pg.Intact() {
 		blk.readCount++
-		age := start - pg.progAt
+		age := start - pg.ProgAt
 		if age < 0 {
 			age = 0
 		}
@@ -475,7 +475,7 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
 	retryDur := sim.Time(outcome.Retries) * d.timing.Read
 	senseDone := start + d.timing.Read + retryDur
 	xferStart := sim.MaxOf(senseDone, d.chanFree[ch])
-	done := xferStart + d.timing.BusXfer
+	done = xferStart + d.timing.BusXfer
 	d.chanFree[ch] = done
 	c.readyAt = done
 	d.chargeBusy(a.Chip, done-start-retryDur)
@@ -486,25 +486,25 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (*page, sim.Time, error) {
 	if d.rec != nil {
 		d.histRead.Record(int64(done - start))
 	}
-	if !pg.programmed {
-		return nil, done, fmt.Errorf("%w: %v", ErrNotProgrammed, a)
+	switch {
+	case !pg.Has(pagemem.Programmed):
+		return nil, nil, done, fmt.Errorf("%w: %v", ErrNotProgrammed, a)
+	case pg.Has(pagemem.Corrupted):
+		return nil, nil, done, fmt.Errorf("%w: %v", ErrUncorrectable, a)
+	case outcome.Uncorrectable:
+		return nil, nil, done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, a)
 	}
-	if pg.corrupted {
-		return nil, done, fmt.Errorf("%w: %v", ErrUncorrectable, a)
-	}
-	if outcome.Uncorrectable {
-		return nil, done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, a)
-	}
-	return pg, done, nil
+	data, spare = pg.Load(c.oversize, key)
+	return data, spare, done, nil
 }
 
 // Read returns the page payload/spare and completion time.
 func (d *Device) Read(a PageAddr, now sim.Time) (data, spare []byte, done sim.Time, err error) {
-	pg, done, err := d.readPage(a, now)
+	data, spare, done, err = d.readPage(a, now)
 	if err != nil {
 		return nil, nil, done, err
 	}
-	return append([]byte(nil), pg.data...), append([]byte(nil), pg.spare...), done, nil
+	return append([]byte(nil), data...), append([]byte(nil), spare...), done, nil
 }
 
 // PageBuf is a caller-owned destination for ReadInto; its backing arrays
@@ -517,13 +517,13 @@ type PageBuf struct {
 // buf's reusable backing arrays. Timing, counters and error behaviour
 // match Read; on error buf's slices are truncated to zero length.
 func (d *Device) ReadInto(a PageAddr, buf *PageBuf, now sim.Time) (done sim.Time, err error) {
-	pg, done, err := d.readPage(a, now)
+	data, spare, done, err := d.readPage(a, now)
 	if err != nil {
 		buf.Data, buf.Spare = buf.Data[:0], buf.Spare[:0]
 		return done, err
 	}
-	buf.Data = append(buf.Data[:0], pg.data...)
-	buf.Spare = append(buf.Spare[:0], pg.spare...)
+	buf.Data = append(buf.Data[:0], data...)
+	buf.Spare = append(buf.Spare[:0], spare...)
 	return done, nil
 }
 
@@ -541,9 +541,14 @@ func (d *Device) Erase(chipID, blk int, now sim.Time) (sim.Time, error) {
 	if d.rec != nil {
 		d.histErase.Record(int64(done - start))
 	}
-	b.state.Reset()
-	for i := range b.pages {
-		b.pages[i] = page{}
+	// A never-programmed block is already all zero (see nand.Device.Erase);
+	// otherwise one store per page.
+	if b.state.Programmed() != 0 {
+		pages := c.blockPages(blk, d.geo.PagesPerBlock())
+		for i := range pages {
+			pages[i].Flags = 0
+		}
+		b.state.Reset()
 	}
 	b.eraseCount++
 	b.readCount = 0
@@ -562,11 +567,12 @@ func (d *Device) InjectPowerLoss(chipID, blk int) int {
 		return 0
 	}
 	s := d.geo.Scheme()
+	pages := d.chips[chipID].blockPages(blk, s.Pages())
 	n := 0
 	for lvl := 0; lvl <= b.inFlightLevel; lvl++ {
-		pg := &b.pages[s.Index(nlevel.Page{WL: b.inFlightWL, Level: lvl})]
-		if pg.programmed && !pg.corrupted {
-			pg.corrupted = true
+		pg := &pages[s.Index(nlevel.Page{WL: b.inFlightWL, Level: lvl})]
+		if pg.Intact() {
+			pg.Flags |= pagemem.Corrupted
 			n++
 		}
 	}

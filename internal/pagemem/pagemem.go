@@ -1,0 +1,102 @@
+// Package pagemem is the stored state of one physical page, as both device
+// models (internal/nand, internal/nandn) keep it: a flat, pointer-free record
+// a device lays out in one array, indexed chip-major by (chip, block, page)
+// — FEMU's ppa2pgidx idiom. Flags, retention clock and payload sit together,
+// so programming a page allocates nothing, an erase clears it with one store,
+// and a read touches one record instead of a struct and two heap slices.
+package pagemem
+
+import "flexftl/internal/sim"
+
+// InlineBytes is the payload a Page stores in place, data and spare area
+// together: the FTLs program a 16-byte token (ftl.TokenSize) with an 8-byte
+// spare. Anything larger goes to the chip's Oversize table.
+const InlineBytes = 24
+
+// Flags is a page's state, packed so that storing 0 erases the page.
+type Flags uint8
+
+const (
+	// Programmed: the page holds data. The other flags are only ever set on
+	// a programmed page, so an erased block's pages are all zero.
+	Programmed Flags = 1 << iota
+	// Corrupted: the data was destroyed (a power cut during a destructive
+	// program, or injected by a test).
+	Corrupted
+	// Lost pins the page ECC-uncorrectable after a read of it failed the
+	// retry ladder.
+	Lost
+	// oversize: the payload is in the chip's Oversize table, not in buf.
+	oversize
+)
+
+// Page is one physical page. The zero value is an erased page.
+type Page struct {
+	// ProgAt is the virtual time of the last program — the zero of the page's
+	// retention clock. Maintained by devices with a reliability model.
+	ProgAt sim.Time
+	// Flags is read and set by the device; Store overwrites it.
+	Flags             Flags
+	dataLen, spareLen uint8
+	buf               [InlineBytes]byte
+}
+
+// Has reports whether any of the flags in f is set.
+func (p *Page) Has(f Flags) bool { return p.Flags&f != 0 }
+
+// Intact reports whether the page holds data no fault has marked: the pages
+// a reliability model rolls an ECC outcome for.
+func (p *Page) Intact() bool { return p.Flags&(Programmed|Corrupted|Lost) == Programmed }
+
+// payload is one Oversize entry.
+type payload struct{ data, spare []byte }
+
+// Oversize holds the payloads of one chip that do not fit the inline slot,
+// keyed by the page's index within the chip. It is per chip, not per device,
+// because the epoch shards of one run program disjoint chips concurrently.
+// The FTLs never program such a payload, so the table stays nil outside
+// tests. An entry outlives the erase of its page — without the page's flag
+// it is unreachable, and the next oversize program of the page reuses its
+// capacity — which bounds the table at one payload per page.
+type Oversize map[int]*payload
+
+// Store programs the page with copies of data and spare, leaving it
+// Programmed with Corrupted and Lost clear. key is the page's index within
+// the chip that owns side.
+func (p *Page) Store(side *Oversize, key int, data, spare []byte) {
+	n := len(data)
+	if n+len(spare) > InlineBytes {
+		p.storeOversize(side, key, data, spare)
+		return
+	}
+	copy(p.buf[:n], data)
+	copy(p.buf[n:], spare)
+	p.dataLen, p.spareLen = uint8(n), uint8(len(spare))
+	p.Flags = Programmed
+}
+
+func (p *Page) storeOversize(side *Oversize, key int, data, spare []byte) {
+	if *side == nil {
+		*side = make(Oversize)
+	}
+	e := (*side)[key]
+	if e == nil {
+		e = new(payload)
+		(*side)[key] = e
+	}
+	e.data = append(e.data[:0], data...)
+	e.spare = append(e.spare[:0], spare...)
+	p.Flags = Programmed | oversize
+}
+
+// Load returns the stored data and spare area of a programmed page. The
+// slices alias device memory: callers copy before the page is programmed
+// again.
+func (p *Page) Load(side Oversize, key int) (data, spare []byte) {
+	if p.Has(oversize) {
+		e := side[key]
+		return e.data, e.spare
+	}
+	n := int(p.dataLen)
+	return p.buf[:n], p.buf[n : n+int(p.spareLen)]
+}

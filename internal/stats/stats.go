@@ -69,18 +69,28 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 }
 
 func quantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
-	}
+	lo, hi, frac := QuantilePos(len(sorted), q)
+	return Interpolate(sorted[lo], sorted[hi], frac)
+}
+
+// QuantilePos locates the q-quantile (0 <= q <= 1) of a sorted sample of
+// n >= 1 values: it lies between order statistics lo and hi (equal, or
+// adjacent), frac of the way from the first to the second. Callers whose
+// sample is not a []float64 index it themselves and pass both values to
+// Interpolate, which keeps their quantiles bit-identical to QuantileSorted.
+func QuantilePos(n int, q float64) (lo, hi int, frac float64) {
 	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
+	lo = int(math.Floor(pos))
+	hi = int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
+// Interpolate returns the value frac of the way from order statistic a to b.
+func Interpolate(a, b, frac float64) float64 {
+	if frac == 0 {
+		return a
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return a*(1-frac) + b*frac
 }
 
 // FiveNum is a box-plot summary.
