@@ -15,7 +15,6 @@ import (
 	"flexftl/internal/ftl/flexftl"
 	"flexftl/internal/ftl/nflex"
 	"flexftl/internal/nand"
-	"flexftl/internal/nandn"
 	"flexftl/internal/parity"
 	"flexftl/internal/rng"
 	"flexftl/internal/sim"
@@ -554,8 +553,7 @@ func BenchmarkTLCExtension(b *testing.B) {
 	b.Run("burst-drain", func(b *testing.B) {
 		var perPage float64
 		for i := 0; i < b.N; i++ {
-			g := nandn.TLCGeometry()
-			dev, err := nandn.NewDevice(g, nandn.TLCTiming())
+			dev, err := nand.NewDevice(nand.Config{Geometry: nand.TLCGeometry(), Timing: nand.TLCTiming(), Rules: core.RPS})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -581,8 +579,7 @@ func BenchmarkTLCExtension(b *testing.B) {
 	b.Run("backup-overhead", func(b *testing.B) {
 		var overhead float64
 		for i := 0; i < b.N; i++ {
-			g := nandn.TLCGeometry()
-			dev, err := nandn.NewDevice(g, nandn.TLCTiming())
+			dev, err := nand.NewDevice(nand.Config{Geometry: nand.TLCGeometry(), Timing: nand.TLCTiming(), Rules: core.RPS})
 			if err != nil {
 				b.Fatal(err)
 			}

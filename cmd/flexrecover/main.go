@@ -24,8 +24,9 @@ import (
 	"flexftl/internal/obs"
 
 	// Register the TLC scheme so -list shows the whole registry (it is not
-	// campaignable — its device model has no MLC destructive window — but
-	// the listing should say so rather than omit it).
+	// campaignable — the campaign drives ftl.Kernel's recovery, and nflexTLC
+	// is a separate engine — but the listing should say so rather than omit
+	// it).
 	_ "flexftl/internal/ftl/nflex"
 )
 
@@ -92,7 +93,7 @@ func listSchemes(w io.Writer) {
 		spec, _ := ftl.Lookup(name)
 		note := ""
 		if !crash.Campaignable(name) {
-			note = " (not campaignable: own device model)"
+			note = " (not campaignable: not an ftl.Kernel)"
 		}
 		fmt.Fprintf(w, "%-18s backup=%-11s %s%s\n", name, spec.Backup, spec.Description, note)
 	}
@@ -172,7 +173,7 @@ func resolveSchemes(arg string) ([]string, error) {
 			return nil, fmt.Errorf("unknown scheme %q (try -list)", name)
 		}
 		if !crash.Campaignable(name) {
-			return nil, fmt.Errorf("scheme %q is not campaignable (own device model)", name)
+			return nil, fmt.Errorf("scheme %q is not campaignable (the campaign needs an ftl.Kernel)", name)
 		}
 		names = append(names, name)
 	}

@@ -116,7 +116,7 @@ func main() {
 
 // buildFTL resolves the scheme through the ftl registry, layering the
 // CLI-only policy knobs onto the build environment.
-func buildFTL(o options, g nand.Geometry) (ftl.Host, error) {
+func buildFTL(o options, g nand.Geometry) (ftl.FTL, error) {
 	cfg := ftl.DefaultConfig()
 	switch o.GCPolicy {
 	case "greedy":
@@ -135,16 +135,12 @@ func buildFTL(o options, g nand.Geometry) (ftl.Host, error) {
 			env.Config.Reliability = ftl.DefaultRelPolicy()
 		}
 	}
-	f, err := ftl.Build(o.FTL, env)
+	f, err := ftl.BuildFTL(o.FTL, env)
 	if err != nil {
 		return nil, err
 	}
 	if o.Rel && o.RelWear > 0 {
-		mlc, ok := f.(ftl.FTL)
-		if !ok {
-			return nil, fmt.Errorf("-rel-wear needs an MLC scheme (device access), %q is not one", o.FTL)
-		}
-		dev := mlc.Device()
+		dev := f.Device()
 		dg := dev.Geometry()
 		for chip := 0; chip < dg.Chips(); chip++ {
 			for blk := 0; blk < dg.BlocksPerChip; blk++ {
@@ -355,11 +351,7 @@ func run(w io.Writer, o options) error {
 		return err
 	}
 	spec, _ := ftl.Lookup(o.FTL)
-	if mlc, ok := f.(ftl.FTL); ok {
-		fmt.Fprintf(w, "device   : %s (%s rules)\n", mlc.Device().Geometry(), spec.Rules)
-	} else {
-		fmt.Fprintf(w, "device   : scheme-owned (%s rules)\n", spec.Rules)
-	}
+	fmt.Fprintf(w, "device   : %s (%s rules)\n", f.Device().Geometry(), spec.Rules)
 	fmt.Fprintf(w, "ftl      : %s, logical space %d pages\n", f.Name(), f.LogicalPages())
 
 	var gen workload.Generator

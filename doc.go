@@ -2,7 +2,8 @@
 // Performance and Lifetime of NAND Storage Systems Using Relaxed Program
 // Sequence" (Park, Jeong, Lee, Song, Kim — DAC 2016).
 //
-// The library models a multi-channel 2-bit MLC NAND device at operation
+// The library models a multi-channel MLC NAND device (2 bits per cell as in
+// the paper; the same device is TLC or QLC at 3 or 4) at operation
 // granularity, formalizes the paper's program-order constraint sets (FPS and
 // the relaxed RPS), implements the RPS-aware flexFTL — two-phase block
 // ordering, adaptive LSB/MSB page allocation, per-block parity backup with
@@ -11,8 +12,8 @@
 //
 // Layout:
 //
-//	internal/core        program-sequence formalism (the paper's device-level contribution)
-//	internal/nand        NAND device model (geometry, timing, order enforcement, power loss)
+//	internal/core        n-level program-sequence formalism (the paper's device-level contribution)
+//	internal/nand        the NAND device model (geometry, per-level timing, order enforcement, power loss)
 //	internal/vth         threshold-voltage reliability Monte-Carlo (Figure 4)
 //	internal/ftl/...     the FTL kernel, policy registry and the five FTLs
 //	internal/ssd         storage-system runner (buffer, backpressure, idle GC dispatch)

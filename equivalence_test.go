@@ -18,12 +18,12 @@ import (
 	"reflect"
 	"testing"
 
+	"flexftl/internal/core"
 	"flexftl/internal/experiments"
 	"flexftl/internal/ftl"
 	"flexftl/internal/ftl/nflex"
 	"flexftl/internal/metrics"
 	"flexftl/internal/nand"
-	"flexftl/internal/nandn"
 	"flexftl/internal/sim"
 	"flexftl/internal/ssd"
 	"flexftl/internal/workload"
@@ -109,8 +109,7 @@ type nflexSnapshot struct {
 
 func captureNflex(t *testing.T, prof workload.Profile) nflexSnapshot {
 	t.Helper()
-	g := nandn.TLCGeometry()
-	dev, err := nandn.NewDevice(g, nandn.TLCTiming())
+	dev, err := nand.NewDevice(nand.Config{Geometry: nand.TLCGeometry(), Timing: nand.TLCTiming(), Rules: core.RPS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +197,9 @@ func captureNflex(t *testing.T, prof workload.Profile) nflexSnapshot {
 		MapHash:     f.MappingHash(),
 		FreeBlocks:  f.TotalFreeBlocks(),
 		EndTime:     busyUntil,
-		DevReads:    dev.Reads(),
-		DevErases:   dev.Erases(),
-		DevPrograms: dev.Programs(),
+		DevReads:    dev.Counts().Reads,
+		DevErases:   dev.Counts().Erases,
+		DevPrograms: dev.Counts().ProgramsByLevel(dev.Geometry().BitsPerCell()),
 	}
 }
 

@@ -11,17 +11,18 @@ import (
 	"fmt"
 	"log"
 
+	"flexftl/internal/core"
 	"flexftl/internal/ftl"
 	"flexftl/internal/ftl/nflex"
-	"flexftl/internal/nandn"
+	"flexftl/internal/nand"
 	"flexftl/internal/sim"
 )
 
 func main() {
-	g := nandn.TLCGeometry()
+	g := nand.TLCGeometry()
 	g.BlocksPerChip = 32
 	g.WordLinesPerBlock = 8
-	dev, err := nandn.NewDevice(g, nandn.TLCTiming())
+	dev, err := nand.NewDevice(nand.Config{Geometry: g, Timing: nand.TLCTiming(), Rules: core.RPS})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func main() {
 	tm := dev.Timing()
 	fmt.Println("device :", g)
 	fmt.Printf("timing : level programs %v / %v / %v (the MLC asymmetry, one level deeper)\n\n",
-		tm.Prog[0], tm.Prog[1], tm.Prog[2])
+		tm.ProgLSB, tm.ProgMSB, tm.Prog(2))
 
 	// 1. A saturated burst runs at level-0 speed.
 	const burst = 64
@@ -47,21 +48,24 @@ func main() {
 		}
 	}
 	fmt.Printf("burst  : %d pages drained in %v — all on level-0 pages (%v each): %v\n",
-		burst, last, tm.Prog[0], f.HostWritesByLevel())
+		burst, last, tm.ProgLSB, f.HostWritesByLevel())
 
 	// 2. Push one chip through its refinement phases and cut power during a
 	// level-2 (finest) program.
 	now := last
 	lpn := ftl.LPN(burst)
-	for f.Device().BlockProgrammed(0, 0) == 0 || !level2InFlight(f) {
+	for !level2InFlight(f) {
 		now, err = f.Write(lpn, now, 0.01) // sleepy buffer -> deep phases
 		if err != nil {
 			log.Fatal(err)
 		}
 		lpn++
 	}
-	n := f.Device().InjectPowerLoss(0, activeLevel2Block(f))
-	fmt.Printf("\npower cut during a level-2 refinement: %d pages of the word line destroyed\n", n)
+	cut, _ := dev.OpenMSBWindow(0)
+	if !dev.InjectPowerLoss(cut.BlockAddr) {
+		log.Fatal("no refinement in flight on chip 0")
+	}
+	fmt.Printf("\npower cut during the %v refinement: %d pages of the word line destroyed\n", cut.Page, int(cut.Page.Type)+1)
 	fmt.Println("(the finest program is destructive to BOTH earlier bits of the cell)")
 
 	// 3. Recovery rebuilds every destroyed page from its phase parity.
@@ -82,5 +86,3 @@ func main() {
 }
 
 func level2InFlight(f *nflex.FTL) bool { return f.ActivePhaseProgress(0, 2) > 0 }
-
-func activeLevel2Block(f *nflex.FTL) int { return f.ActivePhaseBlock(0, 2) }

@@ -28,7 +28,7 @@ func ExampleFPSOrder() {
 // RPS drops exactly the over-specified Constraint 4: writing LSB(2) before
 // MSB(0) is illegal under FPS but legal under RPS.
 func ExampleRuleSet() {
-	s := core.NewBlockState(4)
+	s := core.NewBlockState(core.MLC(4))
 	s.Mark(core.Page{WL: 0, Type: core.LSB})
 	s.Mark(core.Page{WL: 1, Type: core.LSB})
 
@@ -43,11 +43,23 @@ func ExampleRuleSet() {
 // Every legal RPS order leaves at most one late aggressor per word line —
 // the reliability invariant behind Figure 4.
 func ExampleMaxAggressors() {
-	fmt.Println("FPS:", core.MaxAggressors(8, core.FPSOrder(8)))
-	fmt.Println("RPSfull:", core.MaxAggressors(8, core.RPSFullOrder(8)))
-	fmt.Println("forbidden:", core.MaxAggressors(8, core.WorstCaseOrder(8)))
+	mlc := core.MLC(8)
+	fmt.Println("FPS:", core.MaxAggressors(mlc, core.FPSOrder(8)))
+	fmt.Println("RPSfull:", core.MaxAggressors(mlc, core.RPSFullOrder(8)))
+	fmt.Println("forbidden:", core.MaxAggressors(mlc, core.WorstCaseOrder(mlc)))
 	// Output:
 	// FPS: 1
 	// RPSfull: 1
 	// forbidden: 4
+}
+
+// The same rules on a 3-bit cell: the vendor staircase programs the finest
+// in-range page of each diagonal first, and RPS admits the 3-phase order the
+// n-phase flexFTL uses.
+func ExampleFixedOrder() {
+	fmt.Println(render(core.FixedOrder(core.TLC(3))))
+	fmt.Println(render(core.RelaxedFullOrder(core.TLC(3))))
+	// Output:
+	// LSB(0) LSB(1) MSB(0) LSB(2) MSB(1) T2(0) MSB(2) T2(1) T2(2)
+	// LSB(0) LSB(1) LSB(2) MSB(0) MSB(1) MSB(2) T2(0) T2(1) T2(2)
 }

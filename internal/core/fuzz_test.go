@@ -6,21 +6,25 @@ import (
 )
 
 // FuzzRuleSetCheck drives arbitrary probe sequences through the three rule
-// sets and pins the legality lattice: Check never panics (including
+// sets, on blocks of 2-4 levels, and pins the legality lattice: Check never panics (including
 // out-of-range word lines and double programs), FPS-legal implies RPS-legal
 // implies Unconstrained-legal, every reported violation names a genuinely
 // missing prerequisite with the paper's constraint number, and Check is a
 // pure function of the state.
 func FuzzRuleSetCheck(f *testing.F) {
-	f.Add(uint8(4), []byte{0, 0, 1, 0, 0, 1, 2, 0, 1, 1})
-	f.Add(uint8(1), []byte{0, 0, 0, 1})
-	f.Add(uint8(8), []byte{0, 0, 1, 0, 2, 0, 0, 1, 3, 0, 1, 1})
-	f.Add(uint8(2), []byte{255, 0, 7, 1, 0, 0})
-	f.Fuzz(func(t *testing.T, wlByte uint8, seq []byte) {
-		wordLines := int(wlByte%16) + 1
-		s := NewBlockState(wordLines)
+	f.Add(uint8(4), uint8(0), []byte{0, 0, 1, 0, 0, 1, 2, 0, 1, 1})
+	f.Add(uint8(1), uint8(0), []byte{0, 0, 0, 1})
+	f.Add(uint8(8), uint8(0), []byte{0, 0, 1, 0, 2, 0, 0, 1, 3, 0, 1, 1})
+	f.Add(uint8(2), uint8(0), []byte{255, 0, 7, 1, 0, 0})
+	f.Add(uint8(3), uint8(1), []byte{0, 0, 1, 0, 0, 1, 2, 0, 1, 1, 0, 2, 0, 3})
+	f.Add(uint8(2), uint8(2), []byte{0, 0, 1, 0, 0, 1, 1, 1, 0, 2, 1, 2, 0, 3, 1, 3})
+	f.Fuzz(func(t *testing.T, wlByte, levelByte uint8, seq []byte) {
+		scheme := Scheme{Levels: int(levelByte%3) + 2, WordLines: int(wlByte%16) + 1}
+		s := NewBlockState(scheme)
 		for i := 0; i+1 < len(seq); i += 2 {
-			p := Page{WL: int(int8(seq[i])), Type: PageType(seq[i+1] % 2)}
+			// One level past the block's finest, so out-of-range levels are
+			// probed like out-of-range word lines.
+			p := Page{WL: int(int8(seq[i])), Type: PageType(int(seq[i+1]) % (scheme.Levels + 1))}
 			errFPS := FPS.Check(s, p)
 			errRPS := RPS.Check(s, p)
 			errUn := Unconstrained.Check(s, p)

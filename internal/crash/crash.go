@@ -63,8 +63,9 @@ func (s Sabotage) String() string {
 
 // Config parameterizes a campaign over one scheme.
 type Config struct {
-	// Scheme is the registry name (must build to a composable *ftl.Kernel;
-	// the TLC scheme has its own device model and is not campaignable).
+	// Scheme is the registry name. It must build to a *ftl.Kernel: the
+	// campaign drives the kernel's recovery procedure, which nflexTLC (its own
+	// engine, with its own Recover) does not share.
 	Scheme string
 	// Geometry of the simulated device; the zero value means
 	// nand.TestGeometry() — small enough that the prefill pushes every
@@ -169,8 +170,8 @@ func (c Config) ReproArgs(o Outcome) string {
 }
 
 // Campaignable reports whether a registry scheme can run under the
-// campaign: it must build into the composable MLC kernel (the TLC scheme
-// carries its own device model and is out of scope).
+// campaign: it must build into a *ftl.Kernel, whose recovery procedure the
+// campaign drives (nflexTLC is a separate engine and does not).
 func Campaignable(name string) bool {
 	spec, ok := ftl.Lookup(name)
 	if !ok {

@@ -181,7 +181,7 @@ func TestUnknownAndUnsupportedSchemes(t *testing.T) {
 		t.Fatal("unknown scheme accepted")
 	}
 	if Campaignable("nflexTLC") {
-		t.Fatal("TLC scheme reported campaignable; it has its own device model")
+		t.Fatal("TLC scheme reported campaignable; it is not an ftl.Kernel")
 	}
 	if _, err := Run(Config{Scheme: "nflexTLC", Trials: 1}); err == nil {
 		t.Fatal("campaign over the TLC scheme should fail to build a kernel")

@@ -110,7 +110,7 @@ func runTrial(cfg Config, spec ftl.Spec, trial int) (Outcome, error) {
 	}
 	k, ok := h.(*ftl.Kernel)
 	if !ok {
-		return o, fmt.Errorf("crash: scheme %q is not a composable MLC kernel", cfg.Scheme)
+		return o, fmt.Errorf("crash: scheme %q is not an ftl.Kernel, whose recovery the campaign drives", cfg.Scheme)
 	}
 
 	// Draw the trial's fate up front, in a fixed order, so the workload

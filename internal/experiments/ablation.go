@@ -65,11 +65,7 @@ func RunAblations(cfg AblationConfig) (AblationResult, error) {
 			params := flexftl.DefaultParams()
 			ftlCfg := ftl.DefaultConfig()
 			mutate(&params, &ftlCfg)
-			h, err := ftl.Build("flexFTL", ftl.BuildEnv{Geometry: cfg.Geometry, Config: ftlCfg, Flex: params})
-			if err != nil {
-				return nil, err
-			}
-			return h.(ftl.FTL), nil
+			return ftl.BuildFTL("flexFTL", ftl.BuildEnv{Geometry: cfg.Geometry, Config: ftlCfg, Flex: params})
 		}
 	}
 	variants := []variant{

@@ -6,8 +6,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
 )
@@ -58,13 +56,5 @@ func BuildFTL(scheme string, g nand.Geometry) (ftl.FTL, error) {
 // BuildFTLWith is BuildFTL with a caller-supplied FTL configuration (the
 // sensitivity sweeps vary over-provisioning).
 func BuildFTLWith(scheme string, g nand.Geometry, cfg ftl.Config) (ftl.FTL, error) {
-	h, err := ftl.Build(scheme, ftl.BuildEnv{Geometry: g, Config: cfg, Flex: ftl.DefaultFlexParams()})
-	if err != nil {
-		return nil, err
-	}
-	f, ok := h.(ftl.FTL)
-	if !ok {
-		return nil, fmt.Errorf("experiments: scheme %q is not an MLC FTL", scheme)
-	}
-	return f, nil
+	return ftl.BuildFTL(scheme, ftl.BuildEnv{Geometry: g, Config: cfg, Flex: ftl.DefaultFlexParams()})
 }

@@ -76,7 +76,7 @@ func RunFig4(cfg Fig4Config) (Fig4Result, error) {
 		{"RPShalf", core.RPSHalfOrder(cfg.WordLines)},
 	}
 	if cfg.IncludeWorstCase {
-		orders = append(orders, namedOrder{"Unconstrained(worst)", core.WorstCaseOrder(cfg.WordLines)})
+		orders = append(orders, namedOrder{"Unconstrained(worst)", core.WorstCaseOrder(core.MLC(cfg.WordLines))})
 	}
 	res := Fig4Result{Config: cfg}
 

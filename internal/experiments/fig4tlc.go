@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"flexftl/internal/nlevel"
+	"flexftl/internal/core"
 	"flexftl/internal/par"
 	"flexftl/internal/rng"
 	"flexftl/internal/stats"
@@ -54,15 +54,15 @@ func RunFig4TLC(cfg Fig4TLCConfig) (Fig4TLCResult, error) {
 	if err != nil {
 		return Fig4TLCResult{}, err
 	}
-	scheme := nlevel.TLC(cfg.WordLines)
+	scheme := core.TLC(cfg.WordLines)
 	type namedOrder struct {
 		name  string
-		pages []nlevel.Page
+		pages []core.Page
 	}
 	orders := []namedOrder{
-		{"Fixed (vendor staircase)", nlevel.FixedOrder(scheme)},
-		{"Relaxed 3-phase", nlevel.RelaxedFullOrder(scheme)},
-		{"Unconstrained(worst)", nlevel.WorstCaseOrder(scheme)},
+		{"Fixed (vendor staircase)", core.FixedOrder(scheme)},
+		{"Relaxed 3-phase", core.RelaxedFullOrder(scheme)},
+		{"Unconstrained(worst)", core.WorstCaseOrder(scheme)},
 	}
 	res := Fig4TLCResult{Config: cfg}
 

@@ -126,7 +126,7 @@ func RunAging(cfg AgingConfig) (AgingReport, error) {
 	}
 	k, ok := h.(*ftl.Kernel)
 	if !ok {
-		return AgingReport{}, fmt.Errorf("experiments: scheme %q is not an MLC kernel", cfg.Scheme)
+		return AgingReport{}, fmt.Errorf("experiments: scheme %q is not an ftl.Kernel (the aging campaign needs its reliability responses)", cfg.Scheme)
 	}
 	dev := k.Device()
 

@@ -67,9 +67,10 @@ func (s Stats) WriteAmplification() float64 {
 	return float64(s.TotalPrograms()) / float64(s.HostWrites)
 }
 
-// Host is the device-agnostic FTL surface the runner drives: every scheme in
-// the registry — MLC or n-level — implements it. Implementations are
-// single-threaded over virtual time, like the devices underneath them.
+// Host is the FTL surface the runner drives, without the device: what a
+// decorator between the runner and a scheme (bench/'s tracer) has to forward.
+// Implementations are single-threaded over virtual time, like the device
+// underneath them.
 type Host interface {
 	// Name identifies the scheme ("pageFTL", "flexFTL", "nflexFTL(3-level)",
 	// ...).
@@ -98,9 +99,9 @@ type Host interface {
 	PageSize() int
 }
 
-// FTL is a flash translation layer bound to an MLC NAND device — the Host
+// FTL is a flash translation layer bound to its NAND device — the Host
 // surface plus access to the device itself (for erasure counts, geometry and
-// fault injection).
+// fault injection). Every scheme in the registry, MLC or TLC, is one.
 type FTL interface {
 	Host
 	// Device exposes the underlying NAND device.

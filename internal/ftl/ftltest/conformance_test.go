@@ -11,9 +11,9 @@ import (
 
 // TestRegistryConformance drives every scheme in the ftl registry — the four
 // paper FTLs, the hybrid policy combinations, and nflexTLC — through the
-// conformance suite. MLC kernels get the full white-box suite (the Fixture
+// conformance suite. Kernels get the full white-box suite (the Fixture
 // carries their Base, and Spec.IdleSpendsFree selects the idle-test
-// variant); schemes that own their device get the device-agnostic RunHost
+// variant); nflexTLC, a separate engine with no Base, gets the RunHost
 // subset.
 func TestRegistryConformance(t *testing.T) {
 	for _, name := range ftl.Names() {
@@ -33,7 +33,7 @@ func TestRegistryConformance(t *testing.T) {
 			return h
 		}
 		t.Run(name, func(t *testing.T) {
-			if _, mlc := build(t).(ftl.FTL); !mlc {
+			if _, kernel := build(t).(*ftl.Kernel); !kernel {
 				ftltest.RunHost(t, build)
 				return
 			}

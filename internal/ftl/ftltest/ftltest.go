@@ -4,8 +4,8 @@
 // background GC, and determinism. Each FTL's test package invokes Run with a
 // fixture constructor, and the registry-wide conformance test (in this
 // package's external tests) drives every registered scheme through the same
-// checks — the full white-box suite for MLC kernels, the device-agnostic
-// RunHost subset for schemes that own their device. Scheme-specific
+// checks — the full white-box suite for kernels, the RunHost subset for the
+// one scheme that is not a Kernel (nflexTLC). Scheme-specific
 // behaviour (backup accounting, 2PO invariants, recovery) stays in the
 // scheme's own tests.
 package ftltest
@@ -34,8 +34,8 @@ type Fixture struct {
 type Maker func(t testing.TB) Fixture
 
 // HostMaker constructs a fresh ftl.Host for one subtest. RunHost needs no
-// access to the device or the shared Base, so it covers schemes outside the
-// MLC kernel (nflexTLC) as well.
+// access to the shared Base, so it covers schemes outside the kernel
+// (nflexTLC) as well.
 type HostMaker func(t testing.TB) ftl.Host
 
 // Run executes the full conformance suite, including the white-box checks
@@ -55,9 +55,9 @@ func Run(t *testing.T, mk Maker) {
 	t.Run("WorkloadSoak", func(t *testing.T) { testWorkloadSoak(t, mk) })
 }
 
-// RunHost executes the device-agnostic subset of the suite: every check that
-// needs only the ftl.Host surface. Registry entries that are not MLC kernels
-// get their conformance coverage through this entry point.
+// RunHost executes the subset of the suite that needs only the ftl.Host
+// surface. Registry entries that are not kernels get their conformance
+// coverage through this entry point.
 func RunHost(t *testing.T, mk HostMaker) {
 	t.Run("WriteReadBack", func(t *testing.T) { checkWriteReadBack(t, mk(t)) })
 	t.Run("CompletionMonotonePerIssue", func(t *testing.T) { checkMonotone(t, mk(t)) })

@@ -57,24 +57,16 @@ func (m *Mapper) SetValidHook(fn func(flatBlock int)) { m.onValidChange = fn }
 
 // NewMapper builds a mapper for logicalPages host pages over the geometry.
 func NewMapper(g nand.Geometry, logicalPages int64) *Mapper {
-	return NewMapperDims(g.Chips(), g.BlocksPerChip, g.PagesPerBlock(), logicalPages)
-}
-
-// NewMapperDims builds a mapper from raw dimensions — the device-agnostic
-// constructor n-level FTLs use (their geometry type differs, the mapping
-// arithmetic does not).
-func NewMapperDims(chips, blocksPerChip, pagesPerBlock int, logicalPages int64) *Mapper {
-	totalBlocks := chips * blocksPerChip
-	totalPages := int64(totalBlocks) * int64(pagesPerBlock)
+	totalPages := int64(g.TotalPages())
 	if logicalPages <= 0 || logicalPages > totalPages {
 		panic(fmt.Sprintf("ftl: logical pages %d outside (0,%d]", logicalPages, totalPages))
 	}
 	m := &Mapper{
-		blocksPerChip: blocksPerChip,
-		pagesPerBlock: pagesPerBlock,
+		blocksPerChip: g.BlocksPerChip,
+		pagesPerBlock: g.PagesPerBlock(),
 		l2p:           make([]nand.PPN, logicalPages),
 		p2l:           make([]LPN, totalPages),
-		validCount:    make([]int32, totalBlocks),
+		validCount:    make([]int32, g.TotalBlocks()),
 	}
 	for i := range m.l2p {
 		m.l2p[i] = nand.InvalidPPN

@@ -3,6 +3,7 @@ package nflex
 import (
 	"fmt"
 
+	"flexftl/internal/core"
 	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
 	"flexftl/internal/obs"
@@ -16,6 +17,7 @@ import (
 // parities.
 func (f *FTL) programAt(chip, level int, lpn ftl.LPN, data, spare []byte, now sim.Time, fromGC bool) (sim.Time, error) {
 	g := f.dev.Geometry()
+	levels := g.BitsPerCell()
 	cs := &f.chips[chip]
 
 	// Feasibility fallbacks.
@@ -50,7 +52,7 @@ func (f *FTL) programAt(chip, level int, lpn ftl.LPN, data, spare []byte, now si
 	if err != nil {
 		return now, err
 	}
-	f.m.Update(lpn, f.ppnOf(addr))
+	f.m.Update(lpn, g.PPNOf(addr))
 	if fromGC {
 		f.st.GCCopies++
 		if level == 0 {
@@ -78,7 +80,7 @@ func (f *FTL) programAt(chip, level int, lpn ftl.LPN, data, spare []byte, now si
 			f.q++
 		}
 	}
-	if level < g.Levels-1 {
+	if level < levels-1 {
 		if err := cs.pbuf[level].Add(data); err != nil {
 			return done, err
 		}
@@ -91,7 +93,7 @@ func (f *FTL) programAt(chip, level int, lpn ftl.LPN, data, spare []byte, now si
 	if cur.pos == g.WordLinesPerBlock {
 		full := cur.blk
 		cur.blk = -1
-		if level < g.Levels-1 {
+		if level < levels-1 {
 			// Phase complete: persist its parity, queue for the next phase.
 			f.psnap = cs.pbuf[level].SnapshotInto(f.psnap)
 			snapshot := f.psnap
@@ -163,7 +165,7 @@ func (f *FTL) invalidateParities(chip, blk int) {
 	for _, b := range cs.backup.retired {
 		if cs.backup.live[b] == 0 {
 			delete(cs.backup.live, b)
-			if _, err := f.dev.Erase(chip, b, 0); err != nil {
+			if _, err := f.dev.Erase(nand.BlockAddr{Chip: chip, Block: b}, 0); err != nil {
 				panic(fmt.Sprintf("nflex: recycling backup block %d: %v", b, err))
 			}
 			f.st.Erases++
@@ -181,7 +183,7 @@ func (f *FTL) gcAlloc(chip int, lpn ftl.LPN, data []byte, now sim.Time) (sim.Tim
 	level := f.deepestAvailable(chip)
 	if !f.inBGC {
 		cs := &f.chips[chip]
-		cs.toggle = (cs.toggle + 1) % f.dev.Geometry().Levels
+		cs.toggle = (cs.toggle + 1) % f.dev.Geometry().BitsPerCell()
 		if cs.toggle == 0 || f.phaseAvailable(chip, cs.toggle) {
 			level = cs.toggle
 		}
@@ -206,7 +208,7 @@ func (f *FTL) collectVictim(chip, victim int, now sim.Time) (sim.Time, error) {
 		if !ok {
 			continue
 		}
-		t, err := f.dev.ReadInto(f.addrOf(ppn), &f.buf, now)
+		t, err := f.dev.ReadInto(f.dev.Geometry().AddrOfPPN(ppn), &f.buf, now)
 		if err != nil {
 			return now, fmt.Errorf("nflex: GC read: %w", err)
 		}
@@ -215,7 +217,7 @@ func (f *FTL) collectVictim(chip, victim int, now sim.Time) (sim.Time, error) {
 			return now, err
 		}
 	}
-	done, err := f.dev.Erase(chip, victim, now)
+	done, err := f.dev.Erase(a, now)
 	if err != nil {
 		return now, err
 	}
@@ -254,7 +256,7 @@ func (f *FTL) Idle(now, until sim.Time) {
 	}()
 	g := f.dev.Geometry()
 	t := f.dev.Timing()
-	perPage := t.Read + 2*t.BusXfer + t.Prog[g.Levels-1]
+	perPage := t.Read + 2*t.BusXfer + t.Prog(core.PageType(g.BitsPerCell()-1))
 	threshold := func() bool {
 		return float64(f.TotalFreeBlocks()) < f.cfg.GCFreeFraction*float64(g.TotalBlocks())*1.5
 	}
@@ -278,9 +280,10 @@ func (f *FTL) Idle(now, until sim.Time) {
 			f.bg = bgState{chip: bestChip, blk: best, active: true}
 			f.st.BackgroundGCs++
 		}
-		ppn, nextIdx, ok := f.m.NextValidFrom(nand.BlockAddr{Chip: f.bg.chip, Block: f.bg.blk}, f.bg.nextIdx)
+		victim := nand.BlockAddr{Chip: f.bg.chip, Block: f.bg.blk}
+		ppn, nextIdx, ok := f.m.NextValidFrom(victim, f.bg.nextIdx)
 		if !ok {
-			done, err := f.dev.Erase(f.bg.chip, f.bg.blk, now)
+			done, err := f.dev.Erase(victim, now)
 			if err != nil {
 				f.bg.active = false
 				return
@@ -299,7 +302,7 @@ func (f *FTL) Idle(now, until sim.Time) {
 		if !ok {
 			continue
 		}
-		t2, err := f.dev.ReadInto(f.addrOf(ppn), &f.buf, now)
+		t2, err := f.dev.ReadInto(f.dev.Geometry().AddrOfPPN(ppn), &f.buf, now)
 		if err != nil {
 			f.pools[f.bg.chip].PushFull(f.bg.blk)
 			f.bg = bgState{}

@@ -1,37 +1,9 @@
 package nflex
 
 import (
+	"flexftl/internal/core"
 	"flexftl/internal/nand"
-	"flexftl/internal/nandn"
-	"flexftl/internal/nlevel"
 )
-
-// The mapping table itself is the shared ftl.Mapper (constructed over this
-// device's dimensions via ftl.NewMapperDims); what is n-level specific is
-// only the address arithmetic between the mapper's flat PPN space and the
-// device's (chip, block, word line, level) pages, which lives here.
-
-// ppnOf flattens an n-level page address into the shared mapper's PPN space.
-func ppnOf(g nandn.Geometry, a nandn.PageAddr) nand.PPN {
-	pp := int64(g.PagesPerBlock())
-	return nand.PPN((int64(a.Chip)*int64(g.BlocksPerChip)+int64(a.Block))*pp +
-		int64(g.Scheme().Index(a.Page)))
-}
-
-// addrOf inverts ppnOf.
-func addrOf(g nandn.Geometry, ppn nand.PPN) nandn.PageAddr {
-	pp := int64(g.PagesPerBlock())
-	idx := int(int64(ppn) % pp)
-	flat := int64(ppn) / pp
-	return nandn.PageAddr{
-		Chip:  int(flat / int64(g.BlocksPerChip)),
-		Block: int(flat % int64(g.BlocksPerChip)),
-		Page:  g.Scheme().PageAt(idx),
-	}
-}
-
-func (f *FTL) ppnOf(a nandn.PageAddr) nand.PPN    { return ppnOf(f.dev.Geometry(), a) }
-func (f *FTL) addrOf(ppn nand.PPN) nandn.PageAddr { return addrOf(f.dev.Geometry(), ppn) }
 
 // flatBlock is the mapper's flat block index for a chip-local block.
 func (f *FTL) flatBlock(chip, blk int) int {
@@ -54,6 +26,9 @@ func blockNoFromSpare(spare []byte) (blk, level int, ok bool) {
 }
 
 // pageFor builds a page address.
-func pageFor(chip, blk, wl, level int) nandn.PageAddr {
-	return nandn.PageAddr{Chip: chip, Block: blk, Page: nlevel.Page{WL: wl, Level: level}}
+func pageFor(chip, blk, wl, level int) nand.PageAddr {
+	return nand.PageAddr{
+		BlockAddr: nand.BlockAddr{Chip: chip, Block: blk},
+		Page:      core.Page{WL: wl, Type: core.PageType(level)},
+	}
 }

@@ -1,6 +1,6 @@
-// Package nflex generalizes flexFTL to n-bit NAND (TLC, QLC) over the
-// internal/nandn device — the working form of the paper's Section 1 claim
-// that RPS "can be applicable for other NAND devices such as TLC NAND
+// Package nflex generalizes flexFTL to n-bit NAND (TLC, QLC) — a nand.Device
+// with Geometry.Levels of 3 or 4 — the working form of the paper's Section 1
+// claim that RPS "can be applicable for other NAND devices such as TLC NAND
 // devices with a similar program scheme".
 //
 // The two-phase ordering becomes n-phase ordering (nPO): a block is filled
@@ -22,9 +22,9 @@ package nflex
 import (
 	"fmt"
 
+	"flexftl/internal/core"
 	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
-	"flexftl/internal/nandn"
 	"flexftl/internal/obs"
 	"flexftl/internal/parity"
 	"flexftl/internal/sim"
@@ -59,10 +59,12 @@ func init() {
 		Backup: "phaseParity",
 		Description: "n-phase flexFTL on a 3-bit device: nPO ordering, " +
 			"per-phase parity backups, utilization-driven level choice",
-		New: func(env ftl.BuildEnv) (ftl.Host, error) {
-			// The n-level scheme brings its own device: env.Geometry is
-			// MLC-typed and does not apply here.
-			dev, err := nandn.NewDevice(nandn.TLCGeometry(), nandn.TLCTiming())
+		New: func(env ftl.BuildEnv) (ftl.FTL, error) {
+			// The scheme is defined on the 3-bit evaluation device, not on
+			// env.Geometry.
+			dev, err := nand.NewDevice(nand.Config{
+				Geometry: nand.TLCGeometry(), Timing: nand.TLCTiming(), Rules: core.RPS,
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -104,7 +106,7 @@ type chipState struct {
 
 // FTL is the n-phase flexFTL.
 type FTL struct {
-	dev     *nandn.Device
+	dev     *nand.Device
 	params  Params
 	cfg     ftl.Config
 	m       *ftl.Mapper
@@ -122,7 +124,7 @@ type FTL struct {
 	// buf is the reusable read buffer for host reads, GC relocation and
 	// recovery rescans; safe to share because the FTL is single-threaded
 	// and programAt copies the payload before the next read.
-	buf nandn.PageBuf
+	buf nand.PageBuf
 	// tok/sp/psnap are per-write scratch buffers (Device.Program copies
 	// payload and spare, so each is valid until its next use).
 	tok   [ftl.TokenSize]byte
@@ -137,7 +139,7 @@ type FTL struct {
 	reprogPenalty     []int64
 }
 
-var _ ftl.Host = (*FTL)(nil)
+var _ ftl.FTL = (*FTL)(nil)
 
 type bgState struct {
 	chip, blk, nextIdx int
@@ -145,7 +147,7 @@ type bgState struct {
 }
 
 // New builds an nflex FTL over the device.
-func New(dev *nandn.Device, cfg ftl.Config, params Params) (*FTL, error) {
+func New(dev *nand.Device, cfg ftl.Config, params Params) (*FTL, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -153,7 +155,8 @@ func New(dev *nandn.Device, cfg ftl.Config, params Params) (*FTL, error) {
 		return nil, err
 	}
 	g := dev.Geometry()
-	logical := int64(float64(g.TotalPages()) * (1 - cfg.OPFraction))
+	levels := g.BitsPerCell()
+	logical := cfg.LogicalPages(g)
 	if logical <= 0 {
 		return nil, fmt.Errorf("nflex: geometry too small")
 	}
@@ -161,15 +164,16 @@ func New(dev *nandn.Device, cfg ftl.Config, params Params) (*FTL, error) {
 		dev:     dev,
 		params:  params,
 		cfg:     cfg,
-		m:       ftl.NewMapperDims(g.Chips(), g.BlocksPerChip, g.PagesPerBlock(), logical),
+		m:       ftl.NewMapper(g, logical),
 		pools:   make([]*ftl.FreePool, g.Chips()),
 		chips:   make([]chipState, g.Chips()),
-		byLevel: make([]int64, g.Levels),
+		byLevel: make([]int64, levels),
 		refs:    make(map[int]map[int]parityRef),
 	}
-	f.reprogPenalty = make([]int64, g.Levels)
+	f.reprogPenalty = make([]int64, levels)
+	t := dev.Timing()
 	for l := range f.reprogPenalty {
-		f.reprogPenalty[l] = int64(dev.Timing().Prog[l] - dev.Timing().Prog[0])
+		f.reprogPenalty[l] = int64(t.Prog(core.PageType(l)) - t.ProgLSB)
 	}
 	totalL0 := int64(g.TotalBlocks()) * int64(g.WordLinesPerBlock)
 	f.q = int64(params.QuotaFraction * float64(totalL0))
@@ -180,9 +184,9 @@ func New(dev *nandn.Device, cfg ftl.Config, params Params) (*FTL, error) {
 	for c := range f.chips {
 		f.pools[c] = ftl.NewFreePool(c, g.BlocksPerChip)
 		cs := chipState{
-			phases: make([]phaseCursor, g.Levels),
-			queues: make([]ftl.IntQueue, g.Levels),
-			pbuf:   make([]*parity.Buffer, g.Levels),
+			phases: make([]phaseCursor, levels),
+			queues: make([]ftl.IntQueue, levels),
+			pbuf:   make([]*parity.Buffer, levels),
 			backup: backupState{cur: -1, live: make(map[int]int)},
 		}
 		for l := range cs.phases {
@@ -229,10 +233,10 @@ func (f *FTL) SetRecorder(r *obs.Recorder) {
 func (f *FTL) WearSpread() float64 { return f.dev.Wear().Imbalance }
 
 // Name identifies the scheme.
-func (f *FTL) Name() string { return fmt.Sprintf("nflexFTL(%d-level)", f.dev.Geometry().Levels) }
+func (f *FTL) Name() string { return fmt.Sprintf("nflexFTL(%d-level)", f.dev.Geometry().BitsPerCell()) }
 
-// Device returns the n-level device.
-func (f *FTL) Device() *nandn.Device { return f.dev }
+// Device returns the NAND device.
+func (f *FTL) Device() *nand.Device { return f.dev }
 
 // Stats returns the counters.
 func (f *FTL) Stats() ftl.Stats { return f.st }
@@ -334,7 +338,7 @@ func (f *FTL) Read(lpn ftl.LPN, now sim.Time) (sim.Time, error) {
 	if !ok {
 		return now, ftl.ErrUnmapped // bare, like ftl.Base.ReadLPN: expected, and allocation-free
 	}
-	done, err := f.dev.ReadInto(f.addrOf(ppn), &f.buf, now)
+	done, err := f.dev.ReadInto(f.dev.Geometry().AddrOfPPN(ppn), &f.buf, now)
 	if err != nil {
 		return now, err
 	}
@@ -355,7 +359,7 @@ func (f *FTL) Trim(lpn ftl.LPN, now sim.Time) (sim.Time, error) {
 // buffer is sleepy, and a rotation over all phases in between.
 func (f *FTL) chooseLevel(chip int, util float64) int {
 	cs := &f.chips[chip]
-	levels := f.dev.Geometry().Levels
+	levels := f.dev.Geometry().BitsPerCell()
 	deepest := f.deepestAvailable(chip)
 	if deepest == 0 {
 		return 0 // nothing queued beyond phase 0 (footnote-1 corner case)
@@ -390,7 +394,7 @@ func (f *FTL) phaseAvailable(chip, l int) bool {
 
 // deepestAvailable returns the highest-index phase with work, or 0.
 func (f *FTL) deepestAvailable(chip int) int {
-	for l := f.dev.Geometry().Levels - 1; l >= 1; l-- {
+	for l := f.dev.Geometry().BitsPerCell() - 1; l >= 1; l-- {
 		if f.phaseAvailable(chip, l) {
 			return l
 		}

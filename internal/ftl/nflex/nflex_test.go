@@ -2,20 +2,18 @@ package nflex
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
-	"fmt"
-
+	"flexftl/internal/core"
 	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
-	"flexftl/internal/nandn"
-	"flexftl/internal/nlevel"
 	"flexftl/internal/rng"
 	"flexftl/internal/sim"
 )
 
-func tinyGeometry() nandn.Geometry {
-	return nandn.Geometry{
+func tinyGeometry() nand.Geometry {
+	return nand.Geometry{
 		Channels: 2, ChipsPerChannel: 2, BlocksPerChip: 32,
 		WordLinesPerBlock: 8, Levels: 3, PageSizeBytes: 64, SpareBytes: 16,
 	}
@@ -23,7 +21,7 @@ func tinyGeometry() nandn.Geometry {
 
 func newTLC(t testing.TB) *FTL {
 	t.Helper()
-	dev, err := nandn.NewDevice(tinyGeometry(), nandn.TLCTiming())
+	dev, err := nand.NewDevice(nand.Config{Geometry: tinyGeometry(), Timing: nand.TLCTiming(), Rules: core.RPS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +148,7 @@ func TestNPOInvariant(t *testing.T) {
 	checked := 0
 	for chip := 0; chip < g.Chips(); chip++ {
 		for blk := 0; blk < g.BlocksPerChip; blk++ {
-			prog := f.Device().BlockProgrammed(chip, blk)
+			prog := f.Device().BlockProgrammedPages(nand.BlockAddr{Chip: chip, Block: blk})
 			if prog == 0 {
 				continue
 			}
@@ -159,7 +157,7 @@ func TestNPOInvariant(t *testing.T) {
 			// count = k*W + r means levels 0..k-1 full and level k has r.
 			w := g.WordLinesPerBlock
 			fullPhases := prog / w
-			if fullPhases > g.Levels {
+			if fullPhases > g.BitsPerCell() {
 				t.Fatalf("block %d/%d overfull: %d", chip, blk, prog)
 			}
 			_ = fullPhases // structure enforced by the device's relaxed rules
@@ -196,9 +194,9 @@ func TestPerPhaseParityAccounting(t *testing.T) {
 		t.Fatal("no phase parities written")
 	}
 	// Host+GC programs per completed phase = W; parities per data page:
-	progs := f.Device().Programs()
+	progs := f.Device().Counts().ProgramsByLevel(g.BitsPerCell())
 	var nonFinal int64
-	for l := 0; l < g.Levels-1; l++ {
+	for l := 0; l < g.BitsPerCell()-1; l++ {
 		nonFinal += progs[l]
 	}
 	// Each W non-final-phase programs produce one parity (which is itself a
@@ -234,10 +232,7 @@ func TestSustainedGC(t *testing.T) {
 		t.Errorf("no GC in sustained run: %+v", st)
 	}
 	// Device program accounting must close: host + GC + backups.
-	var devTotal int64
-	for _, n := range f.Device().Programs() {
-		devTotal += n
-	}
+	devTotal := f.Device().Counts().Programs()
 	if got := st.HostWrites + st.GCCopies + st.BackupWrites; got != devTotal {
 		t.Errorf("program accounting: FTL %d vs device %d", got, devTotal)
 	}
@@ -247,8 +242,8 @@ func TestSustainedGC(t *testing.T) {
 // faster than the finest level would — the TLC asymmetry exploited.
 func TestFastPhaseBurstFaster(t *testing.T) {
 	g := tinyGeometry()
-	tm := nandn.TLCTiming()
-	if tm.Prog[0]*2 >= tm.Prog[2] {
+	tm := nand.TLCTiming()
+	if tm.ProgLSB*2 >= tm.Prog(2) {
 		t.Skip("timing asymmetry too small for the check")
 	}
 	f := newTLC(t)
@@ -264,7 +259,7 @@ func TestFastPhaseBurstFaster(t *testing.T) {
 		}
 	}
 	// All-level-0 drain bound: burst/chips * (xfer+prog0) plus slack.
-	bound := sim.Time(burst/g.Chips())*(tm.BusXfer+tm.Prog[0])*2 + tm.Prog[0]
+	bound := sim.Time(burst/g.Chips())*(tm.BusXfer+tm.ProgLSB)*2 + tm.ProgLSB
 	if last > bound {
 		t.Errorf("burst drained in %v, want under %v (level-0 service)", last, bound)
 	}
@@ -326,15 +321,20 @@ func TestPowerFailRecoveryTLC(t *testing.T) {
 	// The two earlier-level pages of this word line.
 	var lostLPNs []ftl.LPN
 	for lvl := 0; lvl < 2; lvl++ {
-		if l, ok := f.m.LPNAt(f.ppnOf(pageFor(chip, blk, wl, lvl))); ok {
+		if l, ok := f.m.LPNAt(g.PPNOf(pageFor(chip, blk, wl, lvl))); ok {
 			lostLPNs = append(lostLPNs, l)
 		}
 	}
 	if len(lostLPNs) != 2 {
 		t.Fatalf("setup: expected 2 live earlier-level pages, got %v", lostLPNs)
 	}
-	if n := f.Device().InjectPowerLoss(chip, blk); n != 3 {
-		t.Fatalf("power loss corrupted %d pages, want 3", n)
+	if !f.Device().InjectPowerLoss(nand.BlockAddr{Chip: chip, Block: blk}) {
+		t.Fatal("no destructive window on the level-2 block")
+	}
+	for lvl := 0; lvl <= 2; lvl++ {
+		if !f.Device().IsCorrupted(pageFor(chip, blk, wl, lvl)) {
+			t.Fatalf("level %d of the interrupted word line survived the cut", lvl)
+		}
 	}
 	for _, l := range lostLPNs {
 		if _, err := f.Read(l, now); err == nil {
@@ -392,17 +392,19 @@ func TestRecoveryWithoutCrashTLC(t *testing.T) {
 // TestQLCGenerality: the same FTL runs a 4-bit device — four phases, three
 // parity pages per block — without modification.
 func TestQLCGenerality(t *testing.T) {
-	g := nandn.Geometry{
+	g := nand.Geometry{
 		Channels: 1, ChipsPerChannel: 2, BlocksPerChip: 32,
 		WordLinesPerBlock: 8, Levels: 4, PageSizeBytes: 64, SpareBytes: 16,
 	}
-	tm := nandn.Timing{
-		Read:    80 * sim.Microsecond,
-		Prog:    []sim.Time{350 * sim.Microsecond, 900 * sim.Microsecond, 2 * sim.Millisecond, 5 * sim.Millisecond},
-		Erase:   8 * sim.Millisecond,
-		BusXfer: 10 * sim.Microsecond,
+	tm := nand.Timing{
+		Read:      80 * sim.Microsecond,
+		ProgLSB:   350 * sim.Microsecond,
+		ProgMSB:   900 * sim.Microsecond,
+		ProgFiner: [2]sim.Time{2 * sim.Millisecond, 5 * sim.Millisecond},
+		Erase:     8 * sim.Millisecond,
+		BusXfer:   10 * sim.Microsecond,
 	}
-	dev, err := nandn.NewDevice(g, tm)
+	dev, err := nand.NewDevice(nand.Config{Geometry: g, Timing: tm, Rules: core.RPS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,13 +519,15 @@ func TestInvariantsTLCHeavy(t *testing.T) {
 	auditNflex(t, f)
 }
 
+// TestMapperRoundTrip: the shared mapper and the geometry's PPN arithmetic
+// serve a three-level device's pages, finest level included.
 func TestMapperRoundTrip(t *testing.T) {
 	g := tinyGeometry()
-	m := ftl.NewMapperDims(g.Chips(), g.BlocksPerChip, g.PagesPerBlock(), 100)
-	a := pageFor(1, 2, 3, 1)
-	ppn := ppnOf(g, a)
-	if addrOf(g, ppn) != a {
-		t.Fatalf("addr round trip: %v -> %d -> %v", a, ppn, addrOf(g, ppn))
+	m := ftl.NewMapper(g, 100)
+	a := pageFor(1, 2, 3, 2)
+	ppn := g.PPNOf(a)
+	if g.AddrOfPPN(ppn) != a {
+		t.Fatalf("addr round trip: %v -> %d -> %v", a, ppn, g.AddrOfPPN(ppn))
 	}
 	m.Update(5, ppn)
 	if got, ok := m.Lookup(5); !ok || got != ppn {
@@ -563,5 +567,4 @@ func TestNLevelPageShapes(t *testing.T) {
 	if _, err := f.Device().Program(pageFor(0, 0, 0, 2), nil, nil, 0); err == nil {
 		t.Error("skipping refinement accepted")
 	}
-	_ = nlevel.Page{} // keep the import meaningful for shape tests
 }

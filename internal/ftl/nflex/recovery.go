@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"flexftl/internal/ftl"
-	"flexftl/internal/nandn"
+	"flexftl/internal/nand"
 	"flexftl/internal/parity"
 	"flexftl/internal/sim"
 )
@@ -39,7 +39,7 @@ func (f *FTL) recoverChip(chip int, now sim.Time, rep *RecoveryReport) (sim.Time
 	g := f.dev.Geometry()
 	cs := &f.chips[chip]
 
-	for level := g.Levels - 1; level >= 1; level-- {
+	for level := g.BitsPerCell() - 1; level >= 1; level-- {
 		cur := cs.phases[level]
 		if cur.blk == -1 || cur.pos == 0 {
 			continue
@@ -49,11 +49,11 @@ func (f *FTL) recoverChip(chip int, now sim.Time, rep *RecoveryReport) (sim.Time
 
 		// Drop the interrupted write if its page was destroyed.
 		inFlight := pageFor(chip, blk, wl, level)
-		if lpn, ok := f.m.LPNAt(f.ppnOf(inFlight)); ok {
+		if lpn, ok := f.m.LPNAt(g.PPNOf(inFlight)); ok {
 			if t, err := f.dev.ReadInto(inFlight, &f.buf, now); err != nil {
 				now = t
 				rep.PagesRead++
-				if errors.Is(err, nandn.ErrUncorrectable) {
+				if errors.Is(err, nand.ErrUncorrectable) {
 					f.m.Invalidate(lpn)
 					rep.Dropped = append(rep.Dropped, lpn)
 				}
@@ -76,7 +76,7 @@ func (f *FTL) recoverChip(chip int, now sim.Time, rep *RecoveryReport) (sim.Time
 	}
 
 	// Rebuild partial parity accumulations for every active phase.
-	for level := 0; level < g.Levels-1; level++ {
+	for level := 0; level < g.BitsPerCell()-1; level++ {
 		cur := cs.phases[level]
 		if cur.blk == -1 || cur.pos == 0 {
 			continue
@@ -87,7 +87,7 @@ func (f *FTL) recoverChip(chip int, now sim.Time, rep *RecoveryReport) (sim.Time
 			rep.PagesRead++
 			now = t
 			if err != nil {
-				if errors.Is(err, nandn.ErrUncorrectable) {
+				if errors.Is(err, nand.ErrUncorrectable) {
 					continue // will have been handled above
 				}
 				return now, fmt.Errorf("nflex: parity rebuild read: %w", err)
@@ -114,7 +114,7 @@ func (f *FTL) reconstructPhasePage(chip, blk, lvl int, now sim.Time, rep *Recove
 		switch {
 		case err == nil:
 			survivors = append(survivors, data)
-		case errors.Is(err, nandn.ErrUncorrectable):
+		case errors.Is(err, nand.ErrUncorrectable):
 			if lostWL != -1 {
 				return now, fmt.Errorf("nflex: two pages lost in phase %d of chip%d/blk%d", lvl, chip, blk)
 			}
@@ -147,7 +147,7 @@ func (f *FTL) reconstructPhasePage(chip, blk, lvl int, now sim.Time, rep *Recove
 	if err != nil {
 		return now, err
 	}
-	lostPPN := f.ppnOf(pageFor(chip, blk, lostWL, lvl))
+	lostPPN := g.PPNOf(pageFor(chip, blk, lostWL, lvl))
 	lpn, live := f.m.LPNAt(lostPPN)
 	if !live {
 		return now, nil

@@ -9,11 +9,12 @@ import (
 )
 
 // BuildEnv carries everything a registered FTL constructor may need. Specs
-// build their own device — the rule set an FTL requires (FPS vs RPS, MLC vs
-// TLC) is part of the scheme, not the caller's business.
+// build their own device — the rule set an FTL requires (FPS vs RPS) and the
+// bits per cell it is defined on are part of the scheme, not the caller's
+// business.
 type BuildEnv struct {
-	// Geometry of the device to simulate (MLC schemes; the TLC scheme uses
-	// its own nandn geometry and ignores this).
+	// Geometry of the device to simulate (nflexTLC is defined on
+	// nand.TLCGeometry and ignores this).
 	Geometry nand.Geometry
 	// Config is the shared FTL configuration (over-provisioning, GC knobs).
 	Config Config
@@ -52,7 +53,7 @@ type Spec struct {
 	// return-to-fast padding); conformance tests relax free-space checks.
 	IdleSpendsFree bool
 	// New builds the FTL over a fresh device.
-	New func(env BuildEnv) (Host, error)
+	New func(env BuildEnv) (FTL, error)
 }
 
 var registry = struct {
@@ -85,14 +86,18 @@ func Names() []string {
 	return append([]string(nil), registry.names...)
 }
 
-// Build constructs the named FTL over a fresh device.
-func Build(name string, env BuildEnv) (Host, error) {
+// BuildFTL constructs the named FTL over a fresh device.
+func BuildFTL(name string, env BuildEnv) (FTL, error) {
 	s, ok := registry.specs[name]
 	if !ok {
 		return nil, fmt.Errorf("ftl: unknown scheme %q (have %v)", name, Names())
 	}
 	return s.New(env)
 }
+
+// Build is BuildFTL narrowed to the Host surface, for callers that
+// interpose Host decorators (bench/).
+func Build(name string, env BuildEnv) (Host, error) { return BuildFTL(name, env) }
 
 // mlcDevice builds the NAND device for an MLC scheme under the named rule
 // set.
@@ -115,8 +120,8 @@ func mlcDevice(env BuildEnv, rules string) (*nand.Device, error) {
 }
 
 // mlcEntry wraps an MLC kernel constructor as a registry constructor.
-func mlcEntry(rules string, build func(dev *nand.Device, env BuildEnv) (*Kernel, error)) func(BuildEnv) (Host, error) {
-	return func(env BuildEnv) (Host, error) {
+func mlcEntry(rules string, build func(dev *nand.Device, env BuildEnv) (*Kernel, error)) func(BuildEnv) (FTL, error) {
+	return func(env BuildEnv) (FTL, error) {
 		dev, err := mlcDevice(env, rules)
 		if err != nil {
 			return nil, err

@@ -30,7 +30,7 @@ type Config struct {
 	Geometry Geometry
 	Timing   Timing
 	// Rules is the program-order scheme the device enforces. nil defaults
-	// to core.FPS, matching stock MLC parts; RPS devices pass core.RPS.
+	// to core.FPS, matching stock parts; RPS devices pass core.RPS.
 	Rules core.RuleSet
 	// EraseBudget, when > 0, retires a block after that many erases,
 	// surfacing ErrBadBlock. 0 disables retirement (lifetime experiments
@@ -52,7 +52,7 @@ func DefaultConfig(rules core.RuleSet) Config {
 
 // block is the physical state of one erase block.
 type block struct {
-	state      *core.BlockState
+	state      core.BlockState // its bitmap is a run of the device's one allocation
 	eraseCount int
 	retired    bool
 	// readCount counts reads of the block since its last erase (the
@@ -64,16 +64,18 @@ type block struct {
 	hasProg     bool
 }
 
-// msbWindow is a chip's destructive-program window: the most recent MSB
-// program that the storage layer has not yet declared power-safe. While the
-// window is open a power cut destroys the MSB page and its paired LSB page.
-// A chip serializes its cell operations, so at most one window exists per
-// chip; a newer MSB program supersedes the previous window (the chip
-// timeline passed the older program before accepting the new one).
+// msbWindow is a chip's destructive-program window: the most recent
+// refinement (MSB or finer) program that the storage layer has not yet
+// declared power-safe. While the window is open a power cut destroys the
+// refinement page and every coarser page of its word line. A chip serializes
+// its cell operations, so at most one window exists per chip; a newer
+// refinement supersedes the previous window (the chip timeline passed the
+// older program before accepting the new one).
 type msbWindow struct {
-	blk  int
-	wl   int
-	open bool
+	blk   int
+	wl    int
+	level core.PageType
+	open  bool
 }
 
 // chip carries the busy timeline, blocks and pages of one die.
@@ -93,27 +95,46 @@ func (c *chip) blockPages(blk, pagesPerBlock int) []pagemem.Page {
 	return c.pages[blk*pagesPerBlock:][:pagesPerBlock]
 }
 
-// OpCounts tallies device operations, split by page type where relevant.
+// OpCounts tallies device operations, programs split into the fast LSB
+// pages and the slow refinements.
 type OpCounts struct {
 	Reads       int64
 	ProgramsLSB int64
-	ProgramsMSB int64
-	Erases      int64
+	ProgramsMSB int64 // MSB and every finer level
+	// ProgramsFiner is the part of ProgramsMSB at levels 2 and up (TLC, QLC).
+	ProgramsFiner [MaxLevels - 2]int64
+	Erases        int64
 }
 
 // Programs returns total page programs.
 func (c OpCounts) Programs() int64 { return c.ProgramsLSB + c.ProgramsMSB }
 
+// ProgramsByLevel returns the program count of each of the first levels
+// page levels, LSB first.
+func (c OpCounts) ProgramsByLevel(levels int) []int64 {
+	by := make([]int64, levels)
+	by[0], by[1] = c.ProgramsLSB, c.ProgramsMSB
+	for l := 2; l < levels; l++ {
+		by[l] = c.ProgramsFiner[l-2]
+		by[1] -= by[l]
+	}
+	return by
+}
+
 // Device is the NAND subsystem. It is not safe for concurrent use: the
 // simulator is single-threaded over a virtual clock by design, so that runs
 // are reproducible.
 type Device struct {
-	cfg      Config
-	rules    core.RuleSet
-	chips    []chip
-	chanFree []sim.Time // per-channel bus availability
-	counts   []OpCounts // per-chip operation counters (Counts sums them)
-	busyTime []sim.Time // accumulated busy time per chip (utilization metric)
+	cfg   Config
+	rules core.RuleSet
+	// wordLines and pagesPerBlock cache the geometry's derived sizes for the
+	// per-operation address arithmetic.
+	wordLines     int
+	pagesPerBlock int
+	chips         []chip
+	chanFree      []sim.Time // per-channel bus availability
+	counts        []OpCounts // per-chip operation counters (Counts sums them)
+	busyTime      []sim.Time // accumulated busy time per chip (utilization metric)
 
 	// cause is the ambient attribution register, kept per chip so channel
 	// shards of a single run can bracket their own chips without sharing a
@@ -143,7 +164,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	if err := cfg.Geometry.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Timing.Validate(); err != nil {
+	if err := cfg.Timing.Validate(cfg.Geometry.BitsPerCell()); err != nil {
 		return nil, err
 	}
 	rules := cfg.Rules
@@ -155,26 +176,32 @@ func NewDevice(cfg Config) (*Device, error) {
 			return nil, err
 		}
 	}
+	scheme := cfg.Geometry.Scheme()
 	d := &Device{
-		cfg:       cfg,
-		rules:     rules,
-		chips:     make([]chip, cfg.Geometry.Chips()),
-		chanFree:  make([]sim.Time, cfg.Geometry.Channels),
-		counts:    make([]OpCounts, cfg.Geometry.Chips()),
-		busyTime:  make([]sim.Time, cfg.Geometry.Chips()),
-		cause:     make([]obs.Cause, cfg.Geometry.Chips()),
-		causeBusy: make([][obs.CauseCount]sim.Time, cfg.Geometry.Chips()),
+		cfg:           cfg,
+		rules:         rules,
+		wordLines:     scheme.WordLines,
+		pagesPerBlock: scheme.Pages(),
+		chips:         make([]chip, cfg.Geometry.Chips()),
+		chanFree:      make([]sim.Time, cfg.Geometry.Channels),
+		counts:        make([]OpCounts, cfg.Geometry.Chips()),
+		busyTime:      make([]sim.Time, cfg.Geometry.Chips()),
+		cause:         make([]obs.Cause, cfg.Geometry.Chips()),
+		causeBusy:     make([][obs.CauseCount]sim.Time, cfg.Geometry.Chips()),
 	}
-	// One page array for the whole device, chip-major, so building it costs
-	// one allocation however many pages there are; what remains is per block.
-	perChip := cfg.Geometry.BlocksPerChip * cfg.Geometry.PagesPerBlock()
+	// One page array, one program-state bitmap and one block array for the
+	// whole device, chip-major, so building it costs the same few allocations
+	// however many blocks and pages there are.
+	perChip := cfg.Geometry.BlocksPerChip * d.pagesPerBlock
 	pages := make([]pagemem.Page, len(d.chips)*perChip)
+	written := make([]bool, len(pages))
+	blocks := make([]block, cfg.Geometry.TotalBlocks())
+	for b := range blocks {
+		blocks[b].state = core.BlockStateOver(scheme, written[b*d.pagesPerBlock:][:d.pagesPerBlock:d.pagesPerBlock])
+	}
 	for c := range d.chips {
-		blocks := make([]block, cfg.Geometry.BlocksPerChip)
-		for b := range blocks {
-			blocks[b].state = core.NewBlockState(cfg.Geometry.WordLinesPerBlock)
-		}
-		d.chips[c].blocks = blocks
+		n := cfg.Geometry.BlocksPerChip
+		d.chips[c].blocks = blocks[c*n:][:n:n]
 		d.chips[c].pages = pages[c*perChip:][:perChip:perChip]
 	}
 	if cfg.Reliability != nil {
@@ -278,6 +305,9 @@ func (d *Device) Counts() OpCounts {
 		total.Reads += d.counts[i].Reads
 		total.ProgramsLSB += d.counts[i].ProgramsLSB
 		total.ProgramsMSB += d.counts[i].ProgramsMSB
+		for l, n := range d.counts[i].ProgramsFiner {
+			total.ProgramsFiner[l] += n
+		}
 		total.Erases += d.counts[i].Erases
 	}
 	return total
@@ -308,20 +338,15 @@ func (d *Device) pageAt(a PageAddr) (*block, *pagemem.Page, int, error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	wl := d.cfg.Geometry.WordLinesPerBlock
-	if a.Page.WL < 0 || a.Page.WL >= wl {
-		return nil, nil, 0, fmt.Errorf("nand: word line %d out of range [0,%d)", a.Page.WL, wl)
+	if a.Page.WL < 0 || a.Page.WL >= d.wordLines {
+		return nil, nil, 0, fmt.Errorf("nand: word line %d out of range [0,%d)", a.Page.WL, d.wordLines)
 	}
-	key := a.Block*d.cfg.Geometry.PagesPerBlock() + a.Page.Index(wl)
+	idx := a.Page.Index(d.wordLines)
+	if idx >= d.pagesPerBlock {
+		return nil, nil, 0, fmt.Errorf("nand: page %v beyond the device's %d bits per cell", a.Page, d.cfg.Geometry.BitsPerCell())
+	}
+	key := a.Block*d.pagesPerBlock + idx
 	return blk, &d.chips[a.Chip].pages[key], key, nil
-}
-
-// progLatency returns the cell program latency for a page type.
-func (d *Device) progLatency(t core.PageType) sim.Time {
-	if t == core.LSB {
-		return d.cfg.Timing.ProgLSB
-	}
-	return d.cfg.Timing.ProgMSB
 }
 
 // Program writes data (and optional spare bytes) to the page, enforcing the
@@ -336,7 +361,7 @@ func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time
 	if blk.retired {
 		return now, fmt.Errorf("%w: %v", ErrBadBlock, a.BlockAddr)
 	}
-	if err := d.rules.Check(blk.state, a.Page); err != nil {
+	if err := d.rules.Check(&blk.state, a.Page); err != nil {
 		return now, err
 	}
 	g := d.cfg.Geometry
@@ -351,18 +376,24 @@ func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time
 	c := &d.chips[a.Chip]
 	start := sim.MaxOf(now, sim.MaxOf(c.readyAt, d.chanFree[ch]))
 	xferDone := start + d.cfg.Timing.BusXfer
-	done := xferDone + d.progLatency(a.Page.Type)
+	done := xferDone + d.cfg.Timing.Prog(a.Page.Type)
 	d.chanFree[ch] = xferDone
 	c.readyAt = done
 	d.busyTime[a.Chip] += done - start
 	d.chargeBusy(a.Chip, done-start)
 	if d.rec != nil {
 		d.rec.Span(obs.KindXfer, int32(ch), start, xferDone, int64(a.Chip), int64(a.Block))
-		kind, hist := obs.KindProgramLSB, d.histProgLSB
-		if a.Page.Type == core.MSB {
+		// KindProgramMSB covers every refinement: its word-line argument
+		// carries the level in bits 32 and up when it is finer than MSB, so
+		// MLC traces are unchanged.
+		kind, hist, arg := obs.KindProgramLSB, d.histProgLSB, int64(a.Page.WL)
+		if a.Page.Type != core.LSB {
 			kind, hist = obs.KindProgramMSB, d.histProgMSB
+			if a.Page.Type > core.MSB {
+				arg |= int64(a.Page.Type) << 32
+			}
 		}
-		d.rec.Span(kind, int32(a.Chip), xferDone, done, int64(a.Block), int64(a.Page.WL))
+		d.rec.Span(kind, int32(a.Chip), xferDone, done, int64(a.Block), arg)
 		hist.Record(int64(done - start))
 	}
 
@@ -376,26 +407,29 @@ func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time
 		}
 	}
 
-	if a.Page.Type == core.MSB {
+	if a.Page.Type != core.LSB {
 		d.counts[a.Chip].ProgramsMSB++
-		// While the MSB program is unacknowledged the paired LSB data is in
-		// its destructive transient state. Record the window for power-loss
-		// injection; it stays open until AckProgram, a newer MSB program on
-		// the chip, or an erase on the chip. An LSB program does NOT close
-		// it: under interleaved FPS orders the hazard of a pending MSB is
-		// unaffected by LSB programs elsewhere on the chip.
-		c.win = msbWindow{blk: a.Block, wl: a.Page.WL, open: true}
+		if a.Page.Type > core.MSB {
+			d.counts[a.Chip].ProgramsFiner[a.Page.Type-2]++
+		}
+		// While the refinement is unacknowledged the word line's coarser
+		// data is in its destructive transient state. Record the window for
+		// power-loss injection; it stays open until AckProgram, a newer
+		// refinement on the chip, or an erase on the chip. An LSB program
+		// does NOT close it: under interleaved FPS orders the hazard of a
+		// pending MSB is unaffected by LSB programs elsewhere on the chip.
+		c.win = msbWindow{blk: a.Block, wl: a.Page.WL, level: a.Page.Type, open: true}
 	} else {
 		d.counts[a.Chip].ProgramsLSB++
 	}
 	return done, nil
 }
 
-// AckProgram declares the block's most recent MSB program power-safe (its
-// data is covered by a backup, or the destructive phase is over). Between
-// Program and AckProgram a power cut destroys the paired LSB page. Acking a
-// block other than the window's is a no-op — the window belongs to whichever
-// block programmed last.
+// AckProgram declares the block's most recent refinement program power-safe
+// (its data is covered by a backup, or the destructive phase is over).
+// Between Program and AckProgram a power cut destroys the word line's coarser
+// pages (on MLC, the paired LSB page). Acking a block other than the window's
+// is a no-op — the window belongs to whichever block programmed last.
 func (d *Device) AckProgram(a BlockAddr) {
 	if a.Chip < 0 || a.Chip >= len(d.chips) {
 		return
@@ -407,9 +441,9 @@ func (d *Device) AckProgram(a BlockAddr) {
 }
 
 // OpenMSBWindow reports the chip's open destructive window, if any: the
-// address of the unacknowledged MSB page whose pair a power cut would
-// destroy. Crash-injection harnesses use it to locate the vulnerable pages
-// before calling InjectPowerLoss.
+// address of the unacknowledged refinement page whose word line a power cut
+// would destroy. Crash-injection harnesses use it to locate the vulnerable
+// pages before calling InjectPowerLoss.
 func (d *Device) OpenMSBWindow(chipID int) (PageAddr, bool) {
 	if chipID < 0 || chipID >= len(d.chips) {
 		return PageAddr{}, false
@@ -420,7 +454,7 @@ func (d *Device) OpenMSBWindow(chipID int) (PageAddr, bool) {
 	}
 	return PageAddr{
 		BlockAddr: BlockAddr{Chip: chipID, Block: w.blk},
-		Page:      core.Page{WL: w.wl, Type: core.MSB},
+		Page:      core.Page{WL: w.wl, Type: w.level},
 	}, true
 }
 
@@ -437,7 +471,7 @@ func (d *Device) relOutcome(a PageAddr, blk *block, pg *pagemem.Page, at sim.Tim
 		age = 0
 	}
 	ber := rc.Model.BER(blk.eraseCount, age, blk.readCount)
-	u := rc.Sample(a.Chip, a.Block, a.Page.Index(d.cfg.Geometry.WordLinesPerBlock), blk.readCount)
+	u := rc.Sample(a.Chip, a.Block, a.Page.Index(d.wordLines), blk.readCount)
 	o := rc.ReadOutcome(ber, d.cfg.Geometry.PageSizeBytes, u)
 	rcs := &d.relCounts[a.Chip]
 	rcs.Reads++
@@ -575,7 +609,7 @@ func (d *Device) Erase(a BlockAddr, now sim.Time) (sim.Time, error) {
 	// sweep. Otherwise one store per page: payloads are only read behind the
 	// flag and are overwritten by the next program.
 	if blk.state.Programmed() != 0 {
-		pages := c.blockPages(a.Block, d.cfg.Geometry.PagesPerBlock())
+		pages := c.blockPages(a.Block, d.pagesPerBlock)
 		for i := range pages {
 			pages[i].Flags = 0
 		}
@@ -589,7 +623,7 @@ func (d *Device) Erase(a BlockAddr, now sim.Time) (sim.Time, error) {
 	// the time the erase begins. Closing the window here (unlike for LSB
 	// programs, where keeping it open merely over-approximates the hazard)
 	// matters for correctness: it guarantees that while a window is open, no
-	// erase has happened on the chip since the MSB was issued — so the
+	// erase has happened on the chip since the refinement was issued — so the
 	// previous copy of the interrupted page, always on the same chip for GC
 	// relocations, still exists for recovery to roll back to.
 	c.win.open = false
@@ -759,12 +793,12 @@ func (d *Device) BlockStateSnapshot(a BlockAddr) *core.BlockState {
 }
 
 // InjectPowerLoss simulates a sudden power-off at the given block. If the
-// chip's destructive window is open on that block (an MSB program issued but
-// not yet acknowledged as power-safe), the paired LSB page loses its data —
-// the destructive-program hazard of Section 1 — and the interrupted MSB page
-// itself is left ECC-uncorrectable (its program never completed, so the host
-// must treat that write as not durable). It reports whether pages were
-// corrupted.
+// chip's destructive window is open on that block (a refinement issued but
+// not yet acknowledged as power-safe), every coarser page of the word line
+// loses its data — the destructive-program hazard of Section 1; on MLC the
+// paired LSB page — and the interrupted page itself is left
+// ECC-uncorrectable (its program never completed, so the host must treat
+// that write as not durable). It reports whether pages were corrupted.
 func (d *Device) InjectPowerLoss(a BlockAddr) bool {
 	if _, err := d.blockAt(a); err != nil {
 		return false
@@ -773,10 +807,10 @@ func (d *Device) InjectPowerLoss(a BlockAddr) bool {
 	if !c.win.open || c.win.blk != a.Block {
 		return false
 	}
-	wl := d.cfg.Geometry.WordLinesPerBlock
-	pages := c.blockPages(a.Block, d.cfg.Geometry.PagesPerBlock())
-	pages[core.Page{WL: c.win.wl, Type: core.LSB}.Index(wl)].Flags |= pagemem.Corrupted
-	pages[core.Page{WL: c.win.wl, Type: core.MSB}.Index(wl)].Flags |= pagemem.Corrupted
+	pages := c.blockPages(a.Block, d.pagesPerBlock)
+	for level := core.LSB; level <= c.win.level; level++ {
+		pages[core.Page{WL: c.win.wl, Type: level}.Index(d.wordLines)].Flags |= pagemem.Corrupted
+	}
 	c.win.open = false
 	return true
 }

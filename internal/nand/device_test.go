@@ -3,6 +3,7 @@ package nand
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"flexftl/internal/core"
@@ -24,12 +25,88 @@ func addr(chip, block, wl int, typ core.PageType) PageAddr {
 	return PageAddr{BlockAddr: BlockAddr{Chip: chip, Block: block}, Page: core.Page{WL: wl, Type: typ}}
 }
 
+// levelConfig is the RPS test device at the given bits per cell: the paper's
+// MLC latencies, each finer level twice as slow as the one before it.
+func levelConfig(levels int) Config {
+	g, tm := TestGeometry(), DefaultTiming()
+	g.Levels = levels
+	for l := 2; l < levels; l++ {
+		tm.ProgFiner[l-2] = 2 * tm.Prog(core.PageType(l-1))
+	}
+	return Config{Geometry: g, Timing: tm, Rules: core.RPS}
+}
+
+// everyLevels runs f on a fresh RPS device per modelled cell density — MLC,
+// TLC and QLC are rows of the same tests, not separate devices.
+func everyLevels(t *testing.T, f func(t *testing.T, d *Device)) {
+	everyLevelsWith(t, func(*Config) {}, f)
+}
+
+// everyLevelsWith is everyLevels with the configuration adjusted first.
+func everyLevelsWith(t *testing.T, adjust func(*Config), f func(t *testing.T, d *Device)) {
+	for levels := 2; levels <= MaxLevels; levels++ {
+		t.Run(fmt.Sprintf("levels=%d", levels), func(t *testing.T) {
+			cfg := levelConfig(levels)
+			adjust(&cfg)
+			d, err := NewDevice(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f(t, d)
+		})
+	}
+}
+
+// finest returns the device's finest page level.
+func finest(d *Device) core.PageType { return core.PageType(d.Geometry().BitsPerCell() - 1) }
+
+// fillThrough programs the block in n-phase order up to and including page
+// last, leaving last's program unacknowledged.
+func fillThrough(t *testing.T, d *Device, blk BlockAddr, last core.Page) {
+	t.Helper()
+	for _, p := range core.RelaxedFullOrder(d.Geometry().Scheme()) {
+		mustProgram(t, d, PageAddr{BlockAddr: blk, Page: p}, 0)
+		if p == last {
+			return
+		}
+	}
+	t.Fatalf("%v is not a page of the block", last)
+}
+
+// wantUncorrectable reads the page and expects the power-cut error.
+func wantUncorrectable(t *testing.T, d *Device, a PageAddr) {
+	t.Helper()
+	if _, _, _, err := d.Read(a, 0); !errors.Is(err, ErrUncorrectable) {
+		t.Errorf("%v read err = %v, want ErrUncorrectable", a, err)
+	}
+}
+
 func TestNewDeviceRejectsBadConfig(t *testing.T) {
 	if _, err := NewDevice(Config{Geometry: Geometry{}, Timing: DefaultTiming()}); err == nil {
 		t.Error("zero geometry accepted")
 	}
 	if _, err := NewDevice(Config{Geometry: TestGeometry(), Timing: Timing{}}); err == nil {
 		t.Error("zero timing accepted")
+	}
+	for _, levels := range []int{-1, 1, MaxLevels + 1} {
+		cfg := levelConfig(2)
+		cfg.Geometry.Levels = levels
+		if _, err := NewDevice(cfg); err == nil {
+			t.Errorf("%d levels accepted", levels)
+		}
+	}
+	// A TLC geometry needs a latency for its third level.
+	cfg := levelConfig(3)
+	cfg.Timing = DefaultTiming()
+	if _, err := NewDevice(cfg); err == nil {
+		t.Error("TLC geometry with MLC timing accepted")
+	}
+	// Levels 0 is the paper's MLC.
+	cfg = levelConfig(2)
+	cfg.Geometry.Levels = 0
+	d, err := NewDevice(cfg)
+	if err != nil || d.Geometry().PagesPerBlock() != 2*d.Geometry().WordLinesPerBlock {
+		t.Errorf("zero-value Levels: %v, %d pages per block", err, d.Geometry().PagesPerBlock())
 	}
 }
 
@@ -40,30 +117,37 @@ func TestNilRulesDefaultsToFPS(t *testing.T) {
 	}
 }
 
-// TestLatencyAsymmetry reproduces the Figure 1 premise: an MSB program takes
-// 4x the LSB program on an idle chip.
+// TestLatencyAsymmetry reproduces the Figure 1 premise — an MSB program
+// takes 4x the LSB program on an idle chip — and its continuation on finer
+// cells: every level's program costs its own latency and is counted under
+// its own level.
 func TestLatencyAsymmetry(t *testing.T) {
-	d := testDevice(t, core.RPS)
-	tm := d.Timing()
-	doneLSB, err := d.Program(addr(0, 0, 0, core.LSB), []byte("a"), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doneLSB != tm.BusXfer+tm.ProgLSB {
-		t.Errorf("LSB done = %v, want %v", doneLSB, tm.BusXfer+tm.ProgLSB)
-	}
-	// Fill prerequisites for MSB(0): LSB(1).
-	done2, err := d.Program(addr(0, 0, 1, core.LSB), []byte("b"), nil, doneLSB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doneMSB, err := d.Program(addr(0, 0, 0, core.MSB), []byte("c"), nil, done2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := doneMSB - done2; got != tm.BusXfer+tm.ProgMSB {
-		t.Errorf("MSB latency = %v, want %v", got, tm.BusXfer+tm.ProgMSB)
-	}
+	everyLevels(t, func(t *testing.T, d *Device) {
+		tm, g := d.Timing(), d.Geometry()
+		now := sim.Time(0)
+		for _, p := range core.RelaxedFullOrder(g.Scheme()) {
+			done, err := d.Program(PageAddr{Page: p}, []byte("a"), nil, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := done-now, tm.BusXfer+tm.Prog(p.Type); got != want {
+				t.Fatalf("%v latency = %v, want %v", p, got, want)
+			}
+			now = done
+		}
+		if tm.Prog(core.MSB) != 4*tm.Prog(core.LSB) {
+			t.Errorf("MSB/LSB latency = %v/%v, want 4x", tm.Prog(core.MSB), tm.Prog(core.LSB))
+		}
+		c := d.Counts()
+		for level, n := range c.ProgramsByLevel(g.BitsPerCell()) {
+			if n != int64(g.WordLinesPerBlock) {
+				t.Errorf("level %d counted %d programs, want %d", level, n, g.WordLinesPerBlock)
+			}
+		}
+		if c.ProgramsLSB != int64(g.WordLinesPerBlock) || c.Programs() != int64(g.PagesPerBlock()) {
+			t.Errorf("counts = %+v: LSB must be level 0, MSB every refinement", c)
+		}
+	})
 }
 
 func TestProgramEnforcesRules(t *testing.T) {
@@ -85,11 +169,18 @@ func TestProgramEnforcesRules(t *testing.T) {
 	if !errors.As(err, &cv) || cv.Constraint != 4 {
 		t.Fatalf("FPS device must enforce Constraint 4, got %v", err)
 	}
-	// An RPS device accepts the same program.
-	dr := testDevice(t, core.RPS)
-	mustProgram(t, dr, addr(0, 0, 0, core.LSB), 0)
-	mustProgram(t, dr, addr(0, 0, 1, core.LSB), 0)
-	mustProgram(t, dr, addr(0, 0, 2, core.LSB), 0)
+	// An RPS device accepts the same program, and the whole n-phase order
+	// at any cell density.
+	everyLevels(t, func(t *testing.T, d *Device) {
+		blk := BlockAddr{Chip: 0, Block: 0}
+		if _, err := d.Program(PageAddr{BlockAddr: blk, Page: core.Page{Type: finest(d)}}, nil, nil, 0); !errors.As(err, &cv) || cv.Constraint != 3 {
+			t.Fatalf("refinement of an erased word line: %v, want Constraint 3", err)
+		}
+		fillThrough(t, d, blk, core.Page{WL: d.Geometry().WordLinesPerBlock - 1, Type: finest(d)})
+		if d.BlockProgrammedPages(blk) != d.Geometry().PagesPerBlock() {
+			t.Error("block not full after the n-phase fill")
+		}
+	})
 }
 
 func mustProgram(t *testing.T, d *Device, a PageAddr, now sim.Time) sim.Time {
@@ -174,22 +265,23 @@ func TestDifferentChannelsParallel(t *testing.T) {
 }
 
 func TestSameChannelBusContention(t *testing.T) {
-	g := TestGeometry()
-	if g.ChipsPerChannel < 2 {
-		t.Skip("needs 2 chips per channel")
-	}
-	d := testDevice(t, core.RPS)
-	tm := d.Timing()
-	// Chips 0 and 1 share channel 0: second transfer waits for the bus but
-	// the cell programs overlap.
-	d1 := mustProgram(t, d, addr(0, 0, 0, core.LSB), 0)
-	d2 := mustProgram(t, d, addr(1, 0, 0, core.LSB), 0)
-	if d1 != tm.BusXfer+tm.ProgLSB {
-		t.Errorf("first done = %v", d1)
-	}
-	if want := 2*tm.BusXfer + tm.ProgLSB; d2 != want {
-		t.Errorf("second done = %v, want %v (bus serialized, cells parallel)", d2, want)
-	}
+	everyLevels(t, func(t *testing.T, d *Device) {
+		tm := d.Timing()
+		// Chips 0 and 1 share channel 0: second transfer waits for the bus
+		// but the cell programs overlap.
+		d1 := mustProgram(t, d, addr(0, 0, 0, core.LSB), 0)
+		d2 := mustProgram(t, d, addr(1, 0, 0, core.LSB), 0)
+		if d1 != tm.BusXfer+tm.ProgLSB {
+			t.Errorf("first done = %v", d1)
+		}
+		if want := 2*tm.BusXfer + tm.ProgLSB; d2 != want {
+			t.Errorf("second done = %v, want %v (bus serialized, cells parallel)", d2, want)
+		}
+		// A chip on the other channel is fully parallel.
+		if d3 := mustProgram(t, d, addr(d.Geometry().ChipsPerChannel, 0, 0, core.LSB), 0); d3 != d1 {
+			t.Errorf("cross-channel program not parallel: %v vs %v", d3, d1)
+		}
+	})
 }
 
 func TestEraseResetsBlock(t *testing.T) {
@@ -239,185 +331,205 @@ func TestEraseBudgetRetiresBlock(t *testing.T) {
 }
 
 func TestOpCounts(t *testing.T) {
-	d := testDevice(t, core.RPS)
-	mustProgram(t, d, addr(0, 0, 0, core.LSB), 0)
-	mustProgram(t, d, addr(0, 0, 1, core.LSB), 0)
-	mustProgram(t, d, addr(0, 0, 0, core.MSB), 0)
-	if _, _, _, err := d.Read(addr(0, 0, 0, core.LSB), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Erase(BlockAddr{Chip: 0, Block: 1}, 0); err != nil {
-		t.Fatal(err)
-	}
-	c := d.Counts()
-	if c.ProgramsLSB != 2 || c.ProgramsMSB != 1 || c.Reads != 1 || c.Erases != 1 {
-		t.Errorf("counts = %+v", c)
-	}
-	if c.Programs() != 3 {
-		t.Errorf("Programs() = %d", c.Programs())
-	}
-	if d.TotalErases() != 1 {
-		t.Errorf("TotalErases() = %d", d.TotalErases())
-	}
+	everyLevels(t, func(t *testing.T, d *Device) {
+		mustProgram(t, d, addr(0, 0, 0, core.LSB), 0)
+		mustProgram(t, d, addr(0, 0, 1, core.LSB), 0)
+		mustProgram(t, d, addr(0, 0, 0, core.MSB), 0)
+		if _, _, _, err := d.Read(addr(0, 0, 0, core.LSB), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Erase(BlockAddr{Chip: 0, Block: 1}, 0); err != nil {
+			t.Fatal(err)
+		}
+		c := d.Counts()
+		if c.ProgramsLSB != 2 || c.ProgramsMSB != 1 || c.Reads != 1 || c.Erases != 1 {
+			t.Errorf("counts = %+v", c)
+		}
+		if c.Programs() != 3 {
+			t.Errorf("Programs() = %d", c.Programs())
+		}
+		if d.TotalErases() != 1 {
+			t.Errorf("TotalErases() = %d", d.TotalErases())
+		}
+	})
 }
 
 func TestWearStats(t *testing.T) {
-	d := testDevice(t, core.RPS)
-	if w := d.Wear(); w.Min != 0 || w.Max != 0 || w.Mean != 0 || w.Imbalance != 0 {
-		t.Errorf("fresh device wear = %+v", w)
-	}
-	now := sim.Time(0)
-	var err error
-	for i := 0; i < 3; i++ {
-		now, err = d.Erase(BlockAddr{Chip: 0, Block: 0}, now)
-		if err != nil {
+	everyLevels(t, func(t *testing.T, d *Device) {
+		if w := d.Wear(); w.Min != 0 || w.Max != 0 || w.Mean != 0 || w.Imbalance != 0 {
+			t.Errorf("fresh device wear = %+v", w)
+		}
+		now := sim.Time(0)
+		var err error
+		for i := 0; i < 3; i++ {
+			now, err = d.Erase(BlockAddr{Chip: 0, Block: 0}, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := d.Erase(BlockAddr{Chip: 0, Block: 1}, now); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := d.Erase(BlockAddr{Chip: 0, Block: 1}, now); err != nil {
-		t.Fatal(err)
-	}
-	w := d.Wear()
-	if w.Min != 0 || w.Max != 3 {
-		t.Errorf("wear min/max = %d/%d", w.Min, w.Max)
-	}
-	wantMean := 4.0 / float64(d.Geometry().TotalBlocks())
-	if w.Mean != wantMean {
-		t.Errorf("wear mean = %v, want %v", w.Mean, wantMean)
-	}
-	if w.Imbalance != 3/wantMean {
-		t.Errorf("imbalance = %v", w.Imbalance)
-	}
+		w := d.Wear()
+		if w.Min != 0 || w.Max != 3 {
+			t.Errorf("wear min/max = %d/%d", w.Min, w.Max)
+		}
+		wantMean := 4.0 / float64(d.Geometry().TotalBlocks())
+		if w.Mean != wantMean {
+			t.Errorf("wear mean = %v, want %v", w.Mean, wantMean)
+		}
+		if w.Imbalance != 3/wantMean {
+			t.Errorf("imbalance = %v", w.Imbalance)
+		}
+	})
 }
 
+// The destructive-program window means one thing at every cell density: it
+// is per chip, opened by a refinement program, and closed only by
+// AckProgram, a newer refinement on the chip, or an erase on the chip. The
+// tests below are its rows.
+
+// TestPowerLossDuringMSBProgram: a cut during an unacknowledged level-i
+// program destroys T_0..T_i of its word line and nothing else.
 func TestPowerLossDuringMSBProgram(t *testing.T) {
-	d := testDevice(t, core.RPS)
-	lsb0 := addr(0, 0, 0, core.LSB)
-	lsb1 := addr(0, 0, 1, core.LSB)
-	msb0 := addr(0, 0, 0, core.MSB)
-	mustProgram(t, d, lsb0, 0)
-	mustProgram(t, d, lsb1, 0)
-	mustProgram(t, d, msb0, 0)
-	// Power cut before the MSB program is acknowledged: LSB(0) is destroyed.
-	if !d.InjectPowerLoss(BlockAddr{Chip: 0, Block: 0}) {
-		t.Fatal("power loss found no in-flight MSB program")
-	}
-	if _, _, _, err := d.Read(lsb0, 0); !errors.Is(err, ErrUncorrectable) {
-		t.Errorf("paired LSB read err = %v, want ErrUncorrectable", err)
-	}
-	if _, _, _, err := d.Read(msb0, 0); !errors.Is(err, ErrUncorrectable) {
-		t.Errorf("interrupted MSB read err = %v, want ErrUncorrectable", err)
-	}
-	// LSB(1) is unaffected.
-	if _, _, _, err := d.Read(lsb1, 0); err != nil {
-		t.Errorf("unrelated LSB damaged: %v", err)
-	}
+	everyLevels(t, func(t *testing.T, d *Device) {
+		for top := core.MSB; top <= finest(d); top++ {
+			blk := BlockAddr{Chip: 0, Block: int(top)}
+			fillThrough(t, d, blk, core.Page{WL: 0, Type: top})
+			if w, open := d.OpenMSBWindow(0); !open || w != (PageAddr{BlockAddr: blk, Page: core.Page{WL: 0, Type: top}}) {
+				t.Fatalf("window = %v (open=%v), want %v(0) of %v", w, open, top, blk)
+			}
+			if !d.InjectPowerLoss(blk) {
+				t.Fatalf("power loss found no in-flight %v program", top)
+			}
+			for l := core.LSB; l <= top; l++ {
+				wantUncorrectable(t, d, PageAddr{BlockAddr: blk, Page: core.Page{WL: 0, Type: l}})
+			}
+			// The next word line is unaffected, at every programmed level.
+			for l := core.LSB; l < top; l++ {
+				if _, _, _, err := d.Read(PageAddr{BlockAddr: blk, Page: core.Page{WL: 1, Type: l}}, 0); err != nil {
+					t.Errorf("%v(1) damaged by a cut on word line 0: %v", l, err)
+				}
+			}
+			if d.InjectPowerLoss(blk) {
+				t.Error("a second cut found the window still open")
+			}
+		}
+	})
 }
 
 func TestAckProtectsAgainstPowerLoss(t *testing.T) {
-	d := testDevice(t, core.RPS)
-	mustProgram(t, d, addr(0, 0, 0, core.LSB), 0)
-	mustProgram(t, d, addr(0, 0, 1, core.LSB), 0)
-	mustProgram(t, d, addr(0, 0, 0, core.MSB), 0)
-	d.AckProgram(BlockAddr{Chip: 0, Block: 0})
-	if d.InjectPowerLoss(BlockAddr{Chip: 0, Block: 0}) {
-		t.Error("acknowledged MSB program still vulnerable")
-	}
-	if _, _, _, err := d.Read(addr(0, 0, 0, core.LSB), 0); err != nil {
-		t.Errorf("LSB damaged after safe completion: %v", err)
-	}
+	everyLevels(t, func(t *testing.T, d *Device) {
+		blk := BlockAddr{Chip: 0, Block: 0}
+		fillThrough(t, d, blk, core.Page{WL: 0, Type: finest(d)})
+		d.AckProgram(blk)
+		if d.InjectPowerLoss(blk) {
+			t.Error("acknowledged refinement still vulnerable")
+		}
+		if _, _, _, err := d.Read(addr(0, 0, 0, core.LSB), 0); err != nil {
+			t.Errorf("LSB damaged after safe completion: %v", err)
+		}
+	})
 }
 
 func TestLSBProgramOpensNoWindow(t *testing.T) {
 	// A power cut while only LSB programs are in flight loses nothing that
 	// was previously durable (LSB programming is not destructive to other
 	// pages).
-	d := testDevice(t, core.RPS)
-	mustProgram(t, d, addr(0, 0, 0, core.LSB), 0)
-	if d.InjectPowerLoss(BlockAddr{Chip: 0, Block: 0}) {
-		t.Error("LSB program flagged as destructive")
-	}
-	if _, open := d.OpenMSBWindow(0); open {
-		t.Error("LSB program opened a destructive window")
-	}
+	everyLevels(t, func(t *testing.T, d *Device) {
+		mustProgram(t, d, addr(0, 0, 0, core.LSB), 0)
+		if d.InjectPowerLoss(BlockAddr{Chip: 0, Block: 0}) {
+			t.Error("LSB program flagged as destructive")
+		}
+		if _, open := d.OpenMSBWindow(0); open {
+			t.Error("LSB program opened a destructive window")
+		}
+	})
 }
 
 func TestLSBProgramKeepsWindowOpen(t *testing.T) {
-	// Regression: an LSB program after an unacknowledged MSB program used to
-	// silently close the destructive window, hiding the power-loss hazard
-	// under interleaved FPS orders. The window must survive until AckProgram.
-	d := testDevice(t, core.RPS)
-	mustProgram(t, d, addr(0, 0, 0, core.LSB), 0)
-	mustProgram(t, d, addr(0, 0, 1, core.LSB), 0)
-	mustProgram(t, d, addr(0, 0, 0, core.MSB), 0)
-	mustProgram(t, d, addr(0, 0, 2, core.LSB), 0) // interleaved LSB elsewhere
-	if w, open := d.OpenMSBWindow(0); !open || w != addr(0, 0, 0, core.MSB) {
-		t.Fatalf("window after interleaved LSB = %v (open=%v), want MSB(0) open", w, open)
-	}
-	if !d.InjectPowerLoss(BlockAddr{Chip: 0, Block: 0}) {
-		t.Fatal("power cut found no window despite unacked MSB program")
-	}
-	if _, _, _, err := d.Read(addr(0, 0, 0, core.LSB), 0); !errors.Is(err, ErrUncorrectable) {
-		t.Errorf("paired LSB read err = %v, want ErrUncorrectable", err)
-	}
-	// The interleaved LSB itself is unharmed.
-	if _, _, _, err := d.Read(addr(0, 0, 2, core.LSB), 0); err != nil {
-		t.Errorf("interleaved LSB damaged: %v", err)
-	}
+	// Regression: an LSB program after an unacknowledged refinement must
+	// not close the destructive window, in the window's block or elsewhere
+	// on the chip — that would hide the power-loss hazard under interleaved
+	// orders. The window survives until AckProgram.
+	everyLevels(t, func(t *testing.T, d *Device) {
+		mustProgram(t, d, addr(0, 0, 0, core.LSB), 0)
+		mustProgram(t, d, addr(0, 0, 1, core.LSB), 0)
+		mustProgram(t, d, addr(0, 0, 0, core.MSB), 0)
+		mustProgram(t, d, addr(0, 0, 2, core.LSB), 0) // same block
+		mustProgram(t, d, addr(0, 1, 0, core.LSB), 0) // elsewhere on the chip
+		if w, open := d.OpenMSBWindow(0); !open || w != addr(0, 0, 0, core.MSB) {
+			t.Fatalf("window after interleaved LSBs = %v (open=%v), want MSB(0) open", w, open)
+		}
+		if !d.InjectPowerLoss(BlockAddr{Chip: 0, Block: 0}) {
+			t.Fatal("power cut found no window despite unacked MSB program")
+		}
+		wantUncorrectable(t, d, addr(0, 0, 0, core.LSB))
+		// The interleaved LSB itself is unharmed.
+		if _, _, _, err := d.Read(addr(0, 0, 2, core.LSB), 0); err != nil {
+			t.Errorf("interleaved LSB damaged: %v", err)
+		}
+	})
 }
 
 func TestNewerMSBProgramSupersedesWindow(t *testing.T) {
-	// The chip serializes programs, so a second MSB program means the first
-	// completed; the window moves to the newest MSB program.
-	d := testDevice(t, core.RPS)
-	mustProgram(t, d, addr(0, 0, 0, core.LSB), 0)
-	mustProgram(t, d, addr(0, 0, 1, core.LSB), 0)
-	mustProgram(t, d, addr(0, 0, 2, core.LSB), 0)
-	mustProgram(t, d, addr(0, 0, 0, core.MSB), 0)
-	mustProgram(t, d, addr(0, 0, 1, core.MSB), 0)
-	w, open := d.OpenMSBWindow(0)
-	if !open || w != addr(0, 0, 1, core.MSB) {
-		t.Fatalf("window = %v (open=%v), want MSB(1) open", w, open)
-	}
-	if !d.InjectPowerLoss(BlockAddr{Chip: 0, Block: 0}) {
-		t.Fatal("no injection on open window")
-	}
-	// Only the newest pair is lost.
-	if _, _, _, err := d.Read(addr(0, 0, 1, core.LSB), 0); !errors.Is(err, ErrUncorrectable) {
-		t.Errorf("LSB(1) read err = %v, want ErrUncorrectable", err)
-	}
-	if _, _, _, err := d.Read(addr(0, 0, 0, core.LSB), 0); err != nil {
-		t.Errorf("LSB(0) of completed pair damaged: %v", err)
-	}
+	// The chip serializes programs, so a second refinement means the first
+	// completed; the window moves to the newest one — within a block or
+	// across two blocks of the chip, which can never both hold a window.
+	everyLevels(t, func(t *testing.T, d *Device) {
+		older, newer := BlockAddr{Chip: 0, Block: 0}, BlockAddr{Chip: 0, Block: 1}
+		fillThrough(t, d, older, core.Page{WL: 1, Type: core.MSB})
+		if w, open := d.OpenMSBWindow(0); !open || w != addr(0, 0, 1, core.MSB) {
+			t.Fatalf("window = %v (open=%v), want MSB(1) of block 0", w, open)
+		}
+		fillThrough(t, d, newer, core.Page{WL: 0, Type: finest(d)})
+		if d.InjectPowerLoss(older) {
+			t.Error("block 0 still holds a window after a newer refinement on its chip")
+		}
+		if !d.InjectPowerLoss(newer) {
+			t.Fatal("no injection on the newest refinement")
+		}
+		// Only the newest word line is lost.
+		wantUncorrectable(t, d, addr(0, 1, 0, core.LSB))
+		for wl := 0; wl <= 1; wl++ {
+			if _, _, _, err := d.Read(addr(0, 0, wl, core.LSB), 0); err != nil {
+				t.Errorf("LSB(%d) of the completed block damaged: %v", wl, err)
+			}
+		}
+		// Another chip keeps its own window.
+		fillThrough(t, d, BlockAddr{Chip: 1, Block: 0}, core.Page{WL: 0, Type: core.MSB})
+		fillThrough(t, d, BlockAddr{Chip: 0, Block: 2}, core.Page{WL: 0, Type: core.MSB})
+		if !d.InjectPowerLoss(BlockAddr{Chip: 1, Block: 0}) {
+			t.Error("a refinement on chip 0 closed chip 1's window")
+		}
+	})
 }
 
 func TestEraseClosesChipWindow(t *testing.T) {
 	// The erase barrier: an erase anywhere on the chip serialized after the
-	// pending MSB program, so that program's destructive transient is over.
-	d := testDevice(t, core.RPS)
-	mustProgram(t, d, addr(0, 0, 0, core.LSB), 0)
-	mustProgram(t, d, addr(0, 0, 1, core.LSB), 0)
-	mustProgram(t, d, addr(0, 0, 0, core.MSB), 0)
-	if _, err := d.Erase(BlockAddr{Chip: 0, Block: 1}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, open := d.OpenMSBWindow(0); open {
-		t.Error("window survived an erase on the same chip")
-	}
-	if d.InjectPowerLoss(BlockAddr{Chip: 0, Block: 0}) {
-		t.Error("power cut corrupted pages after the erase barrier")
-	}
+	// pending refinement, so that program's destructive transient is over.
+	everyLevels(t, func(t *testing.T, d *Device) {
+		fillThrough(t, d, BlockAddr{Chip: 0, Block: 0}, core.Page{WL: 0, Type: finest(d)})
+		if _, err := d.Erase(BlockAddr{Chip: 0, Block: 1}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, open := d.OpenMSBWindow(0); open {
+			t.Error("window survived an erase on the same chip")
+		}
+		if d.InjectPowerLoss(BlockAddr{Chip: 0, Block: 0}) {
+			t.Error("power cut corrupted pages after the erase barrier")
+		}
+	})
 }
 
 func TestAckOtherBlockLeavesWindowOpen(t *testing.T) {
-	d := testDevice(t, core.RPS)
-	mustProgram(t, d, addr(0, 0, 0, core.LSB), 0)
-	mustProgram(t, d, addr(0, 0, 1, core.LSB), 0)
-	mustProgram(t, d, addr(0, 0, 0, core.MSB), 0)
-	d.AckProgram(BlockAddr{Chip: 0, Block: 5}) // wrong block: no-op
-	if _, open := d.OpenMSBWindow(0); !open {
-		t.Error("ack of an unrelated block closed the window")
-	}
+	everyLevels(t, func(t *testing.T, d *Device) {
+		fillThrough(t, d, BlockAddr{Chip: 0, Block: 0}, core.Page{WL: 0, Type: finest(d)})
+		d.AckProgram(BlockAddr{Chip: 0, Block: 5}) // wrong block: no-op
+		if _, open := d.OpenMSBWindow(0); !open {
+			t.Error("ack of an unrelated block closed the window")
+		}
+	})
 }
 
 func TestCorruptPage(t *testing.T) {
@@ -454,6 +566,8 @@ func TestOutOfRangeAddresses(t *testing.T) {
 		addr(0, 999, 0, core.LSB),
 		addr(0, 0, -1, core.LSB),
 		addr(0, 0, 999, core.LSB),
+		addr(0, 0, 0, 2), // a TLC page on the MLC device
+		addr(0, 0, 0, 255),
 	}
 	for _, a := range cases {
 		if _, err := d.Program(a, nil, nil, 0); err == nil {
@@ -508,32 +622,33 @@ func TestChipBusyTimeAccumulates(t *testing.T) {
 // Property: a full RPSfull block fill is accepted by an RPS device and every
 // page reads back the written payload.
 func TestFullBlockFillProperty(t *testing.T) {
-	d := testDevice(t, core.RPS)
-	g := d.Geometry()
-	src := rng.New(77)
-	payloads := make(map[core.Page]byte)
-	now := sim.Time(0)
-	for _, p := range core.RPSFullOrder(g.WordLinesPerBlock) {
-		b := byte(src.Intn(256))
-		payloads[p] = b
-		var err error
-		now, err = d.Program(PageAddr{BlockAddr: BlockAddr{0, 3}, Page: p}, []byte{b}, nil, now)
-		if err != nil {
-			t.Fatalf("program %v: %v", p, err)
+	everyLevels(t, func(t *testing.T, d *Device) {
+		g := d.Geometry()
+		src := rng.New(77)
+		payloads := make(map[core.Page]byte)
+		now := sim.Time(0)
+		for _, p := range core.RelaxedFullOrder(g.Scheme()) {
+			b := byte(src.Intn(256))
+			payloads[p] = b
+			var err error
+			now, err = d.Program(PageAddr{BlockAddr: BlockAddr{0, 3}, Page: p}, []byte{b}, nil, now)
+			if err != nil {
+				t.Fatalf("program %v: %v", p, err)
+			}
 		}
-	}
-	if d.BlockProgrammedPages(BlockAddr{0, 3}) != g.PagesPerBlock() {
-		t.Fatal("block not full")
-	}
-	for p, want := range payloads {
-		got, _, _, err := d.Read(PageAddr{BlockAddr: BlockAddr{0, 3}, Page: p}, now)
-		if err != nil {
-			t.Fatalf("read %v: %v", p, err)
+		if d.BlockProgrammedPages(BlockAddr{0, 3}) != g.PagesPerBlock() {
+			t.Fatal("block not full")
 		}
-		if got[0] != want {
-			t.Fatalf("page %v payload = %d, want %d", p, got[0], want)
+		for p, want := range payloads {
+			got, _, _, err := d.Read(PageAddr{BlockAddr: BlockAddr{0, 3}, Page: p}, now)
+			if err != nil {
+				t.Fatalf("read %v: %v", p, err)
+			}
+			if got[0] != want {
+				t.Fatalf("page %v payload = %d, want %d", p, got[0], want)
+			}
 		}
-	}
+	})
 }
 
 func TestReadIntoMatchesRead(t *testing.T) {
@@ -575,7 +690,10 @@ func TestReadIntoMatchesRead(t *testing.T) {
 // the ambient cause, SetCause save/restore nests, and the per-cause busy
 // counters mirror the array when a recorder is attached.
 func TestCauseAttribution(t *testing.T) {
-	d := testDevice(t, core.RPS)
+	everyLevels(t, testCauseAttribution)
+}
+
+func testCauseAttribution(t *testing.T, d *Device) {
 	rec := obs.NewRecorder(obs.Options{})
 	d.SetRecorder(rec)
 	tm := d.Timing()
@@ -638,6 +756,9 @@ func TestCauseAttribution(t *testing.T) {
 			t.Errorf("counter %s = %d, array %d", obs.BusyCounterName("nand", c), got, busy[c])
 		}
 	}
+	if h := snap.Histograms["nand.program_lsb_us"]; h.Count != 2 {
+		t.Errorf("nand.program_lsb_us count = %d, want 2", h.Count)
+	}
 }
 
 // TestCauseBusyWithoutRecorder: attribution accumulates deterministically
@@ -685,24 +806,23 @@ func TestReadIntoZeroAllocsWithRecorder(t *testing.T) {
 }
 
 func TestReadIntoZeroAllocs(t *testing.T) {
-	d := testDevice(t, core.RPS)
-	a := addr(0, 0, 0, core.LSB)
-	if _, err := d.Program(a, []byte("zero copy payload"), []byte{0x42}, 0); err != nil {
-		t.Fatal(err)
-	}
-	var buf PageBuf
-	now := sim.Time(0)
-	if _, err := d.ReadInto(a, &buf, now); err != nil { // warm the buffer
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		done, err := d.ReadInto(a, &buf, now)
-		if err != nil {
+	everyLevels(t, func(t *testing.T, d *Device) {
+		a := addr(0, 0, 0, finest(d))
+		fillThrough(t, d, a.BlockAddr, a.Page)
+		var buf PageBuf
+		now := sim.Time(0)
+		if _, err := d.ReadInto(a, &buf, now); err != nil { // warm the buffer
 			t.Fatal(err)
 		}
-		now = done
+		allocs := testing.AllocsPerRun(100, func() {
+			done, err := d.ReadInto(a, &buf, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now = done
+		})
+		if allocs != 0 {
+			t.Errorf("ReadInto allocates %v times per read, want 0", allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Errorf("ReadInto allocates %v times per read, want 0", allocs)
-	}
 }

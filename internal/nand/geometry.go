@@ -1,14 +1,18 @@
-// Package nand models a multi-channel 2-bit MLC NAND flash subsystem at
-// operation granularity: per-chip and per-channel busy timelines, LSB/MSB
-// program latency asymmetry, program-order enforcement (FPS or RPS via
-// internal/core), page payload storage with spare areas, erase/wear
-// accounting, and sudden-power-off corruption of the paired LSB page during
-// a destructive MSB program.
+// Package nand models a multi-channel multi-level-cell NAND flash subsystem
+// at operation granularity: per-chip and per-channel busy timelines,
+// per-level program latency asymmetry (each refinement is slower),
+// program-order enforcement (FPS or RPS via internal/core), page payload
+// storage with spare areas, erase/wear accounting, and sudden-power-off
+// corruption of a word line's earlier pages during a destructive refinement
+// program.
 //
-// The model stands in for the BlueDBM custom MLC NAND board the paper uses:
-// every effect the paper's evaluation depends on — operation latencies,
-// order legality, backup-write counts, channel contention — is captured at
-// this granularity.
+// At its default of 2 bits per cell the model stands in for the BlueDBM
+// custom MLC NAND board the paper uses: every effect the paper's evaluation
+// depends on — operation latencies, order legality, backup-write counts,
+// channel contention — is captured at this granularity. Geometry.Levels = 3
+// or 4 makes the same device TLC or QLC, the paper's Section 1 applicability
+// claim ("RPS applies to TLC devices with a similar program scheme") as a
+// working storage system.
 package nand
 
 import (
@@ -17,12 +21,16 @@ import (
 	"flexftl/internal/core"
 )
 
+// MaxLevels is the finest cell the device models (4 bits per cell, QLC).
+const MaxLevels = 4
+
 // Geometry describes the physical organization of the device.
 type Geometry struct {
 	Channels          int // independent buses
 	ChipsPerChannel   int // NAND dies sharing one bus
 	BlocksPerChip     int
-	WordLinesPerBlock int // pages per block = 2 * word lines (2-bit MLC)
+	WordLinesPerBlock int // pages per block = bits per cell * word lines
+	Levels            int // bits per cell: 0 or 2 = MLC (the paper's device), 3 = TLC, 4 = QLC
 	PageSizeBytes     int // logical page payload size (host-visible)
 	SpareBytes        int // out-of-band spare area per page
 }
@@ -53,6 +61,19 @@ func TestGeometry() Geometry {
 	}
 }
 
+// TLCGeometry is a small 3-bit evaluation configuration.
+func TLCGeometry() Geometry {
+	return Geometry{
+		Channels:          2,
+		ChipsPerChannel:   2,
+		BlocksPerChip:     64,
+		WordLinesPerBlock: 32,
+		Levels:            3,
+		PageSizeBytes:     4096,
+		SpareBytes:        64,
+	}
+}
+
 // Validate reports a descriptive error for an unusable geometry.
 func (g Geometry) Validate() error {
 	switch {
@@ -64,6 +85,8 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("nand: geometry needs >= 1 block per chip, got %d", g.BlocksPerChip)
 	case g.WordLinesPerBlock <= 0:
 		return fmt.Errorf("nand: geometry needs >= 1 word line per block, got %d", g.WordLinesPerBlock)
+	case g.Levels != 0 && (g.Levels < 2 || g.Levels > MaxLevels):
+		return fmt.Errorf("nand: geometry needs 2..%d levels (bits per cell), got %d", MaxLevels, g.Levels)
 	case g.PageSizeBytes <= 0:
 		return fmt.Errorf("nand: geometry needs positive page size, got %d", g.PageSizeBytes)
 	case g.SpareBytes < 0:
@@ -75,8 +98,22 @@ func (g Geometry) Validate() error {
 // Chips returns the total number of chips.
 func (g Geometry) Chips() int { return g.Channels * g.ChipsPerChannel }
 
-// PagesPerBlock returns 2 * WordLinesPerBlock.
-func (g Geometry) PagesPerBlock() int { return 2 * g.WordLinesPerBlock }
+// BitsPerCell returns the number of pages a word line carries: Levels, with
+// the zero value meaning the paper's 2-bit MLC.
+func (g Geometry) BitsPerCell() int {
+	if g.Levels == 0 {
+		return 2
+	}
+	return g.Levels
+}
+
+// Scheme returns the per-block shape the program-order rules work on.
+func (g Geometry) Scheme() core.Scheme {
+	return core.Scheme{Levels: g.BitsPerCell(), WordLines: g.WordLinesPerBlock}
+}
+
+// PagesPerBlock returns BitsPerCell * WordLinesPerBlock.
+func (g Geometry) PagesPerBlock() int { return g.BitsPerCell() * g.WordLinesPerBlock }
 
 // LSBPagesPerBlock returns the number of fast pages per block.
 func (g Geometry) LSBPagesPerBlock() int { return g.WordLinesPerBlock }
@@ -100,8 +137,12 @@ func (g Geometry) ChannelOf(chip int) int { return chip / g.ChipsPerChannel }
 
 // String summarizes the geometry.
 func (g Geometry) String() string {
-	return fmt.Sprintf("%dch x %dchips, %d blocks/chip, %d pages/block, %dB pages (%.1f GB)",
-		g.Channels, g.ChipsPerChannel, g.BlocksPerChip, g.PagesPerBlock(), g.PageSizeBytes,
+	cell := ""
+	if bits := g.BitsPerCell(); bits != 2 {
+		cell = fmt.Sprintf(" (%d WL x %d bits)", g.WordLinesPerBlock, bits)
+	}
+	return fmt.Sprintf("%dch x %dchips, %d blocks/chip, %d pages/block%s, %dB pages (%.1f GB)",
+		g.Channels, g.ChipsPerChannel, g.BlocksPerChip, g.PagesPerBlock(), cell, g.PageSizeBytes,
 		float64(g.CapacityBytes())/(1<<30))
 }
 

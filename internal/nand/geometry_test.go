@@ -31,11 +31,26 @@ func TestGeometryValidate(t *testing.T) {
 		{Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 1, WordLinesPerBlock: 0, PageSizeBytes: 1},
 		{Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 1, WordLinesPerBlock: 1, PageSizeBytes: 0},
 		{Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 1, WordLinesPerBlock: 1, PageSizeBytes: 1, SpareBytes: -1},
+		{Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 1, WordLinesPerBlock: 1, PageSizeBytes: 1, Levels: 1},
+		{Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 1, WordLinesPerBlock: 1, PageSizeBytes: 1, Levels: MaxLevels + 1},
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {
 			t.Errorf("case %d: invalid geometry accepted: %+v", i, g)
 		}
+	}
+	g := TLCGeometry()
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if g.Chips() != 4 || g.PagesPerBlock() != 96 || g.TotalBlocks() != 256 || g.TotalPages() != 256*96 {
+		t.Errorf("TLC geometry arithmetic wrong: %v", g)
+	}
+	// The zero value of Levels is the paper's MLC, and prints as it always did.
+	mlc, explicit := TestGeometry(), TestGeometry()
+	explicit.Levels = 2
+	if mlc.Scheme() != core.MLC(8) || mlc.PagesPerBlock() != explicit.PagesPerBlock() || mlc.String() != explicit.String() {
+		t.Errorf("Levels 0 and 2 differ: %v vs %v", mlc, explicit)
 	}
 }
 
@@ -47,7 +62,14 @@ func TestChannelOf(t *testing.T) {
 }
 
 func TestPPNRoundTrip(t *testing.T) {
-	g := TestGeometry()
+	for levels := 2; levels <= MaxLevels; levels++ {
+		g := TestGeometry()
+		g.Levels = levels
+		testPPNRoundTrip(t, g)
+	}
+}
+
+func testPPNRoundTrip(t *testing.T, g Geometry) {
 	seen := make(map[PPN]bool)
 	for chip := 0; chip < g.Chips(); chip++ {
 		for blk := 0; blk < g.BlocksPerChip; blk++ {
@@ -88,7 +110,7 @@ func TestPPNRoundTripPropertyDefaultGeometry(t *testing.T) {
 
 func TestTimingDefaults(t *testing.T) {
 	tm := DefaultTiming()
-	if err := tm.Validate(); err != nil {
+	if err := tm.Validate(2); err != nil {
 		t.Fatal(err)
 	}
 	if tm.Asymmetry() != 4.0 {
@@ -99,17 +121,36 @@ func TestTimingDefaults(t *testing.T) {
 func TestTimingValidate(t *testing.T) {
 	tm := DefaultTiming()
 	tm.ProgMSB = tm.ProgLSB / 2
-	if err := tm.Validate(); err == nil {
+	if err := tm.Validate(2); err == nil {
 		t.Error("inverted asymmetry accepted")
 	}
 	tm = DefaultTiming()
 	tm.Read = 0
-	if err := tm.Validate(); err == nil {
+	if err := tm.Validate(2); err == nil {
 		t.Error("zero read latency accepted")
 	}
 	tm = DefaultTiming()
 	tm.BusXfer = -1
-	if err := tm.Validate(); err == nil {
+	if err := tm.Validate(2); err == nil {
 		t.Error("negative bus transfer accepted")
+	}
+	// Finer levels: TLC timing serves a TLC device (and an MLC one, which
+	// ignores the third latency), not a QLC one; refinements never get faster.
+	tlc := TLCTiming()
+	if tlc.Validate(3) != nil || tlc.Validate(2) != nil {
+		t.Error("TLC timing rejected")
+	}
+	if err := tlc.Validate(4); err == nil {
+		t.Error("TLC timing accepted for four levels")
+	}
+	tlc.ProgFiner[0] = tlc.ProgMSB - 1
+	if err := tlc.Validate(3); err == nil {
+		t.Error("third level faster than MSB accepted")
+	}
+	// Timing stays a plain value: two copies of a preset never alias.
+	a, b := TLCTiming(), TLCTiming()
+	a.ProgFiner[0]++
+	if b != TLCTiming() {
+		t.Error("presets share storage")
 	}
 }

@@ -3,6 +3,7 @@ package nand
 import (
 	"bytes"
 	"errors"
+	"runtime/debug"
 	"testing"
 
 	"flexftl/internal/core"
@@ -47,49 +48,51 @@ func TestInlineOversizeBoundary(t *testing.T) {
 		{17, 8}, {25, 0}, {9, 16}, {16, 9}, // the slot + 1
 		{g.PageSizeBytes, g.SpareBytes}, // a full page
 	}
-	d := testDevice(t, core.RPS)
-	for blk, c := range cases {
-		a := addr(1, blk, 0, core.LSB)
-		data, spare := pattern(c.data, 1), pattern(c.spare, 101)
-		if _, err := d.Program(a, data, spare, 0); err != nil {
-			t.Fatal(err)
+	everyLevels(t, func(t *testing.T, d *Device) {
+		for blk, c := range cases {
+			a := addr(1, blk, 0, core.LSB)
+			data, spare := pattern(c.data, 1), pattern(c.spare, 101)
+			if _, err := d.Program(a, data, spare, 0); err != nil {
+				t.Fatal(err)
+			}
+			gotData, gotSpare := readBoth(t, d, a)
+			if !bytes.Equal(gotData, data) || !bytes.Equal(gotSpare, spare) {
+				t.Errorf("%d+%dB: read back %x/%x, want %x/%x", c.data, c.spare, gotData, gotSpare, data, spare)
+			}
+			_, inTable := d.chips[1].oversize[blk*d.Geometry().PagesPerBlock()]
+			if want := c.data+c.spare > pagemem.InlineBytes; inTable != want {
+				t.Errorf("%d+%dB: in the oversize table = %v, want %v", c.data, c.spare, inTable, want)
+			}
 		}
-		gotData, gotSpare := readBoth(t, d, a)
-		if !bytes.Equal(gotData, data) || !bytes.Equal(gotSpare, spare) {
-			t.Errorf("%d+%dB: read back %x/%x, want %x/%x", c.data, c.spare, gotData, gotSpare, data, spare)
+		if d.chips[0].oversize != nil {
+			t.Error("chip 0 grew an oversize table from programs on chip 1")
 		}
-		_, inTable := d.chips[1].oversize[blk*g.PagesPerBlock()]
-		if want := c.data+c.spare > pagemem.InlineBytes; inTable != want {
-			t.Errorf("%d+%dB: in the oversize table = %v, want %v", c.data, c.spare, inTable, want)
-		}
-	}
-	if d.chips[0].oversize != nil {
-		t.Error("chip 0 grew an oversize table from programs on chip 1")
-	}
+	})
 }
 
 // TestReprogramAcrossSlotSizes: a page that held an oversize payload holds an
 // inline one after an erase, and the other way round; nothing of the earlier
 // payload shows through, including a longer one of the same kind.
 func TestReprogramAcrossSlotSizes(t *testing.T) {
-	d := testDevice(t, core.RPS)
-	a := addr(0, 3, 0, core.LSB)
-	for i, n := range []int{40, 5, 33, 60, 24, 25, 0} {
-		data, spare := pattern(n, byte(i)), pattern(i%3, byte(50+i))
-		if _, err := d.Program(a, data, spare, 0); err != nil {
-			t.Fatalf("program %dB: %v", n, err)
+	everyLevels(t, func(t *testing.T, d *Device) {
+		a := addr(0, 3, 0, core.LSB)
+		for i, n := range []int{40, 5, 33, 60, 24, 25, 0} {
+			data, spare := pattern(n, byte(i)), pattern(i%3, byte(50+i))
+			if _, err := d.Program(a, data, spare, 0); err != nil {
+				t.Fatalf("program %dB: %v", n, err)
+			}
+			gotData, gotSpare := readBoth(t, d, a)
+			if !bytes.Equal(gotData, data) || !bytes.Equal(gotSpare, spare) {
+				t.Errorf("step %d (%dB): read back %x/%x, want %x/%x", i, n, gotData, gotSpare, data, spare)
+			}
+			if _, err := d.Erase(a.BlockAddr, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := d.Read(a, 0); !errors.Is(err, ErrNotProgrammed) {
+				t.Errorf("step %d: read after erase: %v, want ErrNotProgrammed", i, err)
+			}
 		}
-		gotData, gotSpare := readBoth(t, d, a)
-		if !bytes.Equal(gotData, data) || !bytes.Equal(gotSpare, spare) {
-			t.Errorf("step %d (%dB): read back %x/%x, want %x/%x", i, n, gotData, gotSpare, data, spare)
-		}
-		if _, err := d.Erase(a.BlockAddr, 0); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := d.Read(a, 0); !errors.Is(err, ErrNotProgrammed) {
-			t.Errorf("step %d: read after erase: %v, want ErrNotProgrammed", i, err)
-		}
-	}
+	})
 }
 
 // TestReadsDoNotAliasDeviceMemory: Read hands out copies and ReadInto fills
@@ -141,88 +144,100 @@ func TestReadsDoNotAliasDeviceMemory(t *testing.T) {
 	}
 }
 
+// withReliability mounts the BER model on a test configuration.
+func withReliability(cfg *Config) {
+	rc := rel.DefaultConfig(1)
+	cfg.Reliability = &rc
+}
+
 // TestFlagsSurvivePacking: corruption, the lost pin and a power cut each mark
 // exactly their pages, keep the payload of an oversize neighbour reachable,
 // and are cleared by erase + program.
 func TestFlagsSurvivePacking(t *testing.T) {
-	rc := rel.DefaultConfig(1)
-	d, err := NewDevice(Config{Geometry: TestGeometry(), Timing: DefaultTiming(), Rules: core.RPS, Reliability: &rc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk := BlockAddr{Chip: 2, Block: 5}
-	lsb := func(wl int) PageAddr { return PageAddr{BlockAddr: blk, Page: core.Page{WL: wl, Type: core.LSB}} }
-	big := pattern(50, 4)
-	for wl := 0; wl < 4; wl++ {
-		if _, err := d.Program(lsb(wl), big, nil, 0); err != nil {
+	everyLevelsWith(t, withReliability, func(t *testing.T, d *Device) {
+		blk := BlockAddr{Chip: 2, Block: 5}
+		page := func(wl int, level core.PageType) PageAddr {
+			return PageAddr{BlockAddr: blk, Page: core.Page{WL: wl, Type: level}}
+		}
+		lsb := func(wl int) PageAddr { return page(wl, core.LSB) }
+		big := pattern(50, 4)
+		order := core.RelaxedFullOrder(d.Geometry().Scheme())
+		wordLines := d.Geometry().WordLinesPerBlock
+		for _, p := range order[:wordLines] { // the LSB phase
+			if _, err := d.Program(PageAddr{BlockAddr: blk, Page: p}, big, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.CorruptPage(lsb(0)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := d.CorruptPage(lsb(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.MarkLost(lsb(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := d.Read(lsb(0), 0); !errors.Is(err, ErrUncorrectable) {
-		t.Errorf("corrupted page: %v, want nand.ErrUncorrectable", err)
-	}
-	if _, _, _, err := d.Read(lsb(1), 0); !errors.Is(err, rel.ErrUncorrectable) {
-		t.Errorf("lost page: %v, want rel.ErrUncorrectable", err)
-	}
-	if !d.IsCorrupted(lsb(0)) || d.IsCorrupted(lsb(1)) || d.IsCorrupted(lsb(2)) {
-		t.Error("IsCorrupted does not follow CorruptPage page by page")
-	}
-	for wl := 0; wl < 4; wl++ {
-		if !d.IsProgrammed(lsb(wl)) {
-			t.Errorf("LSB(%d) lost its programmed flag to a neighbour's fault", wl)
+		if err := d.MarkLost(lsb(1)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got, _ := readBoth(t, d, lsb(2)); !bytes.Equal(got, big) {
-		t.Error("oversize payload beside flagged pages unreadable")
-	}
+		if _, _, _, err := d.Read(lsb(0), 0); !errors.Is(err, ErrUncorrectable) {
+			t.Errorf("corrupted page: %v, want nand.ErrUncorrectable", err)
+		}
+		if _, _, _, err := d.Read(lsb(1), 0); !errors.Is(err, rel.ErrUncorrectable) {
+			t.Errorf("lost page: %v, want rel.ErrUncorrectable", err)
+		}
+		if !d.IsCorrupted(lsb(0)) || d.IsCorrupted(lsb(1)) || d.IsCorrupted(lsb(2)) {
+			t.Error("IsCorrupted does not follow CorruptPage page by page")
+		}
+		for wl := 0; wl < 4; wl++ {
+			if !d.IsProgrammed(lsb(wl)) {
+				t.Errorf("LSB(%d) lost its programmed flag to a neighbour's fault", wl)
+			}
+		}
+		if got, _ := readBoth(t, d, lsb(2)); !bytes.Equal(got, big) {
+			t.Error("oversize payload beside flagged pages unreadable")
+		}
 
-	// A power cut in the open window marks the MSB page and its pair.
-	msb2 := PageAddr{BlockAddr: blk, Page: core.Page{WL: 2, Type: core.MSB}}
-	for wl := 0; wl <= 2; wl++ {
-		a := PageAddr{BlockAddr: blk, Page: core.Page{WL: wl, Type: core.MSB}}
-		if _, err := d.Program(a, big, nil, 0); err != nil {
-			t.Fatal(err)
+		// A power cut in the open window marks the interrupted page of the
+		// finest level and every coarser page of its word line.
+		cut := core.Page{WL: 2, Type: finest(d)}
+		for _, p := range order[wordLines:] {
+			if _, err := d.Program(PageAddr{BlockAddr: blk, Page: p}, big, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			if p == cut {
+				break
+			}
 		}
-	}
-	if !d.InjectPowerLoss(blk) {
-		t.Fatal("power cut with an open window corrupted nothing")
-	}
-	if !d.IsCorrupted(msb2) || !d.IsCorrupted(lsb(2)) || d.IsCorrupted(lsb(3)) {
-		t.Error("power cut did not mark exactly MSB(2) and LSB(2)")
-	}
+		if !d.InjectPowerLoss(blk) {
+			t.Fatal("power cut with an open window corrupted nothing")
+		}
+		for l := core.LSB; l <= cut.Type; l++ {
+			if !d.IsCorrupted(page(2, l)) || d.IsCorrupted(page(3, l)) {
+				t.Errorf("power cut did not mark exactly word line 2 at level %v", l)
+			}
+		}
 
-	if _, err := d.Erase(blk, 0); err != nil {
-		t.Fatal(err)
-	}
-	for wl := 0; wl < 3; wl++ {
-		if _, err := d.Program(lsb(wl), []byte{byte(wl)}, nil, 0); err != nil {
+		if _, err := d.Erase(blk, 0); err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := readBoth(t, d, lsb(wl)); len(got) != 1 || got[0] != byte(wl) {
-			t.Errorf("LSB(%d) after erase + program = %x: an old flag or payload survived", wl, got)
+		for wl := 0; wl < 3; wl++ {
+			if _, err := d.Program(lsb(wl), []byte{byte(wl)}, nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := readBoth(t, d, lsb(wl)); len(got) != 1 || got[0] != byte(wl) {
+				t.Errorf("LSB(%d) after erase + program = %x: an old flag or payload survived", wl, got)
+			}
 		}
-	}
+	})
 }
 
 // TestEraseOfEmptyBlockSkipsSweep: erasing a block with nothing programmed
 // since its last erase does not visit its pages, and still counts as an
 // erase in every other respect.
 func TestEraseOfEmptyBlockSkipsSweep(t *testing.T) {
-	rc := rel.DefaultConfig(1)
-	d, err := NewDevice(Config{Geometry: TestGeometry(), Timing: DefaultTiming(), Rules: core.RPS, Reliability: &rc})
-	if err != nil {
-		t.Fatal(err)
-	}
+	everyLevelsWith(t, withReliability, testEraseOfEmptyBlockSkipsSweep)
+}
+
+func testEraseOfEmptyBlockSkipsSweep(t *testing.T, d *Device) {
 	empty, other := BlockAddr{Chip: 0, Block: 1}, BlockAddr{Chip: 0, Block: 2}
 	// A flag the API cannot put on an erased page: if it is still there after
 	// the erase, the erase did not sweep.
-	canary := &d.chips[0].blockPages(empty.Block, TestGeometry().PagesPerBlock())[3]
+	canary := &d.chips[0].blockPages(empty.Block, d.Geometry().PagesPerBlock())[3]
 	canary.Flags = pagemem.Lost
 
 	// An open MSB window elsewhere on the chip: any erase on the chip closes it.
@@ -280,47 +295,53 @@ func TestEraseOfEmptyBlockSkipsSweep(t *testing.T) {
 	}
 }
 
-// TestPageTableAllocations: the page array is one allocation, so building a
-// device costs the same number of allocations however many pages a block has,
-// and programming an FTL-sized payload never allocates — not on first touch,
-// not after an erase.
+// TestPageTableAllocations: pages, program state and blocks are one
+// allocation each, so building a device costs the same number of allocations
+// however many blocks a chip and pages a block has, and programming an
+// FTL-sized payload never allocates — not on first touch, not after an erase.
 func TestPageTableAllocations(t *testing.T) {
-	build := func(wordLines int) float64 {
-		g := TestGeometry()
-		g.WordLinesPerBlock = wordLines
-		return testing.AllocsPerRun(5, func() {
-			if _, err := NewDevice(Config{Geometry: g, Timing: DefaultTiming(), Rules: core.RPS}); err != nil {
+	restore := debug.SetGCPercent(-1) // a collection per large build would count
+	for levels := 2; levels <= MaxLevels; levels++ {
+		build := func(blocks, wordLines int) float64 {
+			cfg := levelConfig(levels)
+			cfg.Geometry.BlocksPerChip, cfg.Geometry.WordLinesPerBlock = blocks, wordLines
+			return testing.AllocsPerRun(5, func() {
+				if _, err := NewDevice(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small := build(8, 8)
+		if moreBlocks, morePages := build(256, 8), build(8, 128); small != moreBlocks || small != morePages {
+			t.Errorf("levels=%d: NewDevice costs %.0f allocations at 8 blocks x 8 word lines, %.0f at 256 blocks, %.0f at 128 word lines",
+				levels, small, moreBlocks, morePages)
+		}
+	}
+	debug.SetGCPercent(restore)
+
+	everyLevels(t, func(t *testing.T, d *Device) {
+		order := core.RelaxedFullOrder(d.Geometry().Scheme())
+		token, spare := pattern(16, 1), pattern(8, 2)
+		next := 0
+		programNext := func() {
+			a := PageAddr{BlockAddr: BlockAddr{Chip: 3, Block: next / len(order)}, Page: order[next%len(order)]}
+			if _, err := d.Program(a, token, spare, 0); err != nil {
 				t.Fatal(err)
 			}
-		})
-	}
-	if small, large := build(8), build(128); small != large {
-		t.Errorf("NewDevice: %.0f allocations at 8 word lines, %.0f at 128", small, large)
-	}
-
-	d := testDevice(t, core.RPS)
-	g := d.Geometry()
-	order := core.RPSFullOrder(g.WordLinesPerBlock)
-	token, spare := pattern(16, 1), pattern(8, 2)
-	next := 0
-	programNext := func() {
-		a := PageAddr{BlockAddr: BlockAddr{Chip: 3, Block: next / len(order)}, Page: order[next%len(order)]}
-		if _, err := d.Program(a, token, spare, 0); err != nil {
-			t.Fatal(err)
+			next++
 		}
-		next++
-	}
-	const runs = 100 // plus AllocsPerRun's warm-up call
-	if allocs := testing.AllocsPerRun(runs, programNext); allocs != 0 {
-		t.Errorf("first-touch Program allocates %.2f times per page, want 0", allocs)
-	}
-	for blk := 0; blk*len(order) < next; blk++ {
-		if _, err := d.Erase(BlockAddr{Chip: 3, Block: blk}, 0); err != nil {
-			t.Fatal(err)
+		const runs = 100 // plus AllocsPerRun's warm-up call
+		if allocs := testing.AllocsPerRun(runs, programNext); allocs != 0 {
+			t.Errorf("first-touch Program allocates %.2f times per page, want 0", allocs)
 		}
-	}
-	next = 0
-	if allocs := testing.AllocsPerRun(runs, programNext); allocs != 0 {
-		t.Errorf("Program after erase allocates %.2f times per page, want 0", allocs)
-	}
+		for blk := 0; blk*len(order) < next; blk++ {
+			if _, err := d.Erase(BlockAddr{Chip: 3, Block: blk}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next = 0
+		if allocs := testing.AllocsPerRun(runs, programNext); allocs != 0 {
+			t.Errorf("Program after erase allocates %.2f times per page, want 0", allocs)
+		}
+	})
 }

@@ -16,16 +16,16 @@ import (
 func TestDeviceRandomOpsProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
-		d, err := NewDevice(Config{Geometry: TestGeometry(), Timing: DefaultTiming(), Rules: core.RPS})
+		d, err := NewDevice(levelConfig(2 + int(seed%3))) // MLC, TLC or QLC
 		if err != nil {
 			return false
 		}
 		g := d.Geometry()
-		// Per-block cursor into the RPSfull order; payload journal.
+		// Per-block cursor into the n-phase order; payload journal.
 		type blockState struct {
 			pos int
 		}
-		order := core.RPSFullOrder(g.WordLinesPerBlock)
+		order := core.RelaxedFullOrder(g.Scheme())
 		cursors := map[BlockAddr]*blockState{}
 		written := map[PageAddr]byte{}
 		now := sim.Time(0)

@@ -1,16 +1,25 @@
 package nandn
 
+// The device's own tests are internal/nand's, which run every behaviour at
+// Levels 2, 3 and 4. What is here pins, under the names this package's tests
+// always had, that the shim's presets, three-field addresses and counter
+// spelling reach that device unchanged — the TLC micro rows and the
+// tlc_varmail digest of bench/ depend on it. Delete with the package.
+
 import (
 	"bytes"
 	"errors"
+	"runtime/debug"
 	"testing"
 
-	"flexftl/internal/nlevel"
+	"flexftl/internal/core"
+	"flexftl/internal/nand"
 	"flexftl/internal/obs"
+	"flexftl/internal/pagemem"
 	"flexftl/internal/sim"
 )
 
-func testDevice(t *testing.T) *Device {
+func testDevice(t *testing.T) Device {
 	t.Helper()
 	g := TLCGeometry()
 	g.BlocksPerChip = 8
@@ -23,100 +32,88 @@ func testDevice(t *testing.T) *Device {
 }
 
 func pa(chip, blk, wl, lvl int) PageAddr {
-	return PageAddr{Chip: chip, Block: blk, Page: nlevel.Page{WL: wl, Level: lvl}}
+	return PageAddr{Chip: chip, Block: blk, Page: core.Page{WL: wl, Type: core.PageType(lvl)}}
+}
+
+// fill programs block 0 of chip 0 in 3-phase order through page last.
+func fill(t *testing.T, d Device, last core.Page) sim.Time {
+	t.Helper()
+	now := sim.Time(0)
+	for _, p := range core.RelaxedFullOrder(d.Geometry().Scheme()) {
+		var err error
+		if now, err = d.Program(PageAddr{Page: p}, []byte{1}, nil, now); err != nil {
+			t.Fatalf("program %v: %v", p, err)
+		}
+		if p == last {
+			break
+		}
+	}
+	return now
 }
 
 func TestGeometryValidate(t *testing.T) {
-	if err := TLCGeometry().Validate(); err != nil {
+	g := TLCGeometry()
+	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := TLCGeometry()
-	bad.Levels = 1
-	if err := bad.Validate(); err == nil {
-		t.Error("1-level geometry accepted")
+	if g != nand.TLCGeometry() || g.Levels != 3 || g.Chips() != 4 || g.PagesPerBlock() != 96 || g.TotalBlocks() != 256 {
+		t.Errorf("TLC preset changed: %+v", g)
 	}
-	bad = TLCGeometry()
-	bad.Channels = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("0-channel geometry accepted")
-	}
-	g := TLCGeometry()
-	if g.Chips() != 4 || g.PagesPerBlock() != 96 || g.TotalBlocks() != 256 {
-		t.Errorf("geometry arithmetic wrong: %+v", g)
-	}
-	if g.TotalPages() != 256*96 {
-		t.Error("TotalPages wrong")
-	}
-	if g.ChannelOf(3) != 1 {
-		t.Error("ChannelOf wrong")
-	}
-	if g.String() == "" {
-		t.Error("String empty")
+	if g.Scheme() != core.TLC(32) {
+		t.Errorf("Scheme() = %+v", g.Scheme())
 	}
 }
 
 func TestTimingValidate(t *testing.T) {
-	if err := TLCTiming().Validate(3); err != nil {
+	tm := TLCTiming()
+	if err := tm.Validate(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := TLCTiming().Validate(2); err == nil {
-		t.Error("wrong level count accepted")
+	us := sim.Microsecond
+	if tm.ProgLSB != 400*us || tm.ProgMSB != 1100*us || tm.Prog(2) != 3000*us || tm.Read != 60*us || tm.Erase != 6*sim.Millisecond || tm.BusXfer != 10*us {
+		t.Errorf("TLC latencies changed: %+v", tm)
 	}
-	bad := TLCTiming()
-	bad.Prog = []sim.Time{1000, 500, 2000} // non-monotone
-	if err := bad.Validate(3); err == nil {
-		t.Error("non-monotone latencies accepted")
+}
+
+func TestNewDeviceRejectsBadConfig(t *testing.T) {
+	bad := TLCGeometry()
+	bad.Levels = 1
+	if _, err := NewDevice(bad, TLCTiming()); err == nil {
+		t.Error("bad geometry accepted")
 	}
-	bad = TLCTiming()
-	bad.Read = 0
-	if err := bad.Validate(3); err == nil {
-		t.Error("zero read accepted")
+	if _, err := NewDevice(TLCGeometry(), nand.DefaultTiming()); err == nil {
+		t.Error("two program latencies accepted for three levels")
 	}
 }
 
 func TestProgramEnforcesRelaxedRules(t *testing.T) {
 	d := testDevice(t)
-	// T1(0) straight away is illegal (refinement without T0).
-	if _, err := d.Program(pa(0, 0, 0, 1), nil, nil, 0); err == nil {
-		t.Fatal("illegal refinement accepted")
+	if d.Rules() != core.RPS {
+		t.Fatalf("shim device enforces %s, want RPS", d.Rules().Name())
 	}
-	// The generalized 3-phase order must be fully accepted.
-	now := sim.Time(0)
-	for _, p := range nlevel.RelaxedFullOrder(d.Geometry().Scheme()) {
-		var err error
-		now, err = d.Program(PageAddr{Chip: 0, Block: 0, Page: p}, []byte{byte(p.WL)}, nil, now)
-		if err != nil {
-			t.Fatalf("program %v: %v", p, err)
-		}
+	var cv *core.ConstraintViolation
+	if _, err := d.Program(pa(0, 0, 0, 1), nil, nil, 0); !errors.As(err, &cv) || cv.Constraint != 3 {
+		t.Fatalf("refinement without its LSB: %v", err)
 	}
-	if d.BlockProgrammed(0, 0) != d.Geometry().PagesPerBlock() {
-		t.Error("block not full after 3-phase fill")
+	fill(t, d, core.Page{WL: 3, Type: 2})
+	if got := d.BlockProgrammedPages(nand.BlockAddr{}); got != d.Geometry().PagesPerBlock() {
+		t.Errorf("%d pages programmed after the 3-phase fill", got)
 	}
 }
 
 func TestPerLevelLatencies(t *testing.T) {
 	d := testDevice(t)
 	tm := d.Timing()
-	done0, err := d.Program(pa(0, 0, 0, 0), nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done0 != tm.BusXfer+tm.Prog[0] {
-		t.Errorf("level-0 done = %v", done0)
-	}
-	done1, err := d.Program(pa(0, 0, 1, 0), nil, nil, done0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	done0, _ := d.Program(pa(0, 0, 0, 0), nil, nil, 0)
+	done1, _ := d.Program(pa(0, 0, 1, 0), nil, nil, done0)
 	doneRef, err := d.Program(pa(0, 0, 0, 1), nil, nil, done1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := doneRef - done1; got != tm.BusXfer+tm.Prog[1] {
-		t.Errorf("level-1 latency = %v, want %v", got, tm.BusXfer+tm.Prog[1])
+	if done0 != tm.BusXfer+tm.ProgLSB || doneRef-done1 != tm.BusXfer+tm.ProgMSB {
+		t.Errorf("latencies %v / %v", done0, doneRef-done1)
 	}
-	counts := d.Programs()
-	if counts[0] != 2 || counts[1] != 1 || counts[2] != 0 {
+	if counts := d.Programs(); len(counts) != 3 || counts[0] != 2 || counts[1] != 1 || counts[2] != 0 {
 		t.Errorf("program counts = %v", counts)
 	}
 }
@@ -124,146 +121,95 @@ func TestPerLevelLatencies(t *testing.T) {
 func TestReadBackAndErase(t *testing.T) {
 	d := testDevice(t)
 	data, spare := []byte("tlc payload"), []byte{0xaa}
-	if _, err := d.Program(pa(0, 0, 0, 0), data, spare, 0); err != nil {
+	if _, err := d.Program(pa(3, 5, 0, 0), data, spare, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, gotSpare, done, err := d.Read(pa(0, 0, 0, 0), 0)
-	if err != nil {
+	// The three-field address names the same page as nand's.
+	got, gotSpare, done, err := d.Read(pa(3, 5, 0, 0).addr(), 0)
+	if err != nil || !bytes.Equal(got, data) || !bytes.Equal(gotSpare, spare) {
+		t.Fatalf("read back %q/%x: %v", got, gotSpare, err)
+	}
+	if _, err := d.Erase(3, 5, done); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, data) || !bytes.Equal(gotSpare, spare) || done <= 0 {
-		t.Error("read back mismatch")
+	if d.EraseCount(nand.BlockAddr{Chip: 3, Block: 5}) != 1 || d.Erases() != 1 || d.Reads() != 1 {
+		t.Error("erase/read accounting wrong")
 	}
-	if _, _, _, err := d.Read(pa(0, 0, 1, 0), done); !errors.Is(err, ErrNotProgrammed) {
-		t.Errorf("erased read err = %v", err)
-	}
-	if _, err := d.Erase(0, 0, done); err != nil {
-		t.Fatal(err)
-	}
-	if d.EraseCount(0, 0) != 1 || d.Erases() != 1 {
-		t.Error("erase accounting wrong")
-	}
-	if _, _, _, err := d.Read(pa(0, 0, 0, 0), done); !errors.Is(err, ErrNotProgrammed) {
-		t.Error("page survived erase")
+	var buf PageBuf
+	if _, err := d.ReadInto(pa(3, 5, 0, 0), &buf, done); !errors.Is(err, nand.ErrNotProgrammed) {
+		t.Errorf("page survived erase: %v", err)
 	}
 }
 
-// TestPowerLossDestroysEarlierBits: a cut during a level-2 (finest) program
-// destroys the word line's level-0 and level-1 pages too.
 func TestPowerLossDestroysEarlierBits(t *testing.T) {
 	d := testDevice(t)
-	s := d.Geometry().Scheme()
-	now := sim.Time(0)
-	var err error
-	// Program following the 3-phase order until the first level-2 page.
-	for _, p := range nlevel.RelaxedFullOrder(s) {
-		now, err = d.Program(PageAddr{Chip: 0, Block: 0, Page: p}, []byte{1}, nil, now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Level == 2 && p.WL == 0 {
-			break
-		}
+	now := fill(t, d, core.Page{WL: 0, Type: 2})
+	if !d.InjectPowerLoss(nand.BlockAddr{}) {
+		t.Fatal("no window after an unacknowledged level-2 program")
 	}
-	n := d.InjectPowerLoss(0, 0)
-	if n != 3 {
-		t.Fatalf("power loss corrupted %d pages, want 3 (T0,T1,T2 of WL0)", n)
-	}
+	var buf PageBuf
 	for lvl := 0; lvl < 3; lvl++ {
-		if _, _, _, err := d.Read(pa(0, 0, 0, lvl), now); !errors.Is(err, ErrUncorrectable) {
-			t.Errorf("T%d(0) read err = %v, want uncorrectable", lvl, err)
+		if _, err := d.ReadInto(pa(0, 0, 0, lvl), &buf, now); !errors.Is(err, nand.ErrUncorrectable) {
+			t.Errorf("level %d of word line 0: %v, want uncorrectable", lvl, err)
 		}
 	}
-	// Other word lines unaffected.
-	if _, _, _, err := d.Read(pa(0, 0, 1, 0), now); err != nil {
+	if _, err := d.ReadInto(pa(0, 0, 1, 0), &buf, now); err != nil {
 		t.Errorf("unrelated page damaged: %v", err)
 	}
 }
 
 func TestAckClosesWindow(t *testing.T) {
 	d := testDevice(t)
-	now := sim.Time(0)
-	var err error
-	now, err = d.Program(pa(0, 0, 0, 0), []byte{1}, nil, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err = d.Program(pa(0, 0, 1, 0), []byte{1}, nil, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err = d.Program(pa(0, 0, 0, 1), []byte{1}, nil, now); err != nil {
-		t.Fatal(err)
-	}
-	d.AckProgram(0, 0)
-	if n := d.InjectPowerLoss(0, 0); n != 0 {
-		t.Errorf("acknowledged refinement still vulnerable: %d pages", n)
+	fill(t, d, core.Page{WL: 0, Type: 1})
+	d.AckProgram(nand.BlockAddr{})
+	if d.InjectPowerLoss(nand.BlockAddr{}) {
+		t.Error("acknowledged refinement still vulnerable")
 	}
 }
 
 func TestLevel0NotDestructive(t *testing.T) {
 	d := testDevice(t)
-	if _, err := d.Program(pa(0, 0, 0, 0), []byte{1}, nil, 0); err != nil {
-		t.Fatal(err)
+	fill(t, d, core.Page{WL: 0, Type: 0})
+	if d.InjectPowerLoss(nand.BlockAddr{}) {
+		t.Error("level-0 program flagged destructive")
 	}
-	if n := d.InjectPowerLoss(0, 0); n != 0 {
-		t.Errorf("level-0 program flagged destructive: %d", n)
+}
+
+func TestPowerLossFlagsSurvivePacking(t *testing.T) {
+	d := testDevice(t)
+	fill(t, d, core.Page{WL: 0, Type: 1})
+	if !d.InjectPowerLoss(nand.BlockAddr{}) {
+		t.Fatal("no window")
+	}
+	if !d.IsCorrupted(pa(0, 0, 0, 0).addr()) || !d.IsCorrupted(pa(0, 0, 0, 1).addr()) || d.IsCorrupted(pa(0, 0, 1, 0).addr()) {
+		t.Error("cut did not mark exactly LSB(0) and MSB(0)")
 	}
 }
 
 func TestChannelContention(t *testing.T) {
 	d := testDevice(t)
 	tm := d.Timing()
-	// Chips 0 and 1 share channel 0.
-	d1, err := d.Program(pa(0, 0, 0, 0), nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := d.Program(pa(1, 0, 0, 0), nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != tm.BusXfer+tm.Prog[0] || d2 != 2*tm.BusXfer+tm.Prog[0] {
-		t.Errorf("bus serialization wrong: %v, %v", d1, d2)
-	}
-	// Chip on the other channel is fully parallel.
-	d3, err := d.Program(pa(2, 0, 0, 0), nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3 != d1 {
-		t.Errorf("cross-channel program not parallel: %v vs %v", d3, d1)
+	d1, _ := d.Program(pa(0, 0, 0, 0), nil, nil, 0)
+	d2, _ := d.Program(pa(1, 0, 0, 0), nil, nil, 0) // shares channel 0
+	d3, _ := d.Program(pa(2, 0, 0, 0), nil, nil, 0) // channel 1
+	if d1 != tm.BusXfer+tm.ProgLSB || d2 != 2*tm.BusXfer+tm.ProgLSB || d3 != d1 {
+		t.Errorf("bus serialization wrong: %v, %v, %v", d1, d2, d3)
 	}
 }
 
 func TestOutOfRange(t *testing.T) {
 	d := testDevice(t)
-	for _, a := range []PageAddr{pa(-1, 0, 0, 0), pa(0, 99, 0, 0), pa(0, 0, 99, 0), pa(0, 0, 0, 9)} {
+	var buf PageBuf
+	for _, a := range []PageAddr{pa(-1, 0, 0, 0), pa(0, 99, 0, 0), pa(0, 0, 99, 0), pa(0, 0, 0, 3)} {
 		if _, err := d.Program(a, nil, nil, 0); err == nil {
 			t.Errorf("program %v accepted", a)
 		}
-		if _, _, _, err := d.Read(a, 0); err == nil {
+		if _, err := d.ReadInto(a, &buf, 0); err == nil {
 			t.Errorf("read %v accepted", a)
 		}
 	}
 	if _, err := d.Erase(0, -1, 0); err == nil {
 		t.Error("erase of bad block accepted")
-	}
-	if d.InjectPowerLoss(-1, 0) != 0 || d.BlockProgrammed(-1, 0) != 0 || d.EraseCount(9, 0) != 0 {
-		t.Error("out-of-range queries not zero")
-	}
-}
-
-func TestNewDeviceRejectsBadConfig(t *testing.T) {
-	bad := TLCGeometry()
-	bad.Levels = 0
-	if _, err := NewDevice(bad, TLCTiming()); err == nil {
-		t.Error("bad geometry accepted")
-	}
-	tm := TLCTiming()
-	tm.Prog = tm.Prog[:2]
-	if _, err := NewDevice(TLCGeometry(), tm); err == nil {
-		t.Error("bad timing accepted")
 	}
 }
 
@@ -273,99 +219,17 @@ func TestReadIntoMatchesRead(t *testing.T) {
 	if _, err := d.Program(a, []byte("tlc zero copy"), []byte{0x7}, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, _, done1, err := d.Read(a, 0) // absorb the chip-busy wait
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, spare, doneRead, err := d.Read(a, done1)
+	data, spare, done, err := d.Read(a.addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf PageBuf
-	doneInto, err := d.ReadInto(a, &buf, doneRead)
-	if err != nil {
-		t.Fatal(err)
+	doneInto, err := d.ReadInto(a, &buf, done)
+	if err != nil || !bytes.Equal(buf.Data, data) || !bytes.Equal(buf.Spare, spare) {
+		t.Errorf("ReadInto = %q/%x (%v), Read = %q/%x", buf.Data, buf.Spare, err, data, spare)
 	}
-	if !bytes.Equal(buf.Data, data) || !bytes.Equal(buf.Spare, spare) {
-		t.Error("ReadInto payload differs from Read")
-	}
-	if lr, li := doneRead-done1, doneInto-doneRead; li != lr {
-		t.Errorf("ReadInto latency %v, Read latency %v", li, lr)
-	}
-	if _, err := d.ReadInto(pa(0, 0, 1, 0), &buf, doneInto); !errors.Is(err, ErrNotProgrammed) {
-		t.Errorf("erased ReadInto err = %v, want ErrNotProgrammed", err)
-	}
-	if len(buf.Data) != 0 || len(buf.Spare) != 0 {
-		t.Error("buffer not truncated after failed ReadInto")
-	}
-}
-
-// TestCauseAttribution mirrors the MLC device's contract on the n-level
-// device: busy time decomposes by ambient cause, SetCause nests, and
-// counters mirror the array when a recorder is attached.
-func TestCauseAttribution(t *testing.T) {
-	d := testDevice(t)
-	rec := obs.NewRecorder(obs.Options{})
-	d.SetRecorder(rec)
-	tm := d.Timing()
-
-	done, err := d.Program(pa(0, 0, 0, 0), []byte("a"), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := d.SetCause(obs.CauseGC)
-	if prev != obs.CauseHost {
-		t.Errorf("SetCause returned %v, want CauseHost", prev)
-	}
-	gcDone, err := d.Program(pa(0, 0, 1, 0), []byte("b"), nil, done)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetCause(prev)
-	if d.Cause() != obs.CauseHost {
-		t.Errorf("cause after restore = %v", d.Cause())
-	}
-
-	busy := d.CauseBusy()
-	if want := tm.BusXfer + tm.Prog[0]; busy[obs.CauseHost] != want {
-		t.Errorf("host busy = %v, want %v", busy[obs.CauseHost], want)
-	}
-	if want := gcDone - done; busy[obs.CauseGC] != want {
-		t.Errorf("gc busy = %v, want %v", busy[obs.CauseGC], want)
-	}
-	snap := rec.Registry().Snapshot()
-	for c := obs.CauseHost; c < obs.CauseCount; c++ {
-		if got := snap.Counters[obs.BusyCounterName("nandn", c)]; got != int64(busy[c]) {
-			t.Errorf("counter %s = %d, array %d", obs.BusyCounterName("nandn", c), got, busy[c])
-		}
-	}
-	if h := snap.Histograms["nandn.program_us"]; h.Count != 2 {
-		t.Errorf("nandn.program_us count = %d, want 2", h.Count)
-	}
-}
-
-// TestWearStats: the erase-count spread accessor mirrors the MLC device's.
-func TestWearStats(t *testing.T) {
-	d := testDevice(t)
-	for i := 0; i < 3; i++ {
-		if _, err := d.Erase(0, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := d.Erase(0, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	w := d.Wear()
-	if w.Min != 0 || w.Max != 3 {
-		t.Errorf("wear min/max = %d/%d, want 0/3", w.Min, w.Max)
-	}
-	total := d.Geometry().TotalBlocks()
-	wantMean := 4.0 / float64(total)
-	if diff := w.Mean - wantMean; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("wear mean = %v, want %v", w.Mean, wantMean)
-	}
-	if w.Imbalance <= 1 {
-		t.Errorf("imbalance = %v, want > 1 for skewed wear", w.Imbalance)
+	if doneInto-done != d.Timing().Read+d.Timing().BusXfer {
+		t.Errorf("ReadInto latency %v", doneInto-done)
 	}
 }
 
@@ -376,18 +240,102 @@ func TestReadIntoZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf PageBuf
-	now := sim.Time(0)
-	if _, err := d.ReadInto(a, &buf, now); err != nil {
-		t.Fatal(err)
+	now, _ := d.ReadInto(a, &buf, 0)
+	if allocs := testing.AllocsPerRun(100, func() { now, _ = d.ReadInto(a, &buf, now) }); allocs != 0 {
+		t.Errorf("ReadInto through the shim allocates %v times per read, want 0", allocs)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		done, err := d.ReadInto(a, &buf, now)
-		if err != nil {
+}
+
+func TestCauseAttribution(t *testing.T) {
+	d := testDevice(t)
+	rec := obs.NewRecorder(obs.Options{})
+	d.SetRecorder(rec)
+	done, _ := d.Program(pa(0, 0, 0, 0), []byte("a"), nil, 0)
+	prev := d.SetCause(obs.CauseGC)
+	gcDone, _ := d.Program(pa(0, 0, 1, 0), []byte("b"), nil, done)
+	d.SetCause(prev)
+	busy := d.CauseBusy()
+	if busy[obs.CauseHost] != done || busy[obs.CauseGC] != gcDone-done {
+		t.Errorf("busy = host %v gc %v", busy[obs.CauseHost], busy[obs.CauseGC])
+	}
+	// The registry names are the one device's.
+	snap := rec.Registry().Snapshot()
+	if got := snap.Counters[obs.BusyCounterName("nand", obs.CauseGC)]; got != int64(busy[obs.CauseGC]) {
+		t.Errorf("nand gc busy counter = %d, array %d", got, busy[obs.CauseGC])
+	}
+	if h := snap.Histograms["nand.program_lsb_us"]; h.Count != 2 {
+		t.Errorf("nand.program_lsb_us count = %d, want 2", h.Count)
+	}
+}
+
+func TestWearStats(t *testing.T) {
+	d := testDevice(t)
+	for _, blk := range []int{0, 0, 0, 1} {
+		if _, err := d.Erase(0, blk, 0); err != nil {
 			t.Fatal(err)
 		}
-		now = done
-	})
-	if allocs != 0 {
-		t.Errorf("ReadInto allocates %v times per read, want 0", allocs)
+	}
+	if w := d.Wear(); w.Min != 0 || w.Max != 3 || w.Imbalance <= 1 {
+		t.Errorf("wear = %+v", w)
+	}
+}
+
+func TestInlineOversizeBoundary(t *testing.T) {
+	d := testDevice(t)
+	var buf PageBuf
+	for blk, n := range []int{pagemem.InlineBytes, pagemem.InlineBytes + 1, d.Geometry().PageSizeBytes} {
+		data := bytes.Repeat([]byte{byte(blk + 1)}, n)
+		if _, err := d.Program(pa(1, blk, 0, 0), data, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ReadInto(pa(1, blk, 0, 0), &buf, 0); err != nil || !bytes.Equal(buf.Data, data) {
+			t.Errorf("%dB payload read back wrong: %v", n, err)
+		}
+	}
+}
+
+func TestReprogramAcrossSlotSizes(t *testing.T) {
+	d := testDevice(t)
+	var buf PageBuf
+	for i, n := range []int{40, 5, 60, 24, 0} {
+		data := bytes.Repeat([]byte{byte(i + 1)}, n)
+		if _, err := d.Program(pa(0, 3, 0, 0), data, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ReadInto(pa(0, 3, 0, 0), &buf, 0); err != nil || !bytes.Equal(buf.Data, data) {
+			t.Errorf("step %d: read back %x (%v), want %x", i, buf.Data, err, data)
+		}
+		if _, err := d.Erase(0, 3, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestEraseOfEmptyBlockSkipsSweep(t *testing.T) {
+	d := testDevice(t)
+	done, err := d.Erase(0, 1, 0)
+	if err != nil || done != d.Timing().Erase {
+		t.Fatalf("erase of an empty block: done %v, %v", done, err)
+	}
+	if d.EraseCount(nand.BlockAddr{Chip: 0, Block: 1}) != 1 || d.Erases() != 1 {
+		t.Error("empty-block erase not counted")
+	}
+}
+
+// TestPageTableAllocations: building the TLC micro device costs the same
+// however many blocks and word lines it has, plus nothing for the shim.
+func TestPageTableAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection per large build would count
+	build := func(blocks, wordLines int) float64 {
+		g := TLCGeometry()
+		g.BlocksPerChip, g.WordLinesPerBlock = blocks, wordLines
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewDevice(g, TLCTiming()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := build(8, 4), build(64, 64); small != large {
+		t.Errorf("NewDevice: %.0f allocations at 8 blocks x 4 word lines, %.0f at 64 x 64", small, large)
 	}
 }

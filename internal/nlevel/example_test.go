@@ -2,39 +2,25 @@ package nlevel_test
 
 import (
 	"fmt"
-	"strings"
 
+	"flexftl/internal/core"
 	"flexftl/internal/nlevel"
 )
 
-func render(order []nlevel.Page) string {
-	parts := make([]string, len(order))
-	for i, p := range order {
-		parts[i] = p.String()
-	}
-	return strings.Join(parts, " ")
-}
-
-// The generalized relaxed rules admit an n-phase order — all level-0 pages,
-// then all level-1 pages, and so on — for TLC just as RPSfull does for MLC.
+// The call bench/micro.go makes: the 3-phase order of a TLC block.
 func ExampleRelaxedFullOrder() {
-	s := nlevel.TLC(2)
+	s := nlevel.Scheme{Levels: 3, WordLines: 2}
 	order := nlevel.RelaxedFullOrder(s)
-	if i, err := nlevel.ValidateOrder(nlevel.CheckRelaxed, s, order); err != nil {
-		fmt.Println("illegal at", i, err)
-		return
-	}
-	fmt.Println(render(order))
-	fmt.Println("max late aggressors:", nlevel.MaxAggressors(s, order))
+	fmt.Println(order)
+	fmt.Println("max late aggressors:", core.MaxAggressors(s, order))
 	// Output:
-	// T0(0) T0(1) T1(0) T1(1) T2(0) T2(1)
+	// [LSB(0) LSB(1) MSB(0) MSB(1) T2(0) T2(1)]
 	// max late aggressors: 1
 }
 
-// The vendor staircase generalizes Figure 2(b): in round r the finest
-// in-range page of each diagonal is programmed first.
+// The vendor staircase the relaxed order is measured against.
 func ExampleFixedOrder() {
-	fmt.Println(render(nlevel.FixedOrder(nlevel.MLC(3))))
+	fmt.Println(core.FixedOrder(nlevel.Scheme{Levels: 2, WordLines: 3}))
 	// Output:
-	// T0(0) T0(1) T1(0) T0(2) T1(1) T1(2)
+	// [LSB(0) LSB(1) MSB(0) LSB(2) MSB(1) MSB(2)]
 }

@@ -1,337 +1,18 @@
-// Package nlevel generalizes the paper's program-sequence formalism from
-// 2-bit MLC to n-bit multi-level cells — the extension the paper claims in
-// Section 1 ("our proposed technique can be applicable for other NAND
-// devices such as TLC NAND devices with a similar program scheme").
-//
-// An n-bit cell's word line carries n pages, from the coarsest level 0
-// (the MLC LSB) to the finest level n-1 (the MLC MSB). Each finer program
-// refines the word line's Vth distribution and is destructive to the
-// coarser data while in flight. The base (relaxed) constraint set
-// generalizes the paper's Constraints 1-3:
-//
-//	Same-type chain:  T_i(k) requires T_i(k-1)          (k >= 1)
-//	Refinement:       T_i(k) requires T_(i-1)(k)        (i >= 1)
-//	Shielding:        T_i(k) requires T_(i-1)(k+1)      (i >= 1, vacuous on the last WL)
-//
-// Shielding guarantees that once T_i(k) is programmed, the only neighbour
-// program that can still disturb word line k at refinement depth i is
-// T_i(k+1) — the same one-aggressor bound the paper proves for MLC RPS.
-// With n = 2 the base rules are exactly core.RPS, and the canonical fixed
-// order is exactly core.FPSOrder.
-//
-// The vendor fixed sequence is modeled as what it is on real parts: a fixed
-// order (the canonical staircase, FixedOrder), with StrictFPS accepting only
-// the next page of that order.
+// Package nlevel is a name shim over internal/core, where the n-level
+// program-sequence formalism lives. It exists only because bench/micro.go
+// (frozen while benchmark rows are compared across PRs) calls
+// nlevel.RelaxedFullOrder(g.Scheme()); the next benchmark PR retargets that
+// call to core.RelaxedFullOrder and deletes this package. Nothing else may
+// import it.
 package nlevel
 
-import (
-	"fmt"
+import "flexftl/internal/core"
 
-	"flexftl/internal/rng"
+// Scheme and Page are core's types.
+type (
+	Scheme = core.Scheme
+	Page   = core.Page
 )
 
-// Page identifies one page within a block: word line and level (0 =
-// coarsest/fastest ... Levels-1 = finest/slowest).
-type Page struct {
-	WL    int
-	Level int
-}
-
-// String formats like "T1(3)".
-func (p Page) String() string { return fmt.Sprintf("T%d(%d)", p.Level, p.WL) }
-
-// Scheme fixes the block shape: word lines and bits per cell.
-type Scheme struct {
-	Levels    int // bits per cell: 2 = MLC, 3 = TLC, 4 = QLC
-	WordLines int
-}
-
-// MLC and TLC are the common schemes.
-func MLC(wordLines int) Scheme { return Scheme{Levels: 2, WordLines: wordLines} }
-
-// TLC returns a 3-bit scheme.
-func TLC(wordLines int) Scheme { return Scheme{Levels: 3, WordLines: wordLines} }
-
-// Validate rejects degenerate schemes.
-func (s Scheme) Validate() error {
-	if s.Levels < 2 {
-		return fmt.Errorf("nlevel: need >= 2 levels, got %d", s.Levels)
-	}
-	if s.WordLines < 1 {
-		return fmt.Errorf("nlevel: need >= 1 word line, got %d", s.WordLines)
-	}
-	return nil
-}
-
-// Pages returns the page count of a block.
-func (s Scheme) Pages() int { return s.Levels * s.WordLines }
-
-// Index flattens a page (level-major: all level-0 pages, then level-1, ...).
-func (s Scheme) Index(p Page) int { return p.Level*s.WordLines + p.WL }
-
-// PageAt inverts Index.
-func (s Scheme) PageAt(idx int) Page {
-	return Page{WL: idx % s.WordLines, Level: idx / s.WordLines}
-}
-
-// State tracks programmed pages of one block.
-type State struct {
-	scheme     Scheme
-	written    []bool
-	programmed int
-}
-
-// NewState returns an erased block state.
-func NewState(s Scheme) *State {
-	if err := s.Validate(); err != nil {
-		panic(err)
-	}
-	return &State{scheme: s, written: make([]bool, s.Pages())}
-}
-
-// Scheme returns the block shape.
-func (st *State) Scheme() Scheme { return st.scheme }
-
-// Written reports whether p has been programmed. Out-of-range pages report
-// false.
-func (st *State) Written(p Page) bool {
-	if p.WL < 0 || p.WL >= st.scheme.WordLines || p.Level < 0 || p.Level >= st.scheme.Levels {
-		return false
-	}
-	return st.written[st.scheme.Index(p)]
-}
-
-// Programmed returns the number of programmed pages.
-func (st *State) Programmed() int { return st.programmed }
-
-// Full reports whether the block is completely programmed.
-func (st *State) Full() bool { return st.programmed == st.scheme.Pages() }
-
-// Mark records a program; double programming panics (simulator bug).
-func (st *State) Mark(p Page) {
-	if p.WL < 0 || p.WL >= st.scheme.WordLines || p.Level < 0 || p.Level >= st.scheme.Levels {
-		panic(fmt.Sprintf("nlevel: page %v out of range", p))
-	}
-	if st.Written(p) {
-		panic(fmt.Sprintf("nlevel: double program of %v", p))
-	}
-	st.written[st.scheme.Index(p)] = true
-	st.programmed++
-}
-
-// Reset models a block erase.
-func (st *State) Reset() {
-	for i := range st.written {
-		st.written[i] = false
-	}
-	st.programmed = 0
-}
-
-// Violation reports which generalized constraint a probe would break.
-type Violation struct {
-	Kind    string // "chain", "refinement", "shielding", "fixed-order"
-	Page    Page
-	Missing Page
-}
-
-// Error implements error.
-func (v *Violation) Error() string {
-	if v.Kind == "fixed-order" {
-		return fmt.Sprintf("nlevel: %v is not the next page of the fixed sequence (expected %v)", v.Page, v.Missing)
-	}
-	return fmt.Sprintf("nlevel: programming %v violates the %s constraint: %v not yet written", v.Page, v.Kind, v.Missing)
-}
-
-// CheckRelaxed decides legality of programming p next under the generalized
-// relaxed (RPS-n) constraint set.
-func CheckRelaxed(st *State, p Page) error {
-	s := st.scheme
-	if p.WL < 0 || p.WL >= s.WordLines || p.Level < 0 || p.Level >= s.Levels {
-		return fmt.Errorf("nlevel: page %v out of range", p)
-	}
-	if st.Written(p) {
-		return fmt.Errorf("nlevel: page %v already programmed", p)
-	}
-	if p.WL >= 1 {
-		if pre := (Page{WL: p.WL - 1, Level: p.Level}); !st.Written(pre) {
-			return &Violation{Kind: "chain", Page: p, Missing: pre}
-		}
-	}
-	if p.Level >= 1 {
-		if pre := (Page{WL: p.WL, Level: p.Level - 1}); !st.Written(pre) {
-			return &Violation{Kind: "refinement", Page: p, Missing: pre}
-		}
-		if p.WL+1 < s.WordLines {
-			if pre := (Page{WL: p.WL + 1, Level: p.Level - 1}); !st.Written(pre) {
-				return &Violation{Kind: "shielding", Page: p, Missing: pre}
-			}
-		}
-	}
-	return nil
-}
-
-// FixedOrder returns the canonical vendor staircase: in round r the pages
-// T_(n-1)(r-2(n-1)), ..., T_1(r-2), T_0(r) — finest first — for every index
-// in range. For n = 2 this is exactly the paper's Figure 2(b) interleave.
-func FixedOrder(s Scheme) []Page {
-	if err := s.Validate(); err != nil {
-		panic(err)
-	}
-	order := make([]Page, 0, s.Pages())
-	lastRound := (s.WordLines - 1) + 2*(s.Levels-1)
-	for r := 0; r <= lastRound; r++ {
-		for i := s.Levels - 1; i >= 0; i-- {
-			k := r - 2*i
-			if k >= 0 && k < s.WordLines {
-				order = append(order, Page{WL: k, Level: i})
-			}
-		}
-	}
-	return order
-}
-
-// CheckFixed accepts only the next page of the canonical staircase — the
-// behaviour of a stock part whose datasheet mandates one order.
-func CheckFixed(st *State, p Page) error {
-	order := FixedOrder(st.scheme)
-	n := st.Programmed()
-	if n >= len(order) {
-		return fmt.Errorf("nlevel: block already full")
-	}
-	if order[n] != p {
-		return &Violation{Kind: "fixed-order", Page: p, Missing: order[n]}
-	}
-	return nil
-}
-
-// RelaxedFullOrder is the n-level generalization of RPSfull / 2PO: all
-// level-0 pages in word-line order, then all level-1 pages, and so on — an
-// (n)-phase ordering.
-func RelaxedFullOrder(s Scheme) []Page {
-	order := make([]Page, 0, s.Pages())
-	for i := 0; i < s.Levels; i++ {
-		for k := 0; k < s.WordLines; k++ {
-			order = append(order, Page{WL: k, Level: i})
-		}
-	}
-	return order
-}
-
-// RandomRelaxedOrder draws a random complete legal order under the relaxed
-// rules.
-func RandomRelaxedOrder(src *rng.Source, s Scheme) []Page {
-	st := NewState(s)
-	order := make([]Page, 0, s.Pages())
-	for !st.Full() {
-		var legal []Page
-		for idx := 0; idx < s.Pages(); idx++ {
-			p := s.PageAt(idx)
-			if CheckRelaxed(st, p) == nil {
-				legal = append(legal, p)
-			}
-		}
-		p := legal[src.Intn(len(legal))]
-		st.Mark(p)
-		order = append(order, p)
-	}
-	return order
-}
-
-// ValidateOrder checks a complete order against a rule function; it returns
-// the first illegal index and error, or (-1, nil).
-func ValidateOrder(check func(*State, Page) error, s Scheme, order []Page) (int, error) {
-	st := NewState(s)
-	for i, p := range order {
-		if err := check(st, p); err != nil {
-			return i, err
-		}
-		st.Mark(p)
-	}
-	if !st.Full() {
-		return len(order), fmt.Errorf("nlevel: order covers %d of %d pages", st.Programmed(), s.Pages())
-	}
-	return -1, nil
-}
-
-// AggressorCounts returns, per word line, the number of neighbour page
-// programs occurring after the word line's finest (level n-1) program — the
-// quantity the shielding constraint bounds at 1 for every legal relaxed
-// order. Word lines whose finest page is absent report -1.
-func AggressorCounts(s Scheme, order []Page) []int {
-	pos := make(map[Page]int, len(order))
-	for i, p := range order {
-		pos[p] = i
-	}
-	counts := make([]int, s.WordLines)
-	for k := 0; k < s.WordLines; k++ {
-		finest, ok := pos[Page{WL: k, Level: s.Levels - 1}]
-		if !ok {
-			counts[k] = -1
-			continue
-		}
-		n := 0
-		for _, nb := range []int{k - 1, k + 1} {
-			if nb < 0 || nb >= s.WordLines {
-				continue
-			}
-			for i := 0; i < s.Levels; i++ {
-				if p, ok := pos[Page{WL: nb, Level: i}]; ok && p > finest {
-					n++
-				}
-			}
-		}
-		counts[k] = n
-	}
-	return counts
-}
-
-// MaxAggressors returns the maximum over fully programmed word lines.
-func MaxAggressors(s Scheme, order []Page) int {
-	max := 0
-	for _, c := range AggressorCounts(s, order) {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
-// WorstCaseOrder returns a forbidden order maximizing aggressors on interior
-// even word lines (even word lines fully programmed before odd ones): each
-// interior even WL then suffers 2*Levels late neighbour programs.
-func WorstCaseOrder(s Scheme) []Page {
-	order := make([]Page, 0, s.Pages())
-	for _, parity := range []int{0, 1} {
-		for k := parity; k < s.WordLines; k += 2 {
-			for i := 0; i < s.Levels; i++ {
-				order = append(order, Page{WL: k, Level: i})
-			}
-		}
-	}
-	return order
-}
-
-// CountRelaxedOrders exhaustively counts complete legal relaxed orders
-// (exponential; small schemes only).
-func CountRelaxedOrders(s Scheme) int {
-	st := NewState(s)
-	var rec func() int
-	rec = func() int {
-		if st.Full() {
-			return 1
-		}
-		total := 0
-		for idx := 0; idx < s.Pages(); idx++ {
-			p := s.PageAt(idx)
-			if CheckRelaxed(st, p) != nil {
-				continue
-			}
-			st.Mark(p)
-			total += rec()
-			st.written[s.Index(p)] = false
-			st.programmed--
-		}
-		return total
-	}
-	return rec()
-}
+// RelaxedFullOrder is core.RelaxedFullOrder.
+func RelaxedFullOrder(s Scheme) []Page { return core.RelaxedFullOrder(s) }

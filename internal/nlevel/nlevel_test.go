@@ -1,296 +1,146 @@
 package nlevel
 
+// The formalism's own tests are internal/core's, which run every rule at
+// Levels 2, 3 and 4. What is here pins, under the names this package's tests
+// always had, that the names bench/ imports resolve to that implementation.
+// Delete with the package.
+
 import (
 	"errors"
+	"fmt"
 	"testing"
-	"testing/quick"
 
 	"flexftl/internal/core"
 	"flexftl/internal/rng"
 )
 
+var tlc, qlc = Scheme{Levels: 3, WordLines: 8}, Scheme{Levels: 4, WordLines: 8}
+
 func TestSchemeValidate(t *testing.T) {
-	if err := MLC(8).Validate(); err != nil {
-		t.Error(err)
+	if tlc != core.TLC(8) || tlc.Validate() != nil || tlc.Pages() != 24 {
+		t.Errorf("Scheme is not core.Scheme: %+v", tlc)
 	}
-	if err := TLC(8).Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := (Scheme{Levels: 1, WordLines: 4}).Validate(); err == nil {
-		t.Error("1-level scheme accepted")
-	}
-	if err := (Scheme{Levels: 2, WordLines: 0}).Validate(); err == nil {
-		t.Error("0-word-line scheme accepted")
+	if (Scheme{Levels: 1, WordLines: 4}).Validate() == nil || (Scheme{Levels: 2}).Validate() == nil {
+		t.Error("degenerate scheme accepted")
 	}
 }
 
 func TestIndexRoundTrip(t *testing.T) {
-	s := TLC(5)
-	seen := map[int]bool{}
-	for l := 0; l < s.Levels; l++ {
-		for k := 0; k < s.WordLines; k++ {
-			p := Page{WL: k, Level: l}
-			idx := s.Index(p)
-			if seen[idx] {
-				t.Fatalf("index %d duplicated", idx)
-			}
-			seen[idx] = true
-			if s.PageAt(idx) != p {
-				t.Fatalf("round trip %v -> %d -> %v", p, idx, s.PageAt(idx))
-			}
+	for idx, p := range RelaxedFullOrder(tlc) {
+		if p.Index(tlc.WordLines) != idx || core.PageFromIndex(idx, tlc.WordLines) != p {
+			t.Fatalf("page %d of the 3-phase order is %v, index %d", idx, p, p.Index(tlc.WordLines))
 		}
-	}
-	if len(seen) != s.Pages() {
-		t.Errorf("covered %d of %d", len(seen), s.Pages())
 	}
 }
 
 func TestStateBasics(t *testing.T) {
-	st := NewState(MLC(4))
-	p := Page{WL: 0, Level: 0}
-	if st.Written(p) || st.Full() {
-		t.Error("fresh state wrong")
-	}
+	st := core.NewBlockState(tlc)
+	p := Page{WL: 0, Type: core.LSB}
 	st.Mark(p)
-	if !st.Written(p) || st.Programmed() != 1 {
-		t.Error("Mark not reflected")
-	}
-	st.Reset()
-	if st.Written(p) || st.Programmed() != 0 {
-		t.Error("Reset failed")
-	}
-	if st.Written(Page{WL: -1, Level: 0}) || st.Written(Page{WL: 0, Level: 99}) {
-		t.Error("out-of-range Written true")
+	if !st.Written(p) || st.Programmed() != 1 || st.Written(Page{WL: 0, Type: 3}) {
+		t.Error("block state does not track an nlevel.Page")
 	}
 }
 
 func TestMarkPanics(t *testing.T) {
-	st := NewState(MLC(2))
-	st.Mark(Page{WL: 0, Level: 0})
-	for _, p := range []Page{{WL: 0, Level: 0}, {WL: 9, Level: 0}} {
-		p := p
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Mark(%v) did not panic", p)
-				}
-			}()
-			st.Mark(p)
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("marking a level the scheme lacks did not panic")
+		}
+	}()
+	core.NewBlockState(tlc).Mark(Page{WL: 0, Type: 3})
 }
 
-// TestMLCEquivalence: with 2 levels the generalized formalism must agree
-// with internal/core exactly — fixed order, RPSfull, and relaxed legality on
-// random probes.
+// TestMLCEquivalence: at two levels the shim's order is the paper's RPSfull.
 func TestMLCEquivalence(t *testing.T) {
-	const wl = 8
-	s := MLC(wl)
-
-	toCore := func(p Page) core.Page {
-		typ := core.LSB
-		if p.Level == 1 {
-			typ = core.MSB
-		}
-		return core.Page{WL: p.WL, Type: typ}
-	}
-
-	// Fixed order == core.FPSOrder.
-	fixed := FixedOrder(s)
-	coreFixed := core.FPSOrder(wl)
-	if len(fixed) != len(coreFixed) {
-		t.Fatalf("lengths differ: %d vs %d", len(fixed), len(coreFixed))
-	}
-	for i := range fixed {
-		if toCore(fixed[i]) != coreFixed[i] {
-			t.Fatalf("fixed[%d] = %v, core %v", i, fixed[i], coreFixed[i])
-		}
-	}
-
-	// RelaxedFullOrder == core.RPSFullOrder.
-	full := RelaxedFullOrder(s)
-	coreFull := core.RPSFullOrder(wl)
-	for i := range full {
-		if toCore(full[i]) != coreFull[i] {
-			t.Fatalf("full[%d] = %v, core %v", i, full[i], coreFull[i])
-		}
-	}
-
-	// Relaxed legality agrees with core.RPS along random prefixes.
-	src := rng.New(3)
-	for trial := 0; trial < 50; trial++ {
-		order := RandomRelaxedOrder(src.Split(uint64(trial)), s)
-		st := NewState(s)
-		cst := core.NewBlockState(wl)
-		for _, p := range order {
-			// Before marking, probe every page and compare verdicts.
-			for idx := 0; idx < s.Pages(); idx++ {
-				probe := s.PageAt(idx)
-				a := CheckRelaxed(st, probe) == nil
-				b := core.RPS.Check(cst, toCore(probe)) == nil
-				if a != b {
-					t.Fatalf("legality disagrees for %v: nlevel %v, core %v", probe, a, b)
-				}
-			}
-			st.Mark(p)
-			cst.Mark(toCore(p))
-		}
-	}
-
-	// Order counts agree for small blocks.
-	for _, w := range []int{2, 3, 4} {
-		if got, want := CountRelaxedOrders(MLC(w)), core.CountOrders(core.RPS, w); got != want {
-			t.Errorf("wl=%d: nlevel counts %d orders, core %d", w, got, want)
-		}
+	got, want := RelaxedFullOrder(Scheme{Levels: 2, WordLines: 8}), core.RPSFullOrder(8)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("RelaxedFullOrder(MLC) = %v, RPSfull = %v", got, want)
 	}
 }
 
 func TestTLCFixedOrderLegalUnderRelaxed(t *testing.T) {
-	for _, wl := range []int{1, 2, 4, 8, 32} {
-		s := TLC(wl)
-		order := FixedOrder(s)
-		if len(order) != s.Pages() {
-			t.Fatalf("wl=%d: fixed order has %d pages, want %d", wl, len(order), s.Pages())
-		}
-		if i, err := ValidateOrder(CheckRelaxed, s, order); err != nil {
-			t.Fatalf("wl=%d: fixed order illegal under relaxed rules at %d: %v", wl, i, err)
-		}
-		if i, err := ValidateOrder(CheckFixed, s, order); err != nil {
-			t.Fatalf("wl=%d: fixed order rejects itself at %d: %v", wl, i, err)
+	for _, s := range []Scheme{tlc, qlc} {
+		if i, err := core.ValidateOrder(core.RPS, s, core.FixedOrder(s)); err != nil {
+			t.Errorf("%d levels: fixed order illegal under RPS at %d: %v", s.Levels, i, err)
 		}
 	}
 }
 
 func TestTLCRelaxedFullOrder(t *testing.T) {
-	s := TLC(16)
-	order := RelaxedFullOrder(s)
-	if i, err := ValidateOrder(CheckRelaxed, s, order); err != nil {
-		t.Fatalf("3-phase order illegal at %d: %v", i, err)
-	}
-	// The fixed checker must reject it early (it is not the staircase).
-	if _, err := ValidateOrder(CheckFixed, s, order); err == nil {
-		t.Fatal("3-phase order accepted by the fixed checker")
-	} else {
-		var v *Violation
-		if !errors.As(err, &v) || v.Kind != "fixed-order" {
-			t.Fatalf("unexpected error %v", err)
+	for _, s := range []Scheme{tlc, qlc} {
+		order := RelaxedFullOrder(s)
+		if i, err := core.ValidateOrder(core.RPS, s, order); err != nil {
+			t.Fatalf("%d-phase order illegal at %d: %v", s.Levels, i, err)
+		}
+		var cv *core.ConstraintViolation
+		if _, err := core.ValidateOrder(core.FPS, s, order); !errors.As(err, &cv) || cv.Constraint != 4 {
+			t.Errorf("%d-phase order under FPS: %v, want Constraint 4", s.Levels, err)
 		}
 	}
 }
 
 func TestCheckRelaxedViolations(t *testing.T) {
-	s := TLC(4)
-	st := NewState(s)
-	var v *Violation
-	if err := CheckRelaxed(st, Page{WL: 1, Level: 0}); !errors.As(err, &v) || v.Kind != "chain" {
-		t.Errorf("chain violation not reported: %v", err)
-	}
-	if err := CheckRelaxed(st, Page{WL: 0, Level: 1}); !errors.As(err, &v) || v.Kind != "refinement" {
-		t.Errorf("refinement violation not reported: %v", err)
-	}
-	st.Mark(Page{WL: 0, Level: 0})
-	if err := CheckRelaxed(st, Page{WL: 0, Level: 1}); !errors.As(err, &v) || v.Kind != "shielding" {
-		t.Errorf("shielding violation not reported: %v", err)
-	}
-	st.Mark(Page{WL: 1, Level: 0})
-	if err := CheckRelaxed(st, Page{WL: 0, Level: 1}); err != nil {
-		t.Errorf("T1(0) should be legal: %v", err)
-	}
-	if err := CheckRelaxed(st, Page{WL: 9, Level: 0}); err == nil {
-		t.Error("out-of-range probe accepted")
-	}
-	if err := CheckRelaxed(st, Page{WL: 0, Level: 0}); err == nil {
-		t.Error("double program accepted")
+	st := core.NewBlockState(tlc)
+	var cv *core.ConstraintViolation
+	for p, constraint := range map[Page]int{{WL: 1, Type: 0}: 1, {WL: 0, Type: 1}: 3, {WL: 0, Type: 2}: 3} {
+		if err := core.RPS.Check(st, p); !errors.As(err, &cv) || cv.Constraint != constraint {
+			t.Errorf("%v on an erased block: %v, want Constraint %d", p, err, constraint)
+		}
 	}
 }
 
-// TestShieldingBoundsAggressors is the generalized reliability invariant:
-// every legal relaxed order leaves at most one late aggressor per word line,
-// for MLC, TLC and QLC alike.
-func TestShieldingBoundsAggressors(t *testing.T) {
-	f := func(seed uint64, levelsRaw, wlRaw uint8) bool {
-		levels := 2 + int(levelsRaw%3) // 2..4 bits
-		wl := 2 + int(wlRaw%8)
-		s := Scheme{Levels: levels, WordLines: wl}
-		order := RandomRelaxedOrder(rng.New(seed), s)
-		if i, err := ValidateOrder(CheckRelaxed, s, order); err != nil {
-			t.Logf("order invalid at %d: %v", i, err)
-			return false
-		}
-		return MaxAggressors(s, order) <= 1
+func TestViolationError(t *testing.T) {
+	v := &core.ConstraintViolation{Constraint: 3, Page: Page{WL: 0, Type: 2}, Missing: Page{WL: 1, Type: 1}}
+	if got, want := v.Error(), "core: programming T2(0) violates Constraint 3: MSB(1) not yet written"; got != want {
+		t.Errorf("Error() = %q, want %q", got, want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+}
+
+func TestShieldingBoundsAggressors(t *testing.T) {
+	for seed := uint64(0); seed < 50; seed++ {
+		s := Scheme{Levels: 3 + int(seed%2), WordLines: 2 + int(seed%7)}
+		if got := core.MaxAggressors(s, core.RandomRPSOrder(rng.New(seed), s)); got > 1 {
+			t.Fatalf("seed %d: %d late aggressors under RPS at %d levels", seed, got, s.Levels)
+		}
 	}
 }
 
 func TestFixedOrderAggressorsAlsoBounded(t *testing.T) {
-	for _, s := range []Scheme{MLC(16), TLC(16), {Levels: 4, WordLines: 16}} {
-		if got := MaxAggressors(s, FixedOrder(s)); got > 1 {
+	for _, s := range []Scheme{tlc, qlc} {
+		if got := core.MaxAggressors(s, core.FixedOrder(s)); got > 1 {
 			t.Errorf("%d-level fixed order max aggressors = %d", s.Levels, got)
 		}
 	}
 }
 
 func TestWorstCaseOrderAggressors(t *testing.T) {
-	for _, s := range []Scheme{MLC(8), TLC(8)} {
-		order := WorstCaseOrder(s)
-		if i, err := ValidateOrder(CheckRelaxed, s, order); err == nil {
-			t.Errorf("%d-level worst-case order legal under relaxed rules (index %d)", s.Levels, i)
-		}
-		want := 2 * s.Levels // both neighbours fully programmed late
-		got := MaxAggressors(s, order)
-		if got != want {
-			t.Errorf("%d-level worst-case max aggressors = %d, want %d", s.Levels, got, want)
+	for _, s := range []Scheme{tlc, qlc} {
+		if got := core.MaxAggressors(s, core.WorstCaseOrder(s)); got != 2*s.Levels {
+			t.Errorf("%d-level worst-case max aggressors = %d, want %d", s.Levels, got, 2*s.Levels)
 		}
 	}
 }
 
 func TestAggressorCountsPartial(t *testing.T) {
-	s := TLC(2)
-	counts := AggressorCounts(s, []Page{{WL: 0, Level: 0}})
-	if counts[0] != -1 || counts[1] != -1 {
+	if counts := core.AggressorCounts(Scheme{Levels: 3, WordLines: 2}, []Page{{WL: 0}}); counts[0] != -1 || counts[1] != -1 {
 		t.Errorf("counts = %v, want [-1 -1]", counts)
 	}
 }
 
 func TestTLCRelaxedAdmitsManyOrders(t *testing.T) {
-	// TLC flexibility grows with word lines; the fixed sequence is 1.
-	a, b := CountRelaxedOrders(TLC(2)), CountRelaxedOrders(TLC(3))
-	if a < 1 || b <= a {
-		t.Errorf("TLC order counts not growing: wl2=%d wl3=%d", a, b)
+	if a, b := core.CountOrders(core.RPS, core.TLC(3)), core.CountOrders(core.RPS, core.TLC(4)); a != 4 || b != 29 {
+		t.Errorf("TLC RPS order counts = %d, %d, want 4, 29", a, b)
 	}
 }
 
-// Property: random relaxed orders are complete permutations.
 func TestRandomRelaxedOrderComplete(t *testing.T) {
-	f := func(seed uint64, levelsRaw, wlRaw uint8) bool {
-		s := Scheme{Levels: 2 + int(levelsRaw%3), WordLines: 1 + int(wlRaw%8)}
-		order := RandomRelaxedOrder(rng.New(seed), s)
-		if len(order) != s.Pages() {
-			return false
-		}
-		seen := map[Page]bool{}
-		for _, p := range order {
-			if seen[p] {
-				return false
-			}
-			seen[p] = true
-		}
-		return true
+	order := core.RandomRPSOrder(rng.New(9), qlc)
+	seen := map[Page]bool{}
+	for _, p := range order {
+		seen[p] = true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestViolationError(t *testing.T) {
-	v := &Violation{Kind: "chain", Page: Page{WL: 1}, Missing: Page{WL: 0}}
-	if v.Error() == "" {
-		t.Error("empty error string")
-	}
-	v.Kind = "fixed-order"
-	if v.Error() == "" {
-		t.Error("empty fixed-order error string")
+	if len(order) != qlc.Pages() || len(seen) != qlc.Pages() {
+		t.Errorf("random order covers %d distinct of %d pages", len(seen), qlc.Pages())
 	}
 }

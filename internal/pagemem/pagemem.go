@@ -1,6 +1,6 @@
-// Package pagemem is the stored state of one physical page, as both device
-// models (internal/nand, internal/nandn) keep it: a flat, pointer-free record
-// a device lays out in one array, indexed chip-major by (chip, block, page)
+// Package pagemem is the stored state of one physical page, as the device
+// model (internal/nand) keeps it: a flat, pointer-free record a device lays
+// out in one array, indexed chip-major by (chip, block, page)
 // — FEMU's ppa2pgidx idiom. Flags, retention clock and payload sit together,
 // so programming a page allocates nothing, an erase clears it with one store,
 // and a read touches one record instead of a struct and two heap slices.

@@ -2,7 +2,6 @@ package vth
 
 import (
 	"flexftl/internal/core"
-	"flexftl/internal/nlevel"
 )
 
 // Arena is reusable per-worker scratch for the Monte-Carlo simulators. A
@@ -23,12 +22,12 @@ type Arena struct {
 	delta   []float64        // per-cell Vth increase of the latest program
 	aggr    []int            // per-WL aggressor counts
 	results []WordLineResult // backing for BlockResult/NLevelResult.WordLines
+	seen    *core.BlockState // pages programmed so far (rejects repeated pages)
 
 	// MLC (2-bit) scratch.
 	target  []State // intended final state per cell
 	lsbBits []uint8 // data bit of the LSB page per cell
 	msbDone []bool  // per-WL: MSB program applied
-	seen    *core.BlockState
 
 	// n-level scratch.
 	state  []int32   // current (coarse) state index per cell
@@ -37,7 +36,6 @@ type Arena struct {
 	minV   []float64 // per-state width tracking of one word line
 	maxV   []float64
 	haveSt []bool
-	nseen  *nlevel.State
 }
 
 // NewArena returns an empty arena; buffers grow on first use and are
@@ -69,15 +67,11 @@ func (a *Arena) forMLC(wordLines, cells int) {
 		a.msbDone[k] = false
 		a.aggr[k] = 0
 	}
-	if a.seen == nil || a.seen.WordLines() != wordLines {
-		a.seen = core.NewBlockState(wordLines)
-	} else {
-		a.seen.Reset()
-	}
+	a.resetSeen(core.MLC(wordLines))
 }
 
 // forNLevel sizes the arena for an n-level block and clears carried state.
-func (a *Arena) forNLevel(s nlevel.Scheme, cells int) {
+func (a *Arena) forNLevel(s core.Scheme, cells int) {
 	wl := s.WordLines
 	n := wl * cells
 	states := 1 << s.Levels
@@ -98,9 +92,15 @@ func (a *Arena) forNLevel(s nlevel.Scheme, cells int) {
 	a.minV = grow(a.minV, states)
 	a.maxV = grow(a.maxV, states)
 	a.haveSt = grow(a.haveSt, states)
-	if a.nseen == nil || a.nseen.Scheme() != s {
-		a.nseen = nlevel.NewState(s)
+	a.resetSeen(s)
+}
+
+// resetSeen clears the programmed-page tracker, reallocating it only when
+// the block shape changed.
+func (a *Arena) resetSeen(s core.Scheme) {
+	if a.seen == nil || a.seen.Scheme() != s {
+		a.seen = core.NewBlockState(s)
 	} else {
-		a.nseen.Reset()
+		a.seen.Reset()
 	}
 }

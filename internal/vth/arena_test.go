@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"flexftl/internal/core"
-	"flexftl/internal/nlevel"
 	"flexftl/internal/rng"
 )
 
@@ -22,8 +21,8 @@ func TestSimulateBlockArenaMatchesLegacy(t *testing.T) {
 	}{
 		{16, core.FPSOrder(16), 1},
 		{16, core.RPSFullOrder(16), 2},
-		{8, core.WorstCaseOrder(8), 3}, // shrinking reuse
-		{32, core.RPSHalfOrder(32), 4}, // growing reuse
+		{8, core.WorstCaseOrder(core.MLC(8)), 3}, // shrinking reuse
+		{32, core.RPSHalfOrder(32), 4},           // growing reuse
 	} {
 		want, err := m.SimulateBlock(cfg.wl, cfg.order, WorstCase, rng.New(cfg.seed))
 		if err != nil {
@@ -77,14 +76,14 @@ func TestNLevelArenaMatchesLegacy(t *testing.T) {
 	}
 	a := NewArena()
 	for _, cfg := range []struct {
-		s    nlevel.Scheme
+		s    core.Scheme
 		seed uint64
 	}{
-		{nlevel.TLC(8), 1},
-		{nlevel.MLC(8), 2}, // scheme switch forces nseen reallocation
-		{nlevel.TLC(16), 3},
+		{core.TLC(8), 1},
+		{core.MLC(8), 2}, // scheme switch forces the page tracker to reallocate
+		{core.TLC(16), 3},
 	} {
-		order := nlevel.FixedOrder(cfg.s)
+		order := core.FixedOrder(cfg.s)
 		want, err := m.SimulateBlock(cfg.s, order, WorstCase, rng.New(cfg.seed))
 		if err != nil {
 			t.Fatal(err)
@@ -109,8 +108,8 @@ func TestNLevelArenaZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := nlevel.TLC(8)
-	order := nlevel.RelaxedFullOrder(s)
+	s := core.TLC(8)
+	order := core.RelaxedFullOrder(s)
 	a := NewArena()
 	src := rng.New(9)
 	if _, err := m.SimulateBlockArena(s, order, WorstCase, src, a); err != nil {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"flexftl/internal/nlevel"
+	"flexftl/internal/core"
 	"flexftl/internal/rng"
 )
 
@@ -88,7 +88,7 @@ func (m *NLevelModel) levelTargets(dst []float64, depth int) []float64 {
 
 // NLevelResult aggregates a simulated block.
 type NLevelResult struct {
-	Scheme    nlevel.Scheme
+	Scheme    core.Scheme
 	WordLines []WordLineResult
 	TotalBits int
 	TotalErrs int
@@ -123,7 +123,7 @@ func (r NLevelResult) BlockBER() float64 {
 // SimulateBlock programs a block under the given page order with random
 // data and measures per-word-line width sums and BERs under stress. Each
 // call allocates fresh scratch; hot loops use SimulateBlockArena.
-func (m *NLevelModel) SimulateBlock(s nlevel.Scheme, order []nlevel.Page, stress StressCondition, src *rng.Source) (NLevelResult, error) {
+func (m *NLevelModel) SimulateBlock(s core.Scheme, order []core.Page, stress StressCondition, src *rng.Source) (NLevelResult, error) {
 	return m.SimulateBlockArena(s, order, stress, src, NewArena())
 }
 
@@ -131,7 +131,7 @@ func (m *NLevelModel) SimulateBlock(s nlevel.Scheme, order []nlevel.Page, stress
 // steady-state heap allocations with a warm arena. The result's WordLines
 // slice aliases arena memory and is valid until the arena's next
 // simulation. Results are identical to SimulateBlock's.
-func (m *NLevelModel) SimulateBlockArena(s nlevel.Scheme, order []nlevel.Page, stress StressCondition, src *rng.Source, a *Arena) (NLevelResult, error) {
+func (m *NLevelModel) SimulateBlockArena(s core.Scheme, order []core.Page, stress StressCondition, src *rng.Source, a *Arena) (NLevelResult, error) {
 	if err := s.Validate(); err != nil {
 		return NLevelResult{}, err
 	}
@@ -172,13 +172,13 @@ func (m *NLevelModel) SimulateBlockArena(s nlevel.Scheme, order []nlevel.Page, s
 	}
 
 	for i, pg := range order {
-		if pg.WL < 0 || pg.WL >= wl || pg.Level < 0 || pg.Level >= s.Levels {
+		if pg.WL < 0 || pg.WL >= wl || int(pg.Type) >= s.Levels {
 			return NLevelResult{}, fmt.Errorf("vth: order[%d]=%v out of range", i, pg)
 		}
-		if a.nseen.Written(pg) {
+		if a.seen.Written(pg) {
 			return NLevelResult{}, fmt.Errorf("vth: order[%d]=%v programmed twice", i, pg)
 		}
-		a.nseen.Mark(pg)
+		a.seen.Mark(pg)
 		k := pg.WL
 		base := k * n
 		targets := m.levelTargets(a.levels, depth[k])

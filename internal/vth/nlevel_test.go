@@ -3,7 +3,7 @@ package vth
 import (
 	"testing"
 
-	"flexftl/internal/nlevel"
+	"flexftl/internal/core"
 	"flexftl/internal/rng"
 	"flexftl/internal/stats"
 )
@@ -39,21 +39,21 @@ func TestNewNLevelModelValidation(t *testing.T) {
 
 func TestNLevelRejectsBadOrders(t *testing.T) {
 	m := newNLevelModel(t)
-	s := nlevel.TLC(4)
-	if _, err := m.SimulateBlock(s, nlevel.FixedOrder(nlevel.TLC(3)), Fresh, rng.New(1)); err == nil {
+	s := core.TLC(4)
+	if _, err := m.SimulateBlock(s, core.FixedOrder(core.TLC(3)), Fresh, rng.New(1)); err == nil {
 		t.Error("short order accepted")
 	}
-	dup := nlevel.FixedOrder(s)
+	dup := core.FixedOrder(s)
 	dup[1] = dup[0]
 	if _, err := m.SimulateBlock(s, dup, Fresh, rng.New(1)); err == nil {
 		t.Error("duplicate page accepted")
 	}
-	bad := nlevel.FixedOrder(s)
-	bad[0] = nlevel.Page{WL: 99, Level: 0}
+	bad := core.FixedOrder(s)
+	bad[0] = core.Page{WL: 99}
 	if _, err := m.SimulateBlock(s, bad, Fresh, rng.New(1)); err == nil {
 		t.Error("out-of-range page accepted")
 	}
-	if _, err := m.SimulateBlock(nlevel.Scheme{Levels: 1, WordLines: 2}, nil, Fresh, rng.New(1)); err == nil {
+	if _, err := m.SimulateBlock(core.Scheme{Levels: 1, WordLines: 2}, nil, Fresh, rng.New(1)); err == nil {
 		t.Error("invalid scheme accepted")
 	}
 }
@@ -90,10 +90,10 @@ func TestClassifyNearest(t *testing.T) {
 // the ECC envelope (TLC margins are ~1/2 MLC's, so the bound is looser).
 func TestTLCFreshNearlyErrorFree(t *testing.T) {
 	m := newNLevelModel(t)
-	s := nlevel.TLC(16)
-	for name, order := range map[string][]nlevel.Page{
-		"fixed":  nlevel.FixedOrder(s),
-		"3phase": nlevel.RelaxedFullOrder(s),
+	s := core.TLC(16)
+	for name, order := range map[string][]core.Page{
+		"fixed":  core.FixedOrder(s),
+		"3phase": core.RelaxedFullOrder(s),
 	} {
 		res, err := m.SimulateBlock(s, order, Fresh, rng.New(1))
 		if err != nil {
@@ -110,9 +110,9 @@ func TestTLCFreshNearlyErrorFree(t *testing.T) {
 // staircase statistically.
 func TestTLCRelaxedMatchesFixed(t *testing.T) {
 	m := newNLevelModel(t)
-	s := nlevel.TLC(32)
+	s := core.TLC(32)
 	const blocks = 6
-	collect := func(order []nlevel.Page, seed uint64) (wp, ber []float64) {
+	collect := func(order []core.Page, seed uint64) (wp, ber []float64) {
 		for b := 0; b < blocks; b++ {
 			fresh, err := m.SimulateBlock(s, order, Fresh, rng.New(seed+uint64(b)))
 			if err != nil {
@@ -127,8 +127,8 @@ func TestTLCRelaxedMatchesFixed(t *testing.T) {
 		}
 		return
 	}
-	fixedWP, fixedBER := collect(nlevel.FixedOrder(s), 10)
-	relWP, relBER := collect(nlevel.RelaxedFullOrder(s), 20)
+	fixedWP, fixedBER := collect(core.FixedOrder(s), 10)
+	relWP, relBER := collect(core.RelaxedFullOrder(s), 20)
 	if a, b := stats.Mean(relWP), stats.Mean(fixedWP); a > b*1.03 {
 		t.Errorf("relaxed TLC mean WPi %.4f above fixed %.4f", a, b)
 	}
@@ -146,12 +146,12 @@ func TestTLCWorstCaseOrderWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := nlevel.TLC(16)
-	fixed, err := m.SimulateBlock(s, nlevel.FixedOrder(s), Fresh, rng.New(1))
+	s := core.TLC(16)
+	fixed, err := m.SimulateBlock(s, core.FixedOrder(s), Fresh, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := m.SimulateBlock(s, nlevel.WorstCaseOrder(s), Fresh, rng.New(2))
+	bad, err := m.SimulateBlock(s, core.WorstCaseOrder(s), Fresh, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTLCWorstCaseOrderWorse(t *testing.T) {
 	if bb.Max < fb.Max*1.05 {
 		t.Errorf("worst-case TLC max WPi %.4f not above fixed %.4f", bb.Max, fb.Max)
 	}
-	if got := nlevel.MaxAggressors(s, nlevel.WorstCaseOrder(s)); got != 6 {
+	if got := core.MaxAggressors(s, core.WorstCaseOrder(s)); got != 6 {
 		t.Errorf("worst-case TLC aggressors = %d, want 6 (2 neighbours x 3 pages)", got)
 	}
 }
@@ -169,18 +169,18 @@ func TestTLCWorstCaseOrderWorse(t *testing.T) {
 // with the nlevel static analysis on every order type.
 func TestNLevelMatchesAggressorAnalysis(t *testing.T) {
 	m := newNLevelModel(t)
-	s := nlevel.TLC(8)
-	for name, order := range map[string][]nlevel.Page{
-		"fixed":  nlevel.FixedOrder(s),
-		"3phase": nlevel.RelaxedFullOrder(s),
-		"worst":  nlevel.WorstCaseOrder(s),
-		"random": nlevel.RandomRelaxedOrder(rng.New(9), s),
+	s := core.TLC(8)
+	for name, order := range map[string][]core.Page{
+		"fixed":  core.FixedOrder(s),
+		"3phase": core.RelaxedFullOrder(s),
+		"worst":  core.WorstCaseOrder(s),
+		"random": core.RandomRPSOrder(rng.New(9), s),
 	} {
 		res, err := m.SimulateBlock(s, order, Fresh, rng.New(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := nlevel.AggressorCounts(s, order)
+		want := core.AggressorCounts(s, order)
 		for k, w := range res.WordLines {
 			if w.Aggressors != want[k] {
 				t.Errorf("%s WL(%d): model %d, analysis %d", name, k, w.Aggressors, want[k])
@@ -194,8 +194,8 @@ func TestNLevelMatchesAggressorAnalysis(t *testing.T) {
 // stress raising it, FPS==RPS equivalence).
 func TestMLCViaNLevelConsistency(t *testing.T) {
 	m := newNLevelModel(t)
-	s := nlevel.MLC(16)
-	fresh, err := m.SimulateBlock(s, nlevel.FixedOrder(s), Fresh, rng.New(4))
+	s := core.MLC(16)
+	fresh, err := m.SimulateBlock(s, core.FixedOrder(s), Fresh, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestMLCViaNLevelConsistency(t *testing.T) {
 	// calibrated MLC model, so push the stress far past end of life to see
 	// errors at this sample size.
 	harsh := StressCondition{PECycles: 10000, RetentionYears: 3}
-	worn, err := m.SimulateBlock(s, nlevel.FixedOrder(s), harsh, rng.New(4))
+	worn, err := m.SimulateBlock(s, core.FixedOrder(s), harsh, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestMLCViaNLevelConsistency(t *testing.T) {
 // trade the multi-leveling technique makes (Section 1).
 func TestTLCWorseThanMLCAtEndOfLife(t *testing.T) {
 	m := newNLevelModel(t)
-	mlc, err := m.SimulateBlock(nlevel.MLC(16), nlevel.FixedOrder(nlevel.MLC(16)), WorstCase, rng.New(5))
+	mlc, err := m.SimulateBlock(core.MLC(16), core.FixedOrder(core.MLC(16)), WorstCase, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tlc, err := m.SimulateBlock(nlevel.TLC(16), nlevel.FixedOrder(nlevel.TLC(16)), WorstCase, rng.New(5))
+	tlc, err := m.SimulateBlock(core.TLC(16), core.FixedOrder(core.TLC(16)), WorstCase, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +235,8 @@ func TestTLCWorseThanMLCAtEndOfLife(t *testing.T) {
 
 func TestNLevelResultAccessors(t *testing.T) {
 	m := newNLevelModel(t)
-	s := nlevel.TLC(4)
-	res, err := m.SimulateBlock(s, nlevel.FixedOrder(s), WorstCase, rng.New(6))
+	s := core.TLC(4)
+	res, err := m.SimulateBlock(s, core.FixedOrder(s), WorstCase, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}

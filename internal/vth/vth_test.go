@@ -158,7 +158,7 @@ func TestWorstCaseOrderWidensDistributions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	badRes, err := m.SimulateBlock(wl, core.WorstCaseOrder(wl), Fresh, rng.New(2))
+	badRes, err := m.SimulateBlock(wl, core.WorstCaseOrder(core.MLC(wl)), Fresh, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestWorstCaseOrderWidensDistributions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	badWorn, err := m.SimulateBlock(wl, core.WorstCaseOrder(wl), WorstCase, rng.New(12))
+	badWorn, err := m.SimulateBlock(wl, core.WorstCaseOrder(core.MLC(wl)), WorstCase, rng.New(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,13 +205,13 @@ func TestAggressorCountsMatchCoreAnalysis(t *testing.T) {
 	for name, order := range map[string][]core.Page{
 		"FPS":     core.FPSOrder(wl),
 		"RPSfull": core.RPSFullOrder(wl),
-		"worst":   core.WorstCaseOrder(wl),
+		"worst":   core.WorstCaseOrder(core.MLC(wl)),
 	} {
 		res, err := m.SimulateBlock(wl, order, Fresh, rng.New(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := core.AggressorCounts(wl, order)
+		want := core.AggressorCounts(core.MLC(wl), order)
 		for k, w := range res.WordLines {
 			if w.Aggressors != want[k] {
 				t.Errorf("%s WL(%d): model aggressors %d, core analysis %d", name, k, w.Aggressors, want[k])
