@@ -30,6 +30,30 @@ func TestRunUnknownFTL(t *testing.T) {
 	}
 }
 
+// TestRunTLCRejectsReliability: nflexTLC has no reliability model to mount,
+// so -rel on it must say so instead of running a plain simulation with no
+// reliability section.
+func TestRunTLCRejectsReliability(t *testing.T) {
+	for _, detectOnly := range []bool{false, true} {
+		var sb strings.Builder
+		o := options{FTL: "nflexTLC", Workload: "Varmail", Requests: 100, Seed: 1, GCPolicy: "greedy",
+			Rel: true, RelWear: 6000, RelDetectOnly: detectOnly}
+		err := run(&sb, o)
+		if err == nil {
+			t.Fatalf("detect-only=%v: -rel accepted on nflexTLC", detectOnly)
+		}
+		for _, want := range []string{"nflexTLC", "reliability model", "3-bit"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("detect-only=%v: error %q does not mention %q", detectOnly, err, want)
+			}
+		}
+	}
+	var sb strings.Builder
+	if err := run(&sb, options{FTL: "nflexTLC", Workload: "Varmail", Requests: 100, Seed: 1, GCPolicy: "greedy"}); err != nil {
+		t.Errorf("nflexTLC without -rel: %v", err)
+	}
+}
+
 func TestRunUnknownGCPolicy(t *testing.T) {
 	var sb strings.Builder
 	if err := run(&sb, options{FTL: "pageFTL", Workload: "OLTP", Requests: 100, Seed: 1, GCPolicy: "nope"}); err == nil {

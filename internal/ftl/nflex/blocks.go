@@ -130,17 +130,13 @@ func (f *FTL) writePhaseParity(chip, blk, level int, parityPage []byte, now sim.
 	}
 	addr := pageFor(chip, bk.cur, bk.pos, 0)
 	prevCause := f.dev.SetCause(obs.CauseBackup)
-	done, err := f.dev.Program(addr, parityPage, spareBlockNo(blk, level), now)
+	done, err := f.dev.Program(addr, parityPage, spareBlockNo(&f.sp, blk, level), now)
 	f.dev.SetCause(prevCause)
 	if err != nil {
 		return now, err
 	}
 	f.st.BackupWrites++
-	flat := f.flatBlock(chip, blk)
-	if f.refs[flat] == nil {
-		f.refs[flat] = make(map[int]parityRef)
-	}
-	f.refs[flat][level] = parityRef{backupBlk: bk.cur, page: bk.pos}
+	*f.ref(chip, blk, level) = parityRef{backupBlk: bk.cur, page: bk.pos}
 	bk.live[bk.cur]++
 	bk.pos++
 	if bk.pos == f.dev.Geometry().WordLinesPerBlock {
@@ -156,11 +152,12 @@ func (f *FTL) invalidateParities(chip, blk int) {
 	prevCause := f.dev.SetCause(obs.CauseBackup)
 	defer f.dev.SetCause(prevCause)
 	cs := &f.chips[chip]
-	flat := f.flatBlock(chip, blk)
-	for _, ref := range f.refs[flat] {
-		cs.backup.live[ref.backupBlk]--
+	for level := 0; level < f.dev.Geometry().BitsPerCell()-1; level++ {
+		if ref := f.ref(chip, blk, level); ref.backupBlk != -1 {
+			cs.backup.live[ref.backupBlk]--
+			ref.backupBlk = -1
+		}
 	}
-	delete(f.refs, flat)
 	kept := cs.backup.retired[:0]
 	for _, b := range cs.backup.retired {
 		if cs.backup.live[b] == 0 {

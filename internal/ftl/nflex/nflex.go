@@ -20,6 +20,7 @@
 package nflex
 
 import (
+	"errors"
 	"fmt"
 
 	"flexftl/internal/core"
@@ -60,6 +61,11 @@ func init() {
 		Description: "n-phase flexFTL on a 3-bit device: nPO ordering, " +
 			"per-phase parity backups, utilization-driven level choice",
 		New: func(env ftl.BuildEnv) (ftl.FTL, error) {
+			if env.Reliability != nil || env.Config.Reliability != nil {
+				return nil, errors.New("nflexTLC: a reliability model was requested, but the 3-bit scheme mounts none yet " +
+					"(no BER surface on its device, no scrub/refresh/retire responses in its FTL); " +
+					"run it without the reliability model, or use an MLC scheme")
+			}
 			// The scheme is defined on the 3-bit evaluation device, not on
 			// env.Geometry.
 			dev, err := nand.NewDevice(nand.Config{
@@ -79,7 +85,7 @@ func init() {
 
 // parityRef locates a phase parity page.
 type parityRef struct {
-	backupBlk int
+	backupBlk int // -1 when the phase has no live parity
 	page      int // level-0 word line within the backup block
 }
 
@@ -116,7 +122,7 @@ type FTL struct {
 	byLevel []int64 // host writes per program level (the n-level LSB/MSB split)
 	q       int64
 	q0      int64
-	refs    map[int]map[int]parityRef // flat block -> level -> parity location
+	refs    []parityRef // parity location by flat block × parity phase (see ref)
 	seq     int64
 	rr      int
 	inBGC   bool
@@ -168,7 +174,10 @@ func New(dev *nand.Device, cfg ftl.Config, params Params) (*FTL, error) {
 		pools:   make([]*ftl.FreePool, g.Chips()),
 		chips:   make([]chipState, g.Chips()),
 		byLevel: make([]int64, levels),
-		refs:    make(map[int]map[int]parityRef),
+		refs:    make([]parityRef, g.TotalBlocks()*(levels-1)),
+	}
+	for i := range f.refs {
+		f.refs[i].backupBlk = -1
 	}
 	f.reprogPenalty = make([]int64, levels)
 	t := dev.Timing()

@@ -549,7 +549,8 @@ func TestMapperRoundTrip(t *testing.T) {
 }
 
 func TestSpareBlockNoRoundTrip(t *testing.T) {
-	blk, lvl, ok := blockNoFromSpare(spareBlockNo(42, 2))
+	var sp [8]byte
+	blk, lvl, ok := blockNoFromSpare(spareBlockNo(&sp, 42, 2))
 	if !ok || blk != 42 || lvl != 2 {
 		t.Errorf("round trip = %d,%d,%v", blk, lvl, ok)
 	}

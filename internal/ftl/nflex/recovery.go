@@ -126,8 +126,8 @@ func (f *FTL) reconstructPhasePage(chip, blk, lvl int, now sim.Time, rep *Recove
 	if lostWL == -1 {
 		return now, nil
 	}
-	ref, ok := f.refs[f.flatBlock(chip, blk)][lvl]
-	if !ok {
+	ref := f.ref(chip, blk, lvl)
+	if ref.backupBlk == -1 {
 		return now, fmt.Errorf("nflex: no phase-%d parity recorded for chip%d/blk%d", lvl, chip, blk)
 	}
 	t, err := f.dev.ReadInto(pageFor(chip, ref.backupBlk, ref.page, 0), &f.buf, now)

@@ -23,7 +23,7 @@ type BuildEnv struct {
 	// Reliability, when non-nil, mounts the calibrated BER model on the
 	// device the spec builds, so reads classify into clean / corrected-with-
 	// retry / uncorrectable. Pair it with Config.Reliability to also enable
-	// the kernel's responses.
+	// the kernel's responses. nflexTLC mounts neither and refuses both.
 	Reliability *rel.Config
 }
 

@@ -260,19 +260,53 @@ func TestMaybeRetire(t *testing.T) {
 	}
 }
 
-// TestCleanReadZeroAllocs guards the hot path: a clean host read with the
-// reliability model mounted must not allocate.
+// TestCleanReadZeroAllocs guards the hot path: a host read with the
+// reliability model mounted must not allocate — not when it is clean, not
+// when it walks the retry ladder on a worn device, and not when it is the
+// first read of its stress bucket and the device builds the bucket's bracket.
 func TestCleanReadZeroAllocs(t *testing.T) {
-	k := relTestKernel(t, "pageFTL", DefaultRelPolicy())
-	writeLPNs(t, k, 4)
-	now := sim.Time(0)
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := k.Read(LPN(1), now); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("clean read allocates %.1f times per op, want 0", allocs)
+	cases := []struct {
+		name    string
+		preWear int
+		// step advances the clock between reads. An hour is several of the
+		// device's age buckets, so every read misses its bracket table.
+		step        sim.Time
+		wantRetries bool
+	}{
+		{name: "clean"},
+		{name: "retried", preWear: 6000, wantRetries: true},
+		{name: "table-miss", preWear: 6000, step: 3600 * sim.Second, wantRetries: true},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			k := relTestKernel(t, "pageFTL", DefaultRelPolicy())
+			g := k.Dev.Geometry()
+			for chip := 0; chip < g.Chips(); chip++ {
+				for blk := 0; blk < g.BlocksPerChip; blk++ {
+					for i := 0; i < tc.preWear; i++ {
+						if _, err := k.Dev.Erase(nand.BlockAddr{Chip: chip, Block: blk}, 0); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			now := writeLPNs(t, k, 4)
+			before := k.Dev.RelCounts()
+			allocs := testing.AllocsPerRun(200, func() {
+				now += tc.step
+				if _, err := k.Read(LPN(1), now); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("read allocates %.1f times per op, want 0", allocs)
+			}
+			after := k.Dev.RelCounts()
+			if retried := after.RetriedReads - before.RetriedReads; (retried > 100) != tc.wantRetries {
+				t.Errorf("%d of %d reads retried, want most of them: %v", retried, after.Reads-before.Reads, tc.wantRetries)
+			}
+		})
 	}
 }
 

@@ -157,6 +157,11 @@ type Device struct {
 	histRead    *obs.Histogram
 	histErase   *obs.Histogram
 	causeCtr    [obs.CauseCount]*obs.Counter
+
+	// relTables memoises the reliability model per chip (see relTable); nil
+	// when the model is off. Last, so that every field a model-less device
+	// touches sits where it did before the table existed.
+	relTables []relTable
 }
 
 // NewDevice builds a device from the configuration.
@@ -206,6 +211,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	}
 	if cfg.Reliability != nil {
 		d.relCounts = make([]rel.Counts, cfg.Geometry.Chips())
+		d.relTables = make([]relTable, cfg.Geometry.Chips())
 	}
 	return d, nil
 }
@@ -458,6 +464,66 @@ func (d *Device) OpenMSBWindow(chipID int) (PageAddr, bool) {
 	}, true
 }
 
+// The reliability model is evaluated per box of stress, not per read: reads
+// of blocks with one erase count whose retention age and read count fall in
+// the same bucket share one rel.Bracket, which decides almost all of them by
+// a few compares and hands the rest to the exact evaluation.
+const (
+	// relAgeShift is log2 of the age bucket in virtual microseconds (2^30 µs
+	// is 18 minutes); relReadsShift is log2 of the read-count bucket. Narrow
+	// enough that a bucket's two ladders differ by well under a thousandth on
+	// any rung.
+	relAgeShift   = 30
+	relReadsShift = 6
+	// relTableBits is log2 of a chip's table size. A run touches one erase
+	// count per block generation, a handful of age buckets and a few dozen
+	// read-count buckets per chip.
+	relTableBits = 10
+)
+
+// relEntry is one memoised bracket. It is a pure function of its key, so it
+// is never invalidated: an erase or the passing of time only changes which
+// key a read looks up.
+type relEntry struct {
+	used         bool
+	erase        int
+	ageB, readsB uint64
+	bracket      rel.Bracket
+}
+
+// relTable is one chip's direct-mapped bracket table — per chip because
+// channel shards read disjoint chips concurrently. The counters are read by
+// tests only.
+type relTable struct {
+	entries                [1 << relTableBits]relEntry
+	hits, fills, fallbacks int64
+}
+
+// relClassify returns the ECC outcome of a read with sample u of a page aged
+// age on a block of chipID erased eraseCount times and read reads times since.
+// It equals ReadOutcome(Model.BER(eraseCount, age, reads), pageBytes, u).
+func (d *Device) relClassify(chipID, eraseCount int, age sim.Time, reads uint64, u float64) rel.Outcome {
+	rc := d.cfg.Reliability
+	pageBytes := d.cfg.Geometry.PageSizeBytes
+	ageB, readsB := uint64(age)>>relAgeShift, reads>>relReadsShift
+	h := uint64(eraseCount)*0x9e3779b97f4a7c15 ^ ageB*0xbf58476d1ce4e5b9 ^ readsB*0x94d049bb133111eb
+	t := &d.relTables[chipID]
+	e := &t.entries[h>>(64-relTableBits)]
+	if !e.used || e.erase != eraseCount || e.ageB != ageB || e.readsB != readsB {
+		t.fills++
+		ageLo, readsLo := sim.Time(ageB<<relAgeShift), readsB<<relReadsShift
+		*e = relEntry{used: true, erase: eraseCount, ageB: ageB, readsB: readsB,
+			bracket: rc.Bracket(eraseCount, ageLo, ageLo|(1<<relAgeShift-1),
+				readsLo, readsLo|(1<<relReadsShift-1), pageBytes)}
+	}
+	if o, ok := e.bracket.ReadOutcome(u); ok {
+		t.hits++
+		return o
+	}
+	t.fallbacks++
+	return rc.ReadOutcome(rc.Model.BER(eraseCount, age, reads), pageBytes, u)
+}
+
 // relOutcome evaluates the reliability model for one read of a programmed
 // page: the predicted BER from the block's wear, the page's retention age
 // and the block's read-disturb count, classified through the ECC retry
@@ -470,9 +536,8 @@ func (d *Device) relOutcome(a PageAddr, blk *block, pg *pagemem.Page, at sim.Tim
 	if age < 0 {
 		age = 0
 	}
-	ber := rc.Model.BER(blk.eraseCount, age, blk.readCount)
 	u := rc.Sample(a.Chip, a.Block, a.Page.Index(d.wordLines), blk.readCount)
-	o := rc.ReadOutcome(ber, d.cfg.Geometry.PageSizeBytes, u)
+	o := d.relClassify(a.Chip, blk.eraseCount, age, blk.readCount, u)
 	rcs := &d.relCounts[a.Chip]
 	rcs.Reads++
 	if o.Corrected {

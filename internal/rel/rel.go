@@ -135,10 +135,10 @@ func (m Model) Validate() error {
 // qfunc is the Gaussian upper-tail probability Q(x) = P(N(0,1) > x).
 func qfunc(x float64) float64 { return 0.5 * math.Erfc(x/math.Sqrt2) }
 
-// BER returns the predicted raw bit error rate of a page programmed
-// age ago on a block with the given P/E cycle count and post-erase read
-// count. It is monotone in all three stress axes.
-func (m Model) BER(peCycles int, age sim.Time, reads uint64) float64 {
+// stress reduces the three stress axes to the two quantities they act
+// through: the spread of every state and the downward shift of the top one.
+// The spread is non-decreasing in each axis; the shift is linear in age.
+func (m Model) stress(peCycles int, age sim.Time, reads uint64) (sigma, shift float64) {
 	years := float64(age) / float64(Year)
 	if years < 0 {
 		years = 0
@@ -146,18 +146,34 @@ func (m Model) BER(peCycles int, age sim.Time, reads uint64) float64 {
 	wear := m.WearSigmaPerKCycle * float64(peCycles) / 1000
 	ret := m.RetentionSigmaPerYear * years
 	rd := m.ReadDisturbSigmaPerKRead * float64(reads) / 1000
-	sigma := math.Sqrt(m.ProgramSigma*m.ProgramSigma + wear*wear + ret*ret + rd*rd)
-	shift := m.RetentionShiftPerYear * years
+	sigma = math.Sqrt(m.ProgramSigma*m.ProgramSigma + wear*wear + ret*ret + rd*rd)
+	return sigma, m.RetentionShiftPerYear * years
+}
+
+// crossings sums the boundary-crossing tails into a bit error rate. A state
+// still on its own side of a reference spreads by sigmaNear, one that has
+// drifted across it by sigmaFar; crossings of the reference below a state use
+// shiftBelow, of the one above it shiftAbove. With sigmaNear == sigmaFar and
+// shiftBelow == shiftAbove this is the surface at one point (BER); the four
+// split so that BERBounds can push every term the same way at once.
+func (m Model) crossings(sigmaNear, sigmaFar, shiftBelow, shiftAbove float64) float64 {
+	tail := func(margin float64) float64 {
+		if margin < 0 {
+			return qfunc(margin / sigmaFar)
+		}
+		return qfunc(margin / sigmaNear)
+	}
 	top := float64(len(m.Levels) - 1)
 	sum := 0.0
 	for s := range m.Levels {
 		// Charge loss scales with how much charge the state holds.
-		mu := m.Levels[s] - shift*float64(s)/top
 		if s > 0 {
-			sum += qfunc((mu - m.Refs[s-1]) / sigma)
+			mu := m.Levels[s] - shiftBelow*float64(s)/top
+			sum += tail(mu - m.Refs[s-1])
 		}
 		if s < len(m.Levels)-1 {
-			sum += qfunc((m.Refs[s] - mu) / sigma)
+			mu := m.Levels[s] - shiftAbove*float64(s)/top
+			sum += tail(m.Refs[s] - mu)
 		}
 	}
 	// States are equiprobable under random data; each boundary crossing
@@ -167,6 +183,29 @@ func (m Model) BER(peCycles int, age sim.Time, reads uint64) float64 {
 		ber = 0.5
 	}
 	return ber
+}
+
+// BER returns the predicted raw bit error rate of a page programmed
+// age ago on a block with the given P/E cycle count and post-erase read
+// count. With the calibrated parameters it is monotone in all three stress
+// axes; the functional form alone does not make it so (a state sitting just
+// under its upper reference reads better while charge loss pulls it clear).
+func (m Model) BER(peCycles int, age sim.Time, reads uint64) float64 {
+	sigma, shift := m.stress(peCycles, age, reads)
+	return m.crossings(sigma, sigma, shift, shift)
+}
+
+// BERBounds returns a lower and an upper bound of BER over the box of ages
+// [ageLo, ageHi] and read counts [readsLo, readsHi] at one P/E cycle count.
+// It assumes nothing about the surface's shape: each crossing tail is pushed
+// to its extreme over the box separately — a wider spread raises a tail whose
+// state is on its own side of the reference and lowers one that has crossed,
+// a larger shift raises the tails below a state and lowers those above it.
+func (m Model) BERBounds(peCycles int, ageLo, ageHi sim.Time, readsLo, readsHi uint64) (lo, hi float64) {
+	sigmaLo, shiftA := m.stress(peCycles, ageLo, readsLo)
+	sigmaHi, shiftB := m.stress(peCycles, ageHi, readsHi)
+	shiftLo, shiftHi := min(shiftA, shiftB), max(shiftA, shiftB)
+	return m.crossings(sigmaLo, sigmaHi, shiftLo, shiftHi), m.crossings(sigmaHi, sigmaLo, shiftHi, shiftLo)
 }
 
 // Config enables the reliability model on a device.
@@ -242,6 +281,61 @@ type Outcome struct {
 	Uncorrectable bool
 }
 
+// rungWalk evaluates the ladder's thresholds one at a time, in the order a
+// read meets them. It is the one definition of the ladder: ReadOutcome walks
+// it lazily, stopping at the rung that decides the read, and Ladder walks it
+// to the end.
+//
+//	rung 0          P(any bit error)
+//	rung 1          P(fast-path failure)
+//	rung 1+r        P(full-code failure at retry r), r = 1..MaxRetries
+//
+// Rungs from 1 on are forced non-increasing: a deeper retry can only help.
+type rungWalk struct {
+	c         *Config
+	pageBytes int
+	ber       float64 // effective BER: scaled down once per retry round
+	threshold float64
+	i         int
+}
+
+func (c *Config) walk(ber float64, pageBytes int) rungWalk {
+	return rungWalk{c: c, pageBytes: pageBytes, ber: ber}
+}
+
+// next returns the next rung; the walk has MaxRetries+2 of them.
+func (w *rungWalk) next() float64 {
+	i := w.i
+	w.i++
+	switch i {
+	case 0:
+		bits := float64(w.pageBytes * 8)
+		return -math.Expm1(bits * math.Log1p(-w.ber))
+	case 1:
+		fast := w.c.fastCode()
+		w.threshold = fast.PageFailureProb(w.ber, w.pageBytes)
+	default:
+		w.ber *= w.c.RetryBERScale
+		if p := w.c.Code.PageFailureProb(w.ber, w.pageBytes); p < w.threshold {
+			w.threshold = p
+		}
+	}
+	return w.threshold
+}
+
+// outcomeOf maps a ladder class — the index of the first rung the sample is
+// not below, MaxRetries+2 when it is below all of them — to the outcome.
+func outcomeOf(class, maxRetries int) Outcome {
+	switch {
+	case class == 0:
+		return Outcome{}
+	case class <= maxRetries+1:
+		return Outcome{Corrected: true, Retries: class - 1}
+	default:
+		return Outcome{Corrected: true, Retries: maxRetries, Uncorrectable: true}
+	}
+}
+
 // ReadOutcome classifies a read of a pageBytes-sized page at raw bit error
 // rate ber, using the uniform sample u in [0,1). The event ladder is nested
 // — uncorrectable ⊂ needs-retry ⊂ has-errors — so small u means a bad read:
@@ -254,28 +348,14 @@ func (c *Config) ReadOutcome(ber float64, pageBytes int, u float64) Outcome {
 	if ber <= 0 {
 		return Outcome{}
 	}
-	bits := float64(pageBytes * 8)
-	pAny := -math.Expm1(bits * math.Log1p(-ber))
-	if u >= pAny {
-		return Outcome{}
-	}
-	fast := c.fastCode()
-	threshold := fast.PageFailureProb(ber, pageBytes)
-	if u >= threshold {
-		return Outcome{Corrected: true}
-	}
-	eff := ber
-	for r := 1; r <= c.MaxRetries; r++ {
-		eff *= c.RetryBERScale
-		// The ladder is forced monotone: a deeper retry can only help.
-		if p := c.Code.PageFailureProb(eff, pageBytes); p < threshold {
-			threshold = p
-		}
-		if u >= threshold {
-			return Outcome{Corrected: true, Retries: r}
+	w := c.walk(ber, pageBytes)
+	rungs := c.MaxRetries + 2
+	for class := 0; class < rungs; class++ {
+		if u >= w.next() {
+			return outcomeOf(class, c.MaxRetries)
 		}
 	}
-	return Outcome{Corrected: true, Retries: c.MaxRetries, Uncorrectable: true}
+	return outcomeOf(rungs, c.MaxRetries)
 }
 
 // BERBudget returns the largest raw BER at which a page read (after the full
