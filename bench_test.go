@@ -634,8 +634,8 @@ func BenchmarkSimulateBlock(b *testing.B) {
 	})
 }
 
-// BenchmarkDeviceRead compares the copying page read against the
-// caller-buffer variant the FTL hot paths use.
+// BenchmarkDeviceRead measures the device page read into a caller-owned
+// buffer, the only read the device offers.
 func BenchmarkDeviceRead(b *testing.B) {
 	dev, err := nand.NewDevice(nand.Config{
 		Geometry: benchGeometry(), Timing: nand.DefaultTiming(), Rules: core.RPS,
@@ -648,29 +648,16 @@ func BenchmarkDeviceRead(b *testing.B) {
 	if _, err := dev.Program(a, payload, []byte{1, 2}, 0); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("copy", func(b *testing.B) {
-		b.ReportAllocs()
-		now := sim.Time(0)
-		for i := 0; i < b.N; i++ {
-			_, _, done, err := dev.Read(a, now)
-			if err != nil {
-				b.Fatal(err)
-			}
-			now = done
+	var buf nand.PageBuf
+	b.ReportAllocs()
+	now := sim.Time(0)
+	for i := 0; i < b.N; i++ {
+		done, err := dev.ReadInto(a, &buf, now)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("zerocopy", func(b *testing.B) {
-		var buf nand.PageBuf
-		b.ReportAllocs()
-		now := sim.Time(0)
-		for i := 0; i < b.N; i++ {
-			done, err := dev.ReadInto(a, &buf, now)
-			if err != nil {
-				b.Fatal(err)
-			}
-			now = done
-		}
-	})
+		now = done
+	}
 }
 
 // BenchmarkRunFig4 measures the Figure 4 driver end to end, serial vs the

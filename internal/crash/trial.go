@@ -217,7 +217,7 @@ func step(k *ftl.Kernel, sh *shadow, r *rng.Source, now sim.Time) (sim.Time, err
 		sh.noteTrim(lpn)
 		return done, nil
 	default: // idle window sized to land crashes mid-background-GC
-		span := sim.Time(1+r.Intn(8)) * ftl.GCPageCopyCost(k.Dev.Timing())
+		span := sim.Time(1+r.Intn(8)) * ftl.GCPageCopyCost(k.Dev.Timing(), k.Dev.Geometry().BitsPerCell())
 		k.Idle(now, now+span)
 		return now + span, nil
 	}
@@ -320,7 +320,7 @@ func verify(cfg Config, spec ftl.Spec, k *ftl.Kernel, sh *shadow, v vulnState, r
 			if !mapped {
 				continue
 			}
-			if _, _, _, err := k.Dev.Read(g.AddrOfPPN(ppn), now); err == nil {
+			if _, err := k.Dev.ReadInto(g.AddrOfPPN(ppn), &k.Buf, now); err == nil {
 				o.addViolation("lpn %d: destroyed page reads back clean (loss masked)", lpn)
 			}
 			continue
@@ -364,10 +364,10 @@ func verify(cfg Config, spec ftl.Spec, k *ftl.Kernel, sh *shadow, v vulnState, r
 // sequence floor (floor 0 skips the floor check).
 func readCheck(k *ftl.Kernel, lpn ftl.LPN, ppn nand.PPN, floor uint64, now sim.Time) string {
 	g := k.Dev.Geometry()
-	data, _, _, err := k.Dev.Read(g.AddrOfPPN(ppn), now)
-	if err != nil {
+	if _, err := k.Dev.ReadInto(g.AddrOfPPN(ppn), &k.Buf, now); err != nil {
 		return fmt.Sprintf("read %v: %v", g.AddrOfPPN(ppn), err)
 	}
+	data := k.Buf.Data
 	tok, ok := ftl.TokenLPN(data)
 	if !ok || tok != lpn {
 		return fmt.Sprintf("token LPN %v, want %v", tok, lpn)

@@ -14,9 +14,10 @@ import (
 // ErrUnmapped is returned by reads of logical pages that were never written.
 var ErrUnmapped = errors.New("ftl: read of unmapped LPN")
 
-// Base carries the state and helpers shared by every MLC kernel
-// configuration: device handle, mapping table, per-chip pools, counters,
-// payload token generation and the common GC engine.
+// Base carries the state and helpers shared by every scheme — the kernel
+// configurations embed it, nflex holds it as a field: device handle, mapping
+// table, per-chip pools, counters, payload token generation and the common
+// GC engine.
 type Base struct {
 	Dev   *nand.Device
 	Map   *Mapper
@@ -151,8 +152,8 @@ func (b *Base) SetVictimReference(on bool) {
 func (b *Base) Device() *nand.Device { return b.Dev }
 
 // SetRecorder attaches an observability recorder to the FTL and its device.
-// Every FTL embedding Base inherits it, so the runner can instrument any
-// scheme uniformly.
+// Every kernel inherits it by embedding Base and nflex forwards to it, so the
+// runner can instrument any scheme uniformly.
 func (b *Base) SetRecorder(r *obs.Recorder) {
 	b.Obs = r
 	b.Dev.SetRecorder(r)

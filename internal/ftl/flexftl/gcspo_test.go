@@ -42,7 +42,7 @@ func newChurn(t *testing.T, seed uint64) *churnState {
 func (c *churnState) step(t *testing.T, i int) {
 	t.Helper()
 	if i%4 == 3 {
-		span := ftl.GCPageCopyCost(c.f.Dev.Timing())
+		span := ftl.GCPageCopyCost(c.f.Dev.Timing(), c.f.Dev.Geometry().BitsPerCell())
 		c.f.Idle(c.now, c.now+span)
 		c.now += span
 		return
@@ -111,11 +111,10 @@ func TestRecoveryRollsBackInterruptedGCRelocation(t *testing.T) {
 				// anything else must be the superseded copy.
 				t.Logf("mapping moved past the superseded copy (re-home): ppn %d, prev %d", ppn, prev)
 			}
-			data, _, _, err := f.Dev.Read(g.AddrOfPPN(ppn), rep.End)
-			if err != nil {
+			if _, err := f.Dev.ReadInto(g.AddrOfPPN(ppn), &f.Buf, rep.End); err != nil {
 				t.Fatalf("rolled-back copy unreadable: %v", err)
 			}
-			if tok, ok := ftl.TokenLPN(data); !ok || tok != lpn {
+			if tok, ok := ftl.TokenLPN(f.Buf.Data); !ok || tok != lpn {
 				t.Fatalf("rolled-back copy carries token %v, want %v", tok, lpn)
 			}
 			if _, err := f.Read(lpn, rep.End); err != nil {

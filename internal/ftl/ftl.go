@@ -2,12 +2,16 @@
 // owns the write/read/trim/GC/idle paths and the block life cycle,
 // parameterized by three sealed policy interfaces — OrderPolicy (page
 // placement under a program-sequence rule set), BackupStrategy (paired-page
-// power-cut protection) and AllocPolicy (LSB/MSB preference). The five FTLs
-// the repository evaluates (pageFTL, parityFTL, rtfFTL, flexFTL, and the
-// n-level nflex in its subpackage) are thin configurations of that kernel —
-// see schemes.go and the registry — on top of the shared infrastructure: the
-// page-level mapping table with per-block valid accounting, chip selection,
-// free-block pools and greedy garbage-collection victim selection.
+// power-cut protection) and AllocPolicy (LSB/MSB preference). The four MLC
+// FTLs the repository evaluates (pageFTL, parityFTL, rtfFTL, flexFTL) are
+// thin configurations of that kernel — see schemes.go and the registry. The
+// kernel itself sits on the shared runtime, Base: the page-level mapping
+// table with per-block valid accounting, chip selection, free-block pools
+// and victim selection, the payload token codec, host read and trim, the
+// whole-victim collector and the incremental background-GC loop. The fifth
+// scheme, the n-level nflex in its subpackage, is not a Kernel configuration
+// yet but mounts the same Base, so every scheme collects garbage through one
+// collector.
 package ftl
 
 import (

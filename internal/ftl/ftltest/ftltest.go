@@ -3,17 +3,18 @@
 // writing far past device capacity (forcing garbage collection), idle-window
 // background GC, and determinism. Each FTL's test package invokes Run with a
 // fixture constructor, and the registry-wide conformance test (in this
-// package's external tests) drives every registered scheme through the same
-// checks — the full white-box suite for kernels, the RunHost subset for the
-// one scheme that is not a Kernel (nflexTLC). Scheme-specific
-// behaviour (backup accounting, 2PO invariants, recovery) stays in the
-// scheme's own tests.
+// package's external tests) drives every registered scheme, MLC kernels and
+// nflexTLC alike, through the same checks — every scheme mounts an ftl.Base,
+// so every one gets the white-box assertions. Scheme-specific behaviour
+// (backup accounting, 2PO invariants, recovery) stays in the scheme's own
+// tests.
 package ftltest
 
 import (
 	"testing"
 
 	"flexftl/internal/ftl"
+	"flexftl/internal/obs"
 	"flexftl/internal/rng"
 	"flexftl/internal/sim"
 	"flexftl/internal/workload"
@@ -33,49 +34,75 @@ type Fixture struct {
 // Maker constructs a fresh fixture (device included) for one subtest.
 type Maker func(t testing.TB) Fixture
 
-// HostMaker constructs a fresh ftl.Host for one subtest. RunHost needs no
-// access to the shared Base, so it covers schemes outside the kernel
-// (nflexTLC) as well.
-type HostMaker func(t testing.TB) ftl.Host
-
-// Run executes the full conformance suite, including the white-box checks
-// that need the kernel's Base and device.
+// Run executes the conformance suite, including the white-box checks that
+// need the scheme's Base and device.
 func Run(t *testing.T, mk Maker) {
-	t.Run("WriteReadBack", func(t *testing.T) { checkWriteReadBack(t, mk(t).F) })
-	t.Run("CompletionMonotonePerIssue", func(t *testing.T) { checkMonotone(t, mk(t).F) })
-	t.Run("OverwriteInvalidates", func(t *testing.T) { testOverwrite(t, mk) })
-	t.Run("SustainedWritesForceGC", func(t *testing.T) { testSustainedGC(t, mk) })
-	t.Run("IdleReclaimsFreeBlocks", func(t *testing.T) { testIdleReclaim(t, mk) })
+	t.Run("WriteReadBack", func(t *testing.T) { testWriteReadBack(t, mk(t).F) })
+	t.Run("CompletionMonotonePerIssue", func(t *testing.T) { testMonotone(t, mk(t).F) })
+	t.Run("OverwriteInvalidates", func(t *testing.T) { testOverwrite(t, mk(t)) })
+	t.Run("SustainedWritesForceGC", func(t *testing.T) { testSustainedGC(t, mk(t).F) })
+	t.Run("IdleReclaimsFreeBlocks", func(t *testing.T) { testIdleReclaim(t, mk(t)) })
 	t.Run("Determinism", func(t *testing.T) {
-		checkDeterminism(t, func() ftl.Host { return mk(t).F })
+		testDeterminism(t, func() ftl.FTL { return mk(t).F })
 	})
-	t.Run("ReadUnmappedFails", func(t *testing.T) { checkReadUnmapped(t, mk(t).F) })
-	t.Run("TrimInvalidates", func(t *testing.T) { testTrim(t, mk) })
-	t.Run("StatsConsistency", func(t *testing.T) { testStatsConsistency(t, mk) })
-	t.Run("WorkloadSoak", func(t *testing.T) { testWorkloadSoak(t, mk) })
+	t.Run("ReadUnmappedFails", func(t *testing.T) { testReadUnmapped(t, mk(t).F) })
+	t.Run("TrimInvalidates", func(t *testing.T) { testTrim(t, mk(t)) })
+	t.Run("StatsConsistency", func(t *testing.T) { testStatsConsistency(t, mk(t).F) })
+	t.Run("WorkloadSoak", func(t *testing.T) { testWorkloadSoak(t, mk(t).F) })
+	t.Run("GCEventsRecorded", func(t *testing.T) { testGCEvents(t, mk(t).F) })
 }
 
-// RunHost executes the subset of the suite that needs only the ftl.Host
-// surface. Registry entries that are not kernels get their conformance
-// coverage through this entry point.
-func RunHost(t *testing.T, mk HostMaker) {
-	t.Run("WriteReadBack", func(t *testing.T) { checkWriteReadBack(t, mk(t)) })
-	t.Run("CompletionMonotonePerIssue", func(t *testing.T) { checkMonotone(t, mk(t)) })
-	t.Run("OverwriteReadsBack", func(t *testing.T) { checkOverwrite(t, mk(t)) })
-	t.Run("SustainedWritesForceGC", func(t *testing.T) { checkSustainedGC(t, mk(t)) })
-	t.Run("Determinism", func(t *testing.T) {
-		checkDeterminism(t, func() ftl.Host { return mk(t) })
-	})
-	t.Run("ReadUnmappedFails", func(t *testing.T) { checkReadUnmapped(t, mk(t)) })
-	t.Run("TrimInvalidates", func(t *testing.T) { checkTrim(t, mk(t)) })
-	t.Run("StatsConsistency", func(t *testing.T) { checkStatsConsistency(t, mk(t)) })
-	t.Run("WorkloadSoak", func(t *testing.T) { checkWorkloadSoak(t, mk(t)) })
+// kindCounter is an obs.Sink tallying events by kind.
+type kindCounter map[obs.Kind]int64
+
+func (c kindCounter) WriteEvent(e *obs.Event) error { c[e.Kind]++; return nil }
+func (c kindCounter) Close() error                  { return nil }
+
+// testGCEvents: with a recorder attached, collection is visible as events on
+// every scheme, because every scheme collects through the one Base — a
+// bgc_start per background victim, a bgc_finish per victim erased, and a
+// gc_foreground span per whole-victim collection.
+func testGCEvents(t *testing.T, f ftl.FTL) {
+	counts := kindCounter{}
+	rec := obs.NewRecorder(obs.Options{Sink: counts})
+	f.(interface{ SetRecorder(*obs.Recorder) }).SetRecorder(rec)
+	src := rng.New(3)
+	logical := f.LogicalPages()
+	z := rng.NewZipf(src, int(logical), 0.9)
+	now := sim.Time(0)
+	for i := 0; i < 3*int(logical); i++ {
+		done, err := f.Write(ftl.LPN(z.Next()), now, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+		if i%1000 == 999 {
+			f.Idle(now, now+50*sim.Millisecond)
+			now += 50 * sim.Millisecond
+		}
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := f.Stats()
+	if st.BackgroundGCs == 0 || st.ForegroundGCs == 0 {
+		t.Fatalf("run reached no background or no foreground GC: %+v", st)
+	}
+	if got := counts[obs.KindBGCStart]; got != st.BackgroundGCs {
+		t.Errorf("%d bgc_start events for %d background GCs", got, st.BackgroundGCs)
+	}
+	if got := counts[obs.KindBGCFinish]; got == 0 || got > st.BackgroundGCs {
+		t.Errorf("%d bgc_finish events for %d background GCs", got, st.BackgroundGCs)
+	}
+	if got := counts[obs.KindGCCollect]; got < st.ForegroundGCs {
+		t.Errorf("%d gc_foreground spans for %d foreground GCs", got, st.ForegroundGCs)
+	}
 }
 
-// checkWorkloadSoak drives the FTL with a realistic mixed request stream
+// testWorkloadSoak drives the FTL with a realistic mixed request stream
 // (reads, writes, trims, bursts, idle windows) from the Varmail generator —
 // the closest thing to production traffic the suite exercises.
-func checkWorkloadSoak(t *testing.T, f ftl.Host) ftl.Stats {
+func testWorkloadSoak(t *testing.T, f ftl.FTL) {
 	gen, err := workload.New(workload.Varmail(), f.LogicalPages(), 4000, 13)
 	if err != nil {
 		t.Fatal(err)
@@ -117,21 +144,16 @@ func checkWorkloadSoak(t *testing.T, f ftl.Host) ftl.Stats {
 	if st.HostWrites == 0 || st.HostTrims == 0 {
 		t.Errorf("soak exercised too little: %+v", st)
 	}
-	return st
-}
-
-func testWorkloadSoak(t *testing.T, mk Maker) {
-	fx := mk(t)
-	st := checkWorkloadSoak(t, fx.F)
 	// Cross-check against the device as always.
-	if dev := fx.F.Device().Counts(); dev.Programs() != st.TotalPrograms() {
+	if dev := f.Device().Counts(); dev.Programs() != st.TotalPrograms() {
 		t.Errorf("device programs %d != FTL programs %d", dev.Programs(), st.TotalPrograms())
 	}
 }
 
-// checkTrim covers the host-visible trim contract: no-op trims are harmless
-// and uncounted, a real trim unmaps the LPN, and the FTL keeps working.
-func checkTrim(t *testing.T, f ftl.Host) sim.Time {
+// testTrim covers the trim contract: no-op trims are harmless and uncounted,
+// a real trim unmaps the LPN, and the FTL keeps working.
+func testTrim(t *testing.T, fx Fixture) {
+	f := fx.F
 	now, err := f.Write(5, 0, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -154,23 +176,17 @@ func checkTrim(t *testing.T, f ftl.Host) sim.Time {
 	if st.HostTrims != 1 {
 		t.Errorf("trims = %d, want 1 (no-op trims uncounted)", st.HostTrims)
 	}
-	return done
-}
-
-func testTrim(t *testing.T, mk Maker) {
-	fx := mk(t)
-	done := checkTrim(t, fx.F)
 	if fx.B.Map.Mapped() != 0 {
 		t.Errorf("mapped = %d after trim", fx.B.Map.Mapped())
 	}
 	// The freed page becomes GC-visible as an invalid page.
 	// (Write again to confirm the FTL still functions.)
-	if _, err := fx.F.Write(5, done, 0.5); err != nil {
+	if _, err := f.Write(5, done, 0.5); err != nil {
 		t.Fatalf("write after trim: %v", err)
 	}
 }
 
-func checkWriteReadBack(t *testing.T, f ftl.Host) {
+func testWriteReadBack(t *testing.T, f ftl.FTL) {
 	now := sim.Time(0)
 	const n = 64
 	for lpn := ftl.LPN(0); lpn < n; lpn++ {
@@ -196,7 +212,7 @@ func checkWriteReadBack(t *testing.T, f ftl.Host) {
 	}
 }
 
-func checkMonotone(t *testing.T, f ftl.Host) {
+func testMonotone(t *testing.T, f ftl.FTL) {
 	prev := sim.Time(0)
 	for lpn := ftl.LPN(0); lpn < 32; lpn++ {
 		done, err := f.Write(lpn, prev, 0.5)
@@ -210,9 +226,10 @@ func checkMonotone(t *testing.T, f ftl.Host) {
 	}
 }
 
-// checkOverwrite repeatedly rewrites one LPN and confirms the latest version
-// stays readable.
-func checkOverwrite(t *testing.T, f ftl.Host) {
+// testOverwrite repeatedly rewrites one LPN and confirms the latest version
+// stays readable and is the only page left mapped.
+func testOverwrite(t *testing.T, fx Fixture) {
+	f := fx.F
 	now := sim.Time(0)
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
@@ -225,19 +242,14 @@ func checkOverwrite(t *testing.T, f ftl.Host) {
 	if _, err := f.Read(7, now); err != nil {
 		t.Errorf("read after overwrites: %v", err)
 	}
-}
-
-func testOverwrite(t *testing.T, mk Maker) {
-	fx := mk(t)
-	checkOverwrite(t, fx.F)
 	if fx.B.Map.Mapped() != 1 {
 		t.Errorf("mapped pages = %d after overwriting one LPN, want 1", fx.B.Map.Mapped())
 	}
 }
 
-// checkSustainedGC writes 3x the logical space with a skewed pattern; the FTL
+// testSustainedGC writes 3x the logical space with a skewed pattern; the FTL
 // must keep servicing writes (GC reclaiming blocks) without error.
-func checkSustainedGC(t *testing.T, f ftl.Host) ftl.Stats {
+func testSustainedGC(t *testing.T, f ftl.FTL) {
 	src := rng.New(42)
 	logical := f.LogicalPages()
 	z := rng.NewZipf(src, int(logical), 0.9)
@@ -261,20 +273,13 @@ func checkSustainedGC(t *testing.T, f ftl.Host) ftl.Stats {
 	if wa := st.WriteAmplification(); wa < 1 {
 		t.Errorf("write amplification %v < 1", wa)
 	}
-	return st
-}
-
-func testSustainedGC(t *testing.T, mk Maker) {
-	fx := mk(t)
-	st := checkSustainedGC(t, fx.F)
 	// The device's own erase counter must agree with the FTL's.
-	if dev := fx.F.Device().Counts().Erases; dev != st.Erases {
+	if dev := f.Device().Counts().Erases; dev != st.Erases {
 		t.Errorf("device erases %d != FTL erases %d", dev, st.Erases)
 	}
 }
 
-func testIdleReclaim(t *testing.T, mk Maker) {
-	fx := mk(t)
+func testIdleReclaim(t *testing.T, fx Fixture) {
 	src := rng.New(7)
 	logical := fx.F.LogicalPages()
 	z := rng.NewZipf(src, int(logical), 0.9)
@@ -308,7 +313,7 @@ func testIdleReclaim(t *testing.T, mk Maker) {
 	}
 }
 
-func checkDeterminism(t *testing.T, mk func() ftl.Host) {
+func testDeterminism(t *testing.T, mk func() ftl.FTL) {
 	run := func() ftl.Stats {
 		f := mk()
 		src := rng.New(99)
@@ -333,15 +338,15 @@ func checkDeterminism(t *testing.T, mk func() ftl.Host) {
 	}
 }
 
-func checkReadUnmapped(t *testing.T, f ftl.Host) {
+func testReadUnmapped(t *testing.T, f ftl.FTL) {
 	if _, err := f.Read(3, 0); err == nil {
 		t.Error("read of never-written LPN succeeded")
 	}
 }
 
-// checkStatsConsistency exercises a random write mix and verifies the
+// testStatsConsistency exercises a random write mix and verifies the
 // internal consistency of the Stats counters.
-func checkStatsConsistency(t *testing.T, f ftl.Host) ftl.Stats {
+func testStatsConsistency(t *testing.T, f ftl.FTL) {
 	src := rng.New(5)
 	logical := f.LogicalPages()
 	now := sim.Time(0)
@@ -366,14 +371,8 @@ func checkStatsConsistency(t *testing.T, f ftl.Host) ftl.Stats {
 		t.Errorf("host write temperature split %d+%d != %d",
 			st.HostWritesHot, st.HostWritesCold, st.HostWrites)
 	}
-	return st
-}
-
-func testStatsConsistency(t *testing.T, mk Maker) {
-	fx := mk(t)
-	st := checkStatsConsistency(t, fx.F)
 	// Device-level program counts must equal the FTL's accounting.
-	dev := fx.F.Device().Counts()
+	dev := f.Device().Counts()
 	if dev.Programs() != st.TotalPrograms() {
 		t.Errorf("device programs %d != FTL programs %d", dev.Programs(), st.TotalPrograms())
 	}

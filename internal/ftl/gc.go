@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"flexftl/internal/core"
 	"flexftl/internal/nand"
 	"flexftl/internal/obs"
 	"flexftl/internal/rel"
@@ -32,19 +33,20 @@ func PickNeediestVictim(b *Base) (chip, victim int, ok bool) {
 }
 
 // GCPageCopyCost is the virtual-time cost of relocating one valid page
-// during GC: a read, two bus transfers (out and back in), and a
-// pessimistic MSB program. EstimateGCCost and RunBackgroundGC both budget
-// from this single definition so the two cannot drift.
-func GCPageCopyCost(t nand.Timing) sim.Time {
-	return t.Read + 2*t.BusXfer + t.ProgMSB
+// during GC on a device of the given bits per cell: a read, two bus
+// transfers (out and back in), and pessimistically a program of the finest
+// level (MSB on MLC). EstimateGCCost and RunBackgroundGC both budget from
+// this single definition so the two cannot drift.
+func GCPageCopyCost(t nand.Timing, levels int) sim.Time {
+	return t.Read + 2*t.BusXfer + t.Prog(core.PageType(levels-1))
 }
 
 // EstimateGCCost upper-bounds the virtual-time cost of collecting a victim
 // with the given valid-page count: each copy is a read plus (pessimistically)
-// an MSB program, plus the final erase. Foreground paths use it for
+// a finest-level program, plus the final erase. Foreground paths use it for
 // accounting; background GC is incremental and does not need it.
-func EstimateGCCost(t nand.Timing, validPages int) sim.Time {
-	return sim.Time(validPages)*GCPageCopyCost(t) + t.Erase
+func EstimateGCCost(t nand.Timing, levels, validPages int) sim.Time {
+	return sim.Time(validPages)*GCPageCopyCost(t, levels) + t.Erase
 }
 
 // bgVictim tracks a background-GC victim across idle windows, so collection
@@ -66,9 +68,8 @@ type bgVictim struct {
 func (b *Base) RunBackgroundGC(now, until sim.Time, shouldRun func() bool, alloc AllocFunc) sim.Time {
 	prevCause := b.Dev.SetCause(obs.CauseGC)
 	defer b.Dev.SetCause(prevCause)
-	t := b.Dev.Timing()
-	perPage := GCPageCopyCost(t)
 	g := b.Dev.Geometry()
+	perPage := GCPageCopyCost(b.Dev.Timing(), g.BitsPerCell())
 	perBlock := g.PagesPerBlock()
 	if b.Obs != nil && b.bg.active {
 		b.Obs.Instant(obs.KindBGCResume, int32(b.bg.chip), now, int64(b.bg.blk), int64(b.bg.nextIdx))

@@ -286,12 +286,21 @@ func TestBGCWantedHysteresis(t *testing.T) {
 
 func TestEstimateGCCost(t *testing.T) {
 	tm := nand.DefaultTiming()
-	zero := EstimateGCCost(tm, 0)
+	zero := EstimateGCCost(tm, 2, 0)
 	if zero != tm.Erase {
 		t.Errorf("zero-valid cost = %v, want erase only", zero)
 	}
-	if EstimateGCCost(tm, 10) <= EstimateGCCost(tm, 5) {
+	if EstimateGCCost(tm, 2, 10) <= EstimateGCCost(tm, 2, 5) {
 		t.Error("cost not monotone in valid pages")
+	}
+	// A copy is budgeted at the finest level's program latency: MSB on MLC,
+	// the third-level program on TLC.
+	tlc := nand.TLCTiming()
+	if got, want := GCPageCopyCost(tm, 2), tm.Read+2*tm.BusXfer+tm.ProgMSB; got != want {
+		t.Errorf("MLC copy cost = %v, want %v", got, want)
+	}
+	if got, want := GCPageCopyCost(tlc, 3), tlc.Read+2*tlc.BusXfer+tlc.ProgFiner[0]; got != want {
+		t.Errorf("TLC copy cost = %v, want %v", got, want)
 	}
 }
 

@@ -213,20 +213,6 @@ func (m *Mapper) FirstValidPage(a nand.BlockAddr) (nand.PPN, bool) {
 	return nand.InvalidPPN, false
 }
 
-// NextValidFrom scans a block for its next valid physical page at or after
-// page index fromIdx, returning the page, the index to resume from next call,
-// and whether one was found — the incremental-GC cursor walk.
-func (m *Mapper) NextValidFrom(a nand.BlockAddr, fromIdx int) (nand.PPN, int, bool) {
-	base := nand.PPN(int64(m.FlatBlock(a)) * int64(m.pagesPerBlock))
-	for i := fromIdx; i < m.pagesPerBlock; i++ {
-		ppn := base + nand.PPN(i)
-		if m.p2l[ppn] != -1 {
-			return ppn, i + 1, true
-		}
-	}
-	return nand.InvalidPPN, m.pagesPerBlock, false
-}
-
 // StateHash returns an FNV-1a digest of the mapping state (every l2p entry
 // followed by every per-block valid count) — the cheap fingerprint the
 // equivalence guards compare across refactors instead of serializing whole

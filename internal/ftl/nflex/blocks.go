@@ -3,9 +3,7 @@ package nflex
 import (
 	"fmt"
 
-	"flexftl/internal/core"
 	"flexftl/internal/ftl"
-	"flexftl/internal/nand"
 	"flexftl/internal/obs"
 	"flexftl/internal/sim"
 )
@@ -16,12 +14,12 @@ import (
 // i+1; completing the final phase moves it to the full pool and retires its
 // parities.
 func (f *FTL) programAt(chip, level int, lpn ftl.LPN, data, spare []byte, now sim.Time, fromGC bool) (sim.Time, error) {
-	g := f.dev.Geometry()
+	g := f.Base.Dev.Geometry()
 	levels := g.BitsPerCell()
 	cs := &f.chips[chip]
 
 	// Feasibility fallbacks.
-	if level == 0 && cs.phases[0].blk == -1 && f.pools[chip].FreeCount() <= 1 {
+	if level == 0 && cs.phases[0].blk == -1 && f.Base.Pools[chip].FreeCount() <= 1 {
 		level = f.deepestAvailable(chip)
 	}
 	if level > 0 && !f.phaseAvailable(chip, level) {
@@ -32,7 +30,7 @@ func (f *FTL) programAt(chip, level int, lpn ftl.LPN, data, spare []byte, now si
 	cur := &cs.phases[level]
 	if cur.blk == -1 {
 		if level == 0 {
-			blk, ok := f.pools[chip].PopFree()
+			blk, ok := f.Base.Pools[chip].PopFree()
 			if !ok {
 				return now, fmt.Errorf("nflex: chip %d out of free blocks", chip)
 			}
@@ -48,24 +46,24 @@ func (f *FTL) programAt(chip, level int, lpn ftl.LPN, data, spare []byte, now si
 	}
 
 	addr := pageFor(chip, cur.blk, cur.pos, level)
-	done, err := f.dev.Program(addr, data, spare, now)
+	done, err := f.Base.Dev.Program(addr, data, spare, now)
 	if err != nil {
 		return now, err
 	}
-	f.m.Update(lpn, g.PPNOf(addr))
+	f.Base.Map.Update(lpn, g.PPNOf(addr))
 	if fromGC {
-		f.st.GCCopies++
+		// The collector counts GCCopies itself; only the level split is ours.
 		if level == 0 {
-			f.st.GCCopiesLSB++
+			f.Base.St.GCCopiesLSB++
 		} else {
-			f.st.GCCopiesMSB++
+			f.Base.St.GCCopiesMSB++
 		}
 	} else {
 		f.byLevel[level]++
 		if level == 0 {
-			f.st.HostWritesLSB++
+			f.Base.St.HostWritesLSB++
 		} else {
-			f.st.HostWritesMSB++
+			f.Base.St.HostWritesMSB++
 			// Reprogram penalty: a host write landed on a refinement page
 			// instead of a fast level-0 page.
 			f.ctrBlameReprogram.Add(f.reprogPenalty[level])
@@ -109,8 +107,10 @@ func (f *FTL) programAt(chip, level int, lpn ftl.LPN, data, spare []byte, now si
 			}
 		} else {
 			// Final phase: block fully programmed; retire its parities.
-			f.invalidateParities(chip, full)
-			f.pools[chip].PushFull(full)
+			if err := f.invalidateParities(chip, full); err != nil {
+				return done, err
+			}
+			f.Base.Pools[chip].PushFull(full)
 		}
 	}
 	return done, nil
@@ -122,24 +122,24 @@ func (f *FTL) writePhaseParity(chip, blk, level int, parityPage []byte, now sim.
 	cs := &f.chips[chip]
 	bk := &cs.backup
 	if bk.cur == -1 {
-		b, ok := f.pools[chip].PopFree()
+		b, ok := f.Base.Pools[chip].PopFree()
 		if !ok {
 			return now, fmt.Errorf("nflex: chip %d has no free block for parity backups", chip)
 		}
 		bk.cur, bk.pos = b, 0
 	}
 	addr := pageFor(chip, bk.cur, bk.pos, 0)
-	prevCause := f.dev.SetCause(obs.CauseBackup)
-	done, err := f.dev.Program(addr, parityPage, spareBlockNo(&f.sp, blk, level), now)
-	f.dev.SetCause(prevCause)
+	prevCause := f.Base.Dev.SetCause(obs.CauseBackup)
+	done, err := f.Base.Dev.Program(addr, parityPage, spareBlockNo(&f.psp, blk, level), now)
+	f.Base.Dev.SetCause(prevCause)
 	if err != nil {
 		return now, err
 	}
-	f.st.BackupWrites++
+	f.Base.St.BackupWrites++
 	*f.ref(chip, blk, level) = parityRef{backupBlk: bk.cur, page: bk.pos}
 	bk.live[bk.cur]++
 	bk.pos++
-	if bk.pos == f.dev.Geometry().WordLinesPerBlock {
+	if bk.pos == f.Base.Dev.Geometry().WordLinesPerBlock {
 		bk.retired = append(bk.retired, bk.cur)
 		bk.cur = -1
 	}
@@ -148,167 +148,74 @@ func (f *FTL) writePhaseParity(chip, blk, level int, parityPage []byte, now sim.
 
 // invalidateParities retires every phase parity of a completed block and
 // recycles stale backup blocks.
-func (f *FTL) invalidateParities(chip, blk int) {
-	prevCause := f.dev.SetCause(obs.CauseBackup)
-	defer f.dev.SetCause(prevCause)
+func (f *FTL) invalidateParities(chip, blk int) error {
+	prevCause := f.Base.Dev.SetCause(obs.CauseBackup)
+	defer f.Base.Dev.SetCause(prevCause)
 	cs := &f.chips[chip]
-	for level := 0; level < f.dev.Geometry().BitsPerCell()-1; level++ {
+	for level := 0; level < f.Base.Dev.Geometry().BitsPerCell()-1; level++ {
 		if ref := f.ref(chip, blk, level); ref.backupBlk != -1 {
 			cs.backup.live[ref.backupBlk]--
 			ref.backupBlk = -1
 		}
 	}
 	kept := cs.backup.retired[:0]
-	for _, b := range cs.backup.retired {
-		if cs.backup.live[b] == 0 {
-			delete(cs.backup.live, b)
-			if _, err := f.dev.Erase(nand.BlockAddr{Chip: chip, Block: b}, 0); err != nil {
-				panic(fmt.Sprintf("nflex: recycling backup block %d: %v", b, err))
-			}
-			f.st.Erases++
-			f.pools[chip].PushFree(b)
+	for i, b := range cs.backup.retired {
+		if cs.backup.live[b] != 0 {
+			kept = append(kept, b)
 			continue
 		}
-		kept = append(kept, b)
+		if _, err := f.Base.EraseAndFree(chip, b, 0); err != nil {
+			cs.backup.retired = append(kept, cs.backup.retired[i:]...)
+			return fmt.Errorf("nflex: recycling backup block %d: %w", b, err)
+		}
+		delete(cs.backup.live, b)
 	}
 	cs.backup.retired = kept
+	return nil
 }
 
-// gcAlloc relocates one page during GC: background GC consumes the deepest
-// phases (raising q), foreground GC rotates.
-func (f *FTL) gcAlloc(chip int, lpn ftl.LPN, data []byte, now sim.Time) (sim.Time, error) {
+// gcAlloc is the ftl.AllocFunc the shared collector relocates through:
+// background GC consumes the deepest phases (raising q), foreground GC
+// rotates.
+func (f *FTL) gcAlloc(chip int, lpn ftl.LPN, data, spare []byte, now sim.Time) (sim.Time, error) {
 	level := f.deepestAvailable(chip)
 	if !f.inBGC {
 		cs := &f.chips[chip]
-		cs.toggle = (cs.toggle + 1) % f.dev.Geometry().BitsPerCell()
+		cs.toggle = (cs.toggle + 1) % f.Base.Dev.Geometry().BitsPerCell()
 		if cs.toggle == 0 || f.phaseAvailable(chip, cs.toggle) {
 			level = cs.toggle
 		}
 	}
-	return f.programAt(chip, level, lpn, data, f.spare(lpn), now, true)
-}
-
-// collectVictim relocates a whole victim inline (foreground).
-func (f *FTL) collectVictim(chip, victim int, now sim.Time) (sim.Time, error) {
-	prevCause := f.dev.SetCause(obs.CauseGC)
-	defer f.dev.SetCause(prevCause)
-	f.pools[chip].TakeFull(victim)
-	a := nand.BlockAddr{Chip: chip, Block: victim}
-	idx := 0
-	for {
-		ppn, nextIdx, ok := f.m.NextValidFrom(a, idx)
-		if !ok {
-			break
-		}
-		idx = nextIdx
-		lpn, ok := f.m.LPNAt(ppn)
-		if !ok {
-			continue
-		}
-		t, err := f.dev.ReadInto(f.dev.Geometry().AddrOfPPN(ppn), &f.buf, now)
-		if err != nil {
-			return now, fmt.Errorf("nflex: GC read: %w", err)
-		}
-		now, err = f.gcAlloc(chip, lpn, f.buf.Data, t)
-		if err != nil {
-			return now, err
-		}
-	}
-	done, err := f.dev.Erase(a, now)
-	if err != nil {
-		return now, err
-	}
-	f.st.Erases++
-	f.pools[chip].PushFree(victim)
-	return done, nil
+	return f.programAt(chip, level, lpn, data, spare, now, true)
 }
 
 // foregroundGC reclaims inline only when phase-0 capacity is required and
 // thin, or at the emergency reserve.
 func (f *FTL) foregroundGC(chip int, now sim.Time) (sim.Time, error) {
 	needsFast := f.deepestAvailable(chip) == 0
-	reserve := f.cfg.MinFreeBlocksPerChip
-	for (needsFast && f.pools[chip].FreeCount() < reserve+1) || f.pools[chip].FreeCount() < 2 {
-		victim, ok := f.pools[chip].PickVictim()
+	reserve := f.Base.Cfg.MinFreeBlocksPerChip
+	for (needsFast && f.Base.Pools[chip].FreeCount() < reserve+1) || f.Base.Pools[chip].FreeCount() < 2 {
+		victim, ok := f.Base.Pools[chip].PickVictim()
 		if !ok {
 			break
 		}
 		var err error
-		now, err = f.collectVictim(chip, victim, now)
+		now, err = f.Base.CollectVictim(chip, victim, now, f.gcAlloc)
 		if err != nil {
 			return now, err
 		}
-		f.st.ForegroundGCs++
+		f.Base.St.ForegroundGCs++
 	}
 	return now, nil
 }
 
-// Idle runs incremental background GC (deepest-phase copies raise q).
+// Idle runs incremental background GC (deepest-phase copies raise q) while
+// free space is under 1.5x the trigger — re-tested at every victim, with no
+// hysteresis latch.
 func (f *FTL) Idle(now, until sim.Time) {
 	f.inBGC = true
-	prevCause := f.dev.SetCause(obs.CauseGC)
-	defer func() {
-		f.inBGC = false
-		f.dev.SetCause(prevCause)
-	}()
-	g := f.dev.Geometry()
-	t := f.dev.Timing()
-	perPage := t.Read + 2*t.BusXfer + t.Prog(core.PageType(g.BitsPerCell()-1))
-	threshold := func() bool {
-		return float64(f.TotalFreeBlocks()) < f.cfg.GCFreeFraction*float64(g.TotalBlocks())*1.5
-	}
-	for now < until {
-		if !f.bg.active {
-			if !threshold() {
-				return
-			}
-			best, bestChip := -1, -1
-			for c := range f.pools {
-				if v, ok := f.pools[c].PickVictim(); ok {
-					if bestChip == -1 || f.pools[c].FreeCount() < f.pools[bestChip].FreeCount() {
-						best, bestChip = v, c
-					}
-				}
-			}
-			if bestChip == -1 {
-				return
-			}
-			f.pools[bestChip].TakeFull(best)
-			f.bg = bgState{chip: bestChip, blk: best, active: true}
-			f.st.BackgroundGCs++
-		}
-		victim := nand.BlockAddr{Chip: f.bg.chip, Block: f.bg.blk}
-		ppn, nextIdx, ok := f.m.NextValidFrom(victim, f.bg.nextIdx)
-		if !ok {
-			done, err := f.dev.Erase(victim, now)
-			if err != nil {
-				f.bg.active = false
-				return
-			}
-			f.st.Erases++
-			f.pools[f.bg.chip].PushFree(f.bg.blk)
-			f.bg = bgState{}
-			now = done
-			continue
-		}
-		if now+perPage > until {
-			return
-		}
-		f.bg.nextIdx = nextIdx
-		lpn, ok := f.m.LPNAt(ppn)
-		if !ok {
-			continue
-		}
-		t2, err := f.dev.ReadInto(f.dev.Geometry().AddrOfPPN(ppn), &f.buf, now)
-		if err != nil {
-			f.pools[f.bg.chip].PushFull(f.bg.blk)
-			f.bg = bgState{}
-			return
-		}
-		now, err = f.gcAlloc(f.bg.chip, lpn, f.buf.Data, t2)
-		if err != nil {
-			panic(fmt.Sprintf("nflex: background relocation failed: %v", err))
-		}
-		// gcAlloc/programAt counted the copy already.
-	}
+	defer func() { f.inBGC = false }()
+	f.Base.RunBackgroundGC(now, until, func() bool {
+		return float64(f.Base.TotalFreeBlocks()) < f.Base.Cfg.GCFreeFraction*float64(f.Base.Dev.Geometry().TotalBlocks())*1.5
+	}, f.gcAlloc)
 }

@@ -12,11 +12,13 @@
 // which destroys all of the word line's earlier bits — is recoverable
 // without per-write backups.
 //
-// The mapping table, free pools and victim selection are the shared kernel
-// infrastructure (ftl.Mapper, ftl.FreePool); only the n-phase ordering,
-// per-phase parity and the n-level recovery procedure are scheme-local. The
-// scheme registers itself as "nflexTLC" (a 3-bit device with the default TLC
-// timing) in the ftl registry.
+// The FTL mounts the same runtime the MLC kernels do (ftl.Base: mapping
+// table, free pools and victim selection, the payload token codec, host
+// read and trim, the whole-victim collector and the incremental
+// background-GC loop); only the level choice, the n-phase ordering with its
+// block life cycle, per-phase parity and the n-level recovery procedure are
+// scheme-local. The scheme registers itself as "nflexTLC" (a 3-bit device
+// with the default TLC timing) in the ftl registry.
 package nflex
 
 import (
@@ -110,35 +112,28 @@ type chipState struct {
 	toggle int // rotation for the mid-utilization band
 }
 
-// FTL is the n-phase flexFTL.
+// FTL is the n-phase flexFTL: the n-phase policy over the shared FTL runtime.
 type FTL struct {
-	dev     *nand.Device
+	// Base is the runtime every scheme shares — device, mapper, pools, stats,
+	// token codec, the collector and the background-GC loop. A named field on
+	// purpose: embedding would promote ResetCounters, and ssd.Prefill would
+	// then zero the prefill out of the stats the TLC goldens pin.
+	Base    *ftl.Base
 	params  Params
-	cfg     ftl.Config
-	m       *ftl.Mapper
-	pools   []*ftl.FreePool
 	chips   []chipState
-	st      ftl.Stats
 	byLevel []int64 // host writes per program level (the n-level LSB/MSB split)
 	q       int64
 	q0      int64
 	refs    []parityRef // parity location by flat block × parity phase (see ref)
-	seq     int64
-	rr      int
 	inBGC   bool
-	bg      bgState
-	// buf is the reusable read buffer for host reads, GC relocation and
-	// recovery rescans; safe to share because the FTL is single-threaded
-	// and programAt copies the payload before the next read.
-	buf nand.PageBuf
-	// tok/sp/psnap are per-write scratch buffers (Device.Program copies
+	// psp/psnap are per-parity-write scratch buffers (Device.Program copies
 	// payload and spare, so each is valid until its next use).
-	tok   [ftl.TokenSize]byte
-	sp    [8]byte
+	psp   [8]byte
 	psnap []byte
 
 	// Blame counters (nil without a recorder) and the per-level reprogram
-	// penalty Prog[l]-Prog[0], mirroring the MLC kernel's attribution.
+	// penalty Prog[l]-Prog[0], mirroring the MLC kernel's attribution. Base
+	// keeps its own unexported; the registry hands both the same counters.
 	ctrBlameGC        *obs.Counter
 	ctrBlameBackup    *obs.Counter
 	ctrBlameReprogram *obs.Counter
@@ -147,31 +142,20 @@ type FTL struct {
 
 var _ ftl.FTL = (*FTL)(nil)
 
-type bgState struct {
-	chip, blk, nextIdx int
-	active             bool
-}
-
 // New builds an nflex FTL over the device.
 func New(dev *nand.Device, cfg ftl.Config, params Params) (*FTL, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cfg.Validate(); err != nil {
+	base, err := ftl.NewBase(dev, cfg)
+	if err != nil {
 		return nil, err
 	}
 	g := dev.Geometry()
 	levels := g.BitsPerCell()
-	logical := cfg.LogicalPages(g)
-	if logical <= 0 {
-		return nil, fmt.Errorf("nflex: geometry too small")
-	}
 	f := &FTL{
-		dev:     dev,
+		Base:    base,
 		params:  params,
-		cfg:     cfg,
-		m:       ftl.NewMapper(g, logical),
-		pools:   make([]*ftl.FreePool, g.Chips()),
 		chips:   make([]chipState, g.Chips()),
 		byLevel: make([]int64, levels),
 		refs:    make([]parityRef, g.TotalBlocks()*(levels-1)),
@@ -191,7 +175,6 @@ func New(dev *nand.Device, cfg ftl.Config, params Params) (*FTL, error) {
 	}
 	f.q0 = f.q
 	for c := range f.chips {
-		f.pools[c] = ftl.NewFreePool(c, g.BlocksPerChip)
 		cs := chipState{
 			phases: make([]phaseCursor, levels),
 			queues: make([]ftl.IntQueue, levels),
@@ -204,34 +187,17 @@ func New(dev *nand.Device, cfg ftl.Config, params Params) (*FTL, error) {
 		}
 		f.chips[c] = cs
 	}
-	// Wire the victim index: each pool's buckets track the mapper's valid
-	// counts, and mapper mutations notify the owning pool.
-	for c := range f.pools {
-		chip := c
-		f.pools[c].Bind(g.PagesPerBlock(), func(blk int) int {
-			return f.m.ValidCount(nand.BlockAddr{Chip: chip, Block: blk})
-		})
-	}
-	bpc := g.BlocksPerChip
-	f.m.SetValidHook(func(flat int) {
-		f.pools[flat/bpc].NoteValidChange(flat % bpc)
-	})
 	return f, nil
 }
 
 // SetVictimReference switches every pool between the indexed victim picker
 // and the retained reference linear scan (A/B determinism tests).
-func (f *FTL) SetVictimReference(on bool) {
-	for _, p := range f.pools {
-		p.Reference = on
-	}
-}
+func (f *FTL) SetVictimReference(on bool) { f.Base.SetVictimReference(on) }
 
-// SetRecorder attaches an observability recorder to the FTL and its device,
-// wiring the blame counters (the runner instruments any scheme exposing this
-// method uniformly).
+// SetRecorder attaches an observability recorder to the runtime and its
+// device, and wires this scheme's handles on the blame counters.
 func (f *FTL) SetRecorder(r *obs.Recorder) {
-	f.dev.SetRecorder(r)
+	f.Base.SetRecorder(r)
 	reg := r.Registry()
 	f.ctrBlameGC = reg.Counter(obs.BlameCounterName(obs.CauseGC))
 	f.ctrBlameBackup = reg.Counter(obs.BlameCounterName(obs.CauseBackup))
@@ -239,16 +205,18 @@ func (f *FTL) SetRecorder(r *obs.Recorder) {
 }
 
 // WearSpread returns the device's wear imbalance (Max/Mean erase count).
-func (f *FTL) WearSpread() float64 { return f.dev.Wear().Imbalance }
+func (f *FTL) WearSpread() float64 { return f.Base.WearSpread() }
 
 // Name identifies the scheme.
-func (f *FTL) Name() string { return fmt.Sprintf("nflexFTL(%d-level)", f.dev.Geometry().BitsPerCell()) }
+func (f *FTL) Name() string {
+	return fmt.Sprintf("nflexFTL(%d-level)", f.Base.Dev.Geometry().BitsPerCell())
+}
 
 // Device returns the NAND device.
-func (f *FTL) Device() *nand.Device { return f.dev }
+func (f *FTL) Device() *nand.Device { return f.Base.Dev }
 
 // Stats returns the counters.
-func (f *FTL) Stats() ftl.Stats { return f.st }
+func (f *FTL) Stats() ftl.Stats { return f.Base.Stats() }
 
 // HostWritesByLevel returns the per-program-level split of host writes — the
 // n-level refinement of the kernel's LSB/MSB counters.
@@ -272,60 +240,26 @@ func (f *FTL) ActivePhaseProgress(chip, level int) int {
 }
 
 // LogicalPages returns the host-visible space.
-func (f *FTL) LogicalPages() int64 { return f.m.LogicalPages() }
+func (f *FTL) LogicalPages() int64 { return f.Base.LogicalPages() }
 
 // PageSize returns the data-page size in bytes.
-func (f *FTL) PageSize() int { return f.dev.Geometry().PageSizeBytes }
+func (f *FTL) PageSize() int { return f.Base.Dev.Geometry().PageSizeBytes }
 
 // Chips returns the chip count.
-func (f *FTL) Chips() int { return f.dev.Geometry().Chips() }
+func (f *FTL) Chips() int { return f.Base.Dev.Geometry().Chips() }
 
 // MappingHash fingerprints the mapping state (ftl.Mapper.StateHash) so
 // equivalence guards can pin it across refactors.
-func (f *FTL) MappingHash() uint64 { return f.m.StateHash() }
+func (f *FTL) MappingHash() uint64 { return f.Base.MappingHash() }
 
-// TotalFreeBlocks sums free lists.
-func (f *FTL) TotalFreeBlocks() int {
-	n := 0
-	for _, p := range f.pools {
-		n += p.FreeCount()
-	}
-	return n
-}
-
-func (f *FTL) token(lpn ftl.LPN) []byte {
-	f.seq++
-	putU64(f.tok[0:8], uint64(lpn))
-	putU64(f.tok[8:16], uint64(f.seq))
-	return f.tok[:]
-}
-
-func (f *FTL) spare(lpn ftl.LPN) []byte {
-	putU64(f.sp[:], uint64(lpn))
-	return f.sp[:]
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8 && i < len(b); i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
+// TotalFreeBlocks sums the free lists over all chips.
+func (f *FTL) TotalFreeBlocks() int { return f.Base.TotalFreeBlocks() }
 
 // Write services a host page write with the utilization-driven phase policy.
 func (f *FTL) Write(lpn ftl.LPN, now sim.Time, util float64) (sim.Time, error) {
-	chip := f.rr
-	f.rr = (f.rr + 1) % f.dev.Geometry().Chips()
-	var err error
+	chip := f.Base.NextChip()
 	gcStart := now
-	now, err = f.foregroundGC(chip, now)
+	now, err := f.foregroundGC(chip, now)
 	if err != nil {
 		return now, err
 	}
@@ -333,42 +267,26 @@ func (f *FTL) Write(lpn ftl.LPN, now sim.Time, util float64) (sim.Time, error) {
 		f.ctrBlameGC.Add(int64(now - gcStart))
 	}
 	level := f.chooseLevel(chip, util)
-	done, err := f.programAt(chip, level, lpn, f.token(lpn), f.spare(lpn), now, false)
+	done, err := f.programAt(chip, level, lpn, f.Base.Token(lpn), f.Base.Spare(lpn), now, false)
 	if err != nil {
 		return now, err
 	}
-	f.st.HostWrites++
+	f.Base.St.HostWrites++
 	return done, nil
 }
 
 // Read services a host page read.
-func (f *FTL) Read(lpn ftl.LPN, now sim.Time) (sim.Time, error) {
-	ppn, ok := f.m.Lookup(lpn)
-	if !ok {
-		return now, ftl.ErrUnmapped // bare, like ftl.Base.ReadLPN: expected, and allocation-free
-	}
-	done, err := f.dev.ReadInto(f.dev.Geometry().AddrOfPPN(ppn), &f.buf, now)
-	if err != nil {
-		return now, err
-	}
-	f.st.HostReads++
-	return done, nil
-}
+func (f *FTL) Read(lpn ftl.LPN, now sim.Time) (sim.Time, error) { return f.Base.ReadLPN(lpn, now) }
 
 // Trim invalidates a logical page.
-func (f *FTL) Trim(lpn ftl.LPN, now sim.Time) (sim.Time, error) {
-	if f.m.Invalidate(lpn) {
-		f.st.HostTrims++
-	}
-	return now, nil
-}
+func (f *FTL) Trim(lpn ftl.LPN, now sim.Time) (sim.Time, error) { return f.Base.Trim(lpn, now) }
 
 // chooseLevel picks the program phase for a host write: level 0 while a
 // high-utilization burst has budget, the deepest feedable phase when the
 // buffer is sleepy, and a rotation over all phases in between.
 func (f *FTL) chooseLevel(chip int, util float64) int {
 	cs := &f.chips[chip]
-	levels := f.dev.Geometry().BitsPerCell()
+	levels := f.Base.Dev.Geometry().BitsPerCell()
 	deepest := f.deepestAvailable(chip)
 	if deepest == 0 {
 		return 0 // nothing queued beyond phase 0 (footnote-1 corner case)
@@ -403,7 +321,7 @@ func (f *FTL) phaseAvailable(chip, l int) bool {
 
 // deepestAvailable returns the highest-index phase with work, or 0.
 func (f *FTL) deepestAvailable(chip int) int {
-	for l := f.dev.Geometry().BitsPerCell() - 1; l >= 1; l-- {
+	for l := f.Base.Dev.Geometry().BitsPerCell() - 1; l >= 1; l-- {
 		if f.phaseAvailable(chip, l) {
 			return l
 		}
@@ -414,12 +332,12 @@ func (f *FTL) deepestAvailable(chip int) int {
 // fastBudget is the level-0 capacity available without eating the reserve.
 func (f *FTL) fastBudget(chip int) int {
 	cs := &f.chips[chip]
-	w := f.dev.Geometry().WordLinesPerBlock
+	w := f.Base.Dev.Geometry().WordLinesPerBlock
 	budget := 0
 	if cs.phases[0].blk != -1 {
 		budget += w - cs.phases[0].pos
 	}
-	if spare := f.pools[chip].FreeCount() - f.cfg.MinFreeBlocksPerChip - 1; spare > 0 {
+	if spare := f.Base.Pools[chip].FreeCount() - f.Base.Cfg.MinFreeBlocksPerChip - 1; spare > 0 {
 		budget += spare * w
 	}
 	return budget

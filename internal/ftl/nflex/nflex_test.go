@@ -321,7 +321,7 @@ func TestPowerFailRecoveryTLC(t *testing.T) {
 	// The two earlier-level pages of this word line.
 	var lostLPNs []ftl.LPN
 	for lvl := 0; lvl < 2; lvl++ {
-		if l, ok := f.m.LPNAt(g.PPNOf(pageFor(chip, blk, wl, lvl))); ok {
+		if l, ok := f.Base.Map.LPNAt(g.PPNOf(pageFor(chip, blk, wl, lvl))); ok {
 			lostLPNs = append(lostLPNs, l)
 		}
 	}
@@ -469,10 +469,10 @@ func auditNflex(t *testing.T, f *FTL) {
 		for _, b := range cs.backup.retired {
 			place(b, "backup-retired")
 		}
-		for _, b := range f.pools[chip].FullBlocks() {
+		for _, b := range f.Base.Pools[chip].FullBlocks() {
 			place(b, "full")
 		}
-		total := len(seen) + f.pools[chip].FreeCount()
+		total := len(seen) + f.Base.Pools[chip].FreeCount()
 		if total != g.BlocksPerChip && total != g.BlocksPerChip-1 {
 			t.Fatalf("chip %d accounts for %d of %d blocks", chip, total, g.BlocksPerChip)
 		}
@@ -481,14 +481,14 @@ func auditNflex(t *testing.T, f *FTL) {
 	var sum int64
 	for chip := 0; chip < g.Chips(); chip++ {
 		for blk := 0; blk < g.BlocksPerChip; blk++ {
-			sum += int64(f.m.ValidCount(nand.BlockAddr{Chip: chip, Block: blk}))
+			sum += int64(f.Base.Map.ValidCount(nand.BlockAddr{Chip: chip, Block: blk}))
 		}
 	}
 	var mapped int64
 	for lpn := ftl.LPN(0); int64(lpn) < f.LogicalPages(); lpn++ {
-		if ppn, ok := f.m.Lookup(lpn); ok {
+		if ppn, ok := f.Base.Map.Lookup(lpn); ok {
 			mapped++
-			if back, ok2 := f.m.LPNAt(ppn); !ok2 || back != lpn {
+			if back, ok2 := f.Base.Map.LPNAt(ppn); !ok2 || back != lpn {
 				t.Fatalf("mapping round trip broken at LPN %d", lpn)
 			}
 		}
@@ -519,11 +519,11 @@ func TestInvariantsTLCHeavy(t *testing.T) {
 	auditNflex(t, f)
 }
 
-// TestMapperRoundTrip: the shared mapper and the geometry's PPN arithmetic
-// serve a three-level device's pages, finest level included.
+// TestMapperRoundTrip: the mounted Base's mapper and the geometry's PPN
+// arithmetic serve a three-level device's pages, finest level included.
 func TestMapperRoundTrip(t *testing.T) {
 	g := tinyGeometry()
-	m := ftl.NewMapper(g, 100)
+	m := newTLC(t).Base.Map
 	a := pageFor(1, 2, 3, 2)
 	ppn := g.PPNOf(a)
 	if g.AddrOfPPN(ppn) != a {
@@ -567,5 +567,46 @@ func TestNLevelPageShapes(t *testing.T) {
 	}
 	if _, err := f.Device().Program(pageFor(0, 0, 0, 2), nil, nil, 0); err == nil {
 		t.Error("skipping refinement accepted")
+	}
+}
+
+// TestGCPolicyReachesThePools: Config.GC selects the victim heuristic of the
+// registry-built nflexTLC. The scheme used to build its pools by hand and
+// never set their policy, so `-ftl nflexTLC -gc costbenefit` silently ran
+// greedy; with NewBase wiring the pools, the two policies must pick
+// different victims on a GC-heavy skewed run.
+func TestGCPolicyReachesThePools(t *testing.T) {
+	run := func(policy ftl.GCPolicy) (ftl.Stats, uint64) {
+		cfg := ftl.DefaultConfig()
+		cfg.GC = policy
+		built, err := ftl.BuildFTL("nflexTLC", ftl.BuildEnv{Config: cfg, Flex: ftl.DefaultFlexParams()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := built.(*FTL)
+		for c, p := range f.Base.Pools {
+			if p.Policy != policy {
+				t.Fatalf("chip %d pool runs %v, configured %v", c, p.Policy, policy)
+			}
+		}
+		src := rng.New(41)
+		logical := f.LogicalPages()
+		z := rng.NewZipf(src, int(logical), 0.9)
+		now := sim.Time(0)
+		for i := int64(0); i < 3*logical; i++ {
+			now, err = f.Write(ftl.LPN(z.Next()), now, src.Float64())
+			if err != nil {
+				t.Fatalf("%v write %d: %v", policy, i, err)
+			}
+		}
+		return f.Stats(), f.MappingHash()
+	}
+	greedy, greedyMap := run(ftl.GCGreedy)
+	cb, cbMap := run(ftl.GCCostBenefit)
+	if greedy.GCCopies == 0 || cb.GCCopies == 0 {
+		t.Fatalf("cell is not GC-heavy: greedy %+v, cost-benefit %+v", greedy, cb)
+	}
+	if greedy == cb && greedyMap == cbMap {
+		t.Error("cost-benefit run is identical to greedy: the policy never reached the victim picker")
 	}
 }

@@ -36,7 +36,7 @@ func (f *FTL) Recover(now sim.Time) (RecoveryReport, error) {
 }
 
 func (f *FTL) recoverChip(chip int, now sim.Time, rep *RecoveryReport) (sim.Time, error) {
-	g := f.dev.Geometry()
+	g := f.Base.Dev.Geometry()
 	cs := &f.chips[chip]
 
 	for level := g.BitsPerCell() - 1; level >= 1; level-- {
@@ -49,12 +49,12 @@ func (f *FTL) recoverChip(chip int, now sim.Time, rep *RecoveryReport) (sim.Time
 
 		// Drop the interrupted write if its page was destroyed.
 		inFlight := pageFor(chip, blk, wl, level)
-		if lpn, ok := f.m.LPNAt(g.PPNOf(inFlight)); ok {
-			if t, err := f.dev.ReadInto(inFlight, &f.buf, now); err != nil {
+		if lpn, ok := f.Base.Map.LPNAt(g.PPNOf(inFlight)); ok {
+			if t, err := f.Base.Dev.ReadInto(inFlight, &f.Base.Buf, now); err != nil {
 				now = t
 				rep.PagesRead++
 				if errors.Is(err, nand.ErrUncorrectable) {
-					f.m.Invalidate(lpn)
+					f.Base.Map.Invalidate(lpn)
 					rep.Dropped = append(rep.Dropped, lpn)
 				}
 			} else {
@@ -83,7 +83,7 @@ func (f *FTL) recoverChip(chip int, now sim.Time, rep *RecoveryReport) (sim.Time
 		}
 		cs.pbuf[level].Reset()
 		for wl := 0; wl < cur.pos; wl++ {
-			t, err := f.dev.ReadInto(pageFor(chip, cur.blk, wl, level), &f.buf, now)
+			t, err := f.Base.Dev.ReadInto(pageFor(chip, cur.blk, wl, level), &f.Base.Buf, now)
 			rep.PagesRead++
 			now = t
 			if err != nil {
@@ -92,7 +92,7 @@ func (f *FTL) recoverChip(chip int, now sim.Time, rep *RecoveryReport) (sim.Time
 				}
 				return now, fmt.Errorf("nflex: parity rebuild read: %w", err)
 			}
-			if err := cs.pbuf[level].Add(f.buf.Data); err != nil {
+			if err := cs.pbuf[level].Add(f.Base.Buf.Data); err != nil {
 				return now, err
 			}
 		}
@@ -104,16 +104,17 @@ func (f *FTL) recoverChip(chip int, now sim.Time, rep *RecoveryReport) (sim.Time
 // (at most one) unreadable page from the phase parity, and re-homes its data
 // if still live.
 func (f *FTL) reconstructPhasePage(chip, blk, lvl int, now sim.Time, rep *RecoveryReport) (sim.Time, error) {
-	g := f.dev.Geometry()
+	g := f.Base.Dev.Geometry()
 	var survivors [][]byte
 	lostWL := -1
 	for wl := 0; wl < g.WordLinesPerBlock; wl++ {
-		data, _, t, err := f.dev.Read(pageFor(chip, blk, wl, lvl), now)
+		t, err := f.Base.Dev.ReadInto(pageFor(chip, blk, wl, lvl), &f.Base.Buf, now)
 		rep.PagesRead++
 		now = t
 		switch {
 		case err == nil:
-			survivors = append(survivors, data)
+			// Retained past the next read, so copied out of the shared buffer.
+			survivors = append(survivors, append([]byte(nil), f.Base.Buf.Data...))
 		case errors.Is(err, nand.ErrUncorrectable):
 			if lostWL != -1 {
 				return now, fmt.Errorf("nflex: two pages lost in phase %d of chip%d/blk%d", lvl, chip, blk)
@@ -130,16 +131,16 @@ func (f *FTL) reconstructPhasePage(chip, blk, lvl int, now sim.Time, rep *Recove
 	if ref.backupBlk == -1 {
 		return now, fmt.Errorf("nflex: no phase-%d parity recorded for chip%d/blk%d", lvl, chip, blk)
 	}
-	t, err := f.dev.ReadInto(pageFor(chip, ref.backupBlk, ref.page, 0), &f.buf, now)
+	t, err := f.Base.Dev.ReadInto(pageFor(chip, ref.backupBlk, ref.page, 0), &f.Base.Buf, now)
 	rep.PagesRead++
 	now = t
 	if err != nil {
 		return now, fmt.Errorf("nflex: reading phase parity: %w", err)
 	}
-	if b, l, ok := blockNoFromSpare(f.buf.Spare); !ok || b != blk || l != lvl {
+	if b, l, ok := blockNoFromSpare(f.Base.Buf.Spare); !ok || b != blk || l != lvl {
 		return now, fmt.Errorf("nflex: parity inverse-map mismatch: got blk %d lvl %d", b, l)
 	}
-	parityPage := f.buf.Data
+	parityPage := f.Base.Buf.Data
 	if len(parityPage) > ftl.TokenSize {
 		parityPage = parityPage[:ftl.TokenSize]
 	}
@@ -148,11 +149,11 @@ func (f *FTL) reconstructPhasePage(chip, blk, lvl int, now sim.Time, rep *Recove
 		return now, err
 	}
 	lostPPN := g.PPNOf(pageFor(chip, blk, lostWL, lvl))
-	lpn, live := f.m.LPNAt(lostPPN)
+	lpn, live := f.Base.Map.LPNAt(lostPPN)
 	if !live {
 		return now, nil
 	}
-	if tok := ftl.LPN(getU64(recovered[0:8])); tok != lpn {
+	if tok, _ := ftl.TokenLPN(recovered); tok != lpn {
 		return now, fmt.Errorf("nflex: recovered payload LPN %d != mapping %d", tok, lpn)
 	}
 	now, err = f.programAt(chip, 0, lpn, recovered, ftl.SpareForLPN(lpn), now, false)

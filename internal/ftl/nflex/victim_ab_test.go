@@ -12,8 +12,9 @@ import (
 // TestVictimIndexMatchesReferenceNflex is the n-level determinism pin: two
 // FTLs driven by the identical write/trim/idle sequence — one on the indexed
 // victim picker, one on the reference linear scan — must end with the same
-// statistics and the same logical-to-physical mapping. nflex has its own
-// mapper and wiring, so the root ssd.Run DeepEqual tests do not cover it.
+// statistics and the same logical-to-physical mapping. nflex picks victims
+// through its own foreground loop and idle threshold, which the root ssd.Run
+// DeepEqual tests (kernel schemes only) do not drive.
 func TestVictimIndexMatchesReferenceNflex(t *testing.T) {
 	run := func(reference bool) (ftl.Stats, uint64, []int) {
 		f := newTLC(t)
@@ -37,9 +38,9 @@ func TestVictimIndexMatchesReferenceNflex(t *testing.T) {
 				now += 100 * sim.Millisecond
 			}
 		}
-		free := make([]int, len(f.pools))
-		for c := range f.pools {
-			free[c] = f.pools[c].FreeCount()
+		free := make([]int, len(f.Base.Pools))
+		for c := range f.Base.Pools {
+			free[c] = f.Base.Pools[c].FreeCount()
 		}
 		return f.Stats(), f.MappingHash(), free
 	}

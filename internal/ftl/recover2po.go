@@ -131,12 +131,13 @@ func (k *Kernel) recoverChip(tp *twoPhase, bp *blockParity, chip int, now sim.Ti
 				BlockAddr: nand.BlockAddr{Chip: chip, Block: blk},
 				Page:      core.Page{WL: p, Type: core.LSB},
 			}
-			data, _, t, err := k.Dev.Read(addr, now)
+			t, err := k.Dev.ReadInto(addr, &k.Buf, now)
 			rep.PagesRead++
 			now = t
 			switch {
 			case err == nil:
-				survivors = append(survivors, data)
+				// Retained past the next read, so copied out of the shared buffer.
+				survivors = append(survivors, append([]byte(nil), k.Buf.Data...))
 			case errors.Is(err, nand.ErrUncorrectable):
 				if lostWL != -1 {
 					return now, fmt.Errorf("%s: chip %d block %d lost two LSB pages (%d and %d); parity covers one", k.name, chip, blk, lostWL, p)
@@ -318,14 +319,14 @@ func (k *Kernel) scanForParity(bp *blockParity, chip, protectedBlk int, now sim.
 				BlockAddr: nand.BlockAddr{Chip: chip, Block: c.blk},
 				Page:      core.Page{WL: p, Type: core.LSB},
 			}
-			page, spare, t, err := k.Dev.Read(addr, now)
+			t, err := k.Dev.ReadInto(addr, &k.Buf, now)
 			rep.PagesRead++
 			now = t
 			if err != nil {
 				continue // unreadable backup page: keep scanning
 			}
-			if got, ok := blockFromSpare(spare); ok && got == protectedBlk {
-				found = page // later matches supersede earlier ones
+			if got, ok := blockFromSpare(k.Buf.Spare); ok && got == protectedBlk {
+				found = append(found[:0], k.Buf.Data...) // later matches supersede earlier ones
 			}
 		}
 	}

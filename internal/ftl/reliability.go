@@ -176,7 +176,7 @@ func (k *Kernel) scrubPatrol(now, until sim.Time) sim.Time {
 	// relocation it may trigger; budgeted before issue so the patrol never
 	// overruns the window.
 	perRead := t.Read*sim.Time(1+k.Dev.Reliability().MaxRetries) + t.BusXfer
-	perFix := GCPageCopyCost(t)
+	perFix := GCPageCopyCost(t, g.BitsPerCell())
 	total := int64(g.TotalPages())
 	reads := 0
 	for probes := int64(0); probes < total && reads < rp.ScrubReadsPerIdle; probes++ {
@@ -258,7 +258,7 @@ func (k *Kernel) refreshScan(now, until sim.Time) sim.Time {
 		if k.Dev.PredictBlockBER(addr, now) < k.relRefreshBER {
 			continue
 		}
-		if now+EstimateGCCost(t, k.Map.ValidCount(addr)) > until {
+		if now+EstimateGCCost(t, g.BitsPerCell(), k.Map.ValidCount(addr)) > until {
 			// The window cannot absorb this collection; rewind so the next
 			// idle window retries the same block first.
 			k.refreshCursor = flat

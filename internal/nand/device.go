@@ -13,12 +13,12 @@ import (
 
 // Sentinel errors returned by device operations.
 var (
-	// ErrUncorrectable is returned by Read when the page's data was lost
+	// ErrUncorrectable is returned by ReadInto when the page's data was lost
 	// (e.g. the paired LSB page of an MSB program interrupted by power-off)
 	// and ECC cannot reconstruct it.
 	ErrUncorrectable = errors.New("nand: ECC-uncorrectable page")
-	// ErrNotProgrammed is returned by Read on an erased (never programmed)
-	// page.
+	// ErrNotProgrammed is returned by ReadInto on an erased (never
+	// programmed) page.
 	ErrNotProgrammed = errors.New("nand: reading erased page")
 	// ErrBadBlock is returned for operations on a block retired after
 	// exceeding its erase budget (when a budget is configured).
@@ -553,9 +553,8 @@ func (d *Device) relOutcome(a PageAddr, blk *block, pg *pagemem.Page, at sim.Tim
 	return o
 }
 
-// readPage performs the timing, accounting and validity checks shared by
-// Read and ReadInto, returning the sensed payload and spare area as views of
-// device memory.
+// readPage performs the timing, accounting and validity checks of a read,
+// returning the sensed payload and spare area as views of device memory.
 func (d *Device) readPage(a PageAddr, now sim.Time) (data, spare []byte, done sim.Time, err error) {
 	blk, pg, key, err := d.pageAt(a)
 	if err != nil {
@@ -603,21 +602,6 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (data, spare []byte, done si
 	return data, spare, done, nil
 }
 
-// Read returns a copy of the page payload and spare area, plus the
-// completion time. Reading an erased page or a corrupted page fails (the
-// latter with ErrUncorrectable, after paying the sensing latency, as a real
-// controller would).
-//
-// Read allocates two fresh slices per call; hot paths (host reads, GC
-// relocation, recovery scans) use ReadInto with a reusable PageBuf instead.
-func (d *Device) Read(a PageAddr, now sim.Time) (data, spare []byte, done sim.Time, err error) {
-	data, spare, done, err = d.readPage(a, now)
-	if err != nil {
-		return nil, nil, done, err
-	}
-	return append([]byte(nil), data...), append([]byte(nil), spare...), done, nil
-}
-
 // PageBuf is a caller-owned destination for ReadInto. Its backing arrays
 // grow to the device's page/spare size on first use and are reused
 // afterwards, so steady-state reads through one PageBuf allocate nothing.
@@ -627,12 +611,14 @@ type PageBuf struct {
 	Data, Spare []byte
 }
 
-// ReadInto is the zero-copy variant of Read: the payload and spare area
-// land in buf's reusable backing arrays instead of freshly allocated
-// slices. Timing, counters, tracing and error behaviour match Read exactly;
-// on error buf's slices are truncated to zero length. buf's contents are
-// valid until the next ReadInto with the same buf — callers that hand the
-// data onward (e.g. to Program, which copies) need no further copy.
+// ReadInto reads a page: the payload and spare area land in buf's reusable
+// backing arrays, and the completion time is returned. Reading an erased
+// page or a corrupted page fails (the latter with ErrUncorrectable, after
+// paying the sensing latency, as a real controller would); on error buf's
+// slices are truncated to zero length. buf's contents are valid until the
+// next ReadInto with the same buf — callers that hand the data onward (e.g.
+// to Program, which copies) need no further copy; callers that keep it copy
+// it out.
 func (d *Device) ReadInto(a PageAddr, buf *PageBuf, now sim.Time) (done sim.Time, err error) {
 	data, spare, done, err := d.readPage(a, now)
 	if err != nil {

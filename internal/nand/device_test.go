@@ -21,6 +21,14 @@ func testDevice(t *testing.T, rules core.RuleSet) *Device {
 	return d
 }
 
+// read is ReadInto through a fresh buffer, for the tests that keep or compare
+// the payload: it returns what was read and the completion time.
+func read(d *Device, a PageAddr, now sim.Time) (data, spare []byte, done sim.Time, err error) {
+	var buf PageBuf
+	done, err = d.ReadInto(a, &buf, now)
+	return buf.Data, buf.Spare, done, err
+}
+
 func addr(chip, block, wl int, typ core.PageType) PageAddr {
 	return PageAddr{BlockAddr: BlockAddr{Chip: chip, Block: block}, Page: core.Page{WL: wl, Type: typ}}
 }
@@ -76,7 +84,7 @@ func fillThrough(t *testing.T, d *Device, blk BlockAddr, last core.Page) {
 // wantUncorrectable reads the page and expects the power-cut error.
 func wantUncorrectable(t *testing.T, d *Device, a PageAddr) {
 	t.Helper()
-	if _, _, _, err := d.Read(a, 0); !errors.Is(err, ErrUncorrectable) {
+	if _, _, _, err := read(d, a, 0); !errors.Is(err, ErrUncorrectable) {
 		t.Errorf("%v read err = %v, want ErrUncorrectable", a, err)
 	}
 }
@@ -199,7 +207,7 @@ func TestReadBackPayloadAndSpare(t *testing.T) {
 	if _, err := d.Program(addr(0, 0, 0, core.LSB), data, spare, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, gotSpare, done, err := d.Read(addr(0, 0, 0, core.LSB), 0)
+	got, gotSpare, done, err := read(d, addr(0, 0, 0, core.LSB), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +219,7 @@ func TestReadBackPayloadAndSpare(t *testing.T) {
 	}
 	// Mutating the returned slice must not affect the stored copy.
 	got[0] = 'X'
-	got2, _, _, _ := d.Read(addr(0, 0, 0, core.LSB), done)
+	got2, _, _, _ := read(d, addr(0, 0, 0, core.LSB), done)
 	if got2[0] != 'h' {
 		t.Error("Read returned aliased storage")
 	}
@@ -219,7 +227,7 @@ func TestReadBackPayloadAndSpare(t *testing.T) {
 
 func TestReadErasedPage(t *testing.T) {
 	d := testDevice(t, core.RPS)
-	_, _, _, err := d.Read(addr(0, 0, 0, core.LSB), 0)
+	_, _, _, err := read(d, addr(0, 0, 0, core.LSB), 0)
 	if !errors.Is(err, ErrNotProgrammed) {
 		t.Errorf("err = %v, want ErrNotProgrammed", err)
 	}
@@ -335,7 +343,7 @@ func TestOpCounts(t *testing.T) {
 		mustProgram(t, d, addr(0, 0, 0, core.LSB), 0)
 		mustProgram(t, d, addr(0, 0, 1, core.LSB), 0)
 		mustProgram(t, d, addr(0, 0, 0, core.MSB), 0)
-		if _, _, _, err := d.Read(addr(0, 0, 0, core.LSB), 0); err != nil {
+		if _, _, _, err := read(d, addr(0, 0, 0, core.LSB), 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := d.Erase(BlockAddr{Chip: 0, Block: 1}, 0); err != nil {
@@ -407,7 +415,7 @@ func TestPowerLossDuringMSBProgram(t *testing.T) {
 			}
 			// The next word line is unaffected, at every programmed level.
 			for l := core.LSB; l < top; l++ {
-				if _, _, _, err := d.Read(PageAddr{BlockAddr: blk, Page: core.Page{WL: 1, Type: l}}, 0); err != nil {
+				if _, _, _, err := read(d, PageAddr{BlockAddr: blk, Page: core.Page{WL: 1, Type: l}}, 0); err != nil {
 					t.Errorf("%v(1) damaged by a cut on word line 0: %v", l, err)
 				}
 			}
@@ -426,7 +434,7 @@ func TestAckProtectsAgainstPowerLoss(t *testing.T) {
 		if d.InjectPowerLoss(blk) {
 			t.Error("acknowledged refinement still vulnerable")
 		}
-		if _, _, _, err := d.Read(addr(0, 0, 0, core.LSB), 0); err != nil {
+		if _, _, _, err := read(d, addr(0, 0, 0, core.LSB), 0); err != nil {
 			t.Errorf("LSB damaged after safe completion: %v", err)
 		}
 	})
@@ -466,7 +474,7 @@ func TestLSBProgramKeepsWindowOpen(t *testing.T) {
 		}
 		wantUncorrectable(t, d, addr(0, 0, 0, core.LSB))
 		// The interleaved LSB itself is unharmed.
-		if _, _, _, err := d.Read(addr(0, 0, 2, core.LSB), 0); err != nil {
+		if _, _, _, err := read(d, addr(0, 0, 2, core.LSB), 0); err != nil {
 			t.Errorf("interleaved LSB damaged: %v", err)
 		}
 	})
@@ -492,7 +500,7 @@ func TestNewerMSBProgramSupersedesWindow(t *testing.T) {
 		// Only the newest word line is lost.
 		wantUncorrectable(t, d, addr(0, 1, 0, core.LSB))
 		for wl := 0; wl <= 1; wl++ {
-			if _, _, _, err := d.Read(addr(0, 0, wl, core.LSB), 0); err != nil {
+			if _, _, _, err := read(d, addr(0, 0, wl, core.LSB), 0); err != nil {
 				t.Errorf("LSB(%d) of the completed block damaged: %v", wl, err)
 			}
 		}
@@ -545,7 +553,7 @@ func TestCorruptPage(t *testing.T) {
 	if !d.IsCorrupted(a) {
 		t.Error("IsCorrupted false after CorruptPage")
 	}
-	if _, _, _, err := d.Read(a, 0); !errors.Is(err, ErrUncorrectable) {
+	if _, _, _, err := read(d, a, 0); !errors.Is(err, ErrUncorrectable) {
 		t.Errorf("read err = %v", err)
 	}
 	// Erase clears corruption.
@@ -573,7 +581,7 @@ func TestOutOfRangeAddresses(t *testing.T) {
 		if _, err := d.Program(a, nil, nil, 0); err == nil {
 			t.Errorf("program %v accepted", a)
 		}
-		if _, _, _, err := d.Read(a, 0); err == nil {
+		if _, _, _, err := read(d, a, 0); err == nil {
 			t.Errorf("read %v accepted", a)
 		}
 	}
@@ -640,7 +648,7 @@ func TestFullBlockFillProperty(t *testing.T) {
 			t.Fatal("block not full")
 		}
 		for p, want := range payloads {
-			got, _, _, err := d.Read(PageAddr{BlockAddr: BlockAddr{0, 3}, Page: p}, now)
+			got, _, _, err := read(d, PageAddr{BlockAddr: BlockAddr{0, 3}, Page: p}, now)
 			if err != nil {
 				t.Fatalf("read %v: %v", p, err)
 			}
@@ -654,30 +662,29 @@ func TestFullBlockFillProperty(t *testing.T) {
 func TestReadIntoMatchesRead(t *testing.T) {
 	d := testDevice(t, core.RPS)
 	a := addr(0, 0, 0, core.LSB)
-	if _, err := d.Program(a, []byte("zero copy payload"), []byte{0x42, 0x24}, 0); err != nil {
-		t.Fatal(err)
-	}
-	_, _, done1, err := d.Read(a, 0) // absorb the chip-busy wait
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, spare, doneRead, err := d.Read(a, done1)
+	data, spare := []byte("zero copy payload"), []byte{0x42, 0x24}
+	progDone, err := d.Program(a, data, spare, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf PageBuf
-	doneInto, err := d.ReadInto(a, &buf, doneRead)
+	done1, err := d.ReadInto(a, &buf, progDone)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Data, data) || !bytes.Equal(buf.Spare, spare) {
-		t.Error("ReadInto payload differs from Read")
+		t.Errorf("ReadInto = %q/%x, programmed %q/%x", buf.Data, buf.Spare, data, spare)
 	}
-	if lr, li := doneRead-done1, doneInto-doneRead; li != lr {
-		t.Errorf("ReadInto latency %v, Read latency %v", li, lr)
+	if lat := done1 - progDone; lat != d.Timing().Read+d.Timing().BusXfer {
+		t.Errorf("ReadInto latency %v, want sense + transfer", lat)
+	}
+	// A reused buffer holds the same payload again, not an appended one.
+	doneInto, err := d.ReadInto(a, &buf, done1)
+	if err != nil || !bytes.Equal(buf.Data, data) || !bytes.Equal(buf.Spare, spare) {
+		t.Errorf("second ReadInto = %q/%x (%v)", buf.Data, buf.Spare, err)
 	}
 
-	// Error behaviour matches Read, and the buffer is truncated.
+	// An erased page fails, and the buffer is truncated.
 	if _, err := d.ReadInto(addr(0, 0, 1, core.LSB), &buf, doneInto); !errors.Is(err, ErrNotProgrammed) {
 		t.Errorf("erased ReadInto err = %v, want ErrNotProgrammed", err)
 	}
@@ -708,7 +715,7 @@ func testCauseAttribution(t *testing.T, d *Device) {
 	if prev != obs.CauseHost {
 		t.Errorf("SetCause returned %v, want CauseHost", prev)
 	}
-	_, _, readDone, err := d.Read(addr(0, 0, 0, core.LSB), done)
+	_, _, readDone, err := read(d, addr(0, 0, 0, core.LSB), done)
 	if err != nil {
 		t.Fatal(err)
 	}

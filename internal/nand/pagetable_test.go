@@ -24,7 +24,7 @@ func pattern(n int, seed byte) []byte {
 // readBoth reads the page through Read and ReadInto and checks they agree.
 func readBoth(t *testing.T, d *Device, a PageAddr) (data, spare []byte) {
 	t.Helper()
-	data, spare, _, err := d.Read(a, 0)
+	data, spare, _, err := read(d, a, 0)
 	if err != nil {
 		t.Fatalf("Read %v: %v", a, err)
 	}
@@ -88,7 +88,7 @@ func TestReprogramAcrossSlotSizes(t *testing.T) {
 			if _, err := d.Erase(a.BlockAddr, 0); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, err := d.Read(a, 0); !errors.Is(err, ErrNotProgrammed) {
+			if _, _, _, err := read(d, a, 0); !errors.Is(err, ErrNotProgrammed) {
 				t.Errorf("step %d: read after erase: %v, want ErrNotProgrammed", i, err)
 			}
 		}
@@ -106,7 +106,7 @@ func TestReadsDoNotAliasDeviceMemory(t *testing.T) {
 		if _, err := d.Program(a, data, spare, 0); err != nil {
 			t.Fatal(err)
 		}
-		got, gotSpare, _, err := d.Read(a, 0)
+		got, gotSpare, _, err := read(d, a, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,10 +174,10 @@ func TestFlagsSurvivePacking(t *testing.T) {
 		if err := d.MarkLost(lsb(1)); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := d.Read(lsb(0), 0); !errors.Is(err, ErrUncorrectable) {
+		if _, _, _, err := read(d, lsb(0), 0); !errors.Is(err, ErrUncorrectable) {
 			t.Errorf("corrupted page: %v, want nand.ErrUncorrectable", err)
 		}
-		if _, _, _, err := d.Read(lsb(1), 0); !errors.Is(err, rel.ErrUncorrectable) {
+		if _, _, _, err := read(d, lsb(1), 0); !errors.Is(err, rel.ErrUncorrectable) {
 			t.Errorf("lost page: %v, want rel.ErrUncorrectable", err)
 		}
 		if !d.IsCorrupted(lsb(0)) || d.IsCorrupted(lsb(1)) || d.IsCorrupted(lsb(2)) {
@@ -276,7 +276,7 @@ func testEraseOfEmptyBlockSkipsSweep(t *testing.T, d *Device) {
 	if _, err := d.Program(a, []byte("y"), nil, done); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := d.Read(a, 0); err != nil {
+	if _, _, _, err := read(d, a, 0); err != nil {
 		t.Fatal(err)
 	}
 	if d.BlockReadCount(empty) != 1 || d.PredictBlockBER(empty, sim.Second) == 0 {

@@ -64,7 +64,7 @@ func TestDeviceRandomOpsProperty(t *testing.T) {
 				// Read a random programmed page of the block.
 				idx := src.Intn(cur.pos)
 				a := PageAddr{BlockAddr: ba, Page: order[idx]}
-				data, _, done, err := d.Read(a, now)
+				data, _, done, err := read(d, a, now)
 				if err != nil {
 					return false
 				}

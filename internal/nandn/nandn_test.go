@@ -125,9 +125,10 @@ func TestReadBackAndErase(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The three-field address names the same page as nand's.
-	got, gotSpare, done, err := d.Read(pa(3, 5, 0, 0).addr(), 0)
-	if err != nil || !bytes.Equal(got, data) || !bytes.Equal(gotSpare, spare) {
-		t.Fatalf("read back %q/%x: %v", got, gotSpare, err)
+	var got PageBuf
+	done, err := d.Device.ReadInto(pa(3, 5, 0, 0).addr(), &got, 0)
+	if err != nil || !bytes.Equal(got.Data, data) || !bytes.Equal(got.Spare, spare) {
+		t.Fatalf("read back %q/%x: %v", got.Data, got.Spare, err)
 	}
 	if _, err := d.Erase(3, 5, done); err != nil {
 		t.Fatal(err)
@@ -216,17 +217,15 @@ func TestOutOfRange(t *testing.T) {
 func TestReadIntoMatchesRead(t *testing.T) {
 	d := testDevice(t)
 	a := pa(0, 0, 0, 0)
-	if _, err := d.Program(a, []byte("tlc zero copy"), []byte{0x7}, 0); err != nil {
-		t.Fatal(err)
-	}
-	data, spare, done, err := d.Read(a.addr(), 0)
+	data, spare := []byte("tlc zero copy"), []byte{0x7}
+	done, err := d.Program(a, data, spare, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf PageBuf
 	doneInto, err := d.ReadInto(a, &buf, done)
 	if err != nil || !bytes.Equal(buf.Data, data) || !bytes.Equal(buf.Spare, spare) {
-		t.Errorf("ReadInto = %q/%x (%v), Read = %q/%x", buf.Data, buf.Spare, err, data, spare)
+		t.Errorf("ReadInto = %q/%x (%v), programmed %q/%x", buf.Data, buf.Spare, err, data, spare)
 	}
 	if doneInto-done != d.Timing().Read+d.Timing().BusXfer {
 		t.Errorf("ReadInto latency %v", doneInto-done)
