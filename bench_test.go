@@ -124,7 +124,7 @@ func benchFig4(b *testing.B, stress vth.StressCondition, metric func(vth.BlockRe
 			var last float64
 			var unit string
 			for i := 0; i < b.N; i++ {
-				res, err := model.SimulateBlock(wl, o.pages, stress, rng.New(uint64(i)))
+				res, err := model.SimulateBlock(core.MLC(wl), o.pages, stress, rng.New(uint64(i)))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -603,35 +603,43 @@ func BenchmarkTLCExtension(b *testing.B) {
 	})
 }
 
-// BenchmarkSimulateBlock pins the allocation-lean refactor: the legacy
+// BenchmarkSimulateBlock pins the allocation-lean refactor: the
 // allocate-per-call path against the reusable-arena path, same RNG stream
-// and results.
+// and results, on the Figure 1 MLC cell; and the arena path on the TLC cell
+// of the Section 1 extension, which the same simulator runs.
 func BenchmarkSimulateBlock(b *testing.B) {
 	const wl = 32
-	params := vth.DefaultParams()
-	params.CellsPerWordLine = 512
-	model, err := vth.NewModel(params)
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		params vth.Params
+		order  []core.Page
+		arena  *vth.Arena
+	}{
+		{"legacy", vth.DefaultParams(), core.RPSFullOrder(wl), nil},
+		{"arena", vth.DefaultParams(), core.RPSFullOrder(wl), vth.NewArena()},
+		{"tlc-arena", vth.EvenParams(3), core.RelaxedFullOrder(core.TLC(wl)), vth.NewArena()},
+	} {
+		c.params.CellsPerWordLine = 512
+		model, err := vth.NewModel(c.params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scheme := core.Scheme{Levels: c.params.Cell.Bits, WordLines: wl}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if c.arena == nil {
+					_, err = model.SimulateBlock(scheme, c.order, vth.WorstCase, rng.New(uint64(i)))
+				} else {
+					_, err = model.SimulateBlockArena(scheme, c.order, vth.WorstCase, rng.New(uint64(i)), c.arena)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	order := core.RPSFullOrder(wl)
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := model.SimulateBlock(wl, order, vth.WorstCase, rng.New(uint64(i))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("arena", func(b *testing.B) {
-		a := vth.NewArena()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := model.SimulateBlockArena(wl, order, vth.WorstCase, rng.New(uint64(i)), a); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkDeviceRead measures the device page read into a caller-owned

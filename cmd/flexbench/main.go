@@ -7,7 +7,9 @@
 //	flexbench -requests 200000 # longer runs
 //	flexbench -workers 1       # serial simulation runs
 //
-// Experiments: fig1, table1, fig4a, fig4b, fig8a, fig8b, fig8c, summary, all.
+// Experiments: all, fig1, table1, fig4 (fig4a, fig4b), fig4tlc, fig8 (fig8a,
+// fig8b, fig8c, summary), ablation, stress, sensitivity, placement,
+// reliability.
 package main
 
 import (
@@ -16,6 +18,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"flexftl/internal/experiments"
@@ -25,7 +29,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: fig1|table1|fig4a|fig4b|fig8a|fig8b|fig8c|summary|placement|reliability|all")
+		exp      = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|"))
 		requests = flag.Int("requests", 150000, "host requests per Figure 8 run")
 		seed     = flag.Uint64("seed", 42, "workload seed")
 		full     = flag.Bool("full", false, "use the paper's 16 GB geometry (slow)")
@@ -40,6 +44,10 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// experimentNames are the values -exp accepts.
+var experimentNames = []string{"all", "fig1", "table1", "fig4", "fig4a", "fig4b", "fig4tlc",
+	"fig8", "fig8a", "fig8b", "fig8c", "summary", "ablation", "stress", "sensitivity", "placement", "reliability"}
 
 // runInfo records how an experiment executed, for the -metrics dump.
 // Schemes lists the FTL registry names the experiment actually simulated
@@ -56,6 +64,9 @@ type runInfo struct {
 }
 
 func run(w io.Writer, exp string, requests int, seed uint64, full bool, fig4Blocks, workers, shardWorkers int, metricsPath string) error {
+	if !slices.Contains(experimentNames, exp) {
+		return fmt.Errorf("unknown experiment %q", exp)
+	}
 	want := func(name string) bool { return exp == "all" || exp == name }
 	// snapshots collects each experiment's result object for -metrics;
 	// infos records worker count and wall-clock alongside.
@@ -216,12 +227,6 @@ func run(w io.Writer, exp string, requests int, seed uint64, full bool, fig4Bloc
 		if want("summary") || exp == "fig8" {
 			experiments.RenderFig8Summary(w, res)
 		}
-	}
-	switch exp {
-	case "all", "fig1", "table1", "fig4", "fig4a", "fig4b", "fig4tlc",
-		"fig8", "fig8a", "fig8b", "fig8c", "summary", "ablation", "stress", "sensitivity", "placement", "reliability":
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	if metricsPath != "" {
 		n := len(snapshots)

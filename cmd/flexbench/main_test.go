@@ -44,6 +44,17 @@ func TestRunFig4Tiny(t *testing.T) {
 	}
 }
 
+// TestRunFig4RejectsEmptyStudy: a Figure 4 with no blocks is an error, not
+// an all-zero figure under a passing shape check (or a panic).
+func TestRunFig4RejectsEmptyStudy(t *testing.T) {
+	for _, blocks := range []int{0, -1} {
+		var sb strings.Builder
+		if err := run(&sb, "fig4", 100, 1, false, blocks, 1, 1, ""); err == nil {
+			t.Errorf("-fig4-blocks %d accepted:\n%s", blocks, sb.String())
+		}
+	}
+}
+
 func TestRunUnknownExperiment(t *testing.T) {
 	var sb strings.Builder
 	if err := run(&sb, "figZZ", 100, 1, false, 2, 0, 1, ""); err == nil {

@@ -351,6 +351,36 @@ func TestRunStressSweepSmall(t *testing.T) {
 	}
 }
 
+// TestVthStudiesRejectEmptyConfigs: the three Monte-Carlo studies share one
+// driver, which refuses a study with nothing to simulate instead of
+// summarizing empty series.
+func TestVthStudiesRejectEmptyConfigs(t *testing.T) {
+	for _, c := range []struct {
+		name                     string
+		blocks, wordLines, cells int
+		cycles                   []int
+	}{
+		{"no blocks", 0, 16, 64, []int{0}},
+		{"negative blocks", -1, 16, 64, []int{0}},
+		{"no word lines", 2, 0, 64, []int{0}},
+		{"no cells", 2, 16, 0, []int{0}},
+		{"no cycles", 2, 16, 64, nil},
+	} {
+		if _, err := RunStressSweep(StressSweepConfig{Blocks: c.blocks, WordLines: c.wordLines, Cells: c.cells, Cycles: c.cycles}); err == nil {
+			t.Errorf("stress sweep with %s accepted", c.name)
+		}
+		if c.cycles == nil {
+			continue // only the sweep has cycles
+		}
+		if _, err := RunFig4(Fig4Config{Blocks: c.blocks, WordLines: c.wordLines, Cells: c.cells}); err == nil {
+			t.Errorf("fig4 with %s accepted", c.name)
+		}
+		if _, err := RunFig4TLC(Fig4TLCConfig{Blocks: c.blocks, WordLines: c.wordLines, Cells: c.cells}); err == nil {
+			t.Errorf("fig4tlc with %s accepted", c.name)
+		}
+	}
+}
+
 func TestRunAblationsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep in -short mode")

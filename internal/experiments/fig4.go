@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"flexftl/internal/core"
 	"flexftl/internal/ecc"
-	"flexftl/internal/par"
-	"flexftl/internal/rng"
 	"flexftl/internal/stats"
 	"flexftl/internal/vth"
 )
@@ -60,67 +56,37 @@ type Fig4Result struct {
 // RunFig4 simulates programming Blocks blocks under each order and collects
 // the WPi and BER distributions.
 func RunFig4(cfg Fig4Config) (Fig4Result, error) {
-	params := vth.DefaultParams()
-	params.CellsPerWordLine = cfg.Cells
-	model, err := vth.NewModel(params)
-	if err != nil {
-		return Fig4Result{}, err
-	}
-	type namedOrder struct {
-		name  string
-		pages []core.Page
-	}
-	orders := []namedOrder{
-		{"FPS", core.FPSOrder(cfg.WordLines)},
-		{"RPSfull", core.RPSFullOrder(cfg.WordLines)},
-		{"RPShalf", core.RPSHalfOrder(cfg.WordLines)},
-	}
-	if cfg.IncludeWorstCase {
-		orders = append(orders, namedOrder{"Unconstrained(worst)", core.WorstCaseOrder(core.MLC(cfg.WordLines))})
-	}
 	res := Fig4Result{Config: cfg}
-
-	// One task per (order, block), each writing its own slot; the
-	// aggregation below reads the slots in index order, so the result is
-	// identical for any worker count. Each worker reuses one arena across
-	// its blocks, keeping the fan-out allocation-lean.
-	type blockOut struct{ wps, bers []float64 }
-	workers := par.Workers(cfg.Workers)
-	scratch := par.MakeScratch(workers, vth.NewArena)
-	slots := make([]blockOut, len(orders)*cfg.Blocks)
-	err = par.Run(workers, len(slots), func(worker, task int) error {
-		oi, b := task/cfg.Blocks, task%cfg.Blocks
-		o := orders[oi]
-		seed := cfg.Seed + uint64(oi)*1_000_003 + uint64(b)
-		fresh, err := model.SimulateBlockArena(cfg.WordLines, o.pages, vth.Fresh, rng.New(seed), scratch[worker])
-		if err != nil {
-			return fmt.Errorf("fig4 %s block %d: %w", o.name, b, err)
-		}
-		wps := fresh.WPSums() // copy out before the arena is reused below
-		worn, err := model.SimulateBlockArena(cfg.WordLines, o.pages, vth.WorstCase, rng.New(seed^0x5deece66d), scratch[worker])
-		if err != nil {
-			return fmt.Errorf("fig4 %s block %d (stress): %w", o.name, b, err)
-		}
-		slots[task] = blockOut{wps: wps, bers: worn.BERs()}
-		return nil
-	})
+	study := vthStudy{
+		label: "fig4", params: vth.DefaultParams(),
+		blocks: cfg.Blocks, wordLines: cfg.WordLines, cells: cfg.Cells, workers: cfg.Workers,
+		orders: func(s core.Scheme) []namedOrder {
+			orders := []namedOrder{
+				{"FPS", core.FPSOrder(s.WordLines)},
+				{"RPSfull", core.RPSFullOrder(s.WordLines)},
+				{"RPShalf", core.RPSHalfOrder(s.WordLines)},
+			}
+			if cfg.IncludeWorstCase {
+				orders = append(orders, namedOrder{"Unconstrained(worst)", core.WorstCaseOrder(s)})
+			}
+			return orders
+		},
+		points: []vth.StressCondition{vth.WorstCase}, widths: true,
+		seed: func(_, oi, b int) uint64 { return cfg.Seed + uint64(oi)*1_000_003 + uint64(b) },
+		xor:  0x5deece66d,
+	}
+	orders, series, err := study.run()
 	if err != nil {
 		return res, err
 	}
 	for oi, o := range orders {
-		var wps, bers []float64
-		for b := 0; b < cfg.Blocks; b++ {
-			out := slots[oi*cfg.Blocks+b]
-			wps = append(wps, out.wps...)
-			bers = append(bers, out.bers...)
-		}
-		berBox := stats.Summarize(bers)
+		berBox := stats.Summarize(series[oi].bers)
 		res.Rows = append(res.Rows, Fig4Row{
 			Order:       o.name,
-			WP:          stats.Summarize(wps),
+			WP:          stats.Summarize(series[oi].wps),
 			BER:         berBox,
 			PageFailEOL: ecc.Default40BitPer1K().PageFailureProb(berBox.Median, 4096),
-			Pages:       len(wps),
+			Pages:       len(series[oi].wps),
 		})
 	}
 	return res, nil

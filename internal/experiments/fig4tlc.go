@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"flexftl/internal/core"
-	"flexftl/internal/par"
-	"flexftl/internal/rng"
 	"flexftl/internal/stats"
 	"flexftl/internal/vth"
 )
@@ -48,59 +46,31 @@ type Fig4TLCResult struct {
 
 // RunFig4TLC runs the TLC study.
 func RunFig4TLC(cfg Fig4TLCConfig) (Fig4TLCResult, error) {
-	params := vth.DefaultNLevelParams()
-	params.CellsPerWordLine = cfg.Cells
-	model, err := vth.NewNLevelModel(params)
-	if err != nil {
-		return Fig4TLCResult{}, err
-	}
-	scheme := core.TLC(cfg.WordLines)
-	type namedOrder struct {
-		name  string
-		pages []core.Page
-	}
-	orders := []namedOrder{
-		{"Fixed (vendor staircase)", core.FixedOrder(scheme)},
-		{"Relaxed 3-phase", core.RelaxedFullOrder(scheme)},
-		{"Unconstrained(worst)", core.WorstCaseOrder(scheme)},
-	}
 	res := Fig4TLCResult{Config: cfg}
-
-	type blockOut struct{ wps, bers []float64 }
-	workers := par.Workers(cfg.Workers)
-	scratch := par.MakeScratch(workers, vth.NewArena)
-	slots := make([]blockOut, len(orders)*cfg.Blocks)
-	err = par.Run(workers, len(slots), func(worker, task int) error {
-		oi, b := task/cfg.Blocks, task%cfg.Blocks
-		o := orders[oi]
-		seed := cfg.Seed + uint64(oi)*7_000_003 + uint64(b)
-		fresh, err := model.SimulateBlockArena(scheme, o.pages, vth.Fresh, rng.New(seed), scratch[worker])
-		if err != nil {
-			return fmt.Errorf("fig4tlc %s block %d: %w", o.name, b, err)
-		}
-		wps := fresh.WPSums() // copy out before the arena is reused below
-		worn, err := model.SimulateBlockArena(scheme, o.pages, vth.WorstCase, rng.New(seed^0xabcdef), scratch[worker])
-		if err != nil {
-			return fmt.Errorf("fig4tlc %s block %d (stress): %w", o.name, b, err)
-		}
-		slots[task] = blockOut{wps: wps, bers: worn.BERs()}
-		return nil
-	})
+	study := vthStudy{
+		label: "fig4tlc", params: vth.EvenParams(3),
+		blocks: cfg.Blocks, wordLines: cfg.WordLines, cells: cfg.Cells, workers: cfg.Workers,
+		orders: func(s core.Scheme) []namedOrder {
+			return []namedOrder{
+				{"Fixed (vendor staircase)", core.FixedOrder(s)},
+				{"Relaxed 3-phase", core.RelaxedFullOrder(s)},
+				{"Unconstrained(worst)", core.WorstCaseOrder(s)},
+			}
+		},
+		points: []vth.StressCondition{vth.WorstCase}, widths: true,
+		seed: func(_, oi, b int) uint64 { return cfg.Seed + uint64(oi)*7_000_003 + uint64(b) },
+		xor:  0xabcdef,
+	}
+	orders, series, err := study.run()
 	if err != nil {
 		return res, err
 	}
 	for oi, o := range orders {
-		var wps, bers []float64
-		for b := 0; b < cfg.Blocks; b++ {
-			out := slots[oi*cfg.Blocks+b]
-			wps = append(wps, out.wps...)
-			bers = append(bers, out.bers...)
-		}
 		res.Rows = append(res.Rows, Fig4TLCRow{
 			Order: o.name,
-			WP:    stats.Summarize(wps),
-			BER:   stats.Summarize(bers),
-			Pages: len(wps),
+			WP:    stats.Summarize(series[oi].wps),
+			BER:   stats.Summarize(series[oi].bers),
+			Pages: len(series[oi].wps),
 		})
 	}
 	return res, nil

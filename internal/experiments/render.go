@@ -39,7 +39,7 @@ func RenderFig1Distributions(w io.Writer, seed uint64) error {
 	}
 	const wl = 8
 	order := core.FPSOrder(wl)
-	refs := params.ReadReferences()
+	cell := params.Cell
 	for _, cond := range []struct {
 		name   string
 		stress vth.StressCondition
@@ -47,16 +47,16 @@ func RenderFig1Distributions(w io.Writer, seed uint64) error {
 		{"fresh", vth.Fresh},
 		{"3K P/E + 1-year retention", vth.WorstCase},
 	} {
-		sample, err := model.SampleWordLine(wl, order, wl/2, cond.stress, rng.New(seed))
+		sample, err := model.SampleWordLine(core.MLC(wl), order, wl/2, cond.stress, rng.New(seed))
 		if err != nil {
 			return err
 		}
 		var pops []ascii.Population
-		for s := vth.StateE; s <= vth.StateP3; s++ {
-			pops = append(pops, ascii.Population{Label: s.String(), Values: sample.State(s)})
+		for s := 0; s < cell.States(); s++ {
+			pops = append(pops, ascii.Population{Label: cell.StateName(s), Values: sample.State(s)})
 		}
 		fmt.Fprintf(w, "\n  Vth distributions, %s:\n", cond.name)
-		ascii.PlotHistogram(w, "", "Vth, V", pops, refs[:], 64, 7)
+		ascii.PlotHistogram(w, "", "Vth, V", pops, cell.ReadReferences(), 64, 7)
 	}
 	return nil
 }

@@ -6,8 +6,6 @@ import (
 
 	"flexftl/internal/core"
 	"flexftl/internal/ecc"
-	"flexftl/internal/par"
-	"flexftl/internal/rng"
 	"flexftl/internal/stats"
 	"flexftl/internal/vth"
 )
@@ -50,45 +48,26 @@ func DefaultStressSweepConfig() StressSweepConfig {
 
 // RunStressSweep computes the curve.
 func RunStressSweep(cfg StressSweepConfig) ([]StressPoint, error) {
-	params := vth.DefaultParams()
-	params.CellsPerWordLine = cfg.Cells
-	model, err := vth.NewModel(params)
+	study := vthStudy{
+		label: "stress sweep", params: vth.DefaultParams(),
+		blocks: cfg.Blocks, wordLines: cfg.WordLines, cells: cfg.Cells, workers: cfg.Workers,
+		orders: func(s core.Scheme) []namedOrder {
+			return []namedOrder{
+				{"FPS", core.FPSOrder(s.WordLines)},
+				{"RPSfull", core.RPSFullOrder(s.WordLines)},
+			}
+		},
+		// Both orders draw block b of a cycle count from the same seed.
+		seed: func(ci, _, b int) uint64 { return cfg.Seed + uint64(cfg.Cycles[ci])*31 + uint64(b) },
+	}
+	for _, pe := range cfg.Cycles {
+		study.points = append(study.points, vth.StressCondition{PECycles: pe, RetentionYears: 1})
+	}
+	orders, series, err := study.run()
 	if err != nil {
 		return nil, err
-	}
-	// An ordered slice, not a map: every (cycle, order, block) triple maps
-	// to a fixed task index so the parallel fan-out is deterministic.
-	type namedOrder struct {
-		name  string
-		pages []core.Page
-	}
-	orders := []namedOrder{
-		{"FPS", core.FPSOrder(cfg.WordLines)},
-		{"RPSfull", core.RPSFullOrder(cfg.WordLines)},
 	}
 	code := ecc.Default40BitPer1K()
-
-	perCycle := len(orders) * cfg.Blocks
-	workers := par.Workers(cfg.Workers)
-	scratch := par.MakeScratch(workers, vth.NewArena)
-	slots := make([][]float64, len(cfg.Cycles)*perCycle)
-	err = par.Run(workers, len(slots), func(worker, task int) error {
-		ci, rem := task/perCycle, task%perCycle
-		oi, b := rem/cfg.Blocks, rem%cfg.Blocks
-		pe := cfg.Cycles[ci]
-		stress := vth.StressCondition{PECycles: pe, RetentionYears: 1}
-		res, err := model.SimulateBlockArena(cfg.WordLines, orders[oi].pages, stress,
-			rng.New(cfg.Seed+uint64(pe)*31+uint64(b)), scratch[worker])
-		if err != nil {
-			return fmt.Errorf("stress sweep %s @%d: %w", orders[oi].name, pe, err)
-		}
-		slots[task] = res.BERs()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	var out []StressPoint
 	for ci, pe := range cfg.Cycles {
 		pt := StressPoint{
@@ -97,11 +76,7 @@ func RunStressSweep(cfg StressSweepConfig) ([]StressPoint, error) {
 			PageFail:  make(map[string]float64),
 		}
 		for oi, o := range orders {
-			var bers []float64
-			for b := 0; b < cfg.Blocks; b++ {
-				bers = append(bers, slots[ci*perCycle+oi*cfg.Blocks+b]...)
-			}
-			med := stats.Quantile(bers, 0.5)
+			med := stats.Quantile(series[ci*len(orders)+oi].bers, 0.5)
 			pt.MedianBER[o.name] = med
 			pt.PageFail[o.name] = code.PageFailureProb(med, 4096)
 		}

@@ -16,7 +16,7 @@ import (
 // bracket must stay exact on it — it bounds the BER over a box term by term
 // and assumes nothing about the surface's shape.
 func skewedModel() rel.Model {
-	m := rel.DeriveModel(vth.DefaultParams())
+	m := rel.Derive(vth.DefaultParams())
 	m.Refs[1] = m.Levels[1] + 0.02*(m.Levels[2]-m.Levels[1])
 	m.RetentionSigmaPerYear = 0
 	return m
@@ -24,8 +24,8 @@ func skewedModel() rel.Model {
 
 func bracketTestModels() map[string]rel.Model {
 	return map[string]rel.Model{
-		"mlc":    rel.DeriveModel(vth.DefaultParams()),
-		"tlc":    rel.DeriveNLevelModel(vth.DefaultNLevelParams(), 3),
+		"mlc":    rel.Derive(vth.DefaultParams()),
+		"tlc":    rel.Derive(vth.EvenParams(3)),
 		"skewed": skewedModel(),
 	}
 }

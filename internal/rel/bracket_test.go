@@ -11,7 +11,7 @@ import (
 // skewed is a valid model whose BER falls with age at first: state 1 sits
 // just under its upper reference and charge loss pulls it clear.
 func skewed() Model {
-	m := DeriveModel(vth.DefaultParams())
+	m := Derive(vth.DefaultParams())
 	m.Refs[1] = m.Levels[1] + 0.02*(m.Levels[2]-m.Levels[1])
 	m.RetentionSigmaPerYear = 0
 	return m
@@ -56,8 +56,8 @@ func TestLadderIsReadOutcome(t *testing.T) {
 // monotone in age.
 func TestBERBoundsContainBER(t *testing.T) {
 	models := map[string]Model{
-		"mlc":    DeriveModel(vth.DefaultParams()),
-		"tlc":    DeriveNLevelModel(vth.DefaultNLevelParams(), 3),
+		"mlc":    Derive(vth.DefaultParams()),
+		"tlc":    Derive(vth.EvenParams(3)),
 		"skewed": skewed(),
 	}
 	if m := models["skewed"]; m.Validate() != nil || m.BER(3000, Year/4, 0) >= m.BER(3000, 0, 0) {

@@ -60,7 +60,7 @@ type Model struct {
 	RetentionSigmaPerYear float64
 	// ReadDisturbSigmaPerKRead widens every state per 1000 reads of the
 	// block since its last erase (pass-through stress on unselected word
-	// lines). The Monte-Carlo model has no read-disturb axis, so DeriveModel
+	// lines). The Monte-Carlo model has no read-disturb axis, so Derive
 	// supplies DefaultReadDisturbSigmaPerKRead.
 	ReadDisturbSigmaPerKRead float64
 }
@@ -71,40 +71,14 @@ type Model struct {
 // (hundreds of thousands of reads of one block) measurably degrades it.
 const DefaultReadDisturbSigmaPerKRead = 0.002
 
-// DeriveModel builds the closed-form surface from the calibrated MLC
-// Monte-Carlo parameters.
-func DeriveModel(p vth.Params) Model {
-	refs := p.ReadReferences()
+// Derive builds the closed-form surface of the cell the Monte-Carlo
+// parameters describe: its final levels, the read references at their
+// midpoints, its bit count, and the shared spread and shift constants.
+func Derive(p vth.Params) Model {
 	return Model{
-		Levels:                   append([]float64(nil), p.Levels[:]...),
-		Refs:                     append([]float64(nil), refs[:]...),
-		BitsPerCell:              2,
-		ProgramSigma:             p.ProgramSigma,
-		WearSigmaPerKCycle:       p.WearSigmaPerKCycle,
-		RetentionShiftPerYear:    p.RetentionShiftPerYear,
-		RetentionSigmaPerYear:    p.RetentionSigmaPerYear,
-		ReadDisturbSigmaPerKRead: DefaultReadDisturbSigmaPerKRead,
-	}
-}
-
-// DeriveNLevelModel builds the surface for a 2^bitsPerCell-state part whose
-// levels are evenly placed across the n-level window (the vth n-level
-// model's placement rule).
-func DeriveNLevelModel(p vth.NLevelParams, bitsPerCell int) Model {
-	n := 1 << bitsPerCell
-	levels := make([]float64, n)
-	span := p.WindowHigh - p.WindowLow
-	for i := range levels {
-		levels[i] = p.WindowLow + span*float64(i)/float64(n-1)
-	}
-	refs := make([]float64, n-1)
-	for i := range refs {
-		refs[i] = (levels[i] + levels[i+1]) / 2
-	}
-	return Model{
-		Levels:                   levels,
-		Refs:                     refs,
-		BitsPerCell:              bitsPerCell,
+		Levels:                   p.Cell.Levels(),
+		Refs:                     p.Cell.ReadReferences(),
+		BitsPerCell:              p.Cell.Bits,
 		ProgramSigma:             p.ProgramSigma,
 		WearSigmaPerKCycle:       p.WearSigmaPerKCycle,
 		RetentionShiftPerYear:    p.RetentionShiftPerYear,
@@ -233,7 +207,7 @@ type Config struct {
 // 20-bit fast path, four retry rounds at 0.7x effective BER each.
 func DefaultConfig(seed uint64) Config {
 	return Config{
-		Model:               DeriveModel(vth.DefaultParams()),
+		Model:               Derive(vth.DefaultParams()),
 		Code:                ecc.Default40BitPer1K(),
 		FastCorrectableBits: 20,
 		MaxRetries:          4,

@@ -14,7 +14,7 @@ import (
 // error-free, and the paper's 3K-P/E + 1-year worst case lands in the
 // 1e-4..1e-2 raw-BER decade of Figure 4(b).
 func TestModelStressDecades(t *testing.T) {
-	m := DeriveModel(vth.DefaultParams())
+	m := Derive(vth.DefaultParams())
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestModelStressDecades(t *testing.T) {
 
 // TestModelMonotone checks BER is monotone in each stress axis.
 func TestModelMonotone(t *testing.T) {
-	m := DeriveModel(vth.DefaultParams())
+	m := Derive(vth.DefaultParams())
 	prev := -1.0
 	for pe := 0; pe <= 8000; pe += 500 {
 		b := m.BER(pe, Year/2, 100)
@@ -60,18 +60,18 @@ func TestModelMonotone(t *testing.T) {
 	}
 }
 
-// TestDeriveNLevelModel checks the n-level derivation produces a valid
-// denser-packed surface whose BER dominates the MLC one at equal stress.
+// TestDeriveNLevelModel checks that deriving from a denser cell produces a
+// valid denser-packed surface whose BER dominates the MLC one at equal
+// stress.
 func TestDeriveNLevelModel(t *testing.T) {
-	p := vth.DefaultNLevelParams()
-	tlc := DeriveNLevelModel(p, 3)
+	tlc := Derive(vth.EvenParams(3))
 	if err := tlc.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(tlc.Levels) != 8 || len(tlc.Refs) != 7 || tlc.BitsPerCell != 3 {
 		t.Fatalf("TLC model shape: %d levels, %d refs, %d bits", len(tlc.Levels), len(tlc.Refs), tlc.BitsPerCell)
 	}
-	mlc := DeriveNLevelModel(p, 2)
+	mlc := Derive(vth.EvenParams(2))
 	if tlcBER, mlcBER := tlc.BER(2000, Year, 0), mlc.BER(2000, Year, 0); tlcBER <= mlcBER {
 		t.Errorf("TLC BER %g should exceed MLC BER %g at equal stress", tlcBER, mlcBER)
 	}

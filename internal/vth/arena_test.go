@@ -24,11 +24,11 @@ func TestSimulateBlockArenaMatchesLegacy(t *testing.T) {
 		{8, core.WorstCaseOrder(core.MLC(8)), 3}, // shrinking reuse
 		{32, core.RPSHalfOrder(32), 4},           // growing reuse
 	} {
-		want, err := m.SimulateBlock(cfg.wl, cfg.order, WorstCase, rng.New(cfg.seed))
+		want, err := m.SimulateBlock(core.MLC(cfg.wl), cfg.order, WorstCase, rng.New(cfg.seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.SimulateBlockArena(cfg.wl, cfg.order, WorstCase, rng.New(cfg.seed), a)
+		got, err := m.SimulateBlockArena(core.MLC(cfg.wl), cfg.order, WorstCase, rng.New(cfg.seed), a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,11 +52,11 @@ func TestSimulateBlockArenaZeroAllocs(t *testing.T) {
 	order := core.RPSFullOrder(wl)
 	a := NewArena()
 	src := rng.New(7)
-	if _, err := m.SimulateBlockArena(wl, order, WorstCase, src, a); err != nil {
+	if _, err := m.SimulateBlockArena(core.MLC(wl), order, WorstCase, src, a); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := m.SimulateBlockArena(wl, order, WorstCase, src, a); err != nil {
+		if _, err := m.SimulateBlockArena(core.MLC(wl), order, WorstCase, src, a); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -68,12 +68,6 @@ func TestSimulateBlockArenaZeroAllocs(t *testing.T) {
 // TestNLevelArenaMatchesLegacy mirrors the MLC equivalence check for the
 // generalized model, TLC included.
 func TestNLevelArenaMatchesLegacy(t *testing.T) {
-	p := DefaultNLevelParams()
-	p.CellsPerWordLine = 128
-	m, err := NewNLevelModel(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	a := NewArena()
 	for _, cfg := range []struct {
 		s    core.Scheme
@@ -83,6 +77,7 @@ func TestNLevelArenaMatchesLegacy(t *testing.T) {
 		{core.MLC(8), 2}, // scheme switch forces the page tracker to reallocate
 		{core.TLC(16), 3},
 	} {
+		m := newEvenModel(t, cfg.s.Levels, 128)
 		order := core.FixedOrder(cfg.s)
 		want, err := m.SimulateBlock(cfg.s, order, WorstCase, rng.New(cfg.seed))
 		if err != nil {
@@ -102,12 +97,7 @@ func TestNLevelArenaMatchesLegacy(t *testing.T) {
 // TestNLevelArenaZeroAllocs: the n-level simulator is allocation-free on a
 // warm arena too.
 func TestNLevelArenaZeroAllocs(t *testing.T) {
-	p := DefaultNLevelParams()
-	p.CellsPerWordLine = 64
-	m, err := NewNLevelModel(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newEvenModel(t, 3, 64)
 	s := core.TLC(8)
 	order := core.RelaxedFullOrder(s)
 	a := NewArena()
@@ -130,15 +120,12 @@ func TestNLevelArenaZeroAllocs(t *testing.T) {
 func TestArenaRejectsBadOrders(t *testing.T) {
 	m := newModel(t)
 	a := NewArena()
-	if _, err := m.SimulateBlockArena(4, core.FPSOrder(3), Fresh, rng.New(1), a); err == nil {
-		t.Error("short order accepted")
+	for _, c := range badOrders() {
+		if _, err := m.SimulateBlockArena(c.s, c.order, Fresh, rng.New(1), a); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	dup := core.RPSFullOrder(4)
-	dup[1] = dup[0]
-	if _, err := m.SimulateBlockArena(4, dup, Fresh, rng.New(1), a); err == nil {
-		t.Error("duplicate page accepted")
-	}
-	if _, err := m.SimulateBlockArena(4, core.RPSFullOrder(4), Fresh, rng.New(1), a); err != nil {
+	if _, err := m.SimulateBlockArena(core.MLC(4), core.RPSFullOrder(4), Fresh, rng.New(1), a); err != nil {
 		t.Errorf("arena unusable after rejected orders: %v", err)
 	}
 }

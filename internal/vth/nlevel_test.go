@@ -8,11 +8,12 @@ import (
 	"flexftl/internal/stats"
 )
 
-func newNLevelModel(t *testing.T) *NLevelModel {
+// newEvenModel builds the model of the evenly spaced 2^bits-state cell.
+func newEvenModel(t *testing.T, bits, cells int) *Model {
 	t.Helper()
-	p := DefaultNLevelParams()
-	p.CellsPerWordLine = 512
-	m, err := NewNLevelModel(p)
+	p := EvenParams(bits)
+	p.CellsPerWordLine = cells
+	m, err := NewModel(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,25 +21,30 @@ func newNLevelModel(t *testing.T) *NLevelModel {
 }
 
 func TestNewNLevelModelValidation(t *testing.T) {
-	p := DefaultNLevelParams()
+	p := EvenParams(3)
 	p.CellsPerWordLine = 0
-	if _, err := NewNLevelModel(p); err == nil {
+	if _, err := NewModel(p); err == nil {
 		t.Error("zero cells accepted")
 	}
-	p = DefaultNLevelParams()
+	p = EvenParams(3)
 	p.ProgramSigma = 0
-	if _, err := NewNLevelModel(p); err == nil {
+	if _, err := NewModel(p); err == nil {
 		t.Error("zero sigma accepted")
 	}
-	p = DefaultNLevelParams()
-	p.WindowHigh = p.WindowLow
-	if _, err := NewNLevelModel(p); err == nil {
+	p = EvenParams(3)
+	p.Cell = EvenCell(3, 1, 1)
+	if _, err := NewModel(p); err == nil {
 		t.Error("inverted window accepted")
+	}
+	for _, bits := range []int{0, 1, MaxBits + 1} {
+		if _, err := NewModel(EvenParams(bits)); err == nil {
+			t.Errorf("%d-bit cell accepted", bits)
+		}
 	}
 }
 
 func TestNLevelRejectsBadOrders(t *testing.T) {
-	m := newNLevelModel(t)
+	m := newEvenModel(t, 3, 512)
 	s := core.TLC(4)
 	if _, err := m.SimulateBlock(s, core.FixedOrder(core.TLC(3)), Fresh, rng.New(1)); err == nil {
 		t.Error("short order accepted")
@@ -53,6 +59,14 @@ func TestNLevelRejectsBadOrders(t *testing.T) {
 	if _, err := m.SimulateBlock(s, bad, Fresh, rng.New(1)); err == nil {
 		t.Error("out-of-range page accepted")
 	}
+	deep := core.FixedOrder(s)
+	deep[len(deep)-1].Type = 3
+	if _, err := m.SimulateBlock(s, deep, Fresh, rng.New(1)); err == nil {
+		t.Error("page level >= cell bits accepted")
+	}
+	if _, err := m.SimulateBlock(core.MLC(4), core.FixedOrder(core.MLC(4)), Fresh, rng.New(1)); err == nil {
+		t.Error("MLC block on a TLC cell accepted")
+	}
 	if _, err := m.SimulateBlock(core.Scheme{Levels: 1, WordLines: 2}, nil, Fresh, rng.New(1)); err == nil {
 		t.Error("invalid scheme accepted")
 	}
@@ -60,28 +74,62 @@ func TestNLevelRejectsBadOrders(t *testing.T) {
 
 func TestGrayDistanceBits(t *testing.T) {
 	// Voltage-adjacent states must differ in exactly one data bit for any
-	// cell depth.
+	// cell depth, and a misread across several states costs the popcount of
+	// the two bit patterns' XOR.
 	for _, bits := range []int{2, 3, 4} {
-		for s := 0; s < (1<<bits)-1; s++ {
-			if d := grayDistanceBits(s, s+1, bits); d != 1 {
+		c := EvenCell(bits, 0, 1)
+		for s := 0; s < c.States()-1; s++ {
+			if d := c.bitErrors(s, s+1); d != 1 {
 				t.Errorf("bits=%d: states %d,%d differ in %d data bits, want 1", bits, s, s+1, d)
 			}
 		}
-		if grayDistanceBits(3, 3, bits) != 0 {
+		if c.bitErrors(3, 3) != 0 {
 			t.Error("identical states differ")
+		}
+		// 0 and 2 store 0..00 and 0..11: two bits apart.
+		if d := c.bitErrors(0, 2); d != 2 {
+			t.Errorf("bits=%d: states 0,2 differ in %d data bits, want 2", bits, d)
+		}
+	}
+	// The code is the data that programs a cell into the state: feeding
+	// every bit string through the program table lands on the state whose
+	// Code is that string, LSB page's bit first.
+	c := EvenCell(3, 0, 1)
+	for data := 0; data < 8; data++ {
+		s := 0
+		for d := 0; d < 3; d++ {
+			s = int(c.Steps[d].Next[2*s+data>>(2-d)&1])
+		}
+		if int(c.Code[s]) != data {
+			t.Errorf("data %03b programs state %d, whose code is %03b", data, s, c.Code[s])
 		}
 	}
 }
 
+// TestClassifyNearest: thresholding at the midpoint references reads a
+// voltage as the nearest final level, whatever the spacing.
 func TestClassifyNearest(t *testing.T) {
-	levels := []float64{0, 1, 2, 3}
-	cases := []struct {
+	p := EvenParams(2)
+	p.Cell = EvenCell(2, 0, 3) // levels 0, 1, 2, 3
+	p.CellsPerWordLine = 1
+	m, err := NewModel(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, a := core.MLC(1), NewArena()
+	for _, c := range []struct {
 		v    float64
 		want int
-	}{{-5, 0}, {0.4, 0}, {0.6, 1}, {2.51, 3}, {99, 3}}
-	for _, c := range cases {
-		if got := classifyNearest(c.v, levels); got != c.want {
-			t.Errorf("classify(%v) = %d, want %d", c.v, got, c.want)
+	}{{-5, 0}, {0.4, 0}, {0.6, 1}, {2.51, 3}, {99, 3}} {
+		// One cell found at v reads error-free exactly when it was meant to
+		// be in state c.want.
+		for st := 0; st < p.Cell.States(); st++ {
+			a.size(s, 1)
+			a.vth[0], a.state[0] = c.v, uint8(st)
+			res := m.measure(s, 0, 1, Fresh, rng.New(1), a)
+			if want := p.Cell.bitErrors(st, c.want); res.TotalErrs != want {
+				t.Errorf("v=%v meant for state %d: %d bit errors, want %d (read as state %d)", c.v, st, res.TotalErrs, want, c.want)
+			}
 		}
 	}
 }
@@ -89,7 +137,7 @@ func TestClassifyNearest(t *testing.T) {
 // TestTLCFreshNearlyErrorFree: legal orders on a fresh TLC block stay below
 // the ECC envelope (TLC margins are ~1/2 MLC's, so the bound is looser).
 func TestTLCFreshNearlyErrorFree(t *testing.T) {
-	m := newNLevelModel(t)
+	m := newEvenModel(t, 3, 512)
 	s := core.TLC(16)
 	for name, order := range map[string][]core.Page{
 		"fixed":  core.FixedOrder(s),
@@ -109,7 +157,7 @@ func TestTLCFreshNearlyErrorFree(t *testing.T) {
 // TLC: the relaxed 3-phase order's widths and BERs match the vendor
 // staircase statistically.
 func TestTLCRelaxedMatchesFixed(t *testing.T) {
-	m := newNLevelModel(t)
+	m := newEvenModel(t, 3, 512)
 	s := core.TLC(32)
 	const blocks = 6
 	collect := func(order []core.Page, seed uint64) (wp, ber []float64) {
@@ -140,12 +188,7 @@ func TestTLCRelaxedMatchesFixed(t *testing.T) {
 // TestTLCWorstCaseOrderWorse: the forbidden order inflates the width tails,
 // exactly as in MLC.
 func TestTLCWorstCaseOrderWorse(t *testing.T) {
-	p := DefaultNLevelParams()
-	p.CellsPerWordLine = 2048
-	m, err := NewNLevelModel(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newEvenModel(t, 3, 2048)
 	s := core.TLC(16)
 	fixed, err := m.SimulateBlock(s, core.FixedOrder(s), Fresh, rng.New(1))
 	if err != nil {
@@ -166,9 +209,9 @@ func TestTLCWorstCaseOrderWorse(t *testing.T) {
 }
 
 // TestNLevelMatchesAggressorAnalysis: the model's aggressor counters agree
-// with the nlevel static analysis on every order type.
+// with core's static analysis on every order type.
 func TestNLevelMatchesAggressorAnalysis(t *testing.T) {
-	m := newNLevelModel(t)
+	m := newEvenModel(t, 3, 512)
 	s := core.TLC(8)
 	for name, order := range map[string][]core.Page{
 		"fixed":  core.FixedOrder(s),
@@ -193,7 +236,7 @@ func TestNLevelMatchesAggressorAnalysis(t *testing.T) {
 // dedicated MLC model in the quantities that matter (zero-ish fresh BER,
 // stress raising it, FPS==RPS equivalence).
 func TestMLCViaNLevelConsistency(t *testing.T) {
-	m := newNLevelModel(t)
+	m := newEvenModel(t, 2, 512)
 	s := core.MLC(16)
 	fresh, err := m.SimulateBlock(s, core.FixedOrder(s), Fresh, rng.New(4))
 	if err != nil {
@@ -219,12 +262,11 @@ func TestMLCViaNLevelConsistency(t *testing.T) {
 // must be less reliable than the 4-state part — the capacity/reliability
 // trade the multi-leveling technique makes (Section 1).
 func TestTLCWorseThanMLCAtEndOfLife(t *testing.T) {
-	m := newNLevelModel(t)
-	mlc, err := m.SimulateBlock(core.MLC(16), core.FixedOrder(core.MLC(16)), WorstCase, rng.New(5))
+	mlc, err := newEvenModel(t, 2, 512).SimulateBlock(core.MLC(16), core.FixedOrder(core.MLC(16)), WorstCase, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tlc, err := m.SimulateBlock(core.TLC(16), core.FixedOrder(core.TLC(16)), WorstCase, rng.New(5))
+	tlc, err := newEvenModel(t, 3, 512).SimulateBlock(core.TLC(16), core.FixedOrder(core.TLC(16)), WorstCase, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +276,7 @@ func TestTLCWorseThanMLCAtEndOfLife(t *testing.T) {
 }
 
 func TestNLevelResultAccessors(t *testing.T) {
-	m := newNLevelModel(t)
+	m := newEvenModel(t, 3, 512)
 	s := core.TLC(4)
 	res, err := m.SimulateBlock(s, core.FixedOrder(s), WorstCase, rng.New(6))
 	if err != nil {
@@ -246,7 +288,10 @@ func TestNLevelResultAccessors(t *testing.T) {
 	if res.TotalBits != 3*512*4 {
 		t.Errorf("TotalBits = %d", res.TotalBits)
 	}
-	if (NLevelResult{}).BlockBER() != 0 {
+	if res.Scheme != s {
+		t.Errorf("result scheme %v, want %v", res.Scheme, s)
+	}
+	if (BlockResult{}).BlockBER() != 0 {
 		t.Error("empty BlockBER != 0")
 	}
 }

@@ -20,31 +20,32 @@ func newModel(t *testing.T) *Model {
 }
 
 func TestStateCoding(t *testing.T) {
-	// Gray coding round trip for all four states.
-	for s := StateE; s < numStates; s++ {
-		l, m := s.Bits()
-		if got := StateOf(l, m); got != s {
-			t.Errorf("StateOf(Bits(%v)) = %v", s, got)
+	// Figure 1's Gray coding, LSB page's bit first.
+	mlc := Fig1Cell()
+	for s, want := range []string{"E(11)", "P1(01)", "P2(00)", "P3(10)"} {
+		if got := mlc.StateName(s); got != want {
+			t.Errorf("StateName(%d) = %q, want %q", s, got, want)
+		}
+	}
+	if got := mlc.StateName(9); got != "State(9)" {
+		t.Errorf("out-of-range StateName = %q", got)
+	}
+	// The code follows from the program table: a final state stores the
+	// bits that programmed a cell into it.
+	for lsb := 0; lsb < 2; lsb++ {
+		for msb := 0; msb < 2; msb++ {
+			s := mlc.Steps[1].Next[2*int(mlc.Steps[0].Next[lsb])+msb]
+			if got := int(mlc.Code[s]); got != lsb<<1|msb {
+				t.Errorf("lsb %d msb %d programs %s", lsb, msb, mlc.StateName(int(s)))
+			}
 		}
 	}
 	// Adjacent states differ in exactly one bit (Gray property) — this is
 	// why a single-level misread costs one bit error, not two.
-	for s := StateE; s < StateP3; s++ {
-		l1, m1 := s.Bits()
-		l2, m2 := (s + 1).Bits()
-		diff := 0
-		if l1 != l2 {
-			diff++
+	for s := 0; s < mlc.States()-1; s++ {
+		if diff := mlc.bitErrors(s, s+1); diff != 1 {
+			t.Errorf("states %s and %s differ in %d bits, want 1", mlc.StateName(s), mlc.StateName(s+1), diff)
 		}
-		if m1 != m2 {
-			diff++
-		}
-		if diff != 1 {
-			t.Errorf("states %v and %v differ in %d bits, want 1", s, s+1, diff)
-		}
-	}
-	if StateE.String() == "" || State(9).String() == "" {
-		t.Error("State.String empty")
 	}
 }
 
@@ -60,19 +61,31 @@ func TestNewModelValidation(t *testing.T) {
 		t.Error("zero sigma accepted")
 	}
 	p = DefaultParams()
-	p.Levels = [4]float64{0, 0, 1, 2}
+	p.Cell.Steps[1].Level = [MaxStates]float64{0, 0, 1, 2}
 	if _, err := NewModel(p); err == nil {
 		t.Error("non-increasing levels accepted")
+	}
+	p = DefaultParams()
+	p.Cell.Steps[0].Next[0] = 2
+	if _, err := NewModel(p); err == nil {
+		t.Error("LSB step reaching a third state accepted")
 	}
 }
 
 func TestReadReferencesBetweenLevels(t *testing.T) {
-	p := DefaultParams()
-	refs := p.ReadReferences()
-	for i := 0; i < 3; i++ {
-		if refs[i] <= p.Levels[i] || refs[i] >= p.Levels[i+1] {
-			t.Errorf("ref %d (%v) not between levels %v and %v", i, refs[i], p.Levels[i], p.Levels[i+1])
+	for _, c := range []Cell{Fig1Cell(), EvenParams(3).Cell} {
+		levels, refs := c.Levels(), c.ReadReferences()
+		if len(levels) != c.States() || len(refs) != c.States()-1 {
+			t.Fatalf("%d-bit cell: %d levels, %d refs", c.Bits, len(levels), len(refs))
 		}
+		for i, ref := range refs {
+			if ref <= levels[i] || ref >= levels[i+1] {
+				t.Errorf("ref %d (%v) not between levels %v and %v", i, ref, levels[i], levels[i+1])
+			}
+		}
+	}
+	if (Cell{Bits: 9}).Levels() != nil || (Cell{}).ReadReferences() != nil {
+		t.Error("out-of-range cell has levels")
 	}
 }
 
@@ -87,7 +100,7 @@ func TestFreshBlockNearlyErrorFree(t *testing.T) {
 		"RPSfull": core.RPSFullOrder(wl),
 		"RPShalf": core.RPSHalfOrder(wl),
 	} {
-		res, err := m.SimulateBlock(wl, order, Fresh, rng.New(1))
+		res, err := m.SimulateBlock(core.MLC(wl), order, Fresh, rng.New(1))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -97,20 +110,39 @@ func TestFreshBlockNearlyErrorFree(t *testing.T) {
 	}
 }
 
-func TestSimulateBlockRejectsBadOrders(t *testing.T) {
-	m := newModel(t)
-	if _, err := m.SimulateBlock(4, core.FPSOrder(3), Fresh, rng.New(1)); err == nil {
-		t.Error("short order accepted")
-	}
+// badOrder is a malformed input the simulator must answer with an error:
+// a block shape and an order for the MLC model.
+type badOrder struct {
+	name  string
+	s     core.Scheme
+	order []core.Page
+}
+
+func badOrders() []badOrder {
 	dup := core.RPSFullOrder(4)
 	dup[1] = dup[0]
-	if _, err := m.SimulateBlock(4, dup, Fresh, rng.New(1)); err == nil {
-		t.Error("duplicate page accepted")
+	farWL := core.RPSFullOrder(4)
+	farWL[0] = core.Page{WL: 99, Type: core.LSB}
+	// A page level the 2-bit cell does not have, in an order of the right
+	// length: this used to panic in core.BlockState.Mark.
+	deepPage := core.RPSFullOrder(4)
+	deepPage[7] = core.Page{WL: 3, Type: core.MSB + 1}
+	return []badOrder{
+		{"short order", core.MLC(4), core.FPSOrder(3)},
+		{"duplicate page", core.MLC(4), dup},
+		{"out-of-range word line", core.MLC(4), farWL},
+		{"page level >= cell bits", core.MLC(4), deepPage},
+		{"scheme levels != cell bits", core.TLC(4), core.FixedOrder(core.TLC(4))},
+		{"invalid scheme", core.Scheme{Levels: 2}, nil},
 	}
-	bad := core.RPSFullOrder(4)
-	bad[0] = core.Page{WL: 99, Type: core.LSB}
-	if _, err := m.SimulateBlock(4, bad, Fresh, rng.New(1)); err == nil {
-		t.Error("out-of-range page accepted")
+}
+
+func TestSimulateBlockRejectsBadOrders(t *testing.T) {
+	m := newModel(t)
+	for _, c := range badOrders() {
+		if _, err := m.SimulateBlock(c.s, c.order, Fresh, rng.New(1)); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
@@ -123,7 +155,7 @@ func TestFig4aEquivalence(t *testing.T) {
 	collect := func(order []core.Page, seed uint64) []float64 {
 		var all []float64
 		for b := 0; b < blocks; b++ {
-			res, err := m.SimulateBlock(wl, order, Fresh, rng.New(seed+uint64(b)))
+			res, err := m.SimulateBlock(core.MLC(wl), order, Fresh, rng.New(seed+uint64(b)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,11 +186,11 @@ func TestWorstCaseOrderWidensDistributions(t *testing.T) {
 		t.Fatal(err)
 	}
 	const wl = 32
-	fpsRes, err := m.SimulateBlock(wl, core.FPSOrder(wl), Fresh, rng.New(1))
+	fpsRes, err := m.SimulateBlock(core.MLC(wl), core.FPSOrder(wl), Fresh, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	badRes, err := m.SimulateBlock(wl, core.WorstCaseOrder(core.MLC(wl)), Fresh, rng.New(2))
+	badRes, err := m.SimulateBlock(core.MLC(wl), core.WorstCaseOrder(core.MLC(wl)), Fresh, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +217,11 @@ func TestWorstCaseOrderWidensDistributions(t *testing.T) {
 	}
 	// Under end-of-life stress the unconstrained order must also lose more
 	// bits than FPS — the Figure 2(a) data-loss scenario.
-	fpsWorn, err := m.SimulateBlock(wl, core.FPSOrder(wl), WorstCase, rng.New(11))
+	fpsWorn, err := m.SimulateBlock(core.MLC(wl), core.FPSOrder(wl), WorstCase, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	badWorn, err := m.SimulateBlock(wl, core.WorstCaseOrder(core.MLC(wl)), WorstCase, rng.New(12))
+	badWorn, err := m.SimulateBlock(core.MLC(wl), core.WorstCaseOrder(core.MLC(wl)), WorstCase, rng.New(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +239,7 @@ func TestAggressorCountsMatchCoreAnalysis(t *testing.T) {
 		"RPSfull": core.RPSFullOrder(wl),
 		"worst":   core.WorstCaseOrder(core.MLC(wl)),
 	} {
-		res, err := m.SimulateBlock(wl, order, Fresh, rng.New(3))
+		res, err := m.SimulateBlock(core.MLC(wl), order, Fresh, rng.New(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,11 +257,11 @@ func TestAggressorCountsMatchCoreAnalysis(t *testing.T) {
 func TestFig4bStressRaisesBER(t *testing.T) {
 	m := newModel(t)
 	const wl = 32
-	fresh, err := m.SimulateBlock(wl, core.FPSOrder(wl), Fresh, rng.New(4))
+	fresh, err := m.SimulateBlock(core.MLC(wl), core.FPSOrder(wl), Fresh, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	worn, err := m.SimulateBlock(wl, core.FPSOrder(wl), WorstCase, rng.New(4))
+	worn, err := m.SimulateBlock(core.MLC(wl), core.FPSOrder(wl), WorstCase, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +271,7 @@ func TestFig4bStressRaisesBER(t *testing.T) {
 	if ber := worn.BlockBER(); ber < 1e-5 || ber > 5e-2 {
 		t.Errorf("worst-case BER %g outside the plausible end-of-life decade", ber)
 	}
-	rps, err := m.SimulateBlock(wl, core.RPSFullOrder(wl), WorstCase, rng.New(5))
+	rps, err := m.SimulateBlock(core.MLC(wl), core.RPSFullOrder(wl), WorstCase, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +283,7 @@ func TestFig4bStressRaisesBER(t *testing.T) {
 func TestBlockResultAccessors(t *testing.T) {
 	m := newModel(t)
 	const wl = 8
-	res, err := m.SimulateBlock(wl, core.FPSOrder(wl), WorstCase, rng.New(6))
+	res, err := m.SimulateBlock(core.MLC(wl), core.FPSOrder(wl), WorstCase, rng.New(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,33 +302,33 @@ func TestBlockResultAccessors(t *testing.T) {
 func TestSampleWordLine(t *testing.T) {
 	m := newModel(t)
 	const wl = 8
-	sample, err := m.SampleWordLine(wl, core.FPSOrder(wl), wl/2, Fresh, rng.New(8))
+	sample, err := m.SampleWordLine(core.MLC(wl), core.FPSOrder(wl), wl/2, Fresh, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for st := StateE; st < numStates; st++ {
+	cell := m.Params().Cell
+	for st, level := range cell.Levels() {
 		vals := sample.State(st)
 		if len(vals) == 0 {
-			t.Errorf("%v sampled no cells", st)
+			t.Errorf("%s sampled no cells", cell.StateName(st))
 			continue
 		}
 		// Fresh distributions sit near their nominal levels.
-		level := m.Params().Levels[st]
 		mean := stats.Mean(vals)
 		if mean < level-0.5 || mean > level+0.5 {
-			t.Errorf("%v mean %.2f far from level %.2f", st, mean, level)
+			t.Errorf("%s mean %.2f far from level %.2f", cell.StateName(st), mean, level)
 		}
 	}
 	if total := sample.Total(); total != m.Params().CellsPerWordLine {
 		t.Errorf("sampled %d cells, want %d", total, m.Params().CellsPerWordLine)
 	}
-	if got := sample.State(State(9)); got != nil {
+	if got := sample.State(99); got != nil {
 		t.Errorf("out-of-range state returned %d values", len(got))
 	}
-	if _, err := m.SampleWordLine(wl, core.FPSOrder(wl), 99, Fresh, rng.New(1)); err == nil {
+	if _, err := m.SampleWordLine(core.MLC(wl), core.FPSOrder(wl), 99, Fresh, rng.New(1)); err == nil {
 		t.Error("out-of-range word line accepted")
 	}
-	if _, err := m.SampleWordLine(wl, core.FPSOrder(4), 0, Fresh, rng.New(1)); err == nil {
+	if _, err := m.SampleWordLine(core.MLC(wl), core.FPSOrder(4), 0, Fresh, rng.New(1)); err == nil {
 		t.Error("short order accepted")
 	}
 }
@@ -304,16 +336,16 @@ func TestSampleWordLine(t *testing.T) {
 func TestSampleWordLineStressWidens(t *testing.T) {
 	m := newModel(t)
 	const wl = 8
-	fresh, err := m.SampleWordLine(wl, core.FPSOrder(wl), 4, Fresh, rng.New(9))
+	fresh, err := m.SampleWordLine(core.MLC(wl), core.FPSOrder(wl), 4, Fresh, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	worn, err := m.SampleWordLine(wl, core.FPSOrder(wl), 4, WorstCase, rng.New(9))
+	worn, err := m.SampleWordLine(core.MLC(wl), core.FPSOrder(wl), 4, WorstCase, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The P3 (highest) state's spread must grow under stress.
-	if f, w := stats.StdDev(fresh.State(StateP3)), stats.StdDev(worn.State(StateP3)); w <= f {
+	if f, w := stats.StdDev(fresh.State(3)), stats.StdDev(worn.State(3)); w <= f {
 		t.Errorf("stress did not widen P3: fresh sd %.3f, worn %.3f", f, w)
 	}
 }
@@ -321,11 +353,11 @@ func TestSampleWordLineStressWidens(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	m := newModel(t)
 	const wl = 8
-	a, err := m.SimulateBlock(wl, core.RPSFullOrder(wl), WorstCase, rng.New(42))
+	a, err := m.SimulateBlock(core.MLC(wl), core.RPSFullOrder(wl), WorstCase, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.SimulateBlock(wl, core.RPSFullOrder(wl), WorstCase, rng.New(42))
+	b, err := m.SimulateBlock(core.MLC(wl), core.RPSFullOrder(wl), WorstCase, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
