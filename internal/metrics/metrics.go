@@ -29,7 +29,8 @@ type Collector struct {
 	// summary is read off those three classes by rank instead of being stored
 	// a second time.
 	read, writeAck, writeFlush, trim samples
-	// scratch is the radix sort's second buffer, kept for the next summary.
+	// scratch is the radix sort's second buffer, at most one chunk, kept for
+	// the next summary.
 	scratch []int64
 
 	// Write-bandwidth windows: bytes of host write completions bucketed
@@ -59,7 +60,7 @@ func (c *Collector) RecordRead(pages int, arrival, done sim.Time) {
 	c.requests++
 	c.reads++
 	c.pagesRead += int64(pages)
-	c.read.xs = append(c.read.xs, int64(done-arrival))
+	c.read.add(int64(done - arrival))
 	if done > c.makespan {
 		c.makespan = done
 	}
@@ -72,8 +73,8 @@ func (c *Collector) RecordWrite(pages int, arrival, ack, flushed sim.Time) {
 	c.requests++
 	c.writes++
 	c.pagesWrit += int64(pages)
-	c.writeAck.xs = append(c.writeAck.xs, int64(ack-arrival))
-	c.writeFlush.xs = append(c.writeFlush.xs, int64(flushed-arrival))
+	c.writeAck.add(int64(ack - arrival))
+	c.writeFlush.add(int64(flushed - arrival))
 	c.windowBytes[int64(flushed/c.windowWidth)] += int64(pages) * int64(c.pageSize)
 	if flushed > c.makespan {
 		c.makespan = flushed
@@ -84,7 +85,7 @@ func (c *Collector) RecordWrite(pages int, arrival, ack, flushed sim.Time) {
 func (c *Collector) RecordTrim(pages int, arrival, done sim.Time) {
 	c.requests++
 	c.trims++
-	c.trim.xs = append(c.trim.xs, int64(done-arrival))
+	c.trim.add(int64(done - arrival))
 	if done > c.makespan {
 		c.makespan = done
 	}
@@ -141,23 +142,26 @@ func (c *Collector) Finalize() Result {
 	if c.activeTime > 0 {
 		res.IOPS = float64(c.requests) / c.activeTime.Seconds()
 	}
-	bws := make([]float64, 0, len(c.windowBytes))
+	var bws []float64 // nil when there are none, as NewCDF would hold
+	if len(c.windowBytes) > 0 {
+		bws = make([]float64, 0, len(c.windowBytes))
+	}
 	for _, bytes := range c.windowBytes {
 		mbs := float64(bytes) / (1 << 20) / c.windowWidth.Seconds()
 		bws = append(bws, mbs)
 	}
 	// Sorted before anything reads it: the map's iteration order must not
-	// reach the mean's floating-point sum.
+	// reach the mean's floating-point sum. The CDF adopts the sorted windows.
 	slices.Sort(bws)
-	res.BandwidthCDF = stats.NewCDF(bws)
+	res.BandwidthCDF = stats.NewCDFSorted(bws)
 	if len(bws) > 0 {
 		res.MeanWriteBandwidthMBs = stats.Mean(bws)
 		res.PeakWriteBandwidthMBs = stats.QuantileSorted(bws, 0.99)
 	}
 	c.sortSamples()
-	res.ResponseTime = fiveNum(sortedRuns{c.read.xs, c.writeAck.xs, c.trim.xs})
-	res.ReadResponse = fiveNum(sortedRuns{c.read.xs})
-	res.WriteResponse = fiveNum(sortedRuns{c.writeAck.xs})
+	res.ResponseTime = fiveNum(slices.Concat(c.read.chunks, c.writeAck.chunks, c.trim.chunks))
+	res.ReadResponse = fiveNum(c.read.chunks)
+	res.WriteResponse = fiveNum(c.writeAck.chunks)
 	return res
 }
 
@@ -186,35 +190,34 @@ type LatencyReport struct {
 func (c *Collector) Latency() LatencyReport {
 	c.sortSamples()
 	return LatencyReport{
-		Read:       percentilesOf(c.read.xs),
-		WriteAck:   percentilesOf(c.writeAck.xs),
-		WriteFlush: percentilesOf(c.writeFlush.xs),
-		Trim:       percentilesOf(c.trim.xs),
+		Read:       percentilesOf(c.read.chunks),
+		WriteAck:   percentilesOf(c.writeAck.chunks),
+		WriteFlush: percentilesOf(c.writeFlush.chunks),
+		Trim:       percentilesOf(c.trim.chunks),
 	}
 }
 
-// percentilesOf summarizes one sorted class.
-func percentilesOf(sorted []int64) Percentiles {
-	if len(sorted) == 0 {
+// percentilesOf summarizes one class from its sorted chunks. The mean is
+// taken as if by a float64 sum in ascending order, the order it has always
+// been taken in, but without merging the chunks: while Σ|x| < 2^53 every
+// partial sum in any order is an integer of magnitude below 2^53, exactly
+// representable, so each float addition is exact and the ascending sum
+// equals the integer sum converted once. Only past that bound does
+// sortedRuns.sum walk the chunks in merged order.
+func percentilesOf(runs sortedRuns) Percentiles {
+	n := runs.len()
+	if n == 0 {
 		return Percentiles{}
 	}
-	// Summed as floats in ascending order, not as integers: the two differ
-	// once a partial sum passes 2^53, and this is the order the mean has
-	// always been taken in.
-	sum := 0.0
-	for _, x := range sorted {
-		sum += float64(x)
-	}
-	runs := sortedRuns{sorted}
 	return Percentiles{
-		Count: int64(len(sorted)),
-		Mean:  sum / float64(len(sorted)),
+		Count: int64(n),
+		Mean:  runs.sum() / float64(n),
 		P50:   runs.quantile(0.50),
 		P90:   runs.quantile(0.90),
 		P95:   runs.quantile(0.95),
 		P99:   runs.quantile(0.99),
 		P999:  runs.quantile(0.999),
-		Max:   float64(sorted[len(sorted)-1]),
+		Max:   float64(runs.at(n - 1)),
 	}
 }
 

@@ -147,6 +147,9 @@ type diffCase struct {
 	classes [3]bool // reads, writes, trims
 	draw    func(src *rng.Source) sim.Time
 	name    string
+	// more is how many requests follow the first summaries; 0 means
+	// min(n/3+1, 1000).
+	more int
 }
 
 // latencyDraws are the value shapes the radix sort, the rank selection and
@@ -182,6 +185,42 @@ func diffCases() []diffCase {
 			classes: [3]bool{mix&1 != 0, mix&2 != 0, mix&4 != 0},
 			draw:    d.draw,
 			name:    fmt.Sprintf("%03d-%s-n%d-mix%d", i, d.name, n, mix),
+		})
+	}
+	// Chunk boundaries, on single-class mixes so one class holds exactly n:
+	// the first chunk, the largest chunk, the end of the first largest chunk
+	// and three largest chunks past it, each ±1.
+	firstLargestEnd := 2*lastChunk - firstChunk // 256 + 512 + ... + 65536
+	boundary := []int{
+		firstChunk - 1, firstChunk, firstChunk + 1,
+		lastChunk - 1, lastChunk, lastChunk + 1,
+		firstLargestEnd - 1, firstLargestEnd, firstLargestEnd + 1,
+		3*lastChunk + 7,
+	}
+	for j, n := range boundary {
+		for k, mix := range []int{1, 2, 4} {
+			d := latencyDraws[(3*j+k)%len(latencyDraws)]
+			cases = append(cases, diffCase{
+				n:       n,
+				classes: [3]bool{mix&1 != 0, mix&2 != 0, mix&4 != 0},
+				draw:    d.draw,
+				name:    fmt.Sprintf("%03d-%s-n%d-mix%d", len(cases), d.name, n, mix),
+			})
+		}
+	}
+	// Records after a summary that cross into a fresh chunk: a small one
+	// and, with sums past 2^53, a largest one.
+	for _, c := range []struct{ n, more, draw int }{
+		{firstChunk - 10, 20, 1},
+		{firstLargestEnd - 5, 10, 3},
+	} {
+		d := latencyDraws[c.draw]
+		cases = append(cases, diffCase{
+			n:       c.n,
+			classes: [3]bool{true, false, false},
+			draw:    d.draw,
+			name:    fmt.Sprintf("%03d-%s-n%d-more%d", len(cases), d.name, c.n, c.more),
+			more:    c.more,
 		})
 	}
 	return cases
@@ -245,7 +284,10 @@ func TestCollectorMatchesOracle(t *testing.T) {
 			checkSame(t, "first summary", c, o)
 			checkSame(t, "second summary", c, o)
 			// More samples after a summary land behind a sorted prefix.
-			more := min(dc.n/3+1, 1000)
+			more := dc.more
+			if more == 0 {
+				more = min(dc.n/3+1, 1000)
+			}
 			dc.feed(c, rng.New(seed+1), more)
 			dc.feed(o, rng.New(seed+1), more)
 			checkSame(t, "after more records", c, o)

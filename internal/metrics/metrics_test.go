@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"flexftl/internal/sim"
@@ -166,5 +168,55 @@ func TestResultString(t *testing.T) {
 	c.AddActive(sim.Second)
 	if s := c.Finalize().String(); s == "" {
 		t.Error("empty summary")
+	}
+}
+
+// TestRecordWritesEachSampleOnce: a sample is written into its chunk once and
+// never copied. Recording n samples into a class allocates their 8 bytes each
+// plus at most one largest chunk of unused tail, in one allocation per chunk
+// and one for the chunk list, so an append-and-grow store fails here.
+func TestRecordWritesEachSampleOnce(t *testing.T) {
+	const n = 1_000_000
+	// The counters are process-wide: a GC cycle or another goroutine can add
+	// to them, never take away, so the least of a few tries is the
+	// recording's own cost. GC stays off while counting.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	measure := func(record func(c *Collector, lat sim.Time)) (bytes, allocs uint64) {
+		bytes, allocs = math.MaxUint64, math.MaxUint64
+		for try := 0; try < 3; try++ {
+			c := NewCollector(4096, sim.Second)
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < n; i++ {
+				record(c, sim.Time(i%100_000))
+			}
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+			if lat := c.Latency(); lat.Read.Count+lat.WriteFlush.Count+lat.Trim.Count != n {
+				t.Fatalf("recorded %+v, want %d samples", lat, n)
+			}
+		}
+		return bytes, allocs
+	}
+	perClassAllocs := uint64((n+lastChunk-1)/lastChunk + chunkSteps + 1)
+	for _, tc := range []struct {
+		name    string
+		classes uint64
+		record  func(c *Collector, lat sim.Time)
+	}{
+		{"read", 1, func(c *Collector, lat sim.Time) { c.RecordRead(1, 0, lat) }},
+		// Every flush lands in bandwidth window 0: one map entry.
+		{"write", 2, func(c *Collector, lat sim.Time) { c.RecordWrite(1, 0, lat/2, lat) }},
+		{"trim", 1, func(c *Collector, lat sim.Time) { c.RecordTrim(1, 0, lat) }},
+	} {
+		bytes, allocs := measure(tc.record)
+		if limit := tc.classes * (8*n + 8*lastChunk); bytes > limit {
+			t.Errorf("%s: %d samples allocated %d bytes, want <= %d", tc.name, n, bytes, limit)
+		}
+		if limit := tc.classes * perClassAllocs; allocs > limit {
+			t.Errorf("%s: %d samples made %d allocations, want <= %d", tc.name, n, allocs, limit)
+		}
 	}
 }

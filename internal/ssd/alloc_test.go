@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"runtime"
 	"testing"
 
 	"flexftl/internal/obs"
@@ -93,5 +94,52 @@ func TestRunSteadyStateAllocs0(t *testing.T) {
 				t.Errorf("steady-state path allocates %.4f/op, want ~0", perOp)
 			}
 		})
+	}
+}
+
+// TestRunAllocBytesCeiling: one Run allocates about the bytes its latency
+// samples occupy, because each sample is written once into a chunk that is
+// never grown or copied. A 50 000-request OLTP run on a prefilled flexFTL
+// device records at most two samples per request (a write's ack and flush),
+// 16 B, and beyond that only a bounded slack. The requests are drawn before
+// measuring, so the generator's own bookkeeping is not counted.
+func TestRunAllocBytesCeiling(t *testing.T) {
+	const requests = 50_000
+	// runSlack is what a run allocates beyond its samples' 8 bytes each: the
+	// unfilled tail of each class's last chunk (a chunk is at most as large
+	// as all before it together, so under half the class), the radix
+	// scratch (one chunk), the bandwidth-window map and the run's own small
+	// structures. Here the reads' samples take ~8 B of the 16 B a request is
+	// allowed, which absorbs most of the chunk tails.
+	const runSlack = 768 << 10
+	sys := newSystem(t, "flexFTL")
+	if _, err := sys.Prefill(); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.New(workload.OLTP(), sys.F.LogicalPages(), requests, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]workload.Request, 0, requests)
+	for req, ok := gen.Next(); ok; req, ok = gen.Next() {
+		reqs = append(reqs, req)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := sys.Run(&sliceGen{reqs: reqs})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics.Requests != requests {
+		t.Fatalf("ran %d requests, want %d", res.Metrics.Requests, requests)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d requests (%d reads, %d writes, %d trims): %d bytes allocated, %.1f B/request",
+		requests, res.Metrics.Reads, res.Metrics.Writes, res.Metrics.Trims, got, float64(got)/requests)
+	if limit := uint64(16*requests + runSlack); got > limit {
+		t.Errorf("Run allocated %d bytes for %d requests, want <= %d (16 B/request + %d)",
+			got, requests, limit, runSlack)
 	}
 }

@@ -132,6 +132,13 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: sorted}
 }
 
+// NewCDFSorted builds an empirical CDF that adopts sorted, which must be
+// ascending and is not copied; the caller hands it over. It is NewCDF for a
+// caller that has sorted its samples already.
+func NewCDFSorted(sorted []float64) *CDF {
+	return &CDF{sorted: sorted}
+}
+
 // N returns the sample count.
 func (c *CDF) N() int { return len(c.sorted) }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -115,6 +116,19 @@ func TestCDFEmpty(t *testing.T) {
 	c := NewCDF(nil)
 	if c.At(5) != 0 || c.Inverse(0.5) != 0 || c.Max() != 0 || c.Points(4) != nil {
 		t.Error("empty CDF not all-zero")
+	}
+}
+
+// TestNewCDFSorted: adopting a sorted slice builds the CDF NewCDF would, and
+// takes no copy.
+func TestNewCDFSorted(t *testing.T) {
+	sorted := []float64{1, 2, 2, 5}
+	c := NewCDFSorted(sorted)
+	if !reflect.DeepEqual(c, NewCDF([]float64{5, 2, 1, 2})) {
+		t.Errorf("NewCDFSorted = %v, NewCDF = %v", c.sorted, NewCDF(sorted).sorted)
+	}
+	if &c.sorted[0] != &sorted[0] {
+		t.Error("NewCDFSorted copied its input")
 	}
 }
 
