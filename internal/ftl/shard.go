@@ -22,8 +22,11 @@ import (
 // (Device.chanFree) and its chips own everything else chip-indexed (block
 // arrays, pools, placement cursors, backup rings, attribution registers), so
 // two channel shards touch disjoint state. The shard count therefore depends
-// only on the geometry — results are identical at any worker count, and
-// workers merely drain the per-epoch shard task queue.
+// only on the geometry, so results are identical at any worker count. The
+// goroutine that plans an epoch runs its first busy shard itself; a pool of
+// min(workers, channels) - 1 goroutines takes the others by shard index, so
+// an epoch that touches one channel never leaves the planner's goroutine,
+// and dispatching an epoch allocates nothing.
 //
 // Exactness is the planner's job (internal/ssd): it only admits an op into an
 // epoch when the serial execution provably cannot couple it to another
@@ -248,58 +251,90 @@ func (s *Stats) add(o *Stats) {
 	s.GCReadLosses += o.GCReadLosses
 }
 
-// ShardRunner owns the per-channel kernel clones and the worker pool that
-// executes one SSD's epochs. It is created once per run (after prefill) and
-// closed when the run finishes.
+// ShardRunner owns the per-channel kernel clones and the goroutines that
+// execute one SSD's epochs. It is created once per run (after prefill) and
+// closed when the run finishes. Dispatch allocates nothing: the epoch's ops
+// live in one field, pool goroutines receive bare shard indices, and one
+// WaitGroup owned by the runner joins them.
 type ShardRunner struct {
 	k       *Kernel
 	shards  []*Kernel // one clone per channel
-	tasks   chan func()
-	byShard [][]int // scratch: epoch op indices per shard
-	cursors []int   // scratch: per-shard map-log replay cursor
+	work    chan int  // shard indices for the pool goroutines
+	pool    int       // pool goroutines: every executing goroutine but the caller
+	wg      sync.WaitGroup
+	exited  sync.WaitGroup // pool goroutine lifetimes, joined by Close
+	ops     []EpochOp      // the epoch being executed
+	byShard [][]int        // scratch: epoch op indices per shard
+	cursors []int          // scratch: per-shard map-log replay cursor
 }
 
 // NewShardRunner builds the per-channel shard clones of k and starts
-// min(workers, channels) pool goroutines. workers must be >= 1; callers
-// wanting serial execution should not construct a runner at all.
+// min(workers, channels) - 1 pool goroutines: ExecEpoch's caller executes a
+// shard itself, so workers counts every goroutine that runs shards. workers
+// below 1 counts as 1 (no pool; the caller runs every shard); callers wanting
+// serial execution should not construct a runner at all.
 func NewShardRunner(k *Kernel, workers int) *ShardRunner {
-	g := k.Dev.Geometry()
-	ch := g.Channels
+	ch := k.Dev.Geometry().Channels
 	r := &ShardRunner{
 		k:       k,
 		shards:  make([]*Kernel, ch),
-		tasks:   make(chan func(), ch),
+		work:    make(chan int, ch),
 		byShard: make([][]int, ch),
 		cursors: make([]int, ch),
+		pool:    max(min(workers, ch), 1) - 1,
 	}
 	for i := range r.shards {
 		r.shards[i] = k.newShardClone()
 	}
-	if workers > ch {
-		workers = ch
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for i := 0; i < workers; i++ {
+	r.exited.Add(r.pool)
+	for i := 0; i < r.pool; i++ {
 		go func() {
-			for task := range r.tasks {
-				task()
+			defer r.exited.Done()
+			for si := range r.work {
+				r.runShard(si)
+				r.wg.Done()
 			}
 		}()
 	}
 	return r
 }
 
-// Close stops the pool goroutines. The runner must not be used afterwards.
-func (r *ShardRunner) Close() { close(r.tasks) }
+// Close stops the pool goroutines and waits for them to exit. The runner
+// must not be used afterwards.
+func (r *ShardRunner) Close() {
+	close(r.work)
+	r.exited.Wait()
+}
 
-// Shards returns the shard (channel) count — the planner's routing modulus
-// for deciding per-chip write fan-out.
-func (r *ShardRunner) Shards() int { return len(r.shards) }
+// runShard executes shard si's ops of the current epoch in global order.
+func (r *ShardRunner) runShard(si int) {
+	sk := r.shards[si]
+	for _, i := range r.byShard[si] {
+		op := &r.ops[i]
+		if op.Write {
+			op.Done, op.Err = sk.writeOn(op.Chip, op.LPN, op.Arrival, op.Util)
+		} else {
+			op.Done, op.Err = sk.ReadLPN(op.LPN, op.Arrival)
+		}
+		if op.Err != nil {
+			if !op.Write && errors.Is(op.Err, rel.ErrUncorrectable) {
+				// A detected data loss is a completed read, not an abort:
+				// the host folds Done into the request's completion and the
+				// run carries on — exactly the serial engine's
+				// continue-on-uncorrectable.
+				continue
+			}
+			// Serial execution aborts the run at its first error; halting
+			// the shard keeps its state from running ahead.
+			return
+		}
+	}
+}
 
 // ExecEpoch executes one epoch: ops (in serial order) fan out to their
-// channel shards, run concurrently, and merge back in global op order. On
+// channel shards, run concurrently, and merge back in global op order. The
+// calling goroutine runs the first busy shard itself and hands only the rest
+// to the pool, so an epoch that touches one channel costs no handoff. On
 // return with nil error, the real kernel's mapper, stats, quota, sequence
 // and round-robin cursor are exactly what a serial execution of the same ops
 // would have produced, and every op carries its Done time. A non-nil error
@@ -330,39 +365,24 @@ func (r *ShardRunner) ExecEpoch(ops []EpochOp) error {
 		sk.Map.resetLog()
 	}
 
-	var wg sync.WaitGroup
+	r.ops = ops
+	first := -1
 	for si := range r.shards {
-		if len(r.byShard[si]) == 0 {
-			continue
-		}
-		si := si
-		wg.Add(1)
-		r.tasks <- func() {
-			defer wg.Done()
-			sk := r.shards[si]
-			for _, i := range r.byShard[si] {
-				op := &ops[i]
-				if op.Write {
-					op.Done, op.Err = sk.writeOn(op.Chip, op.LPN, op.Arrival, op.Util)
-				} else {
-					op.Done, op.Err = sk.ReadLPN(op.LPN, op.Arrival)
-				}
-				if op.Err != nil {
-					if !op.Write && errors.Is(op.Err, rel.ErrUncorrectable) {
-						// A detected data loss is a completed read, not an
-						// abort: the host folds Done into the request's
-						// completion and the run carries on — exactly the
-						// serial engine's continue-on-uncorrectable.
-						continue
-					}
-					// Serial execution aborts the run at its first error;
-					// halting the shard keeps its state from running ahead.
-					break
-				}
-			}
+		switch {
+		case len(r.byShard[si]) == 0:
+		case first < 0:
+			first = si
+		case r.pool == 0:
+			r.runShard(si)
+		default:
+			r.wg.Add(1)
+			r.work <- si
 		}
 	}
-	wg.Wait()
+	if first >= 0 {
+		r.runShard(first)
+	}
+	r.wg.Wait()
 
 	// A shard executes its ops in global order, so its first error is its
 	// earliest; scanning all ops in global order yields the error a serial

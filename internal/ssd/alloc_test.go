@@ -3,6 +3,7 @@ package ssd
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"flexftl/internal/obs"
 	"flexftl/internal/sim"
@@ -95,6 +96,88 @@ func TestRunSteadyStateAllocs0(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunShardedSteadyStateAllocs is TestRunSteadyStateAllocs0's twin at
+// workers=2: planning an epoch, dispatching it to the shard runner and
+// merging it at the barrier allocate nothing once the run's amortised
+// structures have grown. Two NTRX runs on fresh systems differ only in
+// length, so their allocation difference is what the extra epochs cost. The
+// requests are drawn before measuring, so the generator is not counted.
+func TestRunShardedSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard needs two full runs")
+	}
+	run := func(requests int) (mallocs int64, epochs int) {
+		sys := newSystem(t, "flexFTL")
+		if _, err := sys.Prefill(); err != nil {
+			t.Fatal(err)
+		}
+		gen, err := workload.New(workload.NTRX(), sys.F.LogicalPages(), requests, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := make([]workload.Request, 0, requests)
+		for req, ok := gen.Next(); ok; req, ok = gen.Next() {
+			reqs = append(reqs, req)
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = sys.RunSharded(&sliceGen{reqs: reqs}, 2)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(after.Mallocs - before.Mallocs), sys.ShardReport().Epochs
+	}
+	shortM, shortE := run(5_000)
+	longM, longE := run(20_000)
+	extra := longE - shortE
+	if extra <= 1000 {
+		t.Fatalf("the longer run executed only %d more epochs (%d vs %d); the guard needs > 1000", extra, longE, shortE)
+	}
+	perEpoch := float64(longM-shortM) / float64(extra)
+	t.Logf("%d vs %d epochs: %d vs %d mallocs, %.4f per extra epoch", shortE, longE, shortM, longM, perEpoch)
+	if perEpoch >= 0.05 {
+		t.Errorf("sharded run allocates %.4f per extra epoch, want ~0", perEpoch)
+	}
+}
+
+// TestRunShardedLifecycle: RunSharded leaves no goroutine behind, whatever
+// the worker count — the shard runner's pool is joined before it returns.
+func TestRunShardedLifecycle(t *testing.T) {
+	for _, workers := range []int{2, 4, 16} {
+		sys := newSystem(t, "flexFTL")
+		if _, err := sys.Prefill(); err != nil {
+			t.Fatal(err)
+		}
+		gen, err := workload.New(workload.NTRX(), sys.F.LogicalPages(), 500, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := runtime.NumGoroutine()
+		if _, err := sys.RunSharded(gen, workers); err != nil {
+			t.Fatal(err)
+		}
+		if sys.ShardReport().Epochs == 0 {
+			t.Fatalf("workers=%d: no epoch ran on the shard runner", workers)
+		}
+		if got := settledGoroutines(base); got != base {
+			t.Errorf("workers=%d: %d goroutines after RunSharded, %d before", workers, got, base)
+		}
+	}
+}
+
+// settledGoroutines returns the goroutine count once it is back at want, or
+// whatever it is after a second. A goroutine that has signalled its exit
+// still counts until the scheduler retires it.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() != want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
 }
 
 // TestRunAllocBytesCeiling: one Run allocates about the bytes its latency

@@ -51,6 +51,7 @@ func trimHeavy() workload.Profile {
 type shardCell struct {
 	prof     workload.Profile
 	blocks   int // blocks per chip (0 = evaluation geometry)
+	buffer   int // write-buffer pages (0 = the default, widened to 512 on a shrunk device)
 	requests int
 }
 
@@ -64,10 +65,20 @@ func shardCells() []shardCell {
 	return append(cells,
 		shardCell{prof: workload.Fileserver(), blocks: 32, requests: 8000},
 		shardCell{prof: trimHeavy(), blocks: 32, requests: 8000},
+		ntrxCell(),
 	)
 }
 
-func buildShardSystem(t *testing.T, scheme string, blocks int) (*ssd.System, ftl.Host) {
+// ntrxCell is the sharded benchmark's profile on a shrunk device with the
+// default 128-page buffer. GC-slowed service saturates the buffer, so most
+// write requests meet backpressure and the planner must send them down the
+// serial path (R4) — the bench's regime, which the widened-buffer cells
+// deliberately avoid.
+func ntrxCell() shardCell {
+	return shardCell{prof: workload.NTRX(), blocks: 32, buffer: ssd.DefaultConfig().BufferPages, requests: 8000}
+}
+
+func buildShardSystem(t *testing.T, scheme string, blocks, buffer int) (*ssd.System, ftl.Host) {
 	t.Helper()
 	g := experiments.EvalGeometry()
 	if blocks > 0 {
@@ -92,6 +103,9 @@ func buildShardSystem(t *testing.T, scheme string, blocks int) (*ssd.System, ftl
 		// R5/pre-run path ever saw them.
 		cfg.PrefillFraction = 0.88
 		cfg.BufferPages = 512
+	}
+	if buffer > 0 {
+		cfg.BufferPages = buffer
 	}
 	sys, err := ssd.New(h, cfg)
 	if err != nil {
@@ -121,7 +135,7 @@ func snapshotOutcome(h ftl.Host, run ssd.RunResult) shardSnapshot {
 // worker count and snapshots the complete outcome plus the planner report.
 func captureSharded(t *testing.T, scheme string, cell shardCell, workers int) (shardSnapshot, ssd.ShardReport) {
 	t.Helper()
-	sys, h := buildShardSystem(t, scheme, cell.blocks)
+	sys, h := buildShardSystem(t, scheme, cell.blocks, cell.buffer)
 	gen, err := workload.New(cell.prof, h.LogicalPages(), cell.requests, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +192,7 @@ func TestShardPlannerEffective(t *testing.T) {
 		{cell: shardCell{prof: workload.Fileserver(), blocks: 32, requests: 8000}, minShare: 0.70, wantPreRun: true},
 		{cell: shardCell{prof: trimHeavy(), blocks: 32, requests: 8000}, minShare: 0.50, wantTrims: true},
 		{cell: shardCell{prof: workload.OLTP(), requests: 6000}, minShare: 0.50},
+		{cell: ntrxCell(), minShare: 0.60},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -217,7 +232,7 @@ func TestRunShardedMQEquivalence(t *testing.T) {
 				return gens
 			}
 
-			serialSys, serialHost := buildShardSystem(t, "flexFTL", 0)
+			serialSys, serialHost := buildShardSystem(t, "flexFTL", 0, 0)
 			serialRun, err := serialSys.Run(workload.MergeByArrival(prof.Name, newQueues(serialHost)...))
 			if err != nil {
 				t.Fatal(err)
@@ -225,7 +240,7 @@ func TestRunShardedMQEquivalence(t *testing.T) {
 			serial := snapshotOutcome(serialHost, serialRun)
 
 			for _, workers := range []int{1, 4} {
-				mqSys, mqHost := buildShardSystem(t, "flexFTL", 0)
+				mqSys, mqHost := buildShardSystem(t, "flexFTL", 0, 0)
 				mqRun, err := mqSys.RunShardedMQ(prof.Name, newQueues(mqHost), workers)
 				if err != nil {
 					t.Fatal(err)
