@@ -505,12 +505,12 @@ func BenchmarkPickVictim(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					valid[hot]--
-					p.NoteValidChange(hot)
+					p.NoteValidChange(hot, valid[hot])
 					if _, ok := p.PickVictim(); !ok {
 						b.Fatal("no victim")
 					}
 					valid[hot]++
-					p.NoteValidChange(hot)
+					p.NoteValidChange(hot, valid[hot])
 				}
 			})
 		}

@@ -1,0 +1,39 @@
+package experiments
+
+import (
+	"math"
+	"runtime"
+	"testing"
+)
+
+// maxBytesPerPage bounds the heap a flexFTL build on EvalGeometry holds per
+// physical page: the 27-byte page record, its program-state byte, 4 bytes of
+// inverse map, 4 per logical page of forward map, and the per-block state.
+// Measured at 36.5 on amd64 (57.0 when the record was 40 bytes and the map
+// int64); a byte added to pagemem.Page or a widened map crosses it.
+const maxBytesPerPage = 37
+
+// TestPageStateFootprint guards the per-page state a device and its FTL
+// keep, the figure that scales with the device. Anything else the process
+// allocates meanwhile only adds to a reading, so it keeps the least of three.
+func TestPageStateFootprint(t *testing.T) {
+	g := EvalGeometry()
+	perPage := math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f, err := BuildFTL("flexFTL", g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(f)
+		perPage = min(perPage, float64(after.HeapAlloc-before.HeapAlloc)/float64(g.TotalPages()))
+	}
+	t.Logf("flexFTL on %v holds %.2f B per physical page", g, perPage)
+	if perPage > maxBytesPerPage {
+		t.Errorf("flexFTL holds %.2f B per physical page, want <= %d", perPage, maxBytesPerPage)
+	}
+}

@@ -90,6 +90,9 @@ func NewBase(dev *nand.Device, cfg Config) (*Base, error) {
 		return nil, err
 	}
 	g := dev.Geometry()
+	if err := CheckCapacity(g); err != nil {
+		return nil, err
+	}
 	logical := cfg.LogicalPages(g)
 	if logical <= 0 {
 		return nil, fmt.Errorf("ftl: geometry too small for over-provisioning %v", cfg.OPFraction)
@@ -115,21 +118,18 @@ func NewBase(dev *nand.Device, cfg Config) (*Base, error) {
 }
 
 // wireVictimIndex binds every pool's victim index to the current mapper's
-// valid counts and routes the mapper's change notifications back to the
-// owning pool. The bind closures read b.Map on every call, so they survive a
-// mapper swap (SetMapper) without rewiring.
+// valid counts and has the mapper hand each count change to the owning pool.
+// The bind closures read b.Map on every call, so they survive a mapper swap
+// (SetMapper) without rewiring.
 func (b *Base) wireVictimIndex() {
-	g := b.Dev.Geometry()
-	bpc := g.BlocksPerChip
+	ppb := b.Dev.Geometry().PagesPerBlock()
 	for c, p := range b.Pools {
 		chip := c
-		p.Bind(g.PagesPerBlock(), func(blk int) int {
+		p.Bind(ppb, func(blk int) int {
 			return b.Map.ValidCount(nand.BlockAddr{Chip: chip, Block: blk})
 		})
 	}
-	b.Map.SetValidHook(func(flat int) {
-		b.Pools[flat/bpc].NoteValidChange(flat % bpc)
-	})
+	b.Map.SetVictimIndex(b.Pools)
 }
 
 // SetMapper swaps in a rebuilt mapping table (flash-scan rebuild), rewiring
@@ -183,10 +183,13 @@ func (b *Base) ResetCounters() { b.St = Stats{} }
 // LogicalPages returns the host-visible page count.
 func (b *Base) LogicalPages() int64 { return b.Map.LogicalPages() }
 
-// NextChip advances the round-robin cursor for host write placement.
+// NextChip advances the round-robin cursor for host write placement,
+// wrapping at the chip count (one pool per chip).
 func (b *Base) NextChip() int {
 	c := b.rr
-	b.rr = (b.rr + 1) % b.Dev.Geometry().Chips()
+	if b.rr++; b.rr == len(b.Pools) {
+		b.rr = 0
+	}
 	return c
 }
 

@@ -2,6 +2,8 @@ package ftl
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"flexftl/internal/nand"
 )
@@ -10,17 +12,26 @@ import (
 // and per-block valid-page accounting garbage collection needs. It is
 // geometry-agnostic — only block/page dimensions matter — so the same type
 // serves the 2-bit MLC kernel and the n-level nflex FTL.
+//
+// Both tables store a page number plus one in an int32, so the zero value
+// means unmapped (l2p) or free (p2l): a fresh mapper is one zeroed
+// allocation that stays untouched until used, at most 8 bytes per physical
+// page. That bounds a device at MaxMapperPages pages; NewBase refuses a
+// larger one.
 type Mapper struct {
 	blocksPerChip int
 	pagesPerBlock int
-	l2p           []nand.PPN // logical to physical; InvalidPPN when unmapped
-	p2l           []LPN      // physical to logical; -1 when free/invalid
-	validCount    []int32    // valid pages per flat block
-	mapped        int64      // currently mapped logical pages
-	// onValidChange, when set, fires after every validCount mutation with
-	// the affected flat block — the mapper→pool notification keeping the
-	// GC victim index coherent. Nil (standalone mappers) costs nothing.
-	onValidChange func(flatBlock int)
+	// byPages and byBlocks divide by pagesPerBlock and blocksPerChip: the
+	// page → (chip, block) step every Update takes twice.
+	byPages, byBlocks divider
+	l2p               []int32 // logical to physical page number + 1; 0 when unmapped
+	p2l               []int32 // physical to logical page number + 1; 0 when free/invalid
+	validCount        []int32 // valid pages per flat block
+	mapped            int64   // currently mapped logical pages
+	// pools, when set, is the GC victim index of each chip: every validCount
+	// change is handed to the owning pool with the new count. Nil
+	// (standalone mappers) costs nothing.
+	pools []*FreePool
 	// logging marks a shard-mode view: Update defers its mutation into log
 	// instead of touching the shared tables (see logView).
 	logging bool
@@ -44,7 +55,7 @@ func (m *Mapper) logView() *Mapper {
 	v := *m
 	v.logging = true
 	v.log = nil
-	v.onValidChange = nil
+	v.pools = nil
 	return &v
 }
 
@@ -52,29 +63,56 @@ func (m *Mapper) logView() *Mapper {
 // its capacity.
 func (m *Mapper) resetLog() { m.log = m.log[:0] }
 
-// SetValidHook registers the valid-count change notification (nil detaches).
-func (m *Mapper) SetValidHook(fn func(flatBlock int)) { m.onValidChange = fn }
+// SetVictimIndex hands every later valid-count change of a chip's block to
+// pools[chip] (nil detaches).
+func (m *Mapper) SetVictimIndex(pools []*FreePool) { m.pools = pools }
+
+// MaxMapperPages bounds the physical pages a Mapper can address: a page
+// number plus one must fit an int32.
+const MaxMapperPages = math.MaxInt32 - 1
+
+// CapacityError reports a geometry with more physical pages than a Mapper
+// can address.
+type CapacityError struct {
+	Pages float64 // the geometry's physical pages
+}
+
+func (e *CapacityError) Error() string {
+	return fmt.Sprintf("ftl: %.0f physical pages exceed the mapping table's %d", e.Pages, MaxMapperPages)
+}
+
+// CheckCapacity returns a *CapacityError when the geometry has more physical
+// pages than a Mapper can address. The page count is a float64 product, so
+// a geometry whose count overflows an int is refused, not wrapped; it is
+// exact up to 2^53, far past the bound.
+func CheckCapacity(g nand.Geometry) error {
+	pages := float64(g.Channels) * float64(g.ChipsPerChannel) * float64(g.BlocksPerChip) *
+		float64(g.BitsPerCell()) * float64(g.WordLinesPerBlock)
+	if pages > MaxMapperPages {
+		return &CapacityError{Pages: pages}
+	}
+	return nil
+}
 
 // NewMapper builds a mapper for logicalPages host pages over the geometry.
 func NewMapper(g nand.Geometry, logicalPages int64) *Mapper {
+	if err := CheckCapacity(g); err != nil {
+		panic(err)
+	}
 	totalPages := int64(g.TotalPages())
 	if logicalPages <= 0 || logicalPages > totalPages {
 		panic(fmt.Sprintf("ftl: logical pages %d outside (0,%d]", logicalPages, totalPages))
 	}
-	m := &Mapper{
+	tables := make([]int32, logicalPages+totalPages)
+	return &Mapper{
 		blocksPerChip: g.BlocksPerChip,
 		pagesPerBlock: g.PagesPerBlock(),
-		l2p:           make([]nand.PPN, logicalPages),
-		p2l:           make([]LPN, totalPages),
+		byPages:       newDivider(g.PagesPerBlock()),
+		byBlocks:      newDivider(g.BlocksPerChip),
+		l2p:           tables[:logicalPages:logicalPages],
+		p2l:           tables[logicalPages:],
 		validCount:    make([]int32, g.TotalBlocks()),
 	}
-	for i := range m.l2p {
-		m.l2p[i] = nand.InvalidPPN
-	}
-	for i := range m.p2l {
-		m.p2l[i] = -1
-	}
-	return m
 }
 
 // LogicalPages returns the host-visible page count.
@@ -83,10 +121,35 @@ func (m *Mapper) LogicalPages() int64 { return int64(len(m.l2p)) }
 // Mapped returns how many logical pages currently have a mapping.
 func (m *Mapper) Mapped() int64 { return m.mapped }
 
-// blockOf returns the flat block index of a PPN.
-func (m *Mapper) blockOf(ppn nand.PPN) int {
-	return int(int64(ppn) / int64(m.pagesPerBlock))
+// noteValid adds delta to the valid count of the block holding ppn and
+// hands the block's new count to its chip's pool.
+func (m *Mapper) noteValid(ppn nand.PPN, delta int32) {
+	flat := m.byPages.div(int(ppn))
+	v := m.validCount[flat] + delta
+	m.validCount[flat] = v
+	if m.pools != nil {
+		chip := m.byBlocks.div(flat)
+		m.pools[chip].NoteValidChange(flat-chip*m.blocksPerChip, int(v))
+	}
 }
+
+// divider divides by a fixed positive divisor with a multiply and a shift,
+// exactly for every dividend in [0, 2^31) — which every page and block
+// number is, by MaxMapperPages. With l = ceil(log2 d) and m = ceil(2^(31+l)
+// / d), m*d exceeds 2^(31+l) by less than 2^l, so floor(n*m / 2^(31+l)) =
+// floor(n/d) (Granlund & Montgomery, "Division by invariant integers using
+// multiplication", 1994, Theorem 4.2); n*m < 2^63 cannot overflow.
+type divider struct {
+	m     uint64
+	shift uint
+}
+
+func newDivider(d int) divider {
+	l := uint(bits.Len(uint(d - 1)))
+	return divider{m: (uint64(1)<<(31+l) + uint64(d) - 1) / uint64(d), shift: 31 + l}
+}
+
+func (q divider) div(n int) int { return int(uint64(n) * q.m >> q.shift) }
 
 // FlatBlock returns the flat index of a block address.
 func (m *Mapper) FlatBlock(a nand.BlockAddr) int {
@@ -103,8 +166,8 @@ func (m *Mapper) Lookup(lpn LPN) (nand.PPN, bool) {
 	if lpn < 0 || int64(lpn) >= int64(len(m.l2p)) {
 		return nand.InvalidPPN, false
 	}
-	ppn := m.l2p[lpn]
-	return ppn, ppn != nand.InvalidPPN
+	v := m.l2p[lpn]
+	return nand.PPN(v) - 1, v != 0
 }
 
 // Update maps lpn to newPPN, invalidating any previous mapping. It returns
@@ -116,10 +179,10 @@ func (m *Mapper) Update(lpn LPN, newPPN nand.PPN) nand.PPN {
 	if newPPN < 0 || int64(newPPN) >= int64(len(m.p2l)) {
 		panic(fmt.Sprintf("ftl: PPN %d out of range", newPPN))
 	}
-	if m.p2l[newPPN] != -1 {
-		panic(fmt.Sprintf("ftl: PPN %d already holds LPN %d", newPPN, m.p2l[newPPN]))
+	if held := m.p2l[newPPN]; held != 0 {
+		panic(fmt.Sprintf("ftl: PPN %d already holds LPN %d", newPPN, held-1))
 	}
-	old := m.l2p[lpn]
+	old := nand.PPN(m.l2p[lpn]) - 1
 	if m.logging {
 		// Shard mode: defer the mutation for the barrier replay. old is the
 		// pre-epoch mapping, exact under the epoch's unique-LPN rule.
@@ -127,22 +190,14 @@ func (m *Mapper) Update(lpn LPN, newPPN nand.PPN) nand.PPN {
 		return old
 	}
 	if old != nand.InvalidPPN {
-		m.p2l[old] = -1
-		oldBlk := m.blockOf(old)
-		m.validCount[oldBlk]--
-		if m.onValidChange != nil {
-			m.onValidChange(oldBlk)
-		}
+		m.p2l[old] = 0
+		m.noteValid(old, -1)
 	} else {
 		m.mapped++
 	}
-	m.l2p[lpn] = newPPN
-	m.p2l[newPPN] = lpn
-	newBlk := m.blockOf(newPPN)
-	m.validCount[newBlk]++
-	if m.onValidChange != nil {
-		m.onValidChange(newBlk)
-	}
+	m.l2p[lpn] = int32(newPPN) + 1
+	m.p2l[newPPN] = int32(lpn) + 1
+	m.noteValid(newPPN, 1)
 	return old
 }
 
@@ -152,18 +207,14 @@ func (m *Mapper) Invalidate(lpn LPN) bool {
 	if lpn < 0 || int64(lpn) >= int64(len(m.l2p)) {
 		return false
 	}
-	old := m.l2p[lpn]
+	old := nand.PPN(m.l2p[lpn]) - 1
 	if old == nand.InvalidPPN {
 		return false
 	}
-	m.l2p[lpn] = nand.InvalidPPN
-	m.p2l[old] = -1
-	oldBlk := m.blockOf(old)
-	m.validCount[oldBlk]--
+	m.l2p[lpn] = 0
+	m.p2l[old] = 0
 	m.mapped--
-	if m.onValidChange != nil {
-		m.onValidChange(oldBlk)
-	}
+	m.noteValid(old, -1)
 	return true
 }
 
@@ -173,8 +224,8 @@ func (m *Mapper) LPNAt(ppn nand.PPN) (LPN, bool) {
 	if ppn < 0 || int64(ppn) >= int64(len(m.p2l)) {
 		return -1, false
 	}
-	lpn := m.p2l[ppn]
-	return lpn, lpn != -1
+	v := m.p2l[ppn]
+	return LPN(v) - 1, v != 0
 }
 
 // ValidCount returns the number of valid pages in a block.
@@ -194,7 +245,7 @@ func (m *Mapper) AppendValidPages(a nand.BlockAddr, dst []nand.PPN) []nand.PPN {
 	base := nand.PPN(int64(m.FlatBlock(a)) * int64(m.pagesPerBlock))
 	for i := 0; i < m.pagesPerBlock; i++ {
 		ppn := base + nand.PPN(i)
-		if m.p2l[ppn] != -1 {
+		if m.p2l[ppn] != 0 {
 			dst = append(dst, ppn)
 		}
 	}
@@ -206,7 +257,7 @@ func (m *Mapper) FirstValidPage(a nand.BlockAddr) (nand.PPN, bool) {
 	base := nand.PPN(int64(m.FlatBlock(a)) * int64(m.pagesPerBlock))
 	for i := 0; i < m.pagesPerBlock; i++ {
 		ppn := base + nand.PPN(i)
-		if m.p2l[ppn] != -1 {
+		if m.p2l[ppn] != 0 {
 			return ppn, true
 		}
 	}
@@ -229,8 +280,8 @@ func (m *Mapper) StateHash() uint64 {
 			h *= prime64
 		}
 	}
-	for _, ppn := range m.l2p {
-		mix(uint64(ppn))
+	for _, v := range m.l2p {
+		mix(uint64(int64(v) - 1)) // the PPN as an int64, -1 when unmapped
 	}
 	for _, v := range m.validCount {
 		mix(uint64(uint32(v)))

@@ -1,6 +1,8 @@
 package ftl
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -240,7 +242,7 @@ func TestPickVictimGreedy(t *testing.T) {
 	p.Bind(perBlock, func(blk int) int {
 		return m.ValidCount(nand.BlockAddr{Chip: 0, Block: blk})
 	})
-	m.SetValidHook(func(flat int) { p.NoteValidChange(flat) })
+	m.SetVictimIndex([]*FreePool{p})
 	p.PushFull(b0)
 	p.PushFull(b1)
 	p.PushFull(b2)
@@ -282,7 +284,7 @@ func TestPickVictimCostBenefit(t *testing.T) {
 	p.Bind(perBlock, func(blk int) int {
 		return m.ValidCount(nand.BlockAddr{Chip: 0, Block: blk})
 	})
-	m.SetValidHook(func(flat int) { p.NoteValidChange(flat) })
+	m.SetVictimIndex([]*FreePool{p})
 	p.PushFull(b0)
 	// Age b0 by pushing/taking unrelated blocks to advance the clock.
 	for i := 0; i < 50; i++ {
@@ -370,5 +372,207 @@ func TestTokenHelpers(t *testing.T) {
 	}
 	if _, ok := LPNFromSpare(nil); ok {
 		t.Error("nil spare decoded")
+	}
+}
+
+// TestCheckCapacity: a geometry past the int32 page numbers of the mapping
+// table is a typed error, decided from the geometry alone — these devices
+// are never built. The page count is not wrapped when it overflows an int.
+func TestCheckCapacity(t *testing.T) {
+	at := nand.Geometry{Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 1, WordLinesPerBlock: (1 << 30) - 1}
+	if err := CheckCapacity(at); err != nil {
+		t.Errorf("%d pages refused: %v", MaxMapperPages, err)
+	}
+	for _, g := range []nand.Geometry{
+		{Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 1, WordLinesPerBlock: 1 << 30},
+		{Channels: 8, ChipsPerChannel: 16, BlocksPerChip: 4096, WordLinesPerBlock: 1024, Levels: 4},
+		{Channels: 1 << 16, ChipsPerChannel: 1 << 16, BlocksPerChip: 1 << 16, WordLinesPerBlock: 1 << 16},
+	} {
+		var ce *CapacityError
+		if err := CheckCapacity(g); !errors.As(err, &ce) || ce.Pages <= MaxMapperPages {
+			t.Errorf("%+v: CheckCapacity = %v, want a *CapacityError above %d pages", g, err, MaxMapperPages)
+		}
+	}
+	if err := CheckCapacity(nand.DefaultGeometry()); err != nil {
+		t.Errorf("the paper's device refused: %v", err)
+	}
+}
+
+// TestDividerExact: the multiply-and-shift division equals integer division
+// for every divisor and dividend the mapper can see, including the largest.
+func TestDividerExact(t *testing.T) {
+	check := func(d, n int) bool {
+		if got := newDivider(d).div(n); got != n/d {
+			t.Errorf("%d / %d = %d, want %d", n, d, got, n/d)
+			return false
+		}
+		return true
+	}
+	for d := 1; d <= 1100; d++ {
+		for _, n := range []int{0, 1, d - 1, d, d + 1, 7*d - 1, 7 * d, MaxMapperPages, MaxMapperPages + 1} {
+			check(d, n)
+		}
+	}
+	for _, d := range []int{1 << 20, 1<<20 + 1, 1 << 30, 1<<30 + 1, MaxMapperPages, MaxMapperPages + 1} {
+		for _, n := range []int{0, d - 1, d, MaxMapperPages, MaxMapperPages + 1} {
+			check(d, n)
+		}
+	}
+	f := func(d, n uint32) bool { return check(int(d>>1)+1, int(n>>1)) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 100000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// refStateHash is Mapper.StateHash recomputed from a reference map: FNV-1a
+// over every LPN's page number as an int64 (-1 when unmapped), then every
+// block's valid count.
+func refStateHash(ref map[LPN]nand.PPN, logical int64, valid []int) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= uint64(byte(v >> (8 * i)))
+			h *= 1099511628211
+		}
+	}
+	for lpn := LPN(0); lpn < LPN(logical); lpn++ {
+		ppn, ok := ref[lpn]
+		if !ok {
+			ppn = nand.InvalidPPN
+		}
+		mix(uint64(int64(ppn)))
+	}
+	for _, v := range valid {
+		mix(uint64(uint32(v)))
+	}
+	return h
+}
+
+// TestMapperDifferential drives seeded random Update/Invalidate sequences
+// through a Mapper with a victim index attached and through a plain
+// map[LPN]PPN, and compares every read the mapper offers after each step —
+// LPN 0, PPN 0 and the last PPN included, the edges of the tables' +1 bias
+// — plus the valid count each pool was handed.
+func TestMapperDifferential(t *testing.T) {
+	tlc := nand.TestGeometry()
+	tlc.Levels = 3
+	for _, g := range []nand.Geometry{nand.TestGeometry(), tlc} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			mapperDifferential(t, g, seed)
+		}
+	}
+}
+
+func mapperDifferential(t *testing.T, g nand.Geometry, seed uint64) {
+	t.Helper()
+	total := g.TotalPages()
+	logical := int64(total / 2)
+	m := NewMapper(g, logical)
+	pools := make([]*FreePool, g.Chips())
+	for c := range pools {
+		chip := c
+		pools[c] = NewFreePool(c, g.BlocksPerChip)
+		pools[c].Bind(g.PagesPerBlock(), func(blk int) int {
+			return m.ValidCount(nand.BlockAddr{Chip: chip, Block: blk})
+		})
+		for blk := 0; blk < g.BlocksPerChip; blk++ {
+			pools[c].PushFull(blk)
+		}
+	}
+	m.SetVictimIndex(pools)
+
+	ref := map[LPN]nand.PPN{}
+	held := map[nand.PPN]LPN{}
+	src := rng.New(seed)
+	pick := func(n int64) int64 {
+		switch src.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return n - 1
+		}
+		return src.Int63n(n)
+	}
+	for step := 0; step < 600; step++ {
+		lpn := LPN(pick(logical))
+		if src.Bool(0.2) {
+			old, had := ref[lpn]
+			if m.Invalidate(lpn) != had {
+				t.Fatalf("%v seed %d step %d: Invalidate(%d) = %v, want %v", g, seed, step, lpn, !had, had)
+			}
+			if had {
+				delete(held, old)
+				delete(ref, lpn)
+			}
+		} else {
+			ppn := nand.PPN(pick(int64(total)))
+			if _, busy := held[ppn]; busy {
+				continue // programming a held page is the panic TestMapperDoubleMapPPNPanics covers
+			}
+			want, had := ref[lpn]
+			if !had {
+				want = nand.InvalidPPN
+			}
+			if old := m.Update(lpn, ppn); old != want {
+				t.Fatalf("%v seed %d step %d: Update(%d, %d) superseded %d, want %d", g, seed, step, lpn, ppn, old, want)
+			}
+			delete(held, want)
+			ref[lpn], held[ppn] = ppn, lpn
+		}
+		if step%50 == 0 || step == 599 {
+			compareMapper(t, m, pools, g, ref, held, logical)
+		}
+	}
+}
+
+func compareMapper(t *testing.T, m *Mapper, pools []*FreePool, g nand.Geometry, ref map[LPN]nand.PPN, held map[nand.PPN]LPN, logical int64) {
+	t.Helper()
+	if m.Mapped() != int64(len(ref)) {
+		t.Fatalf("%v: Mapped = %d, want %d", g, m.Mapped(), len(ref))
+	}
+	for lpn := LPN(0); lpn < LPN(logical); lpn++ {
+		want, ok := ref[lpn]
+		if !ok {
+			want = nand.InvalidPPN
+		}
+		if got, gotOK := m.Lookup(lpn); got != want || gotOK != ok {
+			t.Fatalf("%v: Lookup(%d) = %d,%v, want %d,%v", g, lpn, got, gotOK, want, ok)
+		}
+	}
+	ppb := g.PagesPerBlock()
+	valid := make([]int, g.TotalBlocks())
+	for flat := range valid {
+		a := m.BlockOfFlat(flat)
+		var pages []nand.PPN
+		for i := 0; i < ppb; i++ {
+			ppn := nand.PPN(flat*ppb + i)
+			want, ok := held[ppn]
+			if !ok {
+				want = -1
+			}
+			if got, gotOK := m.LPNAt(ppn); got != want || gotOK != ok {
+				t.Fatalf("%v: LPNAt(%d) = %d,%v, want %d,%v", g, ppn, got, gotOK, want, ok)
+			}
+			if ok {
+				pages = append(pages, ppn)
+			}
+		}
+		valid[flat] = len(pages)
+		if got := m.ValidCount(a); got != len(pages) {
+			t.Fatalf("%v: ValidCount(%v) = %d, want %d", g, a, got, len(pages))
+		}
+		if got := int(pools[a.Chip].bucketOf[a.Block]); got != len(pages) {
+			t.Fatalf("%v: pool %d holds block %d in bucket %d, want %d", g, a.Chip, a.Block, got, len(pages))
+		}
+		if got := m.AppendValidPages(a, nil); !slices.Equal(got, pages) {
+			t.Fatalf("%v: AppendValidPages(%v) = %v, want %v", g, a, got, pages)
+		}
+		first, ok := m.FirstValidPage(a)
+		if want := len(pages) > 0; ok != want || (ok && first != pages[0]) {
+			t.Fatalf("%v: FirstValidPage(%v) = %d,%v, want %v", g, a, first, ok, pages)
+		}
+	}
+	if got, want := m.StateHash(), refStateHash(ref, logical, valid); got != want {
+		t.Fatalf("%v: StateHash = %x, want %x", g, got, want)
 	}
 }

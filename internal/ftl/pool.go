@@ -110,7 +110,7 @@ func (p *FreePool) ensure(b int) {
 // builds the victim index. pagesPerBlock fixes the bucket range: a block's
 // bucket is its current valid count in [0, pagesPerBlock]. The pool does not
 // watch the source — the owner must call NoteValidChange whenever a full
-// block's count changes (ftl.Base wires this through Mapper.SetValidHook).
+// block's count changes (ftl.Base wires this through Mapper.SetVictimIndex).
 func (p *FreePool) Bind(pagesPerBlock int, valid func(blk int) int) {
 	if pagesPerBlock <= 0 {
 		panic("ftl: Bind with non-positive pagesPerBlock")
@@ -237,18 +237,21 @@ func (p *FreePool) TakeFull(b int) {
 	}
 }
 
-// NoteValidChange moves a full block to the bucket of its current valid
+// NoteValidChange moves a full block to the bucket of v, its current valid
 // count. Calls for blocks not on the full list (active or free blocks whose
-// counts move during programming) are ignored.
-func (p *FreePool) NoteValidChange(b int) {
-	if p.valid == nil || b < 0 || b >= len(p.inFull) || !p.inFull[b] {
+// counts move during programming) are ignored, and the check inlines, so the
+// mapper's call for such a block costs a few compares.
+func (p *FreePool) NoteValidChange(b, v int) {
+	if uint(b) < uint(len(p.inFull)) && p.inFull[b] && p.valid != nil {
+		p.rebucket(int32(b), v)
+	}
+}
+
+// rebucket moves a full block to bucket v unless it is already there.
+func (p *FreePool) rebucket(blk int32, v int) {
+	if int(p.bucketOf[blk]) == v {
 		return
 	}
-	v := p.valid(b)
-	if int(p.bucketOf[b]) == v {
-		return
-	}
-	blk := int32(b)
 	p.bucketRemove(blk)
 	p.bucketAdd(blk, v)
 	p.heapDirty = true

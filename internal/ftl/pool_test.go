@@ -162,7 +162,7 @@ func TestPickVictimCostBenefitIndex(t *testing.T) {
 	// and the index must track the re-bucketing without disagreeing.
 	for valid[young] > 0 {
 		valid[young]--
-		p.NoteValidChange(young)
+		p.NoteValidChange(young, valid[young])
 	}
 	if v := check("note-valid-change"); v != old {
 		t.Fatalf("after full invalidation picked %d, want still-aged %d", v, old)
@@ -214,7 +214,7 @@ func TestGreedyTieBreakFIFO(t *testing.T) {
 	// Demote the second block into a lower bucket than the first: it must
 	// now win even though it is younger.
 	valid[second] = ppb / 4
-	p.NoteValidChange(second)
+	p.NoteValidChange(second, valid[second])
 	v, _ = p.PickVictim()
 	if v != second {
 		t.Fatalf("dirtier block not picked after re-bucket: got %d", v)
@@ -282,7 +282,7 @@ func runVictimProperty(t *testing.T, policy GCPolicy, seed uint64) {
 				b := full[r.Intn(len(full))]
 				if valid[b] > 0 {
 					valid[b]--
-					p.NoteValidChange(b)
+					p.NoteValidChange(b, valid[b])
 				}
 			}
 		case op < 85: // revalidation stresses upward re-bucketing too
@@ -290,7 +290,7 @@ func runVictimProperty(t *testing.T, policy GCPolicy, seed uint64) {
 				b := full[r.Intn(len(full))]
 				if valid[b] < ppb {
 					valid[b]++
-					p.NoteValidChange(b)
+					p.NoteValidChange(b, valid[b])
 				}
 			}
 		case op < 95: // GC: collect the agreed victim

@@ -83,11 +83,16 @@ type chip struct {
 	blocks []block
 	// pages is the chip's run of the device's one flat page array, block-major:
 	// page idx of block b is pages[b*PagesPerBlock+idx], and that index is also
-	// the page's key in oversize.
+	// the page's key in oversize and progAt.
 	pages    []pagemem.Page
 	oversize pagemem.Oversize
-	readyAt  sim.Time
-	win      msbWindow
+	// progAt is the retention clock of each page — the virtual time of its
+	// last program — indexed like pages. Only the reliability model reads it,
+	// so it is nil on a device without one.
+	progAt  []sim.Time
+	channel int
+	readyAt sim.Time
+	win     msbWindow
 }
 
 // blockPages returns the block's run of the chip's page array.
@@ -196,10 +201,17 @@ func NewDevice(cfg Config) (*Device, error) {
 	}
 	// One page array, one program-state bitmap and one block array for the
 	// whole device, chip-major, so building it costs the same few allocations
-	// however many blocks and pages there are.
+	// however many blocks and pages there are; a BER model adds one retention
+	// clock array of the same shape.
 	perChip := cfg.Geometry.BlocksPerChip * d.pagesPerBlock
 	pages := make([]pagemem.Page, len(d.chips)*perChip)
 	written := make([]bool, len(pages))
+	var progAt []sim.Time
+	if cfg.Reliability != nil {
+		progAt = make([]sim.Time, len(pages))
+		d.relCounts = make([]rel.Counts, cfg.Geometry.Chips())
+		d.relTables = make([]relTable, cfg.Geometry.Chips())
+	}
 	blocks := make([]block, cfg.Geometry.TotalBlocks())
 	for b := range blocks {
 		blocks[b].state = core.BlockStateOver(scheme, written[b*d.pagesPerBlock:][:d.pagesPerBlock:d.pagesPerBlock])
@@ -208,10 +220,10 @@ func NewDevice(cfg Config) (*Device, error) {
 		n := cfg.Geometry.BlocksPerChip
 		d.chips[c].blocks = blocks[c*n:][:n:n]
 		d.chips[c].pages = pages[c*perChip:][:perChip:perChip]
-	}
-	if cfg.Reliability != nil {
-		d.relCounts = make([]rel.Counts, cfg.Geometry.Chips())
-		d.relTables = make([]relTable, cfg.Geometry.Chips())
+		if progAt != nil {
+			d.chips[c].progAt = progAt[c*perChip:][:perChip:perChip]
+		}
+		d.chips[c].channel = cfg.Geometry.ChannelOf(c)
 	}
 	return d, nil
 }
@@ -378,8 +390,8 @@ func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time
 		return now, fmt.Errorf("nand: spare payload %dB exceeds spare size %dB", len(spare), g.SpareBytes)
 	}
 
-	ch := g.ChannelOf(a.Chip)
 	c := &d.chips[a.Chip]
+	ch := c.channel
 	start := sim.MaxOf(now, sim.MaxOf(c.readyAt, d.chanFree[ch]))
 	xferDone := start + d.cfg.Timing.BusXfer
 	done := xferDone + d.cfg.Timing.Prog(a.Page.Type)
@@ -406,7 +418,7 @@ func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time
 	blk.state.Mark(a.Page)
 	pg.Store(&c.oversize, key, data, spare)
 	if d.cfg.Reliability != nil {
-		pg.ProgAt = done
+		c.progAt[key] = done
 		if !blk.hasProg {
 			blk.hasProg = true
 			blk.firstProgAt = done
@@ -525,14 +537,14 @@ func (d *Device) relClassify(chipID, eraseCount int, age sim.Time, reads uint64,
 }
 
 // relOutcome evaluates the reliability model for one read of a programmed
-// page: the predicted BER from the block's wear, the page's retention age
-// and the block's read-disturb count, classified through the ECC retry
-// ladder by a hash of the read's chip-local identity. Only called when the
-// model is enabled.
-func (d *Device) relOutcome(a PageAddr, blk *block, pg *pagemem.Page, at sim.Time) rel.Outcome {
+// page (key is its index within the chip): the predicted BER from the
+// block's wear, the page's retention age and the block's read-disturb count,
+// classified through the ECC retry ladder by a hash of the read's chip-local
+// identity. Only called when the model is enabled.
+func (d *Device) relOutcome(a PageAddr, blk *block, key int, at sim.Time) rel.Outcome {
 	rc := d.cfg.Reliability
 	blk.readCount++
-	age := at - pg.ProgAt
+	age := at - d.chips[a.Chip].progAt[key]
 	if age < 0 {
 		age = 0
 	}
@@ -560,9 +572,8 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (data, spare []byte, done si
 	if err != nil {
 		return nil, nil, now, err
 	}
-	g := d.cfg.Geometry
-	ch := g.ChannelOf(a.Chip)
 	c := &d.chips[a.Chip]
+	ch := c.channel
 	start := sim.MaxOf(now, c.readyAt)
 	// The reliability outcome is known before timing is committed so retry
 	// rounds extend the sense phase: each round re-occupies the cell array
@@ -570,7 +581,7 @@ func (d *Device) readPage(a PageAddr, now sim.Time) (data, spare []byte, done si
 	// base read keeps the ambient cause.
 	var outcome rel.Outcome
 	if d.cfg.Reliability != nil && pg.Intact() {
-		outcome = d.relOutcome(a, blk, pg, start)
+		outcome = d.relOutcome(a, blk, key, start)
 	}
 	retryDur := sim.Time(outcome.Retries) * d.cfg.Timing.Read
 	senseDone := start + d.cfg.Timing.Read + retryDur

@@ -3,6 +3,7 @@ package nand
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"flexftl/internal/core"
 	"flexftl/internal/obs"
@@ -200,5 +201,31 @@ func TestRelPredictAndRetire(t *testing.T) {
 	}
 	if _, err := d.Erase(worn, 0); !errors.Is(err, ErrBadBlock) {
 		t.Errorf("erase on retired block: %v, want ErrBadBlock", err)
+	}
+}
+
+// TestRetentionClockOnlyWithModel: the per-page retention clock exists only
+// on a device with a BER model, which allocates exactly one array for it —
+// every chip's clock is its run of that array, indexed like its pages.
+func TestRetentionClockOnlyWithModel(t *testing.T) {
+	plain, err := NewDevice(Config{Geometry: TestGeometry(), Timing: DefaultTiming()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range plain.chips {
+		if plain.chips[c].progAt != nil {
+			t.Fatalf("chip %d of a device without a BER model has a retention clock", c)
+		}
+	}
+	d := relDevice(t, rel.DefaultConfig(1))
+	perChip := len(d.chips[0].pages)
+	base := uintptr(unsafe.Pointer(&d.chips[0].progAt[0]))
+	for c := range d.chips {
+		run := d.chips[c].progAt
+		at := uintptr(unsafe.Pointer(&run[0]))
+		if len(run) != perChip || cap(run) != perChip || at != base+uintptr(c*perChip)*unsafe.Sizeof(run[0]) {
+			t.Fatalf("chip %d's clock (%d pages at +%d B) is not run %d of one device-wide array of %d-page runs",
+				c, len(run), at-base, c, perChip)
+		}
 	}
 }

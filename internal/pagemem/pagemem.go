@@ -1,12 +1,12 @@
 // Package pagemem is the stored state of one physical page, as the device
 // model (internal/nand) keeps it: a flat, pointer-free record a device lays
 // out in one array, indexed chip-major by (chip, block, page)
-// — FEMU's ppa2pgidx idiom. Flags, retention clock and payload sit together,
-// so programming a page allocates nothing, an erase clears it with one store,
-// and a read touches one record instead of a struct and two heap slices.
+// — FEMU's ppa2pgidx idiom. Flags and payload sit together, so programming a
+// page allocates nothing, an erase clears it with one store, and a read
+// touches one record instead of a struct and two heap slices. The record has
+// no word-sized field: it is 3 + InlineBytes bytes on every target, the
+// figure a device multiplies by its page count.
 package pagemem
-
-import "flexftl/internal/sim"
 
 // InlineBytes is the payload a Page stores in place, data and spare area
 // together: the FTLs program a 16-byte token (ftl.TokenSize) with an 8-byte
@@ -30,11 +30,10 @@ const (
 	oversize
 )
 
-// Page is one physical page. The zero value is an erased page.
+// Page is one physical page. The zero value is an erased page. The retention
+// clock is not here: only a device with a BER model reads it, so such a
+// device keeps it in an array of its own.
 type Page struct {
-	// ProgAt is the virtual time of the last program — the zero of the page's
-	// retention clock. Maintained by devices with a reliability model.
-	ProgAt sim.Time
 	// Flags is read and set by the device; Store overwrites it.
 	Flags             Flags
 	dataLen, spareLen uint8

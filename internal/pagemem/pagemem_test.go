@@ -15,10 +15,11 @@ func fill(n int, seed byte) []byte {
 }
 
 // TestPageIsFlat: the record is what a device multiplies by its page count —
-// 40 bytes, no pointers for the collector to trace.
+// flags, two length bytes and the inline slot, 27 bytes on every target: no
+// word-sized field to pad it, no pointers for the collector to trace.
 func TestPageIsFlat(t *testing.T) {
-	if got := unsafe.Sizeof(Page{}); got != 40 {
-		t.Errorf("Page is %d bytes, want 40", got)
+	if got, want := unsafe.Sizeof(Page{}), uintptr(3+InlineBytes); got != want {
+		t.Errorf("Page is %d bytes, want %d", got, want)
 	}
 }
 

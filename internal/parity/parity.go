@@ -6,6 +6,7 @@
 package parity
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 )
@@ -45,9 +46,7 @@ func (b *Buffer) Add(page []byte) error {
 	if len(page) > b.width {
 		return fmt.Errorf("%w: page %dB, accumulator %dB", ErrWidthMismatch, len(page), b.width)
 	}
-	for i, v := range page {
-		b.acc[i] ^= v
-	}
+	subtle.XORBytes(b.acc, b.acc, page)
 	b.count++
 	return nil
 }
@@ -60,9 +59,7 @@ func (b *Buffer) Remove(page []byte) error {
 	if b.count == 0 {
 		return errors.New("parity: Remove on empty accumulator")
 	}
-	for i, v := range page {
-		b.acc[i] ^= v
-	}
+	subtle.XORBytes(b.acc, b.acc, page)
 	b.count--
 	return nil
 }
@@ -99,9 +96,7 @@ func Recover(parityPage []byte, survivors [][]byte) ([]byte, error) {
 		if len(s) > len(out) {
 			return nil, fmt.Errorf("%w: survivor %dB, parity %dB", ErrWidthMismatch, len(s), len(out))
 		}
-		for i, v := range s {
-			out[i] ^= v
-		}
+		subtle.XORBytes(out, out, s)
 	}
 	return out, nil
 }

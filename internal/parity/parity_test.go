@@ -216,3 +216,84 @@ func TestAddRemoveInverseProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// xorInto is the byte loop Add, Remove and Recover used before they called
+// crypto/subtle.XORBytes: the oracle the XOR property below checks them
+// against.
+func xorInto(acc, page []byte) {
+	for i, v := range page {
+		acc[i] ^= v
+	}
+}
+
+// TestXORMatchesByteLoop: over random widths 1–40 and pages of every length
+// 0–40 — shorter than, equal to and wider than the accumulator — Add,
+// Remove and Recover agree with the byte loop on the bytes and on which
+// pages they refuse.
+func TestXORMatchesByteLoop(t *testing.T) {
+	f := func(seed uint64) bool {
+		src := rng.New(seed)
+		width := 1 + src.Intn(40)
+		b, acc := New(width), make([]byte, width)
+		var added [][]byte
+		var survivors [][]byte
+		for op := 0; op < 24; op++ {
+			page := make([]byte, src.Intn(41))
+			for j := range page {
+				page[j] = byte(src.Intn(256))
+			}
+			fits := len(page) <= width
+			if len(added) > 0 && src.Bool(0.3) {
+				k := src.Intn(len(added))
+				page = added[k]
+				added = append(added[:k], added[k+1:]...)
+				if err := b.Remove(page); err != nil {
+					return false
+				}
+				xorInto(acc, page)
+			} else {
+				if err := b.Add(page); (err == nil) != fits {
+					return false
+				}
+				if fits {
+					xorInto(acc, page)
+					added = append(added, page)
+				}
+			}
+			if !bytes.Equal(b.Snapshot(), acc) {
+				return false
+			}
+			if fits || src.Bool(0.1) {
+				survivors = append(survivors, page)
+			}
+		}
+		parityPage := b.Snapshot()
+		want := append([]byte(nil), parityPage...)
+		wantErr := false
+		for _, s := range survivors {
+			if len(s) > len(want) {
+				wantErr = true
+				break
+			}
+			xorInto(want, s)
+		}
+		got, err := Recover(parityPage, survivors)
+		if wantErr {
+			return errors.Is(err, ErrWidthMismatch)
+		}
+		return err == nil && bytes.Equal(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAddTokenAllocatesNothing: accumulating a page the size of an FTL
+// token (16 bytes) allocates nothing.
+func TestAddTokenAllocatesNothing(t *testing.T) {
+	b := New(16)
+	page := bytes.Repeat([]byte{0x5a}, 16)
+	if allocs := testing.AllocsPerRun(100, func() { _ = b.Add(page) }); allocs != 0 {
+		t.Errorf("Add of a 16-byte page allocates %.1f times, want 0", allocs)
+	}
+}

@@ -156,7 +156,7 @@ func TestRunShardedLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := runtime.NumGoroutine()
+		base := quietGoroutines()
 		if _, err := sys.RunSharded(gen, workers); err != nil {
 			t.Fatal(err)
 		}
@@ -167,6 +167,23 @@ func TestRunShardedLifecycle(t *testing.T) {
 			t.Errorf("workers=%d: %d goroutines after RunSharded, %d before", workers, got, base)
 		}
 	}
+}
+
+// quietGoroutines returns the goroutine count once it has held still for
+// 10 ms, or whatever it is after a second: when a test starts, the goroutine
+// of the test before it may still be exiting, and counting it into a
+// baseline would report the exit as a goroutine RunSharded took away.
+func quietGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }
 
 // settledGoroutines returns the goroutine count once it is back at want, or
