@@ -521,7 +521,7 @@ func BenchmarkPickVictim(b *testing.B) {
 // hottest data-structure paths of the simulator itself.
 func BenchmarkMapperUpdate(b *testing.B) {
 	g := benchGeometry()
-	m := ftl.NewMapper(g, int64(g.TotalPages()/2))
+	m := ftl.NewMapper(nand.NewLayout(g), int64(g.TotalPages()/2))
 	logical := m.LogicalPages()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

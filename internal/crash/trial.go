@@ -76,12 +76,12 @@ func snapshotWindow(k *ftl.Kernel, chip int) vulnState {
 	if !open {
 		return vulnState{}
 	}
-	g := k.Dev.Geometry()
+	lay := k.Dev.Layout()
 	v := vulnState{open: true, msbAddr: a}
 	v.pairAddr = a
 	v.pairAddr.Page.Type = core.LSB
-	v.msbLPN, v.msbLive = k.Map.LPNAt(g.PPNOf(a))
-	v.pairLPN, v.pairLive = k.Map.LPNAt(g.PPNOf(v.pairAddr))
+	v.msbLPN, v.msbLive = k.Map.LPNAt(lay.PPNOf(a))
+	v.pairLPN, v.pairLive = k.Map.LPNAt(lay.PPNOf(v.pairAddr))
 	return v
 }
 
@@ -292,7 +292,6 @@ func runRecovery(cfg Config, k *ftl.Kernel, sh *shadow, v vulnState, o *Outcome,
 
 // verify sweeps the whole logical space against the shadow model.
 func verify(cfg Config, spec ftl.Spec, k *ftl.Kernel, sh *shadow, v vulnState, rebuilt bool, o *Outcome, now sim.Time) {
-	g := k.Dev.Geometry()
 	detectOnly := spec.Backup == "none"
 	recovered := spec.Backup == "blockParity" && cfg.Sabotage == SabotageNone
 
@@ -320,7 +319,7 @@ func verify(cfg Config, spec ftl.Spec, k *ftl.Kernel, sh *shadow, v vulnState, r
 			if !mapped {
 				continue
 			}
-			if _, err := k.Dev.ReadInto(g.AddrOfPPN(ppn), &k.Buf, now); err == nil {
+			if _, err := k.Dev.ReadPPN(ppn, &k.Buf, now); err == nil {
 				o.addViolation("lpn %d: destroyed page reads back clean (loss masked)", lpn)
 			}
 			continue
@@ -363,9 +362,8 @@ func verify(cfg Config, spec ftl.Spec, k *ftl.Kernel, sh *shadow, v vulnState, r
 // readCheck reads the mapped page and checks token identity and the
 // sequence floor (floor 0 skips the floor check).
 func readCheck(k *ftl.Kernel, lpn ftl.LPN, ppn nand.PPN, floor uint64, now sim.Time) string {
-	g := k.Dev.Geometry()
-	if _, err := k.Dev.ReadInto(g.AddrOfPPN(ppn), &k.Buf, now); err != nil {
-		return fmt.Sprintf("read %v: %v", g.AddrOfPPN(ppn), err)
+	if _, err := k.Dev.ReadPPN(ppn, &k.Buf, now); err != nil {
+		return fmt.Sprintf("read %v: %v", k.Dev.Layout().Addr(ppn), err)
 	}
 	data := k.Buf.Data
 	tok, ok := ftl.TokenLPN(data)

@@ -19,7 +19,9 @@ var ErrUnmapped = errors.New("ftl: read of unmapped LPN")
 // table, per-chip pools, counters, payload token generation and the common
 // GC engine.
 type Base struct {
-	Dev   *nand.Device
+	Dev *nand.Device
+	// lay is the device's page numbering.
+	lay   *nand.Layout
 	Map   *Mapper
 	Cfg   Config
 	Pools []*FreePool
@@ -99,7 +101,8 @@ func NewBase(dev *nand.Device, cfg Config) (*Base, error) {
 	}
 	b := &Base{
 		Dev:           dev,
-		Map:           NewMapper(g, logical),
+		lay:           dev.Layout(),
+		Map:           NewMapper(*dev.Layout(), logical),
 		Cfg:           cfg,
 		Pools:         make([]*FreePool, g.Chips()),
 		reprogPenalty: int64(dev.Timing().ProgMSB - dev.Timing().ProgLSB),
@@ -331,7 +334,6 @@ func (b *Base) collectVictim(chip, victim int, now sim.Time, alloc AllocFunc, ca
 
 	addr := nand.BlockAddr{Chip: chip, Block: victim}
 	b.Pools[chip].TakeFull(victim)
-	g := b.Dev.Geometry()
 	// The scratch reuse is safe against the mapping updates alloc performs:
 	// relocation only invalidates pages of this block after copying them,
 	// never adds pages to it, and the inGC guard rules out a nested scan.
@@ -341,20 +343,19 @@ func (b *Base) collectVictim(chip, victim int, now sim.Time, alloc AllocFunc, ca
 		if !ok {
 			continue // invalidated by an earlier iteration (cannot happen for distinct LPNs)
 		}
-		pa := g.AddrOfPPN(ppn)
-		t, err := b.Dev.ReadInto(pa, &b.Buf, now)
+		t, err := b.Dev.ReadPPN(ppn, &b.Buf, now)
 		if err != nil {
 			if errors.Is(err, rel.ErrUncorrectable) {
 				// ECC loss mid-relocation: rebuild from parity when covered,
 				// otherwise relocate a placeholder token and pin the loss at
 				// the new location — the LPN stays mapped so a later host
 				// read fails (detected loss), never silently vanishes.
-				now = b.relocateLost(lpn, pa, t)
+				now = b.relocateLost(lpn, b.lay.Addr(ppn), t)
 			} else {
 				// Abort the collection but keep the victim on the candidate
 				// list — its remaining valid pages must not be leaked.
 				b.Pools[chip].PushFull(victim)
-				return now, fmt.Errorf("ftl: GC read %v: %w", pa, err)
+				return now, fmt.Errorf("ftl: GC read %v: %w", b.lay.Addr(ppn), err)
 			}
 		} else {
 			now = t
@@ -428,10 +429,10 @@ func (b *Base) ReadLPN(lpn LPN, now sim.Time) (sim.Time, error) {
 		// runner drops, so it is not worth formatting (or allocating) a message.
 		return now, ErrUnmapped
 	}
-	addr := b.Dev.Geometry().AddrOfPPN(ppn)
-	done, err := b.Dev.ReadInto(addr, &b.Buf, now)
+	done, err := b.Dev.ReadPPN(ppn, &b.Buf, now)
 	if err != nil {
 		if errors.Is(err, rel.ErrUncorrectable) {
+			addr := b.lay.Addr(ppn)
 			if b.repairRead != nil {
 				if t, ok := b.repairRead(b, lpn, addr, done); ok {
 					b.St.ECCRebuilds++

@@ -123,13 +123,12 @@ func (b *Base) RunBackgroundGC(now, until sim.Time, shouldRun func() bool, alloc
 		if now+perPage > until {
 			return now
 		}
-		pa := b.Dev.Geometry().AddrOfPPN(ppn)
-		tRead, err := b.Dev.ReadInto(pa, &b.Buf, now)
+		tRead, err := b.Dev.ReadPPN(ppn, &b.Buf, now)
 		if err != nil {
 			if errors.Is(err, rel.ErrUncorrectable) {
 				// ECC loss on a victim page: rebuild or relocate a pinned
 				// placeholder (see collectVictim) and keep collecting.
-				now = b.relocateLost(lpn, pa, tRead)
+				now = b.relocateLost(lpn, b.lay.Addr(ppn), tRead)
 			} else {
 				// Unreadable victim page (e.g. injected corruption): abandon
 				// the victim but return it to the candidate list so its valid

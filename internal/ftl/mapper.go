@@ -2,8 +2,6 @@ package ftl
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 
 	"flexftl/internal/nand"
 )
@@ -16,18 +14,15 @@ import (
 // Both tables store a page number plus one in an int32, so the zero value
 // means unmapped (l2p) or free (p2l): a fresh mapper is one zeroed
 // allocation that stays untouched until used, at most 8 bytes per physical
-// page. That bounds a device at MaxMapperPages pages; NewBase refuses a
-// larger one.
+// page. Every page number of a device fits, by nand.MaxPages.
 type Mapper struct {
-	blocksPerChip int
-	pagesPerBlock int
-	// byPages and byBlocks divide by pagesPerBlock and blocksPerChip: the
-	// page → (chip, block) step every Update takes twice.
-	byPages, byBlocks divider
-	l2p               []int32 // logical to physical page number + 1; 0 when unmapped
-	p2l               []int32 // physical to logical page number + 1; 0 when free/invalid
-	validCount        []int32 // valid pages per flat block
-	mapped            int64   // currently mapped logical pages
+	// lay is the device's page numbering: the page → (chip, block) step
+	// every Update takes twice.
+	lay        nand.Layout
+	l2p        []int32 // logical to physical page number + 1; 0 when unmapped
+	p2l        []int32 // physical to logical page number + 1; 0 when free/invalid
+	validCount []int32 // valid pages per flat block
+	mapped     int64   // currently mapped logical pages
 	// pools, when set, is the GC victim index of each chip: every validCount
 	// change is handed to the owning pool with the new count. Nil
 	// (standalone mappers) costs nothing.
@@ -67,51 +62,23 @@ func (m *Mapper) resetLog() { m.log = m.log[:0] }
 // pools[chip] (nil detaches).
 func (m *Mapper) SetVictimIndex(pools []*FreePool) { m.pools = pools }
 
-// MaxMapperPages bounds the physical pages a Mapper can address: a page
-// number plus one must fit an int32.
-const MaxMapperPages = math.MaxInt32 - 1
+// CheckCapacity returns a *nand.CapacityError when the geometry has more
+// physical pages than a device — and so a Mapper — can address.
+func CheckCapacity(g nand.Geometry) error { return nand.CheckCapacity(g) }
 
-// CapacityError reports a geometry with more physical pages than a Mapper
-// can address.
-type CapacityError struct {
-	Pages float64 // the geometry's physical pages
-}
-
-func (e *CapacityError) Error() string {
-	return fmt.Sprintf("ftl: %.0f physical pages exceed the mapping table's %d", e.Pages, MaxMapperPages)
-}
-
-// CheckCapacity returns a *CapacityError when the geometry has more physical
-// pages than a Mapper can address. The page count is a float64 product, so
-// a geometry whose count overflows an int is refused, not wrapped; it is
-// exact up to 2^53, far past the bound.
-func CheckCapacity(g nand.Geometry) error {
-	pages := float64(g.Channels) * float64(g.ChipsPerChannel) * float64(g.BlocksPerChip) *
-		float64(g.BitsPerCell()) * float64(g.WordLinesPerBlock)
-	if pages > MaxMapperPages {
-		return &CapacityError{Pages: pages}
-	}
-	return nil
-}
-
-// NewMapper builds a mapper for logicalPages host pages over the geometry.
-func NewMapper(g nand.Geometry, logicalPages int64) *Mapper {
-	if err := CheckCapacity(g); err != nil {
-		panic(err)
-	}
-	totalPages := int64(g.TotalPages())
+// NewMapper builds a mapper for logicalPages host pages over a device's page
+// numbering.
+func NewMapper(lay nand.Layout, logicalPages int64) *Mapper {
+	totalPages := int64(lay.Pages())
 	if logicalPages <= 0 || logicalPages > totalPages {
 		panic(fmt.Sprintf("ftl: logical pages %d outside (0,%d]", logicalPages, totalPages))
 	}
 	tables := make([]int32, logicalPages+totalPages)
 	return &Mapper{
-		blocksPerChip: g.BlocksPerChip,
-		pagesPerBlock: g.PagesPerBlock(),
-		byPages:       newDivider(g.PagesPerBlock()),
-		byBlocks:      newDivider(g.BlocksPerChip),
-		l2p:           tables[:logicalPages:logicalPages],
-		p2l:           tables[logicalPages:],
-		validCount:    make([]int32, g.TotalBlocks()),
+		lay:        lay,
+		l2p:        tables[:logicalPages:logicalPages],
+		p2l:        tables[logicalPages:],
+		validCount: make([]int32, lay.Blocks()),
 	}
 }
 
@@ -124,42 +91,20 @@ func (m *Mapper) Mapped() int64 { return m.mapped }
 // noteValid adds delta to the valid count of the block holding ppn and
 // hands the block's new count to its chip's pool.
 func (m *Mapper) noteValid(ppn nand.PPN, delta int32) {
-	flat := m.byPages.div(int(ppn))
+	flat := m.lay.FlatBlock(ppn)
 	v := m.validCount[flat] + delta
 	m.validCount[flat] = v
 	if m.pools != nil {
-		chip := m.byBlocks.div(flat)
-		m.pools[chip].NoteValidChange(flat-chip*m.blocksPerChip, int(v))
+		a := m.lay.BlockOfFlat(flat)
+		m.pools[a.Chip].NoteValidChange(a.Block, int(v))
 	}
 }
 
-// divider divides by a fixed positive divisor with a multiply and a shift,
-// exactly for every dividend in [0, 2^31) — which every page and block
-// number is, by MaxMapperPages. With l = ceil(log2 d) and m = ceil(2^(31+l)
-// / d), m*d exceeds 2^(31+l) by less than 2^l, so floor(n*m / 2^(31+l)) =
-// floor(n/d) (Granlund & Montgomery, "Division by invariant integers using
-// multiplication", 1994, Theorem 4.2); n*m < 2^63 cannot overflow.
-type divider struct {
-	m     uint64
-	shift uint
-}
-
-func newDivider(d int) divider {
-	l := uint(bits.Len(uint(d - 1)))
-	return divider{m: (uint64(1)<<(31+l) + uint64(d) - 1) / uint64(d), shift: 31 + l}
-}
-
-func (q divider) div(n int) int { return int(uint64(n) * q.m >> q.shift) }
-
 // FlatBlock returns the flat index of a block address.
-func (m *Mapper) FlatBlock(a nand.BlockAddr) int {
-	return a.Chip*m.blocksPerChip + a.Block
-}
+func (m *Mapper) FlatBlock(a nand.BlockAddr) int { return m.lay.FlatOf(a) }
 
 // BlockOfFlat inverts FlatBlock.
-func (m *Mapper) BlockOfFlat(flat int) nand.BlockAddr {
-	return nand.BlockAddr{Chip: flat / m.blocksPerChip, Block: flat % m.blocksPerChip}
-}
+func (m *Mapper) BlockOfFlat(flat int) nand.BlockAddr { return m.lay.BlockOfFlat(flat) }
 
 // Lookup returns the current physical page of an LPN.
 func (m *Mapper) Lookup(lpn LPN) (nand.PPN, bool) {
@@ -242,8 +187,8 @@ func (m *Mapper) ValidPages(a nand.BlockAddr) []nand.PPN {
 // page-index order, to dst and returns it — the allocation-free variant the
 // GC and recovery hot paths use with a reusable scratch slice.
 func (m *Mapper) AppendValidPages(a nand.BlockAddr, dst []nand.PPN) []nand.PPN {
-	base := nand.PPN(int64(m.FlatBlock(a)) * int64(m.pagesPerBlock))
-	for i := 0; i < m.pagesPerBlock; i++ {
+	base, n := m.lay.PPN(a.Chip, a.Block, 0), m.lay.PagesPerBlock()
+	for i := 0; i < n; i++ {
 		ppn := base + nand.PPN(i)
 		if m.p2l[ppn] != 0 {
 			dst = append(dst, ppn)
@@ -254,8 +199,8 @@ func (m *Mapper) AppendValidPages(a nand.BlockAddr, dst []nand.PPN) []nand.PPN {
 
 // FirstValidPage returns the lowest-index valid physical page of a block.
 func (m *Mapper) FirstValidPage(a nand.BlockAddr) (nand.PPN, bool) {
-	base := nand.PPN(int64(m.FlatBlock(a)) * int64(m.pagesPerBlock))
-	for i := 0; i < m.pagesPerBlock; i++ {
+	base, n := m.lay.PPN(a.Chip, a.Block, 0), m.lay.PagesPerBlock()
+	for i := 0; i < n; i++ {
 		ppn := base + nand.PPN(i)
 		if m.p2l[ppn] != 0 {
 			return ppn, true

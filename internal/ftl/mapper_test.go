@@ -13,7 +13,7 @@ import (
 func testMapper(t *testing.T) (*Mapper, nand.Geometry) {
 	t.Helper()
 	g := nand.TestGeometry()
-	return NewMapper(g, int64(g.TotalPages()/2)), g
+	return NewMapper(nand.NewLayout(g), int64(g.TotalPages()/2)), g
 }
 
 func TestNewMapperPanicsOnBadSize(t *testing.T) {
@@ -25,7 +25,7 @@ func TestNewMapperPanicsOnBadSize(t *testing.T) {
 					t.Errorf("logicalPages=%d accepted", n)
 				}
 			}()
-			NewMapper(g, n)
+			NewMapper(nand.NewLayout(g), n)
 		}()
 	}
 }
@@ -148,7 +148,7 @@ func TestMapperConsistencyProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		logical := int64(g.TotalPages() / 2)
-		m := NewMapper(g, logical)
+		m := NewMapper(nand.NewLayout(g), logical)
 		nextPPN := 0
 		for op := 0; op < 500 && nextPPN < g.TotalPages(); op++ {
 			lpn := LPN(src.Int63n(logical))
@@ -221,7 +221,7 @@ func TestTakeFullPanicsOnMissing(t *testing.T) {
 
 func TestPickVictimGreedy(t *testing.T) {
 	g := nand.TestGeometry()
-	m := NewMapper(g, int64(g.TotalPages()/2))
+	m := NewMapper(nand.NewLayout(g), int64(g.TotalPages()/2))
 	p := NewFreePool(0, g.BlocksPerChip)
 	// Block 0: all valid. Block 1: half valid. Block 2: empty (all invalid).
 	perBlock := g.PagesPerBlock()
@@ -265,7 +265,7 @@ func TestPickVictimGreedy(t *testing.T) {
 
 func TestPickVictimCostBenefit(t *testing.T) {
 	g := nand.TestGeometry()
-	m := NewMapper(g, int64(g.TotalPages()/2))
+	m := NewMapper(nand.NewLayout(g), int64(g.TotalPages()/2))
 	p := NewFreePool(0, g.BlocksPerChip)
 	p.Policy = GCCostBenefit
 	perBlock := g.PagesPerBlock()
@@ -378,19 +378,20 @@ func TestTokenHelpers(t *testing.T) {
 // TestCheckCapacity: a geometry past the int32 page numbers of the mapping
 // table is a typed error, decided from the geometry alone — these devices
 // are never built. The page count is not wrapped when it overflows an int.
+// The bound is the device's: CheckCapacity is nand.CheckCapacity.
 func TestCheckCapacity(t *testing.T) {
 	at := nand.Geometry{Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 1, WordLinesPerBlock: (1 << 30) - 1}
 	if err := CheckCapacity(at); err != nil {
-		t.Errorf("%d pages refused: %v", MaxMapperPages, err)
+		t.Errorf("%d pages refused: %v", nand.MaxPages, err)
 	}
 	for _, g := range []nand.Geometry{
 		{Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 1, WordLinesPerBlock: 1 << 30},
 		{Channels: 8, ChipsPerChannel: 16, BlocksPerChip: 4096, WordLinesPerBlock: 1024, Levels: 4},
 		{Channels: 1 << 16, ChipsPerChannel: 1 << 16, BlocksPerChip: 1 << 16, WordLinesPerBlock: 1 << 16},
 	} {
-		var ce *CapacityError
-		if err := CheckCapacity(g); !errors.As(err, &ce) || ce.Pages <= MaxMapperPages {
-			t.Errorf("%+v: CheckCapacity = %v, want a *CapacityError above %d pages", g, err, MaxMapperPages)
+		var ce *nand.CapacityError
+		if err := CheckCapacity(g); !errors.As(err, &ce) || ce.Pages <= nand.MaxPages {
+			t.Errorf("%+v: CheckCapacity = %v, want a *nand.CapacityError above %d pages", g, err, nand.MaxPages)
 		}
 	}
 	if err := CheckCapacity(nand.DefaultGeometry()); err != nil {
@@ -398,23 +399,24 @@ func TestCheckCapacity(t *testing.T) {
 	}
 }
 
-// TestDividerExact: the multiply-and-shift division equals integer division
-// for every divisor and dividend the mapper can see, including the largest.
+// TestDividerExact: the multiply-and-shift division the mapper's page
+// numbering uses (nand.Divider) equals integer division for every divisor
+// and dividend the mapper can see, including the largest.
 func TestDividerExact(t *testing.T) {
 	check := func(d, n int) bool {
-		if got := newDivider(d).div(n); got != n/d {
+		if got := nand.NewDivider(d).Div(n); got != n/d {
 			t.Errorf("%d / %d = %d, want %d", n, d, got, n/d)
 			return false
 		}
 		return true
 	}
 	for d := 1; d <= 1100; d++ {
-		for _, n := range []int{0, 1, d - 1, d, d + 1, 7*d - 1, 7 * d, MaxMapperPages, MaxMapperPages + 1} {
+		for _, n := range []int{0, 1, d - 1, d, d + 1, 7*d - 1, 7 * d, nand.MaxPages, nand.MaxPages + 1} {
 			check(d, n)
 		}
 	}
-	for _, d := range []int{1 << 20, 1<<20 + 1, 1 << 30, 1<<30 + 1, MaxMapperPages, MaxMapperPages + 1} {
-		for _, n := range []int{0, d - 1, d, MaxMapperPages, MaxMapperPages + 1} {
+	for _, d := range []int{1 << 20, 1<<20 + 1, 1 << 30, 1<<30 + 1, nand.MaxPages, nand.MaxPages + 1} {
+		for _, n := range []int{0, d - 1, d, nand.MaxPages, nand.MaxPages + 1} {
 			check(d, n)
 		}
 	}
@@ -467,7 +469,7 @@ func mapperDifferential(t *testing.T, g nand.Geometry, seed uint64) {
 	t.Helper()
 	total := g.TotalPages()
 	logical := int64(total / 2)
-	m := NewMapper(g, logical)
+	m := NewMapper(nand.NewLayout(g), logical)
 	pools := make([]*FreePool, g.Chips())
 	for c := range pools {
 		chip := c

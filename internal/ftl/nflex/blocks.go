@@ -45,12 +45,12 @@ func (f *FTL) programAt(chip, level int, lpn ftl.LPN, data, spare []byte, now si
 		}
 	}
 
-	addr := pageFor(chip, cur.blk, cur.pos, level)
-	done, err := f.Base.Dev.Program(addr, data, spare, now)
+	ppn := f.Base.Dev.Layout().PPNOf(pageFor(chip, cur.blk, cur.pos, level))
+	done, err := f.Base.Dev.ProgramPPN(ppn, data, spare, now)
 	if err != nil {
 		return now, err
 	}
-	f.Base.Map.Update(lpn, g.PPNOf(addr))
+	f.Base.Map.Update(lpn, ppn)
 	if fromGC {
 		// The collector counts GCCopies itself; only the level split is ours.
 		if level == 0 {

@@ -49,7 +49,7 @@ func (f *FTL) recoverChip(chip int, now sim.Time, rep *RecoveryReport) (sim.Time
 
 		// Drop the interrupted write if its page was destroyed.
 		inFlight := pageFor(chip, blk, wl, level)
-		if lpn, ok := f.Base.Map.LPNAt(g.PPNOf(inFlight)); ok {
+		if lpn, ok := f.Base.Map.LPNAt(f.Base.Dev.Layout().PPNOf(inFlight)); ok {
 			if t, err := f.Base.Dev.ReadInto(inFlight, &f.Base.Buf, now); err != nil {
 				now = t
 				rep.PagesRead++
@@ -148,7 +148,7 @@ func (f *FTL) reconstructPhasePage(chip, blk, lvl int, now sim.Time, rep *Recove
 	if err != nil {
 		return now, err
 	}
-	lostPPN := g.PPNOf(pageFor(chip, blk, lostWL, lvl))
+	lostPPN := f.Base.Dev.Layout().PPNOf(pageFor(chip, blk, lostWL, lvl))
 	lpn, live := f.Base.Map.LPNAt(lostPPN)
 	if !live {
 		return now, nil

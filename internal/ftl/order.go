@@ -124,12 +124,12 @@ func (o *fpsSingle) program(k *Kernel, chip, stream int, pref Pref, lpn LPN, dat
 		cur.blk, cur.pos = blk, 0
 	}
 	page := o.order[cur.pos]
-	addr := nand.PageAddr{BlockAddr: nand.BlockAddr{Chip: chip, Block: cur.blk}, Page: page}
-	done, err := k.Dev.Program(addr, data, spare, now)
+	ppn := k.lay.PPNOf(nand.PageAddr{BlockAddr: nand.BlockAddr{Chip: chip, Block: cur.blk}, Page: page})
+	done, err := k.Dev.ProgramPPN(ppn, data, spare, now)
 	if err != nil {
 		return now, err
 	}
-	k.Map.Update(lpn, k.Dev.Geometry().PPNOf(addr))
+	k.Map.Update(lpn, ppn)
 	if page.Type == core.LSB {
 		k.noteData(true, fromGC)
 		done, err = k.backupAfterLSB(chip, stream, data, done)
@@ -140,7 +140,7 @@ func (o *fpsSingle) program(k *Kernel, chip, stream int, pref Pref, lpn LPN, dat
 		if k.bk.coversMSB() {
 			// The pair's parity pre-backup is already on flash, so the
 			// destructive window is power-safe at issue time.
-			k.Dev.AckProgram(addr.BlockAddr)
+			k.Dev.AckProgram(nand.BlockAddr{Chip: chip, Block: cur.blk})
 		}
 		k.noteData(false, fromGC)
 	}
@@ -318,11 +318,12 @@ func (o *fpsPool) program(k *Kernel, chip, stream int, pref Pref, lpn LPN, data,
 	page := o.order[cur.pos]
 
 	addr := nand.PageAddr{BlockAddr: nand.BlockAddr{Chip: chip, Block: cur.blk}, Page: page}
-	done, err := k.Dev.Program(addr, data, spare, now)
+	ppn := k.lay.PPNOf(addr)
+	done, err := k.Dev.ProgramPPN(ppn, data, spare, now)
 	if err != nil {
 		return now, err
 	}
-	k.Map.Update(lpn, k.Dev.Geometry().PPNOf(addr))
+	k.Map.Update(lpn, ppn)
 	if page.Type == core.LSB {
 		k.noteData(true, fromGC)
 		done, err = k.backupAfterLSB(chip, stream, data, done)
@@ -457,7 +458,6 @@ func (o *fpsPool) idleDrain(k *Kernel, now, until sim.Time) {
 // burns capacity, so full return-to-fast is reserved for relocation-backed
 // drains.
 func (o *fpsPool) drainMSBSlots(k *Kernel, chip int, now, until sim.Time) (sim.Time, error) {
-	g := k.Dev.Geometry()
 	t := k.Dev.Timing()
 	perPage := t.Read + 2*t.BusXfer + t.ProgMSB + t.ProgLSB // copy + possible backup
 	for now+perPage <= until && o.chipHasMSBNext(chip) {
@@ -496,7 +496,7 @@ func (o *fpsPool) drainMSBSlots(k *Kernel, chip int, now, until sim.Time) (sim.T
 		if !ok {
 			return now, nil
 		}
-		tRead, err := k.Dev.ReadInto(g.AddrOfPPN(ppn), &k.Buf, now)
+		tRead, err := k.Dev.ReadPPN(ppn, &k.Buf, now)
 		if err != nil {
 			return now, err
 		}
@@ -677,15 +677,15 @@ func (o *twoPhase) programLSB(k *Kernel, chip, stream int, lpn LPN, data, spare 
 		k.bk.onFastOpen(k, chip, stream)
 		k.Obs.Instant(obs.KindBlockFast, int32(chip), now, int64(blk), int64(k.Pools[chip].FreeCount()))
 	}
-	addr := nand.PageAddr{
+	ppn := k.lay.PPNOf(nand.PageAddr{
 		BlockAddr: nand.BlockAddr{Chip: chip, Block: st.afb},
 		Page:      core.Page{WL: st.afbPos, Type: core.LSB},
-	}
-	done, err := k.Dev.Program(addr, data, spare, now)
+	})
+	done, err := k.Dev.ProgramPPN(ppn, data, spare, now)
 	if err != nil {
 		return now, err
 	}
-	k.Map.Update(lpn, k.Dev.Geometry().PPNOf(addr))
+	k.Map.Update(lpn, ppn)
 	done, err = k.backupAfterLSB(chip, stream, data, done)
 	if err != nil {
 		return done, err
@@ -718,11 +718,11 @@ func (o *twoPhase) programMSB(k *Kernel, chip, stream int, lpn LPN, data, spare 
 		return now, fmt.Errorf("%s: chip %d has no slow block for an MSB write", k.name, chip)
 	}
 	blk := st.sbq.Front()
-	addr := nand.PageAddr{
+	ppn := k.lay.PPNOf(nand.PageAddr{
 		BlockAddr: nand.BlockAddr{Chip: chip, Block: blk},
 		Page:      core.Page{WL: st.asbPos, Type: core.MSB},
-	}
-	done, err := k.Dev.Program(addr, data, spare, now)
+	})
+	done, err := k.Dev.ProgramPPN(ppn, data, spare, now)
 	if err != nil {
 		return now, err
 	}
@@ -731,7 +731,7 @@ func (o *twoPhase) programMSB(k *Kernel, chip, stream int, lpn LPN, data, spare 
 	// reconstructs it after a power cut. This is the point of the design —
 	// no per-MSB backup writes.
 	ch.lastMSBLPN = lpn
-	ch.lastMSBPrev = k.Map.Update(lpn, k.Dev.Geometry().PPNOf(addr))
+	ch.lastMSBPrev = k.Map.Update(lpn, ppn)
 	ch.lastMSBGC = fromGC
 	ch.lastMSBStream = stream
 	k.noteData(false, fromGC)
@@ -740,7 +740,7 @@ func (o *twoPhase) programMSB(k *Kernel, chip, stream int, lpn LPN, data, spare 
 	if st.asbPos == k.Dev.Geometry().WordLinesPerBlock {
 		// Slow block complete: its parity backup is no longer needed.
 		k.backupOnSlowComplete(chip, blk)
-		k.Dev.AckProgram(addr.BlockAddr)
+		k.Dev.AckProgram(nand.BlockAddr{Chip: chip, Block: blk})
 		k.Pools[chip].PushFull(blk)
 		st.sbq.PopFront()
 		st.asbPos = 0

@@ -110,7 +110,7 @@ func (k *Kernel) recoverChip(tp *twoPhase, bp *blockParity, chip int, now sim.Ti
 			Page:      core.Page{WL: st.asbPos - 1, Type: core.MSB},
 		}
 		if k.Dev.IsCorrupted(msbAddr) {
-			if lpn, ok := k.Map.LPNAt(g.PPNOf(msbAddr)); ok {
+			if lpn, ok := k.Map.LPNAt(k.lay.PPNOf(msbAddr)); ok {
 				now = k.dropOrRollBack(ch, st, chip, lpn, now, rep)
 			}
 		}
@@ -191,9 +191,8 @@ func (k *Kernel) recoverChip(tp *twoPhase, bp *blockParity, chip int, now sim.Ti
 // parity-recoverable, so the rollback stands and the step-2 scan re-homes
 // it. Only when no prior copy survives is the LPN dropped.
 func (k *Kernel) dropOrRollBack(ch *twoPhaseChip, st *twoPhaseStream, chip int, lpn LPN, now sim.Time, rep *RecoveryReport) sim.Time {
-	g := k.Dev.Geometry()
 	if ch.lastMSBLPN == lpn && ch.lastMSBPrev != nand.InvalidPPN {
-		prevAddr := g.AddrOfPPN(ch.lastMSBPrev)
+		prevAddr := k.lay.Addr(ch.lastMSBPrev)
 		pairAddr := nand.PageAddr{
 			BlockAddr: nand.BlockAddr{Chip: chip, Block: st.sbq.Front()},
 			Page:      core.Page{WL: st.asbPos - 1, Type: core.LSB},
@@ -229,7 +228,6 @@ func (k *Kernel) dropOrRollBack(ch *twoPhaseChip, st *twoPhaseStream, chip int, 
 // reconstructLSB rebuilds the lost LSB page from the saved parity page and
 // the surviving LSB pages, then re-writes the data if it was still valid.
 func (k *Kernel) reconstructLSB(tp *twoPhase, bp *blockParity, chip, blk, lostWL int, survivors [][]byte, now sim.Time, rep *RecoveryReport) (sim.Time, error) {
-	g := k.Dev.Geometry()
 	var parityPage []byte
 	flat := k.Map.FlatBlock(nand.BlockAddr{Chip: chip, Block: blk})
 	if ref := bp.refs[flat]; ref.backupBlk != -1 {
@@ -274,7 +272,7 @@ func (k *Kernel) reconstructLSB(tp *twoPhase, bp *blockParity, chip, blk, lostWL
 		BlockAddr: nand.BlockAddr{Chip: chip, Block: blk},
 		Page:      core.Page{WL: lostWL, Type: core.LSB},
 	}
-	lpn, live := k.Map.LPNAt(g.PPNOf(lostAddr))
+	lpn, live := k.Map.LPNAt(k.lay.PPNOf(lostAddr))
 	if !live {
 		return now, nil // stale page: parity recomputation is all we needed
 	}
@@ -467,7 +465,7 @@ func (k *Kernel) RebuildMapping(now sim.Time) (RebuildReport, error) {
 	g := k.Dev.Geometry()
 
 	old := k.Map
-	fresh := NewMapper(g, k.LogicalPages())
+	fresh := NewMapper(*k.lay, k.LogicalPages())
 	bestSeq := make(map[LPN]uint64)
 
 	end := now
@@ -508,7 +506,7 @@ func (k *Kernel) RebuildMapping(now sim.Time) (RebuildReport, error) {
 				}
 				// Update re-points the LPN, invalidating any older copy the
 				// scan found earlier.
-				fresh.Update(lpn, g.PPNOf(addr))
+				fresh.Update(lpn, k.lay.PPNOf(addr))
 				bestSeq[lpn] = seq
 			}
 		}

@@ -142,7 +142,7 @@ func (b *Base) markRelocatedLoss(lpn LPN) {
 	b.relLostPending = false
 	b.St.GCReadLosses++
 	if ppn, ok := b.Map.Lookup(lpn); ok {
-		_ = b.Dev.MarkLost(b.Dev.Geometry().AddrOfPPN(ppn))
+		_ = b.Dev.MarkLost(b.lay.Addr(ppn))
 	}
 }
 
@@ -181,7 +181,9 @@ func (k *Kernel) scrubPatrol(now, until sim.Time) sim.Time {
 	reads := 0
 	for probes := int64(0); probes < total && reads < rp.ScrubReadsPerIdle; probes++ {
 		ppn := nand.PPN(k.scrubCursor)
-		k.scrubCursor = (k.scrubCursor + 1) % total
+		if k.scrubCursor++; k.scrubCursor == total {
+			k.scrubCursor = 0
+		}
 		lpn, mapped := k.Map.LPNAt(ppn)
 		if !mapped {
 			continue
@@ -190,10 +192,10 @@ func (k *Kernel) scrubPatrol(now, until sim.Time) sim.Time {
 			break
 		}
 		reads++
-		addr := g.AddrOfPPN(ppn)
-		prev := k.Dev.SetCauseChip(addr.Chip, obs.CauseScrub)
-		done, err := k.Dev.ReadInto(addr, &k.Buf, now)
-		k.Dev.SetCauseChip(addr.Chip, prev)
+		chip := k.lay.ChipOf(ppn)
+		prev := k.Dev.SetCauseChip(chip, obs.CauseScrub)
+		done, err := k.Dev.ReadPPN(ppn, &k.Buf, now)
+		k.Dev.SetCauseChip(chip, prev)
 		k.St.ScrubReads++
 		now = done
 		if err == nil {
@@ -202,6 +204,7 @@ func (k *Kernel) scrubPatrol(now, until sim.Time) sim.Time {
 		if !errors.Is(err, rel.ErrUncorrectable) {
 			return now // power-loss corruption etc.: not the scrubber's problem
 		}
+		addr := k.lay.Addr(ppn)
 		if k.repairRead != nil {
 			if t2, ok := k.repairRead(k.Base, lpn, addr, now); ok {
 				now = t2

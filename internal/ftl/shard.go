@@ -76,7 +76,7 @@ func (k *Kernel) LookupChip(lpn LPN) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return k.Dev.Geometry().AddrOfPPN(ppn).BlockAddr.Chip, true
+	return k.lay.ChipOf(ppn), true
 }
 
 // ShardWriteHeadroom reports whether the chip can absorb w epoch writes with
@@ -137,7 +137,7 @@ func (k *Kernel) ShardInvalHazard(lpn LPN) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	a := k.Dev.Geometry().AddrOfPPN(ppn).BlockAddr
+	a := k.lay.BlockOfFlat(k.lay.FlatBlock(ppn))
 	if !k.Pools[a.Chip].IsFull(a.Block) {
 		return 0, false
 	}
@@ -425,7 +425,7 @@ func (r *ShardRunner) ExecEpoch(ops []EpochOp) error {
 			panic(fmt.Sprintf("ftl: shard %d map log LPN %d != op LPN %d", si, ent.lpn, op.LPN))
 		}
 		r.k.Map.Update(ent.lpn, ent.ppn)
-		isLSB := g.AddrOfPPN(ent.ppn).Page.Type == core.LSB
+		isLSB := r.k.lay.Addr(ent.ppn).Page.Type == core.LSB
 		r.k.alloc.onProgram(r.k, isLSB, false)
 	}
 	for si, sk := range r.shards {

@@ -34,8 +34,12 @@ type Collector struct {
 	scratch []int64
 
 	// Write-bandwidth windows: bytes of host write completions bucketed
-	// into fixed windows of virtual time.
+	// into fixed windows of virtual time. Consecutive flushes mostly land in
+	// one window, so the current window's bytes accumulate in cur until a
+	// flush lands elsewhere (or a summary is taken), and only then reach the
+	// map.
 	windowBytes map[int64]int64
+	cur         window
 
 	activeTime sim.Time
 	makespan   sim.Time
@@ -52,6 +56,31 @@ func NewCollector(pageSize int, windowWidth sim.Time) *Collector {
 		pageSize:    pageSize,
 		windowWidth: windowWidth,
 		windowBytes: make(map[int64]int64),
+	}
+}
+
+// window is the bandwidth window being filled: bytes added since it last
+// reached the map.
+type window struct {
+	open  bool
+	idx   int64
+	bytes int64
+}
+
+// addWindowBytes adds bytes to the window of a flush time.
+func (c *Collector) addWindowBytes(flushed sim.Time, bytes int64) {
+	if idx := int64(flushed / c.windowWidth); !c.cur.open || idx != c.cur.idx {
+		c.closeWindow()
+		c.cur = window{open: true, idx: idx}
+	}
+	c.cur.bytes += bytes
+}
+
+// closeWindow moves the current window's bytes into the map.
+func (c *Collector) closeWindow() {
+	if c.cur.open {
+		c.windowBytes[c.cur.idx] += c.cur.bytes
+		c.cur = window{}
 	}
 }
 
@@ -75,7 +104,7 @@ func (c *Collector) RecordWrite(pages int, arrival, ack, flushed sim.Time) {
 	c.pagesWrit += int64(pages)
 	c.writeAck.add(int64(ack - arrival))
 	c.writeFlush.add(int64(flushed - arrival))
-	c.windowBytes[int64(flushed/c.windowWidth)] += int64(pages) * int64(c.pageSize)
+	c.addWindowBytes(flushed, int64(pages)*int64(c.pageSize))
 	if flushed > c.makespan {
 		c.makespan = flushed
 	}
@@ -129,6 +158,7 @@ type Result struct {
 
 // Finalize computes the run summary.
 func (c *Collector) Finalize() Result {
+	c.closeWindow()
 	res := Result{
 		Requests:   c.requests,
 		Reads:      c.reads,

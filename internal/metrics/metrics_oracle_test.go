@@ -329,3 +329,42 @@ func TestSummaryAllocations(t *testing.T) {
 		t.Errorf("Finalize+Latency on %d samples: %.0f allocations, want < 10", n, allocs)
 	}
 }
+
+// TestBandwidthWindowRegister: flushes that mostly stay in one window — as a
+// run's do — accumulate in the collector's window register and reach the
+// map only when a flush lands elsewhere or a summary is taken. Runs of one
+// window, returns to an earlier window, zero-page writes (a window with no
+// bytes still counts), negative and far-apart flush times, and summaries
+// taken mid-window all give the oracle's per-window map.
+func TestBandwidthWindowRegister(t *testing.T) {
+	const pageSize, window = 4096, 50 * sim.Millisecond
+	c, o := NewCollector(pageSize, window), newOracle(pageSize, window)
+	both := func(pages int, flushed sim.Time) {
+		c.RecordWrite(pages, 0, 0, flushed)
+		o.RecordWrite(pages, 0, 0, flushed)
+	}
+	src := rng.New(3)
+	at := sim.Time(0)
+	for i := 0; i < 20000; i++ {
+		at += sim.Time(src.Intn(int(window / 20)))
+		both(1+src.Intn(4), at)
+		switch i % 997 {
+		case 5:
+			both(2, at-3*window) // back to an earlier window
+		case 9:
+			both(0, at+7*window) // a window that only ever sees zero pages
+		case 11:
+			both(1, -window/2) // truncates into window 0
+		case 13:
+			both(1, -5*window)
+		case 17:
+			both(3, at+sim.Time(1)<<50) // far apart: a dense slice would not fit
+		case 500:
+			checkSame(t, fmt.Sprintf("summary at write %d", i), c, o)
+		}
+	}
+	checkSame(t, "end", c, o)
+	if len(c.windowBytes) != len(o.windowBytes) {
+		t.Errorf("%d windows, oracle %d", len(c.windowBytes), len(o.windowBytes))
+	}
+}

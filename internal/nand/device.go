@@ -78,9 +78,9 @@ type msbWindow struct {
 	open  bool
 }
 
-// chip carries the busy timeline, blocks and pages of one die.
+// chip carries the busy timeline and pages of one die; its blocks are a run
+// of Device.blocks.
 type chip struct {
-	blocks []block
 	// pages is the chip's run of the device's one flat page array, block-major:
 	// page idx of block b is pages[b*PagesPerBlock+idx], and that index is also
 	// the page's key in oversize and progAt.
@@ -132,14 +132,16 @@ func (c OpCounts) ProgramsByLevel(levels int) []int64 {
 type Device struct {
 	cfg   Config
 	rules core.RuleSet
-	// wordLines and pagesPerBlock cache the geometry's derived sizes for the
-	// per-operation address arithmetic.
-	wordLines     int
-	pagesPerBlock int
-	chips         []chip
-	chanFree      []sim.Time // per-channel bus availability
-	counts        []OpCounts // per-chip operation counters (Counts sums them)
-	busyTime      []sim.Time // accumulated busy time per chip (utilization metric)
+	// lay numbers the pages; every per-page operation starts from a PPN.
+	lay Layout
+	// pages and blocks are the device's one page and block array, indexed by
+	// PPN and by flat block; every chip holds a run of each.
+	pages    []pagemem.Page
+	blocks   []block
+	chips    []chip
+	chanFree []sim.Time // per-channel bus availability
+	counts   []OpCounts // per-chip operation counters (Counts sums them)
+	busyTime []sim.Time // accumulated busy time per chip (utilization metric)
 
 	// cause is the ambient attribution register, kept per chip so channel
 	// shards of a single run can bracket their own chips without sharing a
@@ -174,6 +176,9 @@ func NewDevice(cfg Config) (*Device, error) {
 	if err := cfg.Geometry.Validate(); err != nil {
 		return nil, err
 	}
+	if err := CheckCapacity(cfg.Geometry); err != nil {
+		return nil, err
+	}
 	if err := cfg.Timing.Validate(cfg.Geometry.BitsPerCell()); err != nil {
 		return nil, err
 	}
@@ -188,22 +193,21 @@ func NewDevice(cfg Config) (*Device, error) {
 	}
 	scheme := cfg.Geometry.Scheme()
 	d := &Device{
-		cfg:           cfg,
-		rules:         rules,
-		wordLines:     scheme.WordLines,
-		pagesPerBlock: scheme.Pages(),
-		chips:         make([]chip, cfg.Geometry.Chips()),
-		chanFree:      make([]sim.Time, cfg.Geometry.Channels),
-		counts:        make([]OpCounts, cfg.Geometry.Chips()),
-		busyTime:      make([]sim.Time, cfg.Geometry.Chips()),
-		cause:         make([]obs.Cause, cfg.Geometry.Chips()),
-		causeBusy:     make([][obs.CauseCount]sim.Time, cfg.Geometry.Chips()),
+		cfg:       cfg,
+		rules:     rules,
+		lay:       NewLayout(cfg.Geometry),
+		chips:     make([]chip, cfg.Geometry.Chips()),
+		chanFree:  make([]sim.Time, cfg.Geometry.Channels),
+		counts:    make([]OpCounts, cfg.Geometry.Chips()),
+		busyTime:  make([]sim.Time, cfg.Geometry.Chips()),
+		cause:     make([]obs.Cause, cfg.Geometry.Chips()),
+		causeBusy: make([][obs.CauseCount]sim.Time, cfg.Geometry.Chips()),
 	}
 	// One page array, one program-state bitmap and one block array for the
 	// whole device, chip-major, so building it costs the same few allocations
 	// however many blocks and pages there are; a BER model adds one retention
 	// clock array of the same shape.
-	perChip := cfg.Geometry.BlocksPerChip * d.pagesPerBlock
+	ppb, perChip := d.lay.pagesPerBlock, d.lay.pagesPerChip
 	pages := make([]pagemem.Page, len(d.chips)*perChip)
 	written := make([]bool, len(pages))
 	var progAt []sim.Time
@@ -214,11 +218,10 @@ func NewDevice(cfg Config) (*Device, error) {
 	}
 	blocks := make([]block, cfg.Geometry.TotalBlocks())
 	for b := range blocks {
-		blocks[b].state = core.BlockStateOver(scheme, written[b*d.pagesPerBlock:][:d.pagesPerBlock:d.pagesPerBlock])
+		blocks[b].state = core.BlockStateOver(scheme, written[b*ppb:][:ppb:ppb])
 	}
+	d.pages, d.blocks = pages, blocks
 	for c := range d.chips {
-		n := cfg.Geometry.BlocksPerChip
-		d.chips[c].blocks = blocks[c*n:][:n:n]
 		d.chips[c].pages = pages[c*perChip:][:perChip:perChip]
 		if progAt != nil {
 			d.chips[c].progAt = progAt[c*perChip:][:perChip:perChip]
@@ -339,50 +342,73 @@ func (d *Device) ChipReadyAt(chipID int) sim.Time { return d.chips[chipID].ready
 func (d *Device) ChipBusyTime(chipID int) sim.Time { return d.busyTime[chipID] }
 
 func (d *Device) blockAt(a BlockAddr) (*block, error) {
-	g := d.cfg.Geometry
-	if a.Chip < 0 || a.Chip >= g.Chips() {
-		return nil, fmt.Errorf("nand: chip %d out of range [0,%d)", a.Chip, g.Chips())
+	if uint(a.Chip) >= uint(d.lay.chips) {
+		return nil, fmt.Errorf("nand: chip %d out of range [0,%d)", a.Chip, d.lay.chips)
 	}
-	if a.Block < 0 || a.Block >= g.BlocksPerChip {
-		return nil, fmt.Errorf("nand: block %d out of range [0,%d)", a.Block, g.BlocksPerChip)
+	if uint(a.Block) >= uint(d.lay.blocksPerChip) {
+		return nil, fmt.Errorf("nand: block %d out of range [0,%d)", a.Block, d.lay.blocksPerChip)
 	}
-	return &d.chips[a.Chip].blocks[a.Block], nil
+	return &d.blocks[a.Chip*d.lay.blocksPerChip+a.Block], nil
 }
 
-// pageAt resolves a page address to its block, its page record and the
-// record's index within the chip's page array (its oversize key).
-func (d *Device) pageAt(a PageAddr) (*block, *pagemem.Page, int, error) {
-	blk, err := d.blockAt(a.BlockAddr)
-	if err != nil {
-		return nil, nil, 0, err
+// ppnAt validates a page address and numbers it.
+func (d *Device) ppnAt(a PageAddr) (PPN, error) {
+	if _, err := d.blockAt(a.BlockAddr); err != nil {
+		return InvalidPPN, err
 	}
-	if a.Page.WL < 0 || a.Page.WL >= d.wordLines {
-		return nil, nil, 0, fmt.Errorf("nand: word line %d out of range [0,%d)", a.Page.WL, d.wordLines)
+	if uint(a.Page.WL) >= uint(d.lay.wordLines) {
+		return InvalidPPN, fmt.Errorf("nand: word line %d out of range [0,%d)", a.Page.WL, d.lay.wordLines)
 	}
-	idx := a.Page.Index(d.wordLines)
-	if idx >= d.pagesPerBlock {
-		return nil, nil, 0, fmt.Errorf("nand: page %v beyond the device's %d bits per cell", a.Page, d.cfg.Geometry.BitsPerCell())
+	if a.Page.Index(d.lay.wordLines) >= d.lay.pagesPerBlock {
+		return InvalidPPN, fmt.Errorf("nand: page %v beyond the device's %d bits per cell", a.Page, d.cfg.Geometry.BitsPerCell())
 	}
-	key := a.Block*d.pagesPerBlock + idx
-	return blk, &d.chips[a.Chip].pages[key], key, nil
+	return d.lay.PPNOf(a), nil
 }
+
+// pageAt resolves a page address to its page record.
+func (d *Device) pageAt(a PageAddr) (*pagemem.Page, error) {
+	ppn, err := d.ppnAt(a)
+	if err != nil {
+		return nil, err
+	}
+	return &d.pages[ppn], nil
+}
+
+// errPPN is the error of an operation on a page number outside the device.
+func (d *Device) errPPN(ppn PPN) error {
+	return fmt.Errorf("nand: page number %d out of range [0,%d)", ppn, d.lay.pages)
+}
+
+// Layout returns the device's page numbering.
+func (d *Device) Layout() *Layout { return &d.lay }
 
 // Program writes data (and optional spare bytes) to the page, enforcing the
 // configured program-order scheme. It returns the virtual time at which the
 // program completes. Issue semantics: the transfer starts when both the
 // channel bus and the chip are free; the cell program then occupies the chip.
 func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time, error) {
-	blk, pg, key, err := d.pageAt(a)
+	ppn, err := d.ppnAt(a)
 	if err != nil {
 		return now, err
 	}
-	if blk.retired {
-		return now, fmt.Errorf("%w: %v", ErrBadBlock, a.BlockAddr)
+	return d.ProgramPPN(ppn, data, spare, now)
+}
+
+// ProgramPPN is Program of the page numbered ppn.
+func (d *Device) ProgramPPN(ppn PPN, data, spare []byte, now sim.Time) (sim.Time, error) {
+	if !d.lay.InRange(ppn) {
+		return now, d.errPPN(ppn)
 	}
-	if err := d.rules.Check(&blk.state, a.Page); err != nil {
+	flat, chipID, blkID, idx := d.lay.locate(ppn)
+	blk := &d.blocks[flat]
+	page := core.PageFromIndex(idx, d.lay.wordLines)
+	if blk.retired {
+		return now, fmt.Errorf("%w: %v", ErrBadBlock, BlockAddr{Chip: chipID, Block: blkID})
+	}
+	if err := d.rules.Check(&blk.state, page); err != nil {
 		return now, err
 	}
-	g := d.cfg.Geometry
+	g := &d.cfg.Geometry
 	if len(data) > g.PageSizeBytes {
 		return now, fmt.Errorf("nand: payload %dB exceeds page size %dB", len(data), g.PageSizeBytes)
 	}
@@ -390,33 +416,34 @@ func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time
 		return now, fmt.Errorf("nand: spare payload %dB exceeds spare size %dB", len(spare), g.SpareBytes)
 	}
 
-	c := &d.chips[a.Chip]
+	c := &d.chips[chipID]
 	ch := c.channel
 	start := sim.MaxOf(now, sim.MaxOf(c.readyAt, d.chanFree[ch]))
 	xferDone := start + d.cfg.Timing.BusXfer
-	done := xferDone + d.cfg.Timing.Prog(a.Page.Type)
+	done := xferDone + d.cfg.Timing.Prog(page.Type)
 	d.chanFree[ch] = xferDone
 	c.readyAt = done
-	d.busyTime[a.Chip] += done - start
-	d.chargeBusy(a.Chip, done-start)
+	d.busyTime[chipID] += done - start
+	d.chargeBusy(chipID, done-start)
 	if d.rec != nil {
-		d.rec.Span(obs.KindXfer, int32(ch), start, xferDone, int64(a.Chip), int64(a.Block))
+		d.rec.Span(obs.KindXfer, int32(ch), start, xferDone, int64(chipID), int64(blkID))
 		// KindProgramMSB covers every refinement: its word-line argument
 		// carries the level in bits 32 and up when it is finer than MSB, so
 		// MLC traces are unchanged.
-		kind, hist, arg := obs.KindProgramLSB, d.histProgLSB, int64(a.Page.WL)
-		if a.Page.Type != core.LSB {
+		kind, hist, arg := obs.KindProgramLSB, d.histProgLSB, int64(page.WL)
+		if page.Type != core.LSB {
 			kind, hist = obs.KindProgramMSB, d.histProgMSB
-			if a.Page.Type > core.MSB {
-				arg |= int64(a.Page.Type) << 32
+			if page.Type > core.MSB {
+				arg |= int64(page.Type) << 32
 			}
 		}
-		d.rec.Span(kind, int32(a.Chip), xferDone, done, int64(a.Block), arg)
+		d.rec.Span(kind, int32(chipID), xferDone, done, int64(blkID), arg)
 		hist.Record(int64(done - start))
 	}
 
-	blk.state.Mark(a.Page)
-	pg.Store(&c.oversize, key, data, spare)
+	blk.state.Mark(page)
+	key := int(ppn) - chipID*d.lay.pagesPerChip
+	d.pages[ppn].Store(&c.oversize, key, data, spare)
 	if d.cfg.Reliability != nil {
 		c.progAt[key] = done
 		if !blk.hasProg {
@@ -425,10 +452,10 @@ func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time
 		}
 	}
 
-	if a.Page.Type != core.LSB {
-		d.counts[a.Chip].ProgramsMSB++
-		if a.Page.Type > core.MSB {
-			d.counts[a.Chip].ProgramsFiner[a.Page.Type-2]++
+	if page.Type != core.LSB {
+		d.counts[chipID].ProgramsMSB++
+		if page.Type > core.MSB {
+			d.counts[chipID].ProgramsFiner[page.Type-2]++
 		}
 		// While the refinement is unacknowledged the word line's coarser
 		// data is in its destructive transient state. Record the window for
@@ -436,9 +463,9 @@ func (d *Device) Program(a PageAddr, data, spare []byte, now sim.Time) (sim.Time
 		// refinement on the chip, or an erase on the chip. An LSB program
 		// does NOT close it: under interleaved FPS orders the hazard of a
 		// pending MSB is unaffected by LSB programs elsewhere on the chip.
-		c.win = msbWindow{blk: a.Block, wl: a.Page.WL, level: a.Page.Type, open: true}
+		c.win = msbWindow{blk: blkID, wl: page.WL, level: page.Type, open: true}
 	} else {
-		d.counts[a.Chip].ProgramsLSB++
+		d.counts[chipID].ProgramsLSB++
 	}
 	return done, nil
 }
@@ -541,16 +568,16 @@ func (d *Device) relClassify(chipID, eraseCount int, age sim.Time, reads uint64,
 // block's wear, the page's retention age and the block's read-disturb count,
 // classified through the ECC retry ladder by a hash of the read's chip-local
 // identity. Only called when the model is enabled.
-func (d *Device) relOutcome(a PageAddr, blk *block, key int, at sim.Time) rel.Outcome {
+func (d *Device) relOutcome(chipID, blkID, idx int, blk *block, key int, at sim.Time) rel.Outcome {
 	rc := d.cfg.Reliability
 	blk.readCount++
-	age := at - d.chips[a.Chip].progAt[key]
+	age := at - d.chips[chipID].progAt[key]
 	if age < 0 {
 		age = 0
 	}
-	u := rc.Sample(a.Chip, a.Block, a.Page.Index(d.wordLines), blk.readCount)
-	o := d.relClassify(a.Chip, blk.eraseCount, age, blk.readCount, u)
-	rcs := &d.relCounts[a.Chip]
+	u := rc.Sample(chipID, blkID, idx, blk.readCount)
+	o := d.relClassify(chipID, blk.eraseCount, age, blk.readCount, u)
+	rcs := &d.relCounts[chipID]
 	rcs.Reads++
 	if o.Corrected {
 		rcs.Corrected++
@@ -563,54 +590,6 @@ func (d *Device) relOutcome(a PageAddr, blk *block, key int, at sim.Time) rel.Ou
 		rcs.Uncorrectable++
 	}
 	return o
-}
-
-// readPage performs the timing, accounting and validity checks of a read,
-// returning the sensed payload and spare area as views of device memory.
-func (d *Device) readPage(a PageAddr, now sim.Time) (data, spare []byte, done sim.Time, err error) {
-	blk, pg, key, err := d.pageAt(a)
-	if err != nil {
-		return nil, nil, now, err
-	}
-	c := &d.chips[a.Chip]
-	ch := c.channel
-	start := sim.MaxOf(now, c.readyAt)
-	// The reliability outcome is known before timing is committed so retry
-	// rounds extend the sense phase: each round re-occupies the cell array
-	// for another read. The extra occupancy is charged to read_retry; the
-	// base read keeps the ambient cause.
-	var outcome rel.Outcome
-	if d.cfg.Reliability != nil && pg.Intact() {
-		outcome = d.relOutcome(a, blk, key, start)
-	}
-	retryDur := sim.Time(outcome.Retries) * d.cfg.Timing.Read
-	senseDone := start + d.cfg.Timing.Read + retryDur
-	xferStart := sim.MaxOf(senseDone, d.chanFree[ch])
-	done = xferStart + d.cfg.Timing.BusXfer
-	d.chanFree[ch] = done
-	c.readyAt = done
-	d.busyTime[a.Chip] += done - start
-	d.chargeBusy(a.Chip, done-start-retryDur)
-	if retryDur > 0 {
-		d.chargeBusyCause(a.Chip, obs.CauseReadRetry, retryDur)
-	}
-	d.counts[a.Chip].Reads++
-	if d.rec != nil {
-		d.rec.Span(obs.KindRead, int32(a.Chip), start, senseDone, int64(a.Block), int64(a.Page.WL))
-		d.rec.Span(obs.KindXfer, int32(ch), xferStart, done, int64(a.Chip), int64(a.Block))
-		d.histRead.Record(int64(done - start))
-	}
-
-	switch {
-	case !pg.Has(pagemem.Programmed):
-		return nil, nil, done, fmt.Errorf("%w: %v", ErrNotProgrammed, a)
-	case pg.Has(pagemem.Corrupted):
-		return nil, nil, done, fmt.Errorf("%w: %v", ErrUncorrectable, a)
-	case pg.Has(pagemem.Lost), outcome.Uncorrectable:
-		return nil, nil, done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, a)
-	}
-	data, spare = pg.Load(c.oversize, key)
-	return data, spare, done, nil
 }
 
 // PageBuf is a caller-owned destination for ReadInto. Its backing arrays
@@ -630,14 +609,64 @@ type PageBuf struct {
 // next ReadInto with the same buf — callers that hand the data onward (e.g.
 // to Program, which copies) need no further copy; callers that keep it copy
 // it out.
-func (d *Device) ReadInto(a PageAddr, buf *PageBuf, now sim.Time) (done sim.Time, err error) {
-	data, spare, done, err := d.readPage(a, now)
+func (d *Device) ReadInto(a PageAddr, buf *PageBuf, now sim.Time) (sim.Time, error) {
+	ppn, err := d.ppnAt(a)
 	if err != nil {
 		buf.Data, buf.Spare = buf.Data[:0], buf.Spare[:0]
-		return done, err
+		return now, err
 	}
-	buf.Data = append(buf.Data[:0], data...)
-	buf.Spare = append(buf.Spare[:0], spare...)
+	return d.ReadPPN(ppn, buf, now)
+}
+
+// ReadPPN is ReadInto of the page numbered ppn.
+func (d *Device) ReadPPN(ppn PPN, buf *PageBuf, now sim.Time) (done sim.Time, err error) {
+	buf.Data, buf.Spare = buf.Data[:0], buf.Spare[:0]
+	if !d.lay.InRange(ppn) {
+		return now, d.errPPN(ppn)
+	}
+	flat, chipID, blkID, idx := d.lay.locate(ppn)
+	pg := &d.pages[ppn]
+	key := int(ppn) - chipID*d.lay.pagesPerChip
+	c := &d.chips[chipID]
+	ch := c.channel
+	start := sim.MaxOf(now, c.readyAt)
+	// The reliability outcome is known before timing is committed so retry
+	// rounds extend the sense phase: each round re-occupies the cell array
+	// for another read. The extra occupancy is charged to read_retry; the
+	// base read keeps the ambient cause.
+	var outcome rel.Outcome
+	if d.cfg.Reliability != nil && pg.Intact() {
+		outcome = d.relOutcome(chipID, blkID, idx, &d.blocks[flat], key, start)
+	}
+	retryDur := sim.Time(outcome.Retries) * d.cfg.Timing.Read
+	senseDone := start + d.cfg.Timing.Read + retryDur
+	xferStart := sim.MaxOf(senseDone, d.chanFree[ch])
+	done = xferStart + d.cfg.Timing.BusXfer
+	d.chanFree[ch] = done
+	c.readyAt = done
+	d.busyTime[chipID] += done - start
+	d.chargeBusy(chipID, done-start-retryDur)
+	if retryDur > 0 {
+		d.chargeBusyCause(chipID, obs.CauseReadRetry, retryDur)
+	}
+	d.counts[chipID].Reads++
+	if d.rec != nil {
+		d.rec.Span(obs.KindRead, int32(chipID), start, senseDone, int64(blkID), int64(core.PageFromIndex(idx, d.lay.wordLines).WL))
+		d.rec.Span(obs.KindXfer, int32(ch), xferStart, done, int64(chipID), int64(blkID))
+		d.histRead.Record(int64(done - start))
+	}
+
+	switch {
+	case !pg.Has(pagemem.Programmed):
+		return done, fmt.Errorf("%w: %v", ErrNotProgrammed, d.lay.Addr(ppn))
+	case pg.Has(pagemem.Corrupted):
+		return done, fmt.Errorf("%w: %v", ErrUncorrectable, d.lay.Addr(ppn))
+	case pg.Has(pagemem.Lost), outcome.Uncorrectable:
+		return done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, d.lay.Addr(ppn))
+	}
+	data, spare := pg.Load(c.oversize, key)
+	buf.Data = append(buf.Data, data...)
+	buf.Spare = append(buf.Spare, spare...)
 	return done, nil
 }
 
@@ -671,7 +700,7 @@ func (d *Device) Erase(a BlockAddr, now sim.Time) (sim.Time, error) {
 	// sweep. Otherwise one store per page: payloads are only read behind the
 	// flag and are overwritten by the next program.
 	if blk.state.Programmed() != 0 {
-		pages := c.blockPages(a.Block, d.pagesPerBlock)
+		pages := c.blockPages(a.Block, d.lay.pagesPerBlock)
 		for i := range pages {
 			pages[i].Flags = 0
 		}
@@ -776,10 +805,8 @@ func (d *Device) RetireBlock(a BlockAddr) error {
 // cross-check for tests).
 func (d *Device) TotalErases() int64 {
 	var total int64
-	for c := range d.chips {
-		for b := range d.chips[c].blocks {
-			total += int64(d.chips[c].blocks[b].eraseCount)
-		}
+	for b := range d.blocks {
+		total += int64(d.blocks[b].eraseCount)
 	}
 	return total
 }
@@ -799,20 +826,18 @@ func (d *Device) Wear() WearStats {
 	first := true
 	total := 0
 	n := 0
-	for c := range d.chips {
-		for b := range d.chips[c].blocks {
-			e := d.chips[c].blocks[b].eraseCount
-			if first {
-				st.Min, st.Max = e, e
-				first = false
-			} else if e < st.Min {
-				st.Min = e
-			} else if e > st.Max {
-				st.Max = e
-			}
-			total += e
-			n++
+	for b := range d.blocks {
+		e := d.blocks[b].eraseCount
+		if first {
+			st.Min, st.Max = e, e
+			first = false
+		} else if e < st.Min {
+			st.Min = e
+		} else if e > st.Max {
+			st.Max = e
 		}
+		total += e
+		n++
 	}
 	if n > 0 {
 		st.Mean = float64(total) / float64(n)
@@ -825,13 +850,13 @@ func (d *Device) Wear() WearStats {
 
 // IsProgrammed reports whether a page holds data.
 func (d *Device) IsProgrammed(a PageAddr) bool {
-	_, pg, _, err := d.pageAt(a)
+	pg, err := d.pageAt(a)
 	return err == nil && pg.Has(pagemem.Programmed)
 }
 
 // IsCorrupted reports whether a page's data was destroyed.
 func (d *Device) IsCorrupted(a PageAddr) bool {
-	_, pg, _, err := d.pageAt(a)
+	pg, err := d.pageAt(a)
 	return err == nil && pg.Has(pagemem.Corrupted)
 }
 
@@ -869,9 +894,9 @@ func (d *Device) InjectPowerLoss(a BlockAddr) bool {
 	if !c.win.open || c.win.blk != a.Block {
 		return false
 	}
-	pages := c.blockPages(a.Block, d.pagesPerBlock)
+	pages := c.blockPages(a.Block, d.lay.pagesPerBlock)
 	for level := core.LSB; level <= c.win.level; level++ {
-		pages[core.Page{WL: c.win.wl, Type: level}.Index(d.wordLines)].Flags |= pagemem.Corrupted
+		pages[core.Page{WL: c.win.wl, Type: level}.Index(d.lay.wordLines)].Flags |= pagemem.Corrupted
 	}
 	c.win.open = false
 	return true
@@ -883,7 +908,7 @@ func (d *Device) InjectPowerLoss(a BlockAddr) bool {
 // reliability loss could not be repaired, so the loss stays visible instead
 // of flickering with the per-read outcome hash. Cleared by erase or program.
 func (d *Device) MarkLost(a PageAddr) error {
-	_, pg, _, err := d.pageAt(a)
+	pg, err := d.pageAt(a)
 	if err != nil {
 		return err
 	}
@@ -897,7 +922,7 @@ func (d *Device) MarkLost(a PageAddr) error {
 // CorruptPage marks any programmed page as ECC-uncorrectable. Fault
 // injection for tests.
 func (d *Device) CorruptPage(a PageAddr) error {
-	_, pg, _, err := d.pageAt(a)
+	pg, err := d.pageAt(a)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ package parity
 
 import (
 	"crypto/subtle"
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -46,7 +47,7 @@ func (b *Buffer) Add(page []byte) error {
 	if len(page) > b.width {
 		return fmt.Errorf("%w: page %dB, accumulator %dB", ErrWidthMismatch, len(page), b.width)
 	}
-	subtle.XORBytes(b.acc, b.acc, page)
+	xorPage(b.acc, page)
 	b.count++
 	return nil
 }
@@ -59,9 +60,22 @@ func (b *Buffer) Remove(page []byte) error {
 	if b.count == 0 {
 		return errors.New("parity: Remove on empty accumulator")
 	}
-	subtle.XORBytes(b.acc, b.acc, page)
+	xorPage(b.acc, page)
 	b.count--
 	return nil
+}
+
+// xorPage XORs page into the head of acc, which is at least as wide. The
+// FTLs' pages are 16-byte tokens, XORed as two words; every other width goes
+// through subtle.XORBytes.
+func xorPage(acc, page []byte) {
+	if len(page) == 16 {
+		le := binary.LittleEndian
+		le.PutUint64(acc, le.Uint64(acc)^le.Uint64(page))
+		le.PutUint64(acc[8:], le.Uint64(acc[8:])^le.Uint64(page[8:]))
+		return
+	}
+	subtle.XORBytes(acc, acc, page)
 }
 
 // Snapshot returns a copy of the current parity page — the bytes flexFTL

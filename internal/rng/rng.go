@@ -56,10 +56,15 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
-// Intn returns a uniform int in [0, n). It panics if n <= 0.
+// Intn returns a uniform int in [0, n). It panics if n <= 0. A power of two
+// takes the remainder by mask — the same value without a division (a
+// generator's full read-target history is 2^16 entries).
 func (r *Source) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
+	}
+	if n&(n-1) == 0 {
+		return int(r.Uint64() & uint64(n-1))
 	}
 	return int(r.Uint64() % uint64(n))
 }
@@ -80,13 +85,19 @@ func (r *Source) Float64() float64 {
 // Bool returns true with probability p.
 func (r *Source) Bool(p float64) bool { return r.Float64() < p }
 
-// Exp returns an exponentially distributed value with the given mean.
-func (r *Source) Exp(mean float64) float64 {
+// Float64NonZero returns a uniform float64 in (0, 1): Float64, redrawn
+// while it is zero.
+func (r *Source) Float64NonZero() float64 {
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
-	return -mean * math.Log(u)
+	return u
+}
+
+// Exp returns an exponentially distributed value with the given mean.
+func (r *Source) Exp(mean float64) float64 {
+	return -mean * math.Log(r.Float64NonZero())
 }
 
 // Pareto returns a bounded Pareto sample in [lo, hi] with shape alpha. It is

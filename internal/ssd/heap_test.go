@@ -1,98 +1,114 @@
 package ssd
 
 import (
-	"container/heap"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
-	"flexftl/internal/buffer"
 	"flexftl/internal/sim"
+	"flexftl/internal/workload"
 )
 
-// refHeap is a container/heap reference implementation of the inflight
-// min-heap. The property test drives it in lockstep with the hand-rolled
-// inflightHeap: if the open-coded sift-up/sift-down ever diverges from the
-// standard library's ordering, the pop sequences differ.
-type refHeap []inflight
-
-func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return h[i].done < h[j].done }
-func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(inflight)) }
-func (h *refHeap) Pop() any {
-	old := *h
-	n := len(old) - 1
-	it := old[n]
-	old[n] = inflight{}
-	*h = old[:n]
-	return it
-}
-
 // TestInflightHeapProperty interleaves randomized pushes and pops on the
-// hand-rolled heap and the container/heap reference and demands identical
-// pop sequences. Completion times are drawn from a small range so duplicate
-// done values — the case where sift order bugs hide, because Less is false
-// both ways — occur constantly. Entries are tagged with distinct pointers
-// so equal-time pops are still checked for min-time correctness (equal-time
-// order between the two heaps is unspecified, so only done is compared).
+// hand-rolled heap and a sorted reference multiset of the same times, and
+// demands that every pop returns the reference's minimum. Completion times
+// are drawn from a small range so duplicates — the case where sift order
+// bugs hide, because the comparison is false both ways — occur constantly.
 func TestInflightHeapProperty(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var got inflightHeap
-		ref := &refHeap{}
-		heap.Init(ref)
+		var ref []sim.Time // kept sorted ascending
 		const ops = 5000
 		for i := 0; i < ops; i++ {
-			if got.len() != ref.Len() {
-				t.Fatalf("seed %d op %d: size mismatch got=%d ref=%d", seed, i, got.len(), ref.Len())
+			if got.len() != len(ref) {
+				t.Fatalf("seed %d op %d: size mismatch got=%d ref=%d", seed, i, got.len(), len(ref))
 			}
-			// Bias toward pushes early so the heaps grow, then drain.
+			// Bias toward pushes early so the heap grows, then drain.
 			pushP := 60
 			if i > ops*3/4 {
 				pushP = 30
 			}
 			if got.len() == 0 || rng.Intn(100) < pushP {
-				it := inflight{
-					done:  sim.Time(rng.Intn(16)), // tight range: lots of duplicates
-					entry: &buffer.Entry{},
-				}
-				got.push(it)
-				heap.Push(ref, it)
+				done := sim.Time(rng.Intn(16)) // tight range: lots of duplicates
+				got.push(done)
+				at, _ := slices.BinarySearch(ref, done)
+				ref = slices.Insert(ref, at, done)
 				continue
 			}
-			g := got.pop()
-			r := heap.Pop(ref).(inflight)
-			if g.done != r.done {
-				t.Fatalf("seed %d op %d: pop mismatch got done=%d ref done=%d", seed, i, g.done, r.done)
+			if g := got.pop(); g != ref[0] {
+				t.Fatalf("seed %d op %d: pop mismatch got %d, want %d", seed, i, g, ref[0])
 			}
+			ref = ref[1:]
 		}
-		// Drain both completely; the tails must match too.
+		// Drain completely; the tail must come out sorted too.
 		for got.len() > 0 {
-			if ref.Len() == 0 {
+			if len(ref) == 0 {
 				t.Fatalf("seed %d: reference drained first", seed)
 			}
-			g := got.pop()
-			r := heap.Pop(ref).(inflight)
-			if g.done != r.done {
-				t.Fatalf("seed %d drain: pop mismatch got done=%d ref done=%d", seed, g.done, r.done)
+			if g := got.pop(); g != ref[0] {
+				t.Fatalf("seed %d drain: pop mismatch got %d, want %d", seed, g, ref[0])
 			}
+			ref = ref[1:]
 		}
-		if ref.Len() != 0 {
-			t.Fatalf("seed %d: hand-rolled heap drained first (%d left in reference)", seed, ref.Len())
+		if len(ref) != 0 {
+			t.Fatalf("seed %d: heap drained first (%d left in reference)", seed, len(ref))
 		}
 	}
 }
 
-// TestInflightHeapPopZeroesSlot pins the anti-leak contract documented on
-// pop: the vacated tail slot must not keep a *buffer.Entry reachable.
+// TestInflightHeapPopZeroesSlot pins what replaced the zeroed-slot contract:
+// the heap element is a bare 8-byte time, so a vacated slot cannot keep a
+// buffer entry reachable, and the entries themselves are accounted one for
+// one — in flight, buffer occupancy and admitted entries agree at every
+// request boundary, and a finished run leaves the buffer empty with every
+// admitted page released.
 func TestInflightHeapPopZeroesSlot(t *testing.T) {
-	var h inflightHeap
-	for i := 0; i < 4; i++ {
-		h.push(inflight{done: sim.Time(i), entry: &buffer.Entry{}})
+	elem := reflect.TypeOf(inflightHeap(nil)).Elem()
+	if elem.Size() != 8 {
+		t.Errorf("heap element is %d bytes, want 8", elem.Size())
 	}
-	h.pop()
-	tail := h[:cap(h)][len(h)] // the slot pop vacated
-	if tail.entry != nil || tail.done != 0 {
-		t.Fatalf("pop left %+v in the vacated slot", tail)
+	if elem.Kind() != reflect.Int64 {
+		t.Errorf("heap element is a %v, want a bare int64 time with no pointer", elem.Kind())
+	}
+
+	sys := newSystem(t, "flexFTL")
+	if _, err := sys.Prefill(); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.New(workload.NTRX(), sys.F.LogicalPages(), 3000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := sys.newRunState()
+	var pages int64
+	for {
+		req, ok := gen.Next()
+		if !ok {
+			break
+		}
+		arrival := rs.base + req.Arrival
+		if err := sys.prologue(rs, arrival); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.stepOp(rs, req, arrival); err != nil {
+			t.Fatal(err)
+		}
+		if req.Op == workload.OpWrite {
+			pages += int64(req.Pages)
+		}
+		if occ := sys.buf.Occupied(); occ != sys.pending.len() || occ != len(sys.admitted) {
+			t.Fatalf("occupied %d, in flight %d, admitted entries %d", occ, sys.pending.len(), len(sys.admitted))
+		}
+	}
+	if _, err := sys.finishRun(rs, gen); err != nil {
+		t.Fatal(err)
+	}
+	if sys.buf.Occupied() != 0 || sys.pending.len() != 0 || len(sys.admitted) != 0 {
+		t.Errorf("after the run: occupied %d, in flight %d, admitted entries %d", sys.buf.Occupied(), sys.pending.len(), len(sys.admitted))
+	}
+	if sys.buf.Admitted() != pages {
+		t.Errorf("admitted %d pages, want the %d written", sys.buf.Admitted(), pages)
 	}
 }

@@ -366,14 +366,14 @@ func (s *System) tryPlan(rs *runState, e *epochState, req workload.Request, arri
 	switch req.Op {
 	case workload.OpRead:
 		for p := 0; p < req.Pages; p++ {
-			lpn := int64((req.Page + int64(p)) % rs.logical)
+			lpn := int64(rs.lpn(req.Page, p))
 			if _, hit := e.lpns[lpn]; hit {
 				return causeR1, nil
 			}
 		}
 		opStart := len(e.ops)
 		for p := 0; p < req.Pages; p++ {
-			lpn := int64((req.Page + int64(p)) % rs.logical)
+			lpn := int64(rs.lpn(req.Page, p))
 			e.lpns[lpn] = struct{}{}
 			chip, mapped := e.k.LookupChip(ftl.LPN(lpn))
 			if !mapped {
@@ -394,7 +394,7 @@ func (s *System) tryPlan(rs *runState, e *epochState, req workload.Request, arri
 			return causeR4, nil
 		}
 		for p := 0; p < req.Pages; p++ {
-			lpn := int64((req.Page + int64(p)) % rs.logical)
+			lpn := int64(rs.lpn(req.Page, p))
 			if _, hit := e.lpns[lpn]; hit {
 				return causeR1, nil
 			}
@@ -422,7 +422,7 @@ func (s *System) tryPlan(rs *runState, e *epochState, req workload.Request, arri
 		}
 		opStart := len(e.ops)
 		for p := 0; p < req.Pages; p++ {
-			lpn := int64((req.Page + int64(p)) % rs.logical)
+			lpn := int64(rs.lpn(req.Page, p))
 			e.lpns[lpn] = struct{}{}
 			entry, admitErr := s.buf.TryAdmit(lpn, arrival)
 			if admitErr != nil {
@@ -449,14 +449,14 @@ func (s *System) tryPlan(rs *runState, e *epochState, req workload.Request, arri
 		// They ride the epoch under R1 so the barrier can replay their
 		// invalidations on the real kernel in global order.
 		for p := 0; p < req.Pages; p++ {
-			lpn := int64((req.Page + int64(p)) % rs.logical)
+			lpn := int64(rs.lpn(req.Page, p))
 			if _, hit := e.lpns[lpn]; hit {
 				return causeR1, nil
 			}
 		}
 		opStart := len(e.ops)
 		for p := 0; p < req.Pages; p++ {
-			lpn := int64((req.Page + int64(p)) % rs.logical)
+			lpn := int64(rs.lpn(req.Page, p))
 			e.lpns[lpn] = struct{}{}
 			e.noteInval(lpn)
 			e.ops = append(e.ops, ftl.EpochOp{Trim: true, LPN: ftl.LPN(lpn), Arrival: arrival, Done: arrival})
@@ -510,7 +510,7 @@ func (s *System) planWriteHeadroom(rs *runState, e *epochState, req workload.Req
 			}
 		}
 		e.reqChan[ch]++
-		lpn := int64((req.Page + int64(j)) % rs.logical)
+		lpn := int64(rs.lpn(req.Page, j))
 		if hc, hazard := e.k.ShardInvalHazard(ftl.LPN(lpn)); hazard {
 			e.reqInval[hc]++
 		}
@@ -551,7 +551,7 @@ func (s *System) flushEpoch(rs *runState, e *epochState) error {
 		case workload.OpWrite:
 			flushed := r.arrival
 			for i := r.opStart; i < r.opEnd; i++ {
-				s.pending.push(inflight{done: e.ops[i].Done, entry: e.entries[i]})
+				s.track(e.ops[i].Done, e.entries[i])
 				if e.ops[i].Done > flushed {
 					flushed = e.ops[i].Done
 				}

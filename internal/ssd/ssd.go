@@ -102,28 +102,24 @@ type ReliabilityReport struct {
 	RetiredBlocks      int64 // blocks retired (erase budget or post-erase BER)
 }
 
-// inflight tracks a buffered page whose program has not completed.
-type inflight struct {
-	done  sim.Time
-	entry *buffer.Entry
-}
-
-// inflightHeap is a typed min-heap on completion time. The heap operations
-// are implemented directly (rather than through container/heap) so pushes
-// and pops move inflight values without boxing them into interfaces — this
-// is the runner's hot path, one push per buffered page program.
-type inflightHeap []inflight
+// inflightHeap is a min-heap of the completion times of the buffered pages
+// whose programs are in flight. The heap operations are implemented directly
+// (rather than through container/heap) so pushes and pops move bare times
+// without boxing them into interfaces — this is the runner's hot path, one
+// push per buffered page program. The elements hold no pointer: which buffer
+// entry a completion frees is never read, only how many do (System.admitted).
+type inflightHeap []sim.Time
 
 func (h inflightHeap) len() int { return len(h) }
 
-// push inserts it, sifting up to restore the heap order.
-func (h *inflightHeap) push(it inflight) {
-	*h = append(*h, it)
+// push inserts a completion time, sifting up to restore the heap order.
+func (h *inflightHeap) push(done sim.Time) {
+	*h = append(*h, done)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if s[parent].done <= s[i].done {
+		if s[parent] <= s[i] {
 			break
 		}
 		s[parent], s[i] = s[i], s[parent]
@@ -131,14 +127,12 @@ func (h *inflightHeap) push(it inflight) {
 	}
 }
 
-// pop removes and returns the earliest-completing entry. The vacated slot
-// is zeroed so the heap does not pin released buffer entries.
-func (h *inflightHeap) pop() inflight {
+// pop removes and returns the earliest completion time.
+func (h *inflightHeap) pop() sim.Time {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = inflight{}
 	s = s[:n]
 	*h = s
 	i := 0
@@ -148,10 +142,10 @@ func (h *inflightHeap) pop() inflight {
 			break
 		}
 		min := l
-		if r := l + 1; r < n && s[r].done < s[l].done {
+		if r := l + 1; r < n && s[r] < s[l] {
 			min = r
 		}
-		if s[i].done <= s[min].done {
+		if s[i] <= s[min] {
 			break
 		}
 		s[i], s[min] = s[min], s[i]
@@ -167,8 +161,11 @@ type System struct {
 	F   ftl.Host
 	cfg Config
 
-	buf      *buffer.Buffer
-	pending  inflightHeap
+	buf     *buffer.Buffer
+	pending inflightHeap
+	// admitted holds the buffer entries of the pages in pending, one each,
+	// in no order: a completion releases any of them.
+	admitted []*buffer.Entry
 	prefillT sim.Time
 	obs      *obs.Recorder
 
@@ -280,13 +277,28 @@ func (s *System) SetRecorder(r *obs.Recorder) {
 
 // releaseUpTo frees buffer slots whose programs completed by t.
 func (s *System) releaseUpTo(t sim.Time) error {
-	for s.pending.len() > 0 && s.pending[0].done <= t {
-		it := s.pending.pop()
-		if err := s.buf.Release(it.entry); err != nil {
+	for s.pending.len() > 0 && s.pending[0] <= t {
+		if _, err := s.releaseEarliest(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// track puts an admitted page's program in flight until done.
+func (s *System) track(done sim.Time, e *buffer.Entry) {
+	s.pending.push(done)
+	s.admitted = append(s.admitted, e)
+}
+
+// releaseEarliest frees the buffer slot of the earliest-completing program
+// in flight and returns that program's completion time.
+func (s *System) releaseEarliest() (sim.Time, error) {
+	done := s.pending.pop()
+	n := len(s.admitted) - 1
+	e := s.admitted[n]
+	s.admitted = s.admitted[:n]
+	return done, s.buf.Release(e)
 }
 
 // runState is the per-run loop state shared by Run and RunSharded: the
@@ -300,8 +312,24 @@ type runState struct {
 	activeStart sim.Time
 }
 
+// lpn returns page p of a request starting at page, wrapped into the logical
+// space; only an extent that runs past its end pays the division.
+func (rs *runState) lpn(page int64, p int) ftl.LPN {
+	lpn := page + int64(p)
+	if uint64(lpn) >= uint64(rs.logical) {
+		lpn %= rs.logical
+	}
+	return ftl.LPN(lpn)
+}
+
 // newRunState opens one run's loop state.
 func (s *System) newRunState() *runState {
+	if s.admitted == nil {
+		// Every program in flight holds a buffer slot, so neither the heap
+		// nor the entry stack outgrows the buffer: size them once.
+		s.pending = make(inflightHeap, 0, s.cfg.BufferPages)
+		s.admitted = make([]*buffer.Entry, 0, s.cfg.BufferPages)
+	}
 	return &runState{
 		col:         metrics.NewCollector(s.F.PageSize(), s.cfg.BandwidthWindow),
 		base:        s.prefillT,
@@ -340,7 +368,7 @@ func (s *System) stepOp(rs *runState, req workload.Request, arrival sim.Time) er
 	case workload.OpRead:
 		completion := arrival
 		for p := 0; p < req.Pages; p++ {
-			lpn := ftl.LPN((req.Page + int64(p)) % rs.logical)
+			lpn := rs.lpn(req.Page, p)
 			done, err := s.F.Read(lpn, arrival)
 			if err != nil {
 				if errors.Is(err, ftl.ErrUnmapped) {
@@ -371,18 +399,18 @@ func (s *System) stepOp(rs *runState, req workload.Request, arrival sim.Time) er
 		admission := arrival
 		flushed := arrival
 		for p := 0; p < req.Pages; p++ {
-			lpn := ftl.LPN((req.Page + int64(p)) % rs.logical)
+			lpn := rs.lpn(req.Page, p)
 			// Backpressure: wait for the earliest in-flight program.
 			for s.buf.Free() == 0 {
 				if s.pending.len() == 0 {
 					return fmt.Errorf("ssd: buffer full with nothing in flight")
 				}
-				it := s.pending.pop()
-				if it.done > admission {
-					admission = it.done
-				}
-				if err := s.buf.Release(it.entry); err != nil {
+				done, err := s.releaseEarliest()
+				if err != nil {
 					return err
+				}
+				if done > admission {
+					admission = done
 				}
 			}
 			entry, err := s.buf.TryAdmit(int64(lpn), admission)
@@ -394,7 +422,7 @@ func (s *System) stepOp(rs *runState, req workload.Request, arrival sim.Time) er
 			if err != nil {
 				return fmt.Errorf("ssd: write LPN %d: %w", lpn, err)
 			}
-			s.pending.push(inflight{done: done, entry: entry})
+			s.track(done, entry)
 			if done > flushed {
 				flushed = done
 			}
@@ -416,7 +444,7 @@ func (s *System) stepOp(rs *runState, req workload.Request, arrival sim.Time) er
 		// does (max-completion, like reads) — not chained head to tail.
 		completion := arrival
 		for p := 0; p < req.Pages; p++ {
-			lpn := ftl.LPN((req.Page + int64(p)) % rs.logical)
+			lpn := rs.lpn(req.Page, p)
 			done, err := s.F.Trim(lpn, arrival)
 			if err != nil {
 				return fmt.Errorf("ssd: trim LPN %d: %w", lpn, err)

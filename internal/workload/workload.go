@@ -215,6 +215,7 @@ type synthetic struct {
 	burstRem int
 	written  []int64 // pages written so far (read targets)
 	maxHist  int
+	pages    pageCount
 }
 
 // New builds a generator over a logical space of `space` pages emitting
@@ -234,6 +235,7 @@ func New(p Profile, space int64, total int, seed uint64) (Generator, error) {
 		space:   space,
 		total:   total,
 		maxHist: 1 << 16,
+		pages:   newPageCount(p.PagesMean-1, p.PagesCap),
 	}, nil
 }
 
@@ -256,10 +258,7 @@ func (s *synthetic) Next() (Request, bool) {
 	}
 	s.burstRem--
 
-	pages := 1 + int(s.src.Exp(s.p.PagesMean-1))
-	if pages > s.p.PagesCap {
-		pages = s.p.PagesCap
-	}
+	pages := s.pages.draw(s.src.Float64NonZero())
 
 	op := OpWrite
 	if len(s.written) > 0 {
