@@ -12,7 +12,6 @@ import (
 	"flexftl/internal/core"
 	"flexftl/internal/experiments"
 	"flexftl/internal/ftl"
-	"flexftl/internal/ftl/flexftl"
 	"flexftl/internal/ftl/nflex"
 	"flexftl/internal/nand"
 	"flexftl/internal/parity"
@@ -241,13 +240,13 @@ func BenchmarkFig8cBandwidthCDF(b *testing.B) {
 // BenchmarkRecovery measures the Section 3.3 reboot procedure: pages read
 // and virtual duration of one recovery pass after a power cut.
 func BenchmarkRecovery(b *testing.B) {
-	var rep flexftl.RecoveryReport
+	var rep ftl.RecoveryReport
 	for i := 0; i < b.N; i++ {
 		f, err := experiments.BuildFTL("flexFTL", benchGeometry())
 		if err != nil {
 			b.Fatal(err)
 		}
-		flex := f.(*flexftl.FTL)
+		flex := f.(*ftl.Kernel)
 		g := f.Device().Geometry()
 		now := sim.Time(0)
 		lpn := ftl.LPN(0)
@@ -291,7 +290,7 @@ func BenchmarkAblationQuota(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			var last ssd.RunResult
 			for i := 0; i < b.N; i++ {
-				last = runFlexVariant(b, func(p *flexftl.Params) { p.QuotaFraction = cfg.fraction })
+				last = runFlexVariant(b, func(p *ftl.FlexParams) { p.QuotaFraction = cfg.fraction })
 			}
 			b.ReportMetric(last.Metrics.IOPS, "sim-IOPS")
 			b.ReportMetric(last.Metrics.PeakWriteBandwidthMBs, "sim-peakMB/s")
@@ -313,7 +312,7 @@ func BenchmarkAblationBGCCopyType(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			var last ssd.RunResult
 			for i := 0; i < b.N; i++ {
-				last = runFlexVariant(b, func(p *flexftl.Params) { p.BGCCopyLSB = cfg.viaLSB })
+				last = runFlexVariant(b, func(p *ftl.FlexParams) { p.BGCCopyLSB = cfg.viaLSB })
 			}
 			b.ReportMetric(last.Metrics.IOPS, "sim-IOPS")
 			st := last.Stats
@@ -336,7 +335,7 @@ func BenchmarkAblationPredictiveBGC(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			var last ssd.RunResult
 			for i := 0; i < b.N; i++ {
-				last = runFlexVariant(b, func(p *flexftl.Params) { p.PredictiveBGC = cfg.predictive })
+				last = runFlexVariant(b, func(p *ftl.FlexParams) { p.PredictiveBGC = cfg.predictive })
 			}
 			b.ReportMetric(last.Metrics.IOPS, "sim-IOPS")
 			b.ReportMetric(float64(last.Stats.ForegroundGCs), "sim-fg-GCs")
@@ -360,7 +359,7 @@ func BenchmarkAblationBackupScheme(b *testing.B) {
 	}
 }
 
-func runFlexVariant(b *testing.B, mutate func(*flexftl.Params)) ssd.RunResult {
+func runFlexVariant(b *testing.B, mutate func(*ftl.FlexParams)) ssd.RunResult {
 	b.Helper()
 	dev, err := nand.NewDevice(nand.Config{
 		Geometry: benchGeometry(), Timing: nand.DefaultTiming(), Rules: core.RPS,
@@ -368,9 +367,9 @@ func runFlexVariant(b *testing.B, mutate func(*flexftl.Params)) ssd.RunResult {
 	if err != nil {
 		b.Fatal(err)
 	}
-	params := flexftl.DefaultParams()
+	params := ftl.DefaultFlexParams()
 	mutate(&params)
-	f, err := flexftl.New(dev, ftl.DefaultConfig(), params)
+	f, err := ftl.NewFlexFTL(dev, ftl.DefaultConfig(), params)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -28,6 +28,9 @@ import (
 )
 
 func main() {
+	// The -requests default makes even the read-dominant workloads (OLTP,
+	// Webserver) write into garbage collection, so Figure 8(b)'s erase
+	// comparison is meaningful on every workload.
 	var (
 		exp      = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|"))
 		requests = flag.Int("requests", 150000, "host requests per Figure 8 run")

@@ -355,6 +355,7 @@ func run(w io.Writer, o options) error {
 	fmt.Fprintf(w, "ftl      : %s, logical space %d pages\n", f.Name(), f.LogicalPages())
 
 	var gen workload.Generator
+	var replay *workload.Replay     // set with gen when replaying a trace
 	var mqGens []workload.Generator // multi-queue front-end (nil = single stream)
 	var mqName string
 	switch {
@@ -367,10 +368,11 @@ func run(w io.Writer, o options) error {
 			return err
 		}
 		defer file.Close()
-		gen, err = workload.NewCSVReplay(file, o.Replay)
+		replay, err = workload.NewCSVReplay(file, o.Replay)
 		if err != nil {
 			return err
 		}
+		gen = replay
 	case o.HostQueues > 1:
 		prof, err := findProfile(o.Workload)
 		if err != nil {
@@ -449,6 +451,9 @@ func run(w io.Writer, o options) error {
 		res, err = sys.RunShardedMQ(mqName, mqGens, o.ShardWorkers)
 	} else {
 		res, err = sys.RunSharded(gen, o.ShardWorkers)
+	}
+	if err == nil && replay != nil {
+		err = replay.Err()
 	}
 	if err != nil {
 		return err

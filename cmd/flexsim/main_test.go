@@ -76,6 +76,26 @@ func TestRunUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestReplayBadTraceFails: a malformed replay record fails the run with its
+// record number; it neither panics (a negative page) nor ends the run early
+// and reports success (an unknown op, a non-integer field).
+func TestReplayBadTraceFails(t *testing.T) {
+	for _, rows := range []string{
+		"10,W,-5,1\n",
+		"0,W,1,1\n10,X,2,1\n20,W,3,oops\n30,W,4,1\n40,R,1,1\n",
+	} {
+		path := filepath.Join(t.TempDir(), "bad.csv")
+		if err := os.WriteFile(path, []byte("arrival_us,op,page,pages\n"+rows), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		err := run(&sb, options{FTL: "pageFTL", GCPolicy: "greedy", Replay: path})
+		if err == nil || !strings.Contains(err.Error(), "record") {
+			t.Errorf("replay of %q: err = %v, want a malformed-record error", rows, err)
+		}
+	}
+}
+
 // TestWorkloadDumpAndReplay: -dump-workload writes a CSV, -replay reproduces
 // the exact run from it.
 func TestWorkloadDumpAndReplay(t *testing.T) {

@@ -114,7 +114,7 @@ func formatOf(explicit, path string) string {
 }
 
 // open returns a replay generator for a trace file of either format.
-func open(path string) (workload.Generator, func() error, error) {
+func open(path string) (*workload.Replay, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -145,7 +145,11 @@ func cmdStat(args []string) error {
 		return err
 	}
 	defer closer()
-	fmt.Printf("trace      : %s\n%s\n", args[0], workload.Summarize(gen))
+	st := workload.Summarize(gen)
+	if err := gen.Err(); err != nil {
+		return err
+	}
+	fmt.Printf("trace      : %s\n%s\n", args[0], st)
 	return nil
 }
 
@@ -167,6 +171,9 @@ func cmdConvert(args []string) error {
 		n, err = workload.WriteCSV(dst, gen)
 	} else {
 		n, err = workload.WriteBinary(dst, gen)
+	}
+	if err == nil {
+		err = gen.Err()
 	}
 	if cerr := dst.Close(); err == nil {
 		err = cerr

@@ -74,3 +74,19 @@ func TestFormatOf(t *testing.T) {
 		t.Error("format detection wrong")
 	}
 }
+
+// TestBadTraceFails: stat and convert fail on a malformed record instead of
+// summarising or converting the records before it.
+func TestBadTraceFails(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.csv")
+	if err := os.WriteFile(bad, []byte("arrival_us,op,page,pages\n0,W,1,1\n10,X,2,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdStat([]string{bad}); err == nil {
+		t.Error("stat accepted a malformed trace")
+	}
+	if err := cmdConvert([]string{bad, filepath.Join(dir, "out.bin")}); err == nil {
+		t.Error("convert accepted a malformed trace")
+	}
+}

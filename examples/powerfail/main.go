@@ -9,7 +9,6 @@ import (
 
 	"flexftl/internal/core"
 	"flexftl/internal/ftl"
-	"flexftl/internal/ftl/flexftl"
 	"flexftl/internal/nand"
 	"flexftl/internal/sim"
 )
@@ -23,7 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	f, err := flexftl.New(dev, ftl.DefaultConfig(), flexftl.DefaultParams())
+	f, err := ftl.NewFlexFTL(dev, ftl.DefaultConfig(), ftl.DefaultFlexParams())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"flexftl/internal/core"
 	"flexftl/internal/ftl"
-	"flexftl/internal/ftl/flexftl"
 	"flexftl/internal/nand"
 	"flexftl/internal/sim"
 )
@@ -31,7 +30,7 @@ func main() {
 
 	// 2. flexFTL on top: page-level mapping, 2PO block management, adaptive
 	// LSB/MSB allocation, per-block parity backup.
-	f, err := flexftl.New(dev, ftl.DefaultConfig(), flexftl.DefaultParams())
+	f, err := ftl.NewFlexFTL(dev, ftl.DefaultConfig(), ftl.DefaultFlexParams())
 	if err != nil {
 		log.Fatal(err)
 	}

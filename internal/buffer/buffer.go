@@ -59,9 +59,6 @@ func (b *Buffer) Instrument(g *obs.Gauge) {
 	g.Set(b.Utilization())
 }
 
-// Capacity returns the slot count.
-func (b *Buffer) Capacity() int { return b.capacity }
-
 // Occupied returns the number of pages currently held.
 func (b *Buffer) Occupied() int { return b.occupied }
 

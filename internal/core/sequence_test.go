@@ -194,8 +194,16 @@ func TestFPSOrderIsUnique(t *testing.T) {
 
 // TestRPSAdmitsManyOrders pins how much freedom dropping Constraint 4 buys:
 // RPS order counts grow combinatorially with word lines and levels. The
-// constants are the exhaustive counts of the two implementations this one
-// replaced, which agreed at Levels = 2.
+// constants up to MLC(6), TLC(4) and QLC(3) are the exhaustive counts of the
+// two implementations this one replaced, which agreed at Levels = 2.
+//
+// On MLC the counts are the Catalan numbers C(n-1) for n word lines.
+// Constraint 1 orders the LSB pages L0 < L1 < ... and Constraint 2 the MSB
+// pages M0 < M1 < ...; Constraint 3 makes Mk wait for L(k+1) (and for Lk on
+// the last word line). So L0 comes first, M(n-1) comes last, and in between
+// the n-1 programs L1..L(n-1) interleave with the n-1 programs M0..M(n-2) so
+// that no prefix holds more MSB than LSB programs: a Dyck path of semilength
+// n-1, of which there are C(n-1).
 func TestRPSAdmitsManyOrders(t *testing.T) {
 	for _, c := range []struct {
 		s    Scheme
@@ -204,8 +212,10 @@ func TestRPSAdmitsManyOrders(t *testing.T) {
 		// With 2 word lines MLC RPS is still forced (L0,L1,M0,M1);
 		// flexibility appears from 3 word lines on.
 		{MLC(1), 1}, {MLC(2), 1}, {MLC(3), 2}, {MLC(4), 5}, {MLC(5), 14}, {MLC(6), 42},
-		{TLC(1), 1}, {TLC(2), 1}, {TLC(3), 4}, {TLC(4), 29},
+		{MLC(7), 132}, {MLC(8), 429}, {MLC(9), 1430}, {MLC(10), 4862},
+		{TLC(1), 1}, {TLC(2), 1}, {TLC(3), 4}, {TLC(4), 29}, {TLC(5), 290},
 		{Scheme{Levels: 4, WordLines: 2}, 1}, {Scheme{Levels: 4, WordLines: 3}, 8},
+		{Scheme{Levels: 4, WordLines: 4}, 169},
 	} {
 		if got := CountOrders(RPS, c.s); got != c.want {
 			t.Errorf("%+v: RPS admits %d orders, want %d", c.s, got, c.want)

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"flexftl/internal/ftl"
-	"flexftl/internal/ftl/flexftl"
 	"flexftl/internal/nand"
 	"flexftl/internal/par"
 	"flexftl/internal/ssd"
@@ -60,21 +59,21 @@ func RunAblations(cfg AblationConfig) (AblationResult, error) {
 		name  string
 		build func() (ftl.FTL, error)
 	}
-	flexVariant := func(mutate func(*flexftl.Params, *ftl.Config)) func() (ftl.FTL, error) {
+	flexVariant := func(mutate func(*ftl.FlexParams, *ftl.Config)) func() (ftl.FTL, error) {
 		return func() (ftl.FTL, error) {
-			params := flexftl.DefaultParams()
+			params := ftl.DefaultFlexParams()
 			ftlCfg := ftl.DefaultConfig()
 			mutate(&params, &ftlCfg)
 			return ftl.BuildFTL("flexFTL", ftl.BuildEnv{Geometry: cfg.Geometry, Config: ftlCfg, Flex: params})
 		}
 	}
 	variants := []variant{
-		{"flexFTL (paper settings)", flexVariant(func(p *flexftl.Params, c *ftl.Config) {})},
-		{"quota 0.1% (near-FPS)", flexVariant(func(p *flexftl.Params, c *ftl.Config) { p.QuotaFraction = 0.001 })},
-		{"quota 100% (unbounded)", flexVariant(func(p *flexftl.Params, c *ftl.Config) { p.QuotaFraction = 1.0 })},
-		{"BGC copies via LSB", flexVariant(func(p *flexftl.Params, c *ftl.Config) { p.BGCCopyLSB = true })},
-		{"predictive BGC (Section 6)", flexVariant(func(p *flexftl.Params, c *ftl.Config) { p.PredictiveBGC = true })},
-		{"cost-benefit GC victims", flexVariant(func(p *flexftl.Params, c *ftl.Config) { c.GC = ftl.GCCostBenefit })},
+		{"flexFTL (paper settings)", flexVariant(func(p *ftl.FlexParams, c *ftl.Config) {})},
+		{"quota 0.1% (near-FPS)", flexVariant(func(p *ftl.FlexParams, c *ftl.Config) { p.QuotaFraction = 0.001 })},
+		{"quota 100% (unbounded)", flexVariant(func(p *ftl.FlexParams, c *ftl.Config) { p.QuotaFraction = 1.0 })},
+		{"BGC copies via LSB", flexVariant(func(p *ftl.FlexParams, c *ftl.Config) { p.BGCCopyLSB = true })},
+		{"predictive BGC (Section 6)", flexVariant(func(p *ftl.FlexParams, c *ftl.Config) { p.PredictiveBGC = true })},
+		{"cost-benefit GC victims", flexVariant(func(p *ftl.FlexParams, c *ftl.Config) { c.GC = ftl.GCCostBenefit })},
 	}
 	for _, name := range Hybrids() {
 		scheme := name

@@ -26,14 +26,6 @@ type Fig8Config struct {
 	ShardWorkers int
 }
 
-// DefaultFig8Config balances fidelity and wall-clock time. The request count
-// is sized so that even the read-dominant workloads (OLTP, Webserver) write
-// enough to push the device into garbage collection, making the Figure 8(b)
-// erasure comparison meaningful on every workload.
-func DefaultFig8Config() Fig8Config {
-	return Fig8Config{Geometry: EvalGeometry(), Requests: 150000, Seed: 42}
-}
-
 // Fig8Cell is one (scheme, workload) measurement.
 type Fig8Cell struct {
 	Scheme   string

@@ -41,7 +41,6 @@ type Base struct {
 	// budget in initReliability; the cursors persist across idle windows so
 	// scrubbing and refresh rotate over the whole device.
 	relEnabled     bool
-	relBudget      float64
 	relRefreshBER  float64
 	relRetireBER   float64
 	scrubCursor    int64

@@ -1,3 +1,5 @@
+// Package flexftl holds the scheme-level tests of ftl.NewFlexFTL and its
+// recovery and rebuild procedures.
 package flexftl
 
 import (
@@ -16,7 +18,7 @@ func fixture(t testing.TB) ftltest.Fixture {
 	return ftltest.Fixture{F: f, B: f.Base}
 }
 
-func newFlex(t testing.TB, g nand.Geometry) *FTL {
+func newFlex(t testing.TB, g nand.Geometry) *ftl.Kernel {
 	t.Helper()
 	dev, err := nand.NewDevice(nand.Config{
 		Geometry: g,
@@ -26,7 +28,7 @@ func newFlex(t testing.TB, g nand.Geometry) *FTL {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(dev, ftl.DefaultConfig(), DefaultParams())
+	f, err := ftl.NewFlexFTL(dev, ftl.DefaultConfig(), ftl.DefaultFlexParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +52,13 @@ func TestRejectsFPSDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(dev, ftl.DefaultConfig(), DefaultParams()); err == nil {
+	if _, err := ftl.NewFlexFTL(dev, ftl.DefaultConfig(), ftl.DefaultFlexParams()); err == nil {
 		t.Error("flexFTL accepted an FPS-only device")
 	}
 }
 
 func TestParamsValidate(t *testing.T) {
-	bad := []Params{
+	bad := []ftl.FlexParams{
 		{UHigh: 0.5, ULow: 0.8, QuotaFraction: 0.05}, // inverted
 		{UHigh: 1.5, ULow: 0.1, QuotaFraction: 0.05},
 		{UHigh: 0.8, ULow: -0.1, QuotaFraction: 0.05},
@@ -68,7 +70,7 @@ func TestParamsValidate(t *testing.T) {
 			t.Errorf("case %d accepted: %+v", i, p)
 		}
 	}
-	if err := DefaultParams().Validate(); err != nil {
+	if err := ftl.DefaultFlexParams().Validate(); err != nil {
 		t.Error(err)
 	}
 }
@@ -181,9 +183,9 @@ func TestQuotaExhaustionForcesAlternation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := DefaultParams()
+	params := ftl.DefaultFlexParams()
 	params.QuotaFraction = 0.001 // tiny quota: q0 = 1
-	f, err := New(dev, ftl.DefaultConfig(), params)
+	f, err := ftl.NewFlexFTL(dev, ftl.DefaultConfig(), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,9 +340,9 @@ func TestIdleGCRaisesQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := DefaultParams()
+	params := ftl.DefaultFlexParams()
 	params.QuotaFraction = 0.5
-	f, err := New(dev, ftl.DefaultConfig(), params)
+	f, err := ftl.NewFlexFTL(dev, ftl.DefaultConfig(), params)
 	if err != nil {
 		t.Fatal(err)
 	}

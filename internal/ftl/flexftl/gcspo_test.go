@@ -18,7 +18,7 @@ import (
 // logical space, then hot overwrites with idle windows small enough that
 // background GC regularly stops mid-block, leaving MSB windows open.
 type churnState struct {
-	f   *FTL
+	f   *ftl.Kernel
 	src *rng.Source
 	now sim.Time
 }

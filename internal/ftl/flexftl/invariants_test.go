@@ -14,7 +14,7 @@ import (
 // slow block queue, backup (current or retired), or the in-flight background
 // victim. Leaked blocks are the classic FTL failure mode; this audit runs
 // after every heavy scenario.
-func auditBlocks(t *testing.T, f *FTL) {
+func auditBlocks(t *testing.T, f *ftl.Kernel) {
 	t.Helper()
 	g := f.Dev.Geometry()
 	for chip := 0; chip < g.Chips(); chip++ {
@@ -62,7 +62,7 @@ func auditBlocks(t *testing.T, f *FTL) {
 
 // auditMapping verifies the mapping-table invariant: per-block valid counts
 // sum to the mapped-page count, and l2p/p2l are mutually consistent.
-func auditMapping(t *testing.T, f *FTL) {
+func auditMapping(t *testing.T, f *ftl.Kernel) {
 	t.Helper()
 	g := f.Dev.Geometry()
 	var total int64

@@ -12,7 +12,7 @@ import (
 
 // primeToMSBPhase drives the FTL until chip 0's active slow block has at
 // least one MSB program in flight, returning the virtual time.
-func primeToMSBPhase(t *testing.T, f *FTL) sim.Time {
+func primeToMSBPhase(t *testing.T, f *ftl.Kernel) sim.Time {
 	t.Helper()
 	g := f.Dev.Geometry()
 	now := sim.Time(0)
@@ -276,7 +276,7 @@ func TestScanPicksNewestParity(t *testing.T) {
 // TestRecoveryDeterminism: recovery after identical histories yields
 // identical reports.
 func TestRecoveryDeterminism(t *testing.T) {
-	run := func() (RecoveryReport, error) {
+	run := func() (ftl.RecoveryReport, error) {
 		f := newFlex(t, nand.TestGeometry())
 		now := primeToMSBPhase(t, f)
 		f.Dev.InjectPowerLoss(nand.BlockAddr{Chip: 0, Block: f.ActiveSlowBlock(0)})

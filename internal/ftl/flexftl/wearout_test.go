@@ -23,7 +23,7 @@ func TestWearOutRetiresBlocksGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(dev, ftl.DefaultConfig(), DefaultParams())
+	f, err := ftl.NewFlexFTL(dev, ftl.DefaultConfig(), ftl.DefaultFlexParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,9 +116,6 @@ func NewKernel(dev *nand.Device, cfg Config, spec KernelSpec) (*Kernel, error) {
 // Name identifies the scheme.
 func (k *Kernel) Name() string { return k.name }
 
-// Streams returns the placement policy's data-stream count per chip.
-func (k *Kernel) Streams() int { return k.placement.streams() }
-
 // Write services a host page write. util is the write-buffer utilization the
 // allocation policy consumes (ignored by the fixed allocator).
 func (k *Kernel) Write(lpn LPN, now sim.Time, util float64) (sim.Time, error) {
@@ -292,12 +289,9 @@ func (k *Kernel) SlowQueueLen(chip int) int {
 
 // ActiveSlowBlock returns the stream-0 active slow block (the head of its
 // slow block queue), or -1 when there is none.
-func (k *Kernel) ActiveSlowBlock(chip int) int { return k.ActiveSlowBlockOn(chip, 0) }
-
-// ActiveSlowBlockOn is ActiveSlowBlock for one placement stream.
-func (k *Kernel) ActiveSlowBlockOn(chip, stream int) int {
+func (k *Kernel) ActiveSlowBlock(chip int) int {
 	if o, ok := k.ord.(*twoPhase); ok {
-		if st := &o.chips[chip].streams[stream]; st.sbq.Len() > 0 {
+		if st := &o.chips[chip].streams[0]; st.sbq.Len() > 0 {
 			return st.sbq.Front()
 		}
 	}
@@ -315,40 +309,20 @@ func (k *Kernel) SlowQueueBlock(chip, i int) int {
 
 // ActiveSlowProgress returns how many MSB pages of the stream-0 active slow
 // block have been programmed.
-func (k *Kernel) ActiveSlowProgress(chip int) int { return k.ActiveSlowProgressOn(chip, 0) }
-
-// ActiveSlowProgressOn is ActiveSlowProgress for one placement stream.
-func (k *Kernel) ActiveSlowProgressOn(chip, stream int) int {
+func (k *Kernel) ActiveSlowProgress(chip int) int {
 	if o, ok := k.ord.(*twoPhase); ok {
-		return o.chips[chip].streams[stream].asbPos
+		return o.chips[chip].streams[0].asbPos
 	}
 	return 0
 }
 
 // ActiveFastBlock returns the stream-0 active fast block under two-phase
 // ordering, or -1 when there is none.
-func (k *Kernel) ActiveFastBlock(chip int) int { return k.ActiveFastBlockOn(chip, 0) }
-
-// ActiveFastBlockOn is ActiveFastBlock for one placement stream.
-func (k *Kernel) ActiveFastBlockOn(chip, stream int) int {
+func (k *Kernel) ActiveFastBlock(chip int) int {
 	if o, ok := k.ord.(*twoPhase); ok {
-		return o.chips[chip].streams[stream].afb
+		return o.chips[chip].streams[0].afb
 	}
 	return -1
-}
-
-// ActiveFastProgress returns how many LSB pages of the stream-0 active fast
-// block have been programmed.
-func (k *Kernel) ActiveFastProgress(chip int) int { return k.ActiveFastProgressOn(chip, 0) }
-
-// ActiveFastProgressOn is ActiveFastProgress for one placement stream.
-func (k *Kernel) ActiveFastProgressOn(chip, stream int) int {
-	if o, ok := k.ord.(*twoPhase); ok {
-		if st := &o.chips[chip].streams[stream]; st.afb != -1 {
-			return st.afbPos
-		}
-	}
-	return 0
 }
 
 // BackupCurrentBlock returns the per-block parity strategy's open backup
@@ -421,11 +395,6 @@ func (k *Kernel) LSBReadySlots(chip int) int {
 	}
 	return 0
 }
-
-// BackupCoversMSB reports whether the mounted backup strategy makes MSB
-// programs power-safe at issue time (the crash campaign asserts such schemes
-// never present an open destructive window).
-func (k *Kernel) BackupCoversMSB() bool { return k.bk.coversMSB() }
 
 // LastMSB returns the chip's most recent MSB program under two-phase
 // ordering: its LPN, the physical page it superseded (InvalidPPN if none),

@@ -33,7 +33,7 @@ import (
 	"flexftl/internal/sim"
 )
 
-// Params are the policy knobs (the n-level analogue of flexftl.Params).
+// Params are the policy knobs (the n-level analogue of ftl.FlexParams).
 type Params struct {
 	UHigh, ULow   float64
 	QuotaFraction float64 // of the device's total level-0 pages
@@ -226,9 +226,6 @@ func (f *FTL) HostWritesByLevel() []int64 {
 
 // Quota returns the current level-0 budget q.
 func (f *FTL) Quota() int64 { return f.q }
-
-// ActivePhaseBlock returns the chip's active block for a phase (-1 if none).
-func (f *FTL) ActivePhaseBlock(chip, level int) int { return f.chips[chip].phases[level].blk }
 
 // ActivePhaseProgress returns how many word lines of the chip's active
 // phase-level block are programmed.

@@ -1,3 +1,4 @@
+// Package pageftl holds the scheme-level tests of ftl.NewPageFTL.
 package pageftl
 
 import (
@@ -19,7 +20,7 @@ func fixture(t testing.TB) ftltest.Fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(dev, ftl.DefaultConfig())
+	f, err := ftl.NewPageFTL(dev, ftl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestRejectsBadConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(dev, ftl.Config{OPFraction: 0, GCFreeFraction: 0.1, MinFreeBlocksPerChip: 1}); err == nil {
+	if _, err := ftl.NewPageFTL(dev, ftl.Config{OPFraction: 0, GCFreeFraction: 0.1, MinFreeBlocksPerChip: 1}); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

@@ -1,3 +1,4 @@
+// Package parityftl holds the scheme-level tests of ftl.NewParityFTL.
 package parityftl
 
 import (
@@ -20,7 +21,7 @@ func fixture(t testing.TB) ftltest.Fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(dev, ftl.DefaultConfig())
+	f, err := ftl.NewParityFTL(dev, ftl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,9 +38,9 @@ func TestName(t *testing.T) {
 	}
 }
 
-// TestBackupRatio: the pre-backup scheme writes one parity page per PairSize
-// LSB pages, i.e. backup writes ~= (LSB programs)/2 — the paper's "at most
-// two LSB pages share a parity backup page" bound.
+// TestBackupRatio: the pre-backup scheme writes one parity page per
+// ftl.FPSParityPairSize LSB pages, i.e. backup writes ~= (LSB programs)/2 —
+// the paper's "at most two LSB pages share a parity backup page" bound.
 func TestBackupRatio(t *testing.T) {
 	fx := fixture(t)
 	src := rng.New(3)
@@ -59,7 +60,7 @@ func TestBackupRatio(t *testing.T) {
 	}
 	ratio := float64(st.BackupWrites) / float64(lsbPrograms)
 	if ratio < 0.45 || ratio > 0.55 {
-		t.Errorf("backup/LSB ratio = %.3f, want ~0.5 (1 parity per %d LSB pages)", ratio, PairSize)
+		t.Errorf("backup/LSB ratio = %.3f, want ~0.5 (1 parity per %d LSB pages)", ratio, ftl.FPSParityPairSize)
 	}
 }
 
@@ -97,7 +98,7 @@ func TestBackupBlocksRecycled(t *testing.T) {
 	// constant, so sustained writing keeps succeeding (covered) and the
 	// backup ring depth stays <= 2 per chip.
 	fx := fixture(t)
-	f := fx.F.(*FTL)
+	f := fx.F.(*ftl.Kernel)
 	src := rng.New(11)
 	logical := fx.F.LogicalPages()
 	now := sim.Time(0)

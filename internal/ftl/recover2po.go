@@ -359,9 +359,6 @@ type ParityScanReport struct {
 	Start, End sim.Time
 }
 
-// Duration returns the scan's elapsed virtual time.
-func (r ParityScanReport) Duration() sim.Time { return r.End - r.Start }
-
 // RebuildParityRefs reconstructs the in-memory parity location table and the
 // backup blocks' live counts from flash, for a reboot that lost runtime
 // metadata (after ForgetParityRefs). Per chip it first seals the current

@@ -259,8 +259,8 @@ func init() {
 			}
 			return NewKernel(dev, env.Config, KernelSpec{
 				Name:   "rtfFTL-adaptive",
-				Order:  FPSPoolOrderPolicy(8),
-				Backup: PairParityBackup(2),
+				Order:  FPSPoolOrderPolicy(RTFActiveBlocksPerChip),
+				Backup: PairParityBackup(FPSParityPairSize),
 				Alloc:  AdaptiveAllocPolicy(env.Flex),
 			})
 		}),

@@ -78,15 +78,11 @@ func (b *Base) initReliability(rp *RelPolicy) error {
 		return fmt.Errorf("ftl: reliability policy configured but the device has no reliability model")
 	}
 	b.relEnabled = true
-	b.relBudget = rc.BERBudget(b.Dev.Geometry().PageSizeBytes, rp.TargetPageFailure)
-	b.relRefreshBER = rp.RefreshFraction * b.relBudget
-	b.relRetireBER = rp.RetireFraction * b.relBudget
+	budget := rc.BERBudget(b.Dev.Geometry().PageSizeBytes, rp.TargetPageFailure)
+	b.relRefreshBER = rp.RefreshFraction * budget
+	b.relRetireBER = rp.RetireFraction * budget
 	return nil
 }
-
-// BERBudget returns the raw-BER budget the refresh and retirement thresholds
-// derive from (0 when the reliability policy is off).
-func (b *Base) BERBudget() float64 { return b.relBudget }
 
 // maybeRetire applies the retirement policy to a freshly erased block: when
 // its post-erase predicted BER for fresh data crosses the retire line, the

@@ -1,3 +1,4 @@
+// Package rtfftl holds the scheme-level tests of ftl.NewRTFFTL.
 package rtfftl
 
 import (
@@ -20,7 +21,7 @@ func fixture(t testing.TB) ftltest.Fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(dev, ftl.DefaultConfig())
+	f, err := ftl.NewRTFFTL(dev, ftl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +40,12 @@ func TestName(t *testing.T) {
 
 func TestRejectsTinyGeometry(t *testing.T) {
 	g := nand.TestGeometry()
-	g.BlocksPerChip = ActiveBlocksPerChip // no room for reserve
+	g.BlocksPerChip = ftl.RTFActiveBlocksPerChip // no room for reserve
 	dev, err := nand.NewDevice(nand.Config{Geometry: g, Timing: nand.DefaultTiming(), Rules: core.FPS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(dev, ftl.DefaultConfig()); err == nil {
+	if _, err := ftl.NewRTFFTL(dev, ftl.DefaultConfig()); err == nil {
 		t.Error("geometry with no reserve accepted")
 	}
 }
@@ -54,7 +55,7 @@ func TestRejectsTinyGeometry(t *testing.T) {
 func TestSuccessiveLSBBurst(t *testing.T) {
 	fx := fixture(t)
 	g := fx.F.Device().Geometry()
-	burst := ActiveBlocksPerChip * g.Chips()
+	burst := ftl.RTFActiveBlocksPerChip * g.Chips()
 	now := sim.Time(0)
 	for i := 0; i < burst; i++ {
 		done, err := fx.F.Write(ftl.LPN(i), now, 1.0)
@@ -70,7 +71,8 @@ func TestSuccessiveLSBBurst(t *testing.T) {
 }
 
 // TestPairParityBackupRatio: rtfFTL pre-backs up with one parity page per
-// PairSize LSB programs, the same FPS bound parityFTL uses (footnote 4).
+// ftl.FPSParityPairSize LSB programs, the same FPS bound parityFTL uses
+// (footnote 4).
 func TestPairParityBackupRatio(t *testing.T) {
 	fx := fixture(t)
 	src := rng.New(3)
@@ -90,7 +92,7 @@ func TestPairParityBackupRatio(t *testing.T) {
 	}
 	ratio := float64(st.BackupWrites) / float64(lsbPrograms)
 	if ratio < 0.4 || ratio > 0.6 {
-		t.Errorf("backup/LSB ratio = %.3f, want ~0.5 (1 parity per %d LSB pages)", ratio, PairSize)
+		t.Errorf("backup/LSB ratio = %.3f, want ~0.5 (1 parity per %d LSB pages)", ratio, ftl.FPSParityPairSize)
 	}
 }
 
@@ -98,7 +100,7 @@ func TestPairParityBackupRatio(t *testing.T) {
 // MSB pages, an idle window must drain them so the pool is all-LSB-ready.
 func TestIdleReturnsToFast(t *testing.T) {
 	fx := fixture(t)
-	f := fx.F.(*FTL)
+	f := fx.F.(*ftl.Kernel)
 	src := rng.New(5)
 	logical := fx.F.LogicalPages()
 	now := sim.Time(0)
@@ -127,7 +129,7 @@ func TestIdleReturnsToFast(t *testing.T) {
 	const minReady = 2
 	for chip := 0; chip < g.Chips(); chip++ {
 		if got := f.LSBReadySlots(chip); got < minReady {
-			t.Errorf("chip %d only %d/%d slots LSB-ready after idle", chip, got, ActiveBlocksPerChip)
+			t.Errorf("chip %d only %d/%d slots LSB-ready after idle", chip, got, ftl.RTFActiveBlocksPerChip)
 		}
 	}
 	// After returning to fast, a burst of that depth per chip is served

@@ -3,13 +3,22 @@ package ftl
 import "flexftl/internal/nand"
 
 // This file expresses the paper's four MLC FTLs as kernel configurations —
-// each scheme is nothing but a policy triple. The subpackages (pageftl,
-// parityftl, rtfftl, flexftl) re-export these constructors for compatibility;
-// the registry exposes them (plus hybrids) by name.
+// each scheme is nothing but a policy triple. The registry exposes them (plus
+// hybrids) by name.
 
-// NewPageFTL builds the baseline FPS page-mapping FTL: strict vendor program
-// order, no paired-page backup — the paper's performance ceiling for an FPS
-// FTL under a no-sudden-power-off assumption.
+// FPSParityPairSize is how many LSB pages share one pre-backup parity page
+// under FPS: at most two LSB pages can be pending before their paired MSB
+// pages are programmed (the paper's footnote 4).
+const FPSParityPairSize = 2
+
+// RTFActiveBlocksPerChip is the active pool depth of the paper's rtfFTL
+// configuration.
+const RTFActiveBlocksPerChip = 8
+
+// NewPageFTL builds the baseline FPS page-mapping FTL ("pageFTL"): strict
+// vendor program order, no paired-page backup — the paper's performance
+// ceiling for an FPS FTL under a no-sudden-power-off assumption. The device
+// must enforce FPS (or a superset such as RPS).
 func NewPageFTL(dev *nand.Device, cfg Config) (*Kernel, error) {
 	return NewKernel(dev, cfg, KernelSpec{
 		Name:   "pageFTL",
@@ -19,34 +28,42 @@ func NewPageFTL(dev *nand.Device, cfg Config) (*Kernel, error) {
 	})
 }
 
-// NewParityFTL builds the FPS FTL with parity-based pre-backup (the Section 2
-// countermeasure): every PairSize LSB programs emit one XOR parity page into
-// a per-chip backup ring, covering the paired-page hazard before the MSBs
-// arrive.
+// NewParityFTL builds "parityFTL", the FPS FTL with the adaptive paired-page
+// pre-backup of Lee et al. (TCAD 2014), the Section 2 countermeasure: every
+// FPSParityPairSize LSB programs emit one XOR parity page into a per-chip
+// backup ring, covering the paired-page hazard before the MSBs arrive. This
+// halves a naive copy-backup's overhead but still costs ~0.5 extra programs
+// per word line — the gap flexFTL's per-block parity closes.
 func NewParityFTL(dev *nand.Device, cfg Config) (*Kernel, error) {
 	return NewKernel(dev, cfg, KernelSpec{
 		Name:   "parityFTL",
 		Order:  FPSOrderPolicy(),
-		Backup: PairParityBackup(2),
+		Backup: PairParityBackup(FPSParityPairSize),
 		Alloc:  FixedAllocPolicy(PrefOrder, PrefOrder),
 	})
 }
 
-// NewRTFFTL builds the return-to-fast FTL modeled on Grupp et al.'s Harey
-// Tortoise: a pool of eight active FPS blocks per chip keeps LSB pages
-// available for bursts, idle time drains (or pads) pending MSB pages, and
-// pair parity covers the power-cut hazard.
+// NewRTFFTL builds "rtfFTL", the return-to-fast FTL modeled on Grupp et al.'s
+// Harey Tortoise (USENIX ATC 2013): a pool of RTFActiveBlocksPerChip active
+// FPS blocks per chip keeps LSB pages available for bursts, idle time drains
+// (or pads) pending MSB pages, and pair parity — the best an FPS FTL can do —
+// covers the power-cut hazard. It still erases more than parityFTL because the
+// aggressive drain spends pages, padding when no relocation source exists.
 func NewRTFFTL(dev *nand.Device, cfg Config) (*Kernel, error) {
 	return NewKernel(dev, cfg, KernelSpec{
 		Name:   "rtfFTL",
-		Order:  FPSPoolOrderPolicy(8),
-		Backup: PairParityBackup(2),
+		Order:  FPSPoolOrderPolicy(RTFActiveBlocksPerChip),
+		Backup: PairParityBackup(FPSParityPairSize),
 		Alloc:  FixedAllocPolicy(PrefFast, PrefSlow),
 	})
 }
 
-// NewFlexFTL builds the paper's RPS-aware FTL: two-phase ordering, per-block
-// parity backup, and the adaptive u/q page allocation of Section 3.2. The
+// NewFlexFTL builds the paper's RPS-aware "flexFTL": two-phase ordering (each
+// block is filled with LSB pages first, then with MSB pages — the RPSfull
+// order of Figure 3(a)), per-block parity backup written once when the fast
+// block fills (Section 3.3), and the adaptive u/q page allocation of Section
+// 3.2; background GC copies valid pages into MSB pages during idle time,
+// raising q. Reboot-time recovery and rebuild live in recover2po.go. The
 // device must enforce RPS (or be unconstrained).
 func NewFlexFTL(dev *nand.Device, cfg Config, p FlexParams) (*Kernel, error) {
 	if err := p.Validate(); err != nil {

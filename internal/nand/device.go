@@ -45,11 +45,6 @@ type Config struct {
 	Reliability *rel.Config
 }
 
-// DefaultConfig returns the paper's device with the given rule set.
-func DefaultConfig(rules core.RuleSet) Config {
-	return Config{Geometry: DefaultGeometry(), Timing: DefaultTiming(), Rules: rules}
-}
-
 // block is the physical state of one erase block.
 type block struct {
 	state      core.BlockState // its bitmap is a run of the device's one allocation

@@ -118,9 +118,6 @@ func (g Geometry) PagesPerBlock() int { return g.BitsPerCell() * g.WordLinesPerB
 // LSBPagesPerBlock returns the number of fast pages per block.
 func (g Geometry) LSBPagesPerBlock() int { return g.WordLinesPerBlock }
 
-// PagesPerChip returns the number of pages on one chip.
-func (g Geometry) PagesPerChip() int { return g.BlocksPerChip * g.PagesPerBlock() }
-
 // TotalBlocks returns the number of blocks in the device.
 func (g Geometry) TotalBlocks() int { return g.Chips() * g.BlocksPerChip }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -44,119 +45,105 @@ func TestMaxMinOf(t *testing.T) {
 	}
 }
 
+// drain pops every queued time <= deadline in order, the way the runner
+// releases the buffer slots of completed programs.
+func drain(h *TimeHeap, deadline Time) []Time {
+	var got []Time
+	for h.Len() > 0 && (*h)[0] <= deadline {
+		got = append(got, h.Pop())
+	}
+	return got
+}
+
 func TestQueueOrdering(t *testing.T) {
-	var q Queue
-	var got []int
-	q.At(30, func(Time) { got = append(got, 3) })
-	q.At(10, func(Time) { got = append(got, 1) })
-	q.At(20, func(Time) { got = append(got, 2) })
-	q.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("dispatch order = %v, want [1 2 3]", got)
+	var h TimeHeap
+	for _, at := range []Time{30, 10, 20} {
+		h.Push(at)
 	}
-	if q.Now() != 30 {
-		t.Errorf("Now() = %v, want 30", q.Now())
+	if got := drain(&h, MaxTime); !slices.Equal(got, []Time{10, 20, 30}) {
+		t.Errorf("pop order = %v, want [10 20 30]", got)
+	}
+	if h.Len() != 0 {
+		t.Errorf("Len() = %d after draining, want 0", h.Len())
 	}
 }
 
+// TestQueueFIFOAtSameTime: equal times are interchangeable, but each one
+// pushed is popped exactly once.
 func TestQueueFIFOAtSameTime(t *testing.T) {
-	var q Queue
-	var got []int
+	var h TimeHeap
 	for i := 0; i < 10; i++ {
-		i := i
-		q.At(5, func(Time) { got = append(got, i) })
+		h.Push(5)
 	}
-	q.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-time events dispatched out of order: %v", got)
-		}
+	h.Push(7)
+	got := drain(&h, 5)
+	if len(got) != 10 || !slices.Equal(h, TimeHeap{7}) {
+		t.Fatalf("drained %v leaving %v, want ten 5s leaving [7]", got, h)
 	}
 }
 
+// TestQueueNestedScheduling: pushes during a drain — including times earlier
+// than ones already queued, which the runner does — pop in order.
 func TestQueueNestedScheduling(t *testing.T) {
-	var q Queue
+	var h TimeHeap
+	h.Push(10)
+	h.Push(30)
 	var fired []Time
-	q.At(10, func(now Time) {
+	for h.Len() > 0 {
+		now := h.Pop()
 		fired = append(fired, now)
-		q.After(5, func(now Time) { fired = append(fired, now) })
-	})
-	q.Run()
-	if len(fired) != 2 || fired[0] != 10 || fired[1] != 15 {
-		t.Errorf("fired = %v, want [10 15]", fired)
-	}
-}
-
-func TestQueuePastSchedulePanics(t *testing.T) {
-	var q Queue
-	q.At(10, func(Time) {})
-	q.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("scheduling in the past did not panic")
+		if now == 10 {
+			h.Push(now + 5)
+			h.Push(now + 2)
 		}
-	}()
-	q.At(5, func(Time) {})
+	}
+	if !slices.Equal(fired, []Time{10, 12, 15, 30}) {
+		t.Errorf("fired = %v, want [10 12 15 30]", fired)
+	}
 }
 
+// TestRunUntil: draining to a deadline pops every time <= it and leaves the
+// later ones queued.
 func TestRunUntil(t *testing.T) {
-	var q Queue
-	var fired []Time
-	for _, at := range []Time{5, 10, 15, 20} {
-		at := at
-		q.At(at, func(now Time) { fired = append(fired, now) })
+	var h TimeHeap
+	for _, at := range []Time{20, 5, 15, 10} {
+		h.Push(at)
 	}
-	q.RunUntil(12)
-	if len(fired) != 2 {
-		t.Fatalf("RunUntil(12) fired %d events, want 2", len(fired))
+	if got := drain(&h, 12); !slices.Equal(got, []Time{5, 10}) {
+		t.Fatalf("drain(12) = %v, want [5 10]", got)
 	}
-	if q.Now() != 12 {
-		t.Errorf("Now() = %v, want 12", q.Now())
+	if h.Len() != 2 || h[0] != 15 {
+		t.Errorf("after drain(12): heap %v, want 15 earliest of 2", h)
 	}
-	if at, ok := q.PeekTime(); !ok || at != 15 {
-		t.Errorf("PeekTime() = %v,%v, want 15,true", at, ok)
-	}
-	q.RunUntil(100)
-	if len(fired) != 4 || q.Now() != 100 {
-		t.Errorf("after RunUntil(100): fired=%d now=%v", len(fired), q.Now())
+	if got := drain(&h, 100); !slices.Equal(got, []Time{15, 20}) || h.Len() != 0 {
+		t.Errorf("drain(100) = %v with %d left, want [15 20] and none", got, h.Len())
 	}
 }
 
 func TestQueueEmptyStep(t *testing.T) {
-	var q Queue
-	if q.Step() {
-		t.Error("Step on empty queue returned true")
+	var h TimeHeap
+	if h.Len() != 0 || len(drain(&h, MaxTime)) != 0 {
+		t.Error("zero-value heap is not empty")
 	}
-	if _, ok := q.PeekTime(); ok {
-		t.Error("PeekTime on empty queue returned ok")
+	h.Push(3)
+	if h.Pop() != 3 || h.Len() != 0 {
+		t.Error("push then pop did not return to empty")
 	}
 }
 
-// Property: for any set of scheduled times, dispatch order is sorted and
-// stable within equal times.
+// Property: for any multiset of pushed times, draining the heap returns the
+// same multiset in sorted order.
 func TestQueueDispatchSortedProperty(t *testing.T) {
 	f := func(times []uint16) bool {
-		var q Queue
-		type stamp struct {
-			at  Time
-			seq int
-		}
-		var got []stamp
+		var h TimeHeap
+		want := make([]Time, len(times))
 		for i, raw := range times {
-			at := Time(raw)
-			i := i
-			q.At(at, func(now Time) { got = append(got, stamp{now, i}) })
+			h.Push(Time(raw))
+			want[i] = Time(raw)
 		}
-		q.Run()
-		for i := 1; i < len(got); i++ {
-			if got[i].at < got[i-1].at {
-				return false
-			}
-			if got[i].at == got[i-1].at && got[i].seq < got[i-1].seq {
-				return false
-			}
-		}
-		return len(got) == len(times)
+		slices.Sort(want)
+		got := drain(&h, MaxTime)
+		return slices.Equal(got, want) && h.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

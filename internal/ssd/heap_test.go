@@ -11,43 +11,43 @@ import (
 )
 
 // TestInflightHeapProperty interleaves randomized pushes and pops on the
-// hand-rolled heap and a sorted reference multiset of the same times, and
-// demands that every pop returns the reference's minimum. Completion times
-// are drawn from a small range so duplicates — the case where sift order
+// runner's in-flight queue (sim.TimeHeap) and a sorted reference multiset of
+// the same times, and demands that every pop returns the reference's minimum.
+// Completion times are drawn from a small range so duplicates — the case where sift order
 // bugs hide, because the comparison is false both ways — occur constantly.
 func TestInflightHeapProperty(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var got inflightHeap
+		var got sim.TimeHeap
 		var ref []sim.Time // kept sorted ascending
 		const ops = 5000
 		for i := 0; i < ops; i++ {
-			if got.len() != len(ref) {
-				t.Fatalf("seed %d op %d: size mismatch got=%d ref=%d", seed, i, got.len(), len(ref))
+			if got.Len() != len(ref) {
+				t.Fatalf("seed %d op %d: size mismatch got=%d ref=%d", seed, i, got.Len(), len(ref))
 			}
 			// Bias toward pushes early so the heap grows, then drain.
 			pushP := 60
 			if i > ops*3/4 {
 				pushP = 30
 			}
-			if got.len() == 0 || rng.Intn(100) < pushP {
+			if got.Len() == 0 || rng.Intn(100) < pushP {
 				done := sim.Time(rng.Intn(16)) // tight range: lots of duplicates
-				got.push(done)
+				got.Push(done)
 				at, _ := slices.BinarySearch(ref, done)
 				ref = slices.Insert(ref, at, done)
 				continue
 			}
-			if g := got.pop(); g != ref[0] {
+			if g := got.Pop(); g != ref[0] {
 				t.Fatalf("seed %d op %d: pop mismatch got %d, want %d", seed, i, g, ref[0])
 			}
 			ref = ref[1:]
 		}
 		// Drain completely; the tail must come out sorted too.
-		for got.len() > 0 {
+		for got.Len() > 0 {
 			if len(ref) == 0 {
 				t.Fatalf("seed %d: reference drained first", seed)
 			}
-			if g := got.pop(); g != ref[0] {
+			if g := got.Pop(); g != ref[0] {
 				t.Fatalf("seed %d drain: pop mismatch got %d, want %d", seed, g, ref[0])
 			}
 			ref = ref[1:]
@@ -65,7 +65,7 @@ func TestInflightHeapProperty(t *testing.T) {
 // request boundary, and a finished run leaves the buffer empty with every
 // admitted page released.
 func TestInflightHeapPopZeroesSlot(t *testing.T) {
-	elem := reflect.TypeOf(inflightHeap(nil)).Elem()
+	elem := reflect.TypeOf(sim.TimeHeap(nil)).Elem()
 	if elem.Size() != 8 {
 		t.Errorf("heap element is %d bytes, want 8", elem.Size())
 	}
@@ -98,15 +98,15 @@ func TestInflightHeapPopZeroesSlot(t *testing.T) {
 		if req.Op == workload.OpWrite {
 			pages += int64(req.Pages)
 		}
-		if occ := sys.buf.Occupied(); occ != sys.pending.len() || occ != len(sys.admitted) {
-			t.Fatalf("occupied %d, in flight %d, admitted entries %d", occ, sys.pending.len(), len(sys.admitted))
+		if occ := sys.buf.Occupied(); occ != sys.pending.Len() || occ != len(sys.admitted) {
+			t.Fatalf("occupied %d, in flight %d, admitted entries %d", occ, sys.pending.Len(), len(sys.admitted))
 		}
 	}
 	if _, err := sys.finishRun(rs, gen); err != nil {
 		t.Fatal(err)
 	}
-	if sys.buf.Occupied() != 0 || sys.pending.len() != 0 || len(sys.admitted) != 0 {
-		t.Errorf("after the run: occupied %d, in flight %d, admitted entries %d", sys.buf.Occupied(), sys.pending.len(), len(sys.admitted))
+	if sys.buf.Occupied() != 0 || sys.pending.Len() != 0 || len(sys.admitted) != 0 {
+		t.Errorf("after the run: occupied %d, in flight %d, admitted entries %d", sys.buf.Occupied(), sys.pending.Len(), len(sys.admitted))
 	}
 	if sys.buf.Admitted() != pages {
 		t.Errorf("admitted %d pages, want the %d written", sys.buf.Admitted(), pages)

@@ -14,7 +14,6 @@ import (
 
 	"flexftl/internal/core"
 	"flexftl/internal/ftl"
-	"flexftl/internal/ftl/flexftl"
 	"flexftl/internal/nand"
 	"flexftl/internal/sim"
 	"flexftl/internal/workload"
@@ -32,7 +31,7 @@ func newShardPlannerSystem(t *testing.T, cfg Config) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := flexftl.New(dev, ftl.DefaultConfig(), flexftl.DefaultParams())
+	f, err := ftl.NewFlexFTL(dev, ftl.DefaultConfig(), ftl.DefaultFlexParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,58 +102,6 @@ type ReliabilityReport struct {
 	RetiredBlocks      int64 // blocks retired (erase budget or post-erase BER)
 }
 
-// inflightHeap is a min-heap of the completion times of the buffered pages
-// whose programs are in flight. The heap operations are implemented directly
-// (rather than through container/heap) so pushes and pops move bare times
-// without boxing them into interfaces — this is the runner's hot path, one
-// push per buffered page program. The elements hold no pointer: which buffer
-// entry a completion frees is never read, only how many do (System.admitted).
-type inflightHeap []sim.Time
-
-func (h inflightHeap) len() int { return len(h) }
-
-// push inserts a completion time, sifting up to restore the heap order.
-func (h *inflightHeap) push(done sim.Time) {
-	*h = append(*h, done)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent] <= s[i] {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-// pop removes and returns the earliest completion time.
-func (h *inflightHeap) pop() sim.Time {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		min := l
-		if r := l + 1; r < n && s[r] < s[l] {
-			min = r
-		}
-		if s[i] <= s[min] {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
 // System binds an FTL to the runner state. The runner needs only the
 // device-agnostic Host surface, so it drives the MLC kernels and the n-level
 // nflex scheme alike.
@@ -161,8 +109,11 @@ type System struct {
 	F   ftl.Host
 	cfg Config
 
-	buf     *buffer.Buffer
-	pending inflightHeap
+	buf *buffer.Buffer
+	// pending holds the completion times of the buffered pages whose
+	// programs are in flight. Which buffer entry a completion frees is never
+	// read, only how many do (admitted).
+	pending sim.TimeHeap
 	// admitted holds the buffer entries of the pages in pending, one each,
 	// in no order: a completion releases any of them.
 	admitted []*buffer.Entry
@@ -277,7 +228,7 @@ func (s *System) SetRecorder(r *obs.Recorder) {
 
 // releaseUpTo frees buffer slots whose programs completed by t.
 func (s *System) releaseUpTo(t sim.Time) error {
-	for s.pending.len() > 0 && s.pending[0] <= t {
+	for s.pending.Len() > 0 && s.pending[0] <= t {
 		if _, err := s.releaseEarliest(); err != nil {
 			return err
 		}
@@ -287,14 +238,14 @@ func (s *System) releaseUpTo(t sim.Time) error {
 
 // track puts an admitted page's program in flight until done.
 func (s *System) track(done sim.Time, e *buffer.Entry) {
-	s.pending.push(done)
+	s.pending.Push(done)
 	s.admitted = append(s.admitted, e)
 }
 
 // releaseEarliest frees the buffer slot of the earliest-completing program
 // in flight and returns that program's completion time.
 func (s *System) releaseEarliest() (sim.Time, error) {
-	done := s.pending.pop()
+	done := s.pending.Pop()
 	n := len(s.admitted) - 1
 	e := s.admitted[n]
 	s.admitted = s.admitted[:n]
@@ -327,7 +278,7 @@ func (s *System) newRunState() *runState {
 	if s.admitted == nil {
 		// Every program in flight holds a buffer slot, so neither the heap
 		// nor the entry stack outgrows the buffer: size them once.
-		s.pending = make(inflightHeap, 0, s.cfg.BufferPages)
+		s.pending = make(sim.TimeHeap, 0, s.cfg.BufferPages)
 		s.admitted = make([]*buffer.Entry, 0, s.cfg.BufferPages)
 	}
 	return &runState{
@@ -402,7 +353,7 @@ func (s *System) stepOp(rs *runState, req workload.Request, arrival sim.Time) er
 			lpn := rs.lpn(req.Page, p)
 			// Backpressure: wait for the earliest in-flight program.
 			for s.buf.Free() == 0 {
-				if s.pending.len() == 0 {
+				if s.pending.Len() == 0 {
 					return fmt.Errorf("ssd: buffer full with nothing in flight")
 				}
 				done, err := s.releaseEarliest()

@@ -5,8 +5,6 @@ import (
 
 	"flexftl/internal/core"
 	"flexftl/internal/ftl"
-	"flexftl/internal/ftl/flexftl"
-	"flexftl/internal/ftl/pageftl"
 	"flexftl/internal/nand"
 	"flexftl/internal/sim"
 	"flexftl/internal/workload"
@@ -29,9 +27,9 @@ func newSystem(t testing.TB, scheme string) *System {
 	var f ftl.FTL
 	switch scheme {
 	case "pageFTL":
-		f, err = pageftl.New(dev, ftl.DefaultConfig())
+		f, err = ftl.NewPageFTL(dev, ftl.DefaultConfig())
 	case "flexFTL":
-		f, err = flexftl.New(dev, ftl.DefaultConfig(), flexftl.DefaultParams())
+		f, err = ftl.NewFlexFTL(dev, ftl.DefaultConfig(), ftl.DefaultFlexParams())
 	default:
 		t.Fatalf("unknown scheme %s", scheme)
 	}
@@ -150,7 +148,7 @@ func TestBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := pageftl.New(dev, ftl.DefaultConfig())
+	f, err := ftl.NewPageFTL(dev, ftl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +324,7 @@ func TestZeroPrefillRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := pageftl.New(dev, ftl.DefaultConfig())
+	f, err := ftl.NewPageFTL(dev, ftl.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +359,7 @@ func TestPaperGeometrySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := flexftl.New(dev, ftl.DefaultConfig(), flexftl.DefaultParams())
+	f, err := ftl.NewFlexFTL(dev, ftl.DefaultConfig(), ftl.DefaultFlexParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,15 +48,66 @@ func WriteBinary(w io.Writer, gen Generator) (int, error) {
 	return n, bw.Flush()
 }
 
-// binaryReplay replays a binary trace stream.
-type binaryReplay struct {
-	r    *bufio.Reader
-	name string
-	err  error
+// Replay is a Generator over a recorded trace. Like bufio.Scanner, it stops
+// at the first malformed record and keeps the error for Err, so a bad trace
+// cannot pass for a shorter good one.
+type Replay struct {
+	name   string
+	decode func() (Request, error) // io.EOF at the end of the trace
+	n      int                     // records replayed
+	err    error
 }
 
-// NewBinaryReplay wraps a binary trace stream as a Generator.
-func NewBinaryReplay(r io.Reader, name string) (Generator, error) {
+// Name identifies the replayed trace.
+func (r *Replay) Name() string { return r.name }
+
+// Next returns the next record; ok is false at the end of the trace and at
+// the first malformed record.
+func (r *Replay) Next() (Request, bool) {
+	if r.err != nil {
+		return Request{}, false
+	}
+	req, err := r.decode()
+	if err == nil {
+		err = req.check()
+	}
+	if err != nil {
+		r.err = err
+		if err != io.EOF {
+			r.err = fmt.Errorf("%w: record %d: %v", ErrBadTrace, r.n+1, err)
+		}
+		return Request{}, false
+	}
+	r.n++
+	return req, true
+}
+
+// Err returns the first malformed-record error, which wraps ErrBadTrace, or
+// nil when the trace has not ended or ended cleanly.
+func (r *Replay) Err() error {
+	if r.err == io.EOF {
+		return nil
+	}
+	return r.err
+}
+
+// check rejects a request no generator emits.
+func (req Request) check() error {
+	switch {
+	case req.Op > OpTrim:
+		return fmt.Errorf("unknown op %d", req.Op)
+	case req.Arrival < 0:
+		return fmt.Errorf("negative arrival %d", req.Arrival)
+	case req.Page < 0:
+		return fmt.Errorf("negative page %d", req.Page)
+	case req.Pages < 1:
+		return fmt.Errorf("request of %d pages", req.Pages)
+	}
+	return nil
+}
+
+// NewBinaryReplay wraps a binary trace stream as a Replay.
+func NewBinaryReplay(r io.Reader, name string) (*Replay, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -65,28 +116,21 @@ func NewBinaryReplay(r io.Reader, name string) (Generator, error) {
 	if magic != traceMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, magic[:])
 	}
-	return &binaryReplay{r: br, name: name}, nil
-}
-
-// Name identifies the replayed trace.
-func (b *binaryReplay) Name() string { return b.name }
-
-// Next decodes the next record.
-func (b *binaryReplay) Next() (Request, bool) {
-	if b.err != nil {
-		return Request{}, false
-	}
-	var rec [21]byte
-	if _, err := io.ReadFull(b.r, rec[:]); err != nil {
-		b.err = err
-		return Request{}, false
-	}
-	return Request{
-		Arrival: sim.Time(binary.LittleEndian.Uint64(rec[0:8])),
-		Op:      Op(rec[8]),
-		Page:    int64(binary.LittleEndian.Uint64(rec[9:17])),
-		Pages:   int(binary.LittleEndian.Uint32(rec[17:21])),
-	}, true
+	return &Replay{name: name, decode: func() (Request, error) {
+		var rec [21]byte
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
+			if err == io.ErrUnexpectedEOF {
+				err = errors.New("truncated record")
+			}
+			return Request{}, err
+		}
+		return Request{
+			Arrival: sim.Time(binary.LittleEndian.Uint64(rec[0:8])),
+			Op:      Op(rec[8]),
+			Page:    int64(binary.LittleEndian.Uint64(rec[9:17])),
+			Pages:   int(binary.LittleEndian.Uint32(rec[17:21])),
+		}, nil
+	}}, nil
 }
 
 // WriteCSV captures every request from gen to w as
@@ -110,15 +154,9 @@ func WriteCSV(w io.Writer, gen Generator) (int, error) {
 	return n, bw.Flush()
 }
 
-// csvReplay replays a CSV trace.
-type csvReplay struct {
-	sc   *bufio.Scanner
-	name string
-}
-
-// NewCSVReplay wraps a CSV trace stream as a Generator. The header line is
-// consumed immediately.
-func NewCSVReplay(r io.Reader, name string) (Generator, error) {
+// NewCSVReplay wraps a CSV trace stream as a Replay. The header line is
+// consumed immediately; blank lines are skipped.
+func NewCSVReplay(r io.Reader, name string) (*Replay, error) {
 	sc := bufio.NewScanner(r)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("%w: empty CSV", ErrBadTrace)
@@ -126,39 +164,40 @@ func NewCSVReplay(r io.Reader, name string) (Generator, error) {
 	if got := strings.TrimSpace(sc.Text()); got != "arrival_us,op,page,pages" {
 		return nil, fmt.Errorf("%w: unexpected header %q", ErrBadTrace, got)
 	}
-	return &csvReplay{sc: sc, name: name}, nil
-}
-
-// Name identifies the replayed trace.
-func (c *csvReplay) Name() string { return c.name }
-
-// Next parses the next line.
-func (c *csvReplay) Next() (Request, bool) {
-	for c.sc.Scan() {
-		line := strings.TrimSpace(c.sc.Text())
-		if line == "" {
-			continue
+	return &Replay{name: name, decode: func() (Request, error) {
+		line := ""
+		for line == "" {
+			if !sc.Scan() {
+				if err := sc.Err(); err != nil {
+					return Request{}, err
+				}
+				return Request{}, io.EOF
+			}
+			line = strings.TrimSpace(sc.Text())
 		}
 		parts := strings.Split(line, ",")
 		if len(parts) != 4 {
-			return Request{}, false
+			return Request{}, fmt.Errorf("%d fields in %q, want 4", len(parts), line)
 		}
 		arrival, err1 := strconv.ParseInt(parts[0], 10, 64)
 		page, err2 := strconv.ParseInt(parts[2], 10, 64)
 		pages, err3 := strconv.Atoi(parts[3])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return Request{}, false
+		if err := errors.Join(err1, err2, err3); err != nil {
+			return Request{}, err
 		}
-		op := OpWrite
+		var op Op
 		switch parts[1] {
 		case "R":
 			op = OpRead
+		case "W":
+			op = OpWrite
 		case "T":
 			op = OpTrim
+		default:
+			return Request{}, fmt.Errorf("unknown op %q", parts[1])
 		}
-		return Request{Arrival: sim.Time(arrival), Op: op, Page: page, Pages: pages}, true
-	}
-	return Request{}, false
+		return Request{Arrival: sim.Time(arrival), Op: op, Page: page, Pages: pages}, nil
+	}}, nil
 }
 
 // Limit caps a generator at n requests (useful for warm-up splits).

@@ -13,10 +13,6 @@ import (
 	"flexftl/internal/core"
 	"flexftl/internal/experiments"
 	"flexftl/internal/ftl"
-	"flexftl/internal/ftl/flexftl"
-	"flexftl/internal/ftl/pageftl"
-	"flexftl/internal/ftl/parityftl"
-	"flexftl/internal/ftl/rtfftl"
 	"flexftl/internal/nand"
 	"flexftl/internal/ssd"
 	"flexftl/internal/workload"
@@ -90,16 +86,16 @@ func TestVictimIndexEndToEndCostBenefit(t *testing.T) {
 		build func(cfg ftl.Config) (ftl.FTL, error)
 	}{
 		{"pageFTL", func(cfg ftl.Config) (ftl.FTL, error) {
-			return pageftl.New(newDetDevice(core.FPS), cfg)
+			return ftl.NewPageFTL(newDetDevice(core.FPS), cfg)
 		}},
 		{"parityFTL", func(cfg ftl.Config) (ftl.FTL, error) {
-			return parityftl.New(newDetDevice(core.FPS), cfg)
+			return ftl.NewParityFTL(newDetDevice(core.FPS), cfg)
 		}},
 		{"rtfFTL", func(cfg ftl.Config) (ftl.FTL, error) {
-			return rtfftl.New(newDetDevice(core.FPS), cfg)
+			return ftl.NewRTFFTL(newDetDevice(core.FPS), cfg)
 		}},
 		{"flexFTL", func(cfg ftl.Config) (ftl.FTL, error) {
-			return flexftl.New(newDetDevice(core.RPS), cfg, flexftl.DefaultParams())
+			return ftl.NewFlexFTL(newDetDevice(core.RPS), cfg, ftl.DefaultFlexParams())
 		}},
 	}
 	for _, bc := range builders {
