@@ -257,14 +257,14 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 			lpn++
 		}
-		for flex.ActiveSlowProgress(0) == 0 {
+		for flex.Snapshot().Chips[0].Streams[0].SlowProgress == 0 {
 			now, err = f.Write(lpn, now, 0.01)
 			if err != nil {
 				b.Fatal(err)
 			}
 			lpn++
 		}
-		f.Device().InjectPowerLoss(nand.BlockAddr{Chip: 0, Block: flex.ActiveSlowBlock(0)})
+		f.Device().InjectPowerLoss(nand.BlockAddr{Chip: 0, Block: flex.Snapshot().Chips[0].Streams[0].ActiveSlow()})
 		rep, err = flex.Recover(now)
 		if err != nil {
 			b.Fatal(err)

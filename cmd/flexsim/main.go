@@ -5,7 +5,7 @@
 //	flexsim -ftl flexFTL -trace run.json -sample 10ms       # Chrome trace + series
 //	flexsim -ftl flexFTL -trace run.jsonl -trace-format jsonl
 //	flexsim -ftl pageFTL -workload NTRX -dump-workload t.csv # dump the workload
-//	flexsim -ftl flexFTL -replay t.csv                       # replay a dump
+//	flexsim -ftl flexFTL -replay t.csv                       # replay a dump or a flextrace file
 //	flexsim -ftl flexFTL -rel -rel-wear 6000                 # BER model + responses on a worn device
 //
 // A -trace file in the default chrome format loads directly in
@@ -22,7 +22,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -49,7 +48,7 @@ type options struct {
 	GCPolicy      string
 	Predictive    bool
 	DumpWorkload  string        // write the generated workload as CSV
-	Replay        string        // replay a CSV workload instead of generating
+	Replay        string        // replay a trace file (CSV or binary) instead of generating
 	Trace         string        // event-trace output file
 	TraceFormat   string        // chrome|jsonl
 	Sample        time.Duration // internal-state sampling cadence (0 = off)
@@ -89,7 +88,7 @@ func main() {
 	flag.StringVar(&o.GCPolicy, "gc", "greedy", "GC victim policy: greedy|costbenefit")
 	flag.BoolVar(&o.Predictive, "predictive-bgc", false, "enable the Section 6 future-write predictor (flexFTL only)")
 	flag.StringVar(&o.DumpWorkload, "dump-workload", "", "write the generated workload as CSV to this file")
-	flag.StringVar(&o.Replay, "replay", "", "replay a CSV workload file instead of generating")
+	flag.StringVar(&o.Replay, "replay", "", "replay a trace file instead of generating (.csv is CSV, any other extension the flextrace binary format)")
 	flag.StringVar(&o.Trace, "trace", "", "write an event trace of the run to this file")
 	flag.StringVar(&o.TraceFormat, "trace-format", "chrome", "event trace format: chrome|jsonl")
 	flag.DurationVar(&o.Sample, "sample", 0, "sample internal state (u, q, queue depths) on this virtual-time cadence")
@@ -154,32 +153,6 @@ func buildFTL(o options, g nand.Geometry) (ftl.FTL, error) {
 		}
 	}
 	return f, nil
-}
-
-func findProfile(name string) (workload.Profile, error) {
-	for _, p := range workload.All() {
-		if strings.EqualFold(p.Name, name) {
-			return p, nil
-		}
-	}
-	// The skewed placement-study workload is parameterized by its Zipf
-	// theta: "zipf" (the default 0.99 skew) or "zipf-1.10" / "zipf:1.10".
-	if lower := strings.ToLower(name); strings.HasPrefix(lower, "zipf") {
-		theta := 0.99
-		if rest := strings.TrimLeft(lower[len("zipf"):], ":-="); rest != "" {
-			v, err := strconv.ParseFloat(rest, 64)
-			if err != nil {
-				return workload.Profile{}, fmt.Errorf("bad zipf theta in workload %q: %v", name, err)
-			}
-			theta = v
-		}
-		p := workload.ZipfProfile(theta)
-		if err := p.Validate(); err != nil {
-			return workload.Profile{}, err
-		}
-		return p, nil
-	}
-	return workload.Profile{}, fmt.Errorf("unknown workload %q (profiles: OLTP, NTRX, Webserver, Varmail, Fileserver, zipf[-THETA])", name)
 }
 
 // debugRegistry is the registry the -debug-addr expvar endpoint snapshots.
@@ -363,18 +336,15 @@ func run(w io.Writer, o options) error {
 		if o.HostQueues > 1 {
 			return fmt.Errorf("-host-queues needs a generated workload (a replayed trace has no profile to split)")
 		}
-		file, err := os.Open(o.Replay)
+		var closeTrace func() error
+		replay, closeTrace, err = workload.Open(o.Replay)
 		if err != nil {
 			return err
 		}
-		defer file.Close()
-		replay, err = workload.NewCSVReplay(file, o.Replay)
-		if err != nil {
-			return err
-		}
+		defer closeTrace()
 		gen = replay
 	case o.HostQueues > 1:
-		prof, err := findProfile(o.Workload)
+		prof, err := workload.FindProfile(o.Workload)
 		if err != nil {
 			return err
 		}
@@ -407,7 +377,7 @@ func run(w io.Writer, o options) error {
 		}
 		fmt.Fprintf(w, "queues   : %d host queues over disjoint LPN ranges, merged by arrival\n", o.HostQueues)
 	default:
-		prof, err := findProfile(o.Workload)
+		prof, err := workload.FindProfile(o.Workload)
 		if err != nil {
 			return err
 		}

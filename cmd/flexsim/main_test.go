@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"flexftl/internal/workload"
 )
 
 func TestRunSmall(t *testing.T) {
@@ -125,6 +127,43 @@ func TestWorkloadDumpAndReplay(t *testing.T) {
 		if la == "" || la != lb {
 			t.Errorf("replay diverged on %q:\n gen   : %s\n replay: %s", key, la, lb)
 		}
+	}
+}
+
+// TestReplayBinaryEqualsCSV: -replay reads the binary trace flextrace writes
+// by default as well as CSV, picking the format from the extension, and one
+// trace in either format gives the identical report.
+func TestReplayBinaryEqualsCSV(t *testing.T) {
+	dir := t.TempDir()
+	var outs []string
+	for _, path := range []string{filepath.Join(dir, "o.bin"), filepath.Join(dir, "o.csv")} {
+		gen, err := workload.New(workload.OLTP(), 1<<20, 2000, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workload.FormatOf("", path) == "csv" {
+			_, err = workload.WriteCSV(f, gen)
+		} else {
+			_, err = workload.WriteBinary(f, gen)
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := run(&sb, options{FTL: "flexFTL", GCPolicy: "greedy", Replay: path}); err != nil {
+			t.Fatalf("replay %s: %v", filepath.Base(path), err)
+		}
+		outs = append(outs, sb.String())
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("binary and CSV replays of one trace differ:\n%s\n---\n%s", outs[0], outs[1])
 	}
 }
 

@@ -14,8 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"flexftl/internal/workload"
 )
@@ -50,15 +48,6 @@ func usage() {
   flextrace convert SRC DST`)
 }
 
-func findProfile(name string) (workload.Profile, error) {
-	for _, p := range workload.All() {
-		if strings.EqualFold(p.Name, name) {
-			return p, nil
-		}
-	}
-	return workload.Profile{}, fmt.Errorf("unknown workload %q (have OLTP, NTRX, Webserver, Varmail, Fileserver)", name)
-}
-
 func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	var (
@@ -75,7 +64,7 @@ func cmdGen(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("gen: -o is required")
 	}
-	prof, err := findProfile(*wlName)
+	prof, err := workload.FindProfile(*wlName)
 	if err != nil {
 		return err
 	}
@@ -88,7 +77,7 @@ func cmdGen(args []string) error {
 		return err
 	}
 	var n int
-	if formatOf(*format, *out) == "csv" {
+	if workload.FormatOf(*format, *out) == "csv" {
 		n, err = workload.WriteCSV(f, gen)
 	} else {
 		n, err = workload.WriteBinary(f, gen)
@@ -103,44 +92,11 @@ func cmdGen(args []string) error {
 	return nil
 }
 
-func formatOf(explicit, path string) string {
-	if explicit != "" {
-		return explicit
-	}
-	if strings.EqualFold(filepath.Ext(path), ".csv") {
-		return "csv"
-	}
-	return "bin"
-}
-
-// open returns a replay generator for a trace file of either format.
-func open(path string) (*workload.Replay, func() error, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	name := filepath.Base(path)
-	if formatOf("", path) == "csv" {
-		gen, err := workload.NewCSVReplay(f, name)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return gen, f.Close, nil
-	}
-	gen, err := workload.NewBinaryReplay(f, name)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return gen, f.Close, nil
-}
-
 func cmdStat(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("stat: exactly one trace file expected")
 	}
-	gen, closer, err := open(args[0])
+	gen, closer, err := workload.Open(args[0])
 	if err != nil {
 		return err
 	}
@@ -157,7 +113,7 @@ func cmdConvert(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("convert: SRC and DST expected")
 	}
-	gen, closer, err := open(args[0])
+	gen, closer, err := workload.Open(args[0])
 	if err != nil {
 		return err
 	}
@@ -167,7 +123,7 @@ func cmdConvert(args []string) error {
 		return err
 	}
 	var n int
-	if formatOf("", args[1]) == "csv" {
+	if workload.FormatOf("", args[1]) == "csv" {
 		n, err = workload.WriteCSV(dst, gen)
 	} else {
 		n, err = workload.WriteBinary(dst, gen)

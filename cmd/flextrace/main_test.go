@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"flexftl/internal/workload"
 )
 
 func TestGenStatConvert(t *testing.T) {
@@ -53,6 +55,18 @@ func TestGenUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestGenZipfWorkload: gen resolves workload names as flexsim does,
+// including the parameterized zipf[-THETA] profile.
+func TestGenZipfWorkload(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "z.bin")
+	if err := cmdGen([]string{"-workload", "zipf-1.10", "-requests", "200", "-o", out}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdStat([]string{out}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStatMissingFile(t *testing.T) {
 	if err := cmdStat([]string{"/does/not/exist"}); err == nil {
 		t.Error("missing file accepted")
@@ -69,8 +83,8 @@ func TestConvertArity(t *testing.T) {
 }
 
 func TestFormatOf(t *testing.T) {
-	if formatOf("", "x.csv") != "csv" || formatOf("", "x.bin") != "bin" ||
-		formatOf("csv", "x.bin") != "csv" {
+	if workload.FormatOf("", "x.csv") != "csv" || workload.FormatOf("", "x.bin") != "bin" ||
+		workload.FormatOf("csv", "x.bin") != "csv" {
 		t.Error("format detection wrong")
 	}
 }

@@ -50,8 +50,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	blk := f.ActiveSlowBlock(0)
-	wl := f.ActiveSlowProgress(0) - 1
+	slow := f.Snapshot().Chips[0].Streams[0]
+	blk, wl := slow.ActiveSlow(), slow.SlowProgress-1
 	fmt.Printf("write LPN 100 -> MSB(%d) of slow block %d: the paired LSB data is in its\n", wl, blk)
 	fmt.Println("transient state while this 2000us program runs...")
 

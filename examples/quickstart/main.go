@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("ftl    :", f.Name(), "-", f.LogicalPages(), "logical pages, initial quota", f.InitialQuota())
+	fmt.Println("ftl    :", f.Name(), "-", f.LogicalPages(), "logical pages, initial quota", f.Snapshot().InitialQuota)
 
 	// 3. Write a few pages. The third argument is the write-buffer
 	// utilization u the policy manager reads: high u -> fast LSB pages,

@@ -157,8 +157,8 @@ func runTrial(cfg Config, spec ftl.Spec, trial int) (Outcome, error) {
 		}
 	}
 	if v.open {
-		if lpn, _, fromGC, _, ok := k.LastMSB(o.Chip); ok && lpn == v.msbLPN {
-			o.FromGC = fromGC
+		if m := k.Snapshot().Chips[o.Chip].LastMSB; m != nil && m.LPN == v.msbLPN {
+			o.FromGC = m.FromGC
 		}
 		o.Injected = k.Dev.InjectPowerLoss(nand.BlockAddr{Chip: o.Chip, Block: v.msbAddr.Block})
 	}
@@ -337,18 +337,13 @@ func verify(cfg Config, spec ftl.Spec, k *ftl.Kernel, sh *shadow, v vulnState, r
 			}
 			continue
 		}
-		// Everything else is strict — including the vulnerable pair LSB
-		// (parity must reconstruct it), an interrupted GC relocation
-		// (rollback must keep it readable), and, under sabotage, the pair
-		// whose recovery was deliberately broken: the sweep flagging it is
-		// exactly the campaign catching the injected fault.
-		_ = vulnPair
-
-		// Strict: acknowledged data must be mapped, readable, carry this
-		// LPN's token and a sequence at or above the acknowledged floor.
-		// This covers the vulnerable pair LSB (parity reconstruction) and
-		// an interrupted GC relocation (rollback) — both held acknowledged
-		// data.
+		// Everything else is strict: acknowledged data must be mapped,
+		// readable, carry this LPN's token and a sequence at or above the
+		// acknowledged floor. That includes the vulnerable pair LSB (parity
+		// must reconstruct it), an interrupted GC relocation (rollback must
+		// keep it readable), and, under sabotage, the pair whose recovery
+		// was deliberately broken: the sweep flagging it is exactly the
+		// campaign catching the injected fault.
 		if !mapped {
 			o.addViolation("lpn %d: acknowledged write unmapped", lpn)
 			continue
@@ -378,17 +373,11 @@ func readCheck(k *ftl.Kernel, lpn ftl.LPN, ppn nand.PPN, floor uint64, now sim.T
 	return ""
 }
 
-// account checks that every chip's blocks are all accounted for: free pool +
-// full list + active program blocks + backup blocks + the in-flight
-// background-GC victim must partition the chip.
+// account checks that every block of every chip has exactly one holder —
+// a leaked or doubly held block is a recovery-path bug.
 func account(k *ftl.Kernel, o *Outcome) {
-	g := k.Dev.Geometry()
-	for chip := 0; chip < g.Chips(); chip++ {
-		free, full, active, backup, bg := k.AccountBlocks(chip)
-		if got := free + full + active + backup + bg; got != g.BlocksPerChip {
-			o.addViolation("chip %d: block accounting %d (free %d + full %d + active %d + backup %d + bg %d), want %d",
-				chip, got, free, full, active, backup, bg, g.BlocksPerChip)
-		}
+	if err := k.Snapshot().CheckBlocks(k.Pools, k.Dev); err != nil {
+		o.addViolation("%v", err)
 	}
 }
 

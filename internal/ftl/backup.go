@@ -232,15 +232,15 @@ type parityRef struct {
 	page      int // LSB word-line index within the backup block
 }
 
-// retiredBackup records one retired parity backup block together with how
+// RetiredBackup records one retired parity backup block together with how
 // many parity pages were actually written into it. Blocks normally retire
 // full, but a crash-time seal (RebuildParityRefs) retires the current block
 // at whatever fill it reached; recovery scans must not read past the fill —
 // phantom reads of never-programmed pages would inflate PagesRead and the
 // reboot-time estimate for no information.
-type retiredBackup struct {
-	blk  int
-	fill int // programmed LSB parity pages: word lines [0, fill)
+type RetiredBackup struct {
+	Block int
+	Fill  int // programmed LSB parity pages: word lines [0, Fill)
 }
 
 // backupState manages a chip's parity backup blocks: parity pages are
@@ -251,7 +251,7 @@ type backupState struct {
 	cur     int             // current backup block, -1 when none
 	pos     int             // next LSB word line in cur
 	live    map[int]int     // backup block -> count of still-needed parity pages
-	retired []retiredBackup // filled (or sealed) backup blocks awaiting live==0
+	retired []RetiredBackup // filled (or sealed) backup blocks awaiting live==0
 }
 
 type blockParity struct {
@@ -358,7 +358,7 @@ func (b *blockParity) writeBlockParity(k *Kernel, chip, fastBlk int, parityPage 
 	if bk.pos == k.Dev.Geometry().WordLinesPerBlock {
 		// All LSB pages of the backup block used: retire it. It is erased
 		// once every parity in it is invalidated.
-		bk.retired = append(bk.retired, retiredBackup{blk: bk.cur, fill: bk.pos})
+		bk.retired = append(bk.retired, RetiredBackup{Block: bk.cur, Fill: bk.pos})
 		bk.cur = -1
 	}
 	return done, nil
@@ -386,12 +386,12 @@ func (b *blockParity) recycleRetired(k *Kernel, chip int) {
 	bk := &b.backup[chip]
 	kept := bk.retired[:0]
 	for _, r := range bk.retired {
-		if bk.live[r.blk] == 0 {
-			delete(bk.live, r.blk)
-			if _, err := k.EraseAndFree(chip, r.blk, k.Dev.ChipReadyAt(chip)); err != nil {
+		if bk.live[r.Block] == 0 {
+			delete(bk.live, r.Block)
+			if _, err := k.EraseAndFree(chip, r.Block, k.Dev.ChipReadyAt(chip)); err != nil {
 				// An erase failure here means a retired-block accounting
 				// bug; surface it loudly in tests.
-				panic(fmt.Sprintf("%s: recycling backup block %d on chip %d: %v", k.name, r.blk, chip, err))
+				panic(fmt.Sprintf("%s: recycling backup block %d on chip %d: %v", k.name, r.Block, chip, err))
 			}
 			continue
 		}
@@ -409,7 +409,7 @@ func (b *blockParity) backupBlockSet(chip int) map[int]bool {
 		set[bk.cur] = true
 	}
 	for _, r := range bk.retired {
-		set[r.blk] = true
+		set[r.Block] = true
 	}
 	return set
 }

@@ -258,16 +258,6 @@ func (b *Base) MappingHash() uint64 { return b.Map.StateHash() }
 // floor exposes a stale-mapping bug.
 func (b *Base) Seq() int64 { return b.seq }
 
-// BackgroundVictim reports the in-progress background-GC victim (taken off
-// the full list, surviving across idle windows), for block-accounting
-// checks.
-func (b *Base) BackgroundVictim() (chip, blk int, ok bool) {
-	if !b.bg.active {
-		return 0, 0, false
-	}
-	return b.bg.chip, b.bg.blk, true
-}
-
 // TotalFreeBlocks sums the free lists over all chips.
 func (b *Base) TotalFreeBlocks() int {
 	total := 0

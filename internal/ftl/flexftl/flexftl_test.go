@@ -82,7 +82,7 @@ func TestHighUtilServedWithLSB(t *testing.T) {
 	now := sim.Time(0)
 	// While the quota lasts, every high-utilization write must land on a
 	// fast LSB page.
-	n := int(f.InitialQuota())
+	n := int(f.Snapshot().InitialQuota)
 	for i := 0; i < n; i++ {
 		done, err := f.Write(ftl.LPN(i), now, 0.95)
 		if err != nil {
@@ -322,7 +322,7 @@ func TestBackupBlocksRecycled(t *testing.T) {
 	for c := 0; c < f.Device().Geometry().Chips(); c++ {
 		// Retired blocks awaiting recycling are bounded by the slow queue
 		// depth (their live parities) plus one in-flight.
-		if retired := f.RetiredBackupBlocks(c); retired > f.SlowQueueLen(c)+1 {
+		if retired := len(f.Snapshot().Chips[c].RetiredBackups); retired > f.SlowQueueLen(c)+1 {
 			t.Errorf("chip %d: %d retired backup blocks for %d queued slow blocks",
 				c, retired, f.SlowQueueLen(c))
 		}
@@ -385,8 +385,8 @@ func TestIdleGCRaisesQuota(t *testing.T) {
 	if got, lo, hi := f.Quota(), q0-dLSB, q0+dMSB; int64(got) < lo || int64(got) > hi {
 		t.Errorf("quota %d outside accounting bounds [%d,%d]", got, lo, hi)
 	}
-	if f.Quota() > f.InitialQuota() {
-		t.Errorf("quota %d exceeded its budget %d", f.Quota(), f.InitialQuota())
+	if budget := f.Snapshot().InitialQuota; f.Quota() > budget {
+		t.Errorf("quota %d exceeded its budget %d", f.Quota(), budget)
 	}
 	// And the reclaim freed space for future fast blocks.
 	if f.TotalFreeBlocks() <= free0 {

@@ -70,10 +70,11 @@ func TestRecoveryRollsBackInterruptedGCRelocation(t *testing.T) {
 			if !open {
 				continue
 			}
-			lpn, prev, fromGC, _, ok := f.LastMSB(chip)
-			if !ok || !fromGC || prev == nand.InvalidPPN {
+			m := f.Snapshot().Chips[chip].LastMSB
+			if m == nil || !m.FromGC || m.Prev == nand.InvalidPPN {
 				continue
 			}
+			lpn, prev := m.LPN, m.Prev
 			if mapped, live := f.Map.LPNAt(g.PPNOf(msbAddr)); !live || mapped != lpn {
 				continue
 			}
@@ -142,7 +143,7 @@ func TestRebuildParityRefsScansOnlyFills(t *testing.T) {
 	for i := 0; i < 40000 && !partial; i++ {
 		c.step(t, i)
 		for chip := 0; chip < g.Chips(); chip++ {
-			blk := f.BackupCurrentBlock(chip)
+			blk := f.Snapshot().Chips[chip].BackupCur
 			if blk == -1 {
 				continue
 			}
@@ -164,7 +165,7 @@ func TestRebuildParityRefsScansOnlyFills(t *testing.T) {
 		t.Fatal("first rebuild sealed nothing despite a partially written backup block")
 	}
 	for chip := 0; chip < g.Chips(); chip++ {
-		if f.BackupCurrentBlock(chip) != -1 {
+		if f.Snapshot().Chips[chip].BackupCur != -1 {
 			t.Errorf("chip %d: current backup block not sealed by the rebuild", chip)
 		}
 	}
@@ -174,8 +175,8 @@ func TestRebuildParityRefsScansOnlyFills(t *testing.T) {
 	// somewhere (the sealed partial block).
 	wantReads, fullWidth := 0, 0
 	for chip := 0; chip < g.Chips(); chip++ {
-		for r := 0; r < f.RetiredBackupBlocks(chip); r++ {
-			wantReads += f.RetiredBackupFill(chip, r)
+		for _, r := range f.Snapshot().Chips[chip].RetiredBackups {
+			wantReads += r.Fill
 			fullWidth += wl
 		}
 	}
@@ -192,8 +193,7 @@ func TestRebuildParityRefsScansOnlyFills(t *testing.T) {
 	}
 	// Every block still awaiting its slow phase has its parity ref back.
 	for chip := 0; chip < g.Chips(); chip++ {
-		for i := 0; i < f.SlowQueueLen(chip); i++ {
-			blk := f.SlowQueueBlock(chip, i)
+		for _, blk := range stream0(f, chip).SlowQueue {
 			if _, _, ok := f.ParityRef(chip, blk); !ok {
 				t.Errorf("chip %d: slow-queue block %d has no parity ref after rebuild", chip, blk)
 			}
@@ -217,7 +217,7 @@ func TestRebuildParityRefsUnleaksRetiredBlocks(t *testing.T) {
 		c.step(t, i)
 		total := 0
 		for chip := 0; chip < g.Chips(); chip++ {
-			total += f.RetiredBackupBlocks(chip)
+			total += len(f.Snapshot().Chips[chip].RetiredBackups)
 		}
 		if total > retiredPeak {
 			retiredPeak = total
@@ -236,12 +236,8 @@ func TestRebuildParityRefsUnleaksRetiredBlocks(t *testing.T) {
 	if rep.Recycled == 0 {
 		t.Error("rebuild recycled nothing despite leaked retired backup blocks")
 	}
-	for chip := 0; chip < g.Chips(); chip++ {
-		free, full, active, backup, bg := f.AccountBlocks(chip)
-		if got := free + full + active + backup + bg; got != g.BlocksPerChip {
-			t.Errorf("chip %d: accounting %d != %d (free %d full %d active %d backup %d bg %d)",
-				chip, got, g.BlocksPerChip, free, full, active, backup, bg)
-		}
+	if err := f.Snapshot().CheckBlocks(f.Pools, f.Dev); err != nil {
+		t.Error(err)
 	}
 	// The FTL keeps running after the rebuild.
 	for i := 0; i < 500; i++ {

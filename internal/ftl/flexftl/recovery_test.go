@@ -27,7 +27,7 @@ func primeToMSBPhase(t *testing.T, f *ftl.Kernel) sim.Time {
 		now = done
 		lpn++
 	}
-	for f.ActiveSlowProgress(0) == 0 {
+	for stream0(f, 0).SlowProgress == 0 {
 		done, err := f.Write(lpn, now, 0.01)
 		if err != nil {
 			t.Fatal(err)
@@ -36,6 +36,12 @@ func primeToMSBPhase(t *testing.T, f *ftl.Kernel) sim.Time {
 		lpn++
 	}
 	return now
+}
+
+// stream0 is the chip's stream-0 two-phase state — all of it for the
+// single-stream flexFTL.
+func stream0(f *ftl.Kernel, chip int) ftl.StreamSnapshot {
+	return f.Snapshot().Chips[chip].Streams[0]
 }
 
 // TestPowerFailRecovery is the Figure 7(b) scenario end to end: a power cut
@@ -48,8 +54,8 @@ func TestPowerFailRecovery(t *testing.T) {
 
 	// Identify the vulnerable page: paired LSB of the last in-flight MSB.
 	chip := 0
-	blk := f.ActiveSlowBlock(chip)
-	wl := f.ActiveSlowProgress(chip) - 1
+	blk := stream0(f, chip).ActiveSlow()
+	wl := stream0(f, chip).SlowProgress - 1
 	lsbAddr := nand.PageAddr{
 		BlockAddr: nand.BlockAddr{Chip: chip, Block: blk},
 		Page:      pg(wl, false),
@@ -110,7 +116,7 @@ func TestRecoveryWithoutCrash(t *testing.T) {
 	f := newFlex(t, nand.TestGeometry())
 	now := primeToMSBPhase(t, f)
 	// Acknowledge the in-flight program (power did not fail).
-	f.Dev.AckProgram(nand.BlockAddr{Chip: 0, Block: f.ActiveSlowBlock(0)})
+	f.Dev.AckProgram(nand.BlockAddr{Chip: 0, Block: stream0(f, 0).ActiveSlow()})
 	rep, err := f.Recover(now)
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +136,8 @@ func TestRecoveryStaleLSB(t *testing.T) {
 	now := primeToMSBPhase(t, f)
 	g := f.Dev.Geometry()
 	chip := 0
-	blk := f.ActiveSlowBlock(chip)
-	wl := f.ActiveSlowProgress(chip) - 1
+	blk := stream0(f, chip).ActiveSlow()
+	wl := stream0(f, chip).SlowProgress - 1
 	lsbPPN := g.PPNOf(nand.PageAddr{
 		BlockAddr: nand.BlockAddr{Chip: chip, Block: blk},
 		Page:      pg(wl, false),
@@ -171,7 +177,7 @@ func TestRecoveryReadOverhead(t *testing.T) {
 	now := primeToMSBPhase(t, f)
 	g := f.Dev.Geometry()
 	tm := f.Dev.Timing()
-	f.Dev.AckProgram(nand.BlockAddr{Chip: 0, Block: f.ActiveSlowBlock(0)})
+	f.Dev.AckProgram(nand.BlockAddr{Chip: 0, Block: stream0(f, 0).ActiveSlow()})
 	rep, err := f.Recover(now)
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +204,8 @@ func TestRecoveryAfterMetadataLoss(t *testing.T) {
 	now := primeToMSBPhase(t, f)
 	g := f.Dev.Geometry()
 	chip := 0
-	blk := f.ActiveSlowBlock(chip)
-	wl := f.ActiveSlowProgress(chip) - 1
+	blk := stream0(f, chip).ActiveSlow()
+	wl := stream0(f, chip).SlowProgress - 1
 	lostLPN, live := f.Map.LPNAt(g.PPNOf(nand.PageAddr{
 		BlockAddr: nand.BlockAddr{Chip: chip, Block: blk},
 		Page:      pg(wl, false),
@@ -251,10 +257,10 @@ func TestScanPicksNewestParity(t *testing.T) {
 	}
 	// Find a chip mid-MSB-phase; force the crash and scan-based recovery.
 	for chip := 0; chip < g.Chips(); chip++ {
-		if f.SlowQueueLen(chip) == 0 || f.ActiveSlowProgress(chip) == 0 {
+		if f.SlowQueueLen(chip) == 0 || stream0(f, chip).SlowProgress == 0 {
 			continue
 		}
-		blk := f.ActiveSlowBlock(chip)
+		blk := stream0(f, chip).ActiveSlow()
 		if !f.Dev.InjectPowerLoss(nand.BlockAddr{Chip: chip, Block: blk}) {
 			continue
 		}
@@ -279,7 +285,7 @@ func TestRecoveryDeterminism(t *testing.T) {
 	run := func() (ftl.RecoveryReport, error) {
 		f := newFlex(t, nand.TestGeometry())
 		now := primeToMSBPhase(t, f)
-		f.Dev.InjectPowerLoss(nand.BlockAddr{Chip: 0, Block: f.ActiveSlowBlock(0)})
+		f.Dev.InjectPowerLoss(nand.BlockAddr{Chip: 0, Block: stream0(f, 0).ActiveSlow()})
 		return f.Recover(now)
 	}
 	a, errA := run()
@@ -311,7 +317,7 @@ func TestMultiChipPowerLoss(t *testing.T) {
 		lpn++
 	}
 	for chip := 0; chip < g.Chips(); chip++ {
-		for f.ActiveSlowProgress(chip) == 0 {
+		for stream0(f, chip).SlowProgress == 0 {
 			done, err := f.Write(lpn, now, 0.01)
 			if err != nil {
 				t.Fatal(err)
@@ -324,7 +330,7 @@ func TestMultiChipPowerLoss(t *testing.T) {
 	injected := 0
 	for chip := 0; chip < g.Chips(); chip++ {
 		if f.SlowQueueLen(chip) > 0 &&
-			f.Dev.InjectPowerLoss(nand.BlockAddr{Chip: chip, Block: f.ActiveSlowBlock(chip)}) {
+			f.Dev.InjectPowerLoss(nand.BlockAddr{Chip: chip, Block: stream0(f, chip).ActiveSlow()}) {
 			injected++
 		}
 	}

@@ -54,27 +54,9 @@ func TestWearOutRetiresBlocksGracefully(t *testing.T) {
 	if wrote < logical {
 		t.Errorf("FTL failed after only %d writes (logical %d)", wrote, logical)
 	}
-	// Retired blocks must not be double-counted as free: pools plus named
-	// holders plus retirements cover the device.
-	g := dev.Geometry()
-	var accounted int64
-	for chip := 0; chip < g.Chips(); chip++ {
-		accounted += int64(f.Pools[chip].FreeCount() + f.Pools[chip].FullCount())
-		if f.ActiveFastBlock(chip) != -1 {
-			accounted++
-		}
-		accounted += int64(f.SlowQueueLen(chip))
-		if f.BackupCurrentBlock(chip) != -1 {
-			accounted++
-		}
-		accounted += int64(f.RetiredBackupBlocks(chip))
-	}
-	if f.Base.BackgroundVictimActive() {
-		accounted++
-	}
-	total := int64(g.TotalBlocks())
-	if accounted+st.RetiredBlocks != total {
-		t.Errorf("block accounting: %d live + %d retired != %d total",
-			accounted, st.RetiredBlocks, total)
+	// Retired blocks must not be double-counted as free: each block has
+	// exactly one holder, device retirement included.
+	if err := f.Snapshot().CheckBlocks(f.Pools, f.Dev); err != nil {
+		t.Error(err)
 	}
 }

@@ -153,7 +153,3 @@ func (b *Base) RunBackgroundGC(now, until sim.Time, shouldRun func() bool, alloc
 	}
 	return now
 }
-
-// BackgroundVictimActive reports whether a background victim is mid-collection
-// (tests and invariants).
-func (b *Base) BackgroundVictimActive() bool { return b.bg.active }

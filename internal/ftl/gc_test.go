@@ -138,7 +138,7 @@ func TestRunBackgroundGCIncrementalResume(t *testing.T) {
 	perPage := tm.Read + 2*tm.BusXfer + tm.ProgMSB
 	// Window for exactly two page relocations: the victim must stay active.
 	end := h.b.RunBackgroundGC(now, now+2*perPage+1, func() bool { return true }, h.alloc)
-	if !h.b.BackgroundVictimActive() {
+	if !h.b.bg.active {
 		t.Fatal("victim not held across the window boundary")
 	}
 	copiesAfterFirst := h.b.St.GCCopies
@@ -150,7 +150,7 @@ func TestRunBackgroundGCIncrementalResume(t *testing.T) {
 	}
 	// Second, generous window finishes the victim.
 	h.b.RunBackgroundGC(end, end+10*sim.Second, func() bool { return true }, h.alloc)
-	if h.b.BackgroundVictimActive() {
+	if h.b.bg.active {
 		t.Error("victim still active after a generous window")
 	}
 	if h.b.St.GCCopies != int64(perBlock/2) {
@@ -198,7 +198,7 @@ func TestRunBackgroundGCAbandonsUnreadableVictim(t *testing.T) {
 	}
 	fullBefore := h.b.Pools[0].FullCount()
 	h.b.RunBackgroundGC(now, now+10*sim.Second, func() bool { return true }, h.alloc)
-	if h.b.BackgroundVictimActive() {
+	if h.b.bg.active {
 		t.Error("unreadable victim left active")
 	}
 	// The victim must be back on the full list (not leaked off-list).

@@ -247,28 +247,14 @@ func (k *Kernel) PageSize() int { return k.Dev.Geometry().PageSizeBytes }
 // Chips returns the chip count (runner track allocation).
 func (k *Kernel) Chips() int { return k.Dev.Geometry().Chips() }
 
-// --- Policy-state accessors -------------------------------------------------
-//
-// White-box tests and the recovery tooling inspect policy internals through
-// these; each degrades to a neutral value when the mounted policy has no such
-// state. Stream-indexed internals surface either aggregated (queue depths,
-// block censuses) or per-stream via the *On variants; the plain accessors
-// read stream 0 — exactly the pre-placement-axis state for single-stream
-// schemes.
+// Snapshot (snapshot.go) is the one view of the policy state; the three reads
+// below stay for the runner's sampler and the crash campaign's sabotage path.
 
 // Quota returns the adaptive allocator's current LSB budget q (0 when the
 // fixed allocator is mounted).
 func (k *Kernel) Quota() int64 {
 	if a, ok := k.alloc.(*adaptiveAlloc); ok {
 		return a.q
-	}
-	return 0
-}
-
-// InitialQuota returns q's starting value (0 for the fixed allocator).
-func (k *Kernel) InitialQuota() int64 {
-	if a, ok := k.alloc.(*adaptiveAlloc); ok {
-		return a.q0
 	}
 	return 0
 }
@@ -287,145 +273,6 @@ func (k *Kernel) SlowQueueLen(chip int) int {
 	return total
 }
 
-// ActiveSlowBlock returns the stream-0 active slow block (the head of its
-// slow block queue), or -1 when there is none.
-func (k *Kernel) ActiveSlowBlock(chip int) int {
-	if o, ok := k.ord.(*twoPhase); ok {
-		if st := &o.chips[chip].streams[0]; st.sbq.Len() > 0 {
-			return st.sbq.Front()
-		}
-	}
-	return -1
-}
-
-// SlowQueueBlock returns the i-th block of the stream-0 slow block queue
-// under two-phase ordering (-1 otherwise). Index 0 is the active slow block.
-func (k *Kernel) SlowQueueBlock(chip, i int) int {
-	if o, ok := k.ord.(*twoPhase); ok {
-		return o.chips[chip].streams[0].sbq.At(i)
-	}
-	return -1
-}
-
-// ActiveSlowProgress returns how many MSB pages of the stream-0 active slow
-// block have been programmed.
-func (k *Kernel) ActiveSlowProgress(chip int) int {
-	if o, ok := k.ord.(*twoPhase); ok {
-		return o.chips[chip].streams[0].asbPos
-	}
-	return 0
-}
-
-// ActiveFastBlock returns the stream-0 active fast block under two-phase
-// ordering, or -1 when there is none.
-func (k *Kernel) ActiveFastBlock(chip int) int {
-	if o, ok := k.ord.(*twoPhase); ok {
-		return o.chips[chip].streams[0].afb
-	}
-	return -1
-}
-
-// BackupCurrentBlock returns the per-block parity strategy's open backup
-// block on the chip, or -1 when none (or another strategy is mounted).
-func (k *Kernel) BackupCurrentBlock(chip int) int {
-	if b, ok := k.bk.(*blockParity); ok {
-		return b.backup[chip].cur
-	}
-	return -1
-}
-
-// RetiredBackupBlocks returns how many filled backup blocks on the chip await
-// recycling under the per-block parity strategy.
-func (k *Kernel) RetiredBackupBlocks(chip int) int {
-	if b, ok := k.bk.(*blockParity); ok {
-		return len(b.backup[chip].retired)
-	}
-	return 0
-}
-
-// RetiredBackupBlockList returns a copy of the chip's retired parity backup
-// blocks awaiting recycling (nil when another strategy is mounted).
-func (k *Kernel) RetiredBackupBlockList(chip int) []int {
-	if b, ok := k.bk.(*blockParity); ok {
-		out := make([]int, 0, len(b.backup[chip].retired))
-		for _, r := range b.backup[chip].retired {
-			out = append(out, r.blk)
-		}
-		return out
-	}
-	return nil
-}
-
-// RetiredBackupFill returns how many parity pages were written into the
-// chip's i-th retired backup block (-1 when out of range or another strategy
-// is mounted). Full retirement yields WordLinesPerBlock; a crash-time seal
-// can leave less.
-func (k *Kernel) RetiredBackupFill(chip, i int) int {
-	if b, ok := k.bk.(*blockParity); ok {
-		if ret := b.backup[chip].retired; i >= 0 && i < len(ret) {
-			return ret[i].fill
-		}
-	}
-	return -1
-}
-
-// BackupRing returns the pair-parity strategy's current and previous backup
-// blocks on the chip (-1, -1 when another strategy is mounted).
-func (k *Kernel) BackupRing(chip int) (cur, prev int) {
-	if b, ok := k.bk.(*pairParity); ok {
-		return b.ring[chip].cur, b.ring[chip].prev
-	}
-	return -1, -1
-}
-
-// PoolHasMSBNext reports whether the FPS-pool order has an active slot
-// waiting on an MSB page (false for other orders).
-func (k *Kernel) PoolHasMSBNext(chip int) bool {
-	if o, ok := k.ord.(*fpsPool); ok {
-		return o.chipHasMSBNext(chip)
-	}
-	return false
-}
-
-// LSBReadySlots returns how many of the FPS-pool order's active slots will
-// next program an LSB page (0 for other orders).
-func (k *Kernel) LSBReadySlots(chip int) int {
-	if o, ok := k.ord.(*fpsPool); ok {
-		return o.lsbReadyCount(chip)
-	}
-	return 0
-}
-
-// LastMSB returns the chip's most recent MSB program under two-phase
-// ordering: its LPN, the physical page it superseded (InvalidPPN if none),
-// whether it was a GC relocation, and which placement stream issued it. ok
-// is false for other orders or before the first MSB program. The record is
-// per chip, not per stream: the device keeps at most one destructive MSB
-// window per chip (a newer program supersedes the previous window), so only
-// the newest MSB program is ever at risk.
-func (k *Kernel) LastMSB(chip int) (lpn LPN, prev nand.PPN, fromGC bool, stream int, ok bool) {
-	o, isTP := k.ord.(*twoPhase)
-	if !isTP {
-		return 0, nand.InvalidPPN, false, 0, false
-	}
-	ch := &o.chips[chip]
-	if ch.lastMSBPrev == nand.InvalidPPN && ch.lastMSBLPN == 0 {
-		// Heuristic for "no MSB program yet": every stream still sits at the
-		// start of an empty slow phase.
-		noMSB := true
-		for s := range ch.streams {
-			if ch.streams[s].asbPos != 0 || ch.streams[s].sbq.Len() != 0 {
-				noMSB = false
-				break
-			}
-		}
-		if noMSB {
-			return 0, nand.InvalidPPN, false, 0, false
-		}
-	}
-	return ch.lastMSBLPN, ch.lastMSBPrev, ch.lastMSBGC, ch.lastMSBStream, true
-}
-
 // ParityRef locates the parity backup page protecting the given fast/slow
 // block under the per-block parity strategy (ok false otherwise). Fault
 // injection in the crash campaign uses it to corrupt a parity page and prove
@@ -437,55 +284,4 @@ func (k *Kernel) ParityRef(chip, blk int) (backupBlk, page int, ok bool) {
 		}
 	}
 	return -1, -1, false
-}
-
-// AccountBlocks is the chip's block census: free and full pool sizes, active
-// data blocks held by the order policy (summed over placement streams),
-// backup blocks held by the backup strategy, and the in-flight
-// background-GC victim (0 or 1). The crash campaign asserts the five sum to
-// BlocksPerChip (minus retired blocks) at every crash point — leaked blocks
-// are recovery-path bugs.
-func (k *Kernel) AccountBlocks(chip int) (free, full, active, backup, bg int) {
-	free = k.Pools[chip].FreeCount()
-	full = k.Pools[chip].FullCount()
-	switch o := k.ord.(type) {
-	case *fpsSingle:
-		for _, cur := range o.active[chip] {
-			if cur.blk != -1 {
-				active++
-			}
-		}
-	case *fpsPool:
-		for _, cur := range o.active[chip] {
-			if cur.blk != -1 {
-				active++
-			}
-		}
-	case *twoPhase:
-		for s := range o.chips[chip].streams {
-			st := &o.chips[chip].streams[s]
-			if st.afb != -1 {
-				active++
-			}
-			active += st.sbq.Len()
-		}
-	}
-	switch b := k.bk.(type) {
-	case *pairParity:
-		if b.ring[chip].cur != -1 {
-			backup++
-		}
-		if b.ring[chip].prev != -1 {
-			backup++
-		}
-	case *blockParity:
-		if b.backup[chip].cur != -1 {
-			backup++
-		}
-		backup += len(b.backup[chip].retired)
-	}
-	if c, _, ok := k.BackgroundVictim(); ok && c == chip {
-		bg++
-	}
-	return free, full, active, backup, bg
 }

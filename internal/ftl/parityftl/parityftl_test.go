@@ -110,13 +110,11 @@ func TestBackupBlocksRecycled(t *testing.T) {
 		now = done
 	}
 	for c := 0; c < fx.F.Device().Geometry().Chips(); c++ {
-		cur, prev := f.BackupRing(c)
 		depth := 0
-		if cur != -1 {
-			depth++
-		}
-		if prev != -1 {
-			depth++
+		for _, b := range f.Snapshot().Chips[c].Ring {
+			if b != -1 {
+				depth++
+			}
 		}
 		if depth > 2 {
 			t.Errorf("chip %d backup ring depth %d", c, depth)

@@ -313,8 +313,8 @@ func (p *FreePool) bucketRemove(blk int32) {
 	p.bucketOf[blk] = nilLink
 }
 
-// FullBlocks returns the full list in push order (a fresh slice; test and
-// debugging helper).
+// FullBlocks returns the full list in push order (a fresh slice, for the
+// block census and tests).
 func (p *FreePool) FullBlocks() []int {
 	out := make([]int, 0, p.fullLen)
 	for b := p.fifoHead; b != nilLink; b = p.fifoNext[b] {

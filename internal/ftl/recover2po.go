@@ -296,25 +296,18 @@ func (k *Kernel) reconstructLSB(tp *twoPhase, bp *blockParity, chip, blk, lostWL
 // structure any FTL persists) is assumed to survive the reboot.
 func (k *Kernel) scanForParity(bp *blockParity, chip, protectedBlk int, now sim.Time, rep *RecoveryReport) ([]byte, sim.Time, error) {
 	bk := &bp.backup[chip]
-	type candidate struct {
-		blk   int
-		pages int
-	}
-	var scan []candidate
-	for _, r := range bk.retired {
-		// Only the retired block's recorded fill was ever programmed;
-		// scanning the full word-line width would charge phantom reads of
-		// erased pages to the reboot-time budget.
-		scan = append(scan, candidate{r.blk, r.fill})
-	}
+	// Only each retired block's recorded fill was ever programmed; scanning
+	// the full word-line width would charge phantom reads of erased pages to
+	// the reboot-time budget.
+	scan := append([]RetiredBackup(nil), bk.retired...)
 	if bk.cur != -1 {
-		scan = append(scan, candidate{bk.cur, bk.pos})
+		scan = append(scan, RetiredBackup{Block: bk.cur, Fill: bk.pos})
 	}
 	var found []byte
 	for _, c := range scan {
-		for p := 0; p < c.pages; p++ {
+		for p := 0; p < c.Fill; p++ {
 			addr := nand.PageAddr{
-				BlockAddr: nand.BlockAddr{Chip: chip, Block: c.blk},
+				BlockAddr: nand.BlockAddr{Chip: chip, Block: c.Block},
 				Page:      core.Page{WL: p, Type: core.LSB},
 			}
 			t, err := k.Dev.ReadInto(addr, &k.Buf, now)
@@ -383,7 +376,7 @@ func (k *Kernel) RebuildParityRefs(now sim.Time) (ParityScanReport, error) {
 		bk := &bp.backup[chip]
 		if bk.cur != -1 {
 			if bk.pos > 0 {
-				bk.retired = append(bk.retired, retiredBackup{blk: bk.cur, fill: bk.pos})
+				bk.retired = append(bk.retired, RetiredBackup{Block: bk.cur, Fill: bk.pos})
 				rep.Sealed++
 			} else {
 				// Never written: straight back to the free pool.
@@ -405,9 +398,9 @@ func (k *Kernel) RebuildParityRefs(now sim.Time) (ParityScanReport, error) {
 		}
 		bk.live = make(map[int]int, len(bk.retired))
 		for _, r := range bk.retired {
-			for p := 0; p < r.fill; p++ {
+			for p := 0; p < r.Fill; p++ {
 				addr := nand.PageAddr{
-					BlockAddr: nand.BlockAddr{Chip: chip, Block: r.blk},
+					BlockAddr: nand.BlockAddr{Chip: chip, Block: r.Block},
 					Page:      core.Page{WL: p, Type: core.LSB},
 				}
 				t, err := k.Dev.ReadInto(addr, &k.Buf, chipNow)
@@ -424,8 +417,8 @@ func (k *Kernel) RebuildParityRefs(now sim.Time) (ParityScanReport, error) {
 				if old := bp.refs[flat]; old.backupBlk != -1 {
 					bk.live[old.backupBlk]-- // superseded by a newer generation
 				}
-				bp.refs[flat] = parityRef{backupBlk: r.blk, page: p}
-				bk.live[r.blk]++
+				bp.refs[flat] = parityRef{backupBlk: r.Block, page: p}
+				bk.live[r.Block]++
 			}
 		}
 		before := len(bk.retired)

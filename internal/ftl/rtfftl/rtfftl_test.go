@@ -114,7 +114,7 @@ func TestIdleReturnsToFast(t *testing.T) {
 	gPre := fx.F.Device().Geometry()
 	msbPending := false
 	for chip := 0; chip < gPre.Chips(); chip++ {
-		if f.PoolHasMSBNext(chip) {
+		if f.Snapshot().Chips[chip].HasMSBNext {
 			msbPending = true
 			break
 		}
@@ -128,7 +128,7 @@ func TestIdleReturnsToFast(t *testing.T) {
 	g := fx.F.Device().Geometry()
 	const minReady = 2
 	for chip := 0; chip < g.Chips(); chip++ {
-		if got := f.LSBReadySlots(chip); got < minReady {
+		if got := f.Snapshot().Chips[chip].LSBReadySlots; got < minReady {
 			t.Errorf("chip %d only %d/%d slots LSB-ready after idle", chip, got, ftl.RTFActiveBlocksPerChip)
 		}
 	}

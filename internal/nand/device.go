@@ -855,6 +855,12 @@ func (d *Device) IsCorrupted(a PageAddr) bool {
 	return err == nil && pg.Has(pagemem.Corrupted)
 }
 
+// IsRetired reports whether a block has left service (worn out or retired).
+func (d *Device) IsRetired(a BlockAddr) bool {
+	blk, err := d.blockAt(a)
+	return err == nil && blk.retired
+}
+
 // BlockProgrammedPages returns how many pages of the block are programmed.
 func (d *Device) BlockProgrammedPages(a BlockAddr) int {
 	blk, err := d.blockAt(a)

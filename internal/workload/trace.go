@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -154,6 +156,39 @@ func WriteCSV(w io.Writer, gen Generator) (int, error) {
 	return n, bw.Flush()
 }
 
+// FormatOf names a trace file's format: explicit when set, otherwise "csv"
+// for a .csv extension and "bin" for anything else.
+func FormatOf(explicit, path string) string {
+	if explicit != "" {
+		return explicit
+	}
+	if strings.EqualFold(filepath.Ext(path), ".csv") {
+		return "csv"
+	}
+	return "bin"
+}
+
+// Open replays a trace file in the format its extension names (FormatOf).
+// The replay is named by the file name without its extension, so one trace
+// reports alike in either format. The returned func closes the file.
+func Open(path string) (*Replay, func() error, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	newReplay := NewBinaryReplay
+	if FormatOf("", path) == "csv" {
+		newReplay = NewCSVReplay
+	}
+	gen, err := newReplay(f, name)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return gen, f.Close, nil
+}
+
 // NewCSVReplay wraps a CSV trace stream as a Replay. The header line is
 // consumed immediately; blank lines are skipped.
 func NewCSVReplay(r io.Reader, name string) (*Replay, error) {
@@ -162,7 +197,7 @@ func NewCSVReplay(r io.Reader, name string) (*Replay, error) {
 		return nil, fmt.Errorf("%w: empty CSV", ErrBadTrace)
 	}
 	if got := strings.TrimSpace(sc.Text()); got != "arrival_us,op,page,pages" {
-		return nil, fmt.Errorf("%w: unexpected header %q", ErrBadTrace, got)
+		return nil, fmt.Errorf("%w: unexpected CSV header %.40q", ErrBadTrace, got)
 	}
 	return &Replay{name: name, decode: func() (Request, error) {
 		line := ""

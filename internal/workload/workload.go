@@ -9,6 +9,8 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"flexftl/internal/rng"
 	"flexftl/internal/sim"
@@ -180,6 +182,30 @@ func Fileserver() Profile {
 // All returns the five Table 1 workloads in paper order.
 func All() []Profile {
 	return []Profile{OLTP(), NTRX(), Webserver(), Varmail(), Fileserver()}
+}
+
+// FindProfile resolves a workload name: a Table 1 profile (any case), or the
+// skewed placement-study workload parameterized by its Zipf theta — "zipf"
+// (the default 0.99 skew), "zipf-1.10" or "zipf:1.10".
+func FindProfile(name string) (Profile, error) {
+	for _, p := range All() {
+		if strings.EqualFold(p.Name, name) {
+			return p, nil
+		}
+	}
+	if lower := strings.ToLower(name); strings.HasPrefix(lower, "zipf") {
+		theta := 0.99
+		if rest := strings.TrimLeft(lower[len("zipf"):], ":-="); rest != "" {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				return Profile{}, fmt.Errorf("bad zipf theta in workload %q: %v", name, err)
+			}
+			theta = v
+		}
+		p := ZipfProfile(theta)
+		return p, p.Validate()
+	}
+	return Profile{}, fmt.Errorf("unknown workload %q (profiles: OLTP, NTRX, Webserver, Varmail, Fileserver, zipf[-THETA])", name)
 }
 
 // ZipfProfile returns the skewed write-dominant workload the placement-axis
