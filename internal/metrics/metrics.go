@@ -31,15 +31,16 @@ type Collector struct {
 	read, writeAck, writeFlush, trim samples
 	// scratch is the radix sort's second buffer, at most one chunk, kept for
 	// the next summary.
-	scratch []int64
+	scratch []uint32
 
 	// Write-bandwidth windows: bytes of host write completions bucketed
-	// into fixed windows of virtual time. Consecutive flushes mostly land in
-	// one window, so the current window's bytes accumulate in cur until a
-	// flush lands elsewhere (or a summary is taken), and only then reach the
-	// map.
+	// into fixed windows of virtual time. Flush times run close together but
+	// not in order (a flush alternates between a few recent windows), so
+	// bytes accumulate in a direct-mapped register of open windows, slot
+	// idx mod windowSlots, and reach the map only when a flush to another
+	// window takes the slot or a summary is taken.
 	windowBytes map[int64]int64
-	cur         window
+	windows     [windowSlots]window
 
 	activeTime sim.Time
 	makespan   sim.Time
@@ -59,8 +60,11 @@ func NewCollector(pageSize int, windowWidth sim.Time) *Collector {
 	}
 }
 
-// window is the bandwidth window being filled: bytes added since it last
-// reached the map.
+// windowSlots is the size of the open-window register, a power of two.
+const windowSlots = 64
+
+// window is one open bandwidth window: bytes added since it last reached the
+// map.
 type window struct {
 	open  bool
 	idx   int64
@@ -69,18 +73,20 @@ type window struct {
 
 // addWindowBytes adds bytes to the window of a flush time.
 func (c *Collector) addWindowBytes(flushed sim.Time, bytes int64) {
-	if idx := int64(flushed / c.windowWidth); !c.cur.open || idx != c.cur.idx {
-		c.closeWindow()
-		c.cur = window{open: true, idx: idx}
+	idx := int64(flushed / c.windowWidth)
+	w := &c.windows[uint64(idx)%windowSlots]
+	if !w.open || w.idx != idx {
+		c.closeWindow(w)
+		*w = window{open: true, idx: idx}
 	}
-	c.cur.bytes += bytes
+	w.bytes += bytes
 }
 
-// closeWindow moves the current window's bytes into the map.
-func (c *Collector) closeWindow() {
-	if c.cur.open {
-		c.windowBytes[c.cur.idx] += c.cur.bytes
-		c.cur = window{}
+// closeWindow moves an open window's bytes into the map.
+func (c *Collector) closeWindow(w *window) {
+	if w.open {
+		c.windowBytes[w.idx] += w.bytes
+		*w = window{}
 	}
 }
 
@@ -158,7 +164,9 @@ type Result struct {
 
 // Finalize computes the run summary.
 func (c *Collector) Finalize() Result {
-	c.closeWindow()
+	for i := range c.windows {
+		c.closeWindow(&c.windows[i])
+	}
 	res := Result{
 		Requests:   c.requests,
 		Reads:      c.reads,
@@ -189,9 +197,9 @@ func (c *Collector) Finalize() Result {
 		res.PeakWriteBandwidthMBs = stats.QuantileSorted(bws, 0.99)
 	}
 	c.sortSamples()
-	res.ResponseTime = fiveNum(slices.Concat(c.read.chunks, c.writeAck.chunks, c.trim.chunks))
-	res.ReadResponse = fiveNum(c.read.chunks)
-	res.WriteResponse = fiveNum(c.writeAck.chunks)
+	res.ResponseTime = fiveNum(sortedRuns{&c.read, &c.writeAck, &c.trim})
+	res.ReadResponse = fiveNum(sortedRuns{&c.read})
+	res.WriteResponse = fiveNum(sortedRuns{&c.writeAck})
 	return res
 }
 
@@ -220,20 +228,20 @@ type LatencyReport struct {
 func (c *Collector) Latency() LatencyReport {
 	c.sortSamples()
 	return LatencyReport{
-		Read:       percentilesOf(c.read.chunks),
-		WriteAck:   percentilesOf(c.writeAck.chunks),
-		WriteFlush: percentilesOf(c.writeFlush.chunks),
-		Trim:       percentilesOf(c.trim.chunks),
+		Read:       percentilesOf(sortedRuns{&c.read}),
+		WriteAck:   percentilesOf(sortedRuns{&c.writeAck}),
+		WriteFlush: percentilesOf(sortedRuns{&c.writeFlush}),
+		Trim:       percentilesOf(sortedRuns{&c.trim}),
 	}
 }
 
-// percentilesOf summarizes one class from its sorted chunks. The mean is
+// percentilesOf summarizes one class from its sorted runs. The mean is
 // taken as if by a float64 sum in ascending order, the order it has always
-// been taken in, but without merging the chunks: while Σ|x| < 2^53 every
+// been taken in, but without merging the runs: while Σ|x| < 2^53 every
 // partial sum in any order is an integer of magnitude below 2^53, exactly
 // representable, so each float addition is exact and the ascending sum
 // equals the integer sum converted once. Only past that bound does
-// sortedRuns.sum walk the chunks in merged order.
+// sortedRuns.sum walk the runs in merged order.
 func percentilesOf(runs sortedRuns) Percentiles {
 	n := runs.len()
 	if n == 0 {

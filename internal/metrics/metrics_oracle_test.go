@@ -330,11 +330,13 @@ func TestSummaryAllocations(t *testing.T) {
 	}
 }
 
-// TestBandwidthWindowRegister: flushes that mostly stay in one window — as a
-// run's do — accumulate in the collector's window register and reach the
-// map only when a flush lands elsewhere or a summary is taken. Runs of one
-// window, returns to an earlier window, zero-page writes (a window with no
-// bytes still counts), negative and far-apart flush times, and summaries
+// TestBandwidthWindowRegister: flushes that stay among a few nearby windows
+// — as a run's do — accumulate in the collector's open-window register and
+// reach the map only when a flush to another window takes the slot or a
+// summary is taken. Runs of one window, returns to an earlier window,
+// zero-page writes (a window with no bytes still counts), negative and
+// far-apart flush times, sweeps through more windows than the register has
+// slots, windows that share a slot (i and i+64) taking turns, and summaries
 // taken mid-window all give the oracle's per-window map.
 func TestBandwidthWindowRegister(t *testing.T) {
 	const pageSize, window = 4096, 50 * sim.Millisecond
@@ -359,6 +361,15 @@ func TestBandwidthWindowRegister(t *testing.T) {
 			both(1, -5*window)
 		case 17:
 			both(3, at+sim.Time(1)<<50) // far apart: a dense slice would not fit
+		case 300:
+			for j := 0; j < 3*windowSlots; j++ { // a sweep past every slot, twice
+				both(1, at+sim.Time(j)*window)
+			}
+		case 700:
+			for j := 0; j < 9; j++ { // one slot, two windows, taking turns
+				both(1+j%2, at+sim.Time(j%2*windowSlots)*window)
+				both(1, at-sim.Time(j%2*windowSlots)*window)
+			}
 		case 500:
 			checkSame(t, fmt.Sprintf("summary at write %d", i), c, o)
 		}
@@ -366,5 +377,61 @@ func TestBandwidthWindowRegister(t *testing.T) {
 	checkSame(t, "end", c, o)
 	if len(c.windowBytes) != len(o.windowBytes) {
 		t.Errorf("%d windows, oracle %d", len(c.windowBytes), len(o.windowBytes))
+	}
+}
+
+// TestWideSamplesExact: samples a uint32 cannot hold (negative, or 2^32 µs
+// and longer) go to the class's wide run and every summary still equals the
+// oracle's, field for field, whether the mean stays on the integer sum or
+// takes the merged float sum; a class with only in-range samples allocates no
+// wide run.
+func TestWideSamplesExact(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wide []sim.Time // drawn from at random, one read in 50
+	}{
+		{"boundary", []sim.Time{-1, -2, 1 << 32, 1<<32 + 1, -1000}},
+		{"far", []sim.Time{-1 << 60, 1 << 60, 1 << 62, -1 << 40}}, // Σ|x| past 2^53
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const pageSize, window = 4096, 50 * sim.Millisecond
+			c, o := NewCollector(pageSize, window), newOracle(pageSize, window)
+			src := rng.New(11)
+			wide := 0
+			record := func(n int) {
+				for i := 0; i < n; i++ {
+					arrival := sim.Time(src.Intn(1 << 30))
+					lat := sim.Time(src.Intn(2_000_000))
+					switch i % 7 {
+					case 0:
+						lat = 0
+					case 1:
+						lat = 1<<32 - 1 // the largest in-range sample
+					}
+					read := lat
+					if src.Intn(50) == 0 {
+						read = tc.wide[src.Intn(len(tc.wide))]
+						wide++
+					}
+					for _, r := range []recorder{c, o} {
+						r.RecordRead(1, arrival, arrival+read)
+						r.RecordWrite(2, arrival, arrival+lat/2, arrival+lat)
+						r.RecordTrim(1, arrival, arrival+lat%100)
+					}
+				}
+			}
+			record(lastChunk + firstChunk) // more than one chunk per class
+			checkSame(t, "first summary", c, o)
+			record(1000)
+			checkSame(t, "after more records", c, o)
+			if len(c.read.wide) != wide || wide == 0 {
+				t.Errorf("read wide run holds %d samples, want %d (> 0)", len(c.read.wide), wide)
+			}
+			for name, s := range map[string]*samples{"write-ack": &c.writeAck, "write-flush": &c.writeFlush, "trim": &c.trim} {
+				if s.wide != nil {
+					t.Errorf("%s: in-range class allocated a wide run of %d", name, len(s.wide))
+				}
+			}
+		})
 	}
 }

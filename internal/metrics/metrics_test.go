@@ -171,10 +171,11 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-// TestRecordWritesEachSampleOnce: a sample is written into its chunk once and
-// never copied. Recording n samples into a class allocates their 8 bytes each
-// plus at most one largest chunk of unused tail, in one allocation per chunk
-// and one for the chunk list, so an append-and-grow store fails here.
+// TestRecordWritesEachSampleOnce: an in-range sample is written into its
+// chunk once, as 4 bytes, and never copied. Recording n samples into a class
+// allocates their 4 bytes each plus at most one largest chunk of unused tail,
+// in one allocation per chunk and one for the chunk list, so an
+// append-and-grow store or an 8-byte sample fails here.
 func TestRecordWritesEachSampleOnce(t *testing.T) {
 	const n = 1_000_000
 	// The counters are process-wide: a GC cycle or another goroutine can add
@@ -212,7 +213,7 @@ func TestRecordWritesEachSampleOnce(t *testing.T) {
 		{"trim", 1, func(c *Collector, lat sim.Time) { c.RecordTrim(1, 0, lat) }},
 	} {
 		bytes, allocs := measure(tc.record)
-		if limit := tc.classes * (8*n + 8*lastChunk); bytes > limit {
+		if limit := tc.classes * (4*n + 4*lastChunk); bytes > limit {
 			t.Errorf("%s: %d samples allocated %d bytes, want <= %d", tc.name, n, bytes, limit)
 		}
 		if limit := tc.classes * perClassAllocs; allocs > limit {

@@ -198,18 +198,18 @@ func settledGoroutines(want int) int {
 }
 
 // TestRunAllocBytesCeiling: one Run allocates about the bytes its latency
-// samples occupy, because each sample is written once into a chunk that is
-// never grown or copied. A 50 000-request OLTP run on a prefilled flexFTL
-// device records at most two samples per request (a write's ack and flush),
-// 16 B, and beyond that only a bounded slack. The requests are drawn before
-// measuring, so the generator's own bookkeeping is not counted.
+// samples occupy, because each sample is written once, as 4 bytes, into a
+// chunk that is never grown or copied. A 50 000-request OLTP run on a
+// prefilled flexFTL device records at most two samples per request (a write's
+// ack and flush), 8 B, and beyond that only a bounded slack. The requests are
+// drawn before measuring, so the generator's own bookkeeping is not counted.
 func TestRunAllocBytesCeiling(t *testing.T) {
 	const requests = 50_000
-	// runSlack is what a run allocates beyond its samples' 8 bytes each: the
+	// runSlack is what a run allocates beyond its samples' 4 bytes each: the
 	// unfilled tail of each class's last chunk (a chunk is at most as large
 	// as all before it together, so under half the class), the radix
 	// scratch (one chunk), the bandwidth-window map and the run's own small
-	// structures. Here the reads' samples take ~8 B of the 16 B a request is
+	// structures. Here the reads' samples take ~4 B of the 8 B a request is
 	// allowed, which absorbs most of the chunk tails.
 	const runSlack = 768 << 10
 	sys := newSystem(t, "flexFTL")
@@ -238,8 +238,8 @@ func TestRunAllocBytesCeiling(t *testing.T) {
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("%d requests (%d reads, %d writes, %d trims): %d bytes allocated, %.1f B/request",
 		requests, res.Metrics.Reads, res.Metrics.Writes, res.Metrics.Trims, got, float64(got)/requests)
-	if limit := uint64(16*requests + runSlack); got > limit {
-		t.Errorf("Run allocated %d bytes for %d requests, want <= %d (16 B/request + %d)",
+	if limit := uint64(8*requests + runSlack); got > limit {
+		t.Errorf("Run allocated %d bytes for %d requests, want <= %d (8 B/request + %d)",
 			got, requests, limit, runSlack)
 	}
 }

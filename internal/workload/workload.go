@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -239,7 +240,7 @@ type synthetic struct {
 	emitted  int
 	now      sim.Time
 	burstRem int
-	written  []int64 // pages written so far (read targets)
+	written  []int32 // pages written so far (read targets); every page fits, see New
 	maxHist  int
 	pages    pageCount
 }
@@ -252,6 +253,11 @@ func New(p Profile, space int64, total int, seed uint64) (Generator, error) {
 	}
 	if space <= 0 || total <= 0 {
 		return nil, fmt.Errorf("workload: space %d and total %d must be positive", space, total)
+	}
+	if space > math.MaxInt32 {
+		// The read-target history holds page numbers as int32, like every
+		// device's map (nand.MaxPages).
+		return nil, fmt.Errorf("workload: space %d exceeds the %d pages a generator addresses", space, math.MaxInt32)
 	}
 	src := rng.New(seed)
 	return &synthetic{
@@ -299,20 +305,20 @@ func (s *synthetic) Next() (Request, bool) {
 	var page int64
 	switch op {
 	case OpRead:
-		page = s.written[s.src.Intn(len(s.written))]
+		page = int64(s.written[s.src.Intn(len(s.written))])
 	case OpTrim:
 		// Delete a previously written extent and drop it from the read
 		// candidates.
 		i := s.src.Intn(len(s.written))
-		page = s.written[i]
+		page = int64(s.written[i])
 		s.written[i] = s.written[len(s.written)-1]
 		s.written = s.written[:len(s.written)-1]
 	default:
 		page = int64(s.zipf.Next())
 		if len(s.written) < s.maxHist {
-			s.written = append(s.written, page)
+			s.written = append(s.written, int32(page))
 		} else {
-			s.written[s.src.Intn(s.maxHist)] = page
+			s.written[s.src.Intn(s.maxHist)] = int32(page)
 		}
 	}
 	if int64(pages) > s.space {

@@ -61,6 +61,12 @@ func TestNewRejectsBadArgs(t *testing.T) {
 	if _, err := New(OLTP(), 100, 0, 1); err == nil {
 		t.Error("zero total accepted")
 	}
+	if _, err := New(OLTP(), 1<<31, 10, 1); err == nil {
+		t.Error("space past int32 page numbers accepted")
+	}
+	if _, err := New(OLTP(), 1<<31-1, 10, 1); err != nil {
+		t.Errorf("largest int32 space rejected: %v", err)
+	}
 	bad := OLTP()
 	bad.BurstLen = 0
 	if _, err := New(bad, 100, 10, 1); err == nil {
