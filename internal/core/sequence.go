@@ -121,45 +121,52 @@ func (s Scheme) contains(p Page) bool {
 // not usable; call NewBlockState or BlockStateOver.
 type BlockState struct {
 	scheme     Scheme
-	written    []bool // indexed by Page.Index
+	written    []uint64 // one bit per page, bit Page.Index
 	programmed int
 }
 
+// BitmapWords is the length of a block state's bitmap: one bit per page,
+// rounded up to whole 64-bit words.
+func BitmapWords(s Scheme) int { return (s.Pages() + 63) / 64 }
+
 // NewBlockState returns an all-erased state for a block of the given shape.
 func NewBlockState(s Scheme) *BlockState {
-	st := BlockStateOver(s, make([]bool, s.Pages()))
+	st := BlockStateOver(s, make([]uint64, BitmapWords(s)))
 	return &st
 }
 
 // BlockStateOver returns an all-erased state whose bitmap is the caller's
-// all-false slice of s.Pages() entries — a device carves one allocation into
-// the states of all its blocks this way.
-func BlockStateOver(s Scheme, written []bool) BlockState {
+// all-zero slice of BitmapWords(s) words — a device carves one allocation
+// into the states of all its blocks this way.
+func BlockStateOver(s Scheme, written []uint64) BlockState {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	if len(written) != s.Pages() {
-		panic(fmt.Sprintf("core: bitmap of %d entries for a block of %d pages", len(written), s.Pages()))
+	if len(written) != BitmapWords(s) {
+		panic(fmt.Sprintf("core: bitmap of %d words for a block of %d pages", len(written), s.Pages()))
 	}
 	return BlockState{scheme: s, written: written}
 }
+
+// has reports whether the page at bitmap index idx is programmed.
+func (s *BlockState) has(idx int) bool { return s.written[idx>>6]&(1<<(idx&63)) != 0 }
 
 // Scheme returns the block shape.
 func (s *BlockState) Scheme() Scheme { return s.scheme }
 
 // Pages returns the total number of pages (Levels per word line).
-func (s *BlockState) Pages() int { return len(s.written) }
+func (s *BlockState) Pages() int { return s.scheme.Pages() }
 
 // Programmed returns how many pages have been programmed so far.
 func (s *BlockState) Programmed() int { return s.programmed }
 
 // Full reports whether every page of the block has been programmed.
-func (s *BlockState) Full() bool { return s.programmed == len(s.written) }
+func (s *BlockState) Full() bool { return s.programmed == s.scheme.Pages() }
 
 // Written reports whether the given page has been programmed. Out-of-range
 // pages report false.
 func (s *BlockState) Written(p Page) bool {
-	return s.scheme.contains(p) && s.written[p.Index(s.scheme.WordLines)]
+	return s.scheme.contains(p) && s.has(p.Index(s.scheme.WordLines))
 }
 
 // Mark records the page as programmed. It panics on double programming or an
@@ -170,13 +177,14 @@ func (s *BlockState) Mark(p Page) {
 	if err != nil {
 		panic(err)
 	}
-	s.written[idx] = true
+	s.written[idx>>6] |= 1 << (idx & 63)
 	s.programmed++
 }
 
 // unmark undoes a Mark (exhaustive search backtracking).
 func (s *BlockState) unmark(p Page) {
-	s.written[p.Index(s.scheme.WordLines)] = false
+	idx := p.Index(s.scheme.WordLines)
+	s.written[idx>>6] &^= 1 << (idx & 63)
 	s.programmed--
 }
 
@@ -250,7 +258,7 @@ func checkProgrammable(s *BlockState, p Page) (int, error) {
 		return 0, fmt.Errorf("core: page %v out of range for %d levels x %d word lines", p, s.scheme.Levels, s.scheme.WordLines)
 	}
 	idx := p.Index(s.scheme.WordLines)
-	if s.written[idx] {
+	if s.has(idx) {
 		return 0, fmt.Errorf("core: page %v already programmed", p)
 	}
 	return idx, nil
@@ -266,7 +274,7 @@ func checkCommon(s *BlockState, p Page) error {
 		return err
 	}
 	w := s.scheme.WordLines
-	if p.WL >= 1 && !s.written[idx-1] {
+	if p.WL >= 1 && !s.has(idx-1) {
 		chain := 1
 		if p.Type != LSB {
 			chain = 2
@@ -278,10 +286,10 @@ func checkCommon(s *BlockState, p Page) error {
 		// paper's Constraint 2 chain plus Constraint 3 imply this on every
 		// legal order; it is checked explicitly so single illegal probes are
 		// also rejected.
-		if !s.written[idx-w] {
+		if !s.has(idx - w) {
 			return &ConstraintViolation{Constraint: 3, Page: p, Missing: Page{WL: p.WL, Type: p.Type - 1}}
 		}
-		if p.WL+1 < w && !s.written[idx-w+1] {
+		if p.WL+1 < w && !s.has(idx-w+1) {
 			return &ConstraintViolation{Constraint: 3, Page: p, Missing: Page{WL: p.WL + 1, Type: p.Type - 1}}
 		}
 	}

@@ -121,14 +121,15 @@ func TestBlockStateClone(t *testing.T) {
 // carved out of one allocation stay independent.
 func TestBlockStateOverSharesOneBitmap(t *testing.T) {
 	s := TLC(4)
-	bitmap := make([]bool, 2*s.Pages())
-	a := BlockStateOver(s, bitmap[:s.Pages()])
-	b := BlockStateOver(s, bitmap[s.Pages():])
+	w := BitmapWords(s)
+	bitmap := make([]uint64, 2*w)
+	a := BlockStateOver(s, bitmap[:w])
+	b := BlockStateOver(s, bitmap[w:])
 	a.Mark(Page{WL: 0, Type: LSB})
 	if b.Written(Page{WL: 0, Type: LSB}) || b.Programmed() != 0 {
 		t.Error("neighbouring view saw the mark")
 	}
-	if !bitmap[0] {
+	if bitmap[0] != 1 {
 		t.Error("mark did not land in the shared bitmap")
 	}
 	defer func() {

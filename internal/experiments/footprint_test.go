@@ -7,11 +7,12 @@ import (
 )
 
 // maxBytesPerPage bounds the heap a flexFTL build on EvalGeometry holds per
-// physical page: the 27-byte page record, its program-state byte, 4 bytes of
+// physical page: the 19-byte page record, its program-state bit, 4 bytes of
 // inverse map, 4 per logical page of forward map, and the per-block state.
-// Measured at 36.5 on amd64 (57.0 when the record was 40 bytes and the map
-// int64); a byte added to pagemem.Page or a widened map crosses it.
-const maxBytesPerPage = 37
+// Measured at 27.6 on amd64 (36.5 with a 27-byte record and a program-state
+// byte, 57.0 when the record was 40 bytes and the map int64); a byte added to
+// pagemem.Page or a widened map crosses it.
+const maxBytesPerPage = 28
 
 // TestPageStateFootprint guards the per-page state a device and its FTL
 // keep, the figure that scales with the device. Anything else the process

@@ -440,15 +440,15 @@ func (b *blockParity) shardPops(k *Kernel, chip, lsbWrites, fills int) int {
 // spareForBlock encodes the inverse mapping (backup page -> protected block)
 // stored in the parity page's spare area.
 func spareForBlock(blk int) []byte {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, uint64(blk))
+	buf := make([]byte, SpareSize)
+	binary.LittleEndian.PutUint32(buf, uint32(blk))
 	return buf
 }
 
 // blockFromSpare decodes spareForBlock.
 func blockFromSpare(spare []byte) (int, bool) {
-	if len(spare) < 8 {
+	if len(spare) < SpareSize {
 		return -1, false
 	}
-	return int(binary.LittleEndian.Uint64(spare[:8])), true
+	return int(binary.LittleEndian.Uint32(spare)), true
 }

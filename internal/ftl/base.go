@@ -81,7 +81,7 @@ type Base struct {
 	// single-threaded and Device.Program copies payload and spare before
 	// the next call can overwrite them.
 	tok  [TokenSize]byte
-	sp   [8]byte
+	sp   [SpareSize]byte
 	ppns []nand.PPN
 }
 
@@ -196,56 +196,67 @@ func (b *Base) NextChip() int {
 }
 
 // TokenSize is the payload size of the deterministic page tokens the FTLs
-// write: 8 bytes of LPN + 8 bytes of global sequence number. Real 4 KB
+// write: 4 bytes of LPN + 8 bytes of global sequence number. Real 4 KB
 // payloads carry no additional information for the simulation, so pages
 // store just the token — the parity algebra is unaffected (XOR over tokens
-// is XOR over the zero-padded pages).
-const TokenSize = 16
+// is XOR over the zero-padded pages). Every LPN fits the 4 bytes: a device
+// has fewer than nand.MaxPages (< 2^31) pages.
+const TokenSize = 12
+
+// SpareSize is the spare area the FTLs program with a page: one page or
+// block number in 4 bytes (SpareForLPN, spareForBlock). A token and a spare
+// together fill the device's inline page slot (pagemem.InlineBytes) exactly.
+const SpareSize = 4
 
 // Token builds the payload for a host write, advancing the sequence number.
 // The returned slice is a reusable scratch buffer, valid until the next
 // Token call; Device.Program copies it, so the write paths never retain it.
 func (b *Base) Token(lpn LPN) []byte {
 	b.seq++
-	binary.LittleEndian.PutUint64(b.tok[0:8], uint64(lpn))
-	binary.LittleEndian.PutUint64(b.tok[8:16], uint64(b.seq))
+	binary.LittleEndian.PutUint32(b.tok[0:4], uint32(lpn))
+	binary.LittleEndian.PutUint64(b.tok[4:12], uint64(b.seq))
 	return b.tok[:]
 }
 
 // Spare is the scratch-buffer variant of SpareForLPN for the per-write hot
 // path; valid until the next Spare call.
 func (b *Base) Spare(lpn LPN) []byte {
-	binary.LittleEndian.PutUint64(b.sp[:], uint64(lpn))
+	binary.LittleEndian.PutUint32(b.sp[:], uint32(lpn))
 	return b.sp[:]
 }
 
 // TokenLPN extracts the LPN from a token payload.
 func TokenLPN(data []byte) (LPN, bool) {
-	if len(data) < 8 {
+	if len(data) < 4 {
 		return -1, false
 	}
-	return LPN(binary.LittleEndian.Uint64(data[0:8])), true
+	return LPN(binary.LittleEndian.Uint32(data[0:4])), true
 }
 
 // TokenSeq extracts the global sequence number from a token payload (0 for
 // short payloads). A crash-campaign verifier compares it against the floor
 // recorded per acknowledged write — see Seq.
-func TokenSeq(data []byte) uint64 { return tokenSeq(data) }
+func TokenSeq(data []byte) uint64 {
+	if len(data) < TokenSize {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(data[4:12])
+}
 
 // SpareForLPN encodes the reverse-map entry programmed into a data page's
 // spare area.
 func SpareForLPN(lpn LPN) []byte {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, uint64(lpn))
+	buf := make([]byte, SpareSize)
+	binary.LittleEndian.PutUint32(buf, uint32(lpn))
 	return buf
 }
 
 // LPNFromSpare decodes SpareForLPN.
 func LPNFromSpare(spare []byte) (LPN, bool) {
-	if len(spare) < 8 {
+	if len(spare) < SpareSize {
 		return -1, false
 	}
-	return LPN(binary.LittleEndian.Uint64(spare[:8])), true
+	return LPN(binary.LittleEndian.Uint32(spare)), true
 }
 
 // MappingHash fingerprints the current mapping state (see Mapper.StateHash).

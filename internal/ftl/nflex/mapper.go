@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"flexftl/internal/core"
+	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
 )
 
@@ -15,19 +16,24 @@ func (f *FTL) ref(chip, blk, level int) *parityRef {
 }
 
 // spareBlockNo encodes the inverse mapping for parity pages into dst: block
-// in the low four bytes, level in the high four. With the 16-byte parity
-// payload that is exactly the device's inline page slot.
-func spareBlockNo(dst *[8]byte, blk, level int) []byte {
-	binary.LittleEndian.PutUint64(dst[:], uint64(uint32(blk))|uint64(level)<<32)
+// in the low 30 bits, level in the top two. A level is below nand.MaxLevels
+// (4) and a chip has fewer than 2^30 blocks (nand.MaxPages), so both fit the
+// ftl.SpareSize bytes that, with the parity payload, fill the device's
+// inline page slot.
+func spareBlockNo(dst *[ftl.SpareSize]byte, blk, level int) []byte {
+	binary.LittleEndian.PutUint32(dst[:], uint32(blk)|uint32(level)<<30)
 	return dst[:]
 }
 
+// blockMask selects the block number of a parity page's spare.
+const blockMask = 1<<30 - 1
+
 func blockNoFromSpare(spare []byte) (blk, level int, ok bool) {
-	if len(spare) < 8 {
+	if len(spare) < ftl.SpareSize {
 		return -1, -1, false
 	}
-	v := binary.LittleEndian.Uint64(spare)
-	return int(uint32(v)), int(v >> 32), true
+	v := binary.LittleEndian.Uint32(spare)
+	return int(v & blockMask), int(v >> 30), true
 }
 
 // pageFor builds a page address.

@@ -128,7 +128,7 @@ type FTL struct {
 	inBGC   bool
 	// psp/psnap are per-parity-write scratch buffers (Device.Program copies
 	// payload and spare, so each is valid until its next use).
-	psp   [8]byte
+	psp   [ftl.SpareSize]byte
 	psnap []byte
 
 	// Blame counters (nil without a recorder) and the per-level reprogram

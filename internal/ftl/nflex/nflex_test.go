@@ -549,13 +549,24 @@ func TestMapperRoundTrip(t *testing.T) {
 }
 
 func TestSpareBlockNoRoundTrip(t *testing.T) {
-	var sp [8]byte
-	blk, lvl, ok := blockNoFromSpare(spareBlockNo(&sp, 42, 2))
-	if !ok || blk != 42 || lvl != 2 {
-		t.Errorf("round trip = %d,%d,%v", blk, lvl, ok)
+	var sp [ftl.SpareSize]byte
+	for _, c := range []struct{ blk, lvl int }{{42, 2}, {0, 0}, {1<<30 - 1, 3}} {
+		blk, lvl, ok := blockNoFromSpare(spareBlockNo(&sp, c.blk, c.lvl))
+		if !ok || blk != c.blk || lvl != c.lvl {
+			t.Errorf("round trip of block %d level %d = %d,%d,%v", c.blk, c.lvl, blk, lvl, ok)
+		}
 	}
 	if _, _, ok := blockNoFromSpare([]byte{1, 2}); ok {
 		t.Error("short spare decoded")
+	}
+	// The parity page it labels is one accumulator's snapshot: a token wide,
+	// so page and spare fill the device's inline slot.
+	for c, cs := range newTLC(t).chips {
+		for l, acc := range cs.pbuf {
+			if acc.Width() != ftl.TokenSize {
+				t.Fatalf("chip %d level %d: parity accumulator is %d bytes wide, want %d", c, l, acc.Width(), ftl.TokenSize)
+			}
+		}
 	}
 }
 

@@ -490,7 +490,7 @@ func (k *Kernel) RebuildMapping(now sim.Time) (RebuildReport, error) {
 				if !ok || tokLPN != lpn {
 					continue // payload disagrees with spare: not a live data page
 				}
-				seq := tokenSeq(data)
+				seq := TokenSeq(data)
 				if prev, exists := bestSeq[lpn]; exists && seq <= prev {
 					continue
 				}
@@ -519,16 +519,4 @@ func (k *Kernel) RebuildMapping(now sim.Time) (RebuildReport, error) {
 	// re-buckets every pool against the fresh table's valid counts.
 	k.SetMapper(fresh)
 	return rep, nil
-}
-
-// tokenSeq extracts the global sequence number from a payload token.
-func tokenSeq(data []byte) uint64 {
-	if len(data) < 16 {
-		return 0
-	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(data[8+i]) << (8 * i)
-	}
-	return v
 }

@@ -210,7 +210,7 @@ func (k *Kernel) scrubPatrol(now, until sim.Time) sim.Time {
 				// may itself read through Buf.
 				var tok [TokenSize]byte
 				n := copy(tok[:], k.Buf.Data)
-				var sp [8]byte
+				var sp [SpareSize]byte
 				copy(sp[:], k.Buf.Spare)
 				prev = k.Dev.SetCauseChip(addr.Chip, obs.CauseScrub)
 				t2, err = k.gcAlloc(addr.Chip, lpn, tok[:n], sp[:], now)

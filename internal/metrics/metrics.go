@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"flexftl/internal/sim"
 	"flexftl/internal/stats"
@@ -37,10 +38,13 @@ type Collector struct {
 	// into fixed windows of virtual time. Flush times run close together but
 	// not in order (a flush alternates between a few recent windows), so
 	// bytes accumulate in a direct-mapped register of open windows, slot
-	// idx mod windowSlots, and reach the map only when a flush to another
-	// window takes the slot or a summary is taken.
-	windowBytes map[int64]int64
-	windows     [windowSlots]window
+	// idx mod windowSlots (bit slot of open set while the slot holds one),
+	// and a window is appended to closed only when a flush to another window
+	// takes its slot or a summary is taken. A flush that returns to a window
+	// after it left closes that index again, so a summary sums equal indices.
+	windows [windowSlots]window
+	open    uint64
+	closed  windowList
 
 	activeTime sim.Time
 	makespan   sim.Time
@@ -53,42 +57,66 @@ func NewCollector(pageSize int, windowWidth sim.Time) *Collector {
 	if pageSize <= 0 || windowWidth <= 0 {
 		panic("metrics: pageSize and windowWidth must be positive")
 	}
-	return &Collector{
-		pageSize:    pageSize,
-		windowWidth: windowWidth,
-		windowBytes: make(map[int64]int64),
-	}
+	return &Collector{pageSize: pageSize, windowWidth: windowWidth}
 }
 
-// windowSlots is the size of the open-window register, a power of two.
+// windowSlots is the size of the open-window register: the bits of
+// Collector.open.
 const windowSlots = 64
 
-// window is one open bandwidth window: bytes added since it last reached the
-// map.
-type window struct {
-	open  bool
-	idx   int64
-	bytes int64
-}
+// window is one bandwidth window: bytes added to window idx while it was open.
+type window struct{ idx, bytes int64 }
 
 // addWindowBytes adds bytes to the window of a flush time.
 func (c *Collector) addWindowBytes(flushed sim.Time, bytes int64) {
 	idx := int64(flushed / c.windowWidth)
-	w := &c.windows[uint64(idx)%windowSlots]
-	if !w.open || w.idx != idx {
-		c.closeWindow(w)
-		*w = window{open: true, idx: idx}
+	slot := uint64(idx) % windowSlots
+	w := &c.windows[slot]
+	switch {
+	case c.open&(1<<slot) == 0:
+		c.open |= 1 << slot
+		*w = window{idx: idx}
+	case w.idx != idx:
+		c.closed.add(*w)
+		*w = window{idx: idx}
 	}
 	w.bytes += bytes
 }
 
-// closeWindow moves an open window's bytes into the map.
-func (c *Collector) closeWindow(w *window) {
-	if w.open {
-		c.windowBytes[w.idx] += w.bytes
-		*w = window{}
+// closeWindows moves every open window to the closed list.
+func (c *Collector) closeWindows() {
+	for slot := range c.windows {
+		if c.open&(1<<slot) != 0 {
+			c.closed.add(c.windows[slot])
+		}
 	}
+	c.open = 0
 }
+
+// windowChunk is the length of every chunk of a windowList, a power of two.
+const windowChunk = 1 << 10
+
+// windowList holds closed windows in chunks of windowChunk, each allocated
+// at its full size and never grown or copied. It sorts in place by window
+// index (sort.Interface).
+type windowList struct {
+	chunks [][]window
+	n      int
+}
+
+func (l *windowList) add(w window) {
+	if l.n == len(l.chunks)*windowChunk {
+		l.chunks = append(l.chunks, make([]window, windowChunk))
+	}
+	*l.at(l.n) = w
+	l.n++
+}
+
+func (l *windowList) at(i int) *window { return &l.chunks[i/windowChunk][i%windowChunk] }
+
+func (l *windowList) Len() int           { return l.n }
+func (l *windowList) Less(i, j int) bool { return l.at(i).idx < l.at(j).idx }
+func (l *windowList) Swap(i, j int)      { a, b := l.at(i), l.at(j); *a, *b = *b, *a }
 
 // RecordRead notes a completed read request.
 func (c *Collector) RecordRead(pages int, arrival, done sim.Time) {
@@ -164,9 +192,7 @@ type Result struct {
 
 // Finalize computes the run summary.
 func (c *Collector) Finalize() Result {
-	for i := range c.windows {
-		c.closeWindow(&c.windows[i])
-	}
+	c.closeWindows()
 	res := Result{
 		Requests:   c.requests,
 		Reads:      c.reads,
@@ -180,16 +206,23 @@ func (c *Collector) Finalize() Result {
 	if c.activeTime > 0 {
 		res.IOPS = float64(c.requests) / c.activeTime.Seconds()
 	}
+	// One bandwidth per window index: sorted by index, equal indices are
+	// adjacent and their bytes sum.
+	sort.Sort(&c.closed)
 	var bws []float64 // nil when there are none, as NewCDF would hold
-	if len(c.windowBytes) > 0 {
-		bws = make([]float64, 0, len(c.windowBytes))
+	if c.closed.n > 0 {
+		bws = make([]float64, 0, c.closed.n)
 	}
-	for _, bytes := range c.windowBytes {
-		mbs := float64(bytes) / (1 << 20) / c.windowWidth.Seconds()
+	for i := 0; i < c.closed.n; {
+		w := *c.closed.at(i)
+		for i++; i < c.closed.n && c.closed.at(i).idx == w.idx; i++ {
+			w.bytes += c.closed.at(i).bytes
+		}
+		mbs := float64(w.bytes) / (1 << 20) / c.windowWidth.Seconds()
 		bws = append(bws, mbs)
 	}
-	// Sorted before anything reads it: the map's iteration order must not
-	// reach the mean's floating-point sum. The CDF adopts the sorted windows.
+	// Sorted before anything reads it, so the mean's floating-point sum runs
+	// in one order. The CDF adopts the sorted windows.
 	slices.Sort(bws)
 	res.BandwidthCDF = stats.NewCDFSorted(bws)
 	if len(bws) > 0 {

@@ -202,9 +202,10 @@ func NewDevice(cfg Config) (*Device, error) {
 	// whole device, chip-major, so building it costs the same few allocations
 	// however many blocks and pages there are; a BER model adds one retention
 	// clock array of the same shape.
-	ppb, perChip := d.lay.pagesPerBlock, d.lay.pagesPerChip
+	perChip := d.lay.pagesPerChip
 	pages := make([]pagemem.Page, len(d.chips)*perChip)
-	written := make([]bool, len(pages))
+	words := core.BitmapWords(scheme)
+	written := make([]uint64, cfg.Geometry.TotalBlocks()*words)
 	var progAt []sim.Time
 	if cfg.Reliability != nil {
 		progAt = make([]sim.Time, len(pages))
@@ -213,7 +214,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	}
 	blocks := make([]block, cfg.Geometry.TotalBlocks())
 	for b := range blocks {
-		blocks[b].state = core.BlockStateOver(scheme, written[b*ppb:][:ppb:ppb])
+		blocks[b].state = core.BlockStateOver(scheme, written[b*words:][:words:words])
 	}
 	d.pages, d.blocks = pages, blocks
 	for c := range d.chips {

@@ -202,7 +202,7 @@ func mustProgram(t *testing.T, d *Device, a PageAddr, now sim.Time) sim.Time {
 
 func TestReadBackPayloadAndSpare(t *testing.T) {
 	d := testDevice(t, core.RPS)
-	data := []byte("hello page payload")
+	data := []byte("hello payload") // with the spare, inside the inline slot
 	spare := []byte{0xde, 0xad}
 	if _, err := d.Program(addr(0, 0, 0, core.LSB), data, spare, 0); err != nil {
 		t.Fatal(err)
@@ -662,7 +662,7 @@ func TestFullBlockFillProperty(t *testing.T) {
 func TestReadIntoMatchesRead(t *testing.T) {
 	d := testDevice(t, core.RPS)
 	a := addr(0, 0, 0, core.LSB)
-	data, spare := []byte("zero copy payload"), []byte{0x42, 0x24}
+	data, spare := []byte("zero copy"), []byte{0x42, 0x24}
 	progDone, err := d.Program(a, data, spare, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -792,7 +792,7 @@ func TestReadIntoZeroAllocsWithRecorder(t *testing.T) {
 	d := testDevice(t, core.RPS)
 	d.SetRecorder(obs.NewRecorder(obs.Options{}))
 	a := addr(0, 0, 0, core.LSB)
-	if _, err := d.Program(a, []byte("zero copy payload"), []byte{0x42}, 0); err != nil {
+	if _, err := d.Program(a, []byte("zero copy"), []byte{0x42}, 0); err != nil {
 		t.Fatal(err)
 	}
 	var buf PageBuf

@@ -44,8 +44,8 @@ func readBoth(t *testing.T, d *Device, a PageAddr) (data, spare []byte) {
 func TestInlineOversizeBoundary(t *testing.T) {
 	g := TestGeometry()
 	cases := []struct{ data, spare int }{
-		{0, 0}, {16, 8}, {24, 0}, {8, 16}, // at most the slot
-		{17, 8}, {25, 0}, {9, 16}, {16, 9}, // the slot + 1
+		{0, 0}, {12, 4}, {16, 0}, {4, 12}, // at most the slot
+		{13, 4}, {17, 0}, {5, 12}, {12, 5}, // the slot + 1
 		{g.PageSizeBytes, g.SpareBytes}, // a full page
 	}
 	everyLevels(t, func(t *testing.T, d *Device) {
@@ -99,10 +99,10 @@ func TestReprogramAcrossSlotSizes(t *testing.T) {
 // the caller's buffer, for inline and oversize payloads alike, and a ReadInto
 // after a re-program sees the new bytes.
 func TestReadsDoNotAliasDeviceMemory(t *testing.T) {
-	for _, n := range []int{16, 48} {
+	for _, n := range []int{12, 48} { // with the spare: inline, oversize
 		d := testDevice(t, core.RPS)
 		a := addr(0, 0, 0, core.LSB)
-		data, spare := pattern(n, 3), pattern(8, 9)
+		data, spare := pattern(n, 3), pattern(4, 9)
 		if _, err := d.Program(a, data, spare, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,9 @@ func TestPageTableAllocations(t *testing.T) {
 
 	everyLevels(t, func(t *testing.T, d *Device) {
 		order := core.RelaxedFullOrder(d.Geometry().Scheme())
-		token, spare := pattern(16, 1), pattern(8, 2)
+		// The FTLs' page: a 12-byte token and a 4-byte spare (ftl.TokenSize,
+		// ftl.SpareSize), which fill the inline slot.
+		token, spare := pattern(12, 1), pattern(4, 2)
 		next := 0
 		programNext := func() {
 			a := PageAddr{BlockAddr: BlockAddr{Chip: 3, Block: next / len(order)}, Page: order[next%len(order)]}

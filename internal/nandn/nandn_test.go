@@ -296,7 +296,7 @@ func TestInlineOversizeBoundary(t *testing.T) {
 func TestReprogramAcrossSlotSizes(t *testing.T) {
 	d := testDevice(t)
 	var buf PageBuf
-	for i, n := range []int{40, 5, 60, 24, 0} {
+	for i, n := range []int{40, 5, 60, 16, 0} {
 		data := bytes.Repeat([]byte{byte(i + 1)}, n)
 		if _, err := d.Program(pa(0, 3, 0, 0), data, nil, 0); err != nil {
 			t.Fatal(err)

@@ -9,9 +9,9 @@
 package pagemem
 
 // InlineBytes is the payload a Page stores in place, data and spare area
-// together: the FTLs program a 16-byte token (ftl.TokenSize) with an 8-byte
-// spare. Anything larger goes to the chip's Oversize table.
-const InlineBytes = 24
+// together: the FTLs program a 12-byte token (ftl.TokenSize) with a 4-byte
+// spare (ftl.SpareSize). Anything larger goes to the chip's Oversize table.
+const InlineBytes = 16
 
 // Flags is a page's state, packed so that storing 0 erases the page.
 type Flags uint8

@@ -15,7 +15,7 @@ func fill(n int, seed byte) []byte {
 }
 
 // TestPageIsFlat: the record is what a device multiplies by its page count —
-// flags, two length bytes and the inline slot, 27 bytes on every target: no
+// flags, two length bytes and the inline slot, 19 bytes on every target: no
 // word-sized field to pad it, no pointers for the collector to trace.
 func TestPageIsFlat(t *testing.T) {
 	if got, want := unsafe.Sizeof(Page{}), uintptr(3+InlineBytes); got != want {
@@ -27,7 +27,7 @@ func TestPageIsFlat(t *testing.T) {
 // InlineBytes, the side table the rest; Store leaves only Programmed set.
 func TestStoreLoad(t *testing.T) {
 	for _, c := range []struct{ data, spare int }{
-		{0, 0}, {16, 8}, {InlineBytes, 0}, {0, InlineBytes}, {1, InlineBytes - 1},
+		{0, 0}, {12, 4}, {InlineBytes, 0}, {0, InlineBytes}, {1, InlineBytes - 1},
 		{InlineBytes + 1, 0}, {0, InlineBytes + 1}, {InlineBytes, 1}, {4096, 64},
 	} {
 		var side Oversize

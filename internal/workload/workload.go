@@ -241,9 +241,12 @@ type synthetic struct {
 	now      sim.Time
 	burstRem int
 	written  []int32 // pages written so far (read targets); every page fits, see New
-	maxHist  int
 	pages    pageCount
 }
+
+// maxHist bounds the read-target history: past it, a write replaces a random
+// entry.
+const maxHist = 1 << 16
 
 // New builds a generator over a logical space of `space` pages emitting
 // `total` requests.
@@ -261,12 +264,14 @@ func New(p Profile, space int64, total int, seed uint64) (Generator, error) {
 	}
 	src := rng.New(seed)
 	return &synthetic{
-		p:       p,
-		src:     src,
-		zipf:    rng.NewZipf(src.Split(1), int(space), p.ZipfTheta),
+		p:    p,
+		src:  src,
+		zipf: rng.NewZipf(src.Split(1), int(space), p.ZipfTheta),
+		// Sized once: the history never holds more than maxHist pages, nor
+		// more than the writes among total requests.
+		written: make([]int32, 0, min(maxHist, total)),
 		space:   space,
 		total:   total,
-		maxHist: 1 << 16,
 		pages:   newPageCount(p.PagesMean-1, p.PagesCap),
 	}, nil
 }
@@ -315,10 +320,10 @@ func (s *synthetic) Next() (Request, bool) {
 		s.written = s.written[:len(s.written)-1]
 	default:
 		page = int64(s.zipf.Next())
-		if len(s.written) < s.maxHist {
+		if len(s.written) < maxHist {
 			s.written = append(s.written, int32(page))
 		} else {
-			s.written[s.src.Intn(s.maxHist)] = int32(page)
+			s.written[s.src.Intn(maxHist)] = int32(page)
 		}
 	}
 	if int64(pages) > s.space {
