@@ -100,7 +100,7 @@ func (b *pairParity) init(k *Kernel) error {
 	if b.pairSize < 1 {
 		return fmt.Errorf("ftl: parity pair size %d < 1", b.pairSize)
 	}
-	if k.placement.streams() != 1 {
+	if k.streams != 1 {
 		// The pair accumulator assumes LSB programs arrive in one global
 		// per-chip order; interleaved streams would pair LSBs whose MSB
 		// windows open at unrelated times, voiding the footnote-4 bound.
@@ -270,7 +270,7 @@ type blockParity struct {
 
 func (b *blockParity) init(k *Kernel) error {
 	g := k.Dev.Geometry()
-	streams := k.placement.streams()
+	streams := k.streams
 	b.pbuf = make([][]*parity.Buffer, g.Chips())
 	b.backup = make([]backupState, g.Chips())
 	b.psnap = make([][][]byte, g.Chips())
@@ -355,7 +355,7 @@ func (b *blockParity) writeBlockParity(k *Kernel, chip, fastBlk int, parityPage 
 	}
 	bk.live[bk.cur]++
 	bk.pos++
-	if bk.pos == k.Dev.Geometry().WordLinesPerBlock {
+	if bk.pos == k.wordLines {
 		// All LSB pages of the backup block used: retire it. It is erased
 		// once every parity in it is invalidated.
 		bk.retired = append(bk.retired, RetiredBackup{Block: bk.cur, Fill: bk.pos})
@@ -426,7 +426,7 @@ func (b *blockParity) shardPops(k *Kernel, chip, lsbWrites, fills int) int {
 	if fills <= 0 {
 		return 0
 	}
-	wl := k.Dev.Geometry().WordLinesPerBlock
+	wl := k.wordLines
 	room := 0
 	if bk := &b.backup[chip]; bk.cur != -1 {
 		room = wl - bk.pos

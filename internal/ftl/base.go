@@ -7,6 +7,7 @@ import (
 
 	"flexftl/internal/nand"
 	"flexftl/internal/obs"
+	"flexftl/internal/pagemem"
 	"flexftl/internal/rel"
 	"flexftl/internal/sim"
 )
@@ -200,13 +201,16 @@ func (b *Base) NextChip() int {
 // payloads carry no additional information for the simulation, so pages
 // store just the token — the parity algebra is unaffected (XOR over tokens
 // is XOR over the zero-padded pages). Every LPN fits the 4 bytes: a device
-// has fewer than nand.MaxPages (< 2^31) pages.
-const TokenSize = 12
+// has fewer than nand.MaxPages (< 2^31) pages. The page record defines the
+// size (pagemem.TokenBytes), so it stores and loads this shape with
+// fixed-width moves.
+const TokenSize = pagemem.TokenBytes
 
 // SpareSize is the spare area the FTLs program with a page: one page or
-// block number in 4 bytes (SpareForLPN, spareForBlock). A token and a spare
-// together fill the device's inline page slot (pagemem.InlineBytes) exactly.
-const SpareSize = 4
+// block number in 4 bytes (SpareForLPN, spareForBlock), pagemem.SpareBytes.
+// A token and a spare together fill the device's inline page slot
+// (pagemem.InlineBytes) exactly.
+const SpareSize = pagemem.SpareBytes
 
 // Token builds the payload for a host write, advancing the sequence number.
 // The returned slice is a reusable scratch buffer, valid until the next

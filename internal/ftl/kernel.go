@@ -30,6 +30,10 @@ type Kernel struct {
 	retokenizeGC bool
 	inBGC        bool            // inside a background-GC window (quota accounting)
 	pred         *writePredictor // Section 6 extension (nil unless enabled)
+	// streams (placement.streams()) and wordLines (the geometry's word lines
+	// per block) are fixed per kernel; the per-page paths read them here
+	// instead of through an interface call or a Geometry copy.
+	streams, wordLines int
 }
 
 var _ FTL = (*Kernel)(nil)
@@ -61,7 +65,7 @@ type KernelSpec struct {
 // NewKernel assembles an FTL from a policy tuple over the device. Policies
 // initialize in placement, order, backup, allocation sequence — placement
 // first because the order and backup policies size their per-stream state
-// from placement.streams(); each may reject the device or configuration.
+// from its stream count; each may reject the device or configuration.
 func NewKernel(dev *nand.Device, cfg Config, spec KernelSpec) (*Kernel, error) {
 	if spec.Order == nil || spec.Backup == nil || spec.Alloc == nil {
 		return nil, fmt.Errorf("ftl: kernel %q needs order, backup and allocation policies", spec.Name)
@@ -82,10 +86,12 @@ func NewKernel(dev *nand.Device, cfg Config, spec KernelSpec) (*Kernel, error) {
 		alloc:        spec.Alloc,
 		placement:    place,
 		retokenizeGC: spec.RetokenizeGC,
+		wordLines:    dev.Geometry().WordLinesPerBlock,
 	}
 	if err := k.placement.init(k); err != nil {
 		return nil, err
 	}
+	k.streams = k.placement.streams()
 	if err := k.ord.init(k); err != nil {
 		return nil, err
 	}
@@ -262,15 +268,10 @@ func (k *Kernel) Quota() int64 {
 // SlowQueueLen returns the chip's slow block queue depth under two-phase
 // ordering, summed over placement streams (0 otherwise).
 func (k *Kernel) SlowQueueLen(chip int) int {
-	o, ok := k.ord.(*twoPhase)
-	if !ok {
-		return 0
+	if o, ok := k.ord.(*twoPhase); ok {
+		return o.chips[chip].queued
 	}
-	total := 0
-	for s := range o.chips[chip].streams {
-		total += o.chips[chip].streams[s].sbq.Len()
-	}
-	return total
+	return 0
 }
 
 // ParityRef locates the parity backup page protecting the given fast/slow

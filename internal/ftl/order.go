@@ -105,7 +105,7 @@ func (o *fpsSingle) init(k *Kernel) error {
 	o.order = core.FPSOrder(g.WordLinesPerBlock)
 	o.active = make([][]cursor, g.Chips())
 	for c := range o.active {
-		cs := make([]cursor, k.placement.streams())
+		cs := make([]cursor, k.streams)
 		for s := range cs {
 			cs[s] = cursor{blk: -1}
 		}
@@ -156,7 +156,7 @@ func (o *fpsSingle) program(k *Kernel, chip, stream int, pref Pref, lpn LPN, dat
 func (o *fpsSingle) foregroundGC(k *Kernel, chip int, now sim.Time) (sim.Time, error) {
 	// Each placement stream beyond the first holds one more active block
 	// open, so the reserve grows with it — streams share one free pool.
-	return k.reserveGC(chip, now, k.Cfg.MinFreeBlocksPerChip+k.bk.extraReserve()+k.placement.streams()-1)
+	return k.reserveGC(chip, now, k.Cfg.MinFreeBlocksPerChip+k.bk.extraReserve()+k.streams-1)
 }
 
 func (o *fpsSingle) idleDrain(*Kernel, sim.Time, sim.Time) {}
@@ -168,7 +168,7 @@ func (o *fpsSingle) fastBudget(k *Kernel, chip int) int {
 			budget++
 		}
 	}
-	if spare := k.Pools[chip].FreeCount() - k.Cfg.MinFreeBlocksPerChip - k.placement.streams(); spare > 0 {
+	if spare := k.Pools[chip].FreeCount() - k.Cfg.MinFreeBlocksPerChip - k.streams; spare > 0 {
 		budget += spare
 	}
 	return budget
@@ -184,7 +184,7 @@ func (o *fpsSingle) slowAvailable(k *Kernel, chip int) bool {
 }
 
 func (o *fpsSingle) shardGCTrigger(k *Kernel) int {
-	return k.Cfg.MinFreeBlocksPerChip + k.bk.extraReserve() + k.placement.streams() - 1
+	return k.Cfg.MinFreeBlocksPerChip + k.bk.extraReserve() + k.streams - 1
 }
 
 func (o *fpsSingle) shardWriteImpact(k *Kernel, chip, w int) (pops, fills int) {
@@ -260,7 +260,7 @@ func (o *fpsPool) init(k *Kernel) error {
 	if o.slots < 1 {
 		return fmt.Errorf("%s: active pool needs at least one slot", k.name)
 	}
-	if k.placement.streams() != 1 {
+	if k.streams != 1 {
 		return fmt.Errorf("%s: the FPS-pool order routes by slot fill, not stream; it needs the single-stream placement", k.name)
 	}
 	if g.BlocksPerChip < o.slots+k.Cfg.MinFreeBlocksPerChip+2 {
@@ -512,7 +512,7 @@ func (o *fpsPool) drainMSBSlots(k *Kernel, chip int, now, until sim.Time) (sim.T
 
 func (o *fpsPool) fastBudget(k *Kernel, chip int) int {
 	budget := o.lsbReadyCount(chip)
-	if spare := k.Pools[chip].FreeCount() - k.Cfg.MinFreeBlocksPerChip - k.placement.streams(); spare > 0 {
+	if spare := k.Pools[chip].FreeCount() - k.Cfg.MinFreeBlocksPerChip - k.streams; spare > 0 {
 		budget += spare
 	}
 	return budget
@@ -588,6 +588,12 @@ type twoPhaseStream struct {
 // twoPhaseChip is the per-chip block bookkeeping of the block pool manager.
 type twoPhaseChip struct {
 	streams []twoPhaseStream
+	// queued is the number of slow blocks queued over all streams (the sum
+	// of their sbq lengths) and fastLeft the LSB pages left in their open
+	// fast blocks. The program paths keep both, so the per-write checks
+	// (slowAvailable, fastBudget, foregroundGC) read one field instead of
+	// walking the streams.
+	queued, fastLeft int
 
 	// Crash-recovery bookkeeping for the chip's open destructive window: the
 	// LPN of the most recent MSB program, the physical page it superseded
@@ -619,7 +625,7 @@ func (o *twoPhase) init(k *Kernel) error {
 	}
 	o.chips = make([]twoPhaseChip, k.Dev.Geometry().Chips())
 	for c := range o.chips {
-		sts := make([]twoPhaseStream, k.placement.streams())
+		sts := make([]twoPhaseStream, k.streams)
 		for s := range sts {
 			sts[s] = twoPhaseStream{afb: -1}
 		}
@@ -639,7 +645,7 @@ func (o *twoPhase) program(k *Kernel, chip, stream int, pref Pref, lpn LPN, data
 		// the parity-backup writer — and one per sibling stream, since the
 		// streams drain a single shared pool; redirect to a slow page
 		// otherwise.
-		if st.afb == -1 && k.Pools[chip].FreeCount() <= k.placement.streams() {
+		if st.afb == -1 && k.Pools[chip].FreeCount() <= k.streams {
 			useLSB = false
 		}
 	}
@@ -667,13 +673,15 @@ func (o *twoPhase) program(k *Kernel, chip, stream int, pref Pref, lpn LPN, data
 
 // programLSB writes the next LSB page of the stream's active fast block.
 func (o *twoPhase) programLSB(k *Kernel, chip, stream int, lpn LPN, data, spare []byte, now sim.Time, fromGC bool) (sim.Time, error) {
-	st := &o.chips[chip].streams[stream]
+	ch := &o.chips[chip]
+	st := &ch.streams[stream]
 	if st.afb == -1 {
 		blk, ok := k.placement.pickFree(k, chip, stream)
 		if !ok {
 			return now, fmt.Errorf("%s: chip %d out of free blocks for a fast block", k.name, chip)
 		}
 		st.afb, st.afbPos = blk, 0
+		ch.fastLeft += k.wordLines
 		k.bk.onFastOpen(k, chip, stream)
 		k.Obs.Instant(obs.KindBlockFast, int32(chip), now, int64(blk), int64(k.Pools[chip].FreeCount()))
 	}
@@ -693,12 +701,14 @@ func (o *twoPhase) programLSB(k *Kernel, chip, stream int, lpn LPN, data, spare 
 	k.noteData(true, fromGC)
 	k.alloc.onProgram(k, true, fromGC)
 	st.afbPos++
-	if st.afbPos == k.Dev.Geometry().WordLinesPerBlock {
+	ch.fastLeft--
+	if st.afbPos == k.wordLines {
 		// Fast block complete: queue it as a slow block first so the block
 		// pool state stays consistent even if the parity write fails, then
 		// persist its parity page (Figure 7(a)).
 		full := st.afb
 		st.sbq.Push(full)
+		ch.queued++
 		st.afb = -1
 		k.Obs.Instant(obs.KindBlockQueued, int32(chip), now, int64(full), int64(st.sbq.Len()))
 		done, err = k.backupOnFastComplete(chip, stream, full, done)
@@ -737,12 +747,13 @@ func (o *twoPhase) programMSB(k *Kernel, chip, stream int, lpn LPN, data, spare 
 	k.noteData(false, fromGC)
 	k.alloc.onProgram(k, false, fromGC)
 	st.asbPos++
-	if st.asbPos == k.Dev.Geometry().WordLinesPerBlock {
+	if st.asbPos == k.wordLines {
 		// Slow block complete: its parity backup is no longer needed.
 		k.backupOnSlowComplete(chip, blk)
 		k.Dev.AckProgram(nand.BlockAddr{Chip: chip, Block: blk})
 		k.Pools[chip].PushFull(blk)
 		st.sbq.PopFront()
+		ch.queued--
 		st.asbPos = 0
 		k.Obs.Instant(obs.KindBlockFull, int32(chip), now, int64(blk), int64(st.sbq.Len()))
 	}
@@ -764,32 +775,24 @@ func (o *twoPhase) foregroundGC(k *Kernel, chip int, now sim.Time) (sim.Time, er
 	// almost permanently) and collapse into a GC spiral. For one stream the
 	// two readings coincide.
 	//
-	// needsLSB is re-evaluated every iteration, not latched at entry: a
-	// collection's own relocations move slow-block-queue state (an MSB
-	// relocation completing the active slow block pops the queue), and a
-	// latched value would make the loop's outcome depend on how many calls
-	// the same state is spread over. Re-evaluating makes foregroundGC a
-	// pure function of chip state — in particular idempotent, which the
-	// epoch planner's GC pre-run relies on: when a pre-run's headroom
-	// recheck fails and the write falls back to serial execution, the
-	// write's in-line foregroundGC call must be a provable no-op, not a
+	// That test (ch.queued == 0) is re-evaluated every iteration, not
+	// latched at entry: a collection's own relocations move slow-block-queue
+	// state (an MSB relocation completing the active slow block pops the
+	// queue), and a latched value would make the loop's outcome depend on
+	// how many calls the same state is spread over. Re-evaluating makes
+	// foregroundGC a pure function of chip state — in particular idempotent,
+	// which the epoch planner's GC pre-run relies on: when a pre-run's
+	// headroom recheck fails and the write falls back to serial execution,
+	// the write's in-line foregroundGC call must be a provable no-op, not a
 	// second collection the serial schedule would have run one write later.
-	needsLSB := func() bool {
-		for s := range o.chips[chip].streams {
-			if o.chips[chip].streams[s].sbq.Len() > 0 {
-				return false
-			}
-		}
-		return true
-	}
+	ch, pool := &o.chips[chip], k.Pools[chip]
 	// The thin-pool and emergency levels scale with the placement streams:
 	// every stream holds its own active fast block against the one shared
 	// pool, and GC's cold-stream relocations must never find it empty.
-	streams := k.placement.streams()
+	streams := k.streams
 	reserve := k.Cfg.MinFreeBlocksPerChip + streams - 1
-	for (needsLSB() && k.Pools[chip].FreeCount() < reserve+1) ||
-		k.Pools[chip].FreeCount() < 1+streams {
-		victim, ok := k.Pools[chip].PickVictim()
+	for (ch.queued == 0 && pool.FreeCount() < reserve+1) || pool.FreeCount() < 1+streams {
+		victim, ok := pool.PickVictim()
 		if !ok {
 			break
 		}
@@ -808,34 +811,21 @@ func (o *twoPhase) idleDrain(*Kernel, sim.Time, sim.Time) {}
 // fastBudget returns how many LSB pages the chip can still serve without
 // eating into the GC/backup block reserve, summed over placement streams.
 func (o *twoPhase) fastBudget(k *Kernel, chip int) int {
-	w := k.Dev.Geometry().WordLinesPerBlock
-	budget := 0
-	for s := range o.chips[chip].streams {
-		if st := &o.chips[chip].streams[s]; st.afb != -1 {
-			budget += w - st.afbPos
-		}
-	}
-	if spare := k.Pools[chip].FreeCount() - k.Cfg.MinFreeBlocksPerChip - k.placement.streams(); spare > 0 {
-		budget += spare * w
+	budget := o.chips[chip].fastLeft
+	if spare := k.Pools[chip].FreeCount() - k.Cfg.MinFreeBlocksPerChip - k.streams; spare > 0 {
+		budget += spare * k.wordLines
 	}
 	return budget
 }
 
-func (o *twoPhase) slowAvailable(k *Kernel, chip int) bool {
-	for s := range o.chips[chip].streams {
-		if o.chips[chip].streams[s].sbq.Len() > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (o *twoPhase) slowAvailable(k *Kernel, chip int) bool { return o.chips[chip].queued > 0 }
 
 // shardGCTrigger: the two-phase foreground collector fires when some stream
 // has no slow block and the chip has fewer than reserve+1 free blocks, or
 // fewer than 2 free blocks outright; free >= max(reserve+1, 2) rules out
 // both conditions (Config.Validate guarantees MinFreeBlocksPerChip >= 1).
 func (o *twoPhase) shardGCTrigger(k *Kernel) int {
-	streams := k.placement.streams()
+	streams := k.streams
 	t := k.Cfg.MinFreeBlocksPerChip + streams
 	if t < 1+streams {
 		t = 1 + streams
@@ -847,7 +837,7 @@ func (o *twoPhase) shardGCTrigger(k *Kernel) int {
 // case is all w writes landing on LSB pages, routed adversarially across the
 // streams' active fast block chains.
 func (o *twoPhase) shardWriteImpact(k *Kernel, chip, w int) (pops, fills int) {
-	wl := k.Dev.Geometry().WordLinesPerBlock
+	wl := k.wordLines
 	sts := o.chips[chip].streams
 	costs := o.impactScratch[:0]
 	for s := range sts {
@@ -878,7 +868,7 @@ func (o *twoPhase) shardWriteImpactMin(k *Kernel, chip, w int) (pops, fills int)
 	if len(sts) == 1 {
 		return o.shardWriteImpact(k, chip, w)
 	}
-	wl := k.Dev.Geometry().WordLinesPerBlock
+	wl := k.wordLines
 	slack := 0
 	for s := range sts {
 		if sts[s].afb != -1 {

@@ -83,6 +83,77 @@ func TestIntQueueBounded(t *testing.T) {
 	}
 }
 
+// TestIntQueueMatchesSlice drives random Push/PopFront/At/RemoveAt sequences
+// against a plain-slice model. Each seed cycles through phases that favour
+// pushes, then balance them with pops, then drain, so every run grows the
+// ring several times and wraps the head around it; after every op the queue
+// must agree with the model value for value and its capacity must be a power
+// of two (the invariant the ring's mask relies on).
+func TestIntQueueMatchesSlice(t *testing.T) {
+	const opsPerSeed = 12000
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := rng.New(seed)
+		var q IntQueue
+		var model []int
+		grows, wraps := 0, 0
+		cycle := 300 * int(seed+1) // ops per phase
+		for op := 0; op < opsPerSeed; op++ {
+			// Per 100 ops a phase pushes pushPct values and takes out
+			// (100-pushPct)*4/5: grow by ~28, churn at ~+1, drain by ~26.
+			pushPct := 60
+			switch (op / cycle) % 3 {
+			case 1:
+				pushPct = 45
+			case 2:
+				pushPct = 30
+			}
+			capBefore, headBefore := q.Cap(), q.head
+			switch k := r.Intn(100); {
+			case len(model) == 0 || k < pushPct:
+				v := r.Intn(1 << 20)
+				q.Push(v)
+				model = append(model, v)
+			case k < pushPct+(100-pushPct)*3/5:
+				if got := q.PopFront(); got != model[0] {
+					t.Fatalf("seed %d op %d: PopFront = %d, want %d", seed, op, got, model[0])
+				}
+				model = model[1:]
+			case k < pushPct+(100-pushPct)*4/5:
+				i := r.Intn(len(model))
+				if got := q.RemoveAt(i); got != model[i] {
+					t.Fatalf("seed %d op %d: RemoveAt(%d) = %d, want %d", seed, op, i, got, model[i])
+				}
+				model = append(model[:i], model[i+1:]...)
+			default:
+				i := r.Intn(len(model))
+				if got := q.At(i); got != model[i] {
+					t.Fatalf("seed %d op %d: At(%d) = %d, want %d", seed, op, i, got, model[i])
+				}
+			}
+			if q.Cap() != capBefore {
+				grows++
+			}
+			if q.Cap() == capBefore && q.head < headBefore && q.Len() > 0 {
+				wraps++
+			}
+			if c := q.Cap(); c&(c-1) != 0 {
+				t.Fatalf("seed %d op %d: capacity %d is not a power of two", seed, op, c)
+			}
+			if q.Len() != len(model) {
+				t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, q.Len(), len(model))
+			}
+			for i, want := range model {
+				if got := q.At(i); got != want {
+					t.Fatalf("seed %d op %d: At(%d) = %d, want %d", seed, op, i, got, want)
+				}
+			}
+		}
+		if grows < 3 || wraps < 3 {
+			t.Fatalf("seed %d: %d growths and %d head wrap-arounds; the sequence must cross both", seed, grows, wraps)
+		}
+	}
+}
+
 // TestFreePoolFreeListBounded is the same boundedness property for the pool's
 // free ring under many erase/alloc cycles.
 func TestFreePoolFreeListBounded(t *testing.T) {

@@ -4,6 +4,9 @@ package ftl
 // and the FTLs' block-phase queues. Push and PopFront are O(1) and reuse the
 // backing array; the previous `s = s[1:]` idiom pinned the slice head, so
 // every Push after a pop grew the backing array forever.
+//
+// The capacity is zero or a power of two (grow's invariant), so a ring
+// position is wrapped with a mask instead of a division.
 type IntQueue struct {
 	buf  []int
 	head int
@@ -16,12 +19,15 @@ func (q *IntQueue) Len() int { return q.n }
 // Front returns the oldest value without removing it.
 func (q *IntQueue) Front() int { return q.At(0) }
 
+// slot returns the ring position of the i-th value from the front.
+func (q *IntQueue) slot(i int) int { return (q.head + i) & (len(q.buf) - 1) }
+
 // At returns the i-th value from the front (0 = oldest).
 func (q *IntQueue) At(i int) int {
 	if i < 0 || i >= q.n {
 		panic("ftl: IntQueue index out of range")
 	}
-	return q.buf[(q.head+i)%len(q.buf)]
+	return q.buf[q.slot(i)]
 }
 
 // Push appends a value at the back.
@@ -29,7 +35,7 @@ func (q *IntQueue) Push(v int) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.buf[q.slot(q.n)] = v
 	q.n++
 }
 
@@ -39,7 +45,7 @@ func (q *IntQueue) PopFront() int {
 		panic("ftl: PopFront of empty IntQueue")
 	}
 	v := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = q.slot(1)
 	q.n--
 	if q.n == 0 {
 		q.head = 0
@@ -53,7 +59,7 @@ func (q *IntQueue) PopFront() int {
 func (q *IntQueue) RemoveAt(i int) int {
 	v := q.At(i) // bounds-checked
 	for j := i; j < q.n-1; j++ {
-		q.buf[(q.head+j)%len(q.buf)] = q.buf[(q.head+j+1)%len(q.buf)]
+		q.buf[q.slot(j)] = q.buf[q.slot(j+1)]
 	}
 	q.n--
 	if q.n == 0 {
@@ -63,9 +69,11 @@ func (q *IntQueue) RemoveAt(i int) int {
 }
 
 // Cap returns the current backing-array capacity (tests assert it stays
-// bounded over many push/pop cycles).
+// bounded over many push/pop cycles, and that it is a power of two).
 func (q *IntQueue) Cap() int { return len(q.buf) }
 
+// grow doubles the capacity, starting at 8, so it stays a power of two —
+// the invariant slot's mask relies on.
 func (q *IntQueue) grow() {
 	c := 2 * len(q.buf)
 	if c < 8 {
@@ -73,7 +81,7 @@ func (q *IntQueue) grow() {
 	}
 	nb := make([]int, c)
 	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
+		nb[i] = q.buf[q.slot(i)]
 	}
 	q.buf, q.head = nb, 0
 }

@@ -102,7 +102,7 @@ func (k *Kernel) ShardWriteHeadroom(chip, w int) bool {
 // fallback taxonomy; single-stream placements have no routing freedom and
 // never report a placement hazard.
 func (k *Kernel) ShardPlacementHazard(chip, w int) bool {
-	if k.placement.streams() <= 1 {
+	if k.streams <= 1 {
 		return false
 	}
 	pops, fills := k.ord.shardWriteImpactMin(k, chip, w)
@@ -186,7 +186,7 @@ func (k *Kernel) writeOn(chip int, lpn LPN, now sim.Time, util float64) (sim.Tim
 		return now, err
 	}
 	k.St.HostWrites++
-	if k.placement.streams() > 1 {
+	if k.streams > 1 {
 		// Stream-split accounting only where placement actually separates
 		// streams, so single-stream schemes keep byte-identical stats.
 		if stream == streamHot {

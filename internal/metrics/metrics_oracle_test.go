@@ -375,16 +375,18 @@ func TestBandwidthWindowRegister(t *testing.T) {
 		}
 	}
 	checkSame(t, "end", c, o)
-	// The summary left the closed list sorted by index: count distinct ones.
-	windows := 0
-	for i := 0; i < c.closed.n; i++ {
-		if i == 0 || c.closed.at(i).idx != c.closed.at(i-1).idx {
-			windows++
-		}
-	}
-	if windows != len(o.windowBytes) {
+	// One summed window per distinct index, as many as the oracle's map.
+	if windows := distinctWindows(&c.closed); windows != len(o.windowBytes) {
 		t.Errorf("%d windows, oracle %d", windows, len(o.windowBytes))
 	}
+}
+
+// distinctWindows counts the windows eachIndex hands out: one per distinct
+// index.
+func distinctWindows(l *windowList) int {
+	n := 0
+	l.eachIndex(func(window) { n++ })
+	return n
 }
 
 // TestWideSamplesExact: samples a uint32 cannot hold (negative, or 2^32 µs

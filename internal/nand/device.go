@@ -660,9 +660,7 @@ func (d *Device) ReadPPN(ppn PPN, buf *PageBuf, now sim.Time) (done sim.Time, er
 	case pg.Has(pagemem.Lost), outcome.Uncorrectable:
 		return done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, d.lay.Addr(ppn))
 	}
-	data, spare := pg.Load(c.oversize, key)
-	buf.Data = append(buf.Data, data...)
-	buf.Spare = append(buf.Spare, spare...)
+	buf.Data, buf.Spare = pg.Load(c.oversize, key, buf.Data, buf.Spare)
 	return done, nil
 }
 

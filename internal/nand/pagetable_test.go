@@ -347,3 +347,49 @@ func TestPageTableAllocations(t *testing.T) {
 		}
 	})
 }
+
+// TestFTLPageRoundTrip: the FTLs' page shape (pagemem.TokenBytes of data,
+// pagemem.SpareBytes of spare) programmed by ProgramPPN reads back through
+// ReadPPN byte for byte, and the pair allocates nothing once the PageBuf has
+// held one page. A ReadPPN into a zero-capacity PageBuf — every buffer's
+// first read — still returns the stored bytes.
+func TestFTLPageRoundTrip(t *testing.T) {
+	everyLevels(t, func(t *testing.T, d *Device) {
+		order := core.RelaxedFullOrder(d.Geometry().Scheme())
+		lay := d.Layout()
+		ppnOf := func(i int) PPN {
+			return lay.PPNOf(PageAddr{BlockAddr: BlockAddr{Chip: 1, Block: i / len(order)}, Page: order[i%len(order)]})
+		}
+		token, spare := pattern(pagemem.TokenBytes, 1), pattern(pagemem.SpareBytes, 2)
+		var buf PageBuf
+		next := 0
+		roundTrip := func() {
+			ppn := ppnOf(next)
+			next++
+			token[0], spare[0] = byte(next), byte(next>>8)
+			if _, err := d.ProgramPPN(ppn, token, spare, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.ReadPPN(ppn, &buf, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Data, token) || !bytes.Equal(buf.Spare, spare) {
+				t.Fatalf("page %d reads back %x/%x, want %x/%x", next-1, buf.Data, buf.Spare, token, spare)
+			}
+		}
+		const runs = 100 // plus AllocsPerRun's warm-up call
+		if allocs := testing.AllocsPerRun(runs, roundTrip); allocs != 0 {
+			t.Errorf("a 12+4 ProgramPPN and its ReadPPN allocate %.2f times per page, want 0", allocs)
+		}
+		for i := 0; i < next; i++ {
+			var fresh PageBuf
+			if _, err := d.ReadPPN(ppnOf(i), &fresh, 0); err != nil {
+				t.Fatal(err)
+			}
+			token[0], spare[0] = byte(i+1), byte((i+1)>>8)
+			if !bytes.Equal(fresh.Data, token) || !bytes.Equal(fresh.Spare, spare) {
+				t.Fatalf("page %d into a zero-capacity PageBuf reads %x/%x, want %x/%x", i, fresh.Data, fresh.Spare, token, spare)
+			}
+		}
+	})
+}

@@ -8,10 +8,19 @@
 // figure a device multiplies by its page count.
 package pagemem
 
+// TokenBytes and SpareBytes are the one payload shape the FTLs program: a
+// 12-byte token (ftl.TokenSize) with a 4-byte spare (ftl.SpareSize). Store
+// and Load move that shape with fixed-width copies; any other shape takes
+// the general path.
+const (
+	TokenBytes = 12
+	SpareBytes = 4
+)
+
 // InlineBytes is the payload a Page stores in place, data and spare area
-// together: the FTLs program a 12-byte token (ftl.TokenSize) with a 4-byte
-// spare (ftl.SpareSize). Anything larger goes to the chip's Oversize table.
-const InlineBytes = 16
+// together: one FTL page exactly. Anything larger goes to the chip's
+// Oversize table.
+const InlineBytes = TokenBytes + SpareBytes
 
 // Flags is a page's state, packed so that storing 0 erases the page.
 type Flags uint8
@@ -63,6 +72,14 @@ type Oversize map[int]*payload
 // Programmed with Corrupted and Lost clear. key is the page's index within
 // the chip that owns side.
 func (p *Page) Store(side *Oversize, key int, data, spare []byte) {
+	if len(data) == TokenBytes && len(spare) == SpareBytes {
+		// The FTLs' page: two fixed-width moves, no memmove call.
+		*(*[TokenBytes]byte)(p.buf[:TokenBytes]) = [TokenBytes]byte(data)
+		*(*[SpareBytes]byte)(p.buf[TokenBytes:]) = [SpareBytes]byte(spare)
+		p.dataLen, p.spareLen = TokenBytes, SpareBytes
+		p.Flags = Programmed
+		return
+	}
 	n := len(data)
 	if n+len(spare) > InlineBytes {
 		p.storeOversize(side, key, data, spare)
@@ -88,14 +105,22 @@ func (p *Page) storeOversize(side *Oversize, key int, data, spare []byte) {
 	p.Flags = Programmed | oversize
 }
 
-// Load returns the stored data and spare area of a programmed page. The
-// slices alias device memory: callers copy before the page is programmed
-// again.
-func (p *Page) Load(side Oversize, key int) (data, spare []byte) {
+// Load copies the stored data and spare area of a programmed page into data
+// and spare, reusing their capacity, and returns them. An FTL page read into
+// buffers that already hold one is two fixed-width moves; the first read
+// into empty buffers, and every other shape, appends.
+func (p *Page) Load(side Oversize, key int, data, spare []byte) ([]byte, []byte) {
+	if p.Flags&oversize == 0 && p.dataLen == TokenBytes && p.spareLen == SpareBytes &&
+		cap(data) >= TokenBytes && cap(spare) >= SpareBytes {
+		data, spare = data[:TokenBytes], spare[:SpareBytes]
+		*(*[TokenBytes]byte)(data) = [TokenBytes]byte(p.buf[:TokenBytes])
+		*(*[SpareBytes]byte)(spare) = [SpareBytes]byte(p.buf[TokenBytes:])
+		return data, spare
+	}
 	if p.Has(oversize) {
 		e := side[key]
-		return e.data, e.spare
+		return append(data[:0], e.data...), append(spare[:0], e.spare...)
 	}
 	n := int(p.dataLen)
-	return p.buf[:n], p.buf[n : n+int(p.spareLen)]
+	return append(data[:0], p.buf[:n]...), append(spare[:0], p.buf[n:n+int(p.spareLen)]...)
 }

@@ -25,11 +25,19 @@ func TestPageIsFlat(t *testing.T) {
 
 // TestStoreLoad: the inline slot takes data and spare together up to
 // InlineBytes, the side table the rest; Store leaves only Programmed set.
+// Every split of up to InlineBytes (the FTL page's 12+4 among them) and a few
+// oversize shapes round-trip through Load into empty buffers, into buffers
+// that already hold an FTL page, and into longer ones.
 func TestStoreLoad(t *testing.T) {
-	for _, c := range []struct{ data, spare int }{
-		{0, 0}, {12, 4}, {InlineBytes, 0}, {0, InlineBytes}, {1, InlineBytes - 1},
-		{InlineBytes + 1, 0}, {0, InlineBytes + 1}, {InlineBytes, 1}, {4096, 64},
-	} {
+	type shape struct{ data, spare int }
+	var shapes []shape
+	for d := 0; d <= InlineBytes; d++ {
+		for sp := 0; d+sp <= InlineBytes; sp++ {
+			shapes = append(shapes, shape{d, sp})
+		}
+	}
+	shapes = append(shapes, shape{InlineBytes + 1, 0}, shape{0, InlineBytes + 1}, shape{InlineBytes, 1}, shape{4096, 64})
+	for _, c := range shapes {
 		var side Oversize
 		p := Page{Flags: Corrupted | Lost}
 		data, spare := fill(c.data, 1), fill(c.spare, 200)
@@ -41,10 +49,31 @@ func TestStoreLoad(t *testing.T) {
 			t.Errorf("%d+%dB: side table has %d entries, oversize flag %v, want oversize = %v",
 				c.data, c.spare, len(side), p.Flags&oversize != 0, want)
 		}
-		gotData, gotSpare := p.Load(side, 7)
-		if !bytes.Equal(gotData, data) || !bytes.Equal(gotSpare, spare) {
-			t.Errorf("%d+%dB: Load = %x/%x, want %x/%x", c.data, c.spare, gotData, gotSpare, data, spare)
+		for _, dst := range []struct {
+			name        string
+			data, spare []byte
+		}{
+			{"empty", nil, nil},
+			{"FTL-sized", make([]byte, 0, TokenBytes), make([]byte, 0, SpareBytes)},
+			{"longer", fill(40, 77), fill(9, 66)},
+		} {
+			gotData, gotSpare := p.Load(side, 7, dst.data, dst.spare)
+			if !bytes.Equal(gotData, data) || !bytes.Equal(gotSpare, spare) {
+				t.Errorf("%d+%dB into %s buffers: Load = %x/%x, want %x/%x", c.data, c.spare, dst.name, gotData, gotSpare, data, spare)
+			}
 		}
+	}
+
+	// An FTL page's lengths stay in the record after an erase; an oversize
+	// program over it must still read back from the side table.
+	var side Oversize
+	var p Page
+	p.Store(&side, 3, fill(TokenBytes, 5), fill(SpareBytes, 6))
+	p.Flags = 0
+	big := fill(100, 3)
+	p.Store(&side, 3, big, nil)
+	if gotData, gotSpare := p.Load(side, 3, make([]byte, 0, 128), make([]byte, 0, 8)); !bytes.Equal(gotData, big) || len(gotSpare) != 0 {
+		t.Errorf("oversize program over an erased FTL page reads back %d+%d bytes, want %d+0", len(gotData), len(gotSpare), len(big))
 	}
 }
 
@@ -59,7 +88,7 @@ func TestOversizeEntryOutlivesErase(t *testing.T) {
 	p.Flags = 0
 	small := fill(4, 9)
 	p.Store(&side, 0, small, nil)
-	if got, _ := p.Load(side, 0); !bytes.Equal(got, small) {
+	if got, _ := p.Load(side, 0, nil, nil); !bytes.Equal(got, small) {
 		t.Errorf("inline program over a stale oversize entry reads back %x, want %x", got, small)
 	}
 	p.Flags = 0
@@ -67,7 +96,7 @@ func TestOversizeEntryOutlivesErase(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { p.Store(&side, 0, shorter, nil) }); allocs != 0 {
 		t.Errorf("oversize re-program of the page allocates %.0f times, want 0", allocs)
 	}
-	if got, _ := p.Load(side, 0); !bytes.Equal(got, shorter) {
+	if got, _ := p.Load(side, 0, nil, nil); !bytes.Equal(got, shorter) {
 		t.Errorf("oversize re-program reads back %d bytes, want the %d just stored", len(got), len(shorter))
 	}
 }
