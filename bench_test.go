@@ -485,17 +485,17 @@ func BenchmarkPickVictim(b *testing.B) {
 			// appends cannot be read as part of a trailing bare number.
 			b.Run(fmt.Sprintf("%s/%dblocks", mode.name, n), func(b *testing.B) {
 				const ppb = 16
-				valid := make([]int, n+8)
+				valid := make([]int32, n+8)
 				p := ftl.NewFreePool(0, n+8)
 				p.Reference = mode.ref
-				p.Bind(ppb, func(blk int) int { return valid[blk] })
+				p.Bind(ppb, valid)
 				blks := make([]int, 0, n)
 				for i := 0; i < n; i++ {
 					blk, ok := p.PopFree()
 					if !ok {
 						b.Fatal("pool exhausted")
 					}
-					valid[blk] = 1 + (i*7)%(ppb-1)
+					valid[blk] = int32(1 + (i*7)%(ppb-1))
 					p.PushFull(blk)
 					blks = append(blks, blk)
 				}
@@ -504,12 +504,12 @@ func BenchmarkPickVictim(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					valid[hot]--
-					p.NoteValidChange(hot, valid[hot])
+					p.NoteValidChange(hot, int(valid[hot]))
 					if _, ok := p.PickVictim(); !ok {
 						b.Fatal("no victim")
 					}
 					valid[hot]++
-					p.NoteValidChange(hot, valid[hot])
+					p.NoteValidChange(hot, int(valid[hot]))
 				}
 			})
 		}

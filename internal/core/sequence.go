@@ -173,10 +173,17 @@ func (s *BlockState) Written(p Page) bool {
 // out-of-range page: NAND cannot program a page twice without an erase, so
 // this is a simulator bug, not a recoverable condition.
 func (s *BlockState) Mark(p Page) {
-	idx, err := checkProgrammable(s, p)
-	if err != nil {
+	if _, err := checkProgrammable(s, p); err != nil {
 		panic(err)
 	}
+	s.MarkChecked(p)
+}
+
+// MarkChecked records a page that a RuleSet's Check has just accepted as
+// programmed, without Mark's own range and double-program test: every Check
+// makes it first. Device.ProgramPPN is the one caller that pairs the two.
+func (s *BlockState) MarkChecked(p Page) {
+	idx := p.Index(s.scheme.WordLines)
 	s.written[idx>>6] |= 1 << (idx & 63)
 	s.programmed++
 }
@@ -222,7 +229,8 @@ type RuleSet interface {
 	// Name identifies the scheme ("FPS", "RPS", "Unconstrained").
 	Name() string
 	// Check returns nil if programming p next is legal, or a
-	// *ConstraintViolation describing the first violated constraint.
+	// *ConstraintViolation describing the first violated constraint; it
+	// rejects out-of-range and programmed pages (BlockState.MarkChecked).
 	Check(s *BlockState, p Page) error
 }
 

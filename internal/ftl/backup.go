@@ -82,9 +82,8 @@ func PairParityBackup(pairSize int) BackupStrategy {
 type pairParity struct {
 	pairSize int
 	order    []core.Page
-	ring     []backupRing     // per chip
-	pbuf     []*parity.Buffer // per chip: parity of the LSB pair in flight
-	psnap    [][]byte         // per chip: scratch for parity snapshots (Program copies)
+	ring     []backupRing    // per chip
+	pbuf     []parity.Buffer // per chip: parity of the LSB pair in flight
 }
 
 // backupRing is a two-deep rotation of backup blocks: parity pages go to the
@@ -109,13 +108,11 @@ func (b *pairParity) init(k *Kernel) error {
 	g := k.Dev.Geometry()
 	b.order = core.FPSOrder(g.WordLinesPerBlock)
 	b.ring = make([]backupRing, g.Chips())
-	b.pbuf = make([]*parity.Buffer, g.Chips())
-	b.psnap = make([][]byte, g.Chips())
+	// Pages carry TokenSize-byte payloads; the parity accumulators only
+	// need that width.
+	b.pbuf = parity.NewSet(g.Chips(), TokenSize)
 	for c := range b.ring {
 		b.ring[c] = backupRing{cur: -1, prev: -1}
-		// Pages carry TokenSize-byte payloads; the parity accumulator only
-		// needs that width.
-		b.pbuf[c] = parity.New(TokenSize)
 	}
 	return nil
 }
@@ -132,8 +129,7 @@ func (b *pairParity) afterLSB(k *Kernel, chip, stream int, data []byte, done sim
 	}
 	if b.pbuf[chip].Count() >= b.pairSize {
 		var err error
-		b.psnap[chip] = b.pbuf[chip].SnapshotInto(b.psnap[chip])
-		done, err = b.writeBackup(k, chip, b.psnap[chip], done)
+		done, err = b.writeBackup(k, chip, b.pbuf[chip].Bytes(), done)
 		if err != nil {
 			return done, err
 		}
@@ -250,7 +246,7 @@ type RetiredBackup struct {
 type backupState struct {
 	cur     int             // current backup block, -1 when none
 	pos     int             // next LSB word line in cur
-	live    map[int]int     // backup block -> count of still-needed parity pages
+	live    []int32         // in-chip backup block -> count of still-needed parity pages
 	retired []RetiredBackup // filled (or sealed) backup blocks awaiting live==0
 }
 
@@ -259,29 +255,25 @@ type blockParity struct {
 	// [chip][stream] — streams fill fast blocks independently, so each needs
 	// its own accumulator. The backup blocks themselves (backupState) stay
 	// per chip: parity pages from all streams share one backup block.
-	pbuf   [][]*parity.Buffer
+	pbuf   [][]parity.Buffer
 	backup []backupState // per chip
 	// refs maps flat fast-block index -> parity location, as a flat slice
 	// (backupBlk -1 = none) so channel shards of one run can write disjoint
 	// chip-owned entries without sharing a map's internals.
-	refs  []parityRef
-	psnap [][][]byte // [chip][stream]: scratch for parity snapshots (Program copies)
+	refs []parityRef
 }
 
 func (b *blockParity) init(k *Kernel) error {
+	// Every chip's piece is a window of one device-wide allocation.
 	g := k.Dev.Geometry()
-	streams := k.streams
-	b.pbuf = make([][]*parity.Buffer, g.Chips())
-	b.backup = make([]backupState, g.Chips())
-	b.psnap = make([][][]byte, g.Chips())
+	chips, streams, blocks := g.Chips(), k.streams, g.BlocksPerChip
+	bufs, live := parity.NewSet(chips*streams, TokenSize), make([]int32, chips*blocks)
+	b.pbuf = make([][]parity.Buffer, chips)
+	b.backup = make([]backupState, chips)
 	b.resetRefs(g.TotalBlocks())
 	for c := range b.backup {
-		b.pbuf[c] = make([]*parity.Buffer, streams)
-		for s := range b.pbuf[c] {
-			b.pbuf[c][s] = parity.New(TokenSize)
-		}
-		b.psnap[c] = make([][]byte, streams)
-		b.backup[c] = backupState{cur: -1, live: make(map[int]int)}
+		b.pbuf[c] = bufs[c*streams : (c+1)*streams : (c+1)*streams]
+		b.backup[c] = backupState{cur: -1, live: live[c*blocks : (c+1)*blocks : (c+1)*blocks]}
 	}
 	return nil
 }
@@ -321,10 +313,10 @@ func (b *blockParity) afterLSB(k *Kernel, chip, stream int, data []byte, done si
 func (b *blockParity) onFastOpen(k *Kernel, chip, stream int) { b.pbuf[chip][stream].Reset() }
 
 func (b *blockParity) onFastComplete(k *Kernel, chip, stream, fastBlk int, done sim.Time) (sim.Time, error) {
-	b.psnap[chip][stream] = b.pbuf[chip][stream].SnapshotInto(b.psnap[chip][stream])
-	snapshot := b.psnap[chip][stream]
-	b.pbuf[chip][stream].Reset()
-	return b.writeBlockParity(k, chip, fastBlk, snapshot, done)
+	pb := &b.pbuf[chip][stream]
+	done, err := b.writeBlockParity(k, chip, fastBlk, pb.Bytes(), done)
+	pb.Reset()
+	return done, err
 }
 
 // writeBlockParity programs the accumulated parity page of a completed fast
@@ -387,7 +379,6 @@ func (b *blockParity) recycleRetired(k *Kernel, chip int) {
 	kept := bk.retired[:0]
 	for _, r := range bk.retired {
 		if bk.live[r.Block] == 0 {
-			delete(bk.live, r.Block)
 			if _, err := k.EraseAndFree(chip, r.Block, k.Dev.ChipReadyAt(chip)); err != nil {
 				// An erase failure here means a retired-block accounting
 				// bug; surface it loudly in tests.

@@ -26,6 +26,7 @@ type Base struct {
 	Map   *Mapper
 	Cfg   Config
 	Pools []*FreePool
+	full  []bool // the pools' flat full-list flags (newPools)
 	St    Stats
 	// Obs is the observability recorder threaded through the stack; nil
 	// (the default) disables all emission at zero cost.
@@ -104,12 +105,11 @@ func NewBase(dev *nand.Device, cfg Config) (*Base, error) {
 		lay:           dev.Layout(),
 		Map:           NewMapper(*dev.Layout(), logical),
 		Cfg:           cfg,
-		Pools:         make([]*FreePool, g.Chips()),
 		reprogPenalty: int64(dev.Timing().ProgMSB - dev.Timing().ProgLSB),
 	}
-	for c := range b.Pools {
-		b.Pools[c] = NewFreePool(c, g.BlocksPerChip)
-		b.Pools[c].Policy = cfg.GC
+	b.Pools, b.full = newPools(g.Chips(), g.BlocksPerChip, g.PagesPerBlock())
+	for _, p := range b.Pools {
+		p.Policy = cfg.GC
 	}
 	b.wireVictimIndex()
 	if cfg.Reliability != nil {
@@ -120,19 +120,17 @@ func NewBase(dev *nand.Device, cfg Config) (*Base, error) {
 	return b, nil
 }
 
-// wireVictimIndex binds every pool's victim index to the current mapper's
-// valid counts and has the mapper hand each count change to the owning pool.
-// The bind closures read b.Map on every call, so they survive a mapper swap
-// (SetMapper) without rewiring.
+// wireVictimIndex binds every pool's victim index to its chip's window of
+// the current mapper's valid counts and has the mapper hand each count
+// change of a full block to the owning pool.
 func (b *Base) wireVictimIndex() {
-	ppb := b.Dev.Geometry().PagesPerBlock()
+	g := b.Dev.Geometry()
 	for c, p := range b.Pools {
-		chip := c
-		p.Bind(ppb, func(blk int) int {
-			return b.Map.ValidCount(nand.BlockAddr{Chip: chip, Block: blk})
-		})
+		lo := b.lay.FlatOf(nand.BlockAddr{Chip: c})
+		hi := lo + g.BlocksPerChip
+		p.Bind(g.PagesPerBlock(), b.Map.validCount[lo:hi:hi])
 	}
-	b.Map.SetVictimIndex(b.Pools)
+	b.Map.SetVictimIndex(b.Pools, b.full)
 }
 
 // SetMapper swaps in a rebuilt mapping table (flash-scan rebuild), rewiring

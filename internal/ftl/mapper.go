@@ -23,10 +23,11 @@ type Mapper struct {
 	p2l        []int32 // physical to logical page number + 1; 0 when free/invalid
 	validCount []int32 // valid pages per flat block
 	mapped     int64   // currently mapped logical pages
-	// pools, when set, is the GC victim index of each chip: every validCount
-	// change is handed to the owning pool with the new count. Nil
-	// (standalone mappers) costs nothing.
+	// pools, when set, is the GC victim index of each chip and full the
+	// pools' flat full-list flags: a full block's validCount change goes to
+	// its pool; any other block's costs one flag test.
 	pools []*FreePool
+	full  []bool
 	// logging marks a shard-mode view: Update defers its mutation into log
 	// instead of touching the shared tables (see logView).
 	logging bool
@@ -50,7 +51,7 @@ func (m *Mapper) logView() *Mapper {
 	v := *m
 	v.logging = true
 	v.log = nil
-	v.pools = nil
+	v.pools, v.full = nil, nil
 	return &v
 }
 
@@ -59,8 +60,8 @@ func (m *Mapper) logView() *Mapper {
 func (m *Mapper) resetLog() { m.log = m.log[:0] }
 
 // SetVictimIndex hands every later valid-count change of a chip's block to
-// pools[chip] (nil detaches).
-func (m *Mapper) SetVictimIndex(pools []*FreePool) { m.pools = pools }
+// pools[chip] while full, the pools' flat flags, marks it (nil detaches).
+func (m *Mapper) SetVictimIndex(pools []*FreePool, full []bool) { m.pools, m.full = pools, full }
 
 // CheckCapacity returns a *nand.CapacityError when the geometry has more
 // physical pages than a device — and so a Mapper — can address.
@@ -88,15 +89,15 @@ func (m *Mapper) LogicalPages() int64 { return int64(len(m.l2p)) }
 // Mapped returns how many logical pages currently have a mapping.
 func (m *Mapper) Mapped() int64 { return m.mapped }
 
-// noteValid adds delta to the valid count of the block holding ppn and
-// hands the block's new count to its chip's pool.
+// noteValid adds delta to the valid count of the block holding ppn and, when
+// the block is a GC candidate, hands its new count to its chip's pool.
 func (m *Mapper) noteValid(ppn nand.PPN, delta int32) {
 	flat := m.lay.FlatBlock(ppn)
 	v := m.validCount[flat] + delta
 	m.validCount[flat] = v
-	if m.pools != nil {
+	if uint(flat) < uint(len(m.full)) && m.full[flat] {
 		a := m.lay.BlockOfFlat(flat)
-		m.pools[a.Chip].NoteValidChange(a.Block, int(v))
+		m.pools[a.Chip].rebucket(int32(a.Block), int(v))
 	}
 }
 

@@ -239,10 +239,8 @@ func TestPickVictimGreedy(t *testing.T) {
 	fill(b0, perBlock)
 	fill(b1, perBlock/2)
 	fill(b2, 0)
-	p.Bind(perBlock, func(blk int) int {
-		return m.ValidCount(nand.BlockAddr{Chip: 0, Block: blk})
-	})
-	m.SetVictimIndex([]*FreePool{p})
+	p.Bind(perBlock, m.validCount[:g.BlocksPerChip])
+	m.SetVictimIndex([]*FreePool{p}, p.inFull)
 	p.PushFull(b0)
 	p.PushFull(b1)
 	p.PushFull(b2)
@@ -281,10 +279,8 @@ func TestPickVictimCostBenefit(t *testing.T) {
 	}
 	fill(b0, perBlock/2)   // 50% invalid
 	fill(b1, perBlock/2-1) // slightly more invalid
-	p.Bind(perBlock, func(blk int) int {
-		return m.ValidCount(nand.BlockAddr{Chip: 0, Block: blk})
-	})
-	m.SetVictimIndex([]*FreePool{p})
+	p.Bind(perBlock, m.validCount[:g.BlocksPerChip])
+	m.SetVictimIndex([]*FreePool{p}, p.inFull)
 	p.PushFull(b0)
 	// Age b0 by pushing/taking unrelated blocks to advance the clock.
 	for i := 0; i < 50; i++ {
@@ -470,18 +466,15 @@ func mapperDifferential(t *testing.T, g nand.Geometry, seed uint64) {
 	total := g.TotalPages()
 	logical := int64(total / 2)
 	m := NewMapper(nand.NewLayout(g), logical)
-	pools := make([]*FreePool, g.Chips())
-	for c := range pools {
-		chip := c
-		pools[c] = NewFreePool(c, g.BlocksPerChip)
-		pools[c].Bind(g.PagesPerBlock(), func(blk int) int {
-			return m.ValidCount(nand.BlockAddr{Chip: chip, Block: blk})
-		})
+	pools, full := newPools(g.Chips(), g.BlocksPerChip, g.PagesPerBlock())
+	for c, p := range pools {
+		lo, hi := c*g.BlocksPerChip, (c+1)*g.BlocksPerChip
+		p.Bind(g.PagesPerBlock(), m.validCount[lo:hi:hi])
 		for blk := 0; blk < g.BlocksPerChip; blk++ {
-			pools[c].PushFull(blk)
+			p.PushFull(blk)
 		}
 	}
-	m.SetVictimIndex(pools)
+	m.SetVictimIndex(pools, full)
 
 	ref := map[LPN]nand.PPN{}
 	held := map[nand.PPN]LPN{}

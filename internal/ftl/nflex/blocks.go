@@ -93,12 +93,10 @@ func (f *FTL) programAt(chip, level int, lpn ftl.LPN, data, spare []byte, now si
 		cur.blk = -1
 		if level < levels-1 {
 			// Phase complete: persist its parity, queue for the next phase.
-			f.psnap = cs.pbuf[level].SnapshotInto(f.psnap)
-			snapshot := f.psnap
-			cs.pbuf[level].Reset()
 			cs.queues[level+1].Push(full)
 			preBackup := done
-			done, err = f.writePhaseParity(chip, full, level, snapshot, done)
+			done, err = f.writePhaseParity(chip, full, level, cs.pbuf[level].Bytes(), done)
+			cs.pbuf[level].Reset()
 			if err != nil {
 				return done, err
 			}
@@ -168,7 +166,6 @@ func (f *FTL) invalidateParities(chip, blk int) error {
 			cs.backup.retired = append(kept, cs.backup.retired[i:]...)
 			return fmt.Errorf("nflex: recycling backup block %d: %w", b, err)
 		}
-		delete(cs.backup.live, b)
 	}
 	cs.backup.retired = kept
 	return nil

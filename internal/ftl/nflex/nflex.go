@@ -94,7 +94,7 @@ type parityRef struct {
 type backupState struct {
 	cur     int
 	pos     int
-	live    map[int]int
+	live    []int32 // parity pages still needed, by in-chip backup block
 	retired []int
 }
 
@@ -107,7 +107,7 @@ type phaseCursor struct {
 type chipState struct {
 	phases []phaseCursor  // [level]; level 0 is the fast phase
 	queues []ftl.IntQueue // [level] FIFO of blocks awaiting that phase (levels 1..n-1 used)
-	pbuf   []*parity.Buffer
+	pbuf   []parity.Buffer
 	backup backupState
 	toggle int // rotation for the mid-utilization band
 }
@@ -126,10 +126,8 @@ type FTL struct {
 	q0      int64
 	refs    []parityRef // parity location by flat block × parity phase (see ref)
 	inBGC   bool
-	// psp/psnap are per-parity-write scratch buffers (Device.Program copies
-	// payload and spare, so each is valid until its next use).
-	psp   [ftl.SpareSize]byte
-	psnap []byte
+	// psp is the parity writes' spare scratch (Device.Program copies it).
+	psp [ftl.SpareSize]byte
 
 	// Blame counters (nil without a recorder) and the per-level reprogram
 	// penalty Prog[l]-Prog[0], mirroring the MLC kernel's attribution. Base
@@ -174,18 +172,17 @@ func New(dev *nand.Device, cfg ftl.Config, params Params) (*FTL, error) {
 		f.q = 1
 	}
 	f.q0 = f.q
+	// Every chip's per-level state is a window of one device-wide array.
+	n, blocks := g.Chips()*levels, g.BlocksPerChip
+	phases, queues := make([]phaseCursor, n), make([]ftl.IntQueue, n)
+	pbuf, live := parity.NewSet(n, ftl.TokenSize), make([]int32, g.TotalBlocks())
+	for i := range phases {
+		phases[i] = phaseCursor{blk: -1}
+	}
 	for c := range f.chips {
-		cs := chipState{
-			phases: make([]phaseCursor, levels),
-			queues: make([]ftl.IntQueue, levels),
-			pbuf:   make([]*parity.Buffer, levels),
-			backup: backupState{cur: -1, live: make(map[int]int)},
-		}
-		for l := range cs.phases {
-			cs.phases[l] = phaseCursor{blk: -1}
-			cs.pbuf[l] = parity.New(ftl.TokenSize)
-		}
-		f.chips[c] = cs
+		lo, hi := c*levels, (c+1)*levels
+		f.chips[c] = chipState{phases: phases[lo:hi:hi], queues: queues[lo:hi:hi], pbuf: pbuf[lo:hi:hi],
+			backup: backupState{cur: -1, live: live[c*blocks : (c+1)*blocks : (c+1)*blocks]}}
 	}
 	return f, nil
 }

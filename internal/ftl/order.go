@@ -623,13 +623,16 @@ func (o *twoPhase) init(k *Kernel) error {
 	if k.Dev.Rules().Name() == "FPS" {
 		return fmt.Errorf("%s: device enforces FPS; two-phase ordering requires the RPS scheme", k.name)
 	}
-	o.chips = make([]twoPhaseChip, k.Dev.Geometry().Chips())
+	// Every chip's streams, and their slow queues' first 8-slot rings, are
+	// windows of one allocation each.
+	chips, n := k.Dev.Geometry().Chips(), k.streams
+	o.chips = make([]twoPhaseChip, chips)
+	sts, rings := make([]twoPhaseStream, chips*n), make([]int, chips*n*8)
+	for i := range sts {
+		sts[i] = twoPhaseStream{afb: -1, sbq: IntQueue{buf: rings[i*8 : (i+1)*8]}}
+	}
 	for c := range o.chips {
-		sts := make([]twoPhaseStream, k.streams)
-		for s := range sts {
-			sts[s] = twoPhaseStream{afb: -1}
-		}
-		o.chips[c] = twoPhaseChip{streams: sts, lastMSBPrev: nand.InvalidPPN}
+		o.chips[c] = twoPhaseChip{streams: sts[c*n : (c+1)*n : (c+1)*n], lastMSBPrev: nand.InvalidPPN}
 	}
 	return nil
 }
@@ -652,16 +655,23 @@ func (o *twoPhase) program(k *Kernel, chip, stream int, pref Pref, lpn LPN, data
 	if !useLSB && st.sbq.Len() == 0 {
 		useLSB = true // no slow block exists (footnote 1)
 	}
-	if useLSB && st.afb == -1 && k.Pools[chip].FreeCount() == 0 {
-		// Emergency valve: the stream needs a new fast block but the shared
-		// pool is dry. An MSB program consumes no free block, so drain a
-		// sibling stream's slow block instead of failing — cross-stream
-		// pollution beats block exhaustion. Single-stream kernels cannot
-		// take this path with a non-empty queue (the MSB fallback above
-		// already caught it), so pre-placement behavior is untouched.
+	if useLSB && st.afb == -1 && k.Pools[chip].FreeCount() <= k.streams {
+		// Reserve valve: the stream needs a new fast block, but the shared
+		// pool is down to the blocks the guard above keeps for the parity
+		// writer and the sibling streams (footnote 1 overrode it). Popping
+		// one would leave a foreground collection whose victim outgrows the
+		// cold stream's open block nowhere to relocate, so drain a sibling
+		// stream's slow block, else fill its open fast block, and pop only
+		// when no stream has room — cross-stream pollution beats block
+		// exhaustion. A single stream has no sibling; its path is untouched.
 		for s := range o.chips[chip].streams {
 			if o.chips[chip].streams[s].sbq.Len() > 0 {
 				return o.programMSB(k, chip, s, lpn, data, spare, now, fromGC)
+			}
+		}
+		for s := range o.chips[chip].streams {
+			if o.chips[chip].streams[s].afb != -1 {
+				return o.programLSB(k, chip, s, lpn, data, spare, now, fromGC)
 			}
 		}
 	}

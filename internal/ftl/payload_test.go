@@ -72,10 +72,14 @@ func TestPayloadsFitInline(t *testing.T) {
 		var accs []*parity.Buffer
 		switch bk := k.bk.(type) {
 		case *pairParity:
-			accs = bk.pbuf
+			for c := range bk.pbuf {
+				accs = append(accs, &bk.pbuf[c])
+			}
 		case *blockParity:
 			for _, perStream := range bk.pbuf {
-				accs = append(accs, perStream...)
+				for s := range perStream {
+					accs = append(accs, &perStream[s])
+				}
 			}
 		}
 		checked += len(accs)

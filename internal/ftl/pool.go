@@ -39,12 +39,12 @@ type cbEntry struct {
 //
 // The full list is indexed for constant-time victim selection: an intrusive
 // FIFO list preserves push order (and with it the deterministic tie-break of
-// the original linear scan), and — once Bind attaches a valid-page source —
-// every full block also sits on the doubly-linked bucket of its current
-// valid count, each bucket kept in push-stamp order. A greedy pick is then
-// the head of the lowest non-empty bucket, TakeFull is an O(1) unlink, and
-// NoteValidChange re-buckets a block when the mapper invalidates one of its
-// pages. Cost-benefit picks peek a lazily rebuilt max-heap over the same
+// the original linear scan), and — once Bind attaches the chip's valid-page
+// counts — every full block also sits on the doubly-linked bucket of its
+// current valid count, each bucket kept in push-stamp order. A greedy pick is
+// then the head of the lowest non-empty bucket, TakeFull is an O(1) unlink,
+// and NoteValidChange re-buckets a block when the mapper invalidates one of
+// its pages. Cost-benefit picks peek a lazily rebuilt max-heap over the same
 // index.
 type FreePool struct {
 	chip   int
@@ -58,8 +58,8 @@ type FreePool struct {
 
 	clock int64
 
-	// Per-block index, sized to the largest block id seen. All list links
-	// are in-chip block ids; nilLink terminates.
+	// Per-block index, the chip's window of newPools' flat arrays. All list
+	// links are in-chip block ids; nilLink terminates.
 	stamp    []int64 // logical age stamp when the block joined the full list
 	inFull   []bool
 	fifoNext []int32 // global full list in push order (== ascending stamp)
@@ -71,8 +71,7 @@ type FreePool struct {
 	fifoTail int32
 	fullLen  int
 
-	// Binding to the mapper's valid counts (nil until Bind).
-	valid         func(blk int) int
+	valid         []int32 // the chip's valid counts (nil until Bind)
 	pagesPerBlock int
 	bktHead       []int32 // [validCount] — pagesPerBlock+1 buckets
 	bktTail       []int32
@@ -82,36 +81,60 @@ type FreePool struct {
 	heapDirty bool
 }
 
-// NewFreePool starts with every block of the chip free except those the FTL
-// reserves (the caller pops reservations itself).
+// NewFreePool builds a standalone pool over blocksPerChip blocks, every one
+// free (the caller pops reservations itself).
 func NewFreePool(chip, blocksPerChip int) *FreePool {
-	p := &FreePool{chip: chip, fifoHead: nilLink, fifoTail: nilLink}
-	for b := 0; b < blocksPerChip; b++ {
-		p.free.Push(b)
-	}
-	p.ensure(blocksPerChip - 1)
-	return p
+	p, _ := newPools(1, blocksPerChip, 0)
+	p[0].chip = chip
+	return p[0]
 }
 
-// ensure grows the per-block index to cover block id b.
-func (p *FreePool) ensure(b int) {
-	for len(p.inFull) <= b {
-		p.stamp = append(p.stamp, 0)
-		p.inFull = append(p.inFull, false)
-		p.fifoNext = append(p.fifoNext, nilLink)
-		p.fifoPrev = append(p.fifoPrev, nilLink)
-		p.bktNext = append(p.bktNext, nilLink)
-		p.bktPrev = append(p.bktPrev, nilLink)
-		p.bucketOf = append(p.bucketOf, nilLink)
+// newPools builds the pools of a chips × blocksPerChip device, every block
+// free. Each per-block index field is one flat array by flat block number
+// (nand.Layout.FlatOf), allocated once at any block count; a pool works on
+// its chip's window. The free rings start at a power-of-two capacity that
+// holds every block, the buckets are sized for pagesPerBlock (0 leaves them
+// to Bind), and full — the flat full-list flags — is what the mapper tests.
+func newPools(chips, blocksPerChip, pagesPerBlock int) (pools []*FreePool, full []bool) {
+	n, ring, buckets := chips*blocksPerChip, 1, 0
+	for ring < blocksPerChip {
+		ring <<= 1
 	}
+	if pagesPerBlock > 0 {
+		buckets = pagesPerBlock + 1
+	}
+	stamp, full, rings := make([]int64, n), make([]bool, n), make([]int, chips*ring)
+	links := make([]int32, 5*n+2*chips*buckets)
+	for i := range links {
+		links[i] = nilLink
+	}
+	take := func(m int) []int32 { // the next m links
+		w := links[:m:m]
+		links = links[m:]
+		return w
+	}
+	store, pools := make([]FreePool, chips), make([]*FreePool, chips)
+	for c := range store {
+		lo, hi, p := c*blocksPerChip, (c+1)*blocksPerChip, &store[c]
+		*p = FreePool{chip: c, fifoHead: nilLink, fifoTail: nilLink,
+			stamp: stamp[lo:hi:hi], inFull: full[lo:hi:hi], free: IntQueue{buf: rings[c*ring : (c+1)*ring]},
+			fifoNext: take(blocksPerChip), fifoPrev: take(blocksPerChip), bktNext: take(blocksPerChip),
+			bktPrev: take(blocksPerChip), bucketOf: take(blocksPerChip), bktHead: take(buckets), bktTail: take(buckets)}
+		for b := 0; b < blocksPerChip; b++ {
+			p.free.Push(b)
+		}
+		pools[c] = p
+	}
+	return pools, full
 }
 
-// Bind attaches the pool to a valid-page-count source (the mapper) and
-// builds the victim index. pagesPerBlock fixes the bucket range: a block's
-// bucket is its current valid count in [0, pagesPerBlock]. The pool does not
-// watch the source — the owner must call NoteValidChange whenever a full
-// block's count changes (ftl.Base wires this through Mapper.SetVictimIndex).
-func (p *FreePool) Bind(pagesPerBlock int, valid func(blk int) int) {
+// Bind attaches the pool to valid, the chip's valid-page counts by in-chip
+// block (its window of the mapper's), and builds the victim index.
+// pagesPerBlock fixes the bucket range: a block's bucket is its current
+// valid count in [0, pagesPerBlock]. The pool does not watch the counts —
+// the owner must call NoteValidChange whenever a full block's count changes
+// (ftl.Base wires this through Mapper.SetVictimIndex).
+func (p *FreePool) Bind(pagesPerBlock int, valid []int32) {
 	if pagesPerBlock <= 0 {
 		panic("ftl: Bind with non-positive pagesPerBlock")
 	}
@@ -137,7 +160,7 @@ func (p *FreePool) Reindex() {
 	p.minBucket = p.pagesPerBlock
 	for b := p.fifoHead; b != nilLink; b = p.fifoNext[b] {
 		p.bucketOf[b] = nilLink
-		p.bucketAdd(b, p.valid(int(b)))
+		p.bucketAdd(b, int(p.valid[b]))
 	}
 	p.heapDirty = true
 }
@@ -187,7 +210,9 @@ func (p *FreePool) PushFree(b int) { p.free.Push(b) }
 
 // PushFull records a fully written block as a GC candidate.
 func (p *FreePool) PushFull(b int) {
-	p.ensure(b)
+	if b < 0 || b >= len(p.inFull) {
+		panic(fmt.Sprintf("ftl: block %d outside the %d blocks of chip %d", b, len(p.inFull), p.chip))
+	}
 	if p.inFull[b] {
 		panic(fmt.Sprintf("ftl: block %d already on full list of chip %d", b, p.chip))
 	}
@@ -204,7 +229,7 @@ func (p *FreePool) PushFull(b int) {
 	p.fifoTail = blk
 	p.fullLen++
 	if p.valid != nil {
-		p.bucketAdd(blk, p.valid(b))
+		p.bucketAdd(blk, int(p.valid[b]))
 		p.heapDirty = true
 	}
 }
@@ -239,8 +264,8 @@ func (p *FreePool) TakeFull(b int) {
 
 // NoteValidChange moves a full block to the bucket of v, its current valid
 // count. Calls for blocks not on the full list (active or free blocks whose
-// counts move during programming) are ignored, and the check inlines, so the
-// mapper's call for such a block costs a few compares.
+// counts move during programming) are ignored. The mapper makes the same
+// test on the flat full flags itself and calls rebucket directly.
 func (p *FreePool) NoteValidChange(b, v int) {
 	if uint(b) < uint(len(p.inFull)) && p.inFull[b] && p.valid != nil {
 		p.rebucket(int32(b), v)
@@ -366,7 +391,7 @@ func (p *FreePool) PickVictimReference() (int, bool) {
 	best := -1
 	bestScore := 0.0
 	for b := p.fifoHead; b != nilLink; b = p.fifoNext[b] {
-		invalid := p.pagesPerBlock - p.valid(int(b))
+		invalid := p.pagesPerBlock - int(p.valid[b])
 		if invalid <= 0 {
 			continue
 		}
@@ -403,7 +428,7 @@ func (p *FreePool) costBenefitScore(invalid int, stamp int64) float64 {
 func (p *FreePool) rebuildHeap() {
 	p.heap = p.heap[:0]
 	for b := p.fifoHead; b != nilLink; b = p.fifoNext[b] {
-		invalid := p.pagesPerBlock - p.valid(int(b))
+		invalid := p.pagesPerBlock - int(p.valid[b])
 		if invalid <= 0 {
 			continue
 		}

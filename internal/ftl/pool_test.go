@@ -1,8 +1,11 @@
 package ftl
 
 import (
+	"slices"
 	"testing"
 
+	"flexftl/internal/core"
+	"flexftl/internal/nand"
 	"flexftl/internal/rng"
 )
 
@@ -175,8 +178,8 @@ func TestFreePoolFreeListBounded(t *testing.T) {
 
 // bindSynthetic attaches a pool to a plain valid-count slice, the standalone
 // harness the index tests and benchmarks use in place of a full Mapper.
-func bindSynthetic(p *FreePool, ppb int, valid []int) {
-	p.Bind(ppb, func(blk int) int { return valid[blk] })
+func bindSynthetic(p *FreePool, ppb int, valid []int32) {
+	p.Bind(ppb, valid)
 }
 
 // TestPickVictimCostBenefitIndex is the dedicated cost-benefit coverage:
@@ -184,7 +187,7 @@ func bindSynthetic(p *FreePool, ppb int, valid []int) {
 // NoteValidChange, each pick cross-checked against the reference scan.
 func TestPickVictimCostBenefitIndex(t *testing.T) {
 	const ppb = 12
-	valid := make([]int, 8)
+	valid := make([]int32, 8)
 	p := NewFreePool(0, 8)
 	p.Policy = GCCostBenefit
 	bindSynthetic(p, ppb, valid)
@@ -233,7 +236,7 @@ func TestPickVictimCostBenefitIndex(t *testing.T) {
 	// and the index must track the re-bucketing without disagreeing.
 	for valid[young] > 0 {
 		valid[young]--
-		p.NoteValidChange(young, valid[young])
+		p.NoteValidChange(young, int(valid[young]))
 	}
 	if v := check("note-valid-change"); v != old {
 		t.Fatalf("after full invalidation picked %d, want still-aged %d", v, old)
@@ -267,7 +270,7 @@ func TestCostBenefitTieBreak(t *testing.T) {
 // among equally dirty blocks the earliest-pushed one wins.
 func TestGreedyTieBreakFIFO(t *testing.T) {
 	const ppb = 16
-	valid := make([]int, 8)
+	valid := make([]int32, 8)
 	p := NewFreePool(0, 8)
 	bindSynthetic(p, ppb, valid)
 	first, _ := p.PopFree()
@@ -285,7 +288,7 @@ func TestGreedyTieBreakFIFO(t *testing.T) {
 	// Demote the second block into a lower bucket than the first: it must
 	// now win even though it is younger.
 	valid[second] = ppb / 4
-	p.NoteValidChange(second, valid[second])
+	p.NoteValidChange(second, int(valid[second]))
 	v, _ = p.PickVictim()
 	if v != second {
 		t.Fatalf("dirtier block not picked after re-bucket: got %d", v)
@@ -294,7 +297,9 @@ func TestGreedyTieBreakFIFO(t *testing.T) {
 
 // TestVictimIndexMatchesReference is the determinism property test: under
 // randomized write/trim/GC sequences the indexed picker must agree with the
-// retained reference linear scan on every single pick, for both policies.
+// retained reference linear scan on every single pick, for both policies —
+// on a standalone pool over synthetic counts, and on a Base's pools over
+// the device-wide flat arrays the mapper drives (runWiredVictimProperty).
 func TestVictimIndexMatchesReference(t *testing.T) {
 	for _, policy := range []GCPolicy{GCGreedy, GCCostBenefit} {
 		policy := policy
@@ -302,7 +307,134 @@ func TestVictimIndexMatchesReference(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
 				runVictimProperty(t, policy, seed)
 			}
+			for seed := uint64(1); seed <= 3; seed++ {
+				runWiredVictimProperty(t, policy, seed)
+			}
 		})
+	}
+}
+
+// runWiredVictimProperty drives the victim index the way a kernel does: the
+// pools of a Base (one flat array per index field, a window per chip) see
+// valid counts only through Mapper updates, invalidations and remaps, and a
+// SetMapper swap to a mapper rebuilt from the live mapping (the flash-scan
+// rebuild path) rewires them mid-sequence. After every step each chip's
+// indexed pick must equal the reference scan, and each block's flat full
+// flag must equal its membership in its pool's FullBlocks.
+func runWiredVictimProperty(t *testing.T, policy GCPolicy, seed uint64) {
+	t.Helper()
+	const steps = 4000
+	dev, err := nand.NewDevice(nand.Config{Geometry: nand.TestGeometry(), Timing: nand.DefaultTiming(), Rules: core.RPS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.GC = policy
+	b, err := NewBase(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, lay := dev.Geometry(), dev.Layout()
+	ppb := g.PagesPerBlock()
+	var freeLPNs []LPN
+	for l := LPN(b.LogicalPages()) - 1; l >= 0; l-- {
+		freeLPNs = append(freeLPNs, l)
+	}
+	takeLPN := func() LPN {
+		l := freeLPNs[len(freeLPNs)-1]
+		freeLPNs = freeLPNs[:len(freeLPNs)-1]
+		return l
+	}
+	trim := func(ppn nand.PPN) {
+		l, _ := b.Map.LPNAt(ppn)
+		b.Map.Invalidate(l)
+		freeLPNs = append(freeLPNs, l)
+	}
+	// fullPage returns a random page of a random full block of the chip
+	// that is mapped (want true) or unmapped (want false), if one exists.
+	fullPage := func(r *rng.Source, chip int, want bool) (nand.PPN, bool) {
+		full := b.Pools[chip].FullBlocks()
+		if len(full) == 0 {
+			return 0, false
+		}
+		base := lay.PPN(chip, full[r.Intn(len(full))], 0)
+		for i, start := 0, r.Intn(ppb); i < ppb; i++ {
+			ppn := base + nand.PPN((start+i)%ppb)
+			if _, mapped := b.Map.LPNAt(ppn); mapped == want {
+				return ppn, true
+			}
+		}
+		return 0, false
+	}
+	crossCheck := func(step int) {
+		t.Helper()
+		for chip, p := range b.Pools {
+			got, gotOK := p.PickVictim()
+			want, wantOK := p.PickVictimReference()
+			if got != want || gotOK != wantOK {
+				t.Fatalf("seed %d step %d (%v) chip %d: indexed = %d,%v reference = %d,%v",
+					seed, step, policy, chip, got, gotOK, want, wantOK)
+			}
+			full := p.FullBlocks()
+			for blk := 0; blk < g.BlocksPerChip; blk++ {
+				flat := lay.FlatOf(nand.BlockAddr{Chip: chip, Block: blk})
+				if b.full[flat] != slices.Contains(full, blk) || b.Map.full[flat] != b.full[flat] {
+					t.Fatalf("seed %d step %d (%v): block %d of chip %d has full flag %v (mapper's %v), on the full list %v",
+						seed, step, policy, blk, chip, b.full[flat], b.Map.full[flat], slices.Contains(full, blk))
+				}
+			}
+		}
+	}
+	r := rng.New(seed)
+	swaps := 0
+	for step := 0; step < steps; step++ {
+		chip := r.Intn(len(b.Pools))
+		p := b.Pools[chip]
+		switch op := r.Intn(100); {
+		case op < 30: // fill a free block with some valid pages and push it full
+			if blk, ok := p.PopFree(); ok {
+				for i, n := 0, r.Intn(ppb+1); i < n && len(freeLPNs) > 0; i++ {
+					b.Map.Update(takeLPN(), lay.PPN(chip, blk, i))
+				}
+				p.PushFull(blk)
+			}
+		case op < 60: // trim a valid page of a full block
+			if ppn, ok := fullPage(r, chip, true); ok {
+				trim(ppn)
+			}
+		case op < 70: // map a fresh LPN onto an unmapped page of a full block
+			if ppn, ok := fullPage(r, chip, false); ok && len(freeLPNs) > 0 {
+				b.Map.Update(takeLPN(), ppn)
+			}
+		case op < 80: // remap a live LPN between full blocks
+			from, okFrom := fullPage(r, chip, true)
+			to, okTo := fullPage(r, r.Intn(len(b.Pools)), false)
+			if okFrom && okTo {
+				l, _ := b.Map.LPNAt(from)
+				b.Map.Update(l, to)
+			}
+		case op < 95: // GC: collect the chip's victim
+			if v, ok := p.PickVictim(); ok {
+				p.TakeFull(v)
+				for _, ppn := range b.Map.ValidPages(nand.BlockAddr{Chip: chip, Block: v}) {
+					trim(ppn)
+				}
+				p.PushFree(v)
+			}
+		default: // flash-scan rebuild: swap in a mapper rebuilt from the live mapping
+			m := NewMapper(*lay, b.LogicalPages())
+			for l := LPN(0); l < LPN(b.LogicalPages()); l++ {
+				if ppn, ok := b.Map.Lookup(l); ok {
+					m.Update(l, ppn)
+				}
+			}
+			b.SetMapper(m)
+			swaps++
+		}
+		crossCheck(step)
+	}
+	if swaps == 0 {
+		t.Fatalf("seed %d: no mapper swap in %d steps", seed, steps)
 	}
 }
 
@@ -313,7 +445,7 @@ func runVictimProperty(t *testing.T, policy GCPolicy, seed uint64) {
 		ppb    = 16
 		steps  = 4000
 	)
-	valid := make([]int, blocks)
+	valid := make([]int32, blocks)
 	p := NewFreePool(0, blocks)
 	p.Policy = policy
 	bindSynthetic(p, ppb, valid)
@@ -344,7 +476,7 @@ func runVictimProperty(t *testing.T, policy GCPolicy, seed uint64) {
 		switch op := r.Intn(100); {
 		case op < 35: // fill a block and push it full ("write" burst)
 			if b, ok := p.PopFree(); ok {
-				valid[b] = r.Intn(ppb + 1)
+				valid[b] = int32(r.Intn(ppb + 1))
 				p.PushFull(b)
 				full = append(full, b)
 			}
@@ -353,7 +485,7 @@ func runVictimProperty(t *testing.T, policy GCPolicy, seed uint64) {
 				b := full[r.Intn(len(full))]
 				if valid[b] > 0 {
 					valid[b]--
-					p.NoteValidChange(b, valid[b])
+					p.NoteValidChange(b, int(valid[b]))
 				}
 			}
 		case op < 85: // revalidation stresses upward re-bucketing too
@@ -361,7 +493,7 @@ func runVictimProperty(t *testing.T, policy GCPolicy, seed uint64) {
 				b := full[r.Intn(len(full))]
 				if valid[b] < ppb {
 					valid[b]++
-					p.NoteValidChange(b, valid[b])
+					p.NoteValidChange(b, int(valid[b]))
 				}
 			}
 		case op < 95: // GC: collect the agreed victim
@@ -383,7 +515,7 @@ func runVictimProperty(t *testing.T, policy GCPolicy, seed uint64) {
 // bucket.
 func TestReindexAfterMapperSwap(t *testing.T) {
 	const ppb = 8
-	valid := make([]int, 4)
+	valid := make([]int32, 4)
 	p := NewFreePool(0, 4)
 	bindSynthetic(p, ppb, valid)
 	a, _ := p.PopFree()

@@ -5,8 +5,9 @@ package ftl
 // backing array; the previous `s = s[1:]` idiom pinned the slice head, so
 // every Push after a pop grew the backing array forever.
 //
-// The capacity is zero or a power of two (grow's invariant), so a ring
-// position is wrapped with a mask instead of a division.
+// The capacity is zero or a power of two (grow's invariant; a ring handed
+// in as buf must keep it), so a ring position is wrapped with a mask
+// instead of a division.
 type IntQueue struct {
 	buf  []int
 	head int

@@ -396,7 +396,7 @@ func (k *Kernel) RebuildParityRefs(now sim.Time) (ParityScanReport, error) {
 				need[sbq.At(i)] = true
 			}
 		}
-		bk.live = make(map[int]int, len(bk.retired))
+		clear(bk.live)
 		for _, r := range bk.retired {
 			for p := 0; p < r.Fill; p++ {
 				addr := nand.PageAddr{

@@ -137,11 +137,11 @@ func (k *Kernel) ShardInvalHazard(lpn LPN) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	a := k.lay.BlockOfFlat(k.lay.FlatBlock(ppn))
-	if !k.Pools[a.Chip].IsFull(a.Block) {
+	flat := k.lay.FlatBlock(ppn)
+	if !k.full[flat] {
 		return 0, false
 	}
-	return a.Chip, true
+	return k.lay.BlockOfFlat(flat).Chip, true
 }
 
 // ShardQuotaStable reports whether the adaptive allocator's LSB-quota sign

@@ -437,7 +437,7 @@ func (d *Device) ProgramPPN(ppn PPN, data, spare []byte, now sim.Time) (sim.Time
 		hist.Record(int64(done - start))
 	}
 
-	blk.state.Mark(page)
+	blk.state.MarkChecked(page) // d.rules.Check above accepted it
 	key := int(ppn) - chipID*d.lay.pagesPerChip
 	d.pages[ppn].Store(&c.oversize, key, data, spare)
 	if d.cfg.Reliability != nil {

@@ -33,6 +33,16 @@ func New(width int) *Buffer {
 	return &Buffer{acc: make([]byte, width), width: width}
 }
 
+// NewSet returns n empty accumulators for pages of the given width, carved
+// from one allocation.
+func NewSet(n, width int) []Buffer {
+	acc, set := make([]byte, n*width), make([]Buffer, n)
+	for i := range set {
+		set[i] = Buffer{acc: acc[i*width : (i+1)*width : (i+1)*width], width: width}
+	}
+	return set
+}
+
 // Width returns the page width.
 func (b *Buffer) Width() int { return b.width }
 
@@ -85,13 +95,10 @@ func (b *Buffer) Snapshot() []byte {
 	return append([]byte(nil), b.acc...)
 }
 
-// SnapshotInto is the allocation-free Snapshot variant: it copies the current
-// parity page into dst (reusing its capacity) and returns it. Callers on the
-// program hot path pass a per-FTL scratch slice; Device.Program copies the
-// payload, so the scratch may be reused immediately after.
-func (b *Buffer) SnapshotInto(dst []byte) []byte {
-	return append(dst[:0], b.acc...)
-}
+// Bytes returns the current parity page itself, valid until the next Add,
+// Remove or Reset — the allocation-free way to program it (Device.Program
+// copies the payload).
+func (b *Buffer) Bytes() []byte { return b.acc }
 
 // Reset clears the accumulator.
 func (b *Buffer) Reset() {
