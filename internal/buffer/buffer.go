@@ -38,8 +38,10 @@ type Buffer struct {
 	peakOcc  int
 	admitted int64
 	util     *obs.Gauge // observability: live utilization (nil when disabled)
-	// freeList recycles Entry allocations: Release parks the entry here and
-	// TryAdmit reuses it, so steady-state admission allocates nothing.
+	// entries backs every Entry handed out and freeList parks the released
+	// ones for TryAdmit to reuse. Both are made at full capacity on the first
+	// admission, so admission and release allocate nothing after it.
+	entries  []Entry
 	freeList []*Entry
 }
 
@@ -82,14 +84,21 @@ func (b *Buffer) TryAdmit(lpn int64, now sim.Time) (*Entry, error) {
 	if b.occupied >= b.capacity {
 		return nil, ErrFull
 	}
+	if b.entries == nil {
+		b.entries = make([]Entry, 0, b.capacity)
+		b.freeList = make([]*Entry, 0, b.capacity)
+	}
+	// With a slot free and none parked, fewer than capacity entries have
+	// been handed out, so the slab has room and never moves.
 	var e *Entry
 	if n := len(b.freeList); n > 0 {
 		e = b.freeList[n-1]
 		b.freeList = b.freeList[:n-1]
-		*e = Entry{LPN: lpn, Arrived: now}
 	} else {
-		e = &Entry{LPN: lpn, Arrived: now}
+		b.entries = b.entries[:len(b.entries)+1]
+		e = &b.entries[len(b.entries)-1]
 	}
+	*e = Entry{LPN: lpn, Arrived: now}
 	b.occupied++
 	b.admitted++
 	if b.occupied > b.peakOcc {

@@ -174,3 +174,52 @@ func TestOccupancyInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFillDrainAllocatesNothing: after the first admission, which makes the
+// entry slab and the free list at full capacity, filling the buffer and
+// draining it, in either order, allocates nothing however many times. Each
+// measured call takes a buffer that has admitted once and no more.
+func TestFillDrainAllocatesNothing(t *testing.T) {
+	const capacity, runs, rounds = 128, 10, 20
+	var fresh []*Buffer
+	for i := 0; i <= runs; i++ { // AllocsPerRun adds one warm-up call
+		b := New(capacity)
+		e, err := b.TryAdmit(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Release(e); err != nil {
+			t.Fatal(err)
+		}
+		fresh = append(fresh, b)
+	}
+	held := make([]*Entry, 0, capacity)
+	allocs := testing.AllocsPerRun(runs, func() {
+		b := fresh[0]
+		fresh = fresh[1:]
+		for round := 0; round < rounds; round++ {
+			for len(held) < capacity {
+				e, err := b.TryAdmit(int64(len(held)), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, e)
+			}
+			for i := range held {
+				if round%2 == 1 {
+					i = len(held) - 1 - i // newest first on odd rounds
+				}
+				if err := b.Release(held[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			held = held[:0]
+		}
+		if b.PeakOccupied() != capacity || b.Occupied() != 0 {
+			t.Errorf("peak %d, occupied %d; want %d and 0", b.PeakOccupied(), b.Occupied(), capacity)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d fills and drains of %d entries: %.0f allocations, want 0", rounds, capacity, allocs)
+	}
+}

@@ -54,6 +54,18 @@ type OrderPolicy interface {
 type cursor struct {
 	blk int // -1 when no active block
 	pos int
+	lsb bool // the page at pos is an LSB page (kept by the pool order only)
+}
+
+// newCursors returns n cursors per chip, every chip's slice carved from one
+// array.
+func newCursors(chips, n int) [][]cursor {
+	all := make([]cursor, chips*n)
+	out := make([][]cursor, chips)
+	for c := range out {
+		out[c] = all[c*n : (c+1)*n : (c+1)*n]
+	}
+	return out
 }
 
 // worstCaseUnits bounds how many unit events (free-block pops or block
@@ -103,13 +115,11 @@ type fpsSingle struct {
 func (o *fpsSingle) init(k *Kernel) error {
 	g := k.Dev.Geometry()
 	o.order = core.FPSOrder(g.WordLinesPerBlock)
-	o.active = make([][]cursor, g.Chips())
-	for c := range o.active {
-		cs := make([]cursor, k.streams)
+	o.active = newCursors(g.Chips(), k.streams)
+	for _, cs := range o.active {
 		for s := range cs {
-			cs[s] = cursor{blk: -1}
+			cs[s].blk = -1
 		}
-		o.active[c] = cs
 	}
 	return nil
 }
@@ -248,6 +258,7 @@ type fpsPool struct {
 	slots  int
 	order  []core.Page
 	active [][]cursor // [chip][slot]; blk -1 when the slot awaits a block
+	empty  []int      // [chip]: slots awaiting a block
 
 	// impactScratch backs shardWriteImpact's remaining-page sort. Only the
 	// serial epoch planner calls it, so a single scratch is race-free even
@@ -268,19 +279,38 @@ func (o *fpsPool) init(k *Kernel) error {
 			k.name, g.BlocksPerChip, o.slots)
 	}
 	o.order = core.FPSOrder(g.WordLinesPerBlock)
-	o.active = make([][]cursor, g.Chips())
+	o.active = newCursors(g.Chips(), o.slots)
+	o.empty = make([]int, g.Chips())
 	for c := range o.active {
-		cs := make([]cursor, o.slots)
-		for s := range cs {
+		o.empty[c] = o.slots
+		for s := range o.active[c] {
 			blk, ok := k.Pools[c].PopFree()
 			if !ok {
 				return fmt.Errorf("%s: chip %d cannot seed active pool", k.name, c)
 			}
-			cs[s] = cursor{blk: blk}
+			o.open(c, s, blk)
 		}
-		o.active[c] = cs
 	}
 	return nil
+}
+
+// open starts an empty slot on a fresh block.
+func (o *fpsPool) open(chip, slot, blk int) {
+	o.active[chip][slot] = cursor{blk: blk, lsb: o.order[0].Type == core.LSB}
+	o.empty[chip]--
+}
+
+// advance moves a slot past the page just programmed; a full block goes to
+// the full pool and empties the slot.
+func (o *fpsPool) advance(k *Kernel, chip int, cur *cursor) {
+	cur.pos++
+	if cur.pos == len(o.order) {
+		k.Pools[chip].PushFull(cur.blk)
+		cur.blk = -1
+		o.empty[chip]++
+		return
+	}
+	cur.lsb = o.order[cur.pos].Type == core.LSB
 }
 
 // pickSlot returns the index of the most-filled slot whose next page matches
@@ -293,7 +323,7 @@ func (o *fpsPool) pickSlot(chip int, wantLSB bool) int {
 		if cur.blk == -1 {
 			continue
 		}
-		if (o.order[cur.pos].Type == core.LSB) == wantLSB && cur.pos > bestPos {
+		if cur.lsb == wantLSB && cur.pos > bestPos {
 			best, bestPos = s, cur.pos
 		}
 	}
@@ -337,11 +367,7 @@ func (o *fpsPool) program(k *Kernel, chip, stream int, pref Pref, lpn LPN, data,
 		k.noteData(false, fromGC)
 	}
 	k.alloc.onProgram(k, page.Type == core.LSB, fromGC)
-	cur.pos++
-	if cur.pos == len(o.order) {
-		k.Pools[chip].PushFull(cur.blk)
-		cur.blk = -1
-	}
+	o.advance(k, chip, cur)
 	return done, nil
 }
 
@@ -349,6 +375,9 @@ func (o *fpsPool) program(k *Kernel, chip, stream int, pref Pref, lpn LPN, data,
 // reserve for the backup ring and GC; with the pool at reserve it still
 // force-refills one slot so a program is always possible.
 func (o *fpsPool) refillSlots(k *Kernel, chip int, now sim.Time) (sim.Time, error) {
+	if o.empty[chip] == 0 {
+		return now, nil
+	}
 	reserve := k.Cfg.MinFreeBlocksPerChip
 	for s := range o.active[chip] {
 		if o.active[chip][s].blk != -1 {
@@ -361,19 +390,17 @@ func (o *fpsPool) refillSlots(k *Kernel, chip int, now sim.Time) (sim.Time, erro
 		if !ok {
 			break
 		}
-		o.active[chip][s] = cursor{blk: blk}
+		o.open(chip, s, blk)
 	}
 	// At least one slot must be usable.
-	for s := range o.active[chip] {
-		if o.active[chip][s].blk != -1 {
-			return now, nil
-		}
+	if o.empty[chip] < o.slots {
+		return now, nil
 	}
 	blk, ok := k.Pools[chip].PopFree()
 	if !ok {
 		return now, fmt.Errorf("%s: chip %d active pool empty and no free blocks", k.name, chip)
 	}
-	o.active[chip][0] = cursor{blk: blk}
+	o.open(chip, 0, blk)
 	return now, nil
 }
 
@@ -401,11 +428,7 @@ func (o *fpsPool) padOneMSB(k *Kernel, chip int, now sim.Time) (sim.Time, error)
 	}
 	k.St.PadWrites++
 	k.Obs.Instant(obs.KindPad, int32(chip), now, int64(cur.blk), int64(page.WL))
-	cur.pos++
-	if cur.pos == len(o.order) {
-		k.Pools[chip].PushFull(cur.blk)
-		cur.blk = -1
-	}
+	o.advance(k, chip, cur)
 	return done, nil
 }
 
@@ -417,7 +440,7 @@ func (o *fpsPool) foregroundGC(k *Kernel, chip int, now sim.Time) (sim.Time, err
 func (o *fpsPool) lsbReadyCount(chip int) int {
 	n := 0
 	for _, cur := range o.active[chip] {
-		if cur.blk != -1 && o.order[cur.pos].Type == core.LSB {
+		if cur.blk != -1 && cur.lsb {
 			n++
 		}
 	}
@@ -428,7 +451,7 @@ func (o *fpsPool) lsbReadyCount(chip int) int {
 // on an MSB page.
 func (o *fpsPool) chipHasMSBNext(chip int) bool {
 	for _, cur := range o.active[chip] {
-		if cur.blk != -1 && o.order[cur.pos].Type == core.MSB {
+		if cur.blk != -1 && !cur.lsb {
 			return true
 		}
 	}

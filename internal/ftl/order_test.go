@@ -106,3 +106,97 @@ func driveSkewed(t *testing.T, k *Kernel, n int, check func(i int)) {
 		check(i)
 	}
 }
+
+// TestFPSPoolPickMatchesScan: the pool order's cached next-page types and
+// per-chip empty-slot counts choose exactly the slot the plain scan of the
+// block order chooses — the first slot with the highest pos among those whose
+// next page is of the wanted type — after every host write, with host
+// writes preferring fast pages and then slow ones, foreground GC, and idle
+// windows of random length that drain, pad and refill slots.
+func TestFPSPoolPickMatchesScan(t *testing.T) {
+	var pads, copies int64
+	fallbacks, refills := 0, 0
+	for seed := uint64(1); seed <= 4; seed++ {
+		host, gc := PrefFast, PrefSlow
+		if seed%2 == 0 {
+			host, gc = gc, host
+		}
+		g := nand.TestGeometry()
+		g.BlocksPerChip, g.WordLinesPerBlock = 64, 16
+		dev, err := nand.NewDevice(nand.Config{Geometry: g, Timing: nand.DefaultTiming(), Rules: core.FPS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := NewKernel(dev, DefaultConfig(), KernelSpec{
+			Name:   "fpsPool-test",
+			Order:  FPSPoolOrderPolicy(RTFActiveBlocksPerChip),
+			Backup: PairParityBackup(FPSParityPairSize),
+			Alloc:  FixedAllocPolicy(host, gc),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := k.ord.(*fpsPool)
+		r := rng.New(seed)
+		now := sim.Time(0)
+		for i := 0; i < 20000; i++ {
+			lpn := LPN(r.Int63n(k.LogicalPages()))
+			util := []float64{0.05, 0.5, 0.95}[r.Intn(3)]
+			emptyBefore := o.empty[k.rr]
+			if now, err = k.Write(lpn, now, util); err != nil {
+				t.Fatalf("seed %d write %d: %v", seed, i, err)
+			}
+			if emptyBefore > 0 {
+				refills++
+			}
+			if r.Intn(300) == 0 {
+				d := sim.Time(1+r.Intn(200)) * sim.Millisecond
+				k.Idle(now, now+d)
+				now += d
+			}
+			for c := range o.active {
+				empty := 0
+				for s, cur := range o.active[c] {
+					if cur.blk == -1 {
+						empty++
+					} else if cur.lsb != (o.order[cur.pos].Type == core.LSB) {
+						t.Fatalf("seed %d write %d chip %d slot %d: cached lsb %v at pos %d", seed, i, c, s, cur.lsb, cur.pos)
+					}
+				}
+				if o.empty[c] != empty {
+					t.Fatalf("seed %d write %d chip %d: empty count %d, slots hold %d", seed, i, c, o.empty[c], empty)
+				}
+				for _, want := range []bool{true, false} {
+					got, ref := o.pickSlot(c, want), scanPickSlot(o, c, want)
+					if got != ref {
+						t.Fatalf("seed %d write %d chip %d wantLSB %v: picked slot %d, scan picks %d", seed, i, c, want, got, ref)
+					}
+					if got == -1 && o.empty[c] < o.slots {
+						fallbacks++
+					}
+				}
+			}
+		}
+		pads += k.St.PadWrites
+		copies += k.St.GCCopies
+	}
+	if pads == 0 || copies == 0 || refills == 0 || fallbacks == 0 {
+		t.Fatalf("pads %d, GC copies %d, refilling writes %d, one-type pools %d; the runs must cover each",
+			pads, copies, refills, fallbacks)
+	}
+}
+
+// scanPickSlot is pickSlot before the cached page types: a scan that reads
+// each open slot's next page type from the block order.
+func scanPickSlot(o *fpsPool, chip int, wantLSB bool) int {
+	best, bestPos := -1, -1
+	for s, cur := range o.active[chip] {
+		if cur.blk == -1 {
+			continue
+		}
+		if (o.order[cur.pos].Type == core.LSB) == wantLSB && cur.pos > bestPos {
+			best, bestPos = s, cur.pos
+		}
+	}
+	return best
+}

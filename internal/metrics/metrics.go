@@ -25,9 +25,10 @@ type Collector struct {
 	pagesRead int64
 	pagesWrit int64
 
-	// One sample per request and class, integer microseconds. A request's
-	// response time is its read, write-ack or trim sample, so the all-requests
-	// summary is read off those three classes by rank instead of being stored
+	// Each request's latencies by class, integer microseconds: counted when
+	// below countMax, stored otherwise (see samples). A request's response
+	// time is its read, write-ack or trim latency, so the all-requests
+	// summary is read off those three classes by rank instead of being kept
 	// a second time.
 	read, writeAck, writeFlush, trim samples
 	// scratch is the radix sort's second buffer, at most one chunk, kept for
@@ -293,7 +294,7 @@ func (c *Collector) Finalize() Result {
 // Percentiles summarizes one latency class with the tail points the paper's
 // latency claim turns on. All values are microseconds of virtual time,
 // computed exactly (sorted order statistics with linear interpolation), not
-// from histogram buckets.
+// from histogram buckets wider than the 1 µs a sample is counted in.
 type Percentiles struct {
 	Count                    int64
 	Mean, P50, P90, P95, P99 float64

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -223,6 +224,42 @@ func diffCases() []diffCase {
 			more:    c.more,
 		})
 	}
+	// The count tier: short values with many zeros and duplicates, and values
+	// around its upper edge mixed with negative and wide ones (one in 500 past
+	// 2^53, so larger cases take the merged float mean with a tier head).
+	tierDraws := []struct {
+		name string
+		draw func(src *rng.Source) sim.Time
+	}{
+		{"short", func(src *rng.Source) sim.Time {
+			if src.Intn(3) == 0 {
+				return 0
+			}
+			return sim.Time(src.Intn(1 + src.Intn(countMax)))
+		}},
+		{"straddle", func(src *rng.Source) sim.Time {
+			switch src.Intn(500) {
+			case 0, 1, 2, 3, 4:
+				return -sim.Time(1 + src.Intn(3))
+			case 5, 6, 7, 8, 9:
+				return 1<<32 + sim.Time(src.Intn(3))
+			case 10:
+				return 1 << 54
+			}
+			return countMax - 2 + sim.Time(src.Intn(5))
+		}},
+	}
+	for j, n := range []int{1, 2, 255, 257, countMax + 1, 100_000} {
+		for k, d := range tierDraws {
+			mix := 1 + (2*j+k)%7
+			cases = append(cases, diffCase{
+				n:       n,
+				classes: [3]bool{mix&1 != 0, mix&2 != 0, mix&4 != 0},
+				draw:    d.draw,
+				name:    fmt.Sprintf("%03d-%s-n%d-mix%d", len(cases), d.name, n, mix),
+			})
+		}
+	}
 	return cases
 }
 
@@ -293,6 +330,119 @@ func TestCollectorMatchesOracle(t *testing.T) {
 			checkSame(t, "after more records", c, o)
 		})
 	}
+}
+
+// inflated is a class too large to hold as floats: the sorted xs with extra
+// more copies of v. Its summaries are the oracle's arithmetic on that sample.
+type inflated struct {
+	xs    []float64
+	v     float64
+	extra int
+}
+
+func (s inflated) len() int { return len(s.xs) + s.extra }
+
+// at is the k-th order statistic.
+func (s inflated) at(k int) float64 {
+	p := sort.SearchFloat64s(s.xs, s.v+1) // the extra copies follow every x <= v
+	switch {
+	case k < p:
+		return s.xs[k]
+	case k < p+s.extra:
+		return s.v
+	}
+	return s.xs[k-s.extra]
+}
+
+func (s inflated) quantile(q float64) float64 {
+	lo, hi, frac := stats.QuantilePos(s.len(), q)
+	return stats.Interpolate(s.at(lo), s.at(hi), frac)
+}
+
+// percentiles is oraclePercentiles on the inflated sample. Its values are
+// integers summing below 2^53, so the ascending float sum is the integer sum.
+func (s inflated) percentiles() Percentiles {
+	sum := int64(s.v) * int64(s.extra)
+	for _, x := range s.xs {
+		sum += int64(x)
+	}
+	n := s.len()
+	return Percentiles{
+		Count: int64(n),
+		Mean:  float64(sum) / float64(n),
+		P50:   s.quantile(0.50),
+		P90:   s.quantile(0.90),
+		P95:   s.quantile(0.95),
+		P99:   s.quantile(0.99),
+		P999:  s.quantile(0.999),
+		Max:   s.at(n - 1),
+	}
+}
+
+func (s inflated) fiveNum() stats.FiveNum {
+	return stats.FiveNum{
+		Min:    s.at(0),
+		Q1:     s.quantile(0.25),
+		Median: s.quantile(0.5),
+		Q3:     s.quantile(0.75),
+		Max:    s.at(s.len() - 1),
+	}
+}
+
+// TestFullCounterPassesOn: a count-tier counter that reaches MaxUint32 passes
+// further samples of its value to the chunks, and every summary counts them
+// all. The read counter of v starts at MaxUint32-1, stands for as many reads
+// the oracle cannot hold, and takes three more: one fills it, two go on.
+func TestFullCounterPassesOn(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("a class of 2^32 samples has more order statistics than a 32-bit int counts")
+	}
+	const v = 7
+	const pageSize, window = 4096, 50 * sim.Millisecond
+	c, o := NewCollector(pageSize, window), newOracle(pageSize, window)
+	preset := uint32(math.MaxUint32 - 1)
+	c.read.counts[v] = preset
+	src := rng.New(21)
+	record := func(n int) {
+		for i := 0; i < n; i++ {
+			lat := sim.Time(src.Intn(3 * countMax)) // either side of v and of countMax
+			for _, r := range []recorder{c, o} {
+				r.RecordRead(1, 0, lat)
+				r.RecordWrite(1, 0, lat/4, lat)
+				r.RecordTrim(1, 0, lat%16)
+			}
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		ds := func(xs []float64) inflated {
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			return inflated{sorted, v, int(preset)}
+		}
+		want := o.Finalize()
+		want.ResponseTime = ds(o.respTimes).fiveNum()
+		want.ReadResponse = ds(o.readTimes).fiveNum()
+		if got := c.Finalize(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Finalize\n got %+v\nwant %+v", when, got, want)
+		}
+		wantLat := o.Latency()
+		wantLat.Read = ds(o.readTimes).percentiles()
+		if got := c.Latency(); got != wantLat {
+			t.Fatalf("%s: Latency\n got %+v\nwant %+v", when, got, wantLat)
+		}
+	}
+	record(1000)
+	for i := 0; i < 3; i++ {
+		c.RecordRead(1, 0, v)
+		o.RecordRead(1, 0, v)
+	}
+	if got := c.read.counts[v]; got != math.MaxUint32 {
+		t.Fatalf("counter holds %d, want MaxUint32", got)
+	}
+	check("first summary")
+	record(500) // further reads of v go to the chunks too
+	check("after more records")
 }
 
 // TestSummaryAllocations: summarising a million requests allocates a handful

@@ -7,11 +7,12 @@ import (
 	"flexftl/internal/stats"
 )
 
-// A latency class is stored in chunks of 4-byte samples: the first holds
-// firstChunk samples, each next one twice as many up to lastChunk, and every
-// chunk after that lastChunk. A chunk is allocated at its final size and never
-// grown or copied, so a class costs its 4 bytes per sample plus the unused
-// tail of its last chunk, and the radix sort's scratch is at most one chunk.
+// A latency class stores the samples its count tier does not take in chunks
+// of 4-byte samples: the first holds firstChunk samples, each next one twice
+// as many up to lastChunk, and every chunk after that lastChunk. A chunk is
+// allocated at its final size and never grown or copied, so a class costs 4
+// bytes per stored sample plus the unused tail of its last chunk, and the
+// radix sort's scratch is at most one chunk.
 const (
 	firstChunk = 256
 	lastChunk  = 1 << 16
@@ -23,22 +24,44 @@ const (
 	chunkHeaders = 64
 )
 
-// samples is one latency class. A sample in [0, 2^32) µs — every latency a
-// benchmark run records — is a uint32 in a list of chunks, each full but the
-// last. Any other sample (negative, or 2^32 µs and
+// countMax bounds the count tier: a latency class counts its samples in
+// [0, countMax) µs instead of storing them.
+const countMax = 4096
+
+// tierBlock is the width of the count tier's prefix blocks: a rank query
+// adds one block prefix and at most tierBlock counters.
+const tierBlock = 64
+
+// samples is one latency class, held as sorted runs of three kinds. A sample
+// in [0, countMax) µs — most latencies of a device that keeps up — increments
+// its counter in the count tier, a fixed array, so such samples cost no memory
+// however many there are. A counter that is full passes further samples of
+// its value on. Every other sample in [0, 2^32) µs is a uint32 in a list of
+// chunks, each full but the last. Any other sample (negative, or 2^32 µs and
 // longer) goes to wide, which is allocated only when one occurs.
 // Summaries sort each chunk in place; sorted is the chunk sample count when a
 // summary last sorted, so a chunk holding only older samples is still in
 // order and only the chunk that took new ones sorts again. The wide run is
-// sorted whole.
+// sorted whole. The tier needs no sort: a summary indexes it once (index).
 type samples struct {
-	chunks [][]uint32
-	wide   []int64
-	sorted int
+	counts [countMax]uint32
+	// As of the last summary: below[b] counts the tier's values below
+	// b*tierBlock, counted is the tier's total, lo and hi its least and
+	// greatest value (while counted > 0).
+	below   [countMax / tierBlock]int
+	counted int
+	lo, hi  int64
+	chunks  [][]uint32
+	wide    []int64
+	sorted  int
 }
 
 // add records one sample.
 func (s *samples) add(x int64) {
+	if uint64(x) < countMax && s.counts[x] < math.MaxUint32 {
+		s.counts[x]++
+		return
+	}
 	if uint64(x) > math.MaxUint32 {
 		s.wide = append(s.wide, x)
 		return
@@ -58,8 +81,8 @@ func (s *samples) add(x int64) {
 	s.chunks[n-1] = append(s.chunks[n-1], uint32(x))
 }
 
-// sortSamples brings every run of every class into ascending order for
-// Finalize and Latency.
+// sortSamples brings every run of every class into ascending order, and
+// indexes every count tier, for Finalize and Latency.
 func (c *Collector) sortSamples() {
 	classes := [...]*samples{&c.read, &c.writeAck, &c.writeFlush, &c.trim}
 	// Size the scratch once for the largest chunk the radix sort will see,
@@ -76,12 +99,44 @@ func (c *Collector) sortSamples() {
 		c.scratch = make([]uint32, largest)
 	}
 	for _, s := range classes {
+		s.index()
 		s.eachUnsorted(func(chunk []uint32) { c.scratch = sortUint32(chunk, c.scratch) })
 		s.sorted = s.chunkLen()
 		if !slices.IsSorted(s.wide) {
 			slices.Sort(s.wide)
 		}
 	}
+}
+
+// index builds the count tier's prefix counts and bounds.
+func (s *samples) index() {
+	n := 0
+	for v, c := range s.counts {
+		if v%tierBlock == 0 {
+			s.below[v/tierBlock] = n
+		}
+		if c != 0 {
+			if n == 0 {
+				s.lo = int64(v)
+			}
+			s.hi = int64(v)
+			n += int(c)
+		}
+	}
+	s.counted = n
+}
+
+// tierAtMost counts the tier's values <= v, for v >= 0.
+func (s *samples) tierAtMost(v int64) int {
+	if v >= countMax-1 {
+		return s.counted
+	}
+	b := int(v) / tierBlock
+	n := s.below[b]
+	for _, c := range s.counts[b*tierBlock : v+1] {
+		n += int(c)
+	}
+	return n
 }
 
 // eachUnsorted calls f on every chunk holding a sample recorded since the
@@ -155,14 +210,14 @@ func sortUint32(xs, scratch []uint32) []uint32 {
 }
 
 // sortedRuns is a sample held as the ascending runs of one class or of
-// several: their chunks and wide runs. Its order statistics are those of the
-// runs merged, found by rank so no merged copy is built.
+// several: their count tiers, chunks and wide runs. Its order statistics are
+// those of the runs merged, found by rank so no merged copy is built.
 type sortedRuns []*samples
 
 func (r sortedRuns) len() int {
 	n := 0
 	for _, s := range r {
-		n += s.chunkLen() + len(s.wide)
+		n += s.counted + s.chunkLen() + len(s.wide)
 	}
 	return n
 }
@@ -179,6 +234,9 @@ func (r sortedRuns) quantile(q float64) float64 {
 func (r sortedRuns) at(k int) int64 {
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, s := range r {
+		if s.counted > 0 {
+			lo, hi = min(lo, s.lo), max(hi, s.hi)
+		}
 		for _, chunk := range s.chunks {
 			if len(chunk) > 0 {
 				lo = min(lo, int64(chunk[0]))
@@ -209,8 +267,9 @@ func (r sortedRuns) atMost(v int64) int {
 	for _, s := range r {
 		switch {
 		case v >= math.MaxUint32:
-			n += s.chunkLen()
+			n += s.counted + s.chunkLen()
 		case v >= 0:
+			n += s.tierAtMost(v)
 			for _, chunk := range s.chunks {
 				i, _ := slices.BinarySearch(chunk, uint32(v)+1)
 				n += i
@@ -229,6 +288,15 @@ func (r sortedRuns) sum() float64 {
 	var sum int64
 	var abs uint64 // < 2^53 before each add, and each add is at most 2^63: cannot wrap
 	for _, s := range r {
+		var t uint64 // below countMax * countMax * 2^32 = 2^56
+		for v, c := range s.counts {
+			t += uint64(v) * uint64(c)
+		}
+		sum += int64(t)
+		abs += t
+		if abs >= 1<<53 {
+			return r.mergedSum()
+		}
 		for _, chunk := range s.chunks {
 			var c uint64 // at most lastChunk values below 2^32
 			for _, x := range chunk {
@@ -260,6 +328,9 @@ func (r sortedRuns) sum() float64 {
 func (r sortedRuns) mergedSum() float64 {
 	var h []runHead
 	for _, s := range r {
+		if s.counted > 0 {
+			h = append(h, runHead{v: s.lo, rep: s.counts[s.lo] - 1, tier: s.counts[s.lo+1:]})
+		}
 		for _, chunk := range s.chunks {
 			if len(chunk) > 0 {
 				h = append(h, runHead{v: int64(chunk[0]), chunk: chunk[1:]})
@@ -287,21 +358,32 @@ func (r sortedRuns) mergedSum() float64 {
 }
 
 // runHead is a run's smallest unread value v and the values after it, in one
-// of chunk or wide.
+// of chunk or wide, or for a count tier rep more copies of v and then the
+// counters of v+1 onward in tier.
 type runHead struct {
 	v     int64
 	chunk []uint32
 	wide  []int64
+	tier  []uint32
+	rep   uint32
 }
 
 // next moves v to the run's next value, reporting false at its end.
 func (h *runHead) next() bool {
 	switch {
+	case h.rep > 0:
+		h.rep--
 	case len(h.chunk) > 0:
 		h.v, h.chunk = int64(h.chunk[0]), h.chunk[1:]
 	case len(h.wide) > 0:
 		h.v, h.wide = h.wide[0], h.wide[1:]
 	default:
+		for i, c := range h.tier {
+			if c != 0 {
+				h.v, h.rep, h.tier = h.v+int64(i)+1, c-1, h.tier[i+1:]
+				return true
+			}
+		}
 		return false
 	}
 	return true
