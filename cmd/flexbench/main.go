@@ -38,11 +38,10 @@ func main() {
 		full     = flag.Bool("full", false, "use the paper's 16 GB geometry (slow)")
 		blocks   = flag.Int("fig4-blocks", 90, "blocks per order for Figure 4")
 		workers  = flag.Int("workers", 0, "simulation workers per experiment (0 = all cores, 1 = serial)")
-		shardW   = flag.Int("shard-workers", 1, "intra-run epoch-shard workers; results are identical for any value (1 = serial engine)")
 		metrics  = flag.String("metrics", "", "write per-experiment result snapshots as JSON to this file")
 	)
 	flag.Parse()
-	if err := run(os.Stdout, *exp, *requests, *seed, *full, *blocks, *workers, *shardW, *metrics); err != nil {
+	if err := run(os.Stdout, *exp, *requests, *seed, *full, *blocks, *workers, *metrics); err != nil {
 		fmt.Fprintln(os.Stderr, "flexbench:", err)
 		os.Exit(1)
 	}
@@ -57,16 +56,12 @@ var experimentNames = []string{"all", "fig1", "table1", "fig4", "fig4a", "fig4b"
 // (empty for reliability-model and workload-characterization experiments,
 // which run no FTL).
 type runInfo struct {
-	Workers int `json:"workers"`
-	// ShardWorkers is the intra-run epoch-shard worker count of the
-	// simulations (1 = the serial engine). flexstat compare refuses to
-	// join dumps whose shard_workers differ.
-	ShardWorkers int      `json:"shard_workers"`
-	WallMS       float64  `json:"wall_ms"`
-	Schemes      []string `json:"schemes,omitempty"`
+	Workers int      `json:"workers"`
+	WallMS  float64  `json:"wall_ms"`
+	Schemes []string `json:"schemes,omitempty"`
 }
 
-func run(w io.Writer, exp string, requests int, seed uint64, full bool, fig4Blocks, workers, shardWorkers int, metricsPath string) error {
+func run(w io.Writer, exp string, requests int, seed uint64, full bool, fig4Blocks, workers int, metricsPath string) error {
 	if !slices.Contains(experimentNames, exp) {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
@@ -75,16 +70,12 @@ func run(w io.Writer, exp string, requests int, seed uint64, full bool, fig4Bloc
 	// infos records worker count and wall-clock alongside.
 	snapshots := make(map[string]any)
 	infos := make(map[string]runInfo)
-	if shardWorkers < 1 {
-		shardWorkers = 1
-	}
 	record := func(name string, start time.Time, workers int, schemes []string, result any) {
 		snapshots[name] = result
 		infos[name] = runInfo{
-			Workers:      workers,
-			ShardWorkers: shardWorkers,
-			WallMS:       float64(time.Since(start).Microseconds()) / 1000,
-			Schemes:      schemes,
+			Workers: workers,
+			WallMS:  float64(time.Since(start).Microseconds()) / 1000,
+			Schemes: schemes,
 		}
 	}
 
@@ -134,8 +125,8 @@ func run(w io.Writer, exp string, requests int, seed uint64, full bool, fig4Bloc
 	if want("sensitivity") {
 		experiments.Rule(w, "Sensitivity sweeps (environment knobs)")
 		cfg := experiments.DefaultSensitivityConfig()
+		cfg.Seed = seed
 		cfg.Workers = workers
-		cfg.ShardWorkers = shardWorkers
 		start := time.Now()
 		res, err := experiments.RunSensitivity(cfg)
 		if err != nil {
@@ -161,7 +152,6 @@ func run(w io.Writer, exp string, requests int, seed uint64, full bool, fig4Bloc
 		cfg := experiments.DefaultAblationConfig()
 		cfg.Seed = seed
 		cfg.Workers = workers
-		cfg.ShardWorkers = shardWorkers
 		start := time.Now()
 		res, err := experiments.RunAblations(cfg)
 		if err != nil {
@@ -182,7 +172,6 @@ func run(w io.Writer, exp string, requests int, seed uint64, full bool, fig4Bloc
 			cfg.Requests = 10000
 		}
 		cfg.Workers = workers
-		cfg.ShardWorkers = shardWorkers
 		start := time.Now()
 		res, err := experiments.RunPlacementSweep(cfg)
 		if err != nil {
@@ -206,7 +195,7 @@ func run(w io.Writer, exp string, requests int, seed uint64, full bool, fig4Bloc
 		if full {
 			geometry = nand.DefaultGeometry()
 		}
-		cfg := experiments.Fig8Config{Geometry: geometry, Requests: requests, Seed: seed, Workers: workers, ShardWorkers: shardWorkers}
+		cfg := experiments.Fig8Config{Geometry: geometry, Requests: requests, Seed: seed, Workers: workers}
 		experiments.Rule(w, fmt.Sprintf("Figure 8 (%s, %d requests/run)", geometry, requests))
 		start := time.Now()
 		res, err := experiments.RunFig8(cfg)

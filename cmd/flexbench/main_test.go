@@ -10,7 +10,7 @@ import (
 
 func TestRunFig1(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "fig1", 100, 1, false, 2, 0, 1, ""); err != nil {
+	if err := run(&sb, "fig1", 100, 1, false, 2, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Figure 1", "LSB page program", "4.0x"} {
@@ -22,7 +22,7 @@ func TestRunFig1(t *testing.T) {
 
 func TestRunTable1(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "table1", 100, 1, false, 2, 0, 1, ""); err != nil {
+	if err := run(&sb, "table1", 100, 1, false, 2, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"OLTP", "Fileserver", "Very high"} {
@@ -34,7 +34,7 @@ func TestRunTable1(t *testing.T) {
 
 func TestRunFig4Tiny(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "fig4a", 100, 1, false, 2, 2, 1, ""); err != nil {
+	if err := run(&sb, "fig4a", 100, 1, false, 2, 2, ""); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Figure 4", "RPSfull", "ECC failure"} {
@@ -49,7 +49,7 @@ func TestRunFig4Tiny(t *testing.T) {
 func TestRunFig4RejectsEmptyStudy(t *testing.T) {
 	for _, blocks := range []int{0, -1} {
 		var sb strings.Builder
-		if err := run(&sb, "fig4", 100, 1, false, blocks, 1, 1, ""); err == nil {
+		if err := run(&sb, "fig4", 100, 1, false, blocks, 1, ""); err == nil {
 			t.Errorf("-fig4-blocks %d accepted:\n%s", blocks, sb.String())
 		}
 	}
@@ -57,7 +57,7 @@ func TestRunFig4RejectsEmptyStudy(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "figZZ", 100, 1, false, 2, 0, 1, ""); err == nil {
+	if err := run(&sb, "figZZ", 100, 1, false, 2, 0, ""); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 func TestRunMetricsDump(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	var sb strings.Builder
-	if err := run(&sb, "table1", 100, 1, false, 2, 1, 1, path); err != nil {
+	if err := run(&sb, "table1", 100, 1, false, 2, 1, path); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -101,7 +101,7 @@ func TestRunMetricsDump(t *testing.T) {
 func TestRunMetricsSchemes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	var sb strings.Builder
-	if err := run(&sb, "fig8a", 400, 1, false, 2, 0, 1, path); err != nil {
+	if err := run(&sb, "fig8a", 400, 1, false, 2, 0, path); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -127,5 +127,38 @@ func TestRunMetricsSchemes(t *testing.T) {
 		if !want[s] {
 			t.Errorf("unexpected scheme %q in runinfo", s)
 		}
+	}
+}
+
+// TestRunSensitivitySeed: -seed reaches the sensitivity sweep. The dump
+// records the seed the sweep ran with, and the table differs from the one
+// the default seed renders.
+func TestRunSensitivitySeed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	var seed7, seed42 strings.Builder
+	if err := run(&seed7, "sensitivity", 100, 7, false, 2, 0, path); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&seed42, "sensitivity", 100, 42, false, 2, 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Sensitivity struct {
+			Config struct{ Seed uint64 }
+		} `json:"sensitivity"`
+	}
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Sensitivity.Config.Seed; got != 7 {
+		t.Errorf("sensitivity dump Config.Seed = %d, want 7", got)
+	}
+	table7, _, _ := strings.Cut(seed7.String(), "metrics:")
+	if table7 == seed42.String() {
+		t.Errorf("sensitivity table at seed 7 equals the seed-42 table:\n%s", table7)
 	}
 }

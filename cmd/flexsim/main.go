@@ -56,8 +56,6 @@ type options struct {
 	DebugAddr     string        // pprof/expvar HTTP listen address
 	ServeAfter    bool          // keep the debug server up after the run ends
 	Metrics       string        // structured run-result JSON output file
-	ShardWorkers  int           // intra-run epoch-shard workers (<=1 = serial engine)
-	HostQueues    int           // multi-queue host front-end (>1 splits the workload by channel)
 	Rel           bool          // mount the BER model and the kernel's reliability responses
 	RelSeed       uint64        // per-read hash seed of the BER model
 	RelWear       int           // pre-wear every block this many P/E cycles before the run
@@ -96,8 +94,6 @@ func main() {
 	flag.StringVar(&o.DebugAddr, "debug-addr", "", "serve net/http/pprof and expvar metrics on this address")
 	flag.BoolVar(&o.ServeAfter, "serve-after", false, "keep the -debug-addr server running after the run until interrupted")
 	flag.StringVar(&o.Metrics, "metrics", "", "write the run result (flexstat-readable JSON) to this file")
-	flag.IntVar(&o.ShardWorkers, "shard-workers", 1, "intra-run epoch-shard workers; results are identical for any value (1 = serial engine)")
-	flag.IntVar(&o.HostQueues, "host-queues", 1, "host queues; >1 splits a generated workload into per-queue generators over disjoint LPN ranges and prefetches them concurrently (results are identical for any value)")
 	flag.BoolVar(&o.Rel, "rel", false, "mount the per-page BER model and the kernel's scrub/refresh/retire responses")
 	flag.Uint64Var(&o.RelSeed, "rel-seed", 1, "BER model per-read hash seed (with -rel)")
 	flag.IntVar(&o.RelWear, "rel-wear", 0, "pre-wear every block this many P/E cycles before the run (with -rel)")
@@ -257,36 +253,19 @@ func newRecorder(w io.Writer, o options) (*obs.Recorder, func() error, error) {
 	return rec, cleanup, nil
 }
 
-// normShardWorkers maps every serial-engine setting (<=1) to 1, so dumps
-// produced before and after the epoch-sharded engine compare as equal
-// parallelism.
-func normShardWorkers(w int) int {
-	if w < 1 {
-		return 1
-	}
-	return w
-}
-
 // writeMetrics dumps the run result (plus the registry snapshot when tracing
 // is on) as the same nested-JSON shape flexbench -metrics emits, so flexstat
-// report/compare reads either tool's output. Sharded runs additionally stamp
-// the planner-effectiveness report as a top-level sibling (flexstat's walker
-// never descends into the runinfo block, so it must not nest there).
-func writeMetrics(path, scheme string, res ssd.RunResult, rec *obs.Recorder, wall time.Duration, o options, rep ssd.ShardReport) error {
+// report/compare reads either tool's output.
+func writeMetrics(path, scheme string, res ssd.RunResult, rec *obs.Recorder, wall time.Duration) error {
 	doc := map[string]any{
 		"single": res,
 		"runinfo": map[string]any{
 			"single": map[string]any{
-				"workers":       1,
-				"shard_workers": normShardWorkers(o.ShardWorkers),
-				"host_queues":   normShardWorkers(o.HostQueues),
-				"wall_ms":       float64(wall) / float64(time.Millisecond),
-				"schemes":       []string{scheme},
+				"workers": 1,
+				"wall_ms": float64(wall) / float64(time.Millisecond),
+				"schemes": []string{scheme},
 			},
 		},
-	}
-	if normShardWorkers(o.ShardWorkers) > 1 {
-		doc["shard_report"] = rep
 	}
 	if rec != nil {
 		doc["registry"] = rec.Registry().Snapshot()
@@ -328,14 +307,8 @@ func run(w io.Writer, o options) error {
 	fmt.Fprintf(w, "ftl      : %s, logical space %d pages\n", f.Name(), f.LogicalPages())
 
 	var gen workload.Generator
-	var replay *workload.Replay     // set with gen when replaying a trace
-	var mqGens []workload.Generator // multi-queue front-end (nil = single stream)
-	var mqName string
-	switch {
-	case o.Replay != "":
-		if o.HostQueues > 1 {
-			return fmt.Errorf("-host-queues needs a generated workload (a replayed trace has no profile to split)")
-		}
+	var replay *workload.Replay // set with gen when replaying a trace
+	if o.Replay != "" {
 		var closeTrace func() error
 		replay, closeTrace, err = workload.Open(o.Replay)
 		if err != nil {
@@ -343,40 +316,7 @@ func run(w io.Writer, o options) error {
 		}
 		defer closeTrace()
 		gen = replay
-	case o.HostQueues > 1:
-		prof, err := workload.FindProfile(o.Workload)
-		if err != nil {
-			return err
-		}
-		split := func() ([]workload.Generator, error) {
-			return workload.SplitByChannel(prof, f.LogicalPages(), o.Requests, o.Seed, o.HostQueues)
-		}
-		mqGens, err = split()
-		if err != nil {
-			return err
-		}
-		mqName = prof.Name
-		if o.DumpWorkload != "" {
-			file, err := os.Create(o.DumpWorkload)
-			if err != nil {
-				return err
-			}
-			n, err := workload.WriteCSV(file, workload.MergeByArrival(mqName, mqGens...))
-			if cerr := file.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "workload : wrote %d requests to %s\n", n, o.DumpWorkload)
-			// Regenerate for the run itself (the writer consumed the queues).
-			mqGens, err = split()
-			if err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(w, "queues   : %d host queues over disjoint LPN ranges, merged by arrival\n", o.HostQueues)
-	default:
+	} else {
 		prof, err := workload.FindProfile(o.Workload)
 		if err != nil {
 			return err
@@ -416,12 +356,7 @@ func run(w io.Writer, o options) error {
 	}
 	// Attach after Prefill so traces and samples cover the measured run only.
 	sys.SetRecorder(rec)
-	var res ssd.RunResult
-	if mqGens != nil {
-		res, err = sys.RunShardedMQ(mqName, mqGens, o.ShardWorkers)
-	} else {
-		res, err = sys.RunSharded(gen, o.ShardWorkers)
-	}
+	res, err := sys.Run(gen)
 	if err == nil && replay != nil {
 		err = replay.Err()
 	}
@@ -454,15 +389,8 @@ func run(w io.Writer, o options) error {
 			rr.Reads, retryPct, rr.Uncorrectable,
 			rr.ScrubReads, rr.RefreshedBlocks, rr.ECCRebuilds, rr.RetiredBlocks)
 	}
-	rep := sys.ShardReport()
-	if normShardWorkers(o.ShardWorkers) > 1 {
-		fb := rep.Fallbacks
-		fmt.Fprintf(w, "shard    : %.1f%% sharded (%d epochs, %d GC pre-runs, %d trims; fallbacks R1=%d R2=%d R4=%d R5=%d Rq=%d trim=%d other=%d)\n",
-			100*rep.ShardedShare(), rep.Epochs, rep.GCPreRuns, rep.ShardedTrims,
-			fb.R1, fb.R2, fb.R4, fb.R5, fb.Rq, fb.Trim, fb.Other)
-	}
 	if o.Metrics != "" {
-		if err := writeMetrics(o.Metrics, o.FTL, res, rec, time.Since(start), o, rep); err != nil {
+		if err := writeMetrics(o.Metrics, o.FTL, res, rec, time.Since(start)); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "metrics  : wrote run result to %s\n", o.Metrics)

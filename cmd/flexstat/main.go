@@ -9,7 +9,8 @@
 //
 // compare exits nonzero when any matched run's write-ack p99 or WAF moves
 // beyond the thresholds (percent), so CI can gate on it; two runs of the
-// same scheme, workload and seed report zero delta and exit 0. report
+// same scheme, workload and seed report zero delta and exit 0; two dumps
+// with no run in common are refused with exit 2. report
 // prints a reliability section for runs that carried a BER model
 // (reads/retries/uncorrectables plus the FTL's scrub/refresh/retire
 // responses); -assert-reliability turns that section into a gate: at least
@@ -26,7 +27,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 
 	"flexftl/internal/obs"
 	"flexftl/internal/ssd"
@@ -97,30 +97,16 @@ type runEntry struct {
 	run  ssd.RunResult
 }
 
-// shardEntry is one planner-effectiveness report found in a metrics dump
-// (flexsim stamps one per sharded run), addressed by its JSON path.
-type shardEntry struct {
-	path string
-	rep  ssd.ShardReport
-}
-
-// dump is one parsed metrics file: every embedded run result, any registry
-// snapshot (flexsim -metrics attaches one when tracing is on), every shard
-// planner report, and the set of intra-run shard-worker counts its runinfo
-// blocks declare.
+// dump is one parsed metrics file: every embedded run result and any
+// registry snapshot (flexsim -metrics attaches one when tracing is on).
 type dump struct {
-	runs   []runEntry
-	reg    *obs.RegistrySnapshot
-	shards []shardEntry
-	// shardWorkers holds the distinct shard_workers values of the dump's
-	// runinfo blocks. Dumps predating the epoch-sharded engine carry no
-	// stamp; they ran the serial engine, so absence reads as {1}.
-	shardWorkers map[int]bool
+	runs []runEntry
+	reg  *obs.RegistrySnapshot
 }
 
 // loadDump parses a metrics dump.
 func loadDump(path string) (dump, error) {
-	d := dump{shardWorkers: map[int]bool{}}
+	var d dump
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return d, err
@@ -131,17 +117,12 @@ func loadDump(path string) (dump, error) {
 	}
 	collect(doc, "", &d)
 	sort.Slice(d.runs, func(i, j int) bool { return d.runs[i].path < d.runs[j].path })
-	sort.Slice(d.shards, func(i, j int) bool { return d.shards[i].path < d.shards[j].path })
-	if len(d.shardWorkers) == 0 {
-		d.shardWorkers[1] = true
-	}
 	return d, nil
 }
 
 // collect walks the decoded JSON tree. An object carrying the RunResult key
 // set is re-marshaled into the typed struct; an object with the registry
-// snapshot key set becomes the blame/instrument section of the report; a
-// runinfo block contributes its shard_workers stamp.
+// snapshot key set becomes the blame/instrument section of the report.
 func collect(v any, path string, d *dump) {
 	switch n := v.(type) {
 	case map[string]any:
@@ -152,27 +133,12 @@ func collect(v any, path string, d *dump) {
 				return
 			}
 		}
-		if hasKeys(n, "Epochs", "ShardedOps", "SerialOps") {
-			var rep ssd.ShardReport
-			if remarshal(n, &rep) == nil {
-				d.shards = append(d.shards, shardEntry{path: path, rep: rep})
-				return
-			}
-		}
 		if d.reg == nil && hasKeys(n, "Counters", "Gauges", "Histograms") {
 			var snap obs.RegistrySnapshot
 			if remarshal(n, &snap) == nil {
 				d.reg = &snap
 				return
 			}
-		}
-		if hasKeys(n, "workers", "wall_ms") {
-			sw := 1
-			if v, ok := n["shard_workers"].(float64); ok && v >= 1 {
-				sw = int(v)
-			}
-			d.shardWorkers[sw] = true
-			return
 		}
 		keys := make([]string, 0, len(n))
 		for k := range n {
@@ -187,34 +153,6 @@ func collect(v any, path string, d *dump) {
 			collect(e, join(path, strconv.Itoa(i)), d)
 		}
 	}
-}
-
-// shardWorkersLabel renders a dump's shard-worker set for error messages.
-func shardWorkersLabel(set map[int]bool) string {
-	vals := make([]int, 0, len(set))
-	for v := range set {
-		vals = append(vals, v)
-	}
-	sort.Ints(vals)
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = strconv.Itoa(v)
-	}
-	return strings.Join(parts, ",")
-}
-
-// sameShardWorkers reports whether two dumps ran with identical intra-run
-// parallelism settings (equal shard-worker sets).
-func sameShardWorkers(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v := range a {
-		if !b[v] {
-			return false
-		}
-	}
-	return true
 }
 
 func join(path, key string) string {
@@ -321,23 +259,6 @@ func report(w io.Writer, file string, assertRel bool) (int, error) {
 		fmt.Fprintf(w, "\nreliability assertion FAILED: the dump carries no reliability-modelled runs\n")
 		relFailures++
 	}
-	if len(d.shards) > 0 {
-		fmt.Fprintf(w, "\nshard planner efficiency:\n")
-		fmt.Fprintf(w, "  %-24s %7s %8s %8s %8s %14s %8s %s\n",
-			"path", "share", "epochs", "sharded", "serial", "preruns(cp)", "trims", "fallbacks R1/R2/R4/R5/Rp/Rq/trim/other")
-		for _, e := range d.shards {
-			r := e.rep
-			fb := r.Fallbacks
-			path := e.path
-			if path == "" {
-				path = "(top)"
-			}
-			fmt.Fprintf(w, "  %-24s %6.1f%% %8d %8d %8d %8d(%4d) %8d %d/%d/%d/%d/%d/%d/%d/%d\n",
-				path, 100*r.ShardedShare(), r.Epochs, r.ShardedOps, r.SerialOps,
-				r.GCPreRuns, r.GCPreRunCopies, r.ShardedTrims,
-				fb.R1, fb.R2, fb.R4, fb.R5, fb.Rp, fb.Rq, fb.Trim, fb.Other)
-		}
-	}
 	if reg != nil {
 		fmt.Fprintf(w, "\nblame decomposition (µs):\n")
 		names := make([]string, 0, len(reg.Counters))
@@ -392,7 +313,8 @@ func fmtDelta(d float64) string {
 
 // compare joins two dumps run for run (by JSON path) and gates on the
 // write-ack p99 and WAF deltas. Runs present in only one dump are listed but
-// do not gate. Returns the process exit code.
+// do not gate; dumps with no run in common are refused. Returns the process
+// exit code.
 func compare(w io.Writer, oldFile, newFile string, p99Thresh, wafThresh float64) (int, error) {
 	oldDump, err := loadDump(oldFile)
 	if err != nil {
@@ -401,13 +323,6 @@ func compare(w io.Writer, oldFile, newFile string, p99Thresh, wafThresh float64)
 	newDump, err := loadDump(newFile)
 	if err != nil {
 		return 2, err
-	}
-	// Refuse to join dumps produced with different intra-run parallelism:
-	// results are worker-count independent by contract, but wall-clock and
-	// throughput figures are not, so a silent join would gate on noise.
-	if !sameShardWorkers(oldDump.shardWorkers, newDump.shardWorkers) {
-		return 2, fmt.Errorf("shard-worker mismatch: %s ran shard_workers={%s}, %s ran shard_workers={%s}; re-run one side or compare like with like",
-			oldFile, shardWorkersLabel(oldDump.shardWorkers), newFile, shardWorkersLabel(newDump.shardWorkers))
 	}
 	oldRuns, newRuns := oldDump.runs, newDump.runs
 	oldBy := make(map[string]ssd.RunResult, len(oldRuns))
@@ -422,17 +337,24 @@ func compare(w io.Writer, oldFile, newFile string, p99Thresh, wafThresh float64)
 	for p := range oldBy {
 		paths = append(paths, p)
 	}
+	common := 0
 	for p := range newBy {
-		if _, ok := oldBy[p]; !ok {
+		if _, ok := oldBy[p]; ok {
+			common++
+		} else {
 			paths = append(paths, p)
 		}
+	}
+	// A gate that matched nothing checked nothing: refuse rather than pass.
+	if common == 0 {
+		return 2, fmt.Errorf("no common runs: %s and %s share no run path; compare dumps of the same experiments", oldFile, newFile)
 	}
 	sort.Strings(paths)
 
 	fmt.Fprintf(w, "flexstat compare: %s -> %s\n\n", oldFile, newFile)
 	fmt.Fprintf(w, "%-14s %-12s %10s %10s %8s %8s %8s %8s\n",
 		"scheme", "workload", "old p99", "new p99", "Δp99", "old WAF", "new WAF", "ΔWAF")
-	matched, failed := 0, 0
+	failed := 0
 	maxP99, maxWAF := 0.0, 0.0
 	for _, p := range paths {
 		o, inOld := oldBy[p]
@@ -445,7 +367,6 @@ func compare(w io.Writer, oldFile, newFile string, p99Thresh, wafThresh float64)
 			fmt.Fprintf(w, "%-14s %-12s  (only in %s)\n", n.FTLName, n.Workload, newFile)
 			continue
 		}
-		matched++
 		dp99 := deltaPct(o.Latency.WriteAck.P99, n.Latency.WriteAck.P99)
 		dwaf := deltaPct(o.WAF, n.WAF)
 		if math.Abs(dp99) > maxP99 {
@@ -463,48 +384,6 @@ func compare(w io.Writer, oldFile, newFile string, p99Thresh, wafThresh float64)
 			n.FTLName, n.Workload,
 			o.Latency.WriteAck.P99, n.Latency.WriteAck.P99, fmtDelta(dp99),
 			o.WAF, n.WAF, fmtDelta(dwaf), mark)
-	}
-	// Shard planner efficiency deltas, joined by path. Non-gating: the share
-	// moves with planner admission width, not with simulated performance.
-	if len(oldDump.shards) > 0 || len(newDump.shards) > 0 {
-		oldSh := make(map[string]ssd.ShardReport, len(oldDump.shards))
-		for _, e := range oldDump.shards {
-			oldSh[e.path] = e.rep
-		}
-		newSh := make(map[string]ssd.ShardReport, len(newDump.shards))
-		for _, e := range newDump.shards {
-			newSh[e.path] = e.rep
-		}
-		shPaths := make([]string, 0, len(oldSh)+len(newSh))
-		for p := range oldSh {
-			shPaths = append(shPaths, p)
-		}
-		for p := range newSh {
-			if _, ok := oldSh[p]; !ok {
-				shPaths = append(shPaths, p)
-			}
-		}
-		sort.Strings(shPaths)
-		fmt.Fprintf(w, "\nshard planner share (non-gating):\n")
-		fmt.Fprintf(w, "  %-24s %10s %10s %8s\n", "path", "old share", "new share", "Δshare")
-		for _, p := range shPaths {
-			o, inOld := oldSh[p]
-			n, inNew := newSh[p]
-			label := p
-			if label == "" {
-				label = "(top)"
-			}
-			switch {
-			case !inNew:
-				fmt.Fprintf(w, "  %-24s %9.1f%% %10s\n", label, 100*o.ShardedShare(), "(gone)")
-			case !inOld:
-				fmt.Fprintf(w, "  %-24s %10s %9.1f%%\n", label, "(new)", 100*n.ShardedShare())
-			default:
-				fmt.Fprintf(w, "  %-24s %9.1f%% %9.1f%% %+7.1fpp\n",
-					label, 100*o.ShardedShare(), 100*n.ShardedShare(),
-					100*(n.ShardedShare()-o.ShardedShare()))
-			}
-		}
 	}
 	// Wear-spread deltas, joined by path. Non-gating: wear imbalance is a
 	// lifetime signal the placement axis moves deliberately, not a
@@ -538,10 +417,7 @@ func compare(w io.Writer, oldFile, newFile string, p99Thresh, wafThresh float64)
 		verdict = "FAIL"
 	}
 	fmt.Fprintf(w, "\n%d run(s) compared, %d beyond thresholds (|Δp99| <= %g%%, |ΔWAF| <= %g%%): %s\n",
-		matched, failed, p99Thresh, wafThresh, verdict)
-	if matched == 0 {
-		fmt.Fprintln(w, "warning: no runs matched between the two dumps")
-	}
+		common, failed, p99Thresh, wafThresh, verdict)
 	if failed > 0 {
 		return 1, nil
 	}

@@ -119,23 +119,37 @@ func TestCollectFindsNestedRuns(t *testing.T) {
 	}
 }
 
-// TestCompareShardWorkerMismatch: dumps produced with different intra-run
-// parallelism must not be silently joined — compare refuses with exit 2.
-// run_a carries no shard_workers stamp (pre-sharding dump, reads as 1);
-// run_a_sharded is the same dump stamped shard_workers=4.
-func TestCompareShardWorkerMismatch(t *testing.T) {
+// TestCompareRefusesDisjointDumps: a compare that matches no run checks
+// nothing, so it must refuse with exit 2 and name both files, in either
+// order. One side is flexsim-shaped (one run under "single"); the other is
+// a flexbench table1-shaped dump that carries no run results at all.
+func TestCompareRefusesDisjointDumps(t *testing.T) {
+	dir := t.TempDir()
+	sim := filepath.Join(dir, "sim.json")
+	table := filepath.Join(dir, "table1.json")
+	simDoc := `{"single": {"FTLName": "flexFTL", "Workload": "Varmail", "Metrics": {"Requests": 10}, "Stats": {"HostWrites": 4}},
+ "runinfo": {"single": {"workers": 1, "wall_ms": 2.5, "schemes": ["flexFTL"]}}}`
+	tableDoc := `{"table1": [{"Name": "OLTP", "ReadFraction": 0.7}], "runinfo": {"table1": {"workers": 1, "wall_ms": 1.0}}}`
+	for path, doc := range map[string]string{sim: simDoc, table: tableDoc} {
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pair := range [][2]string{{sim, table}, {table, sim}} {
+		var out, errw bytes.Buffer
+		code := realMain([]string{"compare", pair[0], pair[1]}, &out, &errw)
+		if code != 2 {
+			t.Fatalf("compare %s %s exit=%d, want 2\n%s", pair[0], pair[1], code, out.String())
+		}
+		for _, f := range pair {
+			if !bytes.Contains(errw.Bytes(), []byte(f)) {
+				t.Errorf("stderr does not name %s: %s", f, errw.String())
+			}
+		}
+	}
+	// The flexsim-shaped dump still compares with itself.
 	var out, errw bytes.Buffer
-	code := realMain([]string{"compare", "testdata/run_a.json", "testdata/run_a_sharded.json"}, &out, &errw)
-	if code != 2 {
-		t.Fatalf("mismatched-parallelism compare exit=%d, want 2\n%s", code, out.String())
-	}
-	if !bytes.Contains(errw.Bytes(), []byte("shard-worker mismatch")) {
-		t.Errorf("stderr missing mismatch diagnosis: %s", errw.String())
-	}
-	// Equal stamps on both sides still compare fine.
-	out.Reset()
-	errw.Reset()
-	if code := realMain([]string{"compare", "testdata/run_a_sharded.json", "testdata/run_a_sharded.json"}, &out, &errw); code != 0 {
-		t.Fatalf("matching sharded compare exit=%d stderr=%s", code, errw.String())
+	if code := realMain([]string{"compare", sim, sim}, &out, &errw); code != 0 {
+		t.Fatalf("self compare exit=%d stderr=%s\n%s", code, errw.String(), out.String())
 	}
 }

@@ -23,10 +23,6 @@ type AblationConfig struct {
 	// each variant is self-contained, so results are worker-count
 	// independent.
 	Workers int
-	// ShardWorkers is the intra-run epoch-shard worker count handed to
-	// ssd.RunSharded (<=1 = the serial engine); results are identical
-	// for any value.
-	ShardWorkers int
 }
 
 // DefaultAblationConfig keeps the sweep quick but distinguishable.
@@ -91,18 +87,9 @@ func RunAblations(cfg AblationConfig) (AblationResult, error) {
 		if err != nil {
 			return err
 		}
-		sys, err := ssd.New(f, ssd.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		if _, err := sys.Prefill(); err != nil {
-			return fmt.Errorf("ablation %q: %w", v.name, err)
-		}
-		gen, err := workload.New(prof, f.LogicalPages(), cfg.Requests, cfg.Seed)
-		if err != nil {
-			return err
-		}
-		run, err := sys.RunSharded(gen, cfg.ShardWorkers)
+		run, err := simulate(f, ssd.DefaultConfig(), func(space int64) (workload.Generator, error) {
+			return workload.New(prof, space, cfg.Requests, cfg.Seed)
+		})
 		if err != nil {
 			return fmt.Errorf("ablation %q: %w", v.name, err)
 		}
@@ -159,9 +146,8 @@ type PlacementSweepConfig struct {
 	// Schemes are the registry names compared; order is report order and
 	// each family's stock scheme should precede its placement variants so
 	// the renderer can compute deltas.
-	Schemes      []string
-	Workers      int
-	ShardWorkers int
+	Schemes []string
+	Workers int
 }
 
 // DefaultPlacementSweepConfig compares the stock schemes against their
@@ -231,18 +217,9 @@ func RunPlacementSweep(cfg PlacementSweepConfig) (PlacementSweepResult, error) {
 		if err != nil {
 			return err
 		}
-		sys, err := ssd.New(f, ssd.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		if _, err := sys.Prefill(); err != nil {
-			return fmt.Errorf("placement %q: %w", c.scheme, err)
-		}
-		gen, err := workload.NewZipf(c.theta, f.LogicalPages(), cfg.Requests, cfg.Seed)
-		if err != nil {
-			return err
-		}
-		run, err := sys.RunSharded(gen, cfg.ShardWorkers)
+		run, err := simulate(f, ssd.DefaultConfig(), func(space int64) (workload.Generator, error) {
+			return workload.NewZipf(c.theta, space, cfg.Requests, cfg.Seed)
+		})
 		if err != nil {
 			return fmt.Errorf("placement %q theta=%.2f: %w", c.scheme, c.theta, err)
 		}

@@ -8,6 +8,8 @@ package experiments
 import (
 	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
+	"flexftl/internal/ssd"
+	"flexftl/internal/workload"
 )
 
 // Schemes returns the four MLC FTLs of the evaluation, in the paper's order.
@@ -57,4 +59,22 @@ func BuildFTL(scheme string, g nand.Geometry) (ftl.FTL, error) {
 // sensitivity sweeps vary over-provisioning).
 func BuildFTLWith(scheme string, g nand.Geometry, cfg ftl.Config) (ftl.FTL, error) {
 	return ftl.BuildFTL(scheme, ftl.BuildEnv{Geometry: g, Config: cfg, Flex: ftl.DefaultFlexParams()})
+}
+
+// simulate runs one experiment cell on a built FTL: it mounts f in a System
+// with cfg, prefills it, and runs the workload newGen builds over f's
+// logical space. Callers prefix the error with the cell's name.
+func simulate(f ftl.FTL, cfg ssd.Config, newGen func(space int64) (workload.Generator, error)) (ssd.RunResult, error) {
+	sys, err := ssd.New(f, cfg)
+	if err != nil {
+		return ssd.RunResult{}, err
+	}
+	if _, err := sys.Prefill(); err != nil {
+		return ssd.RunResult{}, err
+	}
+	gen, err := newGen(f.LogicalPages())
+	if err != nil {
+		return ssd.RunResult{}, err
+	}
+	return sys.Run(gen)
 }

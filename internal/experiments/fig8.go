@@ -20,10 +20,6 @@ type Fig8Config struct {
 	// (0 = all cores, 1 = serial); each simulation is self-contained, so
 	// the matrix is identical for any value.
 	Workers int
-	// ShardWorkers is the intra-run epoch-shard worker count handed to
-	// ssd.RunSharded (<=1 = the serial engine). The 1-vs-N determinism
-	// contract makes the matrix identical for any value.
-	ShardWorkers int
 }
 
 // Fig8Cell is one (scheme, workload) measurement.
@@ -82,18 +78,9 @@ func runOne(cfg Fig8Config, scheme string, prof workload.Profile) (*Fig8Cell, er
 	if err != nil {
 		return nil, err
 	}
-	sys, err := ssd.New(f, ssd.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	if _, err := sys.Prefill(); err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", scheme, prof.Name, err)
-	}
-	gen, err := workload.New(prof, f.LogicalPages(), cfg.Requests, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sys.RunSharded(gen, cfg.ShardWorkers)
+	res, err := simulate(f, ssd.DefaultConfig(), func(space int64) (workload.Generator, error) {
+		return workload.New(prof, space, cfg.Requests, cfg.Seed)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", scheme, prof.Name, err)
 	}

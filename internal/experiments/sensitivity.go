@@ -40,10 +40,6 @@ type SensitivityConfig struct {
 	// point builds its own devices, so results are worker-count
 	// independent.
 	Workers int
-	// ShardWorkers is the intra-run epoch-shard worker count handed to
-	// ssd.RunSharded (<=1 = the serial engine); results are identical
-	// for any value.
-	ShardWorkers int
 }
 
 // DefaultSensitivityConfig covers the interesting ranges.
@@ -64,24 +60,15 @@ type SensitivityResult struct {
 	Buffer []SensitivityPoint
 }
 
-func runPair(g nand.Geometry, requests int, seed uint64, shardWorkers int, ftlCfg ftl.Config, runCfg ssd.Config) (flexR, pageR ssd.RunResult, err error) {
+func runPair(g nand.Geometry, requests int, seed uint64, ftlCfg ftl.Config, runCfg ssd.Config) (flexR, pageR ssd.RunResult, err error) {
 	build := func(scheme string) (ssd.RunResult, error) {
 		f, err := BuildFTLWith(scheme, g, ftlCfg)
 		if err != nil {
 			return ssd.RunResult{}, err
 		}
-		sys, err := ssd.New(f, runCfg)
-		if err != nil {
-			return ssd.RunResult{}, err
-		}
-		if _, err := sys.Prefill(); err != nil {
-			return ssd.RunResult{}, err
-		}
-		gen, err := workload.New(workload.Varmail(), f.LogicalPages(), requests, seed)
-		if err != nil {
-			return ssd.RunResult{}, err
-		}
-		return sys.RunSharded(gen, shardWorkers)
+		return simulate(f, runCfg, func(space int64) (workload.Generator, error) {
+			return workload.New(workload.Varmail(), space, requests, seed)
+		})
 	}
 	flexR, err = build("flexFTL")
 	if err != nil {
@@ -141,7 +128,7 @@ func RunSensitivity(cfg SensitivityConfig) (SensitivityResult, error) {
 	points := make([]SensitivityPoint, len(tasks))
 	err := par.Run(par.Workers(cfg.Workers), len(tasks), func(_, i int) error {
 		t := tasks[i]
-		flexR, pageR, err := runPair(cfg.Geometry, cfg.Requests, cfg.Seed, cfg.ShardWorkers, t.ftlCfg, t.runCfg)
+		flexR, pageR, err := runPair(cfg.Geometry, cfg.Requests, cfg.Seed, t.ftlCfg, t.runCfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", t.wrap, err)
 		}

@@ -19,6 +19,7 @@ import (
 
 	"flexftl/internal/experiments"
 	"flexftl/internal/ftl"
+	"flexftl/internal/par"
 	"flexftl/internal/sim"
 	"flexftl/internal/ssd"
 	"flexftl/internal/workload"
@@ -80,6 +81,17 @@ func ntrxCell() shardCell {
 
 func buildShardSystem(t *testing.T, scheme string, blocks, buffer int) (*ssd.System, ftl.Host) {
 	t.Helper()
+	sys, h, err := newShardSystem(scheme, blocks, buffer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, h
+}
+
+// newShardSystem builds and prefills one scheme's System (blocks and buffer
+// 0 keep the defaults). It returns its error, so par pool tasks, which run
+// off the test goroutine, can call it.
+func newShardSystem(scheme string, blocks, buffer int) (*ssd.System, ftl.Host, error) {
 	g := experiments.EvalGeometry()
 	if blocks > 0 {
 		g.BlocksPerChip = blocks
@@ -90,7 +102,7 @@ func buildShardSystem(t *testing.T, scheme string, blocks, buffer int) (*ssd.Sys
 		Flex:     ftl.DefaultFlexParams(),
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	cfg := ssd.DefaultConfig()
 	if blocks > 0 {
@@ -109,12 +121,12 @@ func buildShardSystem(t *testing.T, scheme string, blocks, buffer int) (*ssd.Sys
 	}
 	sys, err := ssd.New(h, cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	if _, err := sys.Prefill(); err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	return sys, h
+	return sys, h, nil
 }
 
 func snapshotOutcome(h ftl.Host, run ssd.RunResult) shardSnapshot {
@@ -217,44 +229,46 @@ func TestShardPlannerEffective(t *testing.T) {
 	}
 }
 
-// TestRunShardedMQEquivalence pins the multi-queue front-end's contract:
-// RunShardedMQ over SplitByChannel queues equals the serial Run of the same
-// queues merged by arrival — and stays worker-count independent.
+// TestRunShardedMQEquivalence pins the across-runs determinism contract on
+// the NTRX and trim-heavy profiles: runs of flexFTL through the serial Run,
+// fanned out over an internal/par pool, give whole outcomes (metrics, stats,
+// mapping hash, free blocks, device op counts) that do not depend on the
+// pool width. Under -race it also shows that concurrent runs share no
+// unsynchronized state. Each pool task runs its own seed, so a result landing
+// in the wrong slot fails too.
 func TestRunShardedMQEquivalence(t *testing.T) {
 	for _, prof := range []workload.Profile{workload.NTRX(), trimHeavy()} {
 		prof := prof
 		t.Run(prof.Name, func(t *testing.T) {
-			newQueues := func(h ftl.Host) []workload.Generator {
-				gens, err := workload.SplitByChannel(prof, h.LogicalPages(), 4000, 42, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return gens
-			}
-
-			serialSys, serialHost := buildShardSystem(t, "flexFTL", 0, 0)
-			serialRun, err := serialSys.Run(workload.MergeByArrival(prof.Name, newQueues(serialHost)...))
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial := snapshotOutcome(serialHost, serialRun)
-
-			for _, workers := range []int{1, 4} {
-				mqSys, mqHost := buildShardSystem(t, "flexFTL", 0, 0)
-				mqRun, err := mqSys.RunShardedMQ(prof.Name, newQueues(mqHost), workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mq := snapshotOutcome(mqHost, mqRun)
-				if !reflect.DeepEqual(serial, mq) {
-					t.Errorf("MQ workers=%d diverged from serial merged run:\nserial: %+v\nmq:     %+v", workers, serial, mq)
-				}
-				if workers == 4 {
-					rep := mqSys.ShardReport()
-					if rep.ShardedOps == 0 {
-						t.Errorf("multi-queue run sharded nothing: %+v", rep)
+			outcomes := func(workers int) []shardSnapshot {
+				out, err := par.Map(workers, 4, func(_, task int) (shardSnapshot, error) {
+					sys, h, err := newShardSystem("flexFTL", 0, 0)
+					if err != nil {
+						return shardSnapshot{}, err
 					}
+					gen, err := workload.New(prof, h.LogicalPages(), 4000, uint64(42+task))
+					if err != nil {
+						return shardSnapshot{}, err
+					}
+					run, err := sys.Run(gen)
+					if err != nil {
+						return shardSnapshot{}, err
+					}
+					return snapshotOutcome(h, run), nil
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
+				return out
+			}
+			serial, pooled := outcomes(1), outcomes(4)
+			for i := range serial {
+				if !reflect.DeepEqual(serial[i], pooled[i]) {
+					t.Errorf("task %d diverged at pool width 4:\nwidth 1: %+v\nwidth 4: %+v", i, serial[i], pooled[i])
+				}
+			}
+			if reflect.DeepEqual(serial[0].Run, serial[1].Run) {
+				t.Errorf("seeds 42 and 43 gave the same run; the per-task seed is not reaching the workload")
 			}
 		})
 	}
