@@ -671,9 +671,7 @@ func BenchmarkDeviceRead(b *testing.B) {
 // full worker pool. The two produce byte-identical results; the ratio is
 // the experiment engine's speedup on this machine.
 func BenchmarkRunFig4(b *testing.B) {
-	cfg := experiments.Fig4Config{
-		Blocks: 8, WordLines: 16, Cells: 256, Seed: 5, IncludeWorstCase: true,
-	}
+	cfg := experiments.VthConfig{Blocks: 8, WordLines: 16, Cells: 256, Seed: 5}
 	for _, w := range []struct {
 		name    string
 		workers int
@@ -682,11 +680,9 @@ func BenchmarkRunFig4(b *testing.B) {
 		{"parallel", 0},
 	} {
 		b.Run(w.name, func(b *testing.B) {
-			cfg := cfg
-			cfg.Workers = w.workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunFig4(cfg); err != nil {
+				if _, err := experiments.RunFig4(cfg, w.workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -697,7 +693,7 @@ func BenchmarkRunFig4(b *testing.B) {
 // BenchmarkRunFig8 measures the evaluation matrix end to end, serial vs the
 // full worker pool.
 func BenchmarkRunFig8(b *testing.B) {
-	cfg := experiments.Fig8Config{Geometry: benchGeometry(), Requests: 2000, Seed: 7}
+	setup := experiments.Setup{Geometry: benchGeometry(), Requests: 2000, Seed: 7}
 	for _, w := range []struct {
 		name    string
 		workers int
@@ -706,10 +702,8 @@ func BenchmarkRunFig8(b *testing.B) {
 		{"parallel", 0},
 	} {
 		b.Run(w.name, func(b *testing.B) {
-			cfg := cfg
-			cfg.Workers = w.workers
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunFig8(cfg); err != nil {
+				if _, err := experiments.RunFig8(setup, w.workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -31,25 +31,166 @@ func main() {
 	// The -requests default makes even the read-dominant workloads (OLTP,
 	// Webserver) write into garbage collection, so Figure 8(b)'s erase
 	// comparison is meaningful on every workload.
-	var (
-		exp      = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|"))
-		requests = flag.Int("requests", 150000, "host requests per Figure 8 run")
-		seed     = flag.Uint64("seed", 42, "workload seed")
-		full     = flag.Bool("full", false, "use the paper's 16 GB geometry (slow)")
-		blocks   = flag.Int("fig4-blocks", 90, "blocks per order for Figure 4")
-		workers  = flag.Int("workers", 0, "simulation workers per experiment (0 = all cores, 1 = serial)")
-		metrics  = flag.String("metrics", "", "write per-experiment result snapshots as JSON to this file")
-	)
+	var o options
+	flag.StringVar(&o.exp, "exp", "all", "experiment: "+strings.Join(experimentNames(), "|"))
+	flag.IntVar(&o.requests, "requests", 150000, "host requests per Figure 8 run")
+	flag.Uint64Var(&o.seed, "seed", 42, "seed of every exhibit (workloads and Monte-Carlo studies)")
+	flag.BoolVar(&o.full, "full", false, "use the paper's 16 GB geometry (slow)")
+	flag.IntVar(&o.fig4Blocks, "fig4-blocks", 90, "blocks per order for Figure 4")
+	flag.IntVar(&o.workers, "workers", 0, "simulation workers per experiment (0 = all cores, 1 = serial)")
+	flag.StringVar(&o.metrics, "metrics", "", "write per-experiment result snapshots as JSON to this file")
 	flag.Parse()
-	if err := run(os.Stdout, *exp, *requests, *seed, *full, *blocks, *workers, *metrics); err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "flexbench:", err)
 		os.Exit(1)
 	}
 }
 
+// options are the command's flags.
+type options struct {
+	exp        string
+	requests   int
+	seed       uint64
+	full       bool
+	fig4Blocks int
+	workers    int
+	metrics    string // -metrics dump path; "" writes none
+}
+
+// exhibit is one table or figure: the -exp values that select it, how it
+// runs and how it prints. Its result is recorded under its name in the
+// -metrics dump.
+type exhibit struct {
+	name    string
+	aliases []string // further -exp values that select it
+	// schemes are the FTL registry names the exhibit simulates (none for
+	// reliability-model and workload-characterization exhibits).
+	schemes []string
+	serial  bool // runs on one goroutine whatever -workers says
+	run     func(o options) (any, error)
+	// render prints the exhibit under its title.
+	render func(w io.Writer, o options, res any) error
+}
+
+// exhibits run in this order under -exp all.
+var exhibits = []exhibit{
+	{
+		name: "fig1", serial: true,
+		run: func(options) (any, error) { return nand.DefaultTiming(), nil },
+		render: func(w io.Writer, o options, res any) error {
+			experiments.Rule(w, "Figure 1")
+			experiments.RenderFig1(w, res.(nand.Timing))
+			return experiments.RenderFig1Distributions(w, o.seed)
+		},
+	},
+	{
+		name: "table1", serial: true,
+		run:    func(o options) (any, error) { return result(experiments.RunTable1(1<<20, 50000, o.seed)) },
+		render: rendering("Table 1", experiments.RenderTable1),
+	},
+	{
+		name: "fig4", aliases: []string{"fig4a", "fig4b"},
+		run: func(o options) (any, error) {
+			cfg := experiments.DefaultFig4Config(o.seed)
+			cfg.Blocks = o.fig4Blocks
+			return result(experiments.RunFig4(cfg, o.workers))
+		},
+		render: rendering("Figure 4", experiments.RenderFig4),
+	},
+	{
+		name: "fig4tlc",
+		run: func(o options) (any, error) {
+			return result(experiments.RunFig4TLC(experiments.DefaultFig4TLCConfig(o.seed), o.workers))
+		},
+		render: rendering("TLC extension (Section 1 claim)", experiments.RenderFig4TLC),
+	},
+	{
+		name: "sensitivity", schemes: []string{"flexFTL", "pageFTL"},
+		run: func(o options) (any, error) {
+			return result(experiments.RunSensitivity(experiments.SweepSetup(o.seed), o.workers))
+		},
+		render: rendering("Sensitivity sweeps (environment knobs)", experiments.RenderSensitivity),
+	},
+	{
+		name: "stress",
+		run: func(o options) (any, error) {
+			return result(experiments.RunStressSweep(experiments.DefaultStressSweepConfig(o.seed), o.workers))
+		},
+		render: rendering("Lifetime stress sweep (Figure 4(b) extended to a curve)", experiments.RenderStressSweep),
+	},
+	{
+		name: "ablation", schemes: append([]string{"flexFTL"}, experiments.Hybrids()...),
+		run: func(o options) (any, error) {
+			return result(experiments.RunAblations(experiments.SweepSetup(o.seed), o.workers))
+		},
+		render: rendering("flexFTL ablations (DESIGN.md §5)", experiments.RenderAblations),
+	},
+	{
+		name: "placement", schemes: experiments.PlacementSchemes(),
+		run: func(o options) (any, error) {
+			return result(experiments.RunPlacementSweep(experiments.PlacementSetup(o.requests, o.seed), o.workers))
+		},
+		render: rendering("Placement-axis sweep (hot/cold + wear-aware under Zipf)", experiments.RenderPlacementSweep),
+	},
+	{
+		name: "reliability", schemes: []string{"pageFTL", "flexFTL"},
+		run: func(o options) (any, error) {
+			return result(experiments.AgingSweep([]string{"pageFTL", "flexFTL"}, o.seed, o.workers))
+		},
+		render: rendering("Reliability aging sweep (refresh/scrub vs detect-only)", experiments.RenderAging),
+	},
+	{
+		name: "fig8", aliases: fig8Parts, schemes: experiments.Schemes(),
+		run: func(o options) (any, error) {
+			s := experiments.Setup{Geometry: experiments.EvalGeometry(), Requests: o.requests, Seed: o.seed}
+			if o.full {
+				s.Geometry = nand.DefaultGeometry()
+			}
+			return result(experiments.RunFig8(s, o.workers))
+		},
+		render: func(w io.Writer, o options, res any) error {
+			r := res.(experiments.Fig8Result)
+			experiments.Rule(w, fmt.Sprintf("Figure 8 (%s, %d requests/run)", r.Config.Geometry, r.Config.Requests))
+			fmt.Fprintln(w)
+			parts := []func(io.Writer, experiments.Fig8Result){
+				experiments.RenderFig8a, experiments.RenderFig8b, experiments.RenderFig8c, experiments.RenderFig8Summary,
+			}
+			for i, part := range parts {
+				if o.exp == "all" || o.exp == "fig8" || o.exp == fig8Parts[i] {
+					part(w, r)
+					if i < len(parts)-1 {
+						fmt.Fprintln(w)
+					}
+				}
+			}
+			return nil
+		},
+	},
+}
+
+// fig8Parts select one part of Figure 8 each, in render order.
+var fig8Parts = []string{"fig8a", "fig8b", "fig8c", "summary"}
+
+// result passes a driver's typed result on as an exhibit's.
+func result[T any](res T, err error) (any, error) { return res, err }
+
+// rendering adapts a driver's renderer to an exhibit's.
+func rendering[T any](title string, render func(io.Writer, T)) func(io.Writer, options, any) error {
+	return func(w io.Writer, _ options, res any) error {
+		experiments.Rule(w, title)
+		render(w, res.(T))
+		return nil
+	}
+}
+
 // experimentNames are the values -exp accepts.
-var experimentNames = []string{"all", "fig1", "table1", "fig4", "fig4a", "fig4b", "fig4tlc",
-	"fig8", "fig8a", "fig8b", "fig8c", "summary", "ablation", "stress", "sensitivity", "placement", "reliability"}
+func experimentNames() []string {
+	names := []string{"all"}
+	for _, e := range exhibits {
+		names = append(append(names, e.name), e.aliases...)
+	}
+	return names
+}
 
 // runInfo records how an experiment executed, for the -metrics dump.
 // Schemes lists the FTL registry names the experiment actually simulated
@@ -61,174 +202,39 @@ type runInfo struct {
 	Schemes []string `json:"schemes,omitempty"`
 }
 
-func run(w io.Writer, exp string, requests int, seed uint64, full bool, fig4Blocks, workers int, metricsPath string) error {
-	if !slices.Contains(experimentNames, exp) {
-		return fmt.Errorf("unknown experiment %q", exp)
+func run(w io.Writer, o options) error {
+	if !slices.Contains(experimentNames(), o.exp) {
+		return fmt.Errorf("unknown experiment %q", o.exp)
 	}
-	want := func(name string) bool { return exp == "all" || exp == name }
 	// snapshots collects each experiment's result object for -metrics;
 	// infos records worker count and wall-clock alongside.
 	snapshots := make(map[string]any)
 	infos := make(map[string]runInfo)
-	record := func(name string, start time.Time, workers int, schemes []string, result any) {
-		snapshots[name] = result
-		infos[name] = runInfo{
-			Workers: workers,
-			WallMS:  float64(time.Since(start).Microseconds()) / 1000,
-			Schemes: schemes,
+	for _, e := range exhibits {
+		if o.exp != "all" && o.exp != e.name && !slices.Contains(e.aliases, o.exp) {
+			continue
 		}
-	}
-
-	if want("fig1") {
-		experiments.Rule(w, "Figure 1")
-		experiments.RenderFig1(w, nand.DefaultTiming())
-		if err := experiments.RenderFig1Distributions(w, seed); err != nil {
-			return err
-		}
-	}
-	if want("table1") {
-		experiments.Rule(w, "Table 1")
 		start := time.Now()
-		rows, err := experiments.RunTable1(1<<20, 50000, seed)
+		res, err := e.run(o)
 		if err != nil {
 			return err
 		}
-		record("table1", start, 1, nil, rows)
-		experiments.RenderTable1(w, rows)
-	}
-	if want("fig4a") || want("fig4b") || (exp == "fig4") {
-		experiments.Rule(w, "Figure 4")
-		cfg := experiments.DefaultFig4Config()
-		cfg.Blocks = fig4Blocks
-		cfg.Workers = workers
-		start := time.Now()
-		res, err := experiments.RunFig4(cfg)
-		if err != nil {
+		info := runInfo{Workers: par.Workers(o.workers), WallMS: float64(time.Since(start).Microseconds()) / 1000, Schemes: e.schemes}
+		if e.serial {
+			info.Workers = 1
+		}
+		snapshots[e.name], infos[e.name] = res, info
+		if err := e.render(w, o, res); err != nil {
 			return err
 		}
-		record("fig4", start, par.Workers(workers), nil, res)
-		experiments.RenderFig4(w, res)
-		fmt.Fprintf(w, "  (%d blocks/order simulated in %v)\n", cfg.Blocks, time.Since(start).Round(time.Millisecond))
 	}
-	if want("fig4tlc") {
-		experiments.Rule(w, "TLC extension (Section 1 claim)")
-		cfg := experiments.DefaultFig4TLCConfig()
-		cfg.Workers = workers
-		start := time.Now()
-		res, err := experiments.RunFig4TLC(cfg)
-		if err != nil {
-			return err
-		}
-		record("fig4tlc", start, par.Workers(workers), nil, res)
-		experiments.RenderFig4TLC(w, res)
-	}
-	if want("sensitivity") {
-		experiments.Rule(w, "Sensitivity sweeps (environment knobs)")
-		cfg := experiments.DefaultSensitivityConfig()
-		cfg.Seed = seed
-		cfg.Workers = workers
-		start := time.Now()
-		res, err := experiments.RunSensitivity(cfg)
-		if err != nil {
-			return err
-		}
-		record("sensitivity", start, par.Workers(workers), []string{"flexFTL", "pageFTL"}, res)
-		experiments.RenderSensitivity(w, res)
-	}
-	if want("stress") {
-		experiments.Rule(w, "Lifetime stress sweep (Figure 4(b) extended to a curve)")
-		cfg := experiments.DefaultStressSweepConfig()
-		cfg.Workers = workers
-		start := time.Now()
-		pts, err := experiments.RunStressSweep(cfg)
-		if err != nil {
-			return err
-		}
-		record("stress", start, par.Workers(workers), nil, pts)
-		experiments.RenderStressSweep(w, pts)
-	}
-	if want("ablation") {
-		experiments.Rule(w, "flexFTL ablations (DESIGN.md §5)")
-		cfg := experiments.DefaultAblationConfig()
-		cfg.Seed = seed
-		cfg.Workers = workers
-		start := time.Now()
-		res, err := experiments.RunAblations(cfg)
-		if err != nil {
-			return err
-		}
-		record("ablation", start, par.Workers(workers), append([]string{"flexFTL"}, experiments.Hybrids()...), res)
-		experiments.RenderAblations(w, res)
-	}
-	if want("placement") {
-		experiments.Rule(w, "Placement-axis sweep (hot/cold + wear-aware under Zipf)")
-		cfg := experiments.DefaultPlacementSweepConfig()
-		cfg.Seed = seed
-		// The placement geometry is shrunk, so runs are cheap; keep them at
-		// 4/5 of the Figure-8 request count (120k at the default) — the
-		// wear-spread column needs that much GC steady state to settle.
-		cfg.Requests = requests * 4 / 5
-		if cfg.Requests < 10000 {
-			cfg.Requests = 10000
-		}
-		cfg.Workers = workers
-		start := time.Now()
-		res, err := experiments.RunPlacementSweep(cfg)
-		if err != nil {
-			return err
-		}
-		record("placement", start, par.Workers(workers), cfg.Schemes, res)
-		experiments.RenderPlacementSweep(w, res)
-	}
-	if want("reliability") {
-		experiments.Rule(w, "Reliability aging sweep (refresh/scrub vs detect-only)")
-		start := time.Now()
-		reps, err := experiments.AgingSweep([]string{"pageFTL", "flexFTL"}, seed)
-		if err != nil {
-			return err
-		}
-		record("reliability", start, 1, []string{"pageFTL", "flexFTL"}, reps)
-		experiments.RenderAging(w, reps)
-	}
-	if want("fig8a") || want("fig8b") || want("fig8c") || want("summary") || exp == "fig8" {
-		geometry := experiments.EvalGeometry()
-		if full {
-			geometry = nand.DefaultGeometry()
-		}
-		cfg := experiments.Fig8Config{Geometry: geometry, Requests: requests, Seed: seed, Workers: workers}
-		experiments.Rule(w, fmt.Sprintf("Figure 8 (%s, %d requests/run)", geometry, requests))
-		start := time.Now()
-		res, err := experiments.RunFig8(cfg)
-		if err != nil {
-			return err
-		}
-		record("fig8", start, par.Workers(workers), res.Schemes, res)
-		fmt.Fprintf(w, "(4 FTLs x 5 workloads simulated in %v)\n\n", time.Since(start).Round(time.Millisecond))
-		if want("fig8a") || exp == "fig8" {
-			experiments.RenderFig8a(w, res)
-			fmt.Fprintln(w)
-		}
-		if want("fig8b") || exp == "fig8" {
-			experiments.RenderFig8b(w, res)
-			fmt.Fprintln(w)
-		}
-		if want("fig8c") || exp == "fig8" {
-			experiments.RenderFig8c(w, res)
-			fmt.Fprintln(w)
-		}
-		if want("summary") || exp == "fig8" {
-			experiments.RenderFig8Summary(w, res)
-		}
-	}
-	if metricsPath != "" {
+	if o.metrics != "" {
 		n := len(snapshots)
-		if len(infos) > 0 {
-			snapshots["runinfo"] = infos
-		}
-		if err := writeMetrics(metricsPath, snapshots); err != nil {
+		snapshots["runinfo"] = infos
+		if err := writeMetrics(o.metrics, snapshots); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "metrics: wrote %d experiment snapshot(s) to %s\n", n, metricsPath)
+		fmt.Fprintf(w, "metrics: wrote %d experiment snapshot(s) to %s\n", n, o.metrics)
 	}
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 
 func TestRunFig1(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "fig1", 100, 1, false, 2, 0, ""); err != nil {
+	if err := run(&sb, options{exp: "fig1", requests: 100, seed: 1, fig4Blocks: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Figure 1", "LSB page program", "4.0x"} {
@@ -22,7 +22,7 @@ func TestRunFig1(t *testing.T) {
 
 func TestRunTable1(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "table1", 100, 1, false, 2, 0, ""); err != nil {
+	if err := run(&sb, options{exp: "table1", requests: 100, seed: 1, fig4Blocks: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"OLTP", "Fileserver", "Very high"} {
@@ -34,7 +34,7 @@ func TestRunTable1(t *testing.T) {
 
 func TestRunFig4Tiny(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "fig4a", 100, 1, false, 2, 2, ""); err != nil {
+	if err := run(&sb, options{exp: "fig4a", requests: 100, seed: 1, fig4Blocks: 2, workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"Figure 4", "RPSfull", "ECC failure"} {
@@ -49,7 +49,7 @@ func TestRunFig4Tiny(t *testing.T) {
 func TestRunFig4RejectsEmptyStudy(t *testing.T) {
 	for _, blocks := range []int{0, -1} {
 		var sb strings.Builder
-		if err := run(&sb, "fig4", 100, 1, false, blocks, 1, ""); err == nil {
+		if err := run(&sb, options{exp: "fig4", requests: 100, seed: 1, fig4Blocks: blocks, workers: 1}); err == nil {
 			t.Errorf("-fig4-blocks %d accepted:\n%s", blocks, sb.String())
 		}
 	}
@@ -57,7 +57,7 @@ func TestRunFig4RejectsEmptyStudy(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "figZZ", 100, 1, false, 2, 0, ""); err == nil {
+	if err := run(&sb, options{exp: "figZZ", requests: 100, seed: 1, fig4Blocks: 2}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 func TestRunMetricsDump(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	var sb strings.Builder
-	if err := run(&sb, "table1", 100, 1, false, 2, 1, path); err != nil {
+	if err := run(&sb, options{exp: "table1", requests: 100, seed: 1, fig4Blocks: 2, workers: 1, metrics: path}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -101,7 +101,7 @@ func TestRunMetricsDump(t *testing.T) {
 func TestRunMetricsSchemes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	var sb strings.Builder
-	if err := run(&sb, "fig8a", 400, 1, false, 2, 0, path); err != nil {
+	if err := run(&sb, options{exp: "fig8a", requests: 400, seed: 1, fig4Blocks: 2, metrics: path}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -136,10 +136,10 @@ func TestRunMetricsSchemes(t *testing.T) {
 func TestRunSensitivitySeed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	var seed7, seed42 strings.Builder
-	if err := run(&seed7, "sensitivity", 100, 7, false, 2, 0, path); err != nil {
+	if err := run(&seed7, options{exp: "sensitivity", requests: 100, seed: 7, fig4Blocks: 2, metrics: path}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&seed42, "sensitivity", 100, 42, false, 2, 0, ""); err != nil {
+	if err := run(&seed42, options{exp: "sensitivity", requests: 100, seed: 42, fig4Blocks: 2}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -160,5 +160,39 @@ func TestRunSensitivitySeed(t *testing.T) {
 	table7, _, _ := strings.Cut(seed7.String(), "metrics:")
 	if table7 == seed42.String() {
 		t.Errorf("sensitivity table at seed 7 equals the seed-42 table:\n%s", table7)
+	}
+}
+
+// TestRunMonteCarloSeed: -seed reaches the Monte-Carlo exhibits, so a
+// different seed redraws Figure 4 and the stress sweep.
+func TestRunMonteCarloSeed(t *testing.T) {
+	for _, exp := range []string{"fig4a", "stress"} {
+		var seed7, seed42 strings.Builder
+		if err := run(&seed7, options{exp: exp, requests: 100, seed: 7, fig4Blocks: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(&seed42, options{exp: exp, requests: 100, seed: 42, fig4Blocks: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if seed7.String() == seed42.String() {
+			t.Errorf("%s output at seed 7 equals seed 42's:\n%s", exp, seed7.String())
+		}
+	}
+}
+
+// TestRunStdoutDeterministic: stdout carries simulated results only — no
+// wall time — so one exhibit prints the same bytes at any worker count.
+func TestRunStdoutDeterministic(t *testing.T) {
+	for _, exp := range []string{"fig8a", "fig4a"} {
+		var serial, parallel strings.Builder
+		if err := run(&serial, options{exp: exp, requests: 400, seed: 42, fig4Blocks: 2, workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(&parallel, options{exp: exp, requests: 400, seed: 42, fig4Blocks: 2, workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		if serial.String() != parallel.String() {
+			t.Errorf("%s stdout differs between 1 and 2 workers:\n%s\n---\n%s", exp, serial.String(), parallel.String())
+		}
 	}
 }

@@ -5,29 +5,13 @@ import (
 	"io"
 
 	"flexftl/internal/ftl"
-	"flexftl/internal/nand"
-	"flexftl/internal/par"
-	"flexftl/internal/ssd"
 	"flexftl/internal/workload"
 )
 
-// Ablations quantify flexFTL's design choices (DESIGN.md §5) by re-running
-// the bursty Varmail workload with one knob changed at a time.
-
-// AblationConfig parameterizes the sweep.
-type AblationConfig struct {
-	Geometry nand.Geometry
-	Requests int
-	Seed     uint64
-	// Workers bounds the variant fan-out (0 = all cores, 1 = serial);
-	// each variant is self-contained, so results are worker-count
-	// independent.
-	Workers int
-}
-
-// DefaultAblationConfig keeps the sweep quick but distinguishable.
-func DefaultAblationConfig() AblationConfig {
-	return AblationConfig{Geometry: EvalGeometry(), Requests: 40000, Seed: 42}
+// SweepSetup is the setup of the ablation and sensitivity sweeps: the
+// evaluation device and 40 000 requests, quick but distinguishable.
+func SweepSetup(seed uint64) Setup {
+	return Setup{Geometry: EvalGeometry(), Requests: 40000, Seed: seed}
 }
 
 // AblationRow is one variant's outcome.
@@ -43,59 +27,36 @@ type AblationRow struct {
 
 // AblationResult carries the sweep.
 type AblationResult struct {
-	Config AblationConfig
+	Config Setup
 	Rows   []AblationRow
 }
 
-// RunAblations executes the variant sweep: flexFTL with one knob changed at
-// a time, plus the registry's hybrid policy combinations — schemes that exist
-// only as Kernel configurations (no dedicated package, no paper counterpart).
-func RunAblations(cfg AblationConfig) (AblationResult, error) {
-	type variant struct {
-		name  string
-		build func() (ftl.FTL, error)
-	}
-	flexVariant := func(mutate func(*ftl.FlexParams, *ftl.Config)) func() (ftl.FTL, error) {
-		return func() (ftl.FTL, error) {
-			params := ftl.DefaultFlexParams()
-			ftlCfg := ftl.DefaultConfig()
-			mutate(&params, &ftlCfg)
-			return ftl.BuildFTL("flexFTL", ftl.BuildEnv{Geometry: cfg.Geometry, Config: ftlCfg, Flex: params})
-		}
-	}
-	variants := []variant{
-		{"flexFTL (paper settings)", flexVariant(func(p *ftl.FlexParams, c *ftl.Config) {})},
-		{"quota 0.1% (near-FPS)", flexVariant(func(p *ftl.FlexParams, c *ftl.Config) { p.QuotaFraction = 0.001 })},
-		{"quota 100% (unbounded)", flexVariant(func(p *ftl.FlexParams, c *ftl.Config) { p.QuotaFraction = 1.0 })},
-		{"BGC copies via LSB", flexVariant(func(p *ftl.FlexParams, c *ftl.Config) { p.BGCCopyLSB = true })},
-		{"predictive BGC (Section 6)", flexVariant(func(p *ftl.FlexParams, c *ftl.Config) { p.PredictiveBGC = true })},
-		{"cost-benefit GC victims", flexVariant(func(p *ftl.FlexParams, c *ftl.Config) { c.GC = ftl.GCCostBenefit })},
+// RunAblations quantifies flexFTL's design choices (DESIGN.md §5) on the
+// bursty Varmail workload: flexFTL with one knob changed at a time, plus the
+// registry's hybrid policy combinations — schemes that exist only as Kernel
+// configurations (no dedicated package, no paper counterpart).
+func RunAblations(s Setup, workers int) (AblationResult, error) {
+	flex := s.Cell("flexFTL", workload.Varmail())
+	grid := Grid{
+		flex.With("flexFTL (paper settings)", func(*Cell) {}),
+		flex.With("quota 0.1% (near-FPS)", func(c *Cell) { c.Flex.QuotaFraction = 0.001 }),
+		flex.With("quota 100% (unbounded)", func(c *Cell) { c.Flex.QuotaFraction = 1.0 }),
+		flex.With("BGC copies via LSB", func(c *Cell) { c.Flex.BGCCopyLSB = true }),
+		flex.With("predictive BGC (Section 6)", func(c *Cell) { c.Flex.PredictiveBGC = true }),
+		flex.With("cost-benefit GC victims", func(c *Cell) { c.FTL.GC = ftl.GCCostBenefit }),
 	}
 	for _, name := range Hybrids() {
-		scheme := name
-		variants = append(variants, variant{
-			name:  scheme + " (hybrid)",
-			build: func() (ftl.FTL, error) { return BuildFTL(scheme, cfg.Geometry) },
-		})
+		grid = append(grid, flex.With(name+" (hybrid)", func(c *Cell) { c.Scheme = name }))
 	}
-	res := AblationResult{Config: cfg}
-	prof := workload.Varmail()
-	rows := make([]AblationRow, len(variants))
-	err := par.Run(par.Workers(cfg.Workers), len(variants), func(_, i int) error {
-		v := variants[i]
-		f, err := v.build()
-		if err != nil {
-			return err
-		}
-		run, err := simulate(f, ssd.DefaultConfig(), func(space int64) (workload.Generator, error) {
-			return workload.New(prof, space, cfg.Requests, cfg.Seed)
-		})
-		if err != nil {
-			return fmt.Errorf("ablation %q: %w", v.name, err)
-		}
+	res := AblationResult{Config: s}
+	runs, err := RunGrid(grid, workers)
+	if err != nil {
+		return res, err
+	}
+	for i, run := range runs {
 		st := run.Stats
 		row := AblationRow{
-			Name:          v.name,
+			Name:          grid[i].Label,
 			IOPS:          run.Metrics.IOPS,
 			PeakMBs:       run.Metrics.PeakWriteBandwidthMBs,
 			Erases:        st.Erases,
@@ -105,13 +66,8 @@ func RunAblations(cfg AblationConfig) (AblationResult, error) {
 			row.BackupPerWrit = float64(st.BackupWrites) / float64(st.HostWrites)
 			row.HostLSBShare = float64(st.HostWritesLSB) / float64(st.HostWrites)
 		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return res, err
+		res.Rows = append(res.Rows, row)
 	}
-	res.Rows = rows
 	return res, nil
 }
 
@@ -130,49 +86,37 @@ func RenderAblations(w io.Writer, res AblationResult) {
 // same policy stack with only the placement axis changed, swept over Zipf
 // skews, at a geometry small enough that every run reaches GC steady state.
 
-// PlacementSweepConfig parameterizes the placement-axis sweep.
-type PlacementSweepConfig struct {
-	Geometry nand.Geometry
-	Requests int
-	Seed     uint64
-	// OPFraction is the over-provisioning the whole sweep runs at. Placement
-	// policies pin extra captive blocks (a second active fast/slow pair per
-	// chip), so the sweep needs honest spare capacity: at the default 12.5%
-	// on the shrunken device the captive overhead alone collapses effective
-	// OP and every multi-stream scheme thrashes, drowning the signal.
-	OPFraction float64
-	// Thetas are the Zipf skews swept (workload.ZipfProfile).
-	Thetas []float64
-	// Schemes are the registry names compared; order is report order and
-	// each family's stock scheme should precede its placement variants so
-	// the renderer can compute deltas.
-	Schemes []string
-	Workers int
+// PlacementSchemes are the registry names the placement sweep compares, in
+// report order: each family's stock scheme precedes its placement variants
+// so the renderer can compute deltas.
+func PlacementSchemes() []string {
+	return []string{
+		"flexFTL", "flexFTL-hotcold", "flexFTL-wearAware",
+		"pageFTL", "pageFTL-hotcold", "pageFTL-wearAware",
+	}
 }
 
-// DefaultPlacementSweepConfig compares the stock schemes against their
-// hot/cold and wear-aware variants under a moderate and a hot-head skew.
-// The device is shrunk (fewer blocks per chip) so the runs reach GC steady
-// state — on the full evaluation geometry the free-block reserve would
-// absorb the whole run and WAF would pin at ~1 for every scheme.
-func DefaultPlacementSweepConfig() PlacementSweepConfig {
+// placementThetas are the Zipf skews the placement sweep runs under
+// (workload.ZipfProfile): a moderate and a hot-head skew.
+var placementThetas = []float64{0.95, 1.1, 1.2}
+
+// placementOP is the over-provisioning the whole placement sweep runs at.
+// Placement policies pin extra captive blocks (a second active fast/slow pair
+// per chip), so the sweep needs honest spare capacity: at the default 12.5%
+// on the shrunken device the captive overhead alone collapses effective OP
+// and every multi-stream scheme thrashes, drowning the signal.
+const placementOP = 0.25
+
+// PlacementSetup is the placement sweep's setup for a Figure 8 request
+// count: the evaluation device shrunk to 32 blocks per chip, so the runs
+// reach GC steady state (on the full device the free-block reserve absorbs
+// the whole run and WAF pins at ~1), and 4/5 of the requests, at least 10k,
+// because wear spread, a max/mean statistic, needs mean erase counts well
+// past the prefill transient.
+func PlacementSetup(fig8Requests int, seed uint64) Setup {
 	g := EvalGeometry()
 	g.BlocksPerChip = 32
-	return PlacementSweepConfig{
-		Geometry: g,
-		// 120k requests: wear-spread is a max/mean statistic and needs mean
-		// erase counts well past the prefill transient before scheme
-		// comparisons are out of the noise; shorter runs reorder the wear
-		// column run-to-run.
-		Requests:   120000,
-		Seed:       42,
-		OPFraction: 0.25,
-		Thetas:     []float64{0.95, 1.1, 1.2},
-		Schemes: []string{
-			"flexFTL", "flexFTL-hotcold", "flexFTL-wearAware",
-			"pageFTL", "pageFTL-hotcold", "pageFTL-wearAware",
-		},
-	}
+	return Setup{Geometry: g, Requests: max(fig8Requests*4/5, 10000), Seed: seed}
 }
 
 // PlacementRow is one (scheme, theta) outcome.
@@ -189,44 +133,30 @@ type PlacementRow struct {
 
 // PlacementSweepResult carries the sweep.
 type PlacementSweepResult struct {
-	Config PlacementSweepConfig
+	Config Setup
 	Rows   []PlacementRow
 }
 
-// RunPlacementSweep runs every configured scheme under every Zipf skew.
-func RunPlacementSweep(cfg PlacementSweepConfig) (PlacementSweepResult, error) {
-	res := PlacementSweepResult{Config: cfg}
-	type cell struct {
-		scheme string
-		theta  float64
-	}
-	var cells []cell
-	for _, theta := range cfg.Thetas {
-		for _, scheme := range cfg.Schemes {
-			cells = append(cells, cell{scheme, theta})
+// RunPlacementSweep runs every placement scheme under every Zipf skew.
+func RunPlacementSweep(s Setup, workers int) (PlacementSweepResult, error) {
+	res := PlacementSweepResult{Config: s}
+	var grid Grid
+	for _, theta := range placementThetas {
+		for _, scheme := range PlacementSchemes() {
+			c := s.Cell(scheme, workload.ZipfProfile(theta))
+			c.FTL.OPFraction = placementOP
+			grid = append(grid, c)
 		}
 	}
-	rows := make([]PlacementRow, len(cells))
-	err := par.Run(par.Workers(cfg.Workers), len(cells), func(_, i int) error {
-		c := cells[i]
-		fcfg := ftl.DefaultConfig()
-		if cfg.OPFraction > 0 {
-			fcfg.OPFraction = cfg.OPFraction
-		}
-		f, err := BuildFTLWith(c.scheme, cfg.Geometry, fcfg)
-		if err != nil {
-			return err
-		}
-		run, err := simulate(f, ssd.DefaultConfig(), func(space int64) (workload.Generator, error) {
-			return workload.NewZipf(c.theta, space, cfg.Requests, cfg.Seed)
-		})
-		if err != nil {
-			return fmt.Errorf("placement %q theta=%.2f: %w", c.scheme, c.theta, err)
-		}
+	runs, err := RunGrid(grid, workers)
+	if err != nil {
+		return res, err
+	}
+	for i, run := range runs {
 		st := run.Stats
 		row := PlacementRow{
-			Scheme:     c.scheme,
-			Theta:      c.theta,
+			Scheme:     grid[i].Scheme,
+			Theta:      grid[i].Profile.ZipfTheta,
 			WAF:        run.WAF,
 			WearSpread: run.WearSpread,
 			Erases:     st.Erases,
@@ -236,13 +166,8 @@ func RunPlacementSweep(cfg PlacementSweepConfig) (PlacementSweepResult, error) {
 		if hot := st.HostWritesHot + st.HostWritesCold; hot > 0 {
 			row.HotShare = float64(st.HostWritesHot) / float64(hot)
 		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return res, err
+		res.Rows = append(res.Rows, row)
 	}
-	res.Rows = rows
 	return res, nil
 }
 
@@ -251,7 +176,7 @@ func RunPlacementSweep(cfg PlacementSweepConfig) (PlacementSweepResult, error) {
 // single-stream scheme of the same skew (the family's stock baseline).
 func RenderPlacementSweep(w io.Writer, res PlacementSweepResult) {
 	fmt.Fprintf(w, "placement-axis sweep (Zipf workloads, %d requests, OP %.0f%%)\n",
-		res.Config.Requests, res.Config.OPFraction*100)
+		res.Config.Requests, placementOP*100)
 	fmt.Fprintf(w, "  %-20s %6s %7s %8s %8s %8s %8s %6s %8s\n",
 		"scheme", "theta", "WAF", "dWAF%", "wear", "dwear%", "erases", "hot%", "IOPS")
 	var baseWAF, baseWear float64

@@ -1,13 +1,18 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (Section 4 plus the Section 2 reliability study), shared
-// by cmd/flexbench and the root-level benchmarks. Each driver is
-// deterministic given its seed and returns structured results that the
-// render helpers format in the paper's layout.
+// by cmd/flexbench and the root-level benchmarks. The simulation drivers
+// build a Grid of cells and run it with RunGrid; the Monte-Carlo studies
+// share one VthConfig. Each driver is deterministic given its seed, at any
+// worker count, and returns structured results that the render helpers
+// format in the paper's layout.
 package experiments
 
 import (
+	"fmt"
+
 	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
+	"flexftl/internal/par"
 	"flexftl/internal/ssd"
 	"flexftl/internal/workload"
 )
@@ -52,27 +57,83 @@ func EvalGeometry() nand.Geometry {
 // each spec brings the rule set its scheme needs (flexFTL an RPS device, the
 // comparison FTLs stock FPS devices).
 func BuildFTL(scheme string, g nand.Geometry) (ftl.FTL, error) {
-	return BuildFTLWith(scheme, g, ftl.DefaultConfig())
+	return ftl.BuildFTL(scheme, ftl.BuildEnv{Geometry: g, Config: ftl.DefaultConfig(), Flex: ftl.DefaultFlexParams()})
 }
 
-// BuildFTLWith is BuildFTL with a caller-supplied FTL configuration (the
-// sensitivity sweeps vary over-provisioning).
-func BuildFTLWith(scheme string, g nand.Geometry, cfg ftl.Config) (ftl.FTL, error) {
-	return ftl.BuildFTL(scheme, ftl.BuildEnv{Geometry: g, Config: cfg, Flex: ftl.DefaultFlexParams()})
+// Setup is what every simulation of an exhibit shares: the device, the run
+// length and the workload seed, so every scheme sees the same trace.
+type Setup struct {
+	Geometry nand.Geometry
+	Requests int // host requests per run
+	Seed     uint64
 }
 
-// simulate runs one experiment cell on a built FTL: it mounts f in a System
-// with cfg, prefills it, and runs the workload newGen builds over f's
-// logical space. Callers prefix the error with the cell's name.
-func simulate(f ftl.FTL, cfg ssd.Config, newGen func(space int64) (workload.Generator, error)) (ssd.RunResult, error) {
-	sys, err := ssd.New(f, cfg)
+// Cell is one simulation: a registry scheme under a workload, built with the
+// FTL, allocator and system configuration it runs at.
+type Cell struct {
+	// Label names the cell's override in errors and in the exhibits' rows
+	// ("quota 100% (unbounded)", "OP 7.0%"); empty at the defaults.
+	Label    string
+	Scheme   string
+	Profile  workload.Profile
+	Seed     uint64
+	Geometry nand.Geometry
+	Requests int
+	FTL      ftl.Config
+	Flex     ftl.FlexParams
+	SSD      ssd.Config
+}
+
+// Cell returns scheme under p at the setup's device, run length and seed,
+// with every configuration at its default.
+func (s Setup) Cell(scheme string, p workload.Profile) Cell {
+	return Cell{
+		Scheme: scheme, Profile: p, Seed: s.Seed, Geometry: s.Geometry, Requests: s.Requests,
+		FTL: ftl.DefaultConfig(), Flex: ftl.DefaultFlexParams(), SSD: ssd.DefaultConfig(),
+	}
+}
+
+// With returns the cell labelled and changed by tune.
+func (c Cell) With(label string, tune func(*Cell)) Cell {
+	c.Label = label
+	tune(&c)
+	return c
+}
+
+// Grid is an exhibit's list of cells. Every cell builds its own device and
+// FTL and draws its own trace, so cells run concurrently without sharing
+// state.
+type Grid []Cell
+
+// RunGrid simulates every cell on at most workers goroutines (0 = all cores,
+// 1 = serial) and returns the results in cell order, identical for any
+// worker count. An error names the cell it came from.
+func RunGrid(grid Grid, workers int) ([]ssd.RunResult, error) {
+	return par.Map(workers, len(grid), func(_, i int) (ssd.RunResult, error) {
+		c := grid[i]
+		res, err := simulate(c)
+		if err != nil {
+			return res, fmt.Errorf("cell %d %q (%s on %s, seed %d): %w", i, c.Label, c.Scheme, c.Profile.Name, c.Seed, err)
+		}
+		return res, nil
+	})
+}
+
+// simulate runs one cell: it builds the scheme, mounts it in a System,
+// prefills it, and runs the cell's workload over its logical space.
+func simulate(c Cell) (ssd.RunResult, error) {
+	f, err := ftl.BuildFTL(c.Scheme, ftl.BuildEnv{Geometry: c.Geometry, Config: c.FTL, Flex: c.Flex})
+	if err != nil {
+		return ssd.RunResult{}, err
+	}
+	sys, err := ssd.New(f, c.SSD)
 	if err != nil {
 		return ssd.RunResult{}, err
 	}
 	if _, err := sys.Prefill(); err != nil {
 		return ssd.RunResult{}, err
 	}
-	gen, err := newGen(f.LogicalPages())
+	gen, err := workload.New(c.Profile, f.LogicalPages(), c.Requests, c.Seed)
 	if err != nil {
 		return ssd.RunResult{}, err
 	}

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"flexftl/internal/nand"
+	"flexftl/internal/workload"
 )
 
-// tinyFig8Config keeps unit tests fast: the trends it asserts are the
-// paper's coarse directional claims, not exact magnitudes.
-func tinyFig8Config() Fig8Config {
-	return Fig8Config{
+// tinySetup keeps unit tests fast: the trends it asserts are the paper's
+// coarse directional claims, not exact magnitudes.
+func tinySetup() Setup {
+	return Setup{
 		Geometry: nand.Geometry{
 			Channels: 2, ChipsPerChannel: 2, BlocksPerChip: 64,
 			WordLinesPerBlock: 16, PageSizeBytes: 4096, SpareBytes: 64,
@@ -81,8 +82,8 @@ func TestRenderFig1Distributions(t *testing.T) {
 }
 
 func TestRunFig4Small(t *testing.T) {
-	cfg := Fig4Config{Blocks: 4, WordLines: 16, Cells: 512, Seed: 5, IncludeWorstCase: true}
-	res, err := RunFig4(cfg)
+	cfg := VthConfig{Blocks: 4, WordLines: 16, Cells: 512, Seed: 5}
+	res, err := RunFig4(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,15 +140,15 @@ func TestRunFig4Small(t *testing.T) {
 }
 
 func TestRunFig4TLCSmall(t *testing.T) {
-	cfg := Fig4TLCConfig{Blocks: 3, WordLines: 16, Cells: 512, Seed: 9}
-	res, err := RunFig4TLC(cfg)
+	cfg := VthConfig{Blocks: 3, WordLines: 16, Cells: 512, Seed: 9}
+	res, err := RunFig4TLC(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	byName := map[string]Fig4TLCRow{}
+	byName := map[string]Fig4Row{}
 	for _, r := range res.Rows {
 		byName[r.Order] = r
 	}
@@ -174,7 +175,7 @@ func TestRunFig8Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig8 matrix in -short mode")
 	}
-	res, err := RunFig8(tinyFig8Config())
+	res, err := RunFig8(tinySetup(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +211,10 @@ func TestRunFig8Tiny(t *testing.T) {
 		}
 	}
 	// (2) flexFTL erases fewer blocks than parityFTL and rtfFTL on average.
-	flexE := res.AverageNormErases("flexFTL")
+	flexE := res.Average("flexFTL", normErases)
 	for _, ref := range []string{"parityFTL", "rtfFTL"} {
-		if flexE >= res.AverageNormErases(ref) {
-			t.Errorf("flexFTL avg erases %.3f >= %s %.3f", flexE, ref, res.AverageNormErases(ref))
+		if flexE >= res.Average(ref, normErases) {
+			t.Errorf("flexFTL avg erases %.3f >= %s %.3f", flexE, ref, res.Average(ref, normErases))
 		}
 	}
 	// (3) Varmail peak bandwidth: flexFTL highest.
@@ -248,9 +249,9 @@ func TestFig8ShapeAcrossSeeds(t *testing.T) {
 		t.Skip("multi-seed fig8 in -short mode")
 	}
 	for _, seed := range []uint64{7, 99, 12345} {
-		cfg := tinyFig8Config()
-		cfg.Seed = seed
-		res, err := RunFig8(cfg)
+		s := tinySetup()
+		s.Seed = seed
+		res, err := RunFig8(s, 0)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -282,18 +283,11 @@ func TestRunSensitivitySmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sensitivity sweep in -short mode")
 	}
-	cfg := SensitivityConfig{
-		Geometry:    tinyFig8Config().Geometry,
-		Requests:    4000,
-		Seed:        3,
-		OPFractions: []float64{0.125, 0.25},
-		BufferSizes: []int{64},
-	}
-	res, err := RunSensitivity(cfg)
+	res, err := RunSensitivity(Setup{Geometry: tinySetup().Geometry, Requests: 4000, Seed: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.OP) != 2 || len(res.Buffer) != 1 {
+	if len(res.OP) != len(sensitivityOPs) || len(res.Buffer) != len(sensitivityBuffers) {
 		t.Fatalf("points: OP %d, buffer %d", len(res.OP), len(res.Buffer))
 	}
 	for _, p := range append(append([]SensitivityPoint{}, res.OP...), res.Buffer...) {
@@ -302,8 +296,10 @@ func TestRunSensitivitySmall(t *testing.T) {
 		}
 	}
 	// Lower OP = more GC pressure = higher WA for both.
-	if res.OP[0].FlexWA < res.OP[1].FlexWA {
-		t.Errorf("WA not decreasing with OP: %.2f -> %.2f", res.OP[0].FlexWA, res.OP[1].FlexWA)
+	for i := 1; i < len(res.OP); i++ {
+		if res.OP[i-1].FlexWA < res.OP[i].FlexWA {
+			t.Errorf("WA not decreasing with OP: %.2f -> %.2f", res.OP[i-1].FlexWA, res.OP[i].FlexWA)
+		}
 	}
 	var sb strings.Builder
 	RenderSensitivity(&sb, res)
@@ -313,15 +309,11 @@ func TestRunSensitivitySmall(t *testing.T) {
 }
 
 func TestRunStressSweepSmall(t *testing.T) {
-	cfg := StressSweepConfig{
-		WordLines: 16, Cells: 512, Blocks: 3, Seed: 3,
-		Cycles: []int{0, 3000, 6000},
-	}
-	pts, err := RunStressSweep(cfg)
+	pts, err := RunStressSweep(VthConfig{Blocks: 3, WordLines: 16, Cells: 512, Seed: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 3 {
+	if len(pts) != len(stressCycles) {
 		t.Fatalf("points = %d", len(pts))
 	}
 	// BER grows with wear for both orders.
@@ -341,8 +333,8 @@ func TestRunStressSweepSmall(t *testing.T) {
 	if pts[0].MedianBER["FPS"] != 0 {
 		t.Errorf("fresh median BER = %v", pts[0].MedianBER["FPS"])
 	}
-	if pts[2].MedianBER["FPS"] == 0 {
-		t.Error("6K-cycle median BER still zero")
+	if last := pts[len(pts)-1]; last.MedianBER["FPS"] == 0 {
+		t.Errorf("%d-cycle median BER still zero", last.PECycles)
 	}
 	var sb strings.Builder
 	RenderStressSweep(&sb, pts)
@@ -356,27 +348,41 @@ func TestRunStressSweepSmall(t *testing.T) {
 // summarizing empty series.
 func TestVthStudiesRejectEmptyConfigs(t *testing.T) {
 	for _, c := range []struct {
-		name                     string
-		blocks, wordLines, cells int
-		cycles                   []int
+		name string
+		cfg  VthConfig
 	}{
-		{"no blocks", 0, 16, 64, []int{0}},
-		{"negative blocks", -1, 16, 64, []int{0}},
-		{"no word lines", 2, 0, 64, []int{0}},
-		{"no cells", 2, 16, 0, []int{0}},
-		{"no cycles", 2, 16, 64, nil},
+		{"no blocks", VthConfig{Blocks: 0, WordLines: 16, Cells: 64}},
+		{"negative blocks", VthConfig{Blocks: -1, WordLines: 16, Cells: 64}},
+		{"no word lines", VthConfig{Blocks: 2, WordLines: 0, Cells: 64}},
+		{"no cells", VthConfig{Blocks: 2, WordLines: 16, Cells: 0}},
 	} {
-		if _, err := RunStressSweep(StressSweepConfig{Blocks: c.blocks, WordLines: c.wordLines, Cells: c.cells, Cycles: c.cycles}); err == nil {
+		if _, err := RunStressSweep(c.cfg, 1); err == nil {
 			t.Errorf("stress sweep with %s accepted", c.name)
 		}
-		if c.cycles == nil {
-			continue // only the sweep has cycles
-		}
-		if _, err := RunFig4(Fig4Config{Blocks: c.blocks, WordLines: c.wordLines, Cells: c.cells}); err == nil {
+		if _, err := RunFig4(c.cfg, 1); err == nil {
 			t.Errorf("fig4 with %s accepted", c.name)
 		}
-		if _, err := RunFig4TLC(Fig4TLCConfig{Blocks: c.blocks, WordLines: c.wordLines, Cells: c.cells}); err == nil {
+		if _, err := RunFig4TLC(c.cfg, 1); err == nil {
 			t.Errorf("fig4tlc with %s accepted", c.name)
+		}
+	}
+}
+
+// TestRunGridNamesFailingCell: a cell that cannot be built fails the grid
+// with an error naming the cell, whichever worker ran it.
+func TestRunGridNamesFailingCell(t *testing.T) {
+	s := Setup{Geometry: tinySetup().Geometry, Requests: 200, Seed: 1}
+	bad := s.Cell("nopeFTL", workload.Varmail())
+	bad.Label = "missing scheme"
+	for _, workers := range []int{1, 2} {
+		_, err := RunGrid(Grid{s.Cell("pageFTL", workload.Varmail()), bad}, workers)
+		if err == nil {
+			t.Fatalf("workers %d: grid with an unknown scheme ran", workers)
+		}
+		for _, want := range []string{"cell 1", "missing scheme", "nopeFTL", "Varmail", "seed 1"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("workers %d: error %q does not name %q", workers, err, want)
+			}
 		}
 	}
 }
@@ -385,12 +391,7 @@ func TestRunAblationsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep in -short mode")
 	}
-	cfg := AblationConfig{
-		Geometry: tinyFig8Config().Geometry,
-		Requests: 6000,
-		Seed:     5,
-	}
-	res, err := RunAblations(cfg)
+	res, err := RunAblations(Setup{Geometry: tinySetup().Geometry, Requests: 6000, Seed: 5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,15 +431,13 @@ func TestRunFig8Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig8 determinism in -short mode")
 	}
-	cfg := tinyFig8Config()
-	cfg.Requests = 3000
-	cfg.Workers = 8
-	a, err := RunFig8(cfg)
+	s := tinySetup()
+	s.Requests = 3000
+	a, err := RunFig8(s, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 1 // concurrency must not affect results
-	b, err := RunFig8(cfg)
+	b, err := RunFig8(s, 1) // concurrency must not affect results
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,19 +456,16 @@ func TestRunFig8Deterministic(t *testing.T) {
 // byte-identical to the serial run — every block derives its own seed and
 // writes its own result slot.
 func TestRunFig4DeterministicAcrossWorkers(t *testing.T) {
-	cfg := DefaultFig4Config()
+	cfg := DefaultFig4Config(2016)
 	cfg.Blocks, cfg.WordLines, cfg.Cells = 4, 8, 64
-	cfg.Workers = 8
-	a, err := RunFig4(cfg)
+	a, err := RunFig4(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 1
-	b, err := RunFig4(cfg)
+	b, err := RunFig4(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Config, b.Config = Fig4Config{}, Fig4Config{} // only Workers differs
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("Fig4 differs between 8 workers and serial:\n%+v\n%+v", a, b)
 	}
@@ -478,19 +474,16 @@ func TestRunFig4DeterministicAcrossWorkers(t *testing.T) {
 // TestRunFig4TLCDeterministicAcrossWorkers mirrors the MLC check for the
 // TLC study.
 func TestRunFig4TLCDeterministicAcrossWorkers(t *testing.T) {
-	cfg := DefaultFig4TLCConfig()
+	cfg := DefaultFig4TLCConfig(2016)
 	cfg.Blocks, cfg.WordLines, cfg.Cells = 3, 8, 64
-	cfg.Workers = 8
-	a, err := RunFig4TLC(cfg)
+	a, err := RunFig4TLC(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 1
-	b, err := RunFig4TLC(cfg)
+	b, err := RunFig4TLC(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Config, b.Config = Fig4TLCConfig{}, Fig4TLCConfig{}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("Fig4TLC differs between 8 workers and serial:\n%+v\n%+v", a, b)
 	}
@@ -499,16 +492,12 @@ func TestRunFig4TLCDeterministicAcrossWorkers(t *testing.T) {
 // TestRunStressSweepDeterministicAcrossWorkers: the sweep's ordered task
 // grid must make its output worker-count independent.
 func TestRunStressSweepDeterministicAcrossWorkers(t *testing.T) {
-	cfg := StressSweepConfig{
-		WordLines: 8, Cells: 64, Blocks: 2, Seed: 5,
-		Cycles: []int{0, 3000}, Workers: 8,
-	}
-	a, err := RunStressSweep(cfg)
+	cfg := VthConfig{Blocks: 2, WordLines: 8, Cells: 64, Seed: 5}
+	a, err := RunStressSweep(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 1
-	b, err := RunStressSweep(cfg)
+	b, err := RunStressSweep(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,26 +7,15 @@ import (
 	"flexftl/internal/vth"
 )
 
-// Fig4Config parameterizes the reliability study of Figure 4. The paper
-// verifies with >90 blocks from three 2X-nm chips (>5000 pages); the default
-// reproduces that scale against the Monte-Carlo Vth model.
-type Fig4Config struct {
-	Blocks    int // blocks per program order
-	WordLines int // word lines per block
-	Cells     int // Monte-Carlo cells per word line
-	Seed      uint64
-	// IncludeWorstCase adds the forbidden unconstrained order for contrast
-	// (the Figure 2(a) motivation).
-	IncludeWorstCase bool
-	// Workers bounds the simulation fan-out: 0 uses every core, 1 runs
-	// serially. Results are identical for any value — every block derives
-	// its own seed.
-	Workers int
+// DefaultFig4Config mirrors the paper's scale for the reliability study of
+// Figure 4: it verifies with >90 blocks from three 2X-nm chips (>5000 pages).
+func DefaultFig4Config(seed uint64) VthConfig {
+	return VthConfig{Blocks: 90, WordLines: 64, Cells: 1024, Seed: seed}
 }
 
-// DefaultFig4Config mirrors the paper's scale.
-func DefaultFig4Config() Fig4Config {
-	return Fig4Config{Blocks: 90, WordLines: 64, Cells: 1024, Seed: 2016, IncludeWorstCase: true}
+// DefaultFig4TLCConfig is the TLC extension study at the MLC study's scale.
+func DefaultFig4TLCConfig(seed uint64) VthConfig {
+	return VthConfig{Blocks: 45, WordLines: 64, Cells: 1024, Seed: seed}
 }
 
 // Fig4Row holds one program order's distributions.
@@ -49,33 +38,54 @@ type Fig4Row struct {
 
 // Fig4Result carries the rows in display order.
 type Fig4Result struct {
-	Config Fig4Config
+	Config VthConfig
 	Rows   []Fig4Row
 }
 
-// RunFig4 simulates programming Blocks blocks under each order and collects
-// the WPi and BER distributions.
-func RunFig4(cfg Fig4Config) (Fig4Result, error) {
-	res := Fig4Result{Config: cfg}
-	study := vthStudy{
+// RunFig4 simulates programming the config's blocks under FPS, both RPS
+// orders and the forbidden unconstrained order (the Figure 2(a) motivation),
+// and collects the WPi and BER distributions.
+func RunFig4(cfg VthConfig, workers int) (Fig4Result, error) {
+	return runFig4(cfg, workers, vthStudy{
 		label: "fig4", params: vth.DefaultParams(),
-		blocks: cfg.Blocks, wordLines: cfg.WordLines, cells: cfg.Cells, workers: cfg.Workers,
 		orders: func(s core.Scheme) []namedOrder {
-			orders := []namedOrder{
+			return []namedOrder{
 				{"FPS", core.FPSOrder(s.WordLines)},
 				{"RPSfull", core.RPSFullOrder(s.WordLines)},
 				{"RPShalf", core.RPSHalfOrder(s.WordLines)},
+				{"Unconstrained(worst)", core.WorstCaseOrder(s)},
 			}
-			if cfg.IncludeWorstCase {
-				orders = append(orders, namedOrder{"Unconstrained(worst)", core.WorstCaseOrder(s)})
-			}
-			return orders
 		},
-		points: []vth.StressCondition{vth.WorstCase}, widths: true,
 		seed: func(_, oi, b int) uint64 { return cfg.Seed + uint64(oi)*1_000_003 + uint64(b) },
 		xor:  0x5deece66d,
-	}
-	orders, series, err := study.run()
+	})
+}
+
+// RunFig4TLC tests the paper's claim (Section 1) that RPS applies to TLC
+// devices with a similar program scheme: it repeats the Figure 4 methodology
+// on the generalized 3-bit formalism, vendor staircase vs the relaxed
+// 3-phase order vs the forbidden worst case.
+func RunFig4TLC(cfg VthConfig, workers int) (Fig4Result, error) {
+	return runFig4(cfg, workers, vthStudy{
+		label: "fig4tlc", params: vth.EvenParams(3),
+		orders: func(s core.Scheme) []namedOrder {
+			return []namedOrder{
+				{"Fixed (vendor staircase)", core.FixedOrder(s)},
+				{"Relaxed 3-phase", core.RelaxedFullOrder(s)},
+				{"Unconstrained(worst)", core.WorstCaseOrder(s)},
+			}
+		},
+		seed: func(_, oi, b int) uint64 { return cfg.Seed + uint64(oi)*7_000_003 + uint64(b) },
+		xor:  0xabcdef,
+	})
+}
+
+// runFig4 measures st's orders fresh and at the worst-case operating point
+// and summarizes each order's distributions.
+func runFig4(cfg VthConfig, workers int, st vthStudy) (Fig4Result, error) {
+	res := Fig4Result{Config: cfg}
+	st.cfg, st.points, st.widths = cfg, []vth.StressCondition{vth.WorstCase}, true
+	orders, series, err := st.run(workers)
 	if err != nil {
 		return res, err
 	}

@@ -1,26 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"flexftl/internal/metrics"
-	"flexftl/internal/nand"
-	"flexftl/internal/par"
 	"flexftl/internal/ssd"
 	"flexftl/internal/workload"
 )
-
-// Fig8Config parameterizes the main evaluation (Figures 8(a), 8(b), 8(c)):
-// four MLC FTLs across the five Table 1 workloads.
-type Fig8Config struct {
-	Geometry nand.Geometry
-	Requests int    // host requests per run
-	Seed     uint64 // workload seed (same trace for every FTL)
-	// Workers bounds how many of the 20 simulations run at once
-	// (0 = all cores, 1 = serial); each simulation is self-contained, so
-	// the matrix is identical for any value.
-	Workers int
-}
 
 // Fig8Cell is one (scheme, workload) measurement.
 type Fig8Cell struct {
@@ -36,7 +20,7 @@ type Fig8Cell struct {
 // Fig8Result is the full matrix plus the Varmail bandwidth CDFs of
 // Figure 8(c).
 type Fig8Result struct {
-	Config    Fig8Config
+	Config    Setup
 	Workloads []string
 	Schemes   []string
 	Cells     map[string]map[string]*Fig8Cell // scheme -> workload -> cell
@@ -45,25 +29,19 @@ type Fig8Result struct {
 // Cell returns one measurement.
 func (r Fig8Result) Cell(scheme, wl string) *Fig8Cell { return r.Cells[scheme][wl] }
 
-// AverageNormIOPS returns a scheme's normalized IOPS averaged over the five
-// workloads (the "Average" group of Figure 8(a)).
-func (r Fig8Result) AverageNormIOPS(scheme string) float64 {
+// Average returns a scheme's value of a cell averaged over the workloads
+// (the "Average" group of Figures 8(a) and 8(b)).
+func (r Fig8Result) Average(scheme string, value func(*Fig8Cell) float64) float64 {
 	sum := 0.0
 	for _, wl := range r.Workloads {
-		sum += r.Cells[scheme][wl].NormIOPS
+		sum += value(r.Cells[scheme][wl])
 	}
 	return sum / float64(len(r.Workloads))
 }
 
-// AverageNormErases returns a scheme's normalized erase count averaged over
-// the workloads (Figure 8(b)'s "Average").
-func (r Fig8Result) AverageNormErases(scheme string) float64 {
-	sum := 0.0
-	for _, wl := range r.Workloads {
-		sum += r.Cells[scheme][wl].NormErases
-	}
-	return sum / float64(len(r.Workloads))
-}
+// normIOPS and normErases select a cell's Figure 8(a) and 8(b) values.
+func normIOPS(c *Fig8Cell) float64   { return c.NormIOPS }
+func normErases(c *Fig8Cell) float64 { return c.NormErases }
 
 // VarmailCDF returns the Figure 8(c) write-bandwidth distribution of a
 // scheme under Varmail.
@@ -72,62 +50,32 @@ func (r Fig8Result) VarmailCDF(scheme string) *metrics.Result {
 	return &m
 }
 
-// runOne executes a single (scheme, workload) simulation.
-func runOne(cfg Fig8Config, scheme string, prof workload.Profile) (*Fig8Cell, error) {
-	f, err := BuildFTL(scheme, cfg.Geometry)
-	if err != nil {
-		return nil, err
-	}
-	res, err := simulate(f, ssd.DefaultConfig(), func(space int64) (workload.Generator, error) {
-		return workload.New(prof, space, cfg.Requests, cfg.Seed)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", scheme, prof.Name, err)
-	}
-	return &Fig8Cell{Scheme: scheme, Workload: prof.Name, Result: res}, nil
-}
-
-// RunFig8 executes the 4x5 evaluation matrix and normalizes against
+// RunFig8 executes the main evaluation (Figures 8(a), 8(b), 8(c)): the
+// four MLC FTLs across the five Table 1 workloads, normalized against
 // pageFTL.
-func RunFig8(cfg Fig8Config) (Fig8Result, error) {
-	profiles := workload.All()
+func RunFig8(s Setup, workers int) (Fig8Result, error) {
 	res := Fig8Result{
-		Config:  cfg,
+		Config:  s,
 		Schemes: Schemes(),
 		Cells:   make(map[string]map[string]*Fig8Cell),
 	}
+	profiles := workload.All()
 	for _, p := range profiles {
 		res.Workloads = append(res.Workloads, p.Name)
 	}
-	for _, s := range res.Schemes {
-		res.Cells[s] = make(map[string]*Fig8Cell)
-	}
-
-	type job struct {
-		scheme string
-		prof   workload.Profile
-	}
-	var jobs []job
-	for _, s := range res.Schemes {
+	var grid Grid
+	for _, scheme := range res.Schemes {
+		res.Cells[scheme] = make(map[string]*Fig8Cell)
 		for _, p := range profiles {
-			jobs = append(jobs, job{s, p})
+			grid = append(grid, s.Cell(scheme, p))
 		}
 	}
-
-	cells := make([]*Fig8Cell, len(jobs))
-	err := par.Run(par.Workers(cfg.Workers), len(jobs), func(_, i int) error {
-		c, err := runOne(cfg, jobs[i].scheme, jobs[i].prof)
-		if err != nil {
-			return err
-		}
-		cells[i] = c
-		return nil
-	})
+	runs, err := RunGrid(grid, workers)
 	if err != nil {
 		return res, err
 	}
-	for _, c := range cells {
-		res.Cells[c.Scheme][c.Workload] = c
+	for i, c := range grid {
+		res.Cells[c.Scheme][c.Profile.Name] = &Fig8Cell{Scheme: c.Scheme, Workload: c.Profile.Name, Result: runs[i]}
 	}
 
 	// Normalize to the baseline per workload.

@@ -7,6 +7,7 @@ import (
 
 	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
+	"flexftl/internal/par"
 	"flexftl/internal/rel"
 	"flexftl/internal/sim"
 )
@@ -232,20 +233,18 @@ func RenderAging(w io.Writer, reps []AgingReport) {
 }
 
 // AgingSweep runs the responses-on and responses-off campaigns for each
-// scheme and returns the paired reports, responses-off first — the
-// "refresh defers the first loss" comparison of the evaluation.
-func AgingSweep(schemes []string, seed uint64) ([]AgingReport, error) {
-	var reps []AgingReport
-	for _, scheme := range schemes {
-		for _, responses := range []bool{false, true} {
-			cfg := DefaultAgingConfig(scheme, responses)
-			cfg.Seed = seed
-			rep, err := RunAging(cfg)
-			if err != nil {
-				return reps, fmt.Errorf("experiments: aging %s responses=%v: %w", scheme, responses, err)
-			}
-			reps = append(reps, rep)
+// scheme on at most workers goroutines (0 = all cores, 1 = serial) and
+// returns the paired reports, responses-off first — the "refresh defers the
+// first loss" comparison of the evaluation. Each campaign builds its own
+// device, so the reports are identical for any worker count.
+func AgingSweep(schemes []string, seed uint64, workers int) ([]AgingReport, error) {
+	return par.Map(workers, 2*len(schemes), func(_, i int) (AgingReport, error) {
+		cfg := DefaultAgingConfig(schemes[i/2], i%2 == 1)
+		cfg.Seed = seed
+		rep, err := RunAging(cfg)
+		if err != nil {
+			return rep, fmt.Errorf("experiments: aging %s responses=%v: %w", cfg.Scheme, cfg.Responses, err)
 		}
-	}
-	return reps, nil
+		return rep, nil
+	})
 }

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestAgingResponsesDeferFirstLoss is the aging-campaign smoke: on a pre-worn
 // device aged through retention epochs, the no-response baseline eventually
@@ -45,7 +48,8 @@ func TestAgingResponsesDeferFirstLoss(t *testing.T) {
 
 // TestAgingDeterministic: the campaign is a pure function of its config —
 // identical runs produce identical reports (the per-read model hash has no
-// hidden global state).
+// hidden global state), and the sweep's reports do not depend on how many
+// workers run its campaigns.
 func TestAgingDeterministic(t *testing.T) {
 	cfg := DefaultAgingConfig("flexFTL", true)
 	a, err := RunAging(cfg)
@@ -58,5 +62,17 @@ func TestAgingDeterministic(t *testing.T) {
 	}
 	if a != b {
 		t.Errorf("identical campaigns diverged:\n%+v\n%+v", a, b)
+	}
+	schemes := []string{"pageFTL", "flexFTL"}
+	serial, err := AgingSweep(schemes, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := AgingSweep(schemes, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial) != 2*len(schemes) || !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("aging sweep differs between 1 and 4 workers:\n%+v\n%+v", serial, parallel)
 	}
 }

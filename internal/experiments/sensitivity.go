@@ -4,17 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"flexftl/internal/ftl"
-	"flexftl/internal/nand"
-	"flexftl/internal/par"
-	"flexftl/internal/ssd"
 	"flexftl/internal/workload"
 )
-
-// Sensitivity sweeps: how flexFTL's advantage over the baseline responds to
-// the two environment knobs the paper fixes implicitly — over-provisioning
-// (GC pressure) and the write-buffer size (the u-threshold operating
-// point). Both sweeps run flexFTL and pageFTL on the same Varmail trace.
 
 // SensitivityPoint is one sweep setting's outcome.
 type SensitivityPoint struct {
@@ -27,119 +18,59 @@ type SensitivityPoint struct {
 	Advantage float64 // FlexIOPS / PageIOPS
 }
 
-// SensitivityConfig parameterizes the sweeps.
-type SensitivityConfig struct {
-	Geometry nand.Geometry
-	Requests int
-	Seed     uint64
-	// OPFractions to sweep (buffer fixed at the default).
-	OPFractions []float64
-	// BufferSizes to sweep (OP fixed at the default).
-	BufferSizes []int
-	// Workers bounds the sweep fan-out (0 = all cores, 1 = serial); each
-	// point builds its own devices, so results are worker-count
-	// independent.
-	Workers int
-}
-
-// DefaultSensitivityConfig covers the interesting ranges.
-func DefaultSensitivityConfig() SensitivityConfig {
-	return SensitivityConfig{
-		Geometry:    EvalGeometry(),
-		Requests:    40000,
-		Seed:        42,
-		OPFractions: []float64{0.07, 0.125, 0.25},
-		BufferSizes: []int{32, 128, 512},
-	}
-}
+// The sweep settings: over-provisioning with the buffer at its default,
+// and the buffer size with OP at its default.
+var (
+	sensitivityOPs     = []float64{0.07, 0.125, 0.25}
+	sensitivityBuffers = []int{32, 128, 512}
+)
 
 // SensitivityResult carries both sweeps.
 type SensitivityResult struct {
-	Config SensitivityConfig
+	Config Setup
 	OP     []SensitivityPoint
 	Buffer []SensitivityPoint
 }
 
-func runPair(g nand.Geometry, requests int, seed uint64, ftlCfg ftl.Config, runCfg ssd.Config) (flexR, pageR ssd.RunResult, err error) {
-	build := func(scheme string) (ssd.RunResult, error) {
-		f, err := BuildFTLWith(scheme, g, ftlCfg)
-		if err != nil {
-			return ssd.RunResult{}, err
+// RunSensitivity sweeps how flexFTL's advantage over the baseline responds to
+// the two environment knobs the paper fixes implicitly — over-provisioning
+// (GC pressure) and the write-buffer size (the u-threshold operating point).
+// Every setting is a flexFTL and a pageFTL cell on the same Varmail trace.
+func RunSensitivity(s Setup, workers int) (SensitivityResult, error) {
+	res := SensitivityResult{Config: s}
+	var grid Grid
+	pair := func(label string, tune func(*Cell)) {
+		for _, scheme := range []string{"flexFTL", "pageFTL"} {
+			grid = append(grid, s.Cell(scheme, workload.Varmail()).With(label, tune))
 		}
-		return simulate(f, runCfg, func(space int64) (workload.Generator, error) {
-			return workload.New(workload.Varmail(), space, requests, seed)
-		})
 	}
-	flexR, err = build("flexFTL")
-	if err != nil {
-		return
+	for _, op := range sensitivityOPs {
+		pair(fmt.Sprintf("OP %.1f%%", 100*op), func(c *Cell) { c.FTL.OPFraction = op })
 	}
-	pageR, err = build("pageFTL")
-	return
-}
-
-func toPoint(setting string, flexR, pageR ssd.RunResult) SensitivityPoint {
-	p := SensitivityPoint{
-		Setting:  setting,
-		FlexIOPS: flexR.Metrics.IOPS,
-		PageIOPS: pageR.Metrics.IOPS,
-		FlexWA:   flexR.Stats.WriteAmplification(),
-		PageWA:   pageR.Stats.WriteAmplification(),
-		FlexPeak: flexR.Metrics.PeakWriteBandwidthMBs,
+	for _, buf := range sensitivityBuffers {
+		pair(fmt.Sprintf("buffer %d pages", buf), func(c *Cell) { c.SSD.BufferPages = buf })
 	}
-	if p.PageIOPS > 0 {
-		p.Advantage = p.FlexIOPS / p.PageIOPS
-	}
-	return p
-}
-
-// RunSensitivity executes both sweeps. Every sweep point is one task in
-// the shared pool — each builds its own devices and FTLs, so points run
-// concurrently without sharing state.
-func RunSensitivity(cfg SensitivityConfig) (SensitivityResult, error) {
-	res := SensitivityResult{Config: cfg}
-	type sweepTask struct {
-		setting string
-		wrap    string // error-message prefix
-		ftlCfg  ftl.Config
-		runCfg  ssd.Config
-	}
-	var tasks []sweepTask
-	for _, op := range cfg.OPFractions {
-		ftlCfg := ftl.DefaultConfig()
-		ftlCfg.OPFraction = op
-		tasks = append(tasks, sweepTask{
-			setting: fmt.Sprintf("OP %.1f%%", 100*op),
-			wrap:    fmt.Sprintf("OP sweep %.3f", op),
-			ftlCfg:  ftlCfg,
-			runCfg:  ssd.DefaultConfig(),
-		})
-	}
-	for _, buf := range cfg.BufferSizes {
-		runCfg := ssd.DefaultConfig()
-		runCfg.BufferPages = buf
-		tasks = append(tasks, sweepTask{
-			setting: fmt.Sprintf("buffer %d pages", buf),
-			wrap:    fmt.Sprintf("buffer sweep %d", buf),
-			ftlCfg:  ftl.DefaultConfig(),
-			runCfg:  runCfg,
-		})
-	}
-	points := make([]SensitivityPoint, len(tasks))
-	err := par.Run(par.Workers(cfg.Workers), len(tasks), func(_, i int) error {
-		t := tasks[i]
-		flexR, pageR, err := runPair(cfg.Geometry, cfg.Requests, cfg.Seed, t.ftlCfg, t.runCfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", t.wrap, err)
-		}
-		points[i] = toPoint(t.setting, flexR, pageR)
-		return nil
-	})
+	runs, err := RunGrid(grid, workers)
 	if err != nil {
 		return res, err
 	}
-	res.OP = points[:len(cfg.OPFractions)]
-	res.Buffer = points[len(cfg.OPFractions):]
+	var points []SensitivityPoint
+	for i := 0; i < len(runs); i += 2 {
+		flexR, pageR := runs[i], runs[i+1]
+		p := SensitivityPoint{
+			Setting:  grid[i].Label,
+			FlexIOPS: flexR.Metrics.IOPS,
+			PageIOPS: pageR.Metrics.IOPS,
+			FlexWA:   flexR.Stats.WriteAmplification(),
+			PageWA:   pageR.Stats.WriteAmplification(),
+			FlexPeak: flexR.Metrics.PeakWriteBandwidthMBs,
+		}
+		if p.PageIOPS > 0 {
+			p.Advantage = p.FlexIOPS / p.PageIOPS
+		}
+		points = append(points, p)
+	}
+	res.OP, res.Buffer = points[:len(sensitivityOPs)], points[len(sensitivityOPs):]
 	return res, nil
 }
 

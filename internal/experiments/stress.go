@@ -25,32 +25,19 @@ type StressPoint struct {
 	PageFail map[string]float64
 }
 
-// StressSweepConfig parameterizes the curve.
-type StressSweepConfig struct {
-	WordLines int
-	Cells     int
-	Blocks    int
-	Seed      uint64
-	Cycles    []int
-	// Workers bounds the fan-out (0 = all cores, 1 = serial); results are
-	// worker-count independent.
-	Workers int
+// DefaultStressSweepConfig is the stress sweep's scale.
+func DefaultStressSweepConfig(seed uint64) VthConfig {
+	return VthConfig{Blocks: 8, WordLines: 32, Cells: 1024, Seed: seed}
 }
 
-// DefaultStressSweepConfig covers begin-of-life to 2x the paper's worst
-// case.
-func DefaultStressSweepConfig() StressSweepConfig {
-	return StressSweepConfig{
-		WordLines: 32, Cells: 1024, Blocks: 8, Seed: 77,
-		Cycles: []int{0, 1000, 2000, 3000, 4500, 6000},
-	}
-}
+// stressCycles are the P/E counts the sweep measures at: begin-of-life to
+// 2x the paper's worst case.
+var stressCycles = []int{0, 1000, 2000, 3000, 4500, 6000}
 
 // RunStressSweep computes the curve.
-func RunStressSweep(cfg StressSweepConfig) ([]StressPoint, error) {
+func RunStressSweep(cfg VthConfig, workers int) ([]StressPoint, error) {
 	study := vthStudy{
-		label: "stress sweep", params: vth.DefaultParams(),
-		blocks: cfg.Blocks, wordLines: cfg.WordLines, cells: cfg.Cells, workers: cfg.Workers,
+		label: "stress sweep", params: vth.DefaultParams(), cfg: cfg,
 		orders: func(s core.Scheme) []namedOrder {
 			return []namedOrder{
 				{"FPS", core.FPSOrder(s.WordLines)},
@@ -58,18 +45,18 @@ func RunStressSweep(cfg StressSweepConfig) ([]StressPoint, error) {
 			}
 		},
 		// Both orders draw block b of a cycle count from the same seed.
-		seed: func(ci, _, b int) uint64 { return cfg.Seed + uint64(cfg.Cycles[ci])*31 + uint64(b) },
+		seed: func(ci, _, b int) uint64 { return cfg.Seed + uint64(stressCycles[ci])*31 + uint64(b) },
 	}
-	for _, pe := range cfg.Cycles {
+	for _, pe := range stressCycles {
 		study.points = append(study.points, vth.StressCondition{PECycles: pe, RetentionYears: 1})
 	}
-	orders, series, err := study.run()
+	orders, series, err := study.run(workers)
 	if err != nil {
 		return nil, err
 	}
 	code := ecc.Default40BitPer1K()
 	var out []StressPoint
-	for ci, pe := range cfg.Cycles {
+	for ci, pe := range stressCycles {
 		pt := StressPoint{
 			PECycles:  pe,
 			MedianBER: make(map[string]float64),
