@@ -62,6 +62,28 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunFig8ZeroBaselinePrintsNA: at a scale where no cell erases a block,
+// Figure 8(b)'s ratios and the erasure headlines have a zero baseline. They
+// print n/a, never NaN or Inf, and the -metrics dump still marshals.
+func TestRunFig8ZeroBaselinePrintsNA(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	var sb strings.Builder
+	if err := run(&sb, options{exp: "fig8", requests: 300, seed: 42, workers: 2, metrics: path}); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, bad := range []string{"NaN", "Inf"} {
+		if strings.Contains(out, bad) {
+			t.Errorf("Figure 8 prints %q:\n%s", bad, out)
+		}
+	}
+	for _, want := range []string{"  pageFTL           n/a", "erasures vs parityFTL: n/a", "erasures vs rtfFTL : n/a"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q (did a cell erase a block?):\n%s", want, out)
+		}
+	}
+}
+
 // TestRunMetricsDump: -metrics writes a JSON object keyed by experiment.
 func TestRunMetricsDump(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")

@@ -21,7 +21,6 @@ import (
 	"flexftl/internal/experiments"
 	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
-	"flexftl/internal/obs"
 
 	// Register the TLC scheme so -list shows the whole registry (it is not
 	// campaignable — the campaign drives ftl.Kernel's recovery, and nflexTLC
@@ -117,7 +116,7 @@ func run(w io.Writer, o runOpts) (failed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	reg := obs.NewRegistry()
+	var outcomes []crash.Outcome
 	for _, name := range names {
 		cfg := crash.Config{
 			Scheme:   name,
@@ -128,12 +127,12 @@ func run(w io.Writer, o runOpts) (failed bool, err error) {
 			Start:    o.start,
 			Workers:  o.workers,
 			Sabotage: o.sabotage,
-			Metrics:  reg,
 		}
 		rep, err := crash.Run(cfg)
 		if err != nil {
 			return failed, err
 		}
+		outcomes = append(outcomes, rep.Outcomes...)
 		spec, _ := ftl.Lookup(name)
 		fmt.Fprintf(w, "%-18s %4d trials  %3d cuts landed (%d during GC)  recovered %d  rolled back %d  dropped %d  violations %d\n",
 			name+" ("+spec.Backup+")", rep.Trials, rep.Injected, rep.FromGC,
@@ -147,7 +146,10 @@ func run(w io.Writer, o runOpts) (failed bool, err error) {
 			fmt.Fprintf(w, "  reproduce: flexrecover %s\n", cfg.ReproArgs(f))
 		}
 	}
-	printRecoveryCost(w, reg)
+	if c := crash.RecoveryCostOf(outcomes); c.Trials > 0 {
+		fmt.Fprintf(w, "recovery cost over %d recovering trials: pages read p50<=%d max<=%d, virtual time p50<=%dus max<=%dus\n",
+			c.Trials, c.PagesP50, c.PagesMax, c.TimeP50, c.TimeMax)
+	}
 	return failed, nil
 }
 
@@ -181,16 +183,4 @@ func resolveSchemes(arg string) ([]string, error) {
 		return nil, fmt.Errorf("no schemes selected")
 	}
 	return names, nil
-}
-
-// printRecoveryCost summarizes the reboot-time overhead across every trial
-// that ran a recovery pass — the paper's Section 3.3 cost currency.
-func printRecoveryCost(w io.Writer, reg *obs.Registry) {
-	pages := reg.Histogram("crash.recovery_pages_read")
-	if pages.Count() == 0 {
-		return
-	}
-	us := reg.Histogram("crash.recovery_us")
-	fmt.Fprintf(w, "recovery cost over %d recovering trials: pages read p50<=%d max<=%d, virtual time p50<=%dus max<=%dus\n",
-		pages.Count(), pages.Quantile(0.5), pages.Max(), us.Quantile(0.5), us.Max())
 }

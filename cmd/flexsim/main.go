@@ -7,6 +7,7 @@
 //	flexsim -ftl pageFTL -workload NTRX -dump-workload t.csv # dump the workload
 //	flexsim -ftl flexFTL -replay t.csv                       # replay a dump or a flextrace file
 //	flexsim -ftl flexFTL -rel -rel-wear 6000                 # BER model + responses on a worn device
+//	flexsim -ftl flexFTL -cpuprofile cpu.pprof               # CPU profile of the run
 //
 // A -trace file in the default chrome format loads directly in
 // chrome://tracing or https://ui.perfetto.dev; see docs/OBSERVABILITY.md.
@@ -14,17 +15,12 @@ package main
 
 import (
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
-	"os/signal"
+	"runtime/pprof"
 	"strings"
-	"sync"
-	"syscall"
 	"time"
 
 	"flexftl/internal/experiments"
@@ -53,8 +49,7 @@ type options struct {
 	TraceFormat   string        // chrome|jsonl
 	Sample        time.Duration // internal-state sampling cadence (0 = off)
 	SampleOut     string        // sampled series CSV output file
-	DebugAddr     string        // pprof/expvar HTTP listen address
-	ServeAfter    bool          // keep the debug server up after the run ends
+	CPUProfile    string        // CPU profile output file
 	Metrics       string        // structured run-result JSON output file
 	Rel           bool          // mount the BER model and the kernel's reliability responses
 	RelSeed       uint64        // per-read hash seed of the BER model
@@ -91,8 +86,7 @@ func main() {
 	flag.StringVar(&o.TraceFormat, "trace-format", "chrome", "event trace format: chrome|jsonl")
 	flag.DurationVar(&o.Sample, "sample", 0, "sample internal state (u, q, queue depths) on this virtual-time cadence")
 	flag.StringVar(&o.SampleOut, "sample-out", "", "write the sampled series as CSV to this file")
-	flag.StringVar(&o.DebugAddr, "debug-addr", "", "serve net/http/pprof and expvar metrics on this address")
-	flag.BoolVar(&o.ServeAfter, "serve-after", false, "keep the -debug-addr server running after the run until interrupted")
+	flag.StringVar(&o.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file (read with go tool pprof)")
 	flag.StringVar(&o.Metrics, "metrics", "", "write the run result (flexstat-readable JSON) to this file")
 	flag.BoolVar(&o.Rel, "rel", false, "mount the per-page BER model and the kernel's scrub/refresh/retire responses")
 	flag.Uint64Var(&o.RelSeed, "rel-seed", 1, "BER model per-read hash seed (with -rel)")
@@ -151,42 +145,11 @@ func buildFTL(o options, g nand.Geometry) (ftl.FTL, error) {
 	return f, nil
 }
 
-// debugRegistry is the registry the -debug-addr expvar endpoint snapshots.
-// expvar.Publish is process-global and rejects duplicate names, so the
-// published Func reads through this variable and publishing happens once.
-var (
-	debugMu       sync.Mutex
-	debugRegistry *obs.Registry
-	debugOnce     sync.Once
-)
-
-// serveDebug exposes net/http/pprof (via its init side effect on
-// http.DefaultServeMux) plus the simulator's metric registry under
-// /debug/vars as "flexsim.metrics".
-func serveDebug(addr string, reg *obs.Registry) {
-	debugMu.Lock()
-	debugRegistry = reg
-	debugMu.Unlock()
-	debugOnce.Do(func() {
-		expvar.Publish("flexsim.metrics", expvar.Func(func() any {
-			debugMu.Lock()
-			r := debugRegistry
-			debugMu.Unlock()
-			return r.Snapshot()
-		}))
-	})
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "flexsim: debug server:", err)
-		}
-	}()
-}
-
 // newRecorder assembles the observability stack the flags ask for. It
 // returns a nil recorder (tracing fully disabled) when no flag wants one.
 // The returned cleanup writes the sample CSV and closes the trace file.
 func newRecorder(w io.Writer, o options) (*obs.Recorder, func() error, error) {
-	if o.Trace == "" && o.Sample <= 0 && o.SampleOut == "" && o.DebugAddr == "" {
+	if o.Trace == "" && o.Sample <= 0 && o.SampleOut == "" {
 		return nil, func() error { return nil }, nil
 	}
 
@@ -218,9 +181,6 @@ func newRecorder(w io.Writer, o options) (*obs.Recorder, func() error, error) {
 	}
 
 	rec := obs.NewRecorder(ro)
-	if o.DebugAddr != "" {
-		serveDebug(o.DebugAddr, rec.Registry())
-	}
 
 	cleanup := func() error {
 		err := rec.Close()
@@ -277,18 +237,7 @@ func writeMetrics(path, scheme string, res ssd.RunResult, rec *obs.Recorder, wal
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// waitForSignal blocks until SIGINT/SIGTERM; a variable so tests can stub it.
-var waitForSignal = func() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
-	signal.Stop(ch)
-}
-
-func run(w io.Writer, o options) error {
-	if o.ServeAfter && o.DebugAddr == "" {
-		return fmt.Errorf("-serve-after requires -debug-addr")
-	}
+func run(w io.Writer, o options) (runErr error) {
 	start := time.Now()
 	geometry := experiments.EvalGeometry()
 	if o.Full {
@@ -351,6 +300,22 @@ func run(w io.Writer, o options) error {
 		return err
 	}
 
+	if o.CPUProfile != "" {
+		f, err := os.Create(o.CPUProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); runErr == nil {
+				runErr = cerr
+			}
+		}()
+	}
 	if _, err := sys.Prefill(); err != nil {
 		return err
 	}
@@ -395,12 +360,5 @@ func run(w io.Writer, o options) error {
 		}
 		fmt.Fprintf(w, "metrics  : wrote run result to %s\n", o.Metrics)
 	}
-	if err := finishObs(); err != nil {
-		return err
-	}
-	if o.ServeAfter {
-		fmt.Fprintf(w, "debug    : serving pprof/expvar on %s until interrupted\n", o.DebugAddr)
-		waitForSignal()
-	}
-	return nil
+	return finishObs()
 }

@@ -319,35 +319,28 @@ func TestRunMetricsDumpNoTracing(t *testing.T) {
 	}
 }
 
-// TestServeAfterRequiresDebugAddr: -serve-after alone is a usage error.
-func TestServeAfterRequiresDebugAddr(t *testing.T) {
-	var sb strings.Builder
-	o := options{FTL: "pageFTL", Workload: "OLTP", Requests: 100, Seed: 1, GCPolicy: "greedy", ServeAfter: true}
-	if err := run(&sb, o); err == nil {
-		t.Error("-serve-after without -debug-addr accepted")
-	}
-}
-
-// TestServeAfterBlocksUntilSignal: with -serve-after the run finishes, then
-// waits on the (stubbed) signal hook before returning.
-func TestServeAfterBlocksUntilSignal(t *testing.T) {
-	waited := false
-	prev := waitForSignal
-	waitForSignal = func() { waited = true }
-	defer func() { waitForSignal = prev }()
-	var sb strings.Builder
-	o := options{
-		FTL: "pageFTL", Workload: "OLTP", Requests: 100, Seed: 1, GCPolicy: "greedy",
-		DebugAddr: "127.0.0.1:0", ServeAfter: true,
-	}
-	if err := run(&sb, o); err != nil {
+// TestRunCPUProfile: -cpuprofile writes a gzip-compressed pprof file and
+// leaves the report byte-identical to the same run without it.
+func TestRunCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	o := options{FTL: "flexFTL", Workload: "Varmail", Requests: 2000, Seed: 9, GCPolicy: "greedy"}
+	var plain, profiled strings.Builder
+	if err := run(&plain, o); err != nil {
 		t.Fatal(err)
 	}
-	if !waited {
-		t.Error("run returned without waiting for the signal hook")
+	o.CPUProfile = path
+	if err := run(&profiled, o); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "until interrupted") {
-		t.Errorf("run output missing serve-after notice:\n%s", sb.String())
+	if plain.String() != profiled.String() {
+		t.Errorf("-cpuprofile changed the report:\n%s\n---\n%s", plain.String(), profiled.String())
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) < 2 || raw[0] != 0x1f || raw[1] != 0x8b {
+		t.Errorf("profile is not gzip (%d bytes)", len(raw))
 	}
 }
 

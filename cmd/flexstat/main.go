@@ -122,7 +122,8 @@ func loadDump(path string) (dump, error) {
 
 // collect walks the decoded JSON tree. An object carrying the RunResult key
 // set is re-marshaled into the typed struct; an object with the registry
-// snapshot key set becomes the blame/instrument section of the report.
+// snapshot's Counters and Gauges keys becomes the blame section of the report
+// (the Histograms key of older dumps is ignored).
 func collect(v any, path string, d *dump) {
 	switch n := v.(type) {
 	case map[string]any:
@@ -133,7 +134,7 @@ func collect(v any, path string, d *dump) {
 				return
 			}
 		}
-		if d.reg == nil && hasKeys(n, "Counters", "Gauges", "Histograms") {
+		if d.reg == nil && hasKeys(n, "Counters", "Gauges") {
 			var snap obs.RegistrySnapshot
 			if remarshal(n, &snap) == nil {
 				d.reg = &snap
@@ -268,18 +269,6 @@ func report(w io.Writer, file string, assertRel bool) (int, error) {
 		sort.Strings(names)
 		for _, n := range names {
 			fmt.Fprintf(w, "  %-28s %12d\n", n, reg.Counters[n])
-		}
-		hnames := make([]string, 0, len(reg.Histograms))
-		for n := range reg.Histograms {
-			hnames = append(hnames, n)
-		}
-		sort.Strings(hnames)
-		if len(hnames) > 0 {
-			fmt.Fprintf(w, "\nhistograms (count / p50 / p99 / max, µs):\n")
-			for _, n := range hnames {
-				h := reg.Histograms[n]
-				fmt.Fprintf(w, "  %-28s %10d %9d %9d %9d\n", n, h.Count, h.P50, h.P99, h.Max)
-			}
 		}
 	}
 	if relFailures > 0 {

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -37,6 +39,40 @@ func TestReportGolden(t *testing.T) {
 		t.Fatalf("report exit=%d stderr=%s", code, errw.String())
 	}
 	checkGolden(t, "report_a.golden", out.Bytes())
+}
+
+// TestReportRegistryWithoutHistograms: a dump whose registry snapshot has
+// only its counters and gauges (the shape flexsim writes) still gets the
+// blame section; an older dump's extra histogram key is ignored.
+func TestReportRegistryWithoutHistograms(t *testing.T) {
+	raw, err := os.ReadFile("testdata/run_a.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	delete(doc["registry"].(map[string]any), "Histograms")
+	path := filepath.Join(t.TempDir(), "run.json")
+	if b, err := json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	} else if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errw bytes.Buffer
+	if code := realMain([]string{"report", path}, &out, &errw); code != 0 {
+		t.Fatalf("report exit=%d stderr=%s", code, errw.String())
+	}
+	want, err := os.ReadFile("testdata/report_a.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, _ := strings.Cut(out.String(), "\n")
+	_, rest, _ := strings.Cut(string(want), "\n")
+	if got != rest {
+		t.Errorf("report without Histograms differs from the golden below its title:\n%s\n--- want ---\n%s", got, rest)
+	}
 }
 
 // TestCompareIdentical is the CI smoke contract: a dump compared with itself

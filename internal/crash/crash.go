@@ -22,10 +22,10 @@ package crash
 
 import (
 	"fmt"
+	"slices"
 
 	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
-	"flexftl/internal/obs"
 	"flexftl/internal/par"
 	"flexftl/internal/sim"
 )
@@ -86,9 +86,6 @@ type Config struct {
 	Workers int
 	// Sabotage injects a deliberate fault (see Sabotage).
 	Sabotage Sabotage
-	// Metrics, when non-nil, receives campaign counters and histograms
-	// (crash.trials, crash.crash_op, crash.recovery_pages_read, ...).
-	Metrics *obs.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -219,31 +216,38 @@ func Run(cfg Config) (Report, error) {
 		rep.RolledBack += o.RolledBack
 		rep.Dropped += o.Dropped
 	}
-	recordMetrics(cfg.Metrics, rep)
 	return rep, nil
 }
 
-// recordMetrics folds a finished campaign into the observability registry.
-// It runs after the pool joins, so recording order is deterministic.
-func recordMetrics(reg *obs.Registry, rep Report) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("crash.trials").Add(int64(rep.Trials))
-	reg.Counter("crash.injected").Add(int64(rep.Injected))
-	reg.Counter("crash.from_gc").Add(int64(rep.FromGC))
-	reg.Counter("crash.violations").Add(int64(rep.Failed))
-	reg.Counter("crash.recovered").Add(int64(rep.Recovered))
-	reg.Counter("crash.rolled_back").Add(int64(rep.RolledBack))
-	reg.Counter("crash.dropped").Add(int64(rep.Dropped))
-	ops := reg.Histogram("crash.crash_op")
-	pages := reg.Histogram("crash.recovery_pages_read")
-	dur := reg.Histogram("crash.recovery_us")
-	for _, o := range rep.Outcomes {
-		ops.Record(int64(o.CrashOp))
+// RecoveryCost summarizes the reboot-time overhead of the trials that ran a
+// recovery pass (Injected, or PagesRead > 0), the paper's Section 3.3 cost
+// currency. The medians are exact nearest-rank order statistics, the maxima
+// exact maxima.
+type RecoveryCost struct {
+	Trials             int
+	PagesP50, PagesMax int
+	TimeP50, TimeMax   sim.Time
+}
+
+// RecoveryCostOf scans the outcomes of one or more campaigns.
+func RecoveryCostOf(outcomes []Outcome) RecoveryCost {
+	var pages []int
+	var times []sim.Time
+	for _, o := range outcomes {
 		if o.Injected || o.PagesRead > 0 {
-			pages.Record(int64(o.PagesRead))
-			dur.Record(int64(o.RecoveryTime)) // sim.Time is microseconds
+			pages = append(pages, o.PagesRead)
+			times = append(times, o.RecoveryTime)
 		}
+	}
+	if len(pages) == 0 {
+		return RecoveryCost{}
+	}
+	slices.Sort(pages)
+	slices.Sort(times)
+	mid := (len(pages)+1)/2 - 1 // sorted[ceil(n/2)-1]
+	return RecoveryCost{
+		Trials:   len(pages),
+		PagesP50: pages[mid], PagesMax: pages[len(pages)-1],
+		TimeP50: times[mid], TimeMax: times[len(times)-1],
 	}
 }

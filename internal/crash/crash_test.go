@@ -1,12 +1,14 @@
 package crash
 
 import (
+	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"flexftl/internal/ftl"
-	"flexftl/internal/obs"
+	"flexftl/internal/sim"
 )
 
 // paritySchemes are the registry schemes whose backup must preserve every
@@ -152,17 +154,38 @@ func TestSabotageIsCaught(t *testing.T) {
 	}
 }
 
+// TestMetricsRecorded: the recovery-cost summary flexrecover prints agrees
+// with a hand scan of the campaign's outcomes.
 func TestMetricsRecorded(t *testing.T) {
-	reg := obs.NewRegistry()
-	rep, err := Run(Config{Scheme: "parityFTL", Trials: 5, Seed: 5, Metrics: reg})
+	rep, err := Run(Config{Scheme: "flexFTL", Trials: 12, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("crash.trials").Value(); got != int64(rep.Trials) {
-		t.Fatalf("crash.trials = %d, want %d", got, rep.Trials)
+	var want RecoveryCost
+	var pages []int
+	var times []sim.Time
+	for _, o := range rep.Outcomes {
+		if !o.Injected && o.PagesRead == 0 {
+			continue
+		}
+		want.Trials++
+		want.PagesMax = max(want.PagesMax, o.PagesRead)
+		want.TimeMax = max(want.TimeMax, o.RecoveryTime)
+		pages = append(pages, o.PagesRead)
+		times = append(times, o.RecoveryTime)
 	}
-	if got := reg.Histogram("crash.crash_op").Count(); got != int64(rep.Trials) {
-		t.Fatalf("crash.crash_op count = %d, want %d", got, rep.Trials)
+	if want.Trials == 0 {
+		t.Fatal("no trial ran a recovery pass; the summary is untested")
+	}
+	sort.Ints(pages)
+	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	rank := int(math.Ceil(0.5*float64(want.Trials))) - 1
+	want.PagesP50, want.TimeP50 = pages[rank], times[rank]
+	if got := RecoveryCostOf(rep.Outcomes); got != want {
+		t.Errorf("RecoveryCostOf = %+v, hand scan %+v", got, want)
+	}
+	if got := RecoveryCostOf(nil); got != (RecoveryCost{}) {
+		t.Errorf("RecoveryCostOf(nil) = %+v, want zero", got)
 	}
 }
 

@@ -211,10 +211,10 @@ func TestRunFig8Tiny(t *testing.T) {
 		}
 	}
 	// (2) flexFTL erases fewer blocks than parityFTL and rtfFTL on average.
-	flexE := res.Average("flexFTL", normErases)
+	flexE := res.Average("flexFTL", res.normErases)
 	for _, ref := range []string{"parityFTL", "rtfFTL"} {
-		if flexE >= res.Average(ref, normErases) {
-			t.Errorf("flexFTL avg erases %.3f >= %s %.3f", flexE, ref, res.Average(ref, normErases))
+		if flexE >= res.Average(ref, res.normErases) {
+			t.Errorf("flexFTL avg erases %.3f >= %s %.3f", flexE, ref, res.Average(ref, res.normErases))
 		}
 	}
 	// (3) Varmail peak bandwidth: flexFTL highest.

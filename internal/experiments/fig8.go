@@ -12,7 +12,8 @@ type Fig8Cell struct {
 	Workload string
 	Result   ssd.RunResult
 	// NormIOPS and NormErases are relative to pageFTL on the same
-	// workload, the presentation of Figures 8(a) and 8(b).
+	// workload, the presentation of Figures 8(a) and 8(b); 0 where pageFTL's
+	// own value is 0 and the ratio is undefined.
 	NormIOPS   float64
 	NormErases float64
 }
@@ -39,9 +40,16 @@ func (r Fig8Result) Average(scheme string, value func(*Fig8Cell) float64) float6
 	return sum / float64(len(r.Workloads))
 }
 
-// normIOPS and normErases select a cell's Figure 8(a) and 8(b) values.
-func normIOPS(c *Fig8Cell) float64   { return c.NormIOPS }
-func normErases(c *Fig8Cell) float64 { return c.NormErases }
+// normIOPS and normErases select a cell's Figure 8(a) and 8(b) values, as
+// NormIOPS and NormErases but NaN or Inf where the baseline's value is 0, so
+// that an undefined ratio prints as n/a rather than as 0.
+func (r Fig8Result) normIOPS(c *Fig8Cell) float64 {
+	return c.Result.Metrics.IOPS / r.Cells[Baseline][c.Workload].Result.Metrics.IOPS
+}
+
+func (r Fig8Result) normErases(c *Fig8Cell) float64 {
+	return float64(c.Result.Stats.Erases) / float64(r.Cells[Baseline][c.Workload].Result.Stats.Erases)
+}
 
 // VarmailCDF returns the Figure 8(c) write-bandwidth distribution of a
 // scheme under Varmail.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"flexftl/internal/ascii"
@@ -121,13 +122,13 @@ func fmtBERBox(f stats.FiveNum) string {
 // RenderFig8a prints normalized IOPS per workload (Figure 8(a)).
 func RenderFig8a(w io.Writer, res Fig8Result) {
 	fmt.Fprintln(w, "Figure 8(a) — normalized IOPS (pageFTL = 1.00)")
-	renderMatrix(w, res, normIOPS)
+	renderMatrix(w, res, res.normIOPS)
 }
 
 // RenderFig8b prints normalized block erasure counts (Figure 8(b)).
 func RenderFig8b(w io.Writer, res Fig8Result) {
 	fmt.Fprintln(w, "Figure 8(b) — normalized block erasure count (pageFTL = 1.00)")
-	renderMatrix(w, res, normErases)
+	renderMatrix(w, res, res.normErases)
 }
 
 func renderMatrix(w io.Writer, res Fig8Result, cell func(*Fig8Cell) float64) {
@@ -139,9 +140,9 @@ func renderMatrix(w io.Writer, res Fig8Result, cell func(*Fig8Cell) float64) {
 	for _, s := range res.Schemes {
 		fmt.Fprintf(w, "  %-10s", s)
 		for _, wl := range res.Workloads {
-			fmt.Fprintf(w, " %10.2f", cell(res.Cells[s][wl]))
+			fmt.Fprintf(w, " %10s", ratio(cell(res.Cells[s][wl])))
 		}
-		fmt.Fprintf(w, " %10.2f\n", res.Average(s, cell))
+		fmt.Fprintf(w, " %10s\n", ratio(res.Average(s, cell)))
 	}
 }
 
@@ -177,32 +178,46 @@ func RenderFig8c(w io.Writer, res Fig8Result) {
 	}
 }
 
-// RenderFig8Summary prints the headline comparisons of Section 4.2.
+// undefined reports a ratio to a zero baseline, or a value derived from one.
+func undefined(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+
+// ratio formats a normalized value, or n/a when it is undefined.
+func ratio(v float64) string {
+	if undefined(v) {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.2f", v)
+}
+
+// RenderFig8Summary prints the headline comparisons of Section 4.2. A
+// comparison with an undefined ratio on any workload (a zero baseline)
+// prints n/a.
 func RenderFig8Summary(w io.Writer, res Fig8Result) {
 	fmt.Fprintln(w, "Section 4.2 headline numbers (flexFTL vs each comparison FTL):")
-	for _, ref := range []string{"pageFTL", "parityFTL", "rtfFTL"} {
-		maxGain, avgGain := 0.0, 0.0
+	// headline prints the largest (at least 0) and the mean of f over the
+	// workloads, in percent.
+	headline := func(label, format string, f func(wl string) float64) {
+		best, avg := 0.0, 0.0
 		for _, wl := range res.Workloads {
-			g := res.Cells["flexFTL"][wl].NormIOPS/res.Cells[ref][wl].NormIOPS - 1
-			avgGain += g
-			if g > maxGain {
-				maxGain = g
-			}
+			v := f(wl)
+			best, avg = max(best, v), avg+v
 		}
-		avgGain /= float64(len(res.Workloads))
-		fmt.Fprintf(w, "  IOPS vs %-10s: up to %+.0f%%, average %+.0f%%\n", ref, 100*maxGain, 100*avgGain)
+		avg /= float64(len(res.Workloads))
+		if undefined(avg) {
+			fmt.Fprintf(w, "  %s: n/a\n", label)
+			return
+		}
+		fmt.Fprintf(w, "  %s: "+format+"\n", label, 100*best, 100*avg)
+	}
+	for _, ref := range []string{"pageFTL", "parityFTL", "rtfFTL"} {
+		headline(fmt.Sprintf("IOPS vs %-10s", ref), "up to %+.0f%%, average %+.0f%%", func(wl string) float64 {
+			return res.normIOPS(res.Cells["flexFTL"][wl])/res.normIOPS(res.Cells[ref][wl]) - 1
+		})
 	}
 	for _, ref := range []string{"parityFTL", "rtfFTL"} {
-		maxRed, avgRed := 0.0, 0.0
-		for _, wl := range res.Workloads {
-			r := 1 - res.Cells["flexFTL"][wl].NormErases/res.Cells[ref][wl].NormErases
-			avgRed += r
-			if r > maxRed {
-				maxRed = r
-			}
-		}
-		avgRed /= float64(len(res.Workloads))
-		fmt.Fprintf(w, "  erasures vs %-7s: up to -%.0f%%, average -%.0f%%\n", ref, 100*maxRed, 100*avgRed)
+		headline(fmt.Sprintf("erasures vs %-7s", ref), "up to -%.0f%%, average -%.0f%%", func(wl string) float64 {
+			return 1 - res.normErases(res.Cells["flexFTL"][wl])/res.normErases(res.Cells[ref][wl])
+		})
 	}
 }
 

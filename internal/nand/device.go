@@ -153,12 +153,8 @@ type Device struct {
 	relCounts []rel.Counts
 
 	// Observability (nil when tracing is disabled).
-	rec         *obs.Recorder
-	histProgLSB *obs.Histogram
-	histProgMSB *obs.Histogram
-	histRead    *obs.Histogram
-	histErase   *obs.Histogram
-	causeCtr    [obs.CauseCount]*obs.Counter
+	rec      *obs.Recorder
+	causeCtr [obs.CauseCount]*obs.Counter
 
 	// relTables memoises the reliability model per chip (see relTable); nil
 	// when the model is off. Last, so that every field a model-less device
@@ -229,15 +225,11 @@ func NewDevice(cfg Config) (*Device, error) {
 
 // SetRecorder attaches an observability recorder: per-operation span events
 // (program, read, erase on chip tracks; transfers on channel tracks) and
-// service-time histograms. A nil recorder disables emission again. The
+// the per-cause busy counters. A nil recorder disables emission again. The
 // recorder only observes — timing and results are unchanged.
 func (d *Device) SetRecorder(r *obs.Recorder) {
 	d.rec = r
 	reg := r.Registry()
-	d.histProgLSB = reg.Histogram("nand.program_lsb_us")
-	d.histProgMSB = reg.Histogram("nand.program_msb_us")
-	d.histRead = reg.Histogram("nand.read_us")
-	d.histErase = reg.Histogram("nand.erase_us")
 	for c := obs.Cause(0); c < obs.CauseCount; c++ {
 		d.causeCtr[c] = reg.Counter(obs.BusyCounterName("nand", c))
 	}
@@ -426,15 +418,14 @@ func (d *Device) ProgramPPN(ppn PPN, data, spare []byte, now sim.Time) (sim.Time
 		// KindProgramMSB covers every refinement: its word-line argument
 		// carries the level in bits 32 and up when it is finer than MSB, so
 		// MLC traces are unchanged.
-		kind, hist, arg := obs.KindProgramLSB, d.histProgLSB, int64(page.WL)
+		kind, arg := obs.KindProgramLSB, int64(page.WL)
 		if page.Type != core.LSB {
-			kind, hist = obs.KindProgramMSB, d.histProgMSB
+			kind = obs.KindProgramMSB
 			if page.Type > core.MSB {
 				arg |= int64(page.Type) << 32
 			}
 		}
 		d.rec.Span(kind, int32(chipID), xferDone, done, int64(blkID), arg)
-		hist.Record(int64(done - start))
 	}
 
 	blk.state.MarkChecked(page) // d.rules.Check above accepted it
@@ -649,7 +640,6 @@ func (d *Device) ReadPPN(ppn PPN, buf *PageBuf, now sim.Time) (done sim.Time, er
 	if d.rec != nil {
 		d.rec.Span(obs.KindRead, int32(chipID), start, senseDone, int64(blkID), int64(core.PageFromIndex(idx, d.lay.wordLines).WL))
 		d.rec.Span(obs.KindXfer, int32(ch), xferStart, done, int64(chipID), int64(blkID))
-		d.histRead.Record(int64(done - start))
 	}
 
 	switch {
@@ -715,7 +705,6 @@ func (d *Device) Erase(a BlockAddr, now sim.Time) (sim.Time, error) {
 	d.counts[a.Chip].Erases++
 	if d.rec != nil {
 		d.rec.Span(obs.KindErase, int32(a.Chip), start, done, int64(a.Block), int64(blk.eraseCount))
-		d.histErase.Record(int64(done - start))
 	}
 	return done, nil
 }

@@ -763,8 +763,8 @@ func testCauseAttribution(t *testing.T, d *Device) {
 			t.Errorf("counter %s = %d, array %d", obs.BusyCounterName("nand", c), got, busy[c])
 		}
 	}
-	if h := snap.Histograms["nand.program_lsb_us"]; h.Count != 2 {
-		t.Errorf("nand.program_lsb_us count = %d, want 2", h.Count)
+	if got := d.Counts().ProgramsLSB; got != 2 {
+		t.Errorf("Counts().ProgramsLSB = %d, want 2", got)
 	}
 }
 
@@ -786,7 +786,7 @@ func TestCauseBusyWithoutRecorder(t *testing.T) {
 }
 
 // TestReadIntoZeroAllocsWithRecorder guards the enabled steady state: reads
-// with the ring recorder, latency histograms and cause counters all live
+// with the ring recorder and the cause counters live
 // must stay allocation-free.
 func TestReadIntoZeroAllocsWithRecorder(t *testing.T) {
 	d := testDevice(t, core.RPS)

@@ -262,8 +262,8 @@ func TestCauseAttribution(t *testing.T) {
 	if got := snap.Counters[obs.BusyCounterName("nand", obs.CauseGC)]; got != int64(busy[obs.CauseGC]) {
 		t.Errorf("nand gc busy counter = %d, array %d", got, busy[obs.CauseGC])
 	}
-	if h := snap.Histograms["nand.program_lsb_us"]; h.Count != 2 {
-		t.Errorf("nand.program_lsb_us count = %d, want 2", h.Count)
+	if got := d.Counts().ProgramsLSB; got != 2 {
+		t.Errorf("Counts().ProgramsLSB = %d, want 2", got)
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package obs is the observability layer of the simulation stack: a typed,
 // allocation-conscious event tracer with pluggable sinks (JSONL and Chrome
 // trace_event, so a run opens directly in chrome://tracing or Perfetto), a
-// registry of named counters, gauges and HDR-style histograms, and a
-// virtual-time series sampler for internal state trajectories (write-buffer
-// utilization u, LSB quota q, slow-block-queue depth, free-block counts).
+// registry of named counters and gauges (busy and blame time per cause,
+// buffer utilization), and a virtual-time series sampler for internal state
+// trajectories (write-buffer utilization u, LSB quota q, slow-block-queue
+// depth, free-block counts). Latency percentiles are not kept here: the
+// exact per-request collector of internal/metrics is their one store.
 //
 // Everything is nil-safe: a nil *Recorder (tracing disabled) turns every
 // emission into a no-op with zero allocations, so instrumentation can stay

@@ -14,9 +14,9 @@ import (
 // is flushed when full (and on Close); without a sink the ring wraps,
 // retaining the most recent events for in-memory inspection via Events().
 //
-// The Recorder, like the simulator, is single-threaded over virtual time.
-// The registry it carries is safe for concurrent readers (the -debug-addr
-// HTTP server), but Emit/Sample/Close must stay on the simulation thread.
+// The Recorder, like the simulator, is single-threaded over virtual time:
+// Emit/Sample/Close must stay on the simulation thread. Only the registry's
+// instruments are safe to update from several goroutines.
 type Recorder struct {
 	sink    Sink
 	reg     *Registry
@@ -35,8 +35,7 @@ type Options struct {
 	Sink Sink
 	// BufferEvents is the staging ring capacity (default 4096).
 	BufferEvents int
-	// Registry receives counters/gauges/histograms; nil allocates a fresh
-	// one.
+	// Registry receives counters and gauges; nil allocates a fresh one.
 	Registry *Registry
 	// Sampler, when set, is ticked by Recorder.Sample.
 	Sampler *Sampler

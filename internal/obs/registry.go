@@ -2,15 +2,14 @@ package obs
 
 import (
 	"math"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing int64. Writes come from the
-// simulation thread; reads may come concurrently from the -debug-addr HTTP
-// server, hence the atomic.
+// Counter is a monotonically increasing int64. It is atomic because the
+// epoch-sharded run engine (ssd.RunSharded) adds to one counter from several
+// goroutines.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter (nil-safe).
@@ -49,179 +48,21 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.v.Load())
 }
 
-// Histogram is an HDR-style log-linear histogram of non-negative int64
-// values (virtual-time latencies in µs, sizes, depths). Values below 2^histSubBits
-// are recorded exactly; above that, buckets are split into 2^(histSubBits-1)
-// linear sub-buckets per power of two, bounding the relative quantile error
-// at ~1/2^(histSubBits-1). Recording is allocation-free.
-type Histogram struct {
-	buckets [histBucketCount]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-	max     atomic.Int64
-	min     atomic.Int64 // valid when count > 0
-}
-
-const (
-	histSubBits     = 5                // exact below 32
-	histSubCount    = 1 << histSubBits // 32
-	histHalfSub     = histSubCount / 2 // 16 linear sub-buckets per octave
-	histOctaves     = 64 - histSubBits // shifts 1..59 reachable by int64
-	histBucketCount = histSubCount + histOctaves*histHalfSub
-)
-
-// histIndex maps a value to its bucket.
-func histIndex(v int64) int {
-	u := uint64(v)
-	if u < histSubCount {
-		return int(u)
-	}
-	shift := bits.Len64(u) - histSubBits
-	sub := int(u>>uint(shift)) - histHalfSub // in [0, histHalfSub)
-	return histSubCount + (shift-1)*histHalfSub + sub
-}
-
-// histUpper returns the highest value mapping to bucket i (the value a
-// quantile query reports, per HDR convention).
-func histUpper(i int) int64 {
-	if i < histSubCount {
-		return int64(i)
-	}
-	shift := (i-histSubCount)/histHalfSub + 1
-	sub := int64((i-histSubCount)%histHalfSub + histHalfSub)
-	return (sub+1)<<uint(shift) - 1
-}
-
-// Record adds one observation (nil-safe; negative values clamp to 0).
-func (h *Histogram) Record(v int64) {
-	if h == nil {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	h.buckets[histIndex(v)].Add(1)
-	h.sum.Add(v)
-	if h.count.Add(1) == 1 {
-		h.min.Store(v)
-		h.max.Store(v)
-		return
-	}
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Mean returns the arithmetic mean of the observations.
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count.Load() == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(h.count.Load())
-}
-
-// Max returns the largest observation.
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max.Load()
-}
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h == nil || h.count.Load() == 0 {
-		return 0
-	}
-	return h.min.Load()
-}
-
-// Quantile returns an upper bound on the q-quantile (q in [0,1]) with the
-// histogram's bucket resolution.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := 0; i < histBucketCount; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			return histUpper(i)
-		}
-	}
-	return h.max.Load()
-}
-
-// HistogramSnapshot is a point-in-time summary, JSON-marshalable for the
-// metric dumps and expvar.
-type HistogramSnapshot struct {
-	Count              int64
-	Min, Max           int64
-	Mean               float64
-	P50, P90, P95, P99 int64
-	P999               int64
-}
-
-// Snapshot summarizes the histogram.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	return HistogramSnapshot{
-		Count: h.Count(),
-		Min:   h.Min(),
-		Max:   h.Max(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
-	}
-}
-
-// Registry is a get-or-create namespace of counters, gauges and histograms.
+// Registry is a get-or-create namespace of counters and gauges.
 // Creation is guarded by a mutex (cold path); the instruments themselves
 // are lock-free. Instrumented components fetch their handles once at
 // instrument time and hold them, so hot paths never touch the maps.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
 	}
 }
 
@@ -257,36 +98,18 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use. A nil
-// registry returns a nil (no-op) histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
-}
-
 // RegistrySnapshot is a JSON-marshalable point-in-time view of a registry.
 type RegistrySnapshot struct {
-	Counters   map[string]int64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramSnapshot
+	Counters map[string]int64
+	Gauges   map[string]float64
 }
 
 // Snapshot captures every instrument. Safe to call concurrently with
 // recording (values may be mid-update but never torn).
 func (r *Registry) Snapshot() RegistrySnapshot {
 	snap := RegistrySnapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistogramSnapshot),
+		Counters: make(map[string]int64),
+		Gauges:   make(map[string]float64),
 	}
 	if r == nil {
 		return snap
@@ -299,16 +122,13 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	for n, g := range r.gauges {
 		snap.Gauges[n] = g.Value()
 	}
-	for n, h := range r.histograms {
-		snap.Histograms[n] = h.Snapshot()
-	}
 	return snap
 }
 
 // Names returns the sorted instrument names of each class (tests, render).
-func (r *Registry) Names() (counters, gauges, histograms []string) {
+func (r *Registry) Names() (counters, gauges []string) {
 	if r == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -318,11 +138,7 @@ func (r *Registry) Names() (counters, gauges, histograms []string) {
 	for n := range r.gauges {
 		gauges = append(gauges, n)
 	}
-	for n := range r.histograms {
-		histograms = append(histograms, n)
-	}
 	sort.Strings(counters)
 	sort.Strings(gauges)
-	sort.Strings(histograms)
-	return counters, gauges, histograms
+	return counters, gauges
 }

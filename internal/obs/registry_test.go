@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"math"
-	"math/rand"
-	"sort"
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestCounterAndGauge(t *testing.T) {
 	r := NewRegistry()
@@ -33,192 +27,23 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
 	g := r.Gauge("x")
-	h := r.Histogram("x")
-	if c != nil || g != nil || h != nil {
+	if c != nil || g != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
 	// All no-ops, no panics.
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
-	h.Record(42)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Mean() != 0 ||
-		h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Error("nil instruments must read as zero")
 	}
 	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
+	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 {
 		t.Error("nil registry snapshot not empty")
 	}
-	cs, gs, hs := r.Names()
-	if cs != nil || gs != nil || hs != nil {
+	cs, gs := r.Names()
+	if cs != nil || gs != nil {
 		t.Error("nil registry names not empty")
-	}
-}
-
-func TestHistIndexRoundTrip(t *testing.T) {
-	// Every value must land in a bucket whose range contains it, and bucket
-	// indices must be non-decreasing in the value.
-	values := []int64{0, 1, 31, 32, 33, 63, 64, 100, 1023, 1024, 1 << 20, 1<<40 + 12345, math.MaxInt64}
-	prev := -1
-	for _, v := range values {
-		i := histIndex(v)
-		if i < 0 || i >= histBucketCount {
-			t.Fatalf("histIndex(%d) = %d out of range", v, i)
-		}
-		if i < prev {
-			t.Errorf("histIndex not monotone at %d: %d < %d", v, i, prev)
-		}
-		prev = i
-		if up := histUpper(i); up < v {
-			t.Errorf("histUpper(%d) = %d below value %d", i, up, v)
-		}
-	}
-	// Small values are exact.
-	for v := int64(0); v < histSubCount; v++ {
-		if got := histUpper(histIndex(v)); got != v {
-			t.Errorf("small value %d not exact: upper %d", v, got)
-		}
-	}
-}
-
-func TestHistogramStatsAndQuantiles(t *testing.T) {
-	h := &Histogram{}
-	for v := int64(1); v <= 1000; v++ {
-		h.Record(v)
-	}
-	if h.Count() != 1000 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if h.Min() != 1 || h.Max() != 1000 {
-		t.Errorf("min/max = %d/%d", h.Min(), h.Max())
-	}
-	if mean := h.Mean(); math.Abs(mean-500.5) > 1e-9 {
-		t.Errorf("mean = %v", mean)
-	}
-	// Quantiles report a bucket upper bound: at most ~1/16 relative error.
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		exact := q * 1000
-		got := float64(h.Quantile(q))
-		if got < exact || got > exact*(1+1.0/float64(histHalfSub))+1 {
-			t.Errorf("q%.2f = %v, exact %v", q, got, exact)
-		}
-	}
-	if h.Quantile(0) < 1 {
-		t.Error("q0 must still cover at least one observation")
-	}
-	if h.Quantile(1) < 1000 {
-		t.Errorf("q1 = %d must bound the max", h.Quantile(1))
-	}
-}
-
-// TestHistogramQuantilePropertyRandom is the accuracy contract of the
-// fixed-bucket design: for any recorded sequence and any q, the reported
-// quantile lands in the same bucket as the exact order statistic (and is
-// that bucket's upper bound, so it never under-reports).
-func TestHistogramQuantilePropertyRandom(t *testing.T) {
-	distributions := []struct {
-		name string
-		gen  func(r *rand.Rand) int64
-	}{
-		{"uniform", func(r *rand.Rand) int64 { return r.Int63n(1_000_000) }},
-		{"exponential", func(r *rand.Rand) int64 { return int64(r.ExpFloat64() * 5000) }},
-		{"heavy_tail", func(r *rand.Rand) int64 { return int64(math.Pow(10, r.Float64()*9)) }},
-		{"tiny", func(r *rand.Rand) int64 { return r.Int63n(8) }},
-		{"constant", func(r *rand.Rand) int64 { return 4242 }},
-	}
-	quantiles := []float64{0.001, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
-	for _, dist := range distributions {
-		for seed := int64(1); seed <= 5; seed++ {
-			r := rand.New(rand.NewSource(seed))
-			n := 1 + r.Intn(5000)
-			h := &Histogram{}
-			samples := make([]int64, n)
-			for i := range samples {
-				v := dist.gen(r)
-				samples[i] = v
-				h.Record(v)
-			}
-			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-			for _, q := range quantiles {
-				k := int(math.Ceil(q * float64(n)))
-				if k < 1 {
-					k = 1
-				}
-				exact := samples[k-1]
-				got := h.Quantile(q)
-				if got < exact {
-					t.Fatalf("%s seed=%d n=%d q=%v: quantile %d under-reports exact %d",
-						dist.name, seed, n, q, got, exact)
-				}
-				if histIndex(got) != histIndex(exact) {
-					t.Fatalf("%s seed=%d n=%d q=%v: quantile %d (bucket %d) not in exact's bucket %d (exact %d)",
-						dist.name, seed, n, q, got, histIndex(got), histIndex(exact), exact)
-				}
-			}
-		}
-	}
-}
-
-// TestHistogramConcurrentSnapshot exercises recording racing Snapshot; run
-// under -race (CI does) it proves the lock-free instruments are data-race
-// free and snapshots are never torn below what was recorded before start.
-func TestHistogramConcurrentSnapshot(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat")
-	c := r.Counter("n")
-	const writers = 4
-	const perWriter = 10000
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(writers)
-	for w := 0; w < writers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w + 1)))
-			for i := 0; i < perWriter; i++ {
-				h.Record(rng.Int63n(1 << 20))
-				c.Inc()
-			}
-		}(w)
-	}
-	var snapWG sync.WaitGroup
-	snapWG.Add(1)
-	go func() {
-		defer snapWG.Done()
-		last := int64(0)
-		for {
-			snap := r.Snapshot()
-			hs := snap.Histograms["lat"]
-			if hs.Count < last {
-				t.Error("histogram count went backwards")
-				return
-			}
-			last = hs.Count
-			select {
-			case <-stop:
-				return
-			default:
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	snapWG.Wait()
-	final := r.Snapshot()
-	if got := final.Histograms["lat"].Count; got != writers*perWriter {
-		t.Errorf("final count = %d, want %d", got, writers*perWriter)
-	}
-	if got := final.Counters["n"]; got != writers*perWriter {
-		t.Errorf("final counter = %d, want %d", got, writers*perWriter)
-	}
-}
-
-func TestHistogramNegativeClampsToZero(t *testing.T) {
-	h := &Histogram{}
-	h.Record(-5)
-	if h.Count() != 1 || h.Min() != 0 || h.Max() != 0 {
-		t.Errorf("negative record not clamped: %+v", h.Snapshot())
 	}
 }
 
@@ -227,7 +52,6 @@ func TestRegistrySnapshotAndNames(t *testing.T) {
 	r.Counter("b.count").Add(3)
 	r.Counter("a.count").Add(1)
 	r.Gauge("u").Set(0.5)
-	r.Histogram("lat").Record(7)
 	snap := r.Snapshot()
 	if snap.Counters["a.count"] != 1 || snap.Counters["b.count"] != 3 {
 		t.Errorf("counters: %v", snap.Counters)
@@ -235,15 +59,11 @@ func TestRegistrySnapshotAndNames(t *testing.T) {
 	if snap.Gauges["u"] != 0.5 {
 		t.Errorf("gauges: %v", snap.Gauges)
 	}
-	hs := snap.Histograms["lat"]
-	if hs.Count != 1 || hs.P50 != 7 {
-		t.Errorf("histogram snapshot: %+v", hs)
-	}
-	cs, gs, hsNames := r.Names()
+	cs, gs := r.Names()
 	if len(cs) != 2 || cs[0] != "a.count" || cs[1] != "b.count" {
 		t.Errorf("counter names not sorted: %v", cs)
 	}
-	if len(gs) != 1 || len(hsNames) != 1 {
-		t.Errorf("names: %v %v", gs, hsNames)
+	if len(gs) != 1 || gs[0] != "u" {
+		t.Errorf("gauge names: %v", gs)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"flexftl/internal/ftl"
+	"flexftl/internal/metrics"
 	"flexftl/internal/obs"
 	"flexftl/internal/sim"
 	"flexftl/internal/workload"
@@ -15,7 +17,11 @@ import (
 // optionally under a recorder, and returns the measurements.
 func runVarmail(t *testing.T, rec *obs.Recorder) RunResult {
 	t.Helper()
-	sys := newSystem(t, "flexFTL")
+	return runVarmailOn(t, newSystem(t, "flexFTL"), rec)
+}
+
+func runVarmailOn(t *testing.T, sys *System, rec *obs.Recorder) RunResult {
+	t.Helper()
 	if _, err := sys.Prefill(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,23 +171,29 @@ func TestChromeTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRegistryPopulatedByRun asserts the instrumented device feeds the
-// latency histograms and the buffer keeps its utilization gauge.
+// TestRegistryPopulatedByRun asserts an instrumented run fills the blame
+// counters and the buffer's utilization gauge, while the device counts and
+// the exact latency report carry the per-op numbers.
 func TestRegistryPopulatedByRun(t *testing.T) {
 	rec := obs.NewRecorder(obs.Options{})
-	res := runVarmail(t, rec)
+	sys := newSystem(t, "flexFTL")
+	res := runVarmailOn(t, sys, rec)
 	snap := rec.Registry().Snapshot()
-	for _, want := range []string{
-		"nand.program_lsb_us", "nand.read_us",
-		"host.read_us", "host.write_ack_us", "host.write_flush_us",
+	if c := sys.F.(ftl.FTL).Device().Counts(); c.ProgramsLSB <= 0 || c.Reads <= 0 {
+		t.Errorf("device counts = %+v, want LSB programs and reads", c)
+	}
+	for name, p := range map[string]metrics.Percentiles{
+		"read": res.Latency.Read, "write-ack": res.Latency.WriteAck, "write-flush": res.Latency.WriteFlush,
 	} {
-		h, ok := snap.Histograms[want]
-		if !ok || h.Count == 0 {
-			t.Errorf("histogram %q empty (have %v)", want, snap.Histograms)
+		if p.Count == 0 || p.P99 < p.P50 || p.Max < p.P99 {
+			t.Errorf("%s latency implausible: %+v", name, p)
 		}
-		if ok && want != "host.write_ack_us" && (h.P50 <= 0 || h.P99 < h.P50) {
-			t.Errorf("histogram %q quantiles implausible: %+v", want, h)
-		}
+	}
+	if p := res.Latency.Read; p.P50 <= 0 {
+		t.Errorf("read p50 = %v, want > 0", p.P50)
+	}
+	if got, want := res.Latency.Read.Count+res.Latency.WriteAck.Count+res.Latency.Trim.Count, res.Metrics.Requests; got != want {
+		t.Errorf("latency classes count %d requests, metrics %d", got, want)
 	}
 	if _, ok := snap.Gauges["buffer.u"]; !ok {
 		t.Errorf("buffer.u gauge missing (have %v)", snap.Gauges)
@@ -212,15 +224,6 @@ func TestRegistryPopulatedByRun(t *testing.T) {
 		if _, ok := snap.Counters[name]; !ok {
 			t.Errorf("blame counter %q missing (have %v)", name, snap.Counters)
 		}
-	}
-
-	// Host histograms agree with the always-on exact percentile report on
-	// sample counts (values differ: buckets vs exact).
-	if got, want := snap.Histograms["host.read_us"].Count, res.Latency.Read.Count; got != want {
-		t.Errorf("host.read_us count = %d, Latency.Read.Count = %d", got, want)
-	}
-	if got, want := snap.Histograms["host.write_ack_us"].Count, res.Latency.WriteAck.Count; got != want {
-		t.Errorf("host.write_ack_us count = %d, Latency.WriteAck.Count = %d", got, want)
 	}
 }
 

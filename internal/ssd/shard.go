@@ -544,7 +544,6 @@ func (s *System) flushEpoch(rs *runState, e *epochState) error {
 				}
 			}
 			rs.col.RecordRead(r.pages, r.arrival, completion)
-			s.histRead.Record(int64(completion - r.arrival))
 			if completion > rs.busyUntil {
 				rs.busyUntil = completion
 			}
@@ -559,8 +558,6 @@ func (s *System) flushEpoch(rs *runState, e *epochState) error {
 			// R4 ruled out backpressure, so admission == arrival and no
 			// buffer-full blame accrues — exactly the serial accounting.
 			rs.col.RecordWrite(r.pages, r.arrival, r.arrival, flushed)
-			s.histWriteAck.Record(0)
-			s.histWriteFlush.Record(int64(flushed - r.arrival))
 			if flushed > rs.busyUntil {
 				rs.busyUntil = flushed
 			}
@@ -575,7 +572,6 @@ func (s *System) flushEpoch(rs *runState, e *epochState) error {
 				}
 			}
 			rs.col.RecordTrim(r.pages, r.arrival, completion)
-			s.histTrim.Record(int64(completion - r.arrival))
 			if completion > rs.busyUntil {
 				rs.busyUntil = completion
 			}

@@ -125,14 +125,9 @@ type System struct {
 	// the planner could not shard ran serial and are not counted).
 	shardRep ShardReport
 
-	// Host-op latency histograms and the buffer-full blame counter (nil
-	// without a recorder; prefetched in SetRecorder so the request loop
-	// never touches the registry maps).
-	histRead       *obs.Histogram
-	histWriteAck   *obs.Histogram
-	histWriteFlush *obs.Histogram
-	histTrim       *obs.Histogram
-	ctrBufFull     *obs.Counter
+	// The buffer-full blame counter (nil without a recorder; prefetched in
+	// SetRecorder so the request loop never touches the registry maps).
+	ctrBufFull *obs.Counter
 }
 
 // New builds a System. The FTL must be freshly constructed (the runner owns
@@ -187,10 +182,6 @@ func (s *System) SetRecorder(r *obs.Recorder) {
 	}
 	reg := r.Registry()
 	s.buf.Instrument(reg.Gauge("buffer.u"))
-	s.histRead = reg.Histogram("host.read_us")
-	s.histWriteAck = reg.Histogram("host.write_ack_us")
-	s.histWriteFlush = reg.Histogram("host.write_flush_us")
-	s.histTrim = reg.Histogram("host.trim_us")
 	s.ctrBufFull = reg.Counter(obs.BlameCounterName(obs.CauseBufferFull))
 	samp := r.Sampler()
 	if samp == nil {
@@ -342,7 +333,6 @@ func (s *System) stepOp(rs *runState, req workload.Request, arrival sim.Time) er
 			}
 		}
 		rs.col.RecordRead(req.Pages, arrival, completion)
-		s.histRead.Record(int64(completion - arrival))
 		if completion > rs.busyUntil {
 			rs.busyUntil = completion
 		}
@@ -379,8 +369,6 @@ func (s *System) stepOp(rs *runState, req workload.Request, arrival sim.Time) er
 			}
 		}
 		rs.col.RecordWrite(req.Pages, arrival, admission, flushed)
-		s.histWriteAck.Record(int64(admission - arrival))
-		s.histWriteFlush.Record(int64(flushed - arrival))
 		if admission > arrival {
 			// The host stalled on a full write buffer before the last
 			// page was admitted — buffer-full blame.
@@ -405,7 +393,6 @@ func (s *System) stepOp(rs *runState, req workload.Request, arrival sim.Time) er
 			}
 		}
 		rs.col.RecordTrim(req.Pages, arrival, completion)
-		s.histTrim.Record(int64(completion - arrival))
 		if completion > rs.busyUntil {
 			rs.busyUntil = completion
 		}
