@@ -7,34 +7,39 @@ import (
 	"flexftl/internal/sim"
 )
 
-// BenchmarkFinalize summarises 1.5 M single-page writes spread over about
-// 99 k bandwidth windows of 50 ms. In "spread" flush latencies reach four
-// windows, so windows close out of order and some close twice, and most
-// latencies are stored; in "short" every latency is below countMax, as on a
-// Varmail-like run of a device that keeps up, so every latency is counted.
-// Each iteration summarises a fresh collector; building it is not timed.
+// BenchmarkFinalize records and summarises 1.5 M single-page writes arriving
+// 3.3 ms apart, over about 99 k bandwidth windows of 50 ms. In "spread" flush
+// latencies are drawn below 200 ms and reach four windows, so windows close
+// out of order and some close twice, and most latencies are stored; in
+// "saturated" latencies grow with arrival time, 1 ms a write plus a jitter of
+// up to 65 ms, as on a device the host outruns, and every latency is stored;
+// in "short" every latency is below countMax, as on a Varmail-like run of a
+// device that keeps up, so every latency is counted. A shape's summary
+// sub-benchmark times Finalize on a fresh collector built untimed; its
+// "record-" sub-benchmark times the recording, sealing and packing included.
 //
 //	go test -run '^$' -bench BenchmarkFinalize -benchtime 20x ./internal/metrics
 func BenchmarkFinalize(b *testing.B) {
 	const writes = 1_500_000
 	for _, bc := range []struct {
-		name   string
-		maxLat int
+		name string
+		lat  func(i int, src *rng.Source) sim.Time
 	}{
-		{"spread", 200_000},
-		{"short", 4096},
+		{"spread", func(_ int, src *rng.Source) sim.Time { return sim.Time(src.Intn(200_000)) }},
+		{"saturated", func(i int, src *rng.Source) sim.Time { return sim.Time(1000*i + src.Intn(65_536)) }},
+		{"short", func(_ int, src *rng.Source) sim.Time { return sim.Time(src.Intn(4096)) }},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			build := func() *Collector {
-				c := NewCollector(4096, 50*sim.Millisecond)
-				src := rng.New(3)
-				for i := 0; i < writes; i++ {
-					at := sim.Time(i) * 3300
-					lat := sim.Time(src.Intn(bc.maxLat))
-					c.RecordWrite(1, at, at+lat/4, at+lat)
-				}
-				return c
+		build := func() *Collector {
+			c := NewCollector(4096, 50*sim.Millisecond)
+			src := rng.New(3)
+			for i := 0; i < writes; i++ {
+				at := sim.Time(i) * 3300
+				lat := bc.lat(i, src)
+				c.RecordWrite(1, at, at+lat/4, at+lat)
 			}
+			return c
+		}
+		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -42,6 +47,14 @@ func BenchmarkFinalize(b *testing.B) {
 				b.StartTimer()
 				if res := c.Finalize(); res.Writes != writes {
 					b.Fatalf("summary holds %d writes, want %d", res.Writes, writes)
+				}
+			}
+		})
+		b.Run("record-"+bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c := build(); c.writes != writes {
+					b.Fatalf("recorded %d writes, want %d", c.writes, writes)
 				}
 			}
 		})

@@ -188,15 +188,15 @@ func diffCases() []diffCase {
 			name:    fmt.Sprintf("%03d-%s-n%d-mix%d", i, d.name, n, mix),
 		})
 	}
-	// Chunk boundaries, on single-class mixes so one class holds exactly n:
-	// the first chunk, the largest chunk, the end of the first largest chunk
-	// and three largest chunks past it, each ±1.
-	firstLargestEnd := 2*lastChunk - firstChunk // 256 + 512 + ... + 65536
+	// Sizes on single-class mixes so one class holds exactly n samples: a
+	// first stage ±1, sixteen stages ±1, 130 816 (31 stages and most of a
+	// 32nd) ±1, and 48 stages and 7 more.
+	const sealedThenStaged = 130_816
 	boundary := []int{
-		firstChunk - 1, firstChunk, firstChunk + 1,
-		lastChunk - 1, lastChunk, lastChunk + 1,
-		firstLargestEnd - 1, firstLargestEnd, firstLargestEnd + 1,
-		3*lastChunk + 7,
+		firstStage - 1, firstStage, firstStage + 1,
+		16*stageLen - 1, 16 * stageLen, 16*stageLen + 1,
+		sealedThenStaged - 1, sealedThenStaged, sealedThenStaged + 1,
+		48*stageLen + 7,
 	}
 	for j, n := range boundary {
 		for k, mix := range []int{1, 2, 4} {
@@ -209,11 +209,11 @@ func diffCases() []diffCase {
 			})
 		}
 	}
-	// Records after a summary that cross into a fresh chunk: a small one
-	// and, with sums past 2^53, a largest one.
+	// Records after a summary: across the first stage's capacity, and, with
+	// sums past 2^53, onto a long wide run.
 	for _, c := range []struct{ n, more, draw int }{
-		{firstChunk - 10, 20, 1},
-		{firstLargestEnd - 5, 10, 3},
+		{firstStage - 10, 20, 1},
+		{sealedThenStaged - 5, 10, 3},
 	} {
 		d := latencyDraws[c.draw]
 		cases = append(cases, diffCase{
@@ -259,6 +259,32 @@ func diffCases() []diffCase {
 				name:    fmt.Sprintf("%03d-%s-n%d-mix%d", len(cases), d.name, n, mix),
 			})
 		}
+	}
+	// The first and second seal, each ±1, on single-class mixes; and records
+	// after a summary, which sorts the stage in place, that fill the stage
+	// and seal it, first or second.
+	for j, n := range []int{stageLen - 1, stageLen, stageLen + 1, 2*stageLen - 1, 2 * stageLen, 2*stageLen + 1} {
+		mix := 1 << (j % 3)
+		d := latencyDraws[1+j%2] // typical or wide
+		cases = append(cases, diffCase{
+			n:       n,
+			classes: [3]bool{mix&1 != 0, mix&2 != 0, mix&4 != 0},
+			draw:    d.draw,
+			name:    fmt.Sprintf("%03d-%s-n%d-mix%d", len(cases), d.name, n, mix),
+		})
+	}
+	for _, c := range []struct{ n, more, draw int }{
+		{stageLen - 10, 20, 1},
+		{2*stageLen - 10, 20, 1},
+	} {
+		d := latencyDraws[c.draw]
+		cases = append(cases, diffCase{
+			n:       c.n,
+			classes: [3]bool{true, false, false},
+			draw:    d.draw,
+			name:    fmt.Sprintf("%03d-%s-n%d-more%d", len(cases), d.name, c.n, c.more),
+			more:    c.more,
+		})
 	}
 	return cases
 }
@@ -390,7 +416,7 @@ func (s inflated) fiveNum() stats.FiveNum {
 }
 
 // TestFullCounterPassesOn: a count-tier counter that reaches MaxUint32 passes
-// further samples of its value to the chunks, and every summary counts them
+// further samples of its value to the stage, and every summary counts them
 // all. The read counter of v starts at MaxUint32-1, stands for as many reads
 // the oracle cannot hold, and takes three more: one fills it, two go on.
 func TestFullCounterPassesOn(t *testing.T) {
@@ -441,7 +467,7 @@ func TestFullCounterPassesOn(t *testing.T) {
 		t.Fatalf("counter holds %d, want MaxUint32", got)
 	}
 	check("first summary")
-	record(500) // further reads of v go to the chunks too
+	record(500) // further reads of v go to the stage too
 	check("after more records")
 }
 
@@ -579,7 +605,7 @@ func TestWideSamplesExact(t *testing.T) {
 					}
 				}
 			}
-			record(lastChunk + firstChunk) // more than one chunk per class
+			record(16*stageLen + firstStage) // sealed runs in the read and write classes
 			checkSame(t, "first summary", c, o)
 			record(1000)
 			checkSame(t, "after more records", c, o)

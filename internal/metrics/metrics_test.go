@@ -171,11 +171,22 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-// TestRecordWritesEachSampleOnce: an in-range sample is written into its
-// chunk once, as 4 bytes, and never copied. Recording n samples into a class
-// allocates their 4 bytes each plus at most one largest chunk of unused tail,
-// in one allocation per chunk and one for the chunk list, so an
-// append-and-grow store or an 8-byte sample fails here.
+// TestRecordWritesEachSampleOnce: a stored sample is written into its class's
+// stage once, as 4 bytes, and packed into a run once, at the bit width of its
+// block's deltas. A run of stageLen samples costs runMeta meta words and one
+// 8-byte header per blockLen samples besides its deltas, and a class's run
+// list an entry of 24 bytes per run, at most twice over as it doubles. With
+// deltas of at most 16 bits — both shapes here: latencies cycling upward, and
+// saturated latencies growing with arrival time under a 16-bit jitter, as on a
+// device the host outruns — a sample costs at most
+// 2 + 8/blockLen + (8*runMeta + 48)/stageLen bytes, 2.08. Beyond that a class
+// allocates its ramp of stages (firstStage samples growing to stageLen, under
+// 2*stageLen*4 bytes) and its first run list, and the collector the radix
+// scratch, the unfilled part of its last slab and the tails its slabs leave,
+// each under one run (about 8 KiB here): under 2*slabMax words in all.
+// Allocations stay within the 25 a class made when a sample took 4 bytes in
+// chunks (24 chunks of up to 65 536 samples and a chunk list), so a 4-byte or
+// append-and-grow store fails here.
 func TestRecordWritesEachSampleOnce(t *testing.T) {
 	const n = 1_000_000
 	// The counters are process-wide: a GC cycle or another goroutine can add
@@ -190,7 +201,7 @@ func TestRecordWritesEachSampleOnce(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < n; i++ {
-				record(c, sim.Time(i%100_000))
+				record(c, sim.Time(i))
 			}
 			runtime.ReadMemStats(&after)
 			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
@@ -201,19 +212,31 @@ func TestRecordWritesEachSampleOnce(t *testing.T) {
 		}
 		return bytes, allocs
 	}
-	perClassAllocs := uint64((n+lastChunk-1)/lastChunk + chunkSteps + 1)
+	const perClassAllocs = 25
+	perSample := 2 + 8.0/blockLen + float64(8*runMeta+48)/stageLen
+	perClass := uint64(2*stageLen*4 + 24*firstRuns)
+	shared := uint64(4*stageLen + 2*8*slabMax)
+	cycling := func(i sim.Time) sim.Time { return i % 100_000 }
+	saturated := func(i sim.Time) sim.Time { return i*1024 + i*7919%(1<<16) }
 	for _, tc := range []struct {
 		name    string
 		classes uint64
-		record  func(c *Collector, lat sim.Time)
+		record  func(c *Collector, i sim.Time)
 	}{
-		{"read", 1, func(c *Collector, lat sim.Time) { c.RecordRead(1, 0, lat) }},
+		{"read", 1, func(c *Collector, i sim.Time) { c.RecordRead(1, 0, cycling(i)) }},
 		// Every flush lands in bandwidth window 0: one map entry.
-		{"write", 2, func(c *Collector, lat sim.Time) { c.RecordWrite(1, 0, lat/2, lat) }},
-		{"trim", 1, func(c *Collector, lat sim.Time) { c.RecordTrim(1, 0, lat) }},
+		{"write", 2, func(c *Collector, i sim.Time) { lat := cycling(i); c.RecordWrite(1, 0, lat/2, lat) }},
+		{"trim", 1, func(c *Collector, i sim.Time) { c.RecordTrim(1, 0, cycling(i)) }},
+		{"read-saturated", 1, func(c *Collector, i sim.Time) { c.RecordRead(1, i, i+saturated(i)) }},
+		{"write-saturated", 2, func(c *Collector, i sim.Time) {
+			lat := saturated(i)
+			c.RecordWrite(1, i, i+lat/2, i+lat)
+		}},
 	} {
 		bytes, allocs := measure(tc.record)
-		if limit := tc.classes * (4*n + 4*lastChunk); bytes > limit {
+		t.Logf("%s: %d samples a class, %.3f B and %d allocations a class", tc.name, n,
+			float64(bytes)/float64(tc.classes*n), allocs/tc.classes)
+		if limit := uint64(float64(tc.classes*n)*perSample) + tc.classes*perClass + shared; bytes > limit {
 			t.Errorf("%s: %d samples allocated %d bytes, want <= %d", tc.name, n, bytes, limit)
 		}
 		if limit := tc.classes * perClassAllocs; allocs > limit {

@@ -2,26 +2,31 @@ package metrics
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"flexftl/internal/stats"
 )
 
-// A latency class stores the samples its count tier does not take in chunks
-// of 4-byte samples: the first holds firstChunk samples, each next one twice
-// as many up to lastChunk, and every chunk after that lastChunk. A chunk is
-// allocated at its final size and never grown or copied, so a class costs 4
-// bytes per stored sample plus the unused tail of its last chunk, and the
-// radix sort's scratch is at most one chunk.
+// A latency class stores the samples its count tier does not take in a stage
+// of 4-byte samples. The stage is allocated for firstStage samples and, while
+// smaller than stageLen, grows when full to twice its size plus firstStage
+// (768, 1 792) and then to stageLen; a full stageLen stage is sealed: sorted,
+// packed into a run (packedRun) and emptied for the next samples. A packed
+// run keeps its samples in blocks of blockLen.
 const (
-	firstChunk = 256
-	lastChunk  = 1 << 16
-	// chunkSteps is log2(lastChunk/firstChunk): the number of chunks smaller
-	// than lastChunk.
-	chunkSteps = 8
-	// chunkHeaders is the chunk list's first capacity: 64 chunks hold 3.7 M
-	// samples, so a class of a bench-sized run grows its list only once.
-	chunkHeaders = 64
+	firstStage = 256
+	stageLen   = 4096
+	blockLen   = 128
+	// firstRuns is a class's first run-list capacity: 64 runs hold 262 144
+	// samples.
+	firstRuns = 64
+	// A collector's runs are carved from slabs of slabMin words, each next
+	// slab twice the last up to slabMax (256 KiB). slabMin holds the largest
+	// run, a stage of 32-bit deltas: runMeta+stageLen/blockLen header words
+	// and stageLen/2 delta words, 2 082 in all.
+	slabMin = 1 << 12
+	slabMax = 1 << 15
 )
 
 // countMax bounds the count tier: a latency class counts its samples in
@@ -32,17 +37,16 @@ const countMax = 4096
 // adds one block prefix and at most tierBlock counters.
 const tierBlock = 64
 
-// samples is one latency class, held as sorted runs of three kinds. A sample
+// samples is one latency class, held as sorted runs of four kinds. A sample
 // in [0, countMax) µs — most latencies of a device that keeps up — increments
 // its counter in the count tier, a fixed array, so such samples cost no memory
 // however many there are. A counter that is full passes further samples of
-// its value on. Every other sample in [0, 2^32) µs is a uint32 in a list of
-// chunks, each full but the last. Any other sample (negative, or 2^32 µs and
-// longer) goes to wide, which is allocated only when one occurs.
-// Summaries sort each chunk in place; sorted is the chunk sample count when a
-// summary last sorted, so a chunk holding only older samples is still in
-// order and only the chunk that took new ones sorts again. The wide run is
-// sorted whole. The tier needs no sort: a summary indexes it once (index).
+// its value on. Every other sample in [0, 2^32) µs is a uint32 in the stage
+// until the stage is sealed into runs, each holding stageLen samples. Any
+// other sample (negative, or 2^32 µs and longer) goes to wide, which is
+// allocated only when one occurs. Summaries sort the stage and the wide run
+// in place; the runs were sorted when sealed. The tier needs no sort: a
+// summary indexes it once (index).
 type samples struct {
 	counts [countMax]uint32
 	// As of the last summary: below[b] counts the tier's values below
@@ -51,57 +55,84 @@ type samples struct {
 	below   [countMax / tierBlock]int
 	counted int
 	lo, hi  int64
-	chunks  [][]uint32
+	runs    []packedRun
+	stage   []uint32
 	wide    []int64
-	sorted  int
 }
 
-// add records one sample.
-func (s *samples) add(x int64) {
+// add records one sample, sealing a full stage into a.
+func (s *samples) add(x int64, a *arena) {
 	if uint64(x) < countMax && s.counts[x] < math.MaxUint32 {
 		s.counts[x]++
 		return
 	}
+	s.store(x, a)
+}
+
+// store keeps a sample the count tier does not take.
+func (s *samples) store(x int64, a *arena) {
 	if uint64(x) > math.MaxUint32 {
 		s.wide = append(s.wide, x)
 		return
 	}
-	n := len(s.chunks)
-	if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
-		size := lastChunk
-		if n < chunkSteps {
-			size = firstChunk << n
+	if len(s.stage) == cap(s.stage) {
+		switch c := cap(s.stage); {
+		case c == 0:
+			s.stage = make([]uint32, 0, firstStage)
+		case c < stageLen:
+			s.stage = append(make([]uint32, 0, min(2*c+firstStage, stageLen)), s.stage...)
+		default:
+			s.seal(a)
 		}
-		if s.chunks == nil {
-			s.chunks = make([][]uint32, 0, chunkHeaders)
-		}
-		s.chunks = append(s.chunks, make([]uint32, 0, size))
-		n++
 	}
-	s.chunks[n-1] = append(s.chunks[n-1], uint32(x))
+	s.stage = append(s.stage, uint32(x))
 }
 
-// sortSamples brings every run of every class into ascending order, and
-// indexes every count tier, for Finalize and Latency.
+// seal sorts the full stage, packs it into a run and empties it.
+func (s *samples) seal(a *arena) {
+	if a.scratch == nil {
+		a.scratch = make([]uint32, stageLen)
+	}
+	sortUint32(s.stage, a.scratch)
+	if s.runs == nil {
+		s.runs = make([]packedRun, 0, firstRuns)
+	}
+	s.runs = append(s.runs, pack(s.stage, a))
+	s.stage = s.stage[:0]
+}
+
+// stored is the number of samples held in runs and the stage.
+func (s *samples) stored() int { return len(s.runs)*stageLen + len(s.stage) }
+
+// arena is what sealing needs, shared by a collector's classes: the radix
+// sort's scratch, allocated at stageLen on the first seal, and the unused
+// tail of the slab runs are carved from. A slab is allocated zeroed and its
+// words are handed out once, so a run is packed into zero words.
+type arena struct {
+	scratch []uint32
+	free    []uint64
+	slab    int // words of the last slab allocated
+}
+
+// alloc carves n <= slabMin zero words.
+func (a *arena) alloc(n int) []uint64 {
+	if len(a.free) < n {
+		a.slab = min(max(2*a.slab, slabMin), slabMax)
+		a.free = make([]uint64, a.slab)
+	}
+	w := a.free[:n:n]
+	a.free = a.free[n:]
+	return w
+}
+
+// sortSamples brings the stage and wide run of every class into ascending
+// order, and indexes every count tier, for Finalize and Latency.
 func (c *Collector) sortSamples() {
-	classes := [...]*samples{&c.read, &c.writeAck, &c.writeFlush, &c.trim}
-	// Size the scratch once for the largest chunk the radix sort will see,
-	// rather than growing it through every chunk size.
-	largest := 0
-	for _, s := range classes {
-		s.eachUnsorted(func(chunk []uint32) {
-			if len(chunk) >= radixMin {
-				largest = max(largest, len(chunk))
-			}
-		})
-	}
-	if cap(c.scratch) < largest {
-		c.scratch = make([]uint32, largest)
-	}
-	for _, s := range classes {
+	for _, s := range [...]*samples{&c.read, &c.writeAck, &c.writeFlush, &c.trim} {
 		s.index()
-		s.eachUnsorted(func(chunk []uint32) { c.scratch = sortUint32(chunk, c.scratch) })
-		s.sorted = s.chunkLen()
+		if !slices.IsSorted(s.stage) {
+			slices.Sort(s.stage)
+		}
 		if !slices.IsSorted(s.wide) {
 			slices.Sort(s.wide)
 		}
@@ -139,48 +170,15 @@ func (s *samples) tierAtMost(v int64) int {
 	return n
 }
 
-// eachUnsorted calls f on every chunk holding a sample recorded since the
-// last sort.
-func (s *samples) eachUnsorted(f func(chunk []uint32)) {
-	end := 0
-	for _, chunk := range s.chunks {
-		end += len(chunk)
-		if end > s.sorted {
-			f(chunk)
-		}
-	}
-}
-
-// chunkLen is the number of samples held in chunks.
-func (s *samples) chunkLen() int {
-	n := 0
-	for _, chunk := range s.chunks {
-		n += len(chunk)
-	}
-	return n
-}
-
-// radixMin is the length below which the comparison sort wins: a radix pass
-// costs a 256-entry histogram whatever the input size.
-const radixMin = 256
-
-// sortUint32 sorts xs ascending: an LSD radix sort through scratch for large
-// inputs, slices.Sort for the rest. It returns the scratch buffer, grown if it
-// had to be, for the next call.
-func sortUint32(xs, scratch []uint32) []uint32 {
-	if len(xs) < radixMin {
-		slices.Sort(xs)
-		return scratch
-	}
+// sortUint32 sorts xs ascending by an LSD radix sort through scratch, which
+// is at least as long as xs; xs is not empty.
+func sortUint32(xs, scratch []uint32) {
 	var hist [4][256]int
 	for _, x := range xs {
 		hist[0][uint8(x)]++
 		hist[1][uint8(x>>8)]++
 		hist[2][uint8(x>>16)]++
 		hist[3][uint8(x>>24)]++
-	}
-	if cap(scratch) < len(xs) {
-		scratch = make([]uint32, len(xs))
 	}
 	// One pass per byte, lowest first, skipping a byte every key shares (the
 	// bytes above the highest set bit, for one).
@@ -206,18 +204,153 @@ func sortUint32(xs, scratch []uint32) []uint32 {
 	if &src[0] != &xs[0] {
 		copy(xs, src)
 	}
-	return scratch
+}
+
+// packedRun is one sealed stage: n sorted values, delta-coded in blocks of
+// blockLen. Its words are
+//
+//	[0]                 greatest value << 32 | n
+//	[1]                 sum of the values
+//	[runMeta+b]         block b's header: its first value, the bit width w
+//	                    of its deltas and their bit offset in the delta words
+//	[runMeta+blocks:]   the delta words: each block's deltas between
+//	                    consecutive values, w bits each, packed low bit first
+//
+// Consecutive values of a sorted stage differ by little, so a block of
+// saturated latencies packs to about 16 bits a value, and a block of equal
+// values to its header alone.
+type packedRun []uint64
+
+const (
+	runMeta    = 2
+	widthShift = 32 // header bits 32-37: the delta width, 0 to 32
+	offShift   = 38 // header bits 38-63: the delta offset, below stageLen*32
+)
+
+// pack packs xs, sorted, 1 <= len(xs) <= stageLen, into a run carved from a.
+func pack(xs []uint32, a *arena) packedRun {
+	n := len(xs)
+	nb := (n + blockLen - 1) / blockLen
+	var widths [stageLen / blockLen]uint
+	var size uint // bits of deltas
+	var sum uint64
+	for b := range nb {
+		blk := xs[b*blockLen : min(n, (b+1)*blockLen)]
+		var or uint32 // as wide as the largest delta
+		for i := 1; i < len(blk); i++ {
+			or |= blk[i] - blk[i-1]
+		}
+		widths[b] = uint(bits.Len32(or))
+		size += widths[b] * uint(len(blk)-1)
+	}
+	for _, x := range xs {
+		sum += uint64(x)
+	}
+	r := packedRun(a.alloc(runMeta + nb + int((size+63)/64)))
+	r[0] = uint64(xs[n-1])<<32 | uint64(n)
+	r[1] = sum
+	d := r[runMeta+nb:]
+	var p uint
+	for b := range nb {
+		blk := xs[b*blockLen : min(n, (b+1)*blockLen)]
+		w := widths[b]
+		r[runMeta+b] = uint64(blk[0]) | uint64(w)<<widthShift | uint64(p)<<offShift
+		if w == 0 {
+			continue
+		}
+		for i := 1; i < len(blk); i++ {
+			x, s := uint64(blk[i]-blk[i-1]), p%64
+			d[p/64] |= x << s
+			if s+w > 64 {
+				d[p/64+1] |= x >> (64 - s)
+			}
+			p += w
+		}
+	}
+	return r
+}
+
+func (r packedRun) len() int      { return int(uint32(r[0])) }
+func (r packedRun) last() uint32  { return uint32(r[0] >> 32) }
+func (r packedRun) sum() uint64   { return r[1] }
+func (r packedRun) first() uint32 { return uint32(r[runMeta]) }
+func (r packedRun) blocks() int   { return (r.len() + blockLen - 1) / blockLen }
+
+// deltas is the run's delta words.
+func (r packedRun) deltas() []uint64 { return r[runMeta+r.blocks():] }
+
+// block returns block b's first value, the bit width of its deltas and the
+// bit offset of its first delta.
+func (r packedRun) block(b int) (first uint32, w, p uint) {
+	h := r[runMeta+b]
+	return uint32(h), uint(h>>widthShift) & 63, uint(h >> offShift)
+}
+
+// delta reads the w-bit delta at bit p of the run's delta words d.
+func delta(d []uint64, p, w uint) uint32 {
+	if w == 0 {
+		return 0
+	}
+	i, s := p/64, p%64
+	x := d[i] >> s
+	if s+w > 64 {
+		x |= d[i+1] << (64 - s)
+	}
+	return uint32(x & (1<<w - 1))
+}
+
+// atMost counts the run's values <= v: a binary search on the block first
+// values, then a decode of that one block up to its first value past v.
+func (r packedRun) atMost(v uint32) int {
+	n := r.len()
+	switch {
+	case v < r.first():
+		return 0
+	case v >= r.last():
+		return n
+	}
+	// Block lo's first value is <= v, block hi's (if any) is past it.
+	lo, hi := 0, r.blocks()
+	for hi-lo > 1 {
+		m := int(uint(lo+hi) >> 1)
+		if uint32(r[runMeta+m]) <= v {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	x, w, p := r.block(lo)
+	d := r.deltas()
+	base, end := lo*blockLen, min(blockLen, n-lo*blockLen)
+	for j := 1; j < end; j++ {
+		if x += delta(d, p, w); x > v {
+			return base + j
+		}
+		p += w
+	}
+	return base + end
+}
+
+// next returns value i of the run, 0 < i < r.len(), from value i-1, prev.
+func (r packedRun) next(i int, prev uint32) uint32 {
+	first, w, p := r.block(i / blockLen)
+	j := uint(i % blockLen)
+	if j == 0 {
+		return first
+	}
+	return prev + delta(r.deltas(), p+(j-1)*w, w)
 }
 
 // sortedRuns is a sample held as the ascending runs of one class or of
-// several: their count tiers, chunks and wide runs. Its order statistics are
-// those of the runs merged, found by rank so no merged copy is built.
+// several: their count tiers, packed runs, stages and wide runs. Its order
+// statistics are those of the runs merged, found by rank so no merged copy is
+// built.
 type sortedRuns []*samples
 
 func (r sortedRuns) len() int {
 	n := 0
 	for _, s := range r {
-		n += s.counted + s.chunkLen() + len(s.wide)
+		n += s.counted + s.stored() + len(s.wide)
 	}
 	return n
 }
@@ -237,11 +370,12 @@ func (r sortedRuns) at(k int) int64 {
 		if s.counted > 0 {
 			lo, hi = min(lo, s.lo), max(hi, s.hi)
 		}
-		for _, chunk := range s.chunks {
-			if len(chunk) > 0 {
-				lo = min(lo, int64(chunk[0]))
-				hi = max(hi, int64(chunk[len(chunk)-1]))
-			}
+		for _, run := range s.runs {
+			lo, hi = min(lo, int64(run.first())), max(hi, int64(run.last()))
+		}
+		if len(s.stage) > 0 {
+			lo = min(lo, int64(s.stage[0]))
+			hi = max(hi, int64(s.stage[len(s.stage)-1]))
 		}
 		if len(s.wide) > 0 {
 			lo = min(lo, s.wide[0])
@@ -260,20 +394,21 @@ func (r sortedRuns) at(k int) int64 {
 	return lo
 }
 
-// atMost counts the values <= v, with one binary search per run; v is below
+// atMost counts the values <= v, with one search per run; v is below
 // math.MaxInt64.
 func (r sortedRuns) atMost(v int64) int {
 	n := 0
 	for _, s := range r {
 		switch {
 		case v >= math.MaxUint32:
-			n += s.counted + s.chunkLen()
+			n += s.counted + s.stored()
 		case v >= 0:
 			n += s.tierAtMost(v)
-			for _, chunk := range s.chunks {
-				i, _ := slices.BinarySearch(chunk, uint32(v)+1)
-				n += i
+			for _, run := range s.runs {
+				n += run.atMost(uint32(v))
 			}
+			i, _ := slices.BinarySearch(s.stage, uint32(v)+1)
+			n += i
 		}
 		i, _ := slices.BinarySearch(s.wide, v+1)
 		n += i
@@ -288,25 +423,24 @@ func (r sortedRuns) sum() float64 {
 	var sum int64
 	var abs uint64 // < 2^53 before each add, and each add is at most 2^63: cannot wrap
 	for _, s := range r {
-		var t uint64 // below countMax * countMax * 2^32 = 2^56
+		var t uint64 // the tier adds below countMax * countMax * 2^32 = 2^56
 		for v, c := range s.counts {
 			t += uint64(v) * uint64(c)
+		}
+		// A run or the stage adds below stageLen * 2^32 = 2^44, so t cannot
+		// wrap before it reaches 2^53.
+		for _, run := range s.runs {
+			if t += run.sum(); t >= 1<<53 {
+				return r.mergedSum()
+			}
+		}
+		for _, x := range s.stage {
+			t += uint64(x)
 		}
 		sum += int64(t)
 		abs += t
 		if abs >= 1<<53 {
 			return r.mergedSum()
-		}
-		for _, chunk := range s.chunks {
-			var c uint64 // at most lastChunk values below 2^32
-			for _, x := range chunk {
-				c += uint64(x)
-			}
-			sum += int64(c)
-			abs += c
-			if abs >= 1<<53 {
-				return r.mergedSum()
-			}
 		}
 		for _, x := range s.wide {
 			sum += x
@@ -331,10 +465,11 @@ func (r sortedRuns) mergedSum() float64 {
 		if s.counted > 0 {
 			h = append(h, runHead{v: s.lo, rep: s.counts[s.lo] - 1, tier: s.counts[s.lo+1:]})
 		}
-		for _, chunk := range s.chunks {
-			if len(chunk) > 0 {
-				h = append(h, runHead{v: int64(chunk[0]), chunk: chunk[1:]})
-			}
+		for _, run := range s.runs {
+			h = append(h, runHead{v: int64(run.first()), run: run, left: run.len() - 1})
+		}
+		if len(s.stage) > 0 {
+			h = append(h, runHead{v: int64(s.stage[0]), stage: s.stage[1:]})
 		}
 		if len(s.wide) > 0 {
 			h = append(h, runHead{v: s.wide[0], wide: s.wide[1:]})
@@ -357,15 +492,17 @@ func (r sortedRuns) mergedSum() float64 {
 	return sum
 }
 
-// runHead is a run's smallest unread value v and the values after it, in one
-// of chunk or wide, or for a count tier rep more copies of v and then the
-// counters of v+1 onward in tier.
+// runHead is a run's smallest unread value v and the values after it: in
+// stage or wide; in run, whose next left values follow v; or, for a count
+// tier, rep more copies of v and then the counters of v+1 onward in tier.
 type runHead struct {
 	v     int64
-	chunk []uint32
+	stage []uint32
 	wide  []int64
 	tier  []uint32
 	rep   uint32
+	run   packedRun
+	left  int
 }
 
 // next moves v to the run's next value, reporting false at its end.
@@ -373,8 +510,11 @@ func (h *runHead) next() bool {
 	switch {
 	case h.rep > 0:
 		h.rep--
-	case len(h.chunk) > 0:
-		h.v, h.chunk = int64(h.chunk[0]), h.chunk[1:]
+	case h.left > 0:
+		h.v = int64(h.run.next(h.run.len()-h.left, uint32(h.v)))
+		h.left--
+	case len(h.stage) > 0:
+		h.v, h.stage = int64(h.stage[0]), h.stage[1:]
 	case len(h.wide) > 0:
 		h.v, h.wide = h.wide[0], h.wide[1:]
 	default:

@@ -197,21 +197,23 @@ func settledGoroutines(want int) int {
 	return runtime.NumGoroutine()
 }
 
-// TestRunAllocBytesCeiling: one Run allocates about the bytes its latency
-// samples occupy, because each sample is written once, as 4 bytes, into a
-// chunk that is never grown or copied. A 50 000-request OLTP run on a
-// prefilled flexFTL device records at most two samples per request (a write's
-// ack and flush), 8 B, and beyond that only a bounded slack. The requests are
-// drawn before measuring, so the generator's own bookkeeping is not counted.
+// TestRunAllocBytesCeiling: one Run allocates about the bytes its packed
+// latency samples occupy. A sample is written once, as 4 bytes, into its
+// class's stage, and a full stage is sorted and packed once into a run of
+// deltas, which for this run's latencies take about 2 B a sample. A
+// 50 000-request OLTP run on a prefilled flexFTL device records at most two
+// samples per request (a write's ack and flush), about 4 B, and beyond that
+// only a bounded slack. A store that kept each sample as 4 bytes allocates
+// more than the ceiling. The requests are drawn before measuring, so the
+// generator's own bookkeeping is not counted.
 func TestRunAllocBytesCeiling(t *testing.T) {
 	const requests = 50_000
-	// runSlack is what a run allocates beyond its samples' 4 bytes each: the
-	// unfilled tail of each class's last chunk (a chunk is at most as large
-	// as all before it together, so under half the class), the radix
-	// scratch (one chunk), the bandwidth-window map and the run's own small
-	// structures. Here the reads' samples take ~4 B of the 8 B a request is
-	// allowed, which absorbs most of the chunk tails.
-	const runSlack = 768 << 10
+	// runSlack is what a run allocates beyond its samples' packed bytes: the
+	// unfilled tail of the last slab the runs are carved from (here about
+	// 112 KiB), each class's ramp of stages (27 KiB), the radix scratch
+	// (16 KiB), the bandwidth windows (16 KiB per 1 024) and the run's own
+	// small structures.
+	const runSlack = 480 << 10
 	sys := newSystem(t, "flexFTL")
 	if _, err := sys.Prefill(); err != nil {
 		t.Fatal(err)
@@ -238,8 +240,8 @@ func TestRunAllocBytesCeiling(t *testing.T) {
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("%d requests (%d reads, %d writes, %d trims): %d bytes allocated, %.1f B/request",
 		requests, res.Metrics.Reads, res.Metrics.Writes, res.Metrics.Trims, got, float64(got)/requests)
-	if limit := uint64(8*requests + runSlack); got > limit {
-		t.Errorf("Run allocated %d bytes for %d requests, want <= %d (8 B/request + %d)",
+	if limit := uint64(4*requests + runSlack); got > limit {
+		t.Errorf("Run allocated %d bytes for %d requests, want <= %d (4 B/request + %d)",
 			got, requests, limit, runSlack)
 	}
 }
