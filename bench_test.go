@@ -6,6 +6,7 @@
 package flexftl_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -520,7 +521,8 @@ func BenchmarkPickVictim(b *testing.B) {
 // hottest data-structure paths of the simulator itself.
 func BenchmarkMapperUpdate(b *testing.B) {
 	g := benchGeometry()
-	m := ftl.NewMapper(nand.NewLayout(g), int64(g.TotalPages()/2))
+	spares := make(pageSpares, g.TotalPages())
+	m := ftl.NewMapper(nand.NewLayout(g), int64(g.TotalPages()/2), spares)
 	logical := m.LogicalPages()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -529,9 +531,16 @@ func BenchmarkMapperUpdate(b *testing.B) {
 		if old, ok := m.LPNAt(ppn); ok {
 			m.Invalidate(old)
 		}
+		binary.LittleEndian.PutUint32(spares[ppn][:], uint32(lpn))
 		m.Update(lpn, ppn)
 	}
 }
+
+// pageSpares is the spare area of every page of a device that is never
+// built: what BenchmarkMapperUpdate "programs" before it maps a page.
+type pageSpares [][ftl.SpareSize]byte
+
+func (s pageSpares) PeekSpare(ppn nand.PPN) ([ftl.SpareSize]byte, bool) { return s[ppn], true }
 
 func BenchmarkParityAccumulate(b *testing.B) {
 	buf := make([]byte, ftl.TokenSize)

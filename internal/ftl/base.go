@@ -103,7 +103,7 @@ func NewBase(dev *nand.Device, cfg Config) (*Base, error) {
 	b := &Base{
 		Dev:           dev,
 		lay:           dev.Layout(),
-		Map:           NewMapper(*dev.Layout(), logical),
+		Map:           NewMapper(*dev.Layout(), logical, dev),
 		Cfg:           cfg,
 		reprogPenalty: int64(dev.Timing().ProgMSB - dev.Timing().ProgLSB),
 	}

@@ -23,7 +23,8 @@ func auditBlocks(t *testing.T, f *ftl.Kernel) {
 }
 
 // auditMapping verifies the mapping-table invariant: per-block valid counts
-// sum to the mapped-page count, and l2p/p2l are mutually consistent.
+// sum to the mapped-page count, and every mapped LPN's page holds that LPN in
+// its spare area.
 func auditMapping(t *testing.T, f *ftl.Kernel) {
 	t.Helper()
 	g := f.Dev.Geometry()

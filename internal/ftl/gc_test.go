@@ -58,12 +58,14 @@ func (h *gcHarness) alloc(chip int, lpn LPN, data, spare []byte, now sim.Time) (
 	return done, nil
 }
 
-// writeSeq writes n distinct LPNs through alloc (host-side placement).
+// writeSeq writes n distinct LPNs through alloc (host-side placement), each
+// page with its token and its LPN in the spare, as the FTLs write.
 func (h *gcHarness) writeSeq(t *testing.T, start, n int, now sim.Time) sim.Time {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		var err error
-		now, err = h.alloc(0, LPN(start+i), h.b.Token(LPN(start+i)), nil, now)
+		lpn := LPN(start + i)
+		now, err = h.alloc(0, lpn, h.b.Token(lpn), h.b.Spare(lpn), now)
 		if err != nil {
 			t.Fatal(err)
 		}

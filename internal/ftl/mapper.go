@@ -2,27 +2,40 @@ package ftl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"flexftl/internal/nand"
 )
 
-// Mapper is the page-level mapping table: LPN -> PPN with the inverse map
-// and per-block valid-page accounting garbage collection needs. It is
-// geometry-agnostic — only block/page dimensions matter — so the same type
-// serves the 2-bit MLC kernel and the n-level nflex FTL.
+// SpareSource is where a Mapper reads its reverse map: the spare area of a
+// programmed page, which holds a data page's LPN (SpareForLPN). A device
+// serves it with nand.Device.PeekSpare, an untimed look at the page.
+type SpareSource interface {
+	PeekSpare(ppn nand.PPN) ([SpareSize]byte, bool)
+}
+
+// Mapper is the page-level mapping table: LPN -> PPN, one validity bit per
+// physical page, and the per-block valid-page accounting garbage collection
+// needs. The inverse map is not kept in RAM: a valid page's LPN is the one
+// programmed into its spare area, read through the mapper's SpareSource —
+// the layout of a page-mapping FTL whose controller cannot afford a
+// reverse table. It is geometry-agnostic — only block/page dimensions
+// matter — so the same type serves the 2-bit MLC kernel and the n-level
+// nflex FTL.
 //
-// Both tables store a page number plus one in an int32, so the zero value
-// means unmapped (l2p) or free (p2l): a fresh mapper is one zeroed
-// allocation that stays untouched until used, at most 8 bytes per physical
-// page. Every page number of a device fits, by nand.MaxPages.
+// l2p stores a page number plus one in a uint32, so zero means unmapped.
+// It and the validity bitmap are one zeroed allocation that stays untouched
+// until used: 4 bytes per logical page and one bit per physical page. Every
+// page number of a device fits, by nand.MaxPages.
 type Mapper struct {
 	// lay is the device's page numbering: the page → (chip, block) step
 	// every Update takes twice.
 	lay        nand.Layout
-	l2p        []int32 // logical to physical page number + 1; 0 when unmapped
-	p2l        []int32 // physical to logical page number + 1; 0 when free/invalid
-	validCount []int32 // valid pages per flat block
-	mapped     int64   // currently mapped logical pages
+	spares     SpareSource
+	l2p        []uint32 // logical to physical page number + 1; 0 when unmapped
+	valid      []uint32 // bit ppn%32 of word ppn/32 is set while ppn holds a mapped LPN
+	validCount []int32  // valid pages per flat block
+	mapped     int64    // currently mapped logical pages
 	// pools, when set, is the GC victim index of each chip and full the
 	// pools' flat full-list flags: a full block's validCount change goes to
 	// its pool; any other block's costs one flag test.
@@ -68,20 +81,24 @@ func (m *Mapper) SetVictimIndex(pools []*FreePool, full []bool) { m.pools, m.ful
 func CheckCapacity(g nand.Geometry) error { return nand.CheckCapacity(g) }
 
 // NewMapper builds a mapper for logicalPages host pages over a device's page
-// numbering.
-func NewMapper(lay nand.Layout, logicalPages int64) *Mapper {
+// numbering, reading the LPN of a valid page from spares.
+func NewMapper(lay nand.Layout, logicalPages int64, spares SpareSource) *Mapper {
 	totalPages := int64(lay.Pages())
 	if logicalPages <= 0 || logicalPages > totalPages {
 		panic(fmt.Sprintf("ftl: logical pages %d outside (0,%d]", logicalPages, totalPages))
 	}
-	tables := make([]int32, logicalPages+totalPages)
+	tables := make([]uint32, logicalPages+(totalPages+31)/32)
 	return &Mapper{
 		lay:        lay,
+		spares:     spares,
 		l2p:        tables[:logicalPages:logicalPages],
-		p2l:        tables[logicalPages:],
+		valid:      tables[logicalPages:],
 		validCount: make([]int32, lay.Blocks()),
 	}
 }
+
+// isValid reports whether the in-range ppn holds a mapped LPN.
+func (m *Mapper) isValid(ppn nand.PPN) bool { return m.valid[ppn>>5]&(1<<(ppn&31)) != 0 }
 
 // LogicalPages returns the host-visible page count.
 func (m *Mapper) LogicalPages() int64 { return int64(len(m.l2p)) }
@@ -122,11 +139,12 @@ func (m *Mapper) Update(lpn LPN, newPPN nand.PPN) nand.PPN {
 	if lpn < 0 || int64(lpn) >= int64(len(m.l2p)) {
 		panic(fmt.Sprintf("ftl: LPN %d out of range [0,%d)", lpn, len(m.l2p)))
 	}
-	if newPPN < 0 || int64(newPPN) >= int64(len(m.p2l)) {
+	if !m.lay.InRange(newPPN) {
 		panic(fmt.Sprintf("ftl: PPN %d out of range", newPPN))
 	}
-	if held := m.p2l[newPPN]; held != 0 {
-		panic(fmt.Sprintf("ftl: PPN %d already holds LPN %d", newPPN, held-1))
+	if m.isValid(newPPN) {
+		held, _ := m.LPNAt(newPPN)
+		panic(fmt.Sprintf("ftl: PPN %d already holds LPN %d", newPPN, held))
 	}
 	old := nand.PPN(m.l2p[lpn]) - 1
 	if m.logging {
@@ -136,13 +154,13 @@ func (m *Mapper) Update(lpn LPN, newPPN nand.PPN) nand.PPN {
 		return old
 	}
 	if old != nand.InvalidPPN {
-		m.p2l[old] = 0
+		m.valid[old>>5] &^= 1 << (old & 31)
 		m.noteValid(old, -1)
 	} else {
 		m.mapped++
 	}
-	m.l2p[lpn] = int32(newPPN) + 1
-	m.p2l[newPPN] = int32(lpn) + 1
+	m.l2p[lpn] = uint32(newPPN) + 1
+	m.valid[newPPN>>5] |= 1 << (newPPN & 31)
 	m.noteValid(newPPN, 1)
 	return old
 }
@@ -158,20 +176,21 @@ func (m *Mapper) Invalidate(lpn LPN) bool {
 		return false
 	}
 	m.l2p[lpn] = 0
-	m.p2l[old] = 0
+	m.valid[old>>5] &^= 1 << (old & 31)
 	m.mapped--
 	m.noteValid(old, -1)
 	return true
 }
 
 // LPNAt returns the logical page stored at a physical page, if the page is
-// valid.
+// valid: the LPN programmed into its spare area.
 func (m *Mapper) LPNAt(ppn nand.PPN) (LPN, bool) {
-	if ppn < 0 || int64(ppn) >= int64(len(m.p2l)) {
+	if !m.lay.InRange(ppn) || !m.isValid(ppn) {
 		return -1, false
 	}
-	v := m.p2l[ppn]
-	return LPN(v) - 1, v != 0
+	spare, ok := m.spares.PeekSpare(ppn)
+	lpn, _ := LPNFromSpare(spare[:])
+	return lpn, ok
 }
 
 // ValidCount returns the number of valid pages in a block.
@@ -188,26 +207,42 @@ func (m *Mapper) ValidPages(a nand.BlockAddr) []nand.PPN {
 // page-index order, to dst and returns it — the allocation-free variant the
 // GC and recovery hot paths use with a reusable scratch slice.
 func (m *Mapper) AppendValidPages(a nand.BlockAddr, dst []nand.PPN) []nand.PPN {
-	base, n := m.lay.PPN(a.Chip, a.Block, 0), m.lay.PagesPerBlock()
-	for i := 0; i < n; i++ {
-		ppn := base + nand.PPN(i)
-		if m.p2l[ppn] != 0 {
-			dst = append(dst, ppn)
-		}
-	}
+	lo := m.lay.PPN(a.Chip, a.Block, 0)
+	m.scanValid(lo, lo+nand.PPN(m.lay.PagesPerBlock()), func(ppn nand.PPN) bool {
+		dst = append(dst, ppn)
+		return true
+	})
 	return dst
 }
 
 // FirstValidPage returns the lowest-index valid physical page of a block.
 func (m *Mapper) FirstValidPage(a nand.BlockAddr) (nand.PPN, bool) {
-	base, n := m.lay.PPN(a.Chip, a.Block, 0), m.lay.PagesPerBlock()
-	for i := 0; i < n; i++ {
-		ppn := base + nand.PPN(i)
-		if m.p2l[ppn] != 0 {
-			return ppn, true
+	lo := m.lay.PPN(a.Chip, a.Block, 0)
+	first := nand.InvalidPPN
+	m.scanValid(lo, lo+nand.PPN(m.lay.PagesPerBlock()), func(ppn nand.PPN) bool {
+		first = ppn
+		return false
+	})
+	return first, first != nand.InvalidPPN
+}
+
+// scanValid calls visit on each valid page of [lo, hi) in ascending order,
+// a bitmap word at a time, until visit returns false.
+func (m *Mapper) scanValid(lo, hi nand.PPN, visit func(nand.PPN) bool) {
+	for w := lo >> 5; w<<5 < hi; w++ {
+		word := m.valid[w]
+		if w<<5 < lo {
+			word &^= 1<<(lo&31) - 1
+		}
+		if (w+1)<<5 > hi {
+			word &= 1<<(hi&31) - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			if !visit(w<<5 + nand.PPN(bits.TrailingZeros32(word))) {
+				return
+			}
 		}
 	}
-	return nand.InvalidPPN, false
 }
 
 // StateHash returns an FNV-1a digest of the mapping state (every l2p entry

@@ -2,7 +2,9 @@ package ftl
 
 import (
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,10 +12,32 @@ import (
 	"flexftl/internal/rng"
 )
 
+// fakeSpares stands in for a device's spare areas under a standalone
+// mapper: mapTo records the LPN a test "programs" at a page, as the FTLs'
+// data pages carry it, and PeekSpare hands it back.
+type fakeSpares map[nand.PPN][SpareSize]byte
+
+func (f fakeSpares) PeekSpare(ppn nand.PPN) ([SpareSize]byte, bool) {
+	sp, ok := f[ppn]
+	return sp, ok
+}
+
+// newFakeMapper builds a mapper over g whose spare areas are a fakeSpares.
+func newFakeMapper(g nand.Geometry, logical int64) *Mapper {
+	return NewMapper(nand.NewLayout(g), logical, fakeSpares{})
+}
+
+// mapTo programs lpn into the fake spare of ppn and maps it there, the
+// two steps of an FTL write.
+func mapTo(m *Mapper, lpn LPN, ppn nand.PPN) nand.PPN {
+	m.spares.(fakeSpares)[ppn] = [SpareSize]byte(SpareForLPN(lpn))
+	return m.Update(lpn, ppn)
+}
+
 func testMapper(t *testing.T) (*Mapper, nand.Geometry) {
 	t.Helper()
 	g := nand.TestGeometry()
-	return NewMapper(nand.NewLayout(g), int64(g.TotalPages()/2)), g
+	return newFakeMapper(g, int64(g.TotalPages()/2)), g
 }
 
 func TestNewMapperPanicsOnBadSize(t *testing.T) {
@@ -25,7 +49,7 @@ func TestNewMapperPanicsOnBadSize(t *testing.T) {
 					t.Errorf("logicalPages=%d accepted", n)
 				}
 			}()
-			NewMapper(nand.NewLayout(g), n)
+			newFakeMapper(g, n)
 		}()
 	}
 }
@@ -35,7 +59,7 @@ func TestMapperUpdateLookup(t *testing.T) {
 	if _, ok := m.Lookup(5); ok {
 		t.Error("unmapped LPN resolves")
 	}
-	old := m.Update(5, 100)
+	old := mapTo(m, 5, 100)
 	if old != nand.InvalidPPN {
 		t.Errorf("first update superseded %v", old)
 	}
@@ -50,7 +74,7 @@ func TestMapperUpdateLookup(t *testing.T) {
 		t.Errorf("Mapped = %d", m.Mapped())
 	}
 	// Overwrite invalidates the old PPN.
-	old = m.Update(5, 200)
+	old = mapTo(m, 5, 200)
 	if old != 100 {
 		t.Errorf("superseded = %v, want 100", old)
 	}
@@ -68,7 +92,7 @@ func TestMapperValidCounts(t *testing.T) {
 	blk0 := nand.BlockAddr{Chip: 0, Block: 0}
 	// Fill block 0 with LPNs 0..perBlock-1.
 	for i := 0; i < perBlock; i++ {
-		m.Update(LPN(i), nand.PPN(i))
+		mapTo(m, LPN(i), nand.PPN(i))
 	}
 	if m.ValidCount(blk0) != perBlock {
 		t.Errorf("valid = %d, want %d", m.ValidCount(blk0), perBlock)
@@ -76,7 +100,7 @@ func TestMapperValidCounts(t *testing.T) {
 	// Rewriting half of them elsewhere drops the count.
 	base := nand.PPN(int64(perBlock))
 	for i := 0; i < perBlock/2; i++ {
-		m.Update(LPN(i), base+nand.PPN(i))
+		mapTo(m, LPN(i), base+nand.PPN(i))
 	}
 	if m.ValidCount(blk0) != perBlock/2 {
 		t.Errorf("valid after overwrite = %d, want %d", m.ValidCount(blk0), perBlock/2)
@@ -89,7 +113,7 @@ func TestMapperValidCounts(t *testing.T) {
 
 func TestMapperInvalidate(t *testing.T) {
 	m, _ := testMapper(t)
-	m.Update(7, 42)
+	mapTo(m, 7, 42)
 	if !m.Invalidate(7) {
 		t.Error("Invalidate of mapped LPN returned false")
 	}
@@ -107,12 +131,16 @@ func TestMapperInvalidate(t *testing.T) {
 	}
 }
 
+// TestMapperDoubleMapPPNPanics: mapping a second LPN onto a valid page is a
+// bug the bitmap catches, and the panic names the LPN the page's spare holds.
 func TestMapperDoubleMapPPNPanics(t *testing.T) {
 	m, _ := testMapper(t)
-	m.Update(1, 10)
+	mapTo(m, 1, 10)
 	defer func() {
-		if recover() == nil {
+		if r := recover(); r == nil {
 			t.Error("mapping two LPNs to one PPN did not panic")
+		} else if msg := fmt.Sprint(r); !strings.Contains(msg, "holds LPN 1") {
+			t.Errorf("double-map panic %q does not name LPN 1", msg)
 		}
 	}()
 	m.Update(2, 10)
@@ -120,7 +148,7 @@ func TestMapperDoubleMapPPNPanics(t *testing.T) {
 
 func TestMapperClearBlockPanicsOnValidPages(t *testing.T) {
 	m, _ := testMapper(t)
-	m.Update(1, 0)
+	mapTo(m, 1, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("ClearBlock with valid pages did not panic")
@@ -142,18 +170,19 @@ func TestFlatBlockRoundTrip(t *testing.T) {
 }
 
 // Property: after any sequence of updates/invalidates, the sum of per-block
-// valid counts equals Mapped(), and every l2p entry round-trips through p2l.
+// valid counts equals Mapped(), and every l2p entry round-trips through the
+// LPN in its page's spare.
 func TestMapperConsistencyProperty(t *testing.T) {
 	g := nand.TestGeometry()
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		logical := int64(g.TotalPages() / 2)
-		m := NewMapper(nand.NewLayout(g), logical)
+		m := newFakeMapper(g, logical)
 		nextPPN := 0
 		for op := 0; op < 500 && nextPPN < g.TotalPages(); op++ {
 			lpn := LPN(src.Int63n(logical))
 			if src.Bool(0.85) {
-				m.Update(lpn, nand.PPN(nextPPN))
+				mapTo(m, lpn, nand.PPN(nextPPN))
 				nextPPN++
 			} else {
 				m.Invalidate(lpn)
@@ -221,7 +250,7 @@ func TestTakeFullPanicsOnMissing(t *testing.T) {
 
 func TestPickVictimGreedy(t *testing.T) {
 	g := nand.TestGeometry()
-	m := NewMapper(nand.NewLayout(g), int64(g.TotalPages()/2))
+	m := newFakeMapper(g, int64(g.TotalPages()/2))
 	p := NewFreePool(0, g.BlocksPerChip)
 	// Block 0: all valid. Block 1: half valid. Block 2: empty (all invalid).
 	perBlock := g.PagesPerBlock()
@@ -232,7 +261,7 @@ func TestPickVictimGreedy(t *testing.T) {
 	fill := func(blk, valid int) {
 		base := nand.PPN(int64(blk) * int64(perBlock))
 		for i := 0; i < valid; i++ {
-			m.Update(lpn, base+nand.PPN(i))
+			mapTo(m, lpn, base+nand.PPN(i))
 			lpn++
 		}
 	}
@@ -263,7 +292,7 @@ func TestPickVictimGreedy(t *testing.T) {
 
 func TestPickVictimCostBenefit(t *testing.T) {
 	g := nand.TestGeometry()
-	m := NewMapper(nand.NewLayout(g), int64(g.TotalPages()/2))
+	m := newFakeMapper(g, int64(g.TotalPages()/2))
 	p := NewFreePool(0, g.BlocksPerChip)
 	p.Policy = GCCostBenefit
 	perBlock := g.PagesPerBlock()
@@ -273,7 +302,7 @@ func TestPickVictimCostBenefit(t *testing.T) {
 	fill := func(blk, valid int) {
 		base := nand.PPN(int64(blk) * int64(perBlock))
 		for i := 0; i < valid; i++ {
-			m.Update(lpn, base+nand.PPN(i))
+			mapTo(m, lpn, base+nand.PPN(i))
 			lpn++
 		}
 	}
@@ -465,7 +494,7 @@ func mapperDifferential(t *testing.T, g nand.Geometry, seed uint64) {
 	t.Helper()
 	total := g.TotalPages()
 	logical := int64(total / 2)
-	m := NewMapper(nand.NewLayout(g), logical)
+	m := newFakeMapper(g, logical)
 	pools, full := newPools(g.Chips(), g.BlocksPerChip, g.PagesPerBlock())
 	for c, p := range pools {
 		lo, hi := c*g.BlocksPerChip, (c+1)*g.BlocksPerChip
@@ -508,7 +537,7 @@ func mapperDifferential(t *testing.T, g nand.Geometry, seed uint64) {
 			if !had {
 				want = nand.InvalidPPN
 			}
-			if old := m.Update(lpn, ppn); old != want {
+			if old := mapTo(m, lpn, ppn); old != want {
 				t.Fatalf("%v seed %d step %d: Update(%d, %d) superseded %d, want %d", g, seed, step, lpn, ppn, old, want)
 			}
 			delete(held, want)

@@ -519,16 +519,27 @@ func TestInvariantsTLCHeavy(t *testing.T) {
 	auditNflex(t, f)
 }
 
-// TestMapperRoundTrip: the mounted Base's mapper and the geometry's PPN
-// arithmetic serve a three-level device's pages, finest level included.
+// oneSpare is the spare area of a device with one programmed page.
+type oneSpare struct {
+	ppn   nand.PPN
+	spare [ftl.SpareSize]byte
+}
+
+func (o oneSpare) PeekSpare(ppn nand.PPN) ([ftl.SpareSize]byte, bool) { return o.spare, ppn == o.ppn }
+
+// TestMapperRoundTrip: a mapper over the mounted device's page numbering and
+// the geometry's PPN arithmetic serve a three-level device's pages, finest
+// level included. The page is never programmed, so its LPN 5 is in a fake
+// spare area.
 func TestMapperRoundTrip(t *testing.T) {
 	g := tinyGeometry()
-	m := newTLC(t).Base.Map
+	f := newTLC(t)
 	a := pageFor(1, 2, 3, 2)
 	ppn := g.PPNOf(a)
 	if g.AddrOfPPN(ppn) != a {
 		t.Fatalf("addr round trip: %v -> %d -> %v", a, ppn, g.AddrOfPPN(ppn))
 	}
+	m := ftl.NewMapper(*f.Base.Dev.Layout(), f.LogicalPages(), oneSpare{ppn, [ftl.SpareSize]byte(ftl.SpareForLPN(5))})
 	m.Update(5, ppn)
 	if got, ok := m.Lookup(5); !ok || got != ppn {
 		t.Error("lookup failed")

@@ -1,6 +1,7 @@
 package nflex
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"flexftl/internal/core"
@@ -33,6 +34,9 @@ func TestSetupAllocationsFlat(t *testing.T) {
 			return err
 		}},
 	}
+	// A collection that starts inside a measured build allocates for the
+	// runtime and would be charged to the build.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, b := range builders {
 		allocs := func(chipsPerChannel, blocks int) float64 {
 			g := nand.Geometry{Channels: 4, ChipsPerChannel: chipsPerChannel, BlocksPerChip: blocks,

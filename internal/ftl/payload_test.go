@@ -6,14 +6,20 @@ import (
 	"flexftl/internal/nand"
 	"flexftl/internal/pagemem"
 	"flexftl/internal/parity"
+	"flexftl/internal/rng"
+	"flexftl/internal/sim"
 )
 
-// TestPayloadsFitInline: everything the FTLs program fits the device's inline
-// page slot, so no FTL program takes the oversize path. A token and a spare
-// fill the slot exactly, every spare encoder writes SpareSize bytes, every
-// parity accumulator of every registered kernel is TokenSize wide, and the
-// largest LPN a device can hold round-trips through a token with a sequence
-// number past 32 bits.
+// TestPayloadsFitInline: everything the FTLs program is one of the three
+// shapes the device's page record stores in place — a data page (token and
+// spare), a parity page (token, no spare) and a pad (nothing) — so no FTL
+// program takes the oversize path. A token and a spare fill the slot
+// exactly, every spare encoder writes SpareSize bytes, every parity
+// accumulator of every registered kernel is TokenSize wide, the largest LPN
+// a device can hold round-trips through a token with a sequence number past
+// 32 bits, and every page every registered kernel leaves programmed after
+// sustained writes, GC and idle windows reads back in one of the three
+// shapes.
 func TestPayloadsFitInline(t *testing.T) {
 	if TokenSize+SpareSize != pagemem.InlineBytes {
 		t.Errorf("TokenSize %d + SpareSize %d != pagemem.InlineBytes %d", TokenSize, SpareSize, pagemem.InlineBytes)
@@ -92,5 +98,44 @@ func TestPayloadsFitInline(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("no registered kernel has a parity accumulator to check")
+	}
+
+	type shape struct{ data, spare int }
+	inline := map[shape]bool{{TokenSize, SpareSize}: true, {TokenSize, 0}: true, {0, 0}: true}
+	seen := map[shape]int{}
+	for _, name := range Names() {
+		f, err := BuildFTL(name, BuildEnv{Geometry: nand.TestGeometry(), Config: DefaultConfig(), Flex: DefaultFlexParams()})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		dev, logical := f.Device(), f.LogicalPages()
+		r := rng.New(7)
+		now := sim.Time(0)
+		var buf nand.PageBuf
+		for pass := 0; pass < 4; pass++ {
+			for i := int64(0); i < logical; i++ {
+				if now, err = f.Write(LPN(r.Int63n(logical)), now, r.Float64()); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			f.Idle(now, now+sim.Second)
+			now += sim.Second
+			for ppn := nand.PPN(0); ppn < nand.PPN(dev.Layout().Pages()); ppn++ {
+				if _, err := dev.ReadPPN(ppn, &buf, 0); err != nil {
+					continue // erased
+				}
+				sh := shape{len(buf.Data), len(buf.Spare)}
+				if !inline[sh] {
+					t.Fatalf("%s: page %d holds a %d+%d-byte program, not an inline shape", name, ppn, sh.data, sh.spare)
+				}
+				seen[sh]++
+			}
+		}
+	}
+	t.Logf("programmed pages by data+spare shape over all scans: %v", seen)
+	for sh := range inline {
+		if seen[sh] == 0 {
+			t.Errorf("no %d+%d-byte page in any scan (%v): the check misses a shape", sh.data, sh.spare, seen)
+		}
 	}
 }

@@ -336,6 +336,9 @@ func runWiredVictimProperty(t *testing.T, policy GCPolicy, seed uint64) {
 	}
 	g, lay := dev.Geometry(), dev.Layout()
 	ppb := g.PagesPerBlock()
+	// The sequence maps pages it never programs, so their LPNs live in a
+	// fake spare area.
+	b.SetMapper(NewMapper(*lay, b.LogicalPages(), fakeSpares{}))
 	var freeLPNs []LPN
 	for l := LPN(b.LogicalPages()) - 1; l >= 0; l-- {
 		freeLPNs = append(freeLPNs, l)
@@ -394,7 +397,7 @@ func runWiredVictimProperty(t *testing.T, policy GCPolicy, seed uint64) {
 		case op < 30: // fill a free block with some valid pages and push it full
 			if blk, ok := p.PopFree(); ok {
 				for i, n := 0, r.Intn(ppb+1); i < n && len(freeLPNs) > 0; i++ {
-					b.Map.Update(takeLPN(), lay.PPN(chip, blk, i))
+					mapTo(b.Map, takeLPN(), lay.PPN(chip, blk, i))
 				}
 				p.PushFull(blk)
 			}
@@ -404,14 +407,14 @@ func runWiredVictimProperty(t *testing.T, policy GCPolicy, seed uint64) {
 			}
 		case op < 70: // map a fresh LPN onto an unmapped page of a full block
 			if ppn, ok := fullPage(r, chip, false); ok && len(freeLPNs) > 0 {
-				b.Map.Update(takeLPN(), ppn)
+				mapTo(b.Map, takeLPN(), ppn)
 			}
 		case op < 80: // remap a live LPN between full blocks
 			from, okFrom := fullPage(r, chip, true)
 			to, okTo := fullPage(r, r.Intn(len(b.Pools)), false)
 			if okFrom && okTo {
 				l, _ := b.Map.LPNAt(from)
-				b.Map.Update(l, to)
+				mapTo(b.Map, l, to)
 			}
 		case op < 95: // GC: collect the chip's victim
 			if v, ok := p.PickVictim(); ok {
@@ -422,7 +425,7 @@ func runWiredVictimProperty(t *testing.T, policy GCPolicy, seed uint64) {
 				p.PushFree(v)
 			}
 		default: // flash-scan rebuild: swap in a mapper rebuilt from the live mapping
-			m := NewMapper(*lay, b.LogicalPages())
+			m := NewMapper(*lay, b.LogicalPages(), b.Map.spares)
 			for l := LPN(0); l < LPN(b.LogicalPages()); l++ {
 				if ppn, ok := b.Map.Lookup(l); ok {
 					m.Update(l, ppn)

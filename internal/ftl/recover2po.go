@@ -455,7 +455,7 @@ func (k *Kernel) RebuildMapping(now sim.Time) (RebuildReport, error) {
 	g := k.Dev.Geometry()
 
 	old := k.Map
-	fresh := NewMapper(*k.lay, k.LogicalPages())
+	fresh := NewMapper(*k.lay, k.LogicalPages(), k.Dev)
 	bestSeq := make(map[LPN]uint64)
 
 	end := now

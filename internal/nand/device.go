@@ -837,6 +837,19 @@ func (d *Device) IsProgrammed(a PageAddr) bool {
 	return err == nil && pg.Has(pagemem.Programmed)
 }
 
+// PeekSpare returns the first pagemem.SpareBytes of the spare area of the
+// page numbered ppn, where an FTL keeps a data page's LPN. It is a look, not
+// a read: it takes no time, counts nothing, rolls no reliability outcome,
+// ignores the Corrupted and Lost flags and allocates nothing. It reports
+// false for a page out of range, an erased page and a shorter spare.
+func (d *Device) PeekSpare(ppn PPN) ([pagemem.SpareBytes]byte, bool) {
+	if !d.lay.InRange(ppn) {
+		return [pagemem.SpareBytes]byte{}, false
+	}
+	chipID := d.lay.ChipOf(ppn)
+	return d.pages[ppn].PeekSpare(d.chips[chipID].oversize, int(ppn)-chipID*d.lay.pagesPerChip)
+}
+
 // IsCorrupted reports whether a page's data was destroyed.
 func (d *Device) IsCorrupted(a PageAddr) bool {
 	pg, err := d.pageAt(a)

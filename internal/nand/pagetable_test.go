@@ -38,15 +38,21 @@ func readBoth(t *testing.T, d *Device, a PageAddr) (data, spare []byte) {
 	return data, spare
 }
 
-// TestInlineOversizeBoundary: payload and spare together fill the inline slot
-// up to pagemem.InlineBytes; one byte more goes to the chip's side table. Both
-// read back exactly, whatever the split.
+// TestInlineOversizeBoundary: the three shapes the FTLs program — a data page
+// (12+4), an FPS parity page (12+0) and a pad (0+0) — stay in the page
+// record; any other shape, however short, goes to the chip's side table.
+// Both read back exactly, whatever the split, and PeekSpare sees the first
+// spare bytes of either.
 func TestInlineOversizeBoundary(t *testing.T) {
 	g := TestGeometry()
-	cases := []struct{ data, spare int }{
-		{0, 0}, {12, 4}, {16, 0}, {4, 12}, // at most the slot
-		{13, 4}, {17, 0}, {5, 12}, {12, 5}, // the slot + 1
-		{g.PageSizeBytes, g.SpareBytes}, // a full page
+	cases := []struct {
+		data, spare int
+		inline      bool
+	}{
+		{12, 4, true}, {12, 0, true}, {0, 0, true}, // the FTLs' shapes
+		{16, 0, false}, {4, 12, false}, {0, 4, false}, {11, 4, false}, // the slot, other splits
+		{13, 4, false}, {17, 0, false}, {12, 5, false}, // the slot + 1
+		{g.PageSizeBytes, g.SpareBytes, false}, // a full page
 	}
 	everyLevels(t, func(t *testing.T, d *Device) {
 		for blk, c := range cases {
@@ -60,8 +66,12 @@ func TestInlineOversizeBoundary(t *testing.T) {
 				t.Errorf("%d+%dB: read back %x/%x, want %x/%x", c.data, c.spare, gotData, gotSpare, data, spare)
 			}
 			_, inTable := d.chips[1].oversize[blk*d.Geometry().PagesPerBlock()]
-			if want := c.data+c.spare > pagemem.InlineBytes; inTable != want {
-				t.Errorf("%d+%dB: in the oversize table = %v, want %v", c.data, c.spare, inTable, want)
+			if inTable == c.inline {
+				t.Errorf("%d+%dB: in the oversize table = %v, want %v", c.data, c.spare, inTable, !c.inline)
+			}
+			peek, ok := d.PeekSpare(d.Layout().PPNOf(a))
+			if want := c.spare >= pagemem.SpareBytes; ok != want || ok && !bytes.Equal(peek[:], spare[:pagemem.SpareBytes]) {
+				t.Errorf("%d+%dB: PeekSpare = %x,%v, want the first %d spare bytes: %v", c.data, c.spare, peek, ok, pagemem.SpareBytes, want)
 			}
 		}
 		if d.chips[0].oversize != nil {
@@ -76,20 +86,25 @@ func TestInlineOversizeBoundary(t *testing.T) {
 func TestReprogramAcrossSlotSizes(t *testing.T) {
 	everyLevels(t, func(t *testing.T, d *Device) {
 		a := addr(0, 3, 0, core.LSB)
-		for i, n := range []int{40, 5, 33, 60, 24, 25, 0} {
-			data, spare := pattern(n, byte(i)), pattern(i%3, byte(50+i))
+		for i, c := range []struct{ data, spare int }{
+			{40, 0}, {12, 4}, {33, 2}, {12, 0}, {60, 1}, {0, 0}, {5, 1}, {12, 4},
+		} {
+			data, spare := pattern(c.data, byte(i)), pattern(c.spare, byte(50+i))
 			if _, err := d.Program(a, data, spare, 0); err != nil {
-				t.Fatalf("program %dB: %v", n, err)
+				t.Fatalf("program %d+%dB: %v", c.data, c.spare, err)
 			}
 			gotData, gotSpare := readBoth(t, d, a)
 			if !bytes.Equal(gotData, data) || !bytes.Equal(gotSpare, spare) {
-				t.Errorf("step %d (%dB): read back %x/%x, want %x/%x", i, n, gotData, gotSpare, data, spare)
+				t.Errorf("step %d (%d+%dB): read back %x/%x, want %x/%x", i, c.data, c.spare, gotData, gotSpare, data, spare)
 			}
 			if _, err := d.Erase(a.BlockAddr, 0); err != nil {
 				t.Fatal(err)
 			}
 			if _, _, _, err := read(d, a, 0); !errors.Is(err, ErrNotProgrammed) {
 				t.Errorf("step %d: read after erase: %v, want ErrNotProgrammed", i, err)
+			}
+			if _, ok := d.PeekSpare(d.Layout().PPNOf(a)); ok {
+				t.Errorf("step %d: PeekSpare after erase reports a spare", i)
 			}
 		}
 	})

@@ -279,10 +279,13 @@ func TestWearStats(t *testing.T) {
 	}
 }
 
+// TestInlineOversizeBoundary: a parity page's token with no spare stays in
+// the page record, and a longer payload — the whole inline slot, one byte
+// more, a full page — goes to the side table; each reads back exactly.
 func TestInlineOversizeBoundary(t *testing.T) {
 	d := testDevice(t)
 	var buf PageBuf
-	for blk, n := range []int{pagemem.InlineBytes, pagemem.InlineBytes + 1, d.Geometry().PageSizeBytes} {
+	for blk, n := range []int{pagemem.TokenBytes, pagemem.InlineBytes, pagemem.InlineBytes + 1, d.Geometry().PageSizeBytes} {
 		data := bytes.Repeat([]byte{byte(blk + 1)}, n)
 		if _, err := d.Program(pa(1, blk, 0, 0), data, nil, 0); err != nil {
 			t.Fatal(err)
@@ -293,10 +296,13 @@ func TestInlineOversizeBoundary(t *testing.T) {
 	}
 }
 
+// TestReprogramAcrossSlotSizes: one page programmed, read and erased in
+// turn with payloads in the side table (40, 5, 60, 16 bytes) and in the page
+// record (12 and 0 bytes) reads back each payload exactly.
 func TestReprogramAcrossSlotSizes(t *testing.T) {
 	d := testDevice(t)
 	var buf PageBuf
-	for i, n := range []int{40, 5, 60, 16, 0} {
+	for i, n := range []int{40, 12, 5, 60, 16, 0} {
 		data := bytes.Repeat([]byte{byte(i + 1)}, n)
 		if _, err := d.Program(pa(0, 3, 0, 0), data, nil, 0); err != nil {
 			t.Fatal(err)
