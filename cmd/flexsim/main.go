@@ -71,78 +71,81 @@ func listSchemes(w io.Writer) {
 }
 
 func main() {
-	var o options
-	list := flag.Bool("list", false, "list registered FTL schemes and exit")
-	flag.StringVar(&o.FTL, "ftl", "flexFTL", "FTL scheme: "+strings.Join(ftl.Names(), "|"))
-	flag.StringVar(&o.Workload, "workload", "Varmail", "workload: OLTP|NTRX|Webserver|Varmail|Fileserver")
-	flag.IntVar(&o.Requests, "requests", 100000, "host requests")
-	flag.Uint64Var(&o.Seed, "seed", 42, "workload seed")
-	flag.BoolVar(&o.Full, "full", false, "use the paper's 16 GB geometry")
-	flag.StringVar(&o.GCPolicy, "gc", "greedy", "GC victim policy: greedy|costbenefit")
-	flag.BoolVar(&o.Predictive, "predictive-bgc", false, "enable the Section 6 future-write predictor (flexFTL only)")
-	flag.StringVar(&o.DumpWorkload, "dump-workload", "", "write the generated workload as CSV to this file")
-	flag.StringVar(&o.Replay, "replay", "", "replay a trace file instead of generating (.csv is CSV, any other extension the flextrace binary format)")
-	flag.StringVar(&o.Trace, "trace", "", "write an event trace of the run to this file")
-	flag.StringVar(&o.TraceFormat, "trace-format", "chrome", "event trace format: chrome|jsonl")
-	flag.DurationVar(&o.Sample, "sample", 0, "sample internal state (u, q, queue depths) on this virtual-time cadence")
-	flag.StringVar(&o.SampleOut, "sample-out", "", "write the sampled series as CSV to this file")
-	flag.StringVar(&o.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file (read with go tool pprof)")
-	flag.StringVar(&o.Metrics, "metrics", "", "write the run result (flexstat-readable JSON) to this file")
-	flag.BoolVar(&o.Rel, "rel", false, "mount the per-page BER model and the kernel's scrub/refresh/retire responses")
-	flag.Uint64Var(&o.RelSeed, "rel-seed", 1, "BER model per-read hash seed (with -rel)")
-	flag.IntVar(&o.RelWear, "rel-wear", 0, "pre-wear every block this many P/E cycles before the run (with -rel)")
-	flag.BoolVar(&o.RelDetectOnly, "rel-detect-only", false, "with -rel: model the errors but disable the kernel's responses")
-	flag.Parse()
-	if *list {
+	o, list, err := parseFlags(os.Args[1:])
+	if err == nil && list {
 		listSchemes(os.Stdout)
 		return
 	}
-	if err := run(os.Stdout, o); err != nil {
+	if err == nil {
+		err = run(os.Stdout, o)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "flexsim:", err)
 		os.Exit(1)
 	}
 }
 
-// buildFTL resolves the scheme through the ftl registry, layering the
-// CLI-only policy knobs onto the build environment.
-func buildFTL(o options, g nand.Geometry) (ftl.FTL, error) {
-	cfg := ftl.DefaultConfig()
+// parseFlags maps the command line onto options; list reports -list. A
+// -rel-* flag without -rel is refused rather than ignored.
+func parseFlags(args []string) (o options, list bool, err error) {
+	fs := flag.NewFlagSet("flexsim", flag.ExitOnError)
+	fs.BoolVar(&list, "list", false, "list registered FTL schemes and exit")
+	fs.StringVar(&o.FTL, "ftl", "flexFTL", "FTL scheme: "+strings.Join(ftl.Names(), "|"))
+	fs.StringVar(&o.Workload, "workload", "Varmail", "workload: OLTP|NTRX|Webserver|Varmail|Fileserver")
+	fs.IntVar(&o.Requests, "requests", 100000, "host requests")
+	fs.Uint64Var(&o.Seed, "seed", 42, "workload seed")
+	fs.BoolVar(&o.Full, "full", false, "use the paper's 16 GB geometry")
+	fs.StringVar(&o.GCPolicy, "gc", "greedy", "GC victim policy: greedy|costbenefit")
+	fs.BoolVar(&o.Predictive, "predictive-bgc", false, "enable the Section 6 future-write predictor (flexFTL only)")
+	fs.StringVar(&o.DumpWorkload, "dump-workload", "", "write the generated workload as CSV to this file")
+	fs.StringVar(&o.Replay, "replay", "", "replay a trace file instead of generating (.csv is CSV, any other extension the flextrace binary format)")
+	fs.StringVar(&o.Trace, "trace", "", "write an event trace of the run to this file")
+	fs.StringVar(&o.TraceFormat, "trace-format", "chrome", "event trace format: chrome|jsonl")
+	fs.DurationVar(&o.Sample, "sample", 0, "sample internal state (u, q, queue depths) on this virtual-time cadence")
+	fs.StringVar(&o.SampleOut, "sample-out", "", "write the sampled series as CSV to this file")
+	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file (read with go tool pprof)")
+	fs.StringVar(&o.Metrics, "metrics", "", "write the run result (flexstat-readable JSON) to this file")
+	fs.BoolVar(&o.Rel, "rel", false, "mount the per-page BER model and the kernel's scrub/refresh/retire responses")
+	fs.Uint64Var(&o.RelSeed, "rel-seed", 1, "BER model per-read hash seed (with -rel)")
+	fs.IntVar(&o.RelWear, "rel-wear", 0, "pre-wear every block this many P/E cycles before the run (with -rel)")
+	fs.BoolVar(&o.RelDetectOnly, "rel-detect-only", false, "with -rel: model the errors but disable the kernel's responses")
+	_ = fs.Parse(args) // ExitOnError: Parse exits on a bad flag instead of returning
+	fs.Visit(func(f *flag.Flag) {
+		if !o.Rel && err == nil && strings.HasPrefix(f.Name, "rel-") {
+			err = fmt.Errorf("-%s needs -rel", f.Name)
+		}
+	})
+	return o, list, err
+}
+
+// cell maps the options onto the run spec. A replay needs no profile.
+func cell(o options) (experiments.Cell, error) {
+	s := experiments.Setup{Geometry: experiments.EvalGeometry(), Requests: o.Requests, Seed: o.Seed}
+	if o.Full {
+		s.Geometry = nand.DefaultGeometry()
+	}
+	prof, err := workload.FindProfile(o.Workload)
+	if err != nil && o.Replay == "" {
+		return experiments.Cell{}, err
+	}
+	c := s.Cell(o.FTL, prof)
 	switch o.GCPolicy {
 	case "greedy":
 	case "costbenefit":
-		cfg.GC = ftl.GCCostBenefit
+		c.Env.Config.GC = ftl.GCCostBenefit
 	default:
-		return nil, fmt.Errorf("unknown GC policy %q (greedy|costbenefit)", o.GCPolicy)
+		return experiments.Cell{}, fmt.Errorf("unknown GC policy %q (greedy|costbenefit)", o.GCPolicy)
 	}
-	flex := ftl.DefaultFlexParams()
-	flex.PredictiveBGC = o.Predictive
-	env := ftl.BuildEnv{Geometry: g, Config: cfg, Flex: flex}
+	c.Env.Flex.PredictiveBGC = o.Predictive
 	if o.Rel {
 		rc := rel.DefaultConfig(o.RelSeed)
-		env.Reliability = &rc
+		c.Env.Reliability = &rc
 		if !o.RelDetectOnly {
-			env.Config.Reliability = ftl.DefaultRelPolicy()
+			c.Env.Config.Reliability = ftl.DefaultRelPolicy()
 		}
+		c.PreWear = o.RelWear
 	}
-	f, err := ftl.BuildFTL(o.FTL, env)
-	if err != nil {
-		return nil, err
-	}
-	if o.Rel && o.RelWear > 0 {
-		dev := f.Device()
-		dg := dev.Geometry()
-		for chip := 0; chip < dg.Chips(); chip++ {
-			for blk := 0; blk < dg.BlocksPerChip; blk++ {
-				a := nand.BlockAddr{Chip: chip, Block: blk}
-				for i := 0; i < o.RelWear; i++ {
-					if _, err := dev.Erase(a, 0); err != nil {
-						return nil, fmt.Errorf("pre-wear %v: %w", a, err)
-					}
-				}
-			}
-		}
-	}
-	return f, nil
+	return c, nil
 }
 
 // newRecorder assembles the observability stack the flags ask for. It
@@ -239,18 +242,31 @@ func writeMetrics(path, scheme string, res ssd.RunResult, rec *obs.Recorder, wal
 
 func run(w io.Writer, o options) (runErr error) {
 	start := time.Now()
-	geometry := experiments.EvalGeometry()
-	if o.Full {
-		geometry = nand.DefaultGeometry()
-	}
-	f, err := buildFTL(o, geometry)
+	c, err := cell(o)
 	if err != nil {
 		return err
 	}
-	sys, err := ssd.New(f, ssd.DefaultConfig())
+	if o.CPUProfile != "" {
+		f, err := os.Create(o.CPUProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); runErr == nil {
+				runErr = cerr
+			}
+		}()
+	}
+	sys, err := c.System()
 	if err != nil {
 		return err
 	}
+	f := sys.F.(ftl.FTL) // Cell.Build returns an ftl.FTL
 	spec, _ := ftl.Lookup(o.FTL)
 	fmt.Fprintf(w, "device   : %s (%s rules)\n", f.Device().Geometry(), spec.Rules)
 	fmt.Fprintf(w, "ftl      : %s, logical space %d pages\n", f.Name(), f.LogicalPages())
@@ -266,11 +282,7 @@ func run(w io.Writer, o options) (runErr error) {
 		defer closeTrace()
 		gen = replay
 	} else {
-		prof, err := workload.FindProfile(o.Workload)
-		if err != nil {
-			return err
-		}
-		gen, err = workload.New(prof, f.LogicalPages(), o.Requests, o.Seed)
+		gen, err = workload.New(c.Profile, f.LogicalPages(), c.Requests, c.Seed)
 		if err != nil {
 			return err
 		}
@@ -288,7 +300,7 @@ func run(w io.Writer, o options) (runErr error) {
 			}
 			fmt.Fprintf(w, "workload : wrote %d requests to %s\n", n, o.DumpWorkload)
 			// Regenerate for the run itself (the writer consumed gen).
-			gen, err = workload.New(prof, f.LogicalPages(), o.Requests, o.Seed)
+			gen, err = workload.New(c.Profile, f.LogicalPages(), c.Requests, c.Seed)
 			if err != nil {
 				return err
 			}
@@ -297,26 +309,6 @@ func run(w io.Writer, o options) (runErr error) {
 
 	rec, finishObs, err := newRecorder(w, o)
 	if err != nil {
-		return err
-	}
-
-	if o.CPUProfile != "" {
-		f, err := os.Create(o.CPUProfile)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if cerr := f.Close(); runErr == nil {
-				runErr = cerr
-			}
-		}()
-	}
-	if _, err := sys.Prefill(); err != nil {
 		return err
 	}
 	// Attach after Prefill so traces and samples cover the measured run only.

@@ -354,3 +354,51 @@ func TestRunUnknownTraceFormat(t *testing.T) {
 		t.Error("unknown trace format accepted")
 	}
 }
+
+// TestGoldenOutputs: the report for each flag set CI runs is pinned to a
+// golden under testdata/, recorded from the command line. {dir} stands for
+// a scratch directory; the replay reads the dump written before it.
+func TestGoldenOutputs(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, args string }{
+		{"varmail", "-workload Varmail -requests 2000"},
+		{"rel-wear", "-ftl flexFTL -workload OLTP -requests 10000 -seed 9 -rel -rel-wear 6000"},
+		{"costbenefit", "-gc costbenefit -predictive-bgc -requests 2000"},
+		{"detect-only", "-rel -rel-detect-only -requests 2000"},
+		{"dump", "-ftl pageFTL -workload OLTP -requests 2000 -seed 3 -dump-workload {dir}/t.csv"},
+		{"replay", "-ftl pageFTL -replay {dir}/t.csv"},
+	} {
+		args := strings.Fields(tc.args)
+		for i := range args {
+			args[i] = strings.ReplaceAll(args[i], "{dir}", dir)
+		}
+		o, _, err := parseFlags(args)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var sb strings.Builder
+		if err := run(&sb, o); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.ReplaceAll(sb.String(), dir, "{dir}"); got != string(want) {
+			t.Errorf("flexsim %s drifted from testdata/%s.golden:\n%s\n--- want:\n%s", tc.args, tc.name, got, want)
+		}
+	}
+}
+
+// TestRelFlagsNeedRel: a -rel-* flag without -rel is refused with an error
+// that names it instead of being ignored; after -rel each one parses.
+func TestRelFlagsNeedRel(t *testing.T) {
+	for _, args := range [][]string{{"-rel-wear", "6000"}, {"-rel-detect-only"}, {"-rel-seed", "3"}} {
+		if _, _, err := parseFlags(args); err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%v without -rel: err = %v, want one naming %s", args, err, args[0])
+		}
+		if _, _, err := parseFlags(append([]string{"-rel"}, args...)); err != nil {
+			t.Errorf("-rel %v: %v", args, err)
+		}
+	}
+}

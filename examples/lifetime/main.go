@@ -11,43 +11,29 @@ import (
 	"log"
 
 	"flexftl/internal/experiments"
-	"flexftl/internal/ssd"
 	"flexftl/internal/workload"
 )
 
 func main() {
-	geometry := experiments.EvalGeometry()
+	setup := experiments.Setup{Geometry: experiments.EvalGeometry(), Requests: 60000, Seed: 7}
 	prof := workload.NTRX() // write-dominant, very intense
-	const requests = 60000
-
-	fmt.Printf("workload: %s (%d requests) on %s\n\n", prof.Name, requests, geometry)
-	fmt.Printf("  %-10s %8s %8s %10s %10s %8s\n", "ftl", "erases", "backups", "backup/W", "WA", "IOPS")
+	var grid experiments.Grid
 	for _, scheme := range experiments.Schemes() {
-		f, err := experiments.BuildFTL(scheme, geometry)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sys, err := ssd.New(f, ssd.DefaultConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := sys.Prefill(); err != nil {
-			log.Fatal(err)
-		}
-		gen, err := workload.New(prof, f.LogicalPages(), requests, 7)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := sys.Run(gen)
-		if err != nil {
-			log.Fatal(err)
-		}
+		grid = append(grid, setup.Cell(scheme, prof))
+	}
+	runs, err := experiments.RunGrid(grid, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	fmt.Printf("workload: %s (%d requests) on %s\n\n", prof.Name, setup.Requests, setup.Geometry)
+	fmt.Printf("  %-10s %8s %8s %10s %10s %8s\n", "ftl", "erases", "backups", "backup/W", "WA", "IOPS")
+	for i, res := range runs {
 		st := res.Stats
 		perHostWrite := float64(st.BackupWrites) / float64(st.HostWrites)
-		wear := f.Device().Wear()
 		fmt.Printf("  %-10s %8d %8d %10.4f %10.2f %8.0f   wear max/mean %.1fx\n",
-			scheme, st.Erases, st.BackupWrites, perHostWrite,
-			st.WriteAmplification(), res.Metrics.IOPS, wear.Imbalance)
+			grid[i].Scheme, st.Erases, st.BackupWrites, perHostWrite,
+			st.WriteAmplification(), res.Metrics.IOPS, res.WearSpread)
 	}
 	fmt.Println("\nflexFTL's per-block parity makes its backup overhead ~1/W per LSB page")
 	fmt.Println("(W = LSB pages per block) versus 1/2 for the FPS pre-backup schemes, which")

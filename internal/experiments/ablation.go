@@ -39,11 +39,11 @@ func RunAblations(s Setup, workers int) (AblationResult, error) {
 	flex := s.Cell("flexFTL", workload.Varmail())
 	grid := Grid{
 		flex.With("flexFTL (paper settings)", func(*Cell) {}),
-		flex.With("quota 0.1% (near-FPS)", func(c *Cell) { c.Flex.QuotaFraction = 0.001 }),
-		flex.With("quota 100% (unbounded)", func(c *Cell) { c.Flex.QuotaFraction = 1.0 }),
-		flex.With("BGC copies via LSB", func(c *Cell) { c.Flex.BGCCopyLSB = true }),
-		flex.With("predictive BGC (Section 6)", func(c *Cell) { c.Flex.PredictiveBGC = true }),
-		flex.With("cost-benefit GC victims", func(c *Cell) { c.FTL.GC = ftl.GCCostBenefit }),
+		flex.With("quota 0.1% (near-FPS)", func(c *Cell) { c.Env.Flex.QuotaFraction = 0.001 }),
+		flex.With("quota 100% (unbounded)", func(c *Cell) { c.Env.Flex.QuotaFraction = 1.0 }),
+		flex.With("BGC copies via LSB", func(c *Cell) { c.Env.Flex.BGCCopyLSB = true }),
+		flex.With("predictive BGC (Section 6)", func(c *Cell) { c.Env.Flex.PredictiveBGC = true }),
+		flex.With("cost-benefit GC victims", func(c *Cell) { c.Env.Config.GC = ftl.GCCostBenefit }),
 	}
 	for _, name := range Hybrids() {
 		grid = append(grid, flex.With(name+" (hybrid)", func(c *Cell) { c.Scheme = name }))
@@ -144,7 +144,7 @@ func RunPlacementSweep(s Setup, workers int) (PlacementSweepResult, error) {
 	for _, theta := range placementThetas {
 		for _, scheme := range PlacementSchemes() {
 			c := s.Cell(scheme, workload.ZipfProfile(theta))
-			c.FTL.OPFraction = placementOP
+			c.Env.Config.OPFraction = placementOP
 			grid = append(grid, c)
 		}
 	}

@@ -57,7 +57,7 @@ func EvalGeometry() nand.Geometry {
 // each spec brings the rule set its scheme needs (flexFTL an RPS device, the
 // comparison FTLs stock FPS devices).
 func BuildFTL(scheme string, g nand.Geometry) (ftl.FTL, error) {
-	return ftl.BuildFTL(scheme, ftl.BuildEnv{Geometry: g, Config: ftl.DefaultConfig(), Flex: ftl.DefaultFlexParams()})
+	return Setup{Geometry: g}.Cell(scheme, workload.Profile{}).Build()
 }
 
 // Setup is what every simulation of an exhibit shares: the device, the run
@@ -68,8 +68,9 @@ type Setup struct {
 	Seed     uint64
 }
 
-// Cell is one simulation: a registry scheme under a workload, built with the
-// FTL, allocator and system configuration it runs at.
+// Cell is one simulation: a registry scheme under a workload, built in its
+// environment, pre-worn, and run in a System with its own configuration.
+// The exhibits, flexsim and the aging campaign build their runs from one.
 type Cell struct {
 	// Label names the cell's override in errors and in the exhibits' rows
 	// ("quota 100% (unbounded)", "OP 7.0%"); empty at the defaults.
@@ -77,27 +78,78 @@ type Cell struct {
 	Scheme   string
 	Profile  workload.Profile
 	Seed     uint64
-	Geometry nand.Geometry
 	Requests int
-	FTL      ftl.Config
-	Flex     ftl.FlexParams
-	SSD      ssd.Config
+	// Env is what the registry builds the scheme from, the BER mount
+	// (Env.Reliability) included.
+	Env ftl.BuildEnv
+	// PreWear erases every block this many times before any data is
+	// written, aging the device to that P/E count.
+	PreWear int
+	SSD     ssd.Config
 }
 
 // Cell returns scheme under p at the setup's device, run length and seed,
 // with every configuration at its default.
 func (s Setup) Cell(scheme string, p workload.Profile) Cell {
 	return Cell{
-		Scheme: scheme, Profile: p, Seed: s.Seed, Geometry: s.Geometry, Requests: s.Requests,
-		FTL: ftl.DefaultConfig(), Flex: ftl.DefaultFlexParams(), SSD: ssd.DefaultConfig(),
+		Scheme: scheme, Profile: p, Seed: s.Seed, Requests: s.Requests,
+		Env: ftl.BuildEnv{Geometry: s.Geometry, Config: ftl.DefaultConfig(), Flex: ftl.DefaultFlexParams()},
+		SSD: ssd.DefaultConfig(),
 	}
 }
 
-// With returns the cell labelled and changed by tune.
+// With returns the cell labelled and changed by tune. The copy owns its
+// reliability configurations, so tuning them leaves c as it was.
 func (c Cell) With(label string, tune func(*Cell)) Cell {
 	c.Label = label
+	if r := c.Env.Reliability; r != nil {
+		rc := *r
+		c.Env.Reliability = &rc
+	}
+	if p := c.Env.Config.Reliability; p != nil {
+		pc := *p
+		c.Env.Config.Reliability = &pc
+	}
 	tune(&c)
 	return c
+}
+
+// Build constructs the cell's scheme over a fresh device through the ftl
+// registry, which mounts Env.Reliability, then pre-wears every block. The
+// blocks are all free, so pre-wear only moves wear counters.
+func (c Cell) Build() (ftl.FTL, error) {
+	f, err := ftl.BuildFTL(c.Scheme, c.Env)
+	if err != nil || c.PreWear <= 0 {
+		return f, err
+	}
+	dev := f.Device()
+	lay := dev.Layout()
+	for flat := 0; flat < lay.Blocks(); flat++ {
+		a := lay.BlockOfFlat(flat)
+		for i := 0; i < c.PreWear; i++ {
+			if _, err := dev.Erase(a, 0); err != nil {
+				return nil, fmt.Errorf("experiments: pre-wear %v: %w", a, err)
+			}
+		}
+	}
+	return f, nil
+}
+
+// System builds the cell, mounts it in a System with the cell's SSD
+// configuration and prefills it: the device as the workload finds it.
+func (c Cell) System() (*ssd.System, error) {
+	f, err := c.Build()
+	if err != nil {
+		return nil, err
+	}
+	sys, err := ssd.New(f, c.SSD)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sys.Prefill(); err != nil {
+		return nil, err
+	}
+	return sys, nil
 }
 
 // Grid is an exhibit's list of cells. Every cell builds its own device and
@@ -119,21 +171,13 @@ func RunGrid(grid Grid, workers int) ([]ssd.RunResult, error) {
 	})
 }
 
-// simulate runs one cell: it builds the scheme, mounts it in a System,
-// prefills it, and runs the cell's workload over its logical space.
+// simulate runs one cell's workload over its prefilled System.
 func simulate(c Cell) (ssd.RunResult, error) {
-	f, err := ftl.BuildFTL(c.Scheme, ftl.BuildEnv{Geometry: c.Geometry, Config: c.FTL, Flex: c.Flex})
+	sys, err := c.System()
 	if err != nil {
 		return ssd.RunResult{}, err
 	}
-	sys, err := ssd.New(f, c.SSD)
-	if err != nil {
-		return ssd.RunResult{}, err
-	}
-	if _, err := sys.Prefill(); err != nil {
-		return ssd.RunResult{}, err
-	}
-	gen, err := workload.New(c.Profile, f.LogicalPages(), c.Requests, c.Seed)
+	gen, err := workload.New(c.Profile, sys.F.LogicalPages(), c.Requests, c.Seed)
 	if err != nil {
 		return ssd.RunResult{}, err
 	}

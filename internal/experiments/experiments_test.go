@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"flexftl/internal/ftl"
+	_ "flexftl/internal/ftl/nflex" // registers the nflexTLC scheme
 	"flexftl/internal/nand"
+	"flexftl/internal/rel"
 	"flexftl/internal/workload"
 )
 
@@ -383,6 +386,80 @@ func TestRunGridNamesFailingCell(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("workers %d: error %q does not name %q", workers, err, want)
 			}
+		}
+	}
+}
+
+// TestCellBuildPreWears: Build with PreWear N hands over a device whose every
+// block is erased N times and holds no programmed page, on every scheme.
+func TestCellBuildPreWears(t *testing.T) {
+	const n = 3
+	for _, scheme := range Schemes() {
+		c := tinySetup().Cell(scheme, workload.Varmail())
+		c.PreWear = n
+		f, err := c.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		dev := f.Device()
+		g := dev.Geometry()
+		for chip := 0; chip < g.Chips(); chip++ {
+			for blk := 0; blk < g.BlocksPerChip; blk++ {
+				a := nand.BlockAddr{Chip: chip, Block: blk}
+				if got := dev.EraseCount(a); got != n {
+					t.Fatalf("%s: block %v erased %d times, want %d", scheme, a, got, n)
+				}
+				if p := dev.BlockProgrammedPages(a); p != 0 {
+					t.Fatalf("%s: block %v has %d programmed pages after pre-wear", scheme, a, p)
+				}
+			}
+		}
+	}
+}
+
+// TestCellBuildRefusesTLCReliability: nflexTLC mounts no BER model, so a cell
+// that asks for one fails to build instead of running without it.
+func TestCellBuildRefusesTLCReliability(t *testing.T) {
+	c := tinySetup().Cell("nflexTLC", workload.Varmail())
+	rc := rel.DefaultConfig(1)
+	c.Env.Reliability = &rc
+	if _, err := c.Build(); err == nil || !strings.Contains(err.Error(), "reliability model") {
+		t.Errorf("nflexTLC with a BER mount: err = %v, want a refusal naming the reliability model", err)
+	}
+}
+
+// TestRunGridReliabilityCells: cells with the BER model mounted on a pre-worn
+// device run through RunGrid identically at one and two workers, the wear
+// reaches the model (reads retry), and a cell tuned apart with With owns its
+// reliability configuration.
+func TestRunGridReliabilityCells(t *testing.T) {
+	s := Setup{Geometry: tinySetup().Geometry, Requests: 2000, Seed: 3}
+	var grid Grid
+	for _, scheme := range []string{"pageFTL", "flexFTL"} {
+		c := s.Cell(scheme, workload.OLTP())
+		rc := rel.DefaultConfig(1)
+		c.Env.Reliability = &rc
+		c.Env.Config.Reliability = ftl.DefaultRelPolicy()
+		c.PreWear = 6000
+		grid = append(grid, c, c.With("rel seed 2", func(c *Cell) { c.Env.Reliability.Seed = 2 }))
+	}
+	if seed := grid[0].Env.Reliability.Seed; seed != 1 {
+		t.Fatalf("tuning a copy moved the original's rel seed to %d", seed)
+	}
+	serial, err := RunGrid(grid, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := RunGrid(grid, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Error("reliability cells differ between 1 and 2 workers")
+	}
+	for i, res := range serial {
+		if rr := res.Reliability; rr == nil || rr.RetriedReads == 0 {
+			t.Errorf("cell %d (%s %q): no retried reads on a 6000 P/E device: %+v", i, grid[i].Scheme, grid[i].Label, rr)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"flexftl/internal/par"
 	"flexftl/internal/rel"
 	"flexftl/internal/sim"
+	"flexftl/internal/workload"
 )
 
 // This file is the reliability aging campaign (the ISSUE-10 sweep behind
@@ -24,15 +25,9 @@ import (
 // loudly with rel.ErrUncorrectable — a token mismatch without an error is
 // silent corruption and fails the run.
 
-// AgingConfig parameterizes one aging campaign run.
+// AgingConfig parameterizes one aging campaign: what happens to the data
+// after the cell's device is built, pre-worn and written.
 type AgingConfig struct {
-	// Scheme is the registry FTL to age ("flexFTL", "pageFTL", ...).
-	Scheme string
-	// Seed feeds the device BER model's per-read hash.
-	Seed uint64
-	// PreWear is the erase-cycle count applied to every block before any
-	// data is written, putting the device near its retention knee.
-	PreWear int
 	// Epochs is the number of retention epochs to age through.
 	Epochs int
 	// EpochGap is the virtual-time retention gap per epoch.
@@ -44,26 +39,46 @@ type AgingConfig struct {
 	// WriteFraction of the logical space is written (and then verified every
 	// epoch).
 	WriteFraction float64
-	// Responses mounts the kernel's reliability responses (scrub, refresh,
-	// retirement, parity rebuild). False is the detect-only baseline: the
-	// device still models errors but the FTL never acts on them.
-	Responses bool
 }
 
-// DefaultAgingConfig returns the campaign configuration the evaluation uses:
-// a device pre-worn to 4500 P/E cycles aged through twelve quarter-year
-// retention epochs.
-func DefaultAgingConfig(scheme string, responses bool) AgingConfig {
+// DefaultAgingConfig returns the campaign the evaluation uses: twelve
+// quarter-year retention epochs with a 20 s idle window after each.
+func DefaultAgingConfig() AgingConfig {
 	return AgingConfig{
-		Scheme:        scheme,
-		Seed:          1,
-		PreWear:       4500,
 		Epochs:        12,
 		EpochGap:      rel.Year / 4,
 		IdleWindow:    20 * sim.Second,
 		WriteFraction: 0.5,
-		Responses:     responses,
 	}
+}
+
+// agingPreWear puts the campaign device near its retention knee.
+const agingPreWear = 4500
+
+// AgingCell returns the device a campaign ages: scheme on a two-chip device
+// pre-worn to agingPreWear P/E cycles, with the BER model mounted at seed.
+// responses mounts the kernel's reliability responses (scrub, refresh,
+// retirement, parity rebuild); without them the device still models errors
+// but the FTL never acts on them (the detect-only baseline).
+func AgingCell(scheme string, responses bool, seed uint64) Cell {
+	// Small enough that pre-wearing every block to thousands of cycles stays
+	// cheap, big enough to hold a few thousand logical pages across two
+	// channels.
+	c := Setup{Geometry: nand.Geometry{
+		Channels:          2,
+		ChipsPerChannel:   1,
+		BlocksPerChip:     32,
+		WordLinesPerBlock: 32,
+		PageSizeBytes:     2048,
+		SpareBytes:        64,
+	}}.Cell(scheme, workload.Profile{})
+	rc := rel.DefaultConfig(seed)
+	c.Env.Reliability = &rc
+	if responses {
+		c.Env.Config.Reliability = ftl.DefaultRelPolicy()
+	}
+	c.PreWear = agingPreWear
+	return c
 }
 
 // AgingReport is the outcome of one aging campaign.
@@ -90,62 +105,23 @@ type AgingReport struct {
 	Rebuilds        int64
 }
 
-// agingGeometry is the campaign device: small enough that pre-wearing every
-// block to thousands of cycles stays cheap, big enough to hold a few
-// thousand logical pages across two channels.
-func agingGeometry() nand.Geometry {
-	return nand.Geometry{
-		Channels:          2,
-		ChipsPerChannel:   1,
-		BlocksPerChip:     32,
-		WordLinesPerBlock: 32,
-		PageSizeBytes:     2048,
-		SpareBytes:        64,
-	}
-}
-
-// RunAging executes one aging campaign and returns its report. It errors on
-// configuration problems and on silent corruption (a verification read that
-// returns the wrong payload without an error); uncorrectable reads are data
-// for the report, not errors.
-func RunAging(cfg AgingConfig) (AgingReport, error) {
+// RunAging ages the cell's device through one campaign and returns its
+// report. It errors on configuration problems and on silent corruption (a
+// verification read that returns the wrong payload without an error);
+// uncorrectable reads are data for the report, not errors.
+func RunAging(c Cell, cfg AgingConfig) (AgingReport, error) {
 	if cfg.Epochs <= 0 || cfg.WriteFraction <= 0 || cfg.WriteFraction > 1 {
 		return AgingReport{}, fmt.Errorf("experiments: bad aging config %+v", cfg)
 	}
-	fcfg := ftl.DefaultConfig()
-	if cfg.Responses {
-		fcfg.Reliability = ftl.DefaultRelPolicy()
-	}
-	h, err := ftl.Build(cfg.Scheme, ftl.BuildEnv{
-		Geometry:    agingGeometry(),
-		Config:      fcfg,
-		Flex:        ftl.DefaultFlexParams(),
-		Reliability: relConfigPtr(rel.DefaultConfig(cfg.Seed)),
-	})
+	h, err := c.Build()
 	if err != nil {
 		return AgingReport{}, err
 	}
 	k, ok := h.(*ftl.Kernel)
 	if !ok {
-		return AgingReport{}, fmt.Errorf("experiments: scheme %q is not an ftl.Kernel (the aging campaign needs its reliability responses)", cfg.Scheme)
+		return AgingReport{}, fmt.Errorf("experiments: scheme %q is not an ftl.Kernel (the aging campaign needs its reliability responses)", c.Scheme)
 	}
-	dev := k.Device()
-
-	// Pre-wear: cycle every block to the target P/E count. The blocks are
-	// all free (nothing written yet), so this only moves wear counters.
-	g := dev.Geometry()
-	for chip := 0; chip < g.Chips(); chip++ {
-		for blk := 0; blk < g.BlocksPerChip; blk++ {
-			a := nand.BlockAddr{Chip: chip, Block: blk}
-			for i := 0; i < cfg.PreWear; i++ {
-				if _, err := dev.Erase(a, 0); err != nil {
-					return AgingReport{}, fmt.Errorf("experiments: pre-wear %v: %w", a, err)
-				}
-			}
-		}
-	}
-
-	rep := AgingReport{Scheme: cfg.Scheme, Responses: cfg.Responses, FirstLossEpoch: -1}
+	rep := AgingReport{Scheme: c.Scheme, Responses: c.Env.Config.Reliability != nil, FirstLossEpoch: -1}
 	n := int64(float64(h.LogicalPages()) * cfg.WriteFraction)
 	now := sim.Time(0)
 	for lpn := int64(0); lpn < n; lpn++ {
@@ -190,7 +166,7 @@ func RunAging(cfg AgingConfig) (AgingReport, error) {
 		}
 	}
 
-	rc := dev.RelCounts()
+	rc := k.Device().RelCounts()
 	st := h.Stats()
 	rep.Reads = rc.Reads
 	rep.Corrected = rc.Corrected
@@ -202,15 +178,11 @@ func RunAging(cfg AgingConfig) (AgingReport, error) {
 	return rep, nil
 }
 
-// relConfigPtr copies c to the heap (BuildEnv wants a pointer so the default
-// remains "no reliability model").
-func relConfigPtr(c rel.Config) *rel.Config { return &c }
-
 // RenderAging prints the aging sweep as paired baseline/response rows.
 func RenderAging(w io.Writer, reps []AgingReport) {
-	cfg := DefaultAgingConfig("", false)
+	cfg := DefaultAgingConfig()
 	fmt.Fprintf(w, "Retention aging: %d P/E pre-wear, %d epochs x %.2f yr, %v idle/epoch\n",
-		cfg.PreWear, cfg.Epochs, float64(cfg.EpochGap)/float64(rel.Year), cfg.IdleWindow)
+		agingPreWear, cfg.Epochs, float64(cfg.EpochGap)/float64(rel.Year), cfg.IdleWindow)
 	fmt.Fprintf(w, "  %-10s %-10s %10s %10s %9s %8s %9s %8s %8s\n",
 		"scheme", "responses", "firstLoss", "lostReads", "retried", "scrubs", "refreshed", "retired", "rebuilt")
 	for _, r := range reps {
@@ -239,11 +211,10 @@ func RenderAging(w io.Writer, reps []AgingReport) {
 // device, so the reports are identical for any worker count.
 func AgingSweep(schemes []string, seed uint64, workers int) ([]AgingReport, error) {
 	return par.Map(workers, 2*len(schemes), func(_, i int) (AgingReport, error) {
-		cfg := DefaultAgingConfig(schemes[i/2], i%2 == 1)
-		cfg.Seed = seed
-		rep, err := RunAging(cfg)
+		scheme, responses := schemes[i/2], i%2 == 1
+		rep, err := RunAging(AgingCell(scheme, responses, seed), DefaultAgingConfig())
 		if err != nil {
-			return rep, fmt.Errorf("experiments: aging %s responses=%v: %w", cfg.Scheme, cfg.Responses, err)
+			return rep, fmt.Errorf("experiments: aging %s responses=%v: %w", scheme, responses, err)
 		}
 		return rep, nil
 	})

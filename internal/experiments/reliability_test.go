@@ -16,11 +16,11 @@ func TestAgingResponsesDeferFirstLoss(t *testing.T) {
 	for _, scheme := range []string{"pageFTL", "flexFTL"} {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
-			base, err := RunAging(DefaultAgingConfig(scheme, false))
+			base, err := RunAging(AgingCell(scheme, false, 1), DefaultAgingConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := RunAging(DefaultAgingConfig(scheme, true))
+			resp, err := RunAging(AgingCell(scheme, true, 1), DefaultAgingConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,17 +46,17 @@ func TestAgingResponsesDeferFirstLoss(t *testing.T) {
 	}
 }
 
-// TestAgingDeterministic: the campaign is a pure function of its config —
-// identical runs produce identical reports (the per-read model hash has no
-// hidden global state), and the sweep's reports do not depend on how many
-// workers run its campaigns.
+// TestAgingDeterministic: the campaign is a pure function of its cell and
+// config — identical runs produce identical reports (the per-read model hash
+// has no hidden global state), and the sweep's reports do not depend on how
+// many workers run its campaigns.
 func TestAgingDeterministic(t *testing.T) {
-	cfg := DefaultAgingConfig("flexFTL", true)
-	a, err := RunAging(cfg)
+	c, cfg := AgingCell("flexFTL", true, 1), DefaultAgingConfig()
+	a, err := RunAging(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunAging(cfg)
+	b, err := RunAging(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func RunSensitivity(s Setup, workers int) (SensitivityResult, error) {
 		}
 	}
 	for _, op := range sensitivityOPs {
-		pair(fmt.Sprintf("OP %.1f%%", 100*op), func(c *Cell) { c.FTL.OPFraction = op })
+		pair(fmt.Sprintf("OP %.1f%%", 100*op), func(c *Cell) { c.Env.Config.OPFraction = op })
 	}
 	for _, buf := range sensitivityBuffers {
 		pair(fmt.Sprintf("buffer %d pages", buf), func(c *Cell) { c.SSD.BufferPages = buf })

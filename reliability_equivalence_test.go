@@ -16,7 +16,6 @@ import (
 
 	"flexftl/internal/experiments"
 	"flexftl/internal/ftl"
-	"flexftl/internal/nand"
 	"flexftl/internal/rel"
 	"flexftl/internal/ssd"
 	"flexftl/internal/workload"
@@ -29,40 +28,18 @@ func buildRelShardSystem(t *testing.T, scheme string, preWear int) (*ssd.System,
 	t.Helper()
 	g := experiments.EvalGeometry()
 	g.BlocksPerChip = 32
+	c := experiments.Setup{Geometry: g}.Cell(scheme, workload.Fileserver())
 	rc := rel.DefaultConfig(7)
-	cfg := ftl.DefaultConfig()
-	cfg.Reliability = ftl.DefaultRelPolicy()
-	h, err := ftl.Build(scheme, ftl.BuildEnv{
-		Geometry:    g,
-		Config:      cfg,
-		Flex:        ftl.DefaultFlexParams(),
-		Reliability: &rc,
-	})
+	c.Env.Reliability = &rc
+	c.Env.Config.Reliability = ftl.DefaultRelPolicy()
+	c.PreWear = preWear
+	c.SSD.PrefillFraction = 0.88
+	c.SSD.BufferPages = 512
+	sys, err := c.System()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := h.(ftl.FTL).Device()
-	for chip := 0; chip < g.Chips(); chip++ {
-		for blk := 0; blk < g.BlocksPerChip; blk++ {
-			a := nand.BlockAddr{Chip: chip, Block: blk}
-			for i := 0; i < preWear; i++ {
-				if _, err := dev.Erase(a, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	sysCfg := ssd.DefaultConfig()
-	sysCfg.PrefillFraction = 0.88
-	sysCfg.BufferPages = 512
-	sys, err := ssd.New(h, sysCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Prefill(); err != nil {
-		t.Fatal(err)
-	}
-	return sys, h
+	return sys, sys.F
 }
 
 // TestShardEquivalenceReliability pins RunSharded(N) == RunSharded(1) with

@@ -14,7 +14,6 @@ import (
 	"flexftl/internal/nand"
 	"flexftl/internal/rel"
 	"flexftl/internal/sim"
-	"flexftl/internal/ssd"
 	"flexftl/internal/workload"
 )
 
@@ -26,58 +25,38 @@ import (
 // Lookup(LPNAt(ppn)) == ppn, and the validity bits must count, block by
 // block, the block's valid count and, in all, Mapped().
 func TestReverseMapInvariant(t *testing.T) {
-	type cell struct {
-		name, scheme string
-		env          ftl.BuildEnv
-		preWear      int
-	}
-	var cells []cell
+	setup := experiments.Setup{Geometry: experiments.EvalGeometry(), Requests: 6000, Seed: 42}
+	var cells []experiments.Cell
 	for _, scheme := range ftl.Names() {
-		cells = append(cells, cell{scheme, scheme, ftl.BuildEnv{
-			Geometry: experiments.EvalGeometry(), Config: ftl.DefaultConfig(), Flex: ftl.DefaultFlexParams(),
-		}, 0})
+		c := setup.Cell(scheme, workload.Fileserver())
+		c.Label = scheme
+		cells = append(cells, c)
 	}
-	rc := rel.DefaultConfig(7)
-	relCfg := ftl.DefaultConfig()
-	relCfg.Reliability = ftl.DefaultRelPolicy()
-	relGeom := experiments.EvalGeometry()
-	relGeom.BlocksPerChip = 32
-	cells = append(cells, cell{"flexFTL+rel", "flexFTL", ftl.BuildEnv{
-		Geometry: relGeom, Config: relCfg, Flex: ftl.DefaultFlexParams(), Reliability: &rc,
-	}, 6000})
+	cells = append(cells, setup.Cell("flexFTL", workload.Fileserver()).With("flexFTL+rel", func(c *experiments.Cell) {
+		c.Env.Geometry.BlocksPerChip = 32
+		rc := rel.DefaultConfig(7)
+		c.Env.Reliability = &rc
+		c.Env.Config.Reliability = ftl.DefaultRelPolicy()
+		c.PreWear = 6000
+	}))
 
 	for _, c := range cells {
-		t.Run(c.name, func(t *testing.T) {
-			f, err := ftl.BuildFTL(c.scheme, c.env)
+		c.SSD.PrefillFraction = 1
+		t.Run(c.Label, func(t *testing.T) {
+			sys, err := c.System()
 			if err != nil {
 				t.Fatal(err)
 			}
-			dev := f.Device()
-			g := dev.Geometry()
-			for flat := 0; c.preWear > 0 && flat < g.TotalBlocks(); flat++ {
-				a := dev.Layout().BlockOfFlat(flat)
-				for i := 0; i < c.preWear; i++ {
-					if _, err := dev.Erase(a, 0); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			cfg := ssd.DefaultConfig()
-			cfg.PrefillFraction = 1
-			sys, err := ssd.New(f, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := sys.Prefill(); err != nil {
-				t.Fatal(err)
-			}
-			gen, err := workload.New(workload.Fileserver(), f.LogicalPages(), 6000, 42)
+			f := sys.F.(ftl.FTL)
+			gen, err := workload.New(c.Profile, f.LogicalPages(), c.Requests, c.Seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := sys.Run(gen); err != nil {
 				t.Fatal(err)
 			}
+			dev := f.Device()
+			g := dev.Geometry()
 			var drained sim.Time
 			for chip := 0; chip < g.Chips(); chip++ {
 				drained = max(drained, dev.ChipReadyAt(chip))
@@ -88,7 +67,7 @@ func TestReverseMapInvariant(t *testing.T) {
 				t.Fatalf("the run collected nothing (%d fg, %d bg GCs, %d copies): the check is vacuous",
 					st.ForegroundGCs, st.BackgroundGCs, st.GCCopies)
 			}
-			if c.preWear > 0 && dev.RelCounts().RetriedReads == 0 {
+			if c.PreWear > 0 && dev.RelCounts().RetriedReads == 0 {
 				t.Fatal("the pre-worn run never entered the read-retry ladder")
 			}
 			checkReverseMap(t, mapperOf(t, f), dev.Layout().Blocks())
