@@ -5,7 +5,7 @@
 //	flexsim -ftl flexFTL -trace run.json -sample 10ms       # Chrome trace + series
 //	flexsim -ftl flexFTL -trace run.jsonl -trace-format jsonl
 //	flexsim -ftl pageFTL -workload NTRX -dump-workload t.csv # dump the workload
-//	flexsim -ftl flexFTL -replay t.csv                       # replay a dump or a flextrace file
+//	flexsim -ftl flexFTL -replay t.csv                       # replay a dump or a flextrace file (no generator flags)
 //	flexsim -ftl flexFTL -rel -rel-wear 6000                 # BER model + responses on a worn device
 //	flexsim -ftl flexFTL -cpuprofile cpu.pprof               # CPU profile of the run
 //
@@ -86,7 +86,8 @@ func main() {
 }
 
 // parseFlags maps the command line onto options; list reports -list. A
-// -rel-* flag without -rel is refused rather than ignored.
+// -rel-* flag without -rel, and a generator flag (-workload, -requests,
+// -seed, -dump-workload) next to -replay, are refused rather than ignored.
 func parseFlags(args []string) (o options, list bool, err error) {
 	fs := flag.NewFlagSet("flexsim", flag.ExitOnError)
 	fs.BoolVar(&list, "list", false, "list registered FTL schemes and exit")
@@ -98,7 +99,7 @@ func parseFlags(args []string) (o options, list bool, err error) {
 	fs.StringVar(&o.GCPolicy, "gc", "greedy", "GC victim policy: greedy|costbenefit")
 	fs.BoolVar(&o.Predictive, "predictive-bgc", false, "enable the Section 6 future-write predictor (flexFTL only)")
 	fs.StringVar(&o.DumpWorkload, "dump-workload", "", "write the generated workload as CSV to this file")
-	fs.StringVar(&o.Replay, "replay", "", "replay a trace file instead of generating (.csv is CSV, any other extension the flextrace binary format)")
+	fs.StringVar(&o.Replay, "replay", "", "replay a trace file instead of generating (.csv is CSV, any other extension the flextrace binary format; excludes -workload, -requests, -seed and -dump-workload)")
 	fs.StringVar(&o.Trace, "trace", "", "write an event trace of the run to this file")
 	fs.StringVar(&o.TraceFormat, "trace-format", "chrome", "event trace format: chrome|jsonl")
 	fs.DurationVar(&o.Sample, "sample", 0, "sample internal state (u, q, queue depths) on this virtual-time cadence")
@@ -111,8 +112,12 @@ func parseFlags(args []string) (o options, list bool, err error) {
 	fs.BoolVar(&o.RelDetectOnly, "rel-detect-only", false, "with -rel: model the errors but disable the kernel's responses")
 	_ = fs.Parse(args) // ExitOnError: Parse exits on a bad flag instead of returning
 	fs.Visit(func(f *flag.Flag) {
-		if !o.Rel && err == nil && strings.HasPrefix(f.Name, "rel-") {
+		switch {
+		case err != nil:
+		case !o.Rel && strings.HasPrefix(f.Name, "rel-"):
 			err = fmt.Errorf("-%s needs -rel", f.Name)
+		case o.Replay != "" && (f.Name == "workload" || f.Name == "requests" || f.Name == "seed" || f.Name == "dump-workload"):
+			err = fmt.Errorf("-%s configures the workload generator; -replay takes its requests from the trace", f.Name)
 		}
 	})
 	return o, list, err

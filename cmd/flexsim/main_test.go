@@ -98,6 +98,20 @@ func TestReplayBadTraceFails(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesGeneratorFlags: next to -replay, each flag that only
+// configures the workload generator is refused with an error that names
+// it, instead of being ignored.
+func TestReplayRefusesGeneratorFlags(t *testing.T) {
+	for _, args := range [][]string{{"-workload", "OLTP"}, {"-requests", "5"}, {"-seed", "3"}, {"-dump-workload", "x.csv"}} {
+		if _, _, err := parseFlags(append([]string{"-replay", "t.csv"}, args...)); err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("-replay t.csv %v: err = %v, want one naming %s", args, err, args[0])
+		}
+		if _, _, err := parseFlags(args); err != nil {
+			t.Errorf("%v without -replay: %v", args, err)
+		}
+	}
+}
+
 // TestWorkloadDumpAndReplay: -dump-workload writes a CSV, -replay reproduces
 // the exact run from it.
 func TestWorkloadDumpAndReplay(t *testing.T) {

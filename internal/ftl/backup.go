@@ -19,9 +19,6 @@ import (
 // come from NoBackupStrategy / PairParityBackup / BlockParityBackup.
 type BackupStrategy interface {
 	init(k *Kernel) error
-	// extraReserve is how many free blocks beyond the GC minimum the
-	// foreground collector must keep available for the backup writer.
-	extraReserve() int
 	// afterLSB observes one completed LSB data program on the chip's given
 	// placement stream and may emit backup programs, returning the
 	// (possibly extended) completion time.
@@ -56,7 +53,6 @@ func NoBackupStrategy() BackupStrategy { return noBackup{} }
 type noBackup struct{}
 
 func (noBackup) init(*Kernel) error { return nil }
-func (noBackup) extraReserve() int  { return 0 }
 func (noBackup) afterLSB(k *Kernel, chip, stream int, data []byte, done sim.Time) (sim.Time, error) {
 	return done, nil
 }
@@ -74,7 +70,9 @@ func (noBackup) shardPops(*Kernel, int, int, int) int {
 // (TCAD 2014): under FPS at most pairSize LSB pages can share one parity
 // backup page before their paired MSB pages are programmed, so every
 // pairSize-th LSB program emits one parity page to a per-chip backup block
-// (parityFTL and rtfFTL use pairSize 2, the paper's footnote 4 bound).
+// (parityFTL and rtfFTL use pairSize 2, the paper's footnote 4 bound). The
+// ring can claim a free block at any moment; the budget's Reclaim level
+// (Base.Budget) counts one for it.
 func PairParityBackup(pairSize int) BackupStrategy {
 	return &pairParity{pairSize: pairSize}
 }
@@ -116,10 +114,6 @@ func (b *pairParity) init(k *Kernel) error {
 	}
 	return nil
 }
-
-// extraReserve keeps one block beyond the GC minimum: the backup ring can
-// claim a block at any moment.
-func (b *pairParity) extraReserve() int { return 1 }
 
 func (b *pairParity) afterLSB(k *Kernel, chip, stream int, data []byte, done sim.Time) (sim.Time, error) {
 	// Accumulate the pre-backup parity; every pairSize LSB pages emit one
@@ -219,7 +213,9 @@ func (b *pairParity) shardPops(k *Kernel, chip, lsbWrites, fills int) int {
 // BlockParityBackup returns the paper's per-block parity scheme (Section
 // 3.3): one XOR parity page protects all LSB pages of a two-phase fast
 // block, written once when the fast block fills, invalidated when its slow
-// phase completes. It requires the two-phase order policy.
+// phase completes. It requires the two-phase order policy. Its backup
+// blocks come from the chip's free pool, where the budget's Emergency level
+// (Base.Budget) keeps one for it.
 func BlockParityBackup() BackupStrategy { return &blockParity{} }
 
 // parityRef locates the parity backup page protecting a fast block.
@@ -298,10 +294,6 @@ func (b *blockParity) refLive() int {
 	}
 	return n
 }
-
-// extraReserve keeps one block for the parity-backup writer (the two-phase
-// foreground collector folds this into its own emergency level).
-func (b *blockParity) extraReserve() int { return 1 }
 
 func (b *blockParity) afterLSB(k *Kernel, chip, stream int, data []byte, done sim.Time) (sim.Time, error) {
 	if err := b.pbuf[chip][stream].Add(data); err != nil {

@@ -28,6 +28,11 @@ type Base struct {
 	Pools []*FreePool
 	full  []bool // the pools' flat full-list flags (newPools)
 	St    Stats
+
+	// Budget is the per-chip free-block budget. NewBase sets nflex's (one
+	// stream, phased, a backup writer); NewKernel sets its policies' own.
+	Budget chipBudget
+
 	// Obs is the observability recorder threaded through the stack; nil
 	// (the default) disables all emission at zero cost.
 	Obs *obs.Recorder
@@ -105,6 +110,7 @@ func NewBase(dev *nand.Device, cfg Config) (*Base, error) {
 		lay:           dev.Layout(),
 		Map:           NewMapper(*dev.Layout(), logical, dev),
 		Cfg:           cfg,
+		Budget:        newChipBudget(cfg, 1, true, true),
 		reprogPenalty: int64(dev.Timing().ProgMSB - dev.Timing().ProgLSB),
 	}
 	b.Pools, b.full = newPools(g.Chips(), g.BlocksPerChip, g.PagesPerBlock())

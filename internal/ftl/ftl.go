@@ -120,8 +120,10 @@ type Config struct {
 	// GCFreeFraction triggers background GC when the free-block fraction
 	// drops below it. The paper uses 10%.
 	GCFreeFraction float64
-	// MinFreeBlocksPerChip triggers foreground GC when a chip's free list
-	// shrinks below it.
+	// MinFreeBlocksPerChip (m, at least 1) is the base of every per-chip
+	// free-block level the order policies work to: the chip budget
+	// (Base.Budget) derives them all from m, the placement's stream count
+	// and whether a backup writer exists.
 	MinFreeBlocksPerChip int
 	// GC selects the victim heuristic (default GCGreedy, the paper's
 	// policy; GCCostBenefit for the ablation).

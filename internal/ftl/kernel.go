@@ -92,6 +92,9 @@ func NewKernel(dev *nand.Device, cfg Config, spec KernelSpec) (*Kernel, error) {
 		return nil, err
 	}
 	k.streams = k.placement.streams()
+	_, noWriter := k.bk.(noBackup)
+	_, phased := k.ord.(*twoPhase)
+	k.Budget = newChipBudget(cfg, k.streams, !noWriter, phased)
 	if err := k.ord.init(k); err != nil {
 		return nil, err
 	}
@@ -177,10 +180,10 @@ func (k *Kernel) gcAlloc(chip int, lpn LPN, data, spare []byte, now sim.Time) (s
 }
 
 // reserveGC is the plain foreground-reclaim loop the FPS order policies use:
-// collect victims until the chip holds its free reserve (or no victim
-// remains).
-func (k *Kernel) reserveGC(chip int, now sim.Time, reserve int) (sim.Time, error) {
-	for k.Pools[chip].FreeCount() < reserve {
+// collect victims until the chip holds the budget's Reclaim level (or no
+// victim remains).
+func (k *Kernel) reserveGC(chip int, now sim.Time) (sim.Time, error) {
+	for k.Pools[chip].FreeCount() < k.Budget.Reclaim {
 		victim, ok := k.Pools[chip].PickVictim()
 		if !ok {
 			break

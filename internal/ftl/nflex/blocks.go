@@ -19,7 +19,7 @@ func (f *FTL) programAt(chip, level int, lpn ftl.LPN, data, spare []byte, now si
 	cs := &f.chips[chip]
 
 	// Feasibility fallbacks.
-	if level == 0 && cs.phases[0].blk == -1 && f.Base.Pools[chip].FreeCount() <= 1 {
+	if level == 0 && cs.phases[0].blk == -1 && f.Base.Pools[chip].FreeCount() < f.Base.Budget.Emergency {
 		level = f.deepestAvailable(chip)
 	}
 	if level > 0 && !f.phaseAvailable(chip, level) {
@@ -187,12 +187,12 @@ func (f *FTL) gcAlloc(chip int, lpn ftl.LPN, data, spare []byte, now sim.Time) (
 }
 
 // foregroundGC reclaims inline only when phase-0 capacity is required and
-// thin, or at the emergency reserve.
+// the pool is below the budget's Thin level, or below its Emergency level.
 func (f *FTL) foregroundGC(chip int, now sim.Time) (sim.Time, error) {
 	needsFast := f.deepestAvailable(chip) == 0
-	reserve := f.Base.Cfg.MinFreeBlocksPerChip
-	for (needsFast && f.Base.Pools[chip].FreeCount() < reserve+1) || f.Base.Pools[chip].FreeCount() < 2 {
-		victim, ok := f.Base.Pools[chip].PickVictim()
+	pool, b := f.Base.Pools[chip], &f.Base.Budget
+	for (needsFast && pool.FreeCount() < b.Thin) || pool.FreeCount() < b.Emergency {
+		victim, ok := pool.PickVictim()
 		if !ok {
 			break
 		}

@@ -323,7 +323,8 @@ func (f *FTL) deepestAvailable(chip int) int {
 	return 0
 }
 
-// fastBudget is the level-0 capacity available without eating the reserve.
+// fastBudget is the level-0 capacity available without eating into the
+// budget's Spare level.
 func (f *FTL) fastBudget(chip int) int {
 	cs := &f.chips[chip]
 	w := f.Base.Dev.Geometry().WordLinesPerBlock
@@ -331,8 +332,5 @@ func (f *FTL) fastBudget(chip int) int {
 	if cs.phases[0].blk != -1 {
 		budget += w - cs.phases[0].pos
 	}
-	if spare := f.Base.Pools[chip].FreeCount() - f.Base.Cfg.MinFreeBlocksPerChip - 1; spare > 0 {
-		budget += spare * w
-	}
-	return budget
+	return budget + max(f.Base.Pools[chip].FreeCount()-f.Base.Budget.Spare, 0)*w
 }

@@ -23,19 +23,17 @@ type OrderPolicy interface {
 	// choice.
 	program(k *Kernel, chip, stream int, pref Pref, lpn LPN, data, spare []byte, now sim.Time, fromGC bool) (sim.Time, error)
 	// foregroundGC reclaims blocks inline until the chip can absorb the
-	// next program without stalling.
+	// next program without stalling; at or above the budget's Quiet level
+	// it collects nothing.
 	foregroundGC(k *Kernel, chip int, now sim.Time) (sim.Time, error)
 	// idleDrain runs order-specific idle work after background GC (the
 	// return-to-fast MSB drain; a no-op for the others).
 	idleDrain(k *Kernel, now, until sim.Time)
 	// fastBudget is how many LSB pages the chip can still serve without
-	// eating into the GC/backup reserve (adaptive allocation input).
+	// eating into the budget's Spare level (adaptive allocation input).
 	fastBudget(k *Kernel, chip int) int
 	// slowAvailable reports whether an MSB page can be programmed at all.
 	slowAvailable(k *Kernel, chip int) bool
-	// shardGCTrigger is the free-block level at or above which this policy's
-	// foregroundGC provably does nothing (the epoch planner's R5 threshold).
-	shardGCTrigger(k *Kernel) int
 	// shardWriteImpact bounds, from the chip's current cursor state, the free
 	// blocks w host writes can pop and the data blocks they can complete
 	// (fills drive the per-block backup strategies' own pops), under the
@@ -164,9 +162,7 @@ func (o *fpsSingle) program(k *Kernel, chip, stream int, pref Pref, lpn LPN, dat
 }
 
 func (o *fpsSingle) foregroundGC(k *Kernel, chip int, now sim.Time) (sim.Time, error) {
-	// Each placement stream beyond the first holds one more active block
-	// open, so the reserve grows with it — streams share one free pool.
-	return k.reserveGC(chip, now, k.Cfg.MinFreeBlocksPerChip+k.bk.extraReserve()+k.streams-1)
+	return k.reserveGC(chip, now)
 }
 
 func (o *fpsSingle) idleDrain(*Kernel, sim.Time, sim.Time) {}
@@ -178,10 +174,7 @@ func (o *fpsSingle) fastBudget(k *Kernel, chip int) int {
 			budget++
 		}
 	}
-	if spare := k.Pools[chip].FreeCount() - k.Cfg.MinFreeBlocksPerChip - k.streams; spare > 0 {
-		budget += spare
-	}
-	return budget
+	return budget + k.spareBlocks(chip)
 }
 
 func (o *fpsSingle) slowAvailable(k *Kernel, chip int) bool {
@@ -191,10 +184,6 @@ func (o *fpsSingle) slowAvailable(k *Kernel, chip int) bool {
 		}
 	}
 	return false
-}
-
-func (o *fpsSingle) shardGCTrigger(k *Kernel) int {
-	return k.Cfg.MinFreeBlocksPerChip + k.bk.extraReserve() + k.streams - 1
 }
 
 func (o *fpsSingle) shardWriteImpact(k *Kernel, chip, w int) (pops, fills int) {
@@ -274,7 +263,7 @@ func (o *fpsPool) init(k *Kernel) error {
 	if k.streams != 1 {
 		return fmt.Errorf("%s: the FPS-pool order routes by slot fill, not stream; it needs the single-stream placement", k.name)
 	}
-	if g.BlocksPerChip < o.slots+k.Cfg.MinFreeBlocksPerChip+2 {
+	if g.BlocksPerChip < o.slots+k.Budget.Refill+2 {
 		return fmt.Errorf("%s: %d blocks/chip too few for %d active blocks",
 			k.name, g.BlocksPerChip, o.slots)
 	}
@@ -371,19 +360,18 @@ func (o *fpsPool) program(k *Kernel, chip, stream int, pref Pref, lpn LPN, data,
 	return done, nil
 }
 
-// refillSlots tops up empty active slots from the free pool while keeping a
-// reserve for the backup ring and GC; with the pool at reserve it still
+// refillSlots tops up empty active slots from the free pool while it holds
+// more than the budget's Refill level; with the pool at that level it still
 // force-refills one slot so a program is always possible.
 func (o *fpsPool) refillSlots(k *Kernel, chip int, now sim.Time) (sim.Time, error) {
 	if o.empty[chip] == 0 {
 		return now, nil
 	}
-	reserve := k.Cfg.MinFreeBlocksPerChip
 	for s := range o.active[chip] {
 		if o.active[chip][s].blk != -1 {
 			continue
 		}
-		if k.Pools[chip].FreeCount() <= reserve {
+		if k.Pools[chip].FreeCount() <= k.Budget.Refill {
 			break // run with a shallower pool until GC frees blocks
 		}
 		blk, ok := k.Pools[chip].PopFree()
@@ -433,7 +421,7 @@ func (o *fpsPool) padOneMSB(k *Kernel, chip int, now sim.Time) (sim.Time, error)
 }
 
 func (o *fpsPool) foregroundGC(k *Kernel, chip int, now sim.Time) (sim.Time, error) {
-	return k.reserveGC(chip, now, k.Cfg.MinFreeBlocksPerChip+k.bk.extraReserve())
+	return k.reserveGC(chip, now)
 }
 
 // lsbReadyCount counts active slots whose next page is an LSB page.
@@ -534,18 +522,10 @@ func (o *fpsPool) drainMSBSlots(k *Kernel, chip int, now, until sim.Time) (sim.T
 }
 
 func (o *fpsPool) fastBudget(k *Kernel, chip int) int {
-	budget := o.lsbReadyCount(chip)
-	if spare := k.Pools[chip].FreeCount() - k.Cfg.MinFreeBlocksPerChip - k.streams; spare > 0 {
-		budget += spare
-	}
-	return budget
+	return o.lsbReadyCount(chip) + k.spareBlocks(chip)
 }
 
 func (o *fpsPool) slowAvailable(k *Kernel, chip int) bool { return o.chipHasMSBNext(chip) }
-
-func (o *fpsPool) shardGCTrigger(k *Kernel) int {
-	return k.Cfg.MinFreeBlocksPerChip + k.bk.extraReserve()
-}
 
 // shardWriteImpact for the pool order: empty slots each refill with one pop
 // at the next program; filled slots complete after their remaining pages,
@@ -667,18 +647,17 @@ func (o *twoPhase) program(k *Kernel, chip, stream int, pref Pref, lpn LPN, data
 	st := &o.chips[chip].streams[stream]
 	useLSB := pref != PrefSlow
 	if useLSB {
-		// Opening a new fast block must leave at least one free block for
-		// the parity-backup writer — and one per sibling stream, since the
-		// streams drain a single shared pool; redirect to a slow page
-		// otherwise.
-		if st.afb == -1 && k.Pools[chip].FreeCount() <= k.streams {
+		// Opening a new fast block below the budget's Emergency level would
+		// take the block kept for the parity-backup writer or a sibling
+		// stream; redirect to a slow page instead.
+		if st.afb == -1 && k.Pools[chip].FreeCount() < k.Budget.Emergency {
 			useLSB = false
 		}
 	}
 	if !useLSB && st.sbq.Len() == 0 {
 		useLSB = true // no slow block exists (footnote 1)
 	}
-	if useLSB && st.afb == -1 && k.Pools[chip].FreeCount() <= k.streams {
+	if useLSB && st.afb == -1 && k.Pools[chip].FreeCount() < k.Budget.Emergency {
 		// Reserve valve: the stream needs a new fast block, but the shared
 		// pool is down to the blocks the guard above keeps for the parity
 		// writer and the sibling streams (footnote 1 overrode it). Popping
@@ -797,8 +776,8 @@ func (o *twoPhase) programMSB(k *Kernel, chip, stream int, lpn LPN, data, spare 
 // alternative: MSB writes consume no free blocks, so as long as a slow block
 // exists the policy redirects traffic there instead of stalling. Foreground
 // collection therefore runs only when LSB capacity is genuinely required
-// (some stream has no slow block) with a thin pool, or when the pool is at
-// the emergency level needed by the parity-backup writer.
+// (no stream has a slow block) with the pool below the budget's Thin level,
+// or when the pool is below its Emergency level.
 func (o *twoPhase) foregroundGC(k *Kernel, chip int, now sim.Time) (sim.Time, error) {
 	// The chip genuinely requires LSB capacity only when EVERY stream is out
 	// of slow blocks — a single stream's empty queue is a stream-local state
@@ -819,12 +798,7 @@ func (o *twoPhase) foregroundGC(k *Kernel, chip int, now sim.Time) (sim.Time, er
 	// the write's in-line foregroundGC call must be a provable no-op, not a
 	// second collection the serial schedule would have run one write later.
 	ch, pool := &o.chips[chip], k.Pools[chip]
-	// The thin-pool and emergency levels scale with the placement streams:
-	// every stream holds its own active fast block against the one shared
-	// pool, and GC's cold-stream relocations must never find it empty.
-	streams := k.streams
-	reserve := k.Cfg.MinFreeBlocksPerChip + streams - 1
-	for (ch.queued == 0 && pool.FreeCount() < reserve+1) || pool.FreeCount() < 1+streams {
+	for (ch.queued == 0 && pool.FreeCount() < k.Budget.Thin) || pool.FreeCount() < k.Budget.Emergency {
 		victim, ok := pool.PickVictim()
 		if !ok {
 			break
@@ -842,29 +816,12 @@ func (o *twoPhase) foregroundGC(k *Kernel, chip int, now sim.Time) (sim.Time, er
 func (o *twoPhase) idleDrain(*Kernel, sim.Time, sim.Time) {}
 
 // fastBudget returns how many LSB pages the chip can still serve without
-// eating into the GC/backup block reserve, summed over placement streams.
+// eating into the budget's Spare level, summed over placement streams.
 func (o *twoPhase) fastBudget(k *Kernel, chip int) int {
-	budget := o.chips[chip].fastLeft
-	if spare := k.Pools[chip].FreeCount() - k.Cfg.MinFreeBlocksPerChip - k.streams; spare > 0 {
-		budget += spare * k.wordLines
-	}
-	return budget
+	return o.chips[chip].fastLeft + k.spareBlocks(chip)*k.wordLines
 }
 
 func (o *twoPhase) slowAvailable(k *Kernel, chip int) bool { return o.chips[chip].queued > 0 }
-
-// shardGCTrigger: the two-phase foreground collector fires when some stream
-// has no slow block and the chip has fewer than reserve+1 free blocks, or
-// fewer than 2 free blocks outright; free >= max(reserve+1, 2) rules out
-// both conditions (Config.Validate guarantees MinFreeBlocksPerChip >= 1).
-func (o *twoPhase) shardGCTrigger(k *Kernel) int {
-	streams := k.streams
-	t := k.Cfg.MinFreeBlocksPerChip + streams
-	if t < 1+streams {
-		t = 1 + streams
-	}
-	return t
-}
 
 // shardWriteImpact for 2PO: MSB programs never pop free blocks, so the worst
 // case is all w writes landing on LSB pages, routed adversarially across the

@@ -200,3 +200,62 @@ func scanPickSlot(o *fpsPool, chip int, wantLSB bool) int {
 	}
 	return best
 }
+
+// TestForegroundGCQuietAtTrigger checks the property the epoch planner's
+// headroom check (ShardWriteHeadroom) relies on: whenever a chip holds at
+// least the budget's Quiet level of free blocks, its order's foreground
+// collector collects nothing. Every MLC order runs on one stream and, where
+// the order allows it, on the two-stream hot/cold placement, under the
+// skewed drive; after every write each chip at or above the level is
+// offered a foreground collection. The drive must reach foreground GC and
+// put some chip exactly at the level, so the boundary is exercised.
+//
+// The FPS-pool order (rtfFTL) runs on the 64-block, 16-word-line geometry
+// TestFPSPoolPickMatchesScan uses: on the test geometry this drive drains
+// one of its chips at write 12 705 ("active pool empty and no free
+// blocks"), the liveness defect of ROADMAP item 18 that the budget records
+// but does not mend, and the run would end before it checks anything.
+func TestForegroundGCQuietAtTrigger(t *testing.T) {
+	pool := nand.TestGeometry()
+	pool.BlocksPerChip, pool.WordLinesPerBlock = 64, 16
+	for _, c := range []struct {
+		name string
+		g    nand.Geometry
+	}{
+		{"pageFTL", nand.TestGeometry()},
+		{"pageFTL-hotcold", nand.TestGeometry()},
+		{"rtfFTL", pool},
+		{"flexFTL", nand.TestGeometry()},
+		{"flexFTL-hotcold", nand.TestGeometry()},
+	} {
+		f, err := BuildFTL(c.name, BuildEnv{Geometry: c.g, Config: DefaultConfig(), Flex: DefaultFlexParams()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := f.(*Kernel)
+		atLevel := 0
+		driveSkewed(t, k, 20000, func(i int) {
+			for chip, p := range k.Pools {
+				free := p.FreeCount()
+				if free < k.Budget.Quiet {
+					continue
+				}
+				if free == k.Budget.Quiet {
+					atLevel++
+				}
+				before := k.St.ForegroundGCs
+				if _, err := k.ord.foregroundGC(k, chip, 0); err != nil {
+					t.Fatalf("%s write %d chip %d: %v", c.name, i, chip, err)
+				}
+				if k.St.ForegroundGCs != before {
+					t.Fatalf("%s write %d chip %d: %d free blocks, Quiet level %d, and foreground GC collected %d victims",
+						c.name, i, chip, free, k.Budget.Quiet, k.St.ForegroundGCs-before)
+				}
+			}
+		})
+		if k.St.ForegroundGCs == 0 || atLevel == 0 {
+			t.Fatalf("%s: %d foreground collections, %d checks at the Quiet level; the drive must reach both",
+				c.name, k.St.ForegroundGCs, atLevel)
+		}
+	}
+}

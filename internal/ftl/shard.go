@@ -84,14 +84,13 @@ func (k *Kernel) LookupChip(lpn LPN) (int, bool) {
 // starvation. The order policy bounds the free-block pops and fast-block
 // completions w writes can cause from the chip's current cursor state, the
 // backup strategy adds its own pops, and the check requires the pool to stay
-// at or above the policy's exact foreground-GC trigger throughout — so the
-// serial execution of the same writes provably never collects mid-epoch. A
-// false negative only costs a serial fallback (or, first, a GC pre-run),
-// never correctness.
+// at or above the budget's Quiet level throughout — so the serial execution
+// of the same writes provably never collects mid-epoch. A false negative
+// only costs a serial fallback (or, first, a GC pre-run), never correctness.
 func (k *Kernel) ShardWriteHeadroom(chip, w int) bool {
 	pops, fills := k.ord.shardWriteImpact(k, chip, w)
 	pops += k.bk.shardPops(k, chip, w, fills)
-	return k.Pools[chip].FreeCount()-pops >= k.ord.shardGCTrigger(k)
+	return k.Pools[chip].FreeCount()-pops >= k.Budget.Quiet
 }
 
 // ShardPlacementHazard reports whether a failed ShardWriteHeadroom check is a
@@ -107,7 +106,7 @@ func (k *Kernel) ShardPlacementHazard(chip, w int) bool {
 	}
 	pops, fills := k.ord.shardWriteImpactMin(k, chip, w)
 	pops += k.bk.shardPops(k, chip, w, fills)
-	return k.Pools[chip].FreeCount()-pops >= k.ord.shardGCTrigger(k)
+	return k.Pools[chip].FreeCount()-pops >= k.Budget.Quiet
 }
 
 // ShardPreRunGC runs the chip's foreground collection loop ahead of time, at
