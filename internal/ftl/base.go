@@ -201,14 +201,24 @@ func (b *Base) NextChip() int {
 }
 
 // TokenSize is the payload size of the deterministic page tokens the FTLs
-// write: 4 bytes of LPN + 8 bytes of global sequence number. Real 4 KB
-// payloads carry no additional information for the simulation, so pages
-// store just the token — the parity algebra is unaffected (XOR over tokens
-// is XOR over the zero-padded pages). Every LPN fits the 4 bytes: a device
-// has fewer than nand.MaxPages (< 2^31) pages. The page record defines the
-// size (pagemem.TokenBytes), so it stores and loads this shape with
-// fixed-width moves.
+// write: 4 bytes of LPN + 5 bytes (40 bits) of global sequence number, the
+// low 32 bits in bytes 4–7 and the high 8 in byte 8. Real 4 KB payloads
+// carry no additional information for the simulation, so pages store just
+// the token — the parity algebra is unaffected (XOR over tokens is XOR over
+// the zero-padded pages). Every LPN fits the 4 bytes: a device has fewer
+// than nand.MaxPages (< 2^31) pages. Every sequence number fits the 5: the
+// write paths refuse to issue one past MaxSeq (CheckSeq). The page record
+// defines the size (pagemem.TokenBytes), so it stores and loads this shape
+// with fixed-width moves.
 const TokenSize = pagemem.TokenBytes
+
+// MaxSeq is the largest sequence number a token stores.
+const MaxSeq = 1<<40 - 1
+
+// ErrSeqExhausted is returned by a host write, or an epoch of them, that
+// could carry the token sequence number past MaxSeq. The write programs
+// nothing.
+var ErrSeqExhausted = errors.New("ftl: token sequence numbers exhausted")
 
 // SpareSize is the spare area the FTLs program with a page: one page or
 // block number in 4 bytes (SpareForLPN, spareForBlock), pagemem.SpareBytes.
@@ -222,8 +232,20 @@ const SpareSize = pagemem.SpareBytes
 func (b *Base) Token(lpn LPN) []byte {
 	b.seq++
 	binary.LittleEndian.PutUint32(b.tok[0:4], uint32(lpn))
-	binary.LittleEndian.PutUint64(b.tok[4:12], uint64(b.seq))
+	binary.LittleEndian.PutUint32(b.tok[4:8], uint32(b.seq))
+	b.tok[8] = byte(b.seq >> 32)
 	return b.tok[:]
+}
+
+// CheckSeq returns ErrSeqExhausted once fewer than a device's worth of
+// sequence numbers remains below MaxSeq: a host write takes one, and the
+// garbage collection it triggers can retokenize up to a device's pages. A
+// host write path calls it before it changes any state.
+func (b *Base) CheckSeq() error {
+	if MaxSeq-b.seq < int64(b.lay.Pages()) {
+		return fmt.Errorf("%w: sequence %d", ErrSeqExhausted, b.seq)
+	}
+	return nil
 }
 
 // Spare is the scratch-buffer variant of SpareForLPN for the per-write hot
@@ -248,7 +270,7 @@ func TokenSeq(data []byte) uint64 {
 	if len(data) < TokenSize {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(data[4:12])
+	return uint64(binary.LittleEndian.Uint32(data[4:8])) | uint64(data[8])<<32
 }
 
 // SpareForLPN encodes the reverse-map entry programmed into a data page's

@@ -128,6 +128,9 @@ func (k *Kernel) Name() string { return k.name }
 // Write services a host page write. util is the write-buffer utilization the
 // allocation policy consumes (ignored by the fixed allocator).
 func (k *Kernel) Write(lpn LPN, now sim.Time, util float64) (sim.Time, error) {
+	if err := k.CheckSeq(); err != nil {
+		return now, err
+	}
 	return k.writeOn(k.NextChip(), lpn, now, util)
 }
 

@@ -251,6 +251,9 @@ func (f *FTL) TotalFreeBlocks() int { return f.Base.TotalFreeBlocks() }
 
 // Write services a host page write with the utilization-driven phase policy.
 func (f *FTL) Write(lpn ftl.LPN, now sim.Time, util float64) (sim.Time, error) {
+	if err := f.Base.CheckSeq(); err != nil {
+		return now, err
+	}
 	chip := f.Base.NextChip()
 	gcStart := now
 	now, err := f.foregroundGC(chip, now)

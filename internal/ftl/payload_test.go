@@ -16,10 +16,10 @@ import (
 // program takes the oversize path. A token and a spare fill the slot
 // exactly, every spare encoder writes SpareSize bytes, every parity
 // accumulator of every registered kernel is TokenSize wide, the largest LPN
-// a device can hold round-trips through a token with a sequence number past
-// 32 bits, and every page every registered kernel leaves programmed after
-// sustained writes, GC and idle windows reads back in one of the three
-// shapes.
+// a device can hold round-trips through a token with the largest sequence
+// number a token stores (MaxSeq), and every page every registered kernel
+// leaves programmed after sustained writes, GC and idle windows reads back
+// in one of the three shapes.
 func TestPayloadsFitInline(t *testing.T) {
 	if TokenSize+SpareSize != pagemem.InlineBytes {
 		t.Errorf("TokenSize %d + SpareSize %d != pagemem.InlineBytes %d", TokenSize, SpareSize, pagemem.InlineBytes)
@@ -50,7 +50,7 @@ func TestPayloadsFitInline(t *testing.T) {
 		t.Errorf("blockFromSpare(spareForBlock(2^30-1)) = %d,%v", got, ok)
 	}
 
-	b.seq = 1<<40 - 1 // Token advances it to 2^40
+	b.seq = MaxSeq - 1 // Token advances it to MaxSeq
 	tok := b.Token(lpn)
 	if len(tok) != TokenSize {
 		t.Errorf("Token is %d bytes, want TokenSize %d", len(tok), TokenSize)
@@ -58,8 +58,8 @@ func TestPayloadsFitInline(t *testing.T) {
 	if got, ok := TokenLPN(tok); !ok || got != lpn {
 		t.Errorf("TokenLPN = %d,%v, want %d", got, ok, lpn)
 	}
-	if got := TokenSeq(tok); got != 1<<40 {
-		t.Errorf("TokenSeq = %d, want 2^40", got)
+	if got := TokenSeq(tok); got != MaxSeq {
+		t.Errorf("TokenSeq = %d, want MaxSeq %d", got, uint64(MaxSeq))
 	}
 	if got := TokenSeq(tok[:TokenSize-1]); got != 0 {
 		t.Errorf("TokenSeq of a short payload = %d, want 0", got)

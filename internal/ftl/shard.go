@@ -338,8 +338,13 @@ func (r *ShardRunner) runShard(si int) {
 // and round-robin cursor are exactly what a serial execution of the same ops
 // would have produced, and every op carries its Done time. A non-nil error
 // is the first error in serial order; the run is then aborted, so no merge
-// is attempted.
+// is attempted. An epoch whose shard token ranges could pass MaxSeq returns
+// ErrSeqExhausted before any op runs.
 func (r *ShardRunner) ExecEpoch(ops []EpochOp) error {
+	if r.k.seq > MaxSeq-int64(len(r.shards)+1)<<32 {
+		// The shards' token ranges below would pass the 40-bit ceiling.
+		return fmt.Errorf("%w: sequence %d, %d shards", ErrSeqExhausted, r.k.seq, len(r.shards))
+	}
 	g := r.k.Dev.Geometry()
 	for i := range r.byShard {
 		r.byShard[i] = r.byShard[i][:0]

@@ -39,7 +39,7 @@ func readBoth(t *testing.T, d *Device, a PageAddr) (data, spare []byte) {
 }
 
 // TestInlineOversizeBoundary: the three shapes the FTLs program — a data page
-// (12+4), an FPS parity page (12+0) and a pad (0+0) — stay in the page
+// (9+4), an FPS parity page (9+0) and a pad (0+0) — stay in the page
 // record; any other shape, however short, goes to the chip's side table.
 // Both read back exactly, whatever the split, and PeekSpare sees the first
 // spare bytes of either.
@@ -49,9 +49,9 @@ func TestInlineOversizeBoundary(t *testing.T) {
 		data, spare int
 		inline      bool
 	}{
-		{12, 4, true}, {12, 0, true}, {0, 0, true}, // the FTLs' shapes
-		{16, 0, false}, {4, 12, false}, {0, 4, false}, {11, 4, false}, // the slot, other splits
-		{13, 4, false}, {17, 0, false}, {12, 5, false}, // the slot + 1
+		{9, 4, true}, {9, 0, true}, {0, 0, true}, // the FTLs' shapes
+		{13, 0, false}, {4, 9, false}, {0, 4, false}, {8, 4, false}, // the slot, other splits
+		{10, 4, false}, {14, 0, false}, {9, 5, false}, // the slot + 1
 		{g.PageSizeBytes, g.SpareBytes, false}, // a full page
 	}
 	everyLevels(t, func(t *testing.T, d *Device) {
@@ -87,7 +87,7 @@ func TestReprogramAcrossSlotSizes(t *testing.T) {
 	everyLevels(t, func(t *testing.T, d *Device) {
 		a := addr(0, 3, 0, core.LSB)
 		for i, c := range []struct{ data, spare int }{
-			{40, 0}, {12, 4}, {33, 2}, {12, 0}, {60, 1}, {0, 0}, {5, 1}, {12, 4},
+			{40, 0}, {9, 4}, {33, 2}, {9, 0}, {60, 1}, {0, 0}, {5, 1}, {9, 4},
 		} {
 			data, spare := pattern(c.data, byte(i)), pattern(c.spare, byte(50+i))
 			if _, err := d.Program(a, data, spare, 0); err != nil {
@@ -336,9 +336,9 @@ func TestPageTableAllocations(t *testing.T) {
 
 	everyLevels(t, func(t *testing.T, d *Device) {
 		order := core.RelaxedFullOrder(d.Geometry().Scheme())
-		// The FTLs' page: a 12-byte token and a 4-byte spare (ftl.TokenSize,
+		// The FTLs' page: a 9-byte token and a 4-byte spare (ftl.TokenSize,
 		// ftl.SpareSize), which fill the inline slot.
-		token, spare := pattern(12, 1), pattern(4, 2)
+		token, spare := pattern(9, 1), pattern(4, 2)
 		next := 0
 		programNext := func() {
 			a := PageAddr{BlockAddr: BlockAddr{Chip: 3, Block: next / len(order)}, Page: order[next%len(order)]}
@@ -394,7 +394,7 @@ func TestFTLPageRoundTrip(t *testing.T) {
 		}
 		const runs = 100 // plus AllocsPerRun's warm-up call
 		if allocs := testing.AllocsPerRun(runs, roundTrip); allocs != 0 {
-			t.Errorf("a 12+4 ProgramPPN and its ReadPPN allocate %.2f times per page, want 0", allocs)
+			t.Errorf("a 9+4 ProgramPPN and its ReadPPN allocate %.2f times per page, want 0", allocs)
 		}
 		for i := 0; i < next; i++ {
 			var fresh PageBuf

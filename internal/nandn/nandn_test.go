@@ -279,9 +279,10 @@ func TestWearStats(t *testing.T) {
 	}
 }
 
-// TestInlineOversizeBoundary: a parity page's token with no spare stays in
-// the page record, and a longer payload — the whole inline slot, one byte
-// more, a full page — goes to the side table; each reads back exactly.
+// TestInlineOversizeBoundary: a parity page's 9-byte token with no spare
+// stays in the page record, and a longer payload — the whole 13-byte inline
+// slot, one byte more, a full page — goes to the side table; each reads back
+// exactly.
 func TestInlineOversizeBoundary(t *testing.T) {
 	d := testDevice(t)
 	var buf PageBuf
@@ -298,11 +299,11 @@ func TestInlineOversizeBoundary(t *testing.T) {
 
 // TestReprogramAcrossSlotSizes: one page programmed, read and erased in
 // turn with payloads in the side table (40, 5, 60, 16 bytes) and in the page
-// record (12 and 0 bytes) reads back each payload exactly.
+// record (a 9-byte token and 0 bytes) reads back each payload exactly.
 func TestReprogramAcrossSlotSizes(t *testing.T) {
 	d := testDevice(t)
 	var buf PageBuf
-	for i, n := range []int{40, 12, 5, 60, 16, 0} {
+	for i, n := range []int{40, pagemem.TokenBytes, 5, 60, 16, 0} {
 		data := bytes.Repeat([]byte{byte(i + 1)}, n)
 		if _, err := d.Program(pa(0, 3, 0, 0), data, nil, 0); err != nil {
 			t.Fatal(err)

@@ -4,17 +4,17 @@
 // — FEMU's ppa2pgidx idiom. Flags and payload sit together, so programming a
 // page allocates nothing, an erase clears it with one store, and a read
 // touches one record instead of a struct and two heap slices. The record has
-// no word-sized field: it is 1 + InlineBytes bytes on every target, the
+// no word-sized field: it is 1 + InlineBytes = 14 bytes on every target, the
 // figure a device multiplies by its page count.
 package pagemem
 
 // TokenBytes and SpareBytes are the payload shape of an FTL data page: a
-// 12-byte token (ftl.TokenSize) with a 4-byte spare (ftl.SpareSize). The
+// 9-byte token (ftl.TokenSize) with a 4-byte spare (ftl.SpareSize). The
 // record stores the three shapes the FTLs program in place — that one, a
 // token with no spare (FPS parity) and an empty pad — and no length: a flag
 // names the shape. Any other shape goes to the chip's Oversize table.
 const (
-	TokenBytes = 12
+	TokenBytes = 9
 	SpareBytes = 4
 )
 
@@ -81,7 +81,8 @@ type Oversize map[int]*payload
 func (p *Page) Store(side *Oversize, key int, data, spare []byte) {
 	switch {
 	case len(data) == TokenBytes && len(spare) == SpareBytes:
-		// The FTLs' data page: two fixed-width moves, no memmove call.
+		// The FTLs' data page: fixed-width moves (the token is an 8-byte and
+		// a 1-byte move), no memmove call.
 		*(*[TokenBytes]byte)(p.buf[:TokenBytes]) = [TokenBytes]byte(data)
 		*(*[SpareBytes]byte)(p.buf[TokenBytes:]) = [SpareBytes]byte(spare)
 		p.Flags = Programmed
@@ -111,7 +112,7 @@ func (p *Page) storeOversize(side *Oversize, key int, data, spare []byte) {
 
 // Load copies the stored data and spare area of a programmed page into data
 // and spare, reusing their capacity, and returns them. An FTL data page read
-// into buffers that already hold one is two fixed-width moves; the first
+// into buffers that already hold one is fixed-width moves; the first
 // read into empty buffers, and every other shape, appends.
 func (p *Page) Load(side Oversize, key int, data, spare []byte) ([]byte, []byte) {
 	switch p.Flags & shape {

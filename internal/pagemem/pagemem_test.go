@@ -15,7 +15,7 @@ func fill(n int, seed byte) []byte {
 }
 
 // TestPageIsFlat: the record is what a device multiplies by its page count —
-// a flags byte and the inline slot, 17 bytes on every target: no length
+// a flags byte and the inline slot, 14 bytes on every target: no length
 // bytes, no word-sized field to pad it, no pointers for the collector to
 // trace.
 func TestPageIsFlat(t *testing.T) {
@@ -30,8 +30,8 @@ func inline(data, spare int) bool {
 	return data == TokenBytes && (spare == SpareBytes || spare == 0) || data == 0 && spare == 0
 }
 
-// TestStoreLoad: the three shapes the FTLs program — a data page (12+4), an
-// FPS parity page (12+0) and a pad (0+0) — are stored inline, and every other
+// TestStoreLoad: the three shapes the FTLs program — a data page (9+4), an
+// FPS parity page (9+0) and a pad (0+0) — are stored inline, and every other
 // shape goes to the side table; Store leaves only Programmed set. Every split
 // of up to InlineBytes and a few larger shapes round-trip through Load into
 // empty buffers, into buffers that already hold an FTL page, and into longer

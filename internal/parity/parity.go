@@ -76,13 +76,13 @@ func (b *Buffer) Remove(page []byte) error {
 }
 
 // xorPage XORs page into the head of acc, which is at least as wide. The
-// FTLs' pages are 12-byte tokens, XORed as one 8-byte and one 4-byte word;
+// FTLs' pages are 9-byte tokens, XORed as one 8-byte word and one byte;
 // every other width goes through subtle.XORBytes.
 func xorPage(acc, page []byte) {
-	if len(page) == 12 {
+	if len(page) == 9 {
 		le := binary.LittleEndian
 		le.PutUint64(acc, le.Uint64(acc)^le.Uint64(page))
-		le.PutUint32(acc[8:], le.Uint32(acc[8:])^le.Uint32(page[8:]))
+		acc[8] ^= page[8]
 		return
 	}
 	subtle.XORBytes(acc, acc, page)

@@ -194,8 +194,8 @@ func TestRecoverProperty(t *testing.T) {
 func TestAddRemoveInverseProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
-		b := New(12)
-		base := make([]byte, 12)
+		b := New(9)
+		base := make([]byte, 9)
 		for j := range base {
 			base[j] = byte(src.Intn(256))
 		}
@@ -203,7 +203,7 @@ func TestAddRemoveInverseProperty(t *testing.T) {
 			return false
 		}
 		before := b.Snapshot()
-		extra := make([]byte, 12)
+		extra := make([]byte, 9)
 		for j := range extra {
 			extra[j] = byte(src.Intn(256))
 		}
@@ -289,11 +289,11 @@ func TestXORMatchesByteLoop(t *testing.T) {
 }
 
 // TestAddTokenAllocatesNothing: accumulating a page the size of an FTL
-// token (12 bytes) allocates nothing.
+// token (9 bytes) allocates nothing.
 func TestAddTokenAllocatesNothing(t *testing.T) {
-	b := New(12)
-	page := bytes.Repeat([]byte{0x5a}, 12)
+	b := New(9)
+	page := bytes.Repeat([]byte{0x5a}, 9)
 	if allocs := testing.AllocsPerRun(100, func() { _ = b.Add(page) }); allocs != 0 {
-		t.Errorf("Add of a 12-byte page allocates %.1f times, want 0", allocs)
+		t.Errorf("Add of a 9-byte page allocates %.1f times, want 0", allocs)
 	}
 }
