@@ -7,15 +7,15 @@ import (
 )
 
 // maxBytesPerPage bounds the heap a flexFTL build on EvalGeometry holds per
-// physical page: the 14-byte page record, its program-state bit, one
+// physical page: the 10-byte page record, its program-state bit, one
 // validity bit, 4 bytes per logical page of forward map (3.5 per physical
-// page), and the per-block state (about 1.3). Measured at 19.08 on amd64
-// (22.08 with a 17-byte record and a 12-byte token, 27.95 with a 19-byte
-// record and a 4-byte inverse map, 36.5 with a 27-byte record and a
-// program-state byte, 57.0 when the record was 40 bytes and the map int64);
-// a byte added to pagemem.Page, a widened map or an inverse map in RAM
-// crosses it.
-const maxBytesPerPage = 19.5
+// page), and the per-block state (about 1.3). Measured at 15.18 on amd64
+// (19.08 with a 14-byte record that stored a data page's LPN twice, 22.08
+// with a 17-byte record and a 12-byte token, 27.95 with a 19-byte record
+// and a 4-byte inverse map, 36.5 with a 27-byte record and a program-state
+// byte, 57.0 when the record was 40 bytes and the map int64); a byte added
+// to pagemem.Page, a widened map or an inverse map in RAM crosses it.
+const maxBytesPerPage = 15.5
 
 // TestPageStateFootprint guards the per-page state a device and its FTL
 // keep, the figure that scales with the device. Anything else the process

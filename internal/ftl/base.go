@@ -222,8 +222,9 @@ var ErrSeqExhausted = errors.New("ftl: token sequence numbers exhausted")
 
 // SpareSize is the spare area the FTLs program with a page: one page or
 // block number in 4 bytes (SpareForLPN, spareForBlock), pagemem.SpareBytes.
-// A token and a spare together fill the device's inline page slot
-// (pagemem.InlineBytes) exactly.
+// A data page's spare is its token's first 4 bytes, so the device's inline
+// page slot (pagemem.InlineBytes) holds the token alone; a parity page's
+// block number is kept beside it.
 const SpareSize = pagemem.SpareBytes
 
 // Token builds the payload for a host write, advancing the sequence number.

@@ -1,8 +1,10 @@
 package ftl
 
 import (
+	"bytes"
 	"testing"
 
+	"flexftl/internal/core"
 	"flexftl/internal/nand"
 	"flexftl/internal/pagemem"
 	"flexftl/internal/parity"
@@ -11,18 +13,20 @@ import (
 )
 
 // TestPayloadsFitInline: everything the FTLs program is one of the three
-// shapes the device's page record stores in place — a data page (token and
-// spare), a parity page (token, no spare) and a pad (nothing) — so no FTL
-// program takes the oversize path. A token and a spare fill the slot
-// exactly, every spare encoder writes SpareSize bytes, every parity
-// accumulator of every registered kernel is TokenSize wide, the largest LPN
-// a device can hold round-trips through a token with the largest sequence
-// number a token stores (MaxSeq), and every page every registered kernel
-// leaves programmed after sustained writes, GC and idle windows reads back
-// in one of the three shapes.
+// shapes the device's page record stores in place — a token and a spare, a
+// token alone (FPS parity) and a pad (nothing) — so no FTL program takes the
+// oversize path. A token fills the slot exactly, every spare encoder writes
+// SpareSize bytes, every parity accumulator of every registered kernel is
+// TokenSize wide, the largest LPN a device can hold round-trips through a
+// token with the largest sequence number a token stores (MaxSeq), and every
+// page every registered kernel leaves programmed after sustained writes, GC
+// and idle windows reads back in one of the three shapes. A data page's
+// spare is its token's first SpareSize bytes, which the record stores once;
+// a spare that is not (a block number) is only ever on a parity page of a
+// backup block, and no chip keeps more of them than its wide-spare room.
 func TestPayloadsFitInline(t *testing.T) {
-	if TokenSize+SpareSize != pagemem.InlineBytes {
-		t.Errorf("TokenSize %d + SpareSize %d != pagemem.InlineBytes %d", TokenSize, SpareSize, pagemem.InlineBytes)
+	if TokenSize != pagemem.InlineBytes {
+		t.Errorf("TokenSize %d != pagemem.InlineBytes %d", TokenSize, pagemem.InlineBytes)
 	}
 
 	dev, err := nand.NewDevice(nand.Config{Geometry: nand.TestGeometry(), Timing: nand.DefaultTiming()})
@@ -109,6 +113,15 @@ func TestPayloadsFitInline(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		dev, logical := f.Device(), f.LogicalPages()
+		g := dev.Geometry()
+		// A kernel names its backup blocks; the TLC engine's parity pages
+		// are only known to be on LSB pages.
+		k, isKernel := f.(*Kernel)
+		var bp *blockParity
+		if isKernel {
+			bp, _ = k.bk.(*blockParity)
+		}
+		_, room := dev.WideSpares(0)
 		r := rng.New(7)
 		now := sim.Time(0)
 		var buf nand.PageBuf
@@ -120,6 +133,7 @@ func TestPayloadsFitInline(t *testing.T) {
 			}
 			f.Idle(now, now+sim.Second)
 			now += sim.Second
+			foreign := make([]int, g.Chips())
 			for ppn := nand.PPN(0); ppn < nand.PPN(dev.Layout().Pages()); ppn++ {
 				if _, err := dev.ReadPPN(ppn, &buf, 0); err != nil {
 					continue // erased
@@ -129,10 +143,30 @@ func TestPayloadsFitInline(t *testing.T) {
 					t.Fatalf("%s: page %d holds a %d+%d-byte program, not an inline shape", name, ppn, sh.data, sh.spare)
 				}
 				seen[sh]++
+				if sh.spare == 0 || bytes.Equal(buf.Spare, buf.Data[:SpareSize]) {
+					continue
+				}
+				a := dev.Layout().Addr(ppn)
+				if a.Page.Type != core.LSB || isKernel && (bp == nil || !bp.backupBlockSet(a.Chip)[a.Block]) {
+					t.Fatalf("%s: page %d (%v) has spare %x, not its token's first %d bytes %x, and is no backup block's parity page",
+						name, ppn, a, buf.Spare, SpareSize, buf.Data[:SpareSize])
+				}
+				foreign[a.Chip]++
+				seen[shape{-TokenSize, -SpareSize}]++
+			}
+			for c := range foreign {
+				if n, r := dev.WideSpares(c); n != foreign[c] || r != room {
+					t.Errorf("%s, pass %d: chip %d keeps %d wide spares for %d parity pages and has room for %d, want the %d it was built with",
+						name, pass, c, n, foreign[c], r, room)
+				}
 			}
 		}
 	}
-	t.Logf("programmed pages by data+spare shape over all scans: %v", seen)
+	t.Logf("programmed pages by data+spare shape over all scans (negative: a token with a foreign spare): %v", seen)
+	if seen[shape{-TokenSize, -SpareSize}] == 0 {
+		t.Error("no parity page with a block number in its spare in any scan: the check misses the wide list")
+	}
+	delete(seen, shape{-TokenSize, -SpareSize})
 	for sh := range inline {
 		if seen[sh] == 0 {
 			t.Errorf("no %d+%d-byte page in any scan (%v): the check misses a shape", sh.data, sh.spare, seen)

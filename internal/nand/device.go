@@ -78,9 +78,11 @@ type msbWindow struct {
 type chip struct {
 	// pages is the chip's run of the device's one flat page array, block-major:
 	// page idx of block b is pages[b*PagesPerBlock+idx], and that index is also
-	// the page's key in oversize and progAt.
-	pages    []pagemem.Page
-	oversize pagemem.Oversize
+	// the page's key in side and progAt.
+	pages []pagemem.Page
+	// side holds the spares of the chip's wide pages, in a list carved from
+	// the device's bitmap allocation, and its oversize payloads.
+	side pagemem.Side
 	// progAt is the retention clock of each page — the virtual time of its
 	// last program — indexed like pages. Only the reliability model reads it,
 	// so it is nil on a device without one.
@@ -197,11 +199,16 @@ func NewDevice(cfg Config) (*Device, error) {
 	// One page array, one program-state bitmap and one block array for the
 	// whole device, chip-major, so building it costs the same few allocations
 	// however many blocks and pages there are; a BER model adds one retention
-	// clock array of the same shape.
+	// clock array of the same shape. The bitmap allocation also holds every
+	// chip's wide-spare list, with room for the parity pages of three blocks
+	// of LSB pages: a backup block being filled and one full one per
+	// placement stream, of which the registered FTLs have at most two.
 	perChip := d.lay.pagesPerChip
 	pages := make([]pagemem.Page, len(d.chips)*perChip)
 	words := core.BitmapWords(scheme)
-	written := make([]uint64, cfg.Geometry.TotalBlocks()*words)
+	bitmaps := cfg.Geometry.TotalBlocks() * words
+	wideRoom := 3 * cfg.Geometry.WordLinesPerBlock
+	written := make([]uint64, bitmaps+len(d.chips)*wideRoom)
 	var progAt []sim.Time
 	if cfg.Reliability != nil {
 		progAt = make([]sim.Time, len(pages))
@@ -215,6 +222,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	d.pages, d.blocks = pages, blocks
 	for c := range d.chips {
 		d.chips[c].pages = pages[c*perChip:][:perChip:perChip]
+		d.chips[c].side = pagemem.NewSide(written[bitmaps+c*wideRoom:][:wideRoom:wideRoom])
 		if progAt != nil {
 			d.chips[c].progAt = progAt[c*perChip:][:perChip:perChip]
 		}
@@ -430,7 +438,7 @@ func (d *Device) ProgramPPN(ppn PPN, data, spare []byte, now sim.Time) (sim.Time
 
 	blk.state.MarkChecked(page) // d.rules.Check above accepted it
 	key := int(ppn) - chipID*d.lay.pagesPerChip
-	d.pages[ppn].Store(&c.oversize, key, data, spare)
+	d.pages[ppn].Store(&c.side, key, data, spare)
 	if d.cfg.Reliability != nil {
 		c.progAt[key] = done
 		if !blk.hasProg {
@@ -650,7 +658,7 @@ func (d *Device) ReadPPN(ppn PPN, buf *PageBuf, now sim.Time) (done sim.Time, er
 	case pg.Has(pagemem.Lost), outcome.Uncorrectable:
 		return done, fmt.Errorf("%w: %v", rel.ErrUncorrectable, d.lay.Addr(ppn))
 	}
-	buf.Data, buf.Spare = pg.Load(c.oversize, key, buf.Data, buf.Spare)
+	buf.Data, buf.Spare = pg.Load(&c.side, key, buf.Data, buf.Spare)
 	return done, nil
 }
 
@@ -682,12 +690,10 @@ func (d *Device) Erase(a BlockAddr, now sim.Time) (sim.Time, error) {
 	// all zero — every page flag is set behind Programmed — so erasing it
 	// again (a pre-wear loop does, thousands of times per block) skips the
 	// sweep. Otherwise one store per page: payloads are only read behind the
-	// flag and are overwritten by the next program.
+	// flag and are overwritten by the next program. A block holding a wide
+	// page also drops its spares from the chip's list.
 	if blk.state.Programmed() != 0 {
-		pages := c.blockPages(a.Block, d.lay.pagesPerBlock)
-		for i := range pages {
-			pages[i].Flags = 0
-		}
+		c.side.Erase(c.blockPages(a.Block, d.lay.pagesPerBlock), a.Block*d.lay.pagesPerBlock)
 		blk.state.Reset()
 	}
 	blk.eraseCount++
@@ -847,7 +853,16 @@ func (d *Device) PeekSpare(ppn PPN) ([pagemem.SpareBytes]byte, bool) {
 		return [pagemem.SpareBytes]byte{}, false
 	}
 	chipID := d.lay.ChipOf(ppn)
-	return d.pages[ppn].PeekSpare(d.chips[chipID].oversize, int(ppn)-chipID*d.lay.pagesPerChip)
+	return d.pages[ppn].PeekSpare(&d.chips[chipID].side, int(ppn)-chipID*d.lay.pagesPerChip)
+}
+
+// WideSpares returns how many spares the chip keeps outside its page
+// records — the spares that do not repeat their token's first bytes, which
+// the FTLs write only on parity pages — and how many it has room for. The
+// room is three blocks' worth of LSB pages unless a program passed it,
+// after which the list grows, allocating.
+func (d *Device) WideSpares(chipID int) (n, room int) {
+	return d.chips[chipID].side.WideSpares()
 }
 
 // IsCorrupted reports whether a page's data was destroyed.

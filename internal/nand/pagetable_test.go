@@ -38,26 +38,35 @@ func readBoth(t *testing.T, d *Device, a PageAddr) (data, spare []byte) {
 	return data, spare
 }
 
-// TestInlineOversizeBoundary: the three shapes the FTLs program — a data page
-// (9+4), an FPS parity page (9+0) and a pad (0+0) — stay in the page
-// record; any other shape, however short, goes to the chip's side table.
-// Both read back exactly, whatever the split, and PeekSpare sees the first
-// spare bytes of either.
+// TestInlineOversizeBoundary: the four shapes the FTLs program — a data page
+// (9+4, the spare its token's first 4 bytes), a parity page naming its block
+// (9+4, a foreign spare, which goes to the chip's wide list), an FPS parity
+// page (9+0) and a pad (0+0) — stay in the page record; any other shape,
+// however short, goes to the chip's oversize table. All read back exactly,
+// whatever the split, and PeekSpare sees the first spare bytes of each.
 func TestInlineOversizeBoundary(t *testing.T) {
 	g := TestGeometry()
+	const record, wide, oversize = 0, 1, 2
 	cases := []struct {
 		data, spare int
-		inline      bool
+		prefix      bool // the spare is the data's first bytes
+		where       int
 	}{
-		{9, 4, true}, {9, 0, true}, {0, 0, true}, // the FTLs' shapes
-		{13, 0, false}, {4, 9, false}, {0, 4, false}, {8, 4, false}, // the slot, other splits
-		{10, 4, false}, {14, 0, false}, {9, 5, false}, // the slot + 1
-		{g.PageSizeBytes, g.SpareBytes, false}, // a full page
+		{9, 4, true, record}, {9, 4, false, wide}, {9, 0, false, record}, {0, 0, false, record}, // the FTLs' shapes
+		{13, 0, false, oversize}, {4, 9, false, oversize}, {0, 4, false, oversize}, {8, 4, false, oversize}, {4, 4, true, oversize}, // other splits
+		{10, 0, false, oversize}, {10, 4, true, oversize}, {9, 5, false, oversize}, {0, 9, false, oversize}, // the slot + 1
+		{g.PageSizeBytes, g.SpareBytes, false, oversize}, // a full page
 	}
 	everyLevels(t, func(t *testing.T, d *Device) {
+		side := &d.chips[1].side
 		for blk, c := range cases {
 			a := addr(1, blk, 0, core.LSB)
 			data, spare := pattern(c.data, 1), pattern(c.spare, 101)
+			if c.prefix {
+				spare = append([]byte(nil), data[:c.spare]...)
+			}
+			wideBefore, _ := side.WideSpares()
+			overBefore := side.OversizeEntries()
 			if _, err := d.Program(a, data, spare, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -65,31 +74,50 @@ func TestInlineOversizeBoundary(t *testing.T) {
 			if !bytes.Equal(gotData, data) || !bytes.Equal(gotSpare, spare) {
 				t.Errorf("%d+%dB: read back %x/%x, want %x/%x", c.data, c.spare, gotData, gotSpare, data, spare)
 			}
-			_, inTable := d.chips[1].oversize[blk*d.Geometry().PagesPerBlock()]
-			if inTable == c.inline {
-				t.Errorf("%d+%dB: in the oversize table = %v, want %v", c.data, c.spare, inTable, !c.inline)
+			wideAfter, _ := side.WideSpares()
+			if got := wideAfter - wideBefore; got != b2i(c.where == wide) {
+				t.Errorf("%d+%dB (prefix spare %v): %d new wide-list entries, want %d", c.data, c.spare, c.prefix, got, b2i(c.where == wide))
+			}
+			if got := side.OversizeEntries() - overBefore; got != b2i(c.where == oversize) {
+				t.Errorf("%d+%dB (prefix spare %v): %d new oversize entries, want %d", c.data, c.spare, c.prefix, got, b2i(c.where == oversize))
 			}
 			peek, ok := d.PeekSpare(d.Layout().PPNOf(a))
 			if want := c.spare >= pagemem.SpareBytes; ok != want || ok && !bytes.Equal(peek[:], spare[:pagemem.SpareBytes]) {
 				t.Errorf("%d+%dB: PeekSpare = %x,%v, want the first %d spare bytes: %v", c.data, c.spare, peek, ok, pagemem.SpareBytes, want)
 			}
 		}
-		if d.chips[0].oversize != nil {
-			t.Error("chip 0 grew an oversize table from programs on chip 1")
+		if n, _ := d.chips[0].side.WideSpares(); n != 0 || d.chips[0].side.OversizeEntries() != 0 {
+			t.Error("chip 0 holds side entries from programs on chip 1")
 		}
 	})
 }
 
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // TestReprogramAcrossSlotSizes: a page that held an oversize payload holds an
-// inline one after an erase, and the other way round; nothing of the earlier
-// payload shows through, including a longer one of the same kind.
+// inline one after an erase, and the other way round, and a page whose spare
+// was in the wide list holds a data page's; nothing of the earlier payload
+// or spare shows through, including a longer one of the same kind.
 func TestReprogramAcrossSlotSizes(t *testing.T) {
 	everyLevels(t, func(t *testing.T, d *Device) {
 		a := addr(0, 3, 0, core.LSB)
-		for i, c := range []struct{ data, spare int }{
-			{40, 0}, {9, 4}, {33, 2}, {9, 0}, {60, 1}, {0, 0}, {5, 1}, {9, 4},
+		for i, c := range []struct {
+			data, spare int
+			prefix      bool
+		}{
+			{40, 0, false}, {9, 4, true}, {33, 2, false}, {9, 4, false}, {9, 0, false}, {9, 4, true},
+			{60, 1, false}, {0, 0, false}, {9, 4, false}, {5, 1, false}, {9, 4, false}, {9, 4, true},
 		} {
 			data, spare := pattern(c.data, byte(i)), pattern(c.spare, byte(50+i))
+			if c.prefix {
+				spare = append([]byte(nil), data[:c.spare]...)
+			}
 			if _, err := d.Program(a, data, spare, 0); err != nil {
 				t.Fatalf("program %d+%dB: %v", c.data, c.spare, err)
 			}
@@ -106,6 +134,54 @@ func TestReprogramAcrossSlotSizes(t *testing.T) {
 			if _, ok := d.PeekSpare(d.Layout().PPNOf(a)); ok {
 				t.Errorf("step %d: PeekSpare after erase reports a spare", i)
 			}
+			if n, _ := d.WideSpares(0); n != 0 {
+				t.Errorf("step %d: the erase left %d wide spares", i, n)
+			}
+		}
+	})
+}
+
+// TestWideSpareDroppedOnErase: a block filled with pages whose spare is not
+// their token's prefix reads every spare back through ReadInto and
+// PeekSpare, PeekSpare also after CorruptPage; its erase empties the chip's
+// wide list, and a reprogram with new spares reads the new values.
+func TestWideSpareDroppedOnErase(t *testing.T) {
+	everyLevels(t, func(t *testing.T, d *Device) {
+		blk := BlockAddr{Chip: 2, Block: 4}
+		order := core.RelaxedFullOrder(d.Geometry().Scheme())
+		token := pattern(pagemem.TokenBytes, 3)
+		spareOf := func(round, i int) []byte { return []byte{byte(i), byte(round), 0xee, byte(i >> 8)} }
+		for round := 0; round < 2; round++ {
+			for i, p := range order {
+				if _, err := d.Program(PageAddr{BlockAddr: blk, Page: p}, token, spareOf(round, i), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n, _ := d.WideSpares(2); n != len(order) {
+				t.Fatalf("round %d: %d wide spares for a block of %d pages", round, n, len(order))
+			}
+			var buf PageBuf
+			for i, p := range order {
+				a := PageAddr{BlockAddr: blk, Page: p}
+				if _, err := d.ReadInto(a, &buf, 0); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf.Data, token) || !bytes.Equal(buf.Spare, spareOf(round, i)) {
+					t.Errorf("round %d, page %v: ReadInto = %x/%x, want %x/%x", round, p, buf.Data, buf.Spare, token, spareOf(round, i))
+				}
+				if err := d.CorruptPage(a); err != nil {
+					t.Fatal(err)
+				}
+				if got, ok := d.PeekSpare(d.Layout().PPNOf(a)); !ok || !bytes.Equal(got[:], spareOf(round, i)) {
+					t.Errorf("round %d, corrupted page %v: PeekSpare = %x,%v, want %x", round, p, got, ok, spareOf(round, i))
+				}
+			}
+			if _, err := d.Erase(blk, 0); err != nil {
+				t.Fatal(err)
+			}
+			if n, _ := d.WideSpares(2); n != 0 {
+				t.Errorf("round %d: the erase left %d wide spares", round, n)
+			}
 		}
 	})
 }
@@ -114,7 +190,7 @@ func TestReprogramAcrossSlotSizes(t *testing.T) {
 // the caller's buffer, for inline and oversize payloads alike, and a ReadInto
 // after a re-program sees the new bytes.
 func TestReadsDoNotAliasDeviceMemory(t *testing.T) {
-	for _, n := range []int{12, 48} { // with the spare: inline, oversize
+	for _, n := range []int{9, 48} { // with the spare: inline (a wide spare), oversize
 		d := testDevice(t, core.RPS)
 		a := addr(0, 0, 0, core.LSB)
 		data, spare := pattern(n, 3), pattern(4, 9)
@@ -336,20 +412,36 @@ func TestPageTableAllocations(t *testing.T) {
 
 	everyLevels(t, func(t *testing.T, d *Device) {
 		order := core.RelaxedFullOrder(d.Geometry().Scheme())
-		// The FTLs' page: a 9-byte token and a 4-byte spare (ftl.TokenSize,
-		// ftl.SpareSize), which fill the inline slot.
-		token, spare := pattern(9, 1), pattern(4, 2)
+		// The FTLs' pages: a 9-byte token (ftl.TokenSize) with a 4-byte
+		// spare (ftl.SpareSize) that is the token's LPN on a data page and a
+		// block number on every eighth, a parity page; the parity pages
+		// stay within the chip's wide-list room.
+		token, blockNo := pattern(pagemem.TokenBytes, 1), pattern(pagemem.SpareBytes, 2)
+		dataSpare := append([]byte(nil), token[:pagemem.SpareBytes]...)
+		buf := PageBuf{Data: make([]byte, 0, pagemem.TokenBytes), Spare: make([]byte, 0, pagemem.SpareBytes)}
+		const batch = 50 // pages per call; AllocsPerRun makes a warm-up call and one counted call
 		next := 0
-		programNext := func() {
-			a := PageAddr{BlockAddr: BlockAddr{Chip: 3, Block: next / len(order)}, Page: order[next%len(order)]}
-			if _, err := d.Program(a, token, spare, 0); err != nil {
-				t.Fatal(err)
+		programBatch := func() {
+			for range batch {
+				a := PageAddr{BlockAddr: BlockAddr{Chip: 3, Block: next / len(order)}, Page: order[next%len(order)]}
+				spare := dataSpare
+				if next%8 == 7 {
+					spare = blockNo
+				}
+				if _, err := d.Program(a, token, spare, 0); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.ReadInto(a, &buf, 0); err != nil || !bytes.Equal(buf.Spare, spare) {
+					t.Fatalf("page %d reads back spare %x (%v), want %x", next, buf.Spare, err, spare)
+				}
+				next++
 			}
-			next++
 		}
-		const runs = 100 // plus AllocsPerRun's warm-up call
-		if allocs := testing.AllocsPerRun(runs, programNext); allocs != 0 {
-			t.Errorf("first-touch Program allocates %.2f times per page, want 0", allocs)
+		if allocs := testing.AllocsPerRun(1, programBatch); allocs != 0 {
+			t.Errorf("first-touch Program and ReadInto of %d pages allocate %.0f times, want 0", batch, allocs)
+		}
+		if n, room := d.WideSpares(3); n != next/8 || room != 3*d.Geometry().WordLinesPerBlock {
+			t.Errorf("%d parity pages left %d wide spares with room %d, want %d and room %d", next/8, n, room, next/8, 3*d.Geometry().WordLinesPerBlock)
 		}
 		for blk := 0; blk*len(order) < next; blk++ {
 			if _, err := d.Erase(BlockAddr{Chip: 3, Block: blk}, 0); err != nil {
@@ -357,17 +449,18 @@ func TestPageTableAllocations(t *testing.T) {
 			}
 		}
 		next = 0
-		if allocs := testing.AllocsPerRun(runs, programNext); allocs != 0 {
-			t.Errorf("Program after erase allocates %.2f times per page, want 0", allocs)
+		if allocs := testing.AllocsPerRun(1, programBatch); allocs != 0 {
+			t.Errorf("Program and ReadInto of %d pages after erase allocate %.0f times, want 0", batch, allocs)
 		}
 	})
 }
 
-// TestFTLPageRoundTrip: the FTLs' page shape (pagemem.TokenBytes of data,
-// pagemem.SpareBytes of spare) programmed by ProgramPPN reads back through
-// ReadPPN byte for byte, and the pair allocates nothing once the PageBuf has
-// held one page. A ReadPPN into a zero-capacity PageBuf — every buffer's
-// first read — still returns the stored bytes.
+// TestFTLPageRoundTrip: the FTLs' data page (pagemem.TokenBytes of token,
+// its first pagemem.SpareBytes, the LPN, as the spare) programmed by
+// ProgramPPN reads back through ReadPPN byte for byte, and the pair
+// allocates nothing once the PageBuf has held one page. A ReadPPN into a
+// zero-capacity PageBuf — every buffer's first read — still returns the
+// stored bytes.
 func TestFTLPageRoundTrip(t *testing.T) {
 	everyLevels(t, func(t *testing.T, d *Device) {
 		order := core.RelaxedFullOrder(d.Geometry().Scheme())
@@ -375,13 +468,14 @@ func TestFTLPageRoundTrip(t *testing.T) {
 		ppnOf := func(i int) PPN {
 			return lay.PPNOf(PageAddr{BlockAddr: BlockAddr{Chip: 1, Block: i / len(order)}, Page: order[i%len(order)]})
 		}
-		token, spare := pattern(pagemem.TokenBytes, 1), pattern(pagemem.SpareBytes, 2)
+		token, spare := pattern(pagemem.TokenBytes, 1), make([]byte, pagemem.SpareBytes)
 		var buf PageBuf
 		next := 0
 		roundTrip := func() {
 			ppn := ppnOf(next)
 			next++
-			token[0], spare[0] = byte(next), byte(next>>8)
+			token[0], token[1] = byte(next), byte(next>>8)
+			copy(spare, token)
 			if _, err := d.ProgramPPN(ppn, token, spare, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -396,12 +490,16 @@ func TestFTLPageRoundTrip(t *testing.T) {
 		if allocs := testing.AllocsPerRun(runs, roundTrip); allocs != 0 {
 			t.Errorf("a 9+4 ProgramPPN and its ReadPPN allocate %.2f times per page, want 0", allocs)
 		}
+		if n, _ := d.WideSpares(1); n != 0 {
+			t.Errorf("%d data pages left %d spares outside their records", next, n)
+		}
 		for i := 0; i < next; i++ {
 			var fresh PageBuf
 			if _, err := d.ReadPPN(ppnOf(i), &fresh, 0); err != nil {
 				t.Fatal(err)
 			}
-			token[0], spare[0] = byte(i+1), byte((i+1)>>8)
+			token[0], token[1] = byte(i+1), byte((i+1)>>8)
+			copy(spare, token)
 			if !bytes.Equal(fresh.Data, token) || !bytes.Equal(fresh.Spare, spare) {
 				t.Fatalf("page %d into a zero-capacity PageBuf reads %x/%x, want %x/%x", i, fresh.Data, fresh.Spare, token, spare)
 			}

@@ -279,40 +279,69 @@ func TestWearStats(t *testing.T) {
 	}
 }
 
-// TestInlineOversizeBoundary: a parity page's 9-byte token with no spare
-// stays in the page record, and a longer payload — the whole 13-byte inline
-// slot, one byte more, a full page — goes to the side table; each reads back
-// exactly.
+// TestInlineOversizeBoundary: a parity page's 9-byte token with no spare, a
+// data page's token with its first 4 bytes as spare and a parity page's
+// token with a block number as spare stay in the page record (the last
+// with its spare in the chip's wide list), and a longer payload — a token
+// and a spare's worth of data, the slot plus one byte, a full page — goes to
+// the side table; each reads back exactly.
 func TestInlineOversizeBoundary(t *testing.T) {
 	d := testDevice(t)
 	var buf PageBuf
-	for blk, n := range []int{pagemem.TokenBytes, pagemem.InlineBytes, pagemem.InlineBytes + 1, d.Geometry().PageSizeBytes} {
-		data := bytes.Repeat([]byte{byte(blk + 1)}, n)
-		if _, err := d.Program(pa(1, blk, 0, 0), data, nil, 0); err != nil {
+	for blk, c := range []struct{ data, spare int }{
+		{pagemem.TokenBytes, 0}, {pagemem.TokenBytes, -pagemem.SpareBytes}, {pagemem.TokenBytes, pagemem.SpareBytes},
+		{pagemem.TokenBytes + pagemem.SpareBytes, 0}, {pagemem.InlineBytes + 1, 0}, {d.Geometry().PageSizeBytes, 0},
+	} {
+		data := bytes.Repeat([]byte{byte(blk + 1)}, c.data)
+		spare := bytes.Repeat([]byte{0xa0}, max(c.spare, 0))
+		if c.spare < 0 { // the data's first bytes
+			spare = data[:-c.spare]
+		}
+		if _, err := d.Program(pa(1, blk, 0, 0), data, spare, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.ReadInto(pa(1, blk, 0, 0), &buf, 0); err != nil || !bytes.Equal(buf.Data, data) {
-			t.Errorf("%dB payload read back wrong: %v", n, err)
+		if _, err := d.ReadInto(pa(1, blk, 0, 0), &buf, 0); err != nil || !bytes.Equal(buf.Data, data) || !bytes.Equal(buf.Spare, spare) {
+			t.Errorf("%d+%dB payload read back %x/%x (%v), want %x/%x", len(data), len(spare), buf.Data, buf.Spare, err, data, spare)
 		}
+	}
+	if n, _ := d.WideSpares(1); n != 1 {
+		t.Errorf("chip 1 keeps %d wide spares, want the parity page's 1", n)
 	}
 }
 
 // TestReprogramAcrossSlotSizes: one page programmed, read and erased in
-// turn with payloads in the side table (40, 5, 60, 16 bytes) and in the page
-// record (a 9-byte token and 0 bytes) reads back each payload exactly.
+// turn with payloads in the side table (40, 5, 60, 16 bytes, and 13 with a
+// spare) and in the page record (a 9-byte token with no spare, with its
+// first 4 bytes as spare and with a foreign spare in the wide list, and 0
+// bytes) reads back each payload exactly, and every erase leaves the wide
+// list empty.
 func TestReprogramAcrossSlotSizes(t *testing.T) {
 	d := testDevice(t)
 	var buf PageBuf
-	for i, n := range []int{40, pagemem.TokenBytes, 5, 60, 16, 0} {
-		data := bytes.Repeat([]byte{byte(i + 1)}, n)
-		if _, err := d.Program(pa(0, 3, 0, 0), data, nil, 0); err != nil {
+	for i, c := range []struct {
+		data   int
+		spare  []byte
+		prefix bool // the spare is the data's first 4 bytes
+	}{
+		{40, nil, false}, {pagemem.TokenBytes, []byte{1, 2, 3, 4}, false}, {5, nil, false}, {pagemem.TokenBytes, nil, false},
+		{60, nil, false}, {pagemem.TokenBytes, nil, true}, {16, nil, false},
+		{pagemem.TokenBytes + pagemem.SpareBytes, []byte{9, 9, 9, 9}, false}, {0, nil, false},
+	} {
+		data, spare := bytes.Repeat([]byte{byte(i + 1)}, c.data), c.spare
+		if c.prefix {
+			spare = data[:pagemem.SpareBytes]
+		}
+		if _, err := d.Program(pa(0, 3, 0, 0), data, spare, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.ReadInto(pa(0, 3, 0, 0), &buf, 0); err != nil || !bytes.Equal(buf.Data, data) {
-			t.Errorf("step %d: read back %x (%v), want %x", i, buf.Data, err, data)
+		if _, err := d.ReadInto(pa(0, 3, 0, 0), &buf, 0); err != nil || !bytes.Equal(buf.Data, data) || !bytes.Equal(buf.Spare, spare) {
+			t.Errorf("step %d: read back %x/%x (%v), want %x/%x", i, buf.Data, buf.Spare, err, data, spare)
 		}
 		if _, err := d.Erase(0, 3, 0); err != nil {
 			t.Fatal(err)
+		}
+		if n, _ := d.WideSpares(0); n != 0 {
+			t.Errorf("step %d: the erase left %d wide spares", i, n)
 		}
 	}
 }
