@@ -20,7 +20,6 @@ import (
 	"flexftl/internal/crash"
 	"flexftl/internal/experiments"
 	"flexftl/internal/ftl"
-	"flexftl/internal/nand"
 
 	// Register the TLC scheme so -list shows the whole registry (it is not
 	// campaignable — the campaign drives ftl.Kernel's recovery, and nflexTLC
@@ -51,20 +50,11 @@ func main() {
 		listSchemes(os.Stdout)
 		return
 	}
-	var geometry nand.Geometry
+	cfg := crash.Config{Ops: *ops, Trials: *trials, Seed: *seed, Start: *start, Workers: *workers, Sabotage: sab}
 	if *full {
-		geometry = experiments.EvalGeometry()
+		cfg.Geometry = experiments.EvalGeometry()
 	}
-	failed, err := run(os.Stdout, runOpts{
-		schemes:  *schemes,
-		trials:   *trials,
-		seed:     *seed,
-		start:    *start,
-		ops:      *ops,
-		workers:  *workers,
-		geometry: geometry,
-		sabotage: sab,
-	})
+	failed, err := run(os.Stdout, *schemes, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flexrecover:", err)
 		os.Exit(2)
@@ -98,36 +88,16 @@ func listSchemes(w io.Writer) {
 	}
 }
 
-type runOpts struct {
-	schemes  string
-	trials   int
-	seed     uint64
-	start    int
-	ops      int
-	workers  int
-	geometry nand.Geometry
-	sabotage crash.Sabotage
-}
-
-// run executes the campaign per scheme and reports; it returns whether any
-// trial violated an invariant.
-func run(w io.Writer, o runOpts) (failed bool, err error) {
-	names, err := resolveSchemes(o.schemes)
+// run executes the campaign cfg over each of schemes and reports; it returns
+// whether any trial violated an invariant.
+func run(w io.Writer, schemes string, cfg crash.Config) (failed bool, err error) {
+	names, err := resolveSchemes(schemes)
 	if err != nil {
 		return false, err
 	}
 	var outcomes []crash.Outcome
 	for _, name := range names {
-		cfg := crash.Config{
-			Scheme:   name,
-			Geometry: o.geometry,
-			Ops:      o.ops,
-			Trials:   o.trials,
-			Seed:     o.seed,
-			Start:    o.start,
-			Workers:  o.workers,
-			Sabotage: o.sabotage,
-		}
+		cfg.Scheme = name
 		rep, err := crash.Run(cfg)
 		if err != nil {
 			return failed, err

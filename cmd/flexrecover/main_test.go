@@ -11,7 +11,7 @@ import (
 // scheme and expects zero violations.
 func TestCampaignAllSchemes(t *testing.T) {
 	var sb strings.Builder
-	failed, err := run(&sb, runOpts{schemes: "all", trials: 8, seed: 11, workers: 4})
+	failed, err := run(&sb, "all", crash.Config{Trials: 8, Seed: 11, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,9 +30,8 @@ func TestCampaignAllSchemes(t *testing.T) {
 // is deliberately broken.
 func TestSabotagedCampaignFails(t *testing.T) {
 	var sb strings.Builder
-	failed, err := run(&sb, runOpts{
-		schemes: "flexFTL", trials: 25, seed: 1234, workers: 4,
-		sabotage: crash.SabotageSkipRecovery,
+	failed, err := run(&sb, "flexFTL", crash.Config{
+		Trials: 25, Seed: 1234, Workers: 4, Sabotage: crash.SabotageSkipRecovery,
 	})
 	if err != nil {
 		t.Fatal(err)

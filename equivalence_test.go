@@ -54,7 +54,8 @@ func captureMLC(t *testing.T, scheme string, prof workload.Profile) equivSnapsho
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := ssd.New(f, ssd.DefaultConfig())
+	checked := mountOracle(t, f)
+	sys, err := ssd.New(checked, ssd.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +70,7 @@ func captureMLC(t *testing.T, scheme string, prof workload.Profile) equivSnapsho
 	if err != nil {
 		t.Fatal(err)
 	}
+	checked.verify(t)
 	// The bandwidth CDF holds one sample per window — bulky and fully
 	// determined by the rest of the run; Mean/Peak pin its content.
 	run.Metrics.BandwidthCDF = nil

@@ -52,7 +52,8 @@ func captureGC(t *testing.T, c gcCell) equivSnapshot {
 	}
 	cfg := ssd.DefaultConfig()
 	cfg.PrefillFraction = 1
-	sys, err := ssd.New(f, cfg)
+	checked := mountOracle(t, f)
+	sys, err := ssd.New(checked, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +68,7 @@ func captureGC(t *testing.T, c gcCell) equivSnapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checked.verify(t)
 	dev := f.Device()
 	var drained sim.Time
 	for chip := 0; chip < dev.Geometry().Chips(); chip++ {

@@ -1,19 +1,19 @@
 // Package crash is the randomized sudden-power-off campaign: it drives any
 // registry scheme through a seeded workload, cuts power at a sampled
 // operation boundary on a sampled chip (the destructive MSB window the
-// device models), runs the scheme's recovery procedures, and checks the
-// power-cut invariants the paper's Section 3.3 design promises:
+// device models), runs the scheme's recovery procedures, and checks every
+// logical page against the host oracle (internal/oracle), where a detected
+// loss fails too. On top of the oracle hold the power cut's own invariants
+// of the paper's Section 3.3 design:
 //
-//   - every acknowledged write reads back with its last-written payload
-//     (token LPN match, sequence number at or above the recorded floor);
-//   - a parity-covered LSB page destroyed by the cut is reconstructed;
-//   - an interrupted GC relocation rolls back to the superseded copy — that
-//     data was acknowledged long ago and must survive;
-//   - a rebuilt mapping table disagrees with the surviving RAM table only
-//     where trims or never-acknowledged drops allow it;
-//   - per-chip block accounting still balances (no leaked blocks);
-//   - schemes with no backup must *detect* the loss (reads of the destroyed
-//     pair fail) rather than silently return stale data.
+//   - a scheme with no backup must *detect* the loss of the destroyed pair;
+//   - an interrupted host write was never acknowledged: it may roll back to
+//     any copy of its LPN, or be dropped;
+//   - a trimmed LPN stays unmapped unless the mapping was rebuilt from
+//     flash, and a rebuilt mapping disagrees with the RAM table only where
+//     trims or drops allow it;
+//   - pair-parity schemes leave no destructive window open, and per-chip
+//     block accounting balances.
 //
 // Trials are deterministic: trial i derives its RNG from Split(seed, i+1),
 // so a campaign's outcome is byte-identical at any worker count and any
@@ -24,10 +24,12 @@ import (
 	"fmt"
 	"slices"
 
+	"flexftl/internal/experiments"
 	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
 	"flexftl/internal/par"
 	"flexftl/internal/sim"
+	"flexftl/internal/workload"
 )
 
 // Sabotage selects a deliberately injected fault, used to prove the
@@ -81,8 +83,8 @@ type Config struct {
 	// Start offsets the first trial index, so a failing trial from a big
 	// campaign can be rerun alone: -seed S -start I -trials 1.
 	Start int
-	// Workers sizes the worker pool (default 1; outcomes are identical at
-	// any value).
+	// Workers sizes the worker pool (0 = every core, as par.Workers;
+	// outcomes are identical at any value).
 	Workers int
 	// Sabotage injects a deliberate fault (see Sabotage).
 	Sabotage Sabotage
@@ -97,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Trials <= 0 {
 		c.Trials = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	return c
 }
@@ -170,20 +169,27 @@ func (c Config) ReproArgs(o Outcome) string {
 // campaign: it must build into a *ftl.Kernel, whose recovery procedure the
 // campaign drives (nflexTLC is a separate engine and does not).
 func Campaignable(name string) bool {
-	spec, ok := ftl.Lookup(name)
-	if !ok {
-		return false
-	}
-	h, err := spec.New(ftl.BuildEnv{
-		Geometry: nand.TestGeometry(),
-		Config:   ftl.DefaultConfig(),
-		Flex:     ftl.DefaultFlexParams(),
-	})
+	_, err := buildKernel(name, nand.TestGeometry())
+	return err == nil
+}
+
+// buildKernel builds a trial's device. The trial prefills every logical
+// page, which at the paper's 12.5% over-provisioning drains the pair-parity
+// schemes (ROADMAP item 18), so the cell runs at 25% OP until items 18 and
+// 30(c) move it back. GC still engages: the hot working set invalidates
+// pages fast enough that the op window crosses the free-block thresholds.
+func buildKernel(scheme string, g nand.Geometry) (*ftl.Kernel, error) {
+	h, err := experiments.Setup{Geometry: g}.Cell(scheme, workload.Profile{}).
+		With("OP 25.0%", func(c *experiments.Cell) { c.Env.Config.OPFraction = 0.25 }).
+		Build()
 	if err != nil {
-		return false
+		return nil, err
 	}
-	_, isKernel := h.(*ftl.Kernel)
-	return isKernel
+	k, ok := h.(*ftl.Kernel)
+	if !ok {
+		return nil, fmt.Errorf("crash: scheme %q is not an ftl.Kernel, whose recovery the campaign drives", scheme)
+	}
+	return k, nil
 }
 
 // Run executes the campaign on a bounded worker pool. Outcomes depend only

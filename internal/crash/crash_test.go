@@ -98,7 +98,7 @@ func TestNoBackupSchemesDetectLoss(t *testing.T) {
 // Outcomes are a pure function of the config: any worker count produces the
 // byte-identical campaign.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
-	base := Config{Scheme: "flexFTL", Trials: 12, Seed: 99}
+	base := Config{Scheme: "flexFTL", Trials: 12, Seed: 99, Workers: 1}
 	seq, err := Run(base)
 	if err != nil {
 		t.Fatal(err)

@@ -7,23 +7,23 @@ import (
 
 	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
+	"flexftl/internal/oracle"
 	"flexftl/internal/par"
 	"flexftl/internal/rel"
 	"flexftl/internal/sim"
 	"flexftl/internal/workload"
 )
 
-// This file is the reliability aging campaign (the ISSUE-10 sweep behind
+// This file is the reliability aging campaign (the sweep behind
 // `flexbench -exp reliability`): write a data set onto a pre-worn device,
 // then age it through retention epochs with idle windows in between, reading
 // everything back each epoch. With the kernel's reliability responses off the
 // device is read-only between epochs and retention eventually defeats the
 // ECC budget; with scrubbing/refresh on, at-risk blocks are rewritten during
 // the idle windows and the first uncorrectable read is deferred (or never
-// happens). The campaign's checker holds the crash-campaign invariant the
-// whole way: a host read either returns the acknowledged payload or fails
-// loudly with rel.ErrUncorrectable — a token mismatch without an error is
-// silent corruption and fails the run.
+// happens). The host oracle (internal/oracle) judges every read: a detected
+// loss (rel.ErrUncorrectable) is data for the report, a violation fails the
+// run.
 
 // AgingConfig parameterizes one aging campaign: what happens to the data
 // after the cell's device is built, pre-worn and written.
@@ -88,8 +88,8 @@ type AgingReport struct {
 	// FirstLossEpoch is the 1-based epoch of the first uncorrectable host
 	// read; -1 if every read of every epoch was served.
 	FirstLossEpoch int
-	// LostReads counts host reads that failed uncorrectably across all
-	// epochs (each is a detected loss, never a silent one).
+	// LostReads counts the LPNs whose host reads failed uncorrectably across
+	// all epochs (each is a detected loss, never a silent one).
 	LostReads int64
 	// Reads, Corrected and Retried are the device-side totals: how many
 	// verification reads ran, how many needed ECC correction, and how many
@@ -106,9 +106,9 @@ type AgingReport struct {
 }
 
 // RunAging ages the cell's device through one campaign and returns its
-// report. It errors on configuration problems and on silent corruption (a
-// verification read that returns the wrong payload without an error);
-// uncorrectable reads are data for the report, not errors.
+// report. It errors on configuration problems and on any read the oracle
+// calls a violation; uncorrectable reads are data for the report, not
+// errors.
 func RunAging(c Cell, cfg AgingConfig) (AgingReport, error) {
 	if cfg.Epochs <= 0 || cfg.WriteFraction <= 0 || cfg.WriteFraction > 1 {
 		return AgingReport{}, fmt.Errorf("experiments: bad aging config %+v", cfg)
@@ -123,48 +123,38 @@ func RunAging(c Cell, cfg AgingConfig) (AgingReport, error) {
 	}
 	rep := AgingReport{Scheme: c.Scheme, Responses: c.Env.Config.Reliability != nil, FirstLossEpoch: -1}
 	n := int64(float64(h.LogicalPages()) * cfg.WriteFraction)
+	orc := oracle.New(h.LogicalPages())
 	now := sim.Time(0)
-	for lpn := int64(0); lpn < n; lpn++ {
-		done, err := h.Write(ftl.LPN(lpn), now, 0.5)
+	for lpn := ftl.LPN(0); int64(lpn) < n; lpn++ {
+		done, err := h.Write(lpn, now, 0.5)
 		if err != nil {
 			return rep, fmt.Errorf("experiments: aging write LPN %d: %w", lpn, err)
 		}
+		orc.Ack(lpn, k.Seq())
 		now = done
 	}
 
-	lost := make(map[int64]bool, 16)
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		now += cfg.EpochGap
 		if cfg.IdleWindow > 0 {
 			h.Idle(now, now+cfg.IdleWindow)
 			now += cfg.IdleWindow
 		}
-		for lpn := int64(0); lpn < n; lpn++ {
-			done, err := h.Read(ftl.LPN(lpn), now)
-			if err != nil {
-				if !errors.Is(err, rel.ErrUncorrectable) {
-					return rep, fmt.Errorf("experiments: aging read LPN %d: %w", lpn, err)
-				}
-				// Detected loss. Count it once per LPN for the loss total,
-				// but every failed read must keep failing (sticky pin).
-				if !lost[lpn] {
-					lost[lpn] = true
-					rep.LostReads++
-				}
+		for lpn := ftl.LPN(0); int64(lpn) < n; lpn++ {
+			done, err := h.Read(lpn, now)
+			switch err := orc.Check(lpn, k.Buf.Data, err); {
+			case err == nil:
+				now = done
+			case errors.Is(err, rel.ErrUncorrectable): // a detected loss
 				if rep.FirstLossEpoch < 0 {
 					rep.FirstLossEpoch = epoch
 				}
-				continue
+			default: // a violation, or a read that failed for another reason
+				return rep, fmt.Errorf("experiments: aging read LPN %d: %w", lpn, err)
 			}
-			if lost[lpn] {
-				return rep, fmt.Errorf("experiments: LPN %d read clean after an uncorrectable loss (lost pages must stay lost)", lpn)
-			}
-			if got, ok := ftl.TokenLPN(k.Buf.Data); !ok || got != ftl.LPN(lpn) {
-				return rep, fmt.Errorf("experiments: silent corruption: LPN %d read returned token for %d (ok=%v) without an error", lpn, got, ok)
-			}
-			now = done
 		}
 	}
+	rep.LostReads = int64(orc.Losses())
 
 	rc := k.Device().RelCounts()
 	st := h.Stats()
