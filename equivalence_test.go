@@ -72,7 +72,9 @@ func captureMLC(t *testing.T, scheme string, prof workload.Profile) equivSnapsho
 	}
 	checked.verify(t)
 	// The bandwidth CDF holds one sample per window — bulky and fully
-	// determined by the rest of the run; Mean/Peak pin its content.
+	// determined by the rest of the run. Mean/Peak pin its content, and
+	// bandwidth_cdf_test.go its shape.
+	checkCDFPin(t, scheme+"_"+prof.Name, run.Metrics.BandwidthCDF)
 	run.Metrics.BandwidthCDF = nil
 	hasher := f.(interface{ MappingHash() uint64 })
 	free := f.(interface{ TotalFreeBlocks() int })

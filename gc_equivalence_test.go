@@ -80,6 +80,7 @@ func captureGC(t *testing.T, c gcCell) equivSnapshot {
 		t.Fatalf("%s on %s ran %d foreground and %d background GCs; a GC golden needs both",
 			c.scheme, c.prof.Name, st.ForegroundGCs, st.BackgroundGCs)
 	}
+	checkCDFPin(t, "gc_"+c.scheme+"_"+c.prof.Name, run.Metrics.BandwidthCDF)
 	run.Metrics.BandwidthCDF = nil
 	return equivSnapshot{
 		FTLName:    run.FTLName,
