@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"flexftl/internal/alloctest"
 	"flexftl/internal/rng"
 )
 
@@ -82,7 +83,7 @@ func TestReleasedEntryIsRecycled(t *testing.T) {
 		t.Errorf("occ=%d admitted=%d, want 1 and 3", b.Occupied(), b.Admitted())
 	}
 	held := e2
-	if allocs := testing.AllocsPerRun(100, func() {
+	if allocs := alloctest.Count(100, func() {
 		if err := b.Release(held); err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +91,7 @@ func TestReleasedEntryIsRecycled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("release+admit allocates %.1f times, want 0", allocs)
+		t.Errorf("100 release+admit pairs allocate %d times, want 0", allocs)
 	}
 }
 
@@ -194,7 +195,7 @@ func TestFillDrainAllocatesNothing(t *testing.T) {
 		fresh = append(fresh, b)
 	}
 	held := make([]*Entry, 0, capacity)
-	allocs := testing.AllocsPerRun(runs, func() {
+	allocs := alloctest.Count(runs, func() {
 		b := fresh[0]
 		fresh = fresh[1:]
 		for round := 0; round < rounds; round++ {
@@ -220,6 +221,6 @@ func TestFillDrainAllocatesNothing(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("%d fills and drains of %d entries: %.0f allocations, want 0", rounds, capacity, allocs)
+		t.Errorf("%d fills and drains of %d entries: %d allocations in %d buffers, want 0", rounds, capacity, allocs, runs)
 	}
 }

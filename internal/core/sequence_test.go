@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"flexftl/internal/alloctest"
 	"flexftl/internal/rng"
 )
 
@@ -496,7 +497,7 @@ func TestCheckAcceptPathAllocatesNothing(t *testing.T) {
 		order := FixedOrder(s) // legal under all three rule sets
 		for _, rules := range []RuleSet{FPS, RPS, Unconstrained} {
 			st := NewBlockState(s)
-			allocs := testing.AllocsPerRun(20, func() {
+			allocs := alloctest.Count(20, func() {
 				st.Reset()
 				for _, p := range order {
 					if err := rules.Check(st, p); err != nil {
@@ -506,7 +507,7 @@ func TestCheckAcceptPathAllocatesNothing(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("%s: %v allocations per block on the accept path, want 0", rules.Name(), allocs)
+				t.Errorf("%s: %d allocations in 20 blocks on the accept path, want 0", rules.Name(), allocs)
 			}
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"flexftl/internal/alloctest"
 	"flexftl/internal/core"
 	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
@@ -100,8 +101,8 @@ func TestTrimAndUnmappedRead(t *testing.T) {
 		t.Errorf("read of never-written page: err = %v, want ErrUnmapped", err)
 	}
 	// An expected outcome the runner drops: no message is built for it.
-	if allocs := testing.AllocsPerRun(200, func() { _, _ = f.Read(7, now) }); allocs != 0 {
-		t.Errorf("unmapped read allocates %.1f times per op, want 0", allocs)
+	if allocs := alloctest.Count(200, func() { _, _ = f.Read(7, now) }); allocs != 0 {
+		t.Errorf("200 unmapped reads allocate %d times, want 0", allocs)
 	}
 }
 

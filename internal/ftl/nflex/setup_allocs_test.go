@@ -4,6 +4,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"flexftl/internal/alloctest"
 	"flexftl/internal/core"
 	"flexftl/internal/ftl"
 	"flexftl/internal/nand"
@@ -38,7 +39,8 @@ func TestSetupAllocationsFlat(t *testing.T) {
 	// runtime and would be charged to the build.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, b := range builders {
-		allocs := func(chipsPerChannel, blocks int) float64 {
+		const runs = 3
+		allocs := func(chipsPerChannel, blocks int) int {
 			g := nand.Geometry{Channels: 4, ChipsPerChannel: chipsPerChannel, BlocksPerChip: blocks,
 				WordLinesPerBlock: 8, Levels: b.levels, PageSizeBytes: 4096, SpareBytes: 64}
 			tm := nand.DefaultTiming()
@@ -46,7 +48,7 @@ func TestSetupAllocationsFlat(t *testing.T) {
 				tm = nand.TLCTiming()
 			}
 			var err error
-			n := testing.AllocsPerRun(3, func() {
+			n := alloctest.Count(runs, func() {
 				var dev *nand.Device
 				if dev, err = nand.NewDevice(nand.Config{Geometry: g, Timing: tm, Rules: core.RPS}); err == nil {
 					err = b.build(dev)
@@ -58,12 +60,12 @@ func TestSetupAllocationsFlat(t *testing.T) {
 			return n
 		}
 		small, large, wide := allocs(2, 128), allocs(2, 512), allocs(8, 128)
-		t.Logf("%s: 8 chips x 128 blocks %.0f, x 512 blocks %.0f; 32 chips x 128 blocks %.0f", b.name, small, large, wide)
+		t.Logf("%s, %d setups: 8 chips x 128 blocks %d, x 512 blocks %d; 32 chips x 128 blocks %d", b.name, runs, small, large, wide)
 		if large != small {
-			t.Errorf("%s: %.0f allocations at 512 blocks per chip, %.0f at 128: setup grows with block count", b.name, large, small)
+			t.Errorf("%s: %d allocations at 512 blocks per chip, %d at 128: setup grows with block count", b.name, large, small)
 		}
-		if wide > small+setupAllocsPerChip*24 {
-			t.Errorf("%s: %.0f allocations at 32 chips, %.0f at 8: more than %d per added chip", b.name, wide, small, setupAllocsPerChip)
+		if wide > small+runs*setupAllocsPerChip*24 {
+			t.Errorf("%s: %d allocations at 32 chips, %d at 8 (%d setups): more than %d per added chip", b.name, wide, small, runs, setupAllocsPerChip)
 		}
 	}
 }

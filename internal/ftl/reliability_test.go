@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"flexftl/internal/alloctest"
 	"flexftl/internal/core"
 	"flexftl/internal/nand"
 	"flexftl/internal/rel"
@@ -293,14 +294,14 @@ func TestCleanReadZeroAllocs(t *testing.T) {
 			}
 			now := writeLPNs(t, k, 4)
 			before := k.Dev.RelCounts()
-			allocs := testing.AllocsPerRun(200, func() {
+			allocs := alloctest.Count(200, func() {
 				now += tc.step
 				if _, err := k.Read(LPN(1), now); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("read allocates %.1f times per op, want 0", allocs)
+				t.Errorf("200 reads allocate %d times, want 0", allocs)
 			}
 			after := k.Dev.RelCounts()
 			if retried := after.RetriedReads - before.RetriedReads; (retried > 100) != tc.wantRetries {
@@ -324,12 +325,12 @@ func TestUnmappedReadZeroAllocs(t *testing.T) {
 			t.Errorf("read of unmapped LPN %d: err = %v, want ErrUnmapped itself", lpn, err)
 		}
 	}
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs := alloctest.Count(200, func() {
 		if _, err := k.Read(LPN(2), now); !errors.Is(err, ErrUnmapped) {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("unmapped read allocates %.1f times per op, want 0", allocs)
+		t.Errorf("200 unmapped reads allocate %d times, want 0", allocs)
 	}
 }

@@ -16,7 +16,10 @@ import (
 // in "short" every latency is below countMax, as on a Varmail-like run of a
 // device that keeps up, so every latency is counted. A shape's summary
 // sub-benchmark times Finalize on a fresh collector built untimed; its
-// "record-" sub-benchmark times the recording, sealing and packing included.
+// "record-" sub-benchmark times the recording, sealing and packing included,
+// and reports what the record keeps: bits/sample, the bits of the packed runs
+// per sample they hold (0 when every latency is counted), and B/window, the
+// bytes of the closed-window list per window it holds.
 //
 //	go test -run '^$' -bench BenchmarkFinalize -benchtime 20x ./internal/metrics
 func BenchmarkFinalize(b *testing.B) {
@@ -52,11 +55,30 @@ func BenchmarkFinalize(b *testing.B) {
 		})
 		b.Run("record-"+bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var c *Collector
 			for i := 0; i < b.N; i++ {
-				if c := build(); c.writes != writes {
+				if c = build(); c.writes != writes {
 					b.Fatalf("recorded %d writes, want %d", c.writes, writes)
 				}
 			}
+			b.ReportMetric(storedBits(c), "bits/sample")
+			l := &c.closed
+			b.ReportMetric(float64(8*windowChunk*len(l.chunks)+16*cap(l.wide))/float64(l.n+len(l.wide)), "B/window")
 		})
 	}
+}
+
+// storedBits is the bits of c's packed runs per sample they hold, 0 if none.
+func storedBits(c *Collector) float64 {
+	words, n := 0, 0
+	for _, s := range []*samples{&c.read, &c.writeAck, &c.writeFlush, &c.trim} {
+		for _, r := range s.runs {
+			words += len(r)
+			n += r.len()
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return 64 * float64(words) / float64(n)
 }

@@ -172,14 +172,15 @@ func TestResultString(t *testing.T) {
 }
 
 // TestRecordWritesEachSampleOnce: a stored sample is written into its class's
-// stage once, as 4 bytes, and packed into a run once, at the bit width of its
-// block's deltas. A run of stageLen samples costs runMeta meta words and one
-// 8-byte header per blockLen samples besides its deltas, and a class's run
-// list an entry of 24 bytes per run, at most twice over as it doubles. With
-// deltas of at most 16 bits — both shapes here: latencies cycling upward, and
-// saturated latencies growing with arrival time under a 16-bit jitter, as on a
-// device the host outruns — a sample costs at most
-// 2 + 8/blockLen + (8*runMeta + 48)/stageLen bytes, 2.08. Beyond that a class
+// stage once, as 4 bytes, and packed into a run once, Rice-coded with its
+// block's parameter k, in under k+3 bits. A run of stageLen samples costs
+// runMeta meta words and one 8-byte header per blockLen samples besides its
+// codes, and a class's run list an entry of 24 bytes per run, at most twice
+// over as it doubles. With mean deltas below 2^14, so k <= 13 — both shapes
+// here: latencies cycling upward, and saturated latencies growing with
+// arrival time under a 16-bit jitter, as on a device the host outruns — a
+// sample costs at most 2 + 8/blockLen + (8*runMeta + 48)/stageLen bytes,
+// 2.08. Beyond that a class
 // allocates its ramp of stages (firstStage samples growing to stageLen, under
 // 2*stageLen*4 bytes) and its first run list, and the collector the radix
 // scratch, the unfilled part of its last slab and the tails its slabs leave,

@@ -23,8 +23,7 @@ const (
 	firstRuns = 64
 	// A collector's runs are carved from slabs of slabMin words, each next
 	// slab twice the last up to slabMax (256 KiB). slabMin holds the largest
-	// run, a stage of 32-bit deltas: runMeta+stageLen/blockLen header words
-	// and stageLen/2 delta words, 2 082 in all.
+	// run, 2 193 words (see packedRun).
 	slabMin = 1 << 12
 	slabMax = 1 << 15
 )
@@ -58,6 +57,9 @@ type samples struct {
 	runs    []packedRun
 	stage   []uint32
 	wide    []int64
+	// cur holds a rank search's cursors in runs: those it stands at, then
+	// those of its current probe (see sortedRuns.at).
+	cur []runCursor
 }
 
 // add records one sample, sealing a full stage into a.
@@ -114,12 +116,18 @@ type arena struct {
 	slab    int // words of the last slab allocated
 }
 
-// alloc carves n <= slabMin zero words.
-func (a *arena) alloc(n int) []uint64 {
+// reserve returns at least n <= slabMin zero words, of which the caller
+// then takes the first few (take).
+func (a *arena) reserve(n int) []uint64 {
 	if len(a.free) < n {
 		a.slab = min(max(2*a.slab, slabMin), slabMax)
 		a.free = make([]uint64, a.slab)
 	}
+	return a.free
+}
+
+// take carves the first n reserved words.
+func (a *arena) take(n int) []uint64 {
 	w := a.free[:n:n]
 	a.free = a.free[n:]
 	return w
@@ -206,68 +214,92 @@ func sortUint32(xs, scratch []uint32) {
 	}
 }
 
-// packedRun is one sealed stage: n sorted values, delta-coded in blocks of
+// packedRun is one sealed stage: n sorted values, Rice-coded in blocks of
 // blockLen. Its words are
 //
 //	[0]                 greatest value << 32 | n
 //	[1]                 sum of the values
-//	[runMeta+b]         block b's header: its first value, the bit width w
-//	                    of its deltas and their bit offset in the delta words
+//	[runMeta+b]         block b's header: its first value, its code c and
+//	                    the bit offset of its deltas in the delta words
 //	[runMeta+blocks:]   the delta words: each block's deltas between
-//	                    consecutive values, w bits each, packed low bit first
+//	                    consecutive values, packed low bit first
 //
-// Consecutive values of a sorted stage differ by little, so a block of
-// saturated latencies packs to about 16 bits a value, and a block of equal
-// values to its header alone.
+// A block of equal values (or of one value) has code 0 and no delta bits.
+// Otherwise its deltas are Rice-coded with parameter k = c-1 = ⌊log2 m⌋ for
+// the mean delta m = (last-first)/(len-1) (k = 0 when m is 0): a delta x is
+// its low k bits and x>>k in unary, as zeros closed by a one. A block stores
+// the low bits of its deltas first, k bits each, then their unary parts, so
+// the zeros before the i-th one are the high parts of deltas 1 to i summed.
+// The high parts of a block sum to at most (last-first)>>k < 2(len-1), so a
+// block costs under (len-1)(k+3) bits, and a run under 32*127*34 bits and
+// 2+32 header words, 2 193 words. Consecutive values of a sorted stage differ
+// by about m, so a block of saturated latencies packs to about 12 bits a
+// value.
 type packedRun []uint64
 
 const (
-	runMeta    = 2
-	widthShift = 32 // header bits 32-37: the delta width, 0 to 32
-	offShift   = 38 // header bits 38-63: the delta offset, below stageLen*32
+	runMeta   = 2
+	codeShift = 32 // header bits 32-37: the code, 0 to 32
+	offShift  = 38 // header bits 38-63: the delta offset, below 2^26
 )
+
+// riceCode is the code of a sorted block: 0 when its values are equal,
+// else k+1 for the Rice parameter k of its mean delta.
+func riceCode(blk []uint32) uint {
+	last := len(blk) - 1
+	if blk[last] == blk[0] {
+		return 0
+	}
+	return max(1, uint(bits.Len32((blk[last]-blk[0])/uint32(last))))
+}
 
 // pack packs xs, sorted, 1 <= len(xs) <= stageLen, into a run carved from a.
 func pack(xs []uint32, a *arena) packedRun {
 	n := len(xs)
 	nb := (n + blockLen - 1) / blockLen
-	var widths [stageLen / blockLen]uint
-	var size uint // bits of deltas
+	var bound uint // bits of deltas at most
 	var sum uint64
 	for b := range nb {
 		blk := xs[b*blockLen : min(n, (b+1)*blockLen)]
-		var or uint32 // as wide as the largest delta
-		for i := 1; i < len(blk); i++ {
-			or |= blk[i] - blk[i-1]
+		if c := riceCode(blk); c > 0 {
+			bound += uint(len(blk)-1) * (c + 2)
 		}
-		widths[b] = uint(bits.Len32(or))
-		size += widths[b] * uint(len(blk)-1)
 	}
 	for _, x := range xs {
 		sum += uint64(x)
 	}
-	r := packedRun(a.alloc(runMeta + nb + int((size+63)/64)))
+	r := packedRun(a.reserve(runMeta + nb + int((bound+63)/64)))
 	r[0] = uint64(xs[n-1])<<32 | uint64(n)
 	r[1] = sum
 	d := r[runMeta+nb:]
 	var p uint
 	for b := range nb {
 		blk := xs[b*blockLen : min(n, (b+1)*blockLen)]
-		w := widths[b]
-		r[runMeta+b] = uint64(blk[0]) | uint64(w)<<widthShift | uint64(p)<<offShift
-		if w == 0 {
+		c := riceCode(blk)
+		r[runMeta+b] = uint64(blk[0]) | uint64(c)<<codeShift | uint64(p)<<offShift
+		if c == 0 {
 			continue
 		}
+		// One pass writes the low parts from p and the unary parts from u.
+		// The words are zero: a unary part needs only its one.
+		k := (c - 1) & 63 // below 32: the shifts need no check for 64 or more
+		mask := uint64(1)<<k - 1
+		u := p + uint(len(blk)-1)*k
 		for i := 1; i < len(blk); i++ {
-			x, s := uint64(blk[i]-blk[i-1]), p%64
-			d[p/64] |= x << s
-			if s+w > 64 {
-				d[p/64+1] |= x >> (64 - s)
+			x := uint64(blk[i] - blk[i-1])
+			lo, s := x&mask, p%64
+			d[p/64] |= lo << s
+			if s+k > 64 {
+				d[p/64+1] |= lo >> (64 - s)
 			}
-			p += w
+			p += k
+			u += uint(x >> k)
+			d[u/64] |= 1 << (u % 64)
+			u++
 		}
+		p = u
 	}
-	return r
+	return a.take(runMeta + nb + int((p+63)/64))
 }
 
 func (r packedRun) len() int      { return int(uint32(r[0])) }
@@ -279,29 +311,37 @@ func (r packedRun) blocks() int   { return (r.len() + blockLen - 1) / blockLen }
 // deltas is the run's delta words.
 func (r packedRun) deltas() []uint64 { return r[runMeta+r.blocks():] }
 
-// block returns block b's first value, the bit width of its deltas and the
-// bit offset of its first delta.
-func (r packedRun) block(b int) (first uint32, w, p uint) {
+// block returns block b's first value, its code and the bit offset of its
+// deltas.
+func (r packedRun) block(b int) (first uint32, c, p uint) {
 	h := r[runMeta+b]
-	return uint32(h), uint(h>>widthShift) & 63, uint(h >> offShift)
+	return uint32(h), uint(h>>codeShift) & 63, uint(h >> offShift)
 }
 
-// delta reads the w-bit delta at bit p of the run's delta words d.
-func delta(d []uint64, p, w uint) uint32 {
-	if w == 0 {
-		return 0
-	}
+// bitsAt returns the 64 bits of d from bit p on, zeros past its end.
+func bitsAt(d []uint64, p uint) uint64 {
 	i, s := p/64, p%64
 	x := d[i] >> s
-	if s+w > 64 {
+	if s != 0 && i+1 < uint(len(d)) {
 		x |= d[i+1] << (64 - s)
 	}
-	return uint32(x & (1<<w - 1))
+	return x
 }
 
-// atMost counts the run's values <= v: a binary search on the block first
-// values, then a decode of that one block up to its first value past v.
-func (r packedRun) atMost(v uint32) int {
+// runCursor is where a rank search stands in a packed run: value i of
+// block b, x, is at most every value the search will still probe, and at is
+// the bit past the unary part of its delta. i = 0 says only that no value the
+// search probes lies in an earlier block.
+type runCursor struct {
+	b, i  int32
+	at, x uint32
+}
+
+// atMost counts the run's values <= v, for a v no less than the value at c,
+// and moves c to the last of them: a binary search on the first values of
+// the blocks from c's on, then a decode of v's block, from c if c is in it,
+// up to its first value past v.
+func (r packedRun) atMost(v uint32, c *runCursor) int {
 	n := r.len()
 	switch {
 	case v < r.first():
@@ -310,7 +350,7 @@ func (r packedRun) atMost(v uint32) int {
 		return n
 	}
 	// Block lo's first value is <= v, block hi's (if any) is past it.
-	lo, hi := 0, r.blocks()
+	lo, hi := int(c.b), r.blocks()
 	for hi-lo > 1 {
 		m := int(uint(lo+hi) >> 1)
 		if uint32(r[runMeta+m]) <= v {
@@ -319,26 +359,73 @@ func (r packedRun) atMost(v uint32) int {
 			hi = m
 		}
 	}
-	x, w, p := r.block(lo)
-	d := r.deltas()
+	first, code, p := r.block(lo)
 	base, end := lo*blockLen, min(blockLen, n-lo*blockLen)
-	for j := 1; j < end; j++ {
-		if x += delta(d, p, w); x > v {
-			return base + j
-		}
-		p += w
+	if code == 0 {
+		return base + end
 	}
-	return base + end
+	k := code - 1
+	if c.b != int32(lo) || c.i == 0 {
+		*c = runCursor{b: int32(lo), at: uint32(p + uint(end-1)*k), x: first}
+	}
+	*c = scan(r.deltas(), p, k, v, end-1, *c)
+	return base + 1 + int(c.i)
+}
+
+// scan reads on from c the deltas of a block with Rice parameter k, whose n
+// low parts start at bit p of d and whose unary parts follow, up to its first
+// value past v, and returns the cursor at the last value <= v.
+func scan(d []uint64, p, k uint, v uint32, n int, c runCursor) runCursor {
+	i := int(c.i)
+	if i == n {
+		return c
+	}
+	k &= 63 // k < 32: the shifts need no check for 64 or more
+	mask := uint64(1)<<k - 1
+	at, x := uint(c.at), c.x
+	win, w := at, bitsAt(d, at) // w holds the unread ones from bit win on
+	for ; i < n; i++ {
+		for w == 0 {
+			win += 64
+			w = bitsAt(d, win)
+		}
+		one := win + uint(bits.TrailingZeros64(w))
+		w &= w - 1
+		y := x + uint32((one-at)<<k) + uint32(bitsAt(d, p+uint(i)*k)&mask)
+		if y > v {
+			break
+		}
+		at, x = one+1, y
+	}
+	return runCursor{c.b, int32(i), uint32(at), x}
 }
 
 // next returns value i of the run, 0 < i < r.len(), from value i-1, prev.
-func (r packedRun) next(i int, prev uint32) uint32 {
-	first, w, p := r.block(i / blockLen)
-	j := uint(i % blockLen)
-	if j == 0 {
+// *p is the bit of the unary part of value i's delta: next sets it at a
+// block's first delta and moves it past each unary part it reads.
+func (r packedRun) next(i int, prev uint32, p *uint) uint32 {
+	b, j := i/blockLen, uint(i%blockLen)
+	first, c, off := r.block(b)
+	switch {
+	case j == 0:
 		return first
+	case c == 0:
+		return prev
 	}
-	return prev + delta(r.deltas(), p+(j-1)*w, w)
+	d, k := r.deltas(), c-1
+	if j == 1 {
+		*p = off + uint(min(blockLen, r.len()-b*blockLen)-1)*k
+	}
+	one := *p
+	w := bitsAt(d, one)
+	for w == 0 {
+		one += 64
+		w = bitsAt(d, one)
+	}
+	one += uint(bits.TrailingZeros64(w))
+	high := one - *p
+	*p = one + 1
+	return prev + uint32(high<<k) + uint32(bitsAt(d, off+(j-1)*k)&(1<<k-1))
 }
 
 // sortedRuns is a sample held as the ascending runs of one class or of
@@ -382,6 +469,16 @@ func (r sortedRuns) at(k int) int64 {
 			hi = max(hi, s.wide[len(s.wide)-1])
 		}
 	}
+	// Every value the search probes from here on is at least lo, so a probe
+	// that moves lo past it moves each run's cursor to the probe's place, and
+	// a probe decodes a run from its cursor on.
+	for _, s := range r {
+		if m := len(s.runs); len(s.cur) < 2*m {
+			s.cur = make([]runCursor, 2*m)
+		} else {
+			clear(s.cur[:m])
+		}
+	}
 	for lo < hi {
 		// hi-lo may wrap as an int64; as a uint64 it is the true distance.
 		mid := lo + int64(uint64(hi-lo)/2)
@@ -389,23 +486,30 @@ func (r sortedRuns) at(k int) int64 {
 			hi = mid
 		} else {
 			lo = mid + 1
+			for _, s := range r {
+				m := len(s.runs)
+				copy(s.cur[:m], s.cur[m:2*m])
+			}
 		}
 	}
 	return lo
 }
 
-// atMost counts the values <= v, with one search per run; v is below
-// math.MaxInt64.
+// atMost counts the values <= v, with one search per run from its cursor,
+// leaving the probe's cursors after the runs' own; v is below math.MaxInt64.
 func (r sortedRuns) atMost(v int64) int {
 	n := 0
 	for _, s := range r {
+		m := len(s.runs)
+		probe := s.cur[m : 2*m]
+		copy(probe, s.cur[:m])
 		switch {
 		case v >= math.MaxUint32:
 			n += s.counted + s.stored()
 		case v >= 0:
 			n += s.tierAtMost(v)
-			for _, run := range s.runs {
-				n += run.atMost(uint32(v))
+			for j, run := range s.runs {
+				n += run.atMost(uint32(v), &probe[j])
 			}
 			i, _ := slices.BinarySearch(s.stage, uint32(v)+1)
 			n += i
@@ -503,6 +607,7 @@ type runHead struct {
 	rep   uint32
 	run   packedRun
 	left  int
+	pos   uint // the bit of run's next delta
 }
 
 // next moves v to the run's next value, reporting false at its end.
@@ -511,7 +616,7 @@ func (h *runHead) next() bool {
 	case h.rep > 0:
 		h.rep--
 	case h.left > 0:
-		h.v = int64(h.run.next(h.run.len()-h.left, uint32(h.v)))
+		h.v = int64(h.run.next(h.run.len()-h.left, uint32(h.v), &h.pos))
 		h.left--
 	case len(h.stage) > 0:
 		h.v, h.stage = int64(h.stage[0]), h.stage[1:]

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"flexftl/internal/alloctest"
 	"flexftl/internal/core"
 	"flexftl/internal/obs"
 	"flexftl/internal/rng"
@@ -800,7 +801,7 @@ func TestReadIntoZeroAllocsWithRecorder(t *testing.T) {
 	if _, err := d.ReadInto(a, &buf, now); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	allocs := alloctest.Count(100, func() {
 		done, err := d.ReadInto(a, &buf, now)
 		if err != nil {
 			t.Fatal(err)
@@ -808,7 +809,7 @@ func TestReadIntoZeroAllocsWithRecorder(t *testing.T) {
 		now = done
 	})
 	if allocs != 0 {
-		t.Errorf("instrumented ReadInto allocates %v times per read, want 0", allocs)
+		t.Errorf("100 instrumented ReadIntos allocate %d times, want 0", allocs)
 	}
 }
 
@@ -821,7 +822,7 @@ func TestReadIntoZeroAllocs(t *testing.T) {
 		if _, err := d.ReadInto(a, &buf, now); err != nil { // warm the buffer
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(100, func() {
+		allocs := alloctest.Count(100, func() {
 			done, err := d.ReadInto(a, &buf, now)
 			if err != nil {
 				t.Fatal(err)
@@ -829,7 +830,7 @@ func TestReadIntoZeroAllocs(t *testing.T) {
 			now = done
 		})
 		if allocs != 0 {
-			t.Errorf("ReadInto allocates %v times per read, want 0", allocs)
+			t.Errorf("100 ReadIntos allocate %d times, want 0", allocs)
 		}
 	})
 }

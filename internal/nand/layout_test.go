@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"flexftl/internal/alloctest"
 	"flexftl/internal/core"
 	"flexftl/internal/experiments"
 	"flexftl/internal/nand"
@@ -244,13 +245,14 @@ func TestNewDeviceCapacityError(t *testing.T) {
 		g.PageSizeBytes, g.SpareBytes = 4096, 64
 		cfg := nand.Config{Geometry: g, Timing: timingFor(g)}
 		var err error
-		allocs := testing.AllocsPerRun(3, func() { _, err = nand.NewDevice(cfg) })
+		const runs = 3
+		allocs := alloctest.Count(runs, func() { _, err = nand.NewDevice(cfg) })
 		var ce *nand.CapacityError
 		if !errors.As(err, &ce) || ce.Pages <= nand.MaxPages {
 			t.Errorf("%v: NewDevice = %v, want a *nand.CapacityError above %d pages", g, err, nand.MaxPages)
 		}
-		if allocs > 1 {
-			t.Errorf("%v: refusing the device took %v allocations, want the error's one", g, allocs)
+		if allocs > runs {
+			t.Errorf("%v: refusing the device %d times took %d allocations, want the error's one each", g, runs, allocs)
 		}
 	}
 	under := nand.Geometry{Channels: 1, ChipsPerChannel: 1, BlocksPerChip: 1, WordLinesPerBlock: (1 << 30) - 1}

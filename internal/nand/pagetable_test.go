@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"flexftl/internal/alloctest"
 	"flexftl/internal/core"
 	"flexftl/internal/pagemem"
 	"flexftl/internal/rel"
@@ -393,10 +394,10 @@ func testEraseOfEmptyBlockSkipsSweep(t *testing.T, d *Device) {
 func TestPageTableAllocations(t *testing.T) {
 	restore := debug.SetGCPercent(-1) // a collection per large build would count
 	for levels := 2; levels <= MaxLevels; levels++ {
-		build := func(blocks, wordLines int) float64 {
+		build := func(blocks, wordLines int) int {
 			cfg := levelConfig(levels)
 			cfg.Geometry.BlocksPerChip, cfg.Geometry.WordLinesPerBlock = blocks, wordLines
-			return testing.AllocsPerRun(5, func() {
+			return alloctest.Count(5, func() {
 				if _, err := NewDevice(cfg); err != nil {
 					t.Fatal(err)
 				}
@@ -404,7 +405,7 @@ func TestPageTableAllocations(t *testing.T) {
 		}
 		small := build(8, 8)
 		if moreBlocks, morePages := build(256, 8), build(8, 128); small != moreBlocks || small != morePages {
-			t.Errorf("levels=%d: NewDevice costs %.0f allocations at 8 blocks x 8 word lines, %.0f at 256 blocks, %.0f at 128 word lines",
+			t.Errorf("levels=%d: 5 NewDevices cost %d allocations at 8 blocks x 8 word lines, %d at 256 blocks, %d at 128 word lines",
 				levels, small, moreBlocks, morePages)
 		}
 	}
@@ -487,8 +488,8 @@ func TestFTLPageRoundTrip(t *testing.T) {
 			}
 		}
 		const runs = 100 // plus AllocsPerRun's warm-up call
-		if allocs := testing.AllocsPerRun(runs, roundTrip); allocs != 0 {
-			t.Errorf("a 9+4 ProgramPPN and its ReadPPN allocate %.2f times per page, want 0", allocs)
+		if allocs := alloctest.Count(runs, roundTrip); allocs != 0 {
+			t.Errorf("%d 9+4 ProgramPPNs and their ReadPPNs allocate %d times, want 0", runs, allocs)
 		}
 		if n, _ := d.WideSpares(1); n != 0 {
 			t.Errorf("%d data pages left %d spares outside their records", next, n)

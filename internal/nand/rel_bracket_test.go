@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"flexftl/internal/alloctest"
 	"flexftl/internal/rel"
 	"flexftl/internal/rng"
 	"flexftl/internal/sim"
@@ -166,11 +167,11 @@ func TestRelClassifyZeroAllocs(t *testing.T) {
 	d := relDevice(t, rel.DefaultConfig(3))
 	_, fills0, _ := d.RelTableStats()
 	age := sim.Time(0)
-	if n := testing.AllocsPerRun(100, func() {
+	if n := alloctest.Count(100, func() {
 		age += 1 << relAgeShift
 		d.relClassify(1, 6000, age, 9, 0.25)
 	}); n != 0 {
-		t.Errorf("a table miss allocates %.1f times", n)
+		t.Errorf("100 table misses allocate %d times", n)
 	}
 	if _, fills, _ := d.RelTableStats(); fills-fills0 < 100 {
 		t.Errorf("%d brackets built over 100+ age buckets: the reads were not misses", fills-fills0)
@@ -180,8 +181,8 @@ func TestRelClassifyZeroAllocs(t *testing.T) {
 	rc := d.Reliability()
 	l := rc.Ladder(rc.Model.BER(6000, age, 9), d.Geometry().PageSizeBytes)
 	u := l.Rungs()[1]
-	if n := testing.AllocsPerRun(100, func() { d.relClassify(1, 6000, age, 9, u) }); n != 0 {
-		t.Errorf("a fallback allocates %.1f times", n)
+	if n := alloctest.Count(100, func() { d.relClassify(1, 6000, age, 9, u) }); n != 0 {
+		t.Errorf("100 fallbacks allocate %d times", n)
 	}
 	if _, _, fb := d.RelTableStats(); fb-fb0 < 100 {
 		t.Errorf("%d fallbacks over 100+ reads planted on a rung", fb-fb0)

@@ -12,6 +12,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"flexftl/internal/alloctest"
 	"flexftl/internal/core"
 	"flexftl/internal/nand"
 	"flexftl/internal/obs"
@@ -240,8 +241,8 @@ func TestReadIntoZeroAllocs(t *testing.T) {
 	}
 	var buf PageBuf
 	now, _ := d.ReadInto(a, &buf, 0)
-	if allocs := testing.AllocsPerRun(100, func() { now, _ = d.ReadInto(a, &buf, now) }); allocs != 0 {
-		t.Errorf("ReadInto through the shim allocates %v times per read, want 0", allocs)
+	if allocs := alloctest.Count(100, func() { now, _ = d.ReadInto(a, &buf, now) }); allocs != 0 {
+		t.Errorf("100 ReadIntos through the shim allocate %d times, want 0", allocs)
 	}
 }
 
@@ -361,16 +362,16 @@ func TestEraseOfEmptyBlockSkipsSweep(t *testing.T) {
 // however many blocks and word lines it has, plus nothing for the shim.
 func TestPageTableAllocations(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection per large build would count
-	build := func(blocks, wordLines int) float64 {
+	build := func(blocks, wordLines int) int {
 		g := TLCGeometry()
 		g.BlocksPerChip, g.WordLinesPerBlock = blocks, wordLines
-		return testing.AllocsPerRun(5, func() {
+		return alloctest.Count(5, func() {
 			if _, err := NewDevice(g, TLCTiming()); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	if small, large := build(8, 4), build(64, 64); small != large {
-		t.Errorf("NewDevice: %.0f allocations at 8 blocks x 4 word lines, %.0f at 64 x 64", small, large)
+		t.Errorf("5 NewDevices: %d allocations at 8 blocks x 4 word lines, %d at 64 x 64", small, large)
 	}
 }

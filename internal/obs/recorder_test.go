@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"flexftl/internal/alloctest"
 	"flexftl/internal/sim"
 )
 
@@ -136,7 +137,7 @@ func TestRecorderRegistryDefault(t *testing.T) {
 // registry lookups, instrument updates, sampler ticks — must not allocate.
 func TestDisabledPathAllocates0(t *testing.T) {
 	var r *Recorder
-	allocs := testing.AllocsPerRun(1000, func() {
+	allocs := alloctest.Count(1000, func() {
 		r.Span(KindProgramLSB, 3, 100, 900, 42, 7)
 		r.Instant(KindPolicy, 0, 100, 1, 64)
 		r.Registry().Counter("x").Inc()
@@ -144,7 +145,7 @@ func TestDisabledPathAllocates0(t *testing.T) {
 		r.Sample(100)
 	})
 	if allocs != 0 {
-		t.Errorf("disabled path allocates %v per op, want 0", allocs)
+		t.Errorf("1 000 ops on the disabled path allocate %d times, want 0", allocs)
 	}
 }
 
@@ -156,14 +157,14 @@ func TestEnabledPathAllocates0(t *testing.T) {
 	r := NewRecorder(Options{})
 	c := r.Registry().Counter("busy")
 	now := sim.Time(0)
-	allocs := testing.AllocsPerRun(1000, func() {
+	allocs := alloctest.Count(1000, func() {
 		r.Span(KindProgramLSB, 3, now, now+900, 42, 7)
 		r.Instant(KindPolicy, 0, now, 1, 64)
 		c.Add(900)
 		now += 1000
 	})
 	if allocs != 0 {
-		t.Errorf("enabled path allocates %v per op, want 0", allocs)
+		t.Errorf("1 000 ops on the enabled path allocate %d times, want 0", allocs)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"unsafe"
+
+	"flexftl/internal/alloctest"
 )
 
 func fill(n int, seed byte) []byte {
@@ -237,8 +239,8 @@ func TestOversizeEntryOutlivesErase(t *testing.T) {
 	}
 	p.Flags = 0
 	shorter := fill(60, 5)
-	if allocs := testing.AllocsPerRun(10, func() { p.Store(&side, 0, shorter, nil) }); allocs != 0 {
-		t.Errorf("oversize re-program of the page allocates %.0f times, want 0", allocs)
+	if allocs := alloctest.Count(10, func() { p.Store(&side, 0, shorter, nil) }); allocs != 0 {
+		t.Errorf("10 oversize re-programs of the page allocate %d times, want 0", allocs)
 	}
 	if got, _ := p.Load(&side, 0, nil, nil); !bytes.Equal(got, shorter) {
 		t.Errorf("oversize re-program reads back %d bytes, want the %d just stored", len(got), len(shorter))

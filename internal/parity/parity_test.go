@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"flexftl/internal/alloctest"
 	"flexftl/internal/rng"
 )
 
@@ -293,7 +294,7 @@ func TestXORMatchesByteLoop(t *testing.T) {
 func TestAddTokenAllocatesNothing(t *testing.T) {
 	b := New(9)
 	page := bytes.Repeat([]byte{0x5a}, 9)
-	if allocs := testing.AllocsPerRun(100, func() { _ = b.Add(page) }); allocs != 0 {
-		t.Errorf("Add of a 9-byte page allocates %.1f times, want 0", allocs)
+	if allocs := alloctest.Count(100, func() { _ = b.Add(page) }); allocs != 0 {
+		t.Errorf("100 Adds of a 9-byte page allocate %d times, want 0", allocs)
 	}
 }

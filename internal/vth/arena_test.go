@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"flexftl/internal/alloctest"
 	"flexftl/internal/core"
 	"flexftl/internal/rng"
 )
@@ -55,13 +56,13 @@ func TestSimulateBlockArenaZeroAllocs(t *testing.T) {
 	if _, err := m.SimulateBlockArena(core.MLC(wl), order, WorstCase, src, a); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(10, func() {
+	allocs := alloctest.Count(10, func() {
 		if _, err := m.SimulateBlockArena(core.MLC(wl), order, WorstCase, src, a); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("SimulateBlockArena allocates %v times per block, want 0", allocs)
+		t.Errorf("SimulateBlockArena allocates %d times in 10 blocks, want 0", allocs)
 	}
 }
 
@@ -105,13 +106,13 @@ func TestNLevelArenaZeroAllocs(t *testing.T) {
 	if _, err := m.SimulateBlockArena(s, order, WorstCase, src, a); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(10, func() {
+	allocs := alloctest.Count(10, func() {
 		if _, err := m.SimulateBlockArena(s, order, WorstCase, src, a); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("n-level SimulateBlockArena allocates %v times per block, want 0", allocs)
+		t.Errorf("n-level SimulateBlockArena allocates %d times in 10 blocks, want 0", allocs)
 	}
 }
 
